@@ -197,17 +197,28 @@ fn recording_controller_is_observably_inert() {
     // arrival-order candidate, exactly what exploration's canonical run
     // does), every artifact matches a run with no controller at all — on
     // both engines, including the engine the controller cannot steer.
+    //
+    // Rank 2 sends only after hearing from rank 1, so the arrival order at
+    // rank 0 is the program's and not the host scheduler's: two runs on
+    // the threads engine can only be compared if they queue alike.
     let body = |pr: &mut mpisim::Proc, s: &SectionRuntime| {
         let world = pr.world();
         s.scoped(pr, &world, "FOLD", |pr| {
             let world = pr.world();
-            if pr.world_rank() == 0 {
+            let me = pr.world_rank();
+            if me == 0 {
                 world.barrier(pr);
                 let a = world.recv::<u32>(pr, Src::Any, TagSel::Is(7));
                 let b = world.recv::<u32>(pr, Src::Any, TagSel::Is(7));
                 assert_eq!(a.data[0] + b.data[0], 3);
             } else {
-                world.send(pr, 0, 7, &[pr.world_rank() as u32]);
+                if me == 2 {
+                    let _ = world.recv::<u32>(pr, Src::Rank(1), TagSel::Is(8));
+                }
+                world.send(pr, 0, 7, &[me as u32]);
+                if me == 1 {
+                    world.send(pr, 2, 8, &[0u32]);
+                }
                 world.barrier(pr);
             }
         });

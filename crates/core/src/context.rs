@@ -7,18 +7,17 @@
 //! harness) can ask *where* a rank was, phrased in the program's own
 //! semantic vocabulary instead of a call stack.
 
+use crate::spine::Spine;
 use crate::tool::{EnterInfo, LeaveInfo, SectionTool};
-use mpisim::{CommId, SectionData};
+use mpisim::SectionData;
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Tracks the open-section stack of every rank (across communicators,
 /// interleaved in entry order — the semantic "where is this rank now").
 #[derive(Default)]
 pub struct ContextTool {
-    /// Per rank: the open sections in entry order, with their comm.
-    stacks: Mutex<HashMap<usize, Vec<(CommId, String)>>>,
+    spine: Mutex<Spine<()>>,
 }
 
 impl ContextTool {
@@ -29,11 +28,13 @@ impl ContextTool {
 
     /// The rank's open sections, outermost first (empty if idle/unknown).
     pub fn context_of(&self, world_rank: usize) -> Vec<String> {
-        self.stacks
-            .lock()
-            .get(&world_rank)
-            .map(|s| s.iter().map(|(_, l)| l.clone()).collect())
+        let spine = self.spine.lock();
+        let frames = spine.ranks().get(world_rank).map(|r| r.tracker.frames());
+        frames
             .unwrap_or_default()
+            .iter()
+            .map(|&(_, id)| spine.interner.names[id as usize].clone())
+            .collect()
     }
 
     /// A human-readable location string, e.g.
@@ -49,38 +50,30 @@ impl ContextTool {
 
     /// Ranks currently inside a section with the given label.
     pub fn ranks_in(&self, label: &str) -> Vec<usize> {
-        let stacks = self.stacks.lock();
-        let mut out: Vec<usize> = stacks
-            .iter()
-            .filter(|(_, stack)| stack.iter().any(|(_, l)| l == label))
-            .map(|(&r, _)| r)
-            .collect();
-        out.sort_unstable();
-        out
+        let spine = self.spine.lock();
+        let id = spine.interner.names.iter().position(|n| n == label);
+        let ranks = spine.ranks().iter().enumerate();
+        ranks
+            .filter(|(_, r)| {
+                let mut open = r.tracker.frames().iter();
+                open.any(|&(_, l)| Some(l as usize) == id)
+            })
+            .map(|(rank, _)| rank)
+            .collect()
     }
 }
 
 impl SectionTool for ContextTool {
     fn on_enter(&self, info: &EnterInfo, _data: &mut SectionData) {
-        self.stacks
+        self.spine
             .lock()
-            .entry(info.world_rank)
-            .or_default()
-            .push((info.comm, info.label.to_string()));
+            .enter(info.world_rank, info.comm, &info.label);
     }
 
     fn on_leave(&self, info: &LeaveInfo, _data: &SectionData) {
-        let mut stacks = self.stacks.lock();
-        if let Some(stack) = stacks.get_mut(&info.world_rank) {
-            // Remove the innermost matching frame (sections on different
-            // communicators may interleave in global entry order).
-            if let Some(pos) = stack
-                .iter()
-                .rposition(|(c, l)| *c == info.comm && l == &*info.label)
-            {
-                stack.remove(pos);
-            }
-        }
+        self.spine
+            .lock()
+            .leave(info.world_rank, info.comm, &info.label);
     }
 }
 
@@ -89,7 +82,7 @@ mod tests {
     use super::*;
     use crate::{SectionRuntime, VerifyMode};
     use machine::VTime;
-    use mpisim::WorldBuilder;
+    use mpisim::{CommId, WorldBuilder};
 
     #[test]
     fn crash_location_is_attributed_to_sections() {

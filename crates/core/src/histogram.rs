@@ -7,104 +7,18 @@
 //! billions of events flow through — the property that makes a tool
 //! usable at scale.
 
+use crate::sketch::QuantileSketch;
 use crate::tool::{EnterInfo, LeaveInfo, SectionTool};
 use mpisim::SectionData;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Number of logarithmic buckets: 1 ns .. ~32 s in half-decade steps;
-/// the last bucket collects everything larger.
-pub const BUCKETS: usize = 22;
-
-/// Lower edge (nanoseconds) of bucket `i`: `10^(i/2)` ns.
-fn bucket_floor_ns(i: usize) -> u64 {
-    10f64.powf(i as f64 / 2.0).round() as u64
-}
-
-/// The bucket a duration falls into.
-fn bucket_of(ns: u64) -> usize {
-    if ns == 0 {
-        return 0;
-    }
-    let idx = (2.0 * (ns as f64).log10()).floor() as isize;
-    idx.clamp(0, BUCKETS as isize - 1) as usize
-}
-
-/// Streaming summary of one label's durations.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DurationHistogram {
-    /// Event counts per logarithmic bucket.
-    pub counts: [u64; BUCKETS],
-    /// Total events folded in.
-    pub total: u64,
-    /// Sum of durations (ns) — exact mean survives the reduction.
-    pub sum_ns: u128,
-    /// Extremes survive exactly too.
-    pub min_ns: u64,
-    pub max_ns: u64,
-}
-
-impl Default for DurationHistogram {
-    fn default() -> Self {
-        DurationHistogram {
-            counts: [0; BUCKETS],
-            total: 0,
-            sum_ns: 0,
-            min_ns: u64::MAX,
-            max_ns: 0,
-        }
-    }
-}
-
-impl DurationHistogram {
-    /// Fold one duration in.
-    pub fn record(&mut self, ns: u64) {
-        self.counts[bucket_of(ns)] += 1;
-        self.total += 1;
-        self.sum_ns += ns as u128;
-        self.min_ns = self.min_ns.min(ns);
-        self.max_ns = self.max_ns.max(ns);
-    }
-
-    /// Exact mean duration in seconds.
-    pub fn mean_secs(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.sum_ns as f64 / self.total as f64 * 1e-9
-        }
-    }
-
-    /// Approximate quantile (by bucket floor): the reduction's accuracy is
-    /// half a decade, the price of bounded memory.
-    pub fn quantile_floor_ns(&self, q: f64) -> u64 {
-        if self.total == 0 {
-            return 0;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.total as f64).ceil() as u64;
-        let mut seen = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= target.max(1) {
-                return bucket_floor_ns(i);
-            }
-        }
-        bucket_floor_ns(BUCKETS - 1)
-    }
-
-    /// Merge another histogram (e.g. from another rank or run) — the
-    /// operation that makes the reduction composable across a tree.
-    pub fn merge(&mut self, other: &DurationHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.sum_ns += other.sum_ns;
-        self.min_ns = self.min_ns.min(other.min_ns);
-        self.max_ns = self.max_ns.max(other.max_ns);
-    }
-}
+/// Streaming summary of one label's durations: the workspace's one
+/// log-bucket histogram. Count, sum and extremes survive the reduction
+/// exactly; [`QuantileSketch::half_decade_counts`] is the coarse view
+/// exports print.
+pub type DurationHistogram = QuantileSketch;
 
 /// A tool reducing the section event stream into per-label histograms.
 #[derive(Default)]
@@ -153,18 +67,6 @@ mod tests {
     use mpisim::WorldBuilder;
 
     #[test]
-    fn buckets_are_monotone_halfdecades() {
-        assert_eq!(bucket_of(0), 0);
-        assert_eq!(bucket_of(1), 0);
-        assert!(bucket_of(10) > bucket_of(3));
-        assert!(bucket_of(1_000_000) > bucket_of(10_000));
-        assert_eq!(bucket_of(u64::MAX), BUCKETS - 1);
-        for i in 1..BUCKETS {
-            assert!(bucket_floor_ns(i) > bucket_floor_ns(i - 1));
-        }
-    }
-
-    #[test]
     fn exact_aggregates_survive_reduction() {
         let mut h = DurationHistogram::default();
         for ns in [100u64, 200, 300, 1_000_000] {
@@ -174,33 +76,6 @@ mod tests {
         assert_eq!(h.min_ns, 100);
         assert_eq!(h.max_ns, 1_000_000);
         assert!((h.mean_secs() - 250_150.0 * 1e-9).abs() < 1e-15);
-    }
-
-    #[test]
-    fn quantiles_land_in_the_right_decade() {
-        let mut h = DurationHistogram::default();
-        for _ in 0..99 {
-            h.record(1_000); // 1 µs
-        }
-        h.record(1_000_000_000); // one 1 s outlier
-        let median = h.quantile_floor_ns(0.5);
-        assert!((100..=1_000).contains(&median), "{median}");
-        let p999 = h.quantile_floor_ns(0.999);
-        assert!(p999 >= 100_000_000, "{p999}");
-        assert_eq!(h.quantile_floor_ns(0.0), h.quantile_floor_ns(1e-9));
-    }
-
-    #[test]
-    fn merge_is_sum() {
-        let mut a = DurationHistogram::default();
-        let mut b = DurationHistogram::default();
-        a.record(10);
-        b.record(1_000_000);
-        b.record(20);
-        a.merge(&b);
-        assert_eq!(a.total, 3);
-        assert_eq!(a.min_ns, 10);
-        assert_eq!(a.max_ns, 1_000_000);
     }
 
     #[test]

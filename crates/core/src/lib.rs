@@ -66,6 +66,7 @@ pub mod replay;
 pub mod report;
 pub mod section;
 pub mod sketch;
+mod spine;
 pub mod summary;
 pub mod timeline;
 pub mod tool;

@@ -19,15 +19,16 @@
 //! The registry only observes — it never advances virtual time — so runs
 //! are bit-identical with and without it attached.
 
+use crate::fasthash::FastMap;
 use crate::profiler::SectionKey;
+use crate::spine::{RankTracker, Spine, StepKind};
+use crate::waitstate::RecKind;
 use mpisim::diag::json_str;
-use mpisim::{CommId, MpiEvent, Tool};
+use mpisim::{CommId, EventKind, EventMask, MpiEvent, Tool};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::sync::Arc;
-
-const SHARDS: usize = 64;
 
 /// The raw per-rank counters (a pvar "session" in MPI_T terms). All time
 /// values are virtual nanoseconds.
@@ -121,13 +122,18 @@ struct RankPvars {
     counters: Counters,
     /// Destination world rank -> traffic from this rank.
     matrix: HashMap<usize, MatrixCell>,
-    /// Open sections per communicator, each carrying the counter snapshot
-    /// taken at enter (attribution baseline).
-    stacks: HashMap<CommId, Vec<(Arc<str>, Counters)>>,
-    /// Virtual time at which the current blocking receive was posted.
-    recv_posted_ns: Option<u64>,
-    /// Virtual time at which the current collective rendezvous was entered.
-    coll_entered_ns: Option<u64>,
+    /// The counter snapshot taken when each open section was entered
+    /// (attribution baseline), parallel to the tracker's frames.
+    baselines: Vec<Counters>,
+}
+
+/// Everything the registry has collected, behind its one lock.
+#[derive(Default)]
+struct Registry {
+    spine: Spine<RankPvars>,
+    /// Per-(comm, label id) communication totals, folded in when a
+    /// section closes.
+    sections: FastMap<(CommId, u32), Counters>,
 }
 
 /// The pvar registry tool. Attach with
@@ -136,38 +142,13 @@ struct RankPvars {
 /// [`PvarRegistry::snapshot`].
 #[derive(Default)]
 pub struct PvarRegistry {
-    shards: Vec<Mutex<HashMap<usize, RankPvars>>>,
-    /// Per-(comm, label) communication totals, folded in at section leave.
-    sections: Mutex<BTreeMap<SectionKey, Counters>>,
-    nranks: Mutex<usize>,
+    state: Mutex<Registry>,
 }
 
 impl PvarRegistry {
     /// A fresh registry behind an `Arc`, ready to attach.
     pub fn new() -> Arc<PvarRegistry> {
-        Arc::new(PvarRegistry {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            sections: Mutex::new(BTreeMap::new()),
-            nranks: Mutex::new(0),
-        })
-    }
-
-    fn with_rank<R>(&self, rank: usize, f: impl FnOnce(&mut RankPvars) -> R) -> R {
-        let mut shard = self.shards[rank % SHARDS].lock();
-        f(shard.entry(rank).or_default())
-    }
-
-    /// Fold the delta since `snap` into the per-section totals.
-    fn attribute(&self, comm: CommId, label: &str, now: &Counters, snap: &Counters) {
-        let delta = now.since(snap);
-        let mut sections = self.sections.lock();
-        sections
-            .entry(SectionKey {
-                comm,
-                label: label.to_string(),
-            })
-            .or_default()
-            .add(&delta);
+        Arc::new(PvarRegistry::default())
     }
 
     /// Discard everything collected so far, returning the registry to its
@@ -176,141 +157,94 @@ impl PvarRegistry {
     /// between runs, or each snapshot folds in every earlier run's
     /// counters.
     pub fn reset(&self) {
-        for shard in &self.shards {
-            shard.lock().clear();
-        }
-        self.sections.lock().clear();
-        *self.nranks.lock() = 0;
+        *self.state.lock() = Registry::default();
     }
 
     /// Freeze the collected counters into an immutable snapshot.
     pub fn snapshot(&self) -> PvarSnapshot {
-        let nranks = *self.nranks.lock();
-        let mut per_rank = vec![Counters::default(); nranks];
+        let st = self.state.lock();
+        let ranks = st.spine.ranks();
         let mut matrix: BTreeMap<(usize, usize), MatrixCell> = BTreeMap::new();
-        for shard in &self.shards {
-            let shard = shard.lock();
-            for (&rank, rp) in shard.iter() {
-                if rank < per_rank.len() {
-                    per_rank[rank] = rp.counters;
-                }
-                for (&dst, cell) in &rp.matrix {
-                    let entry = matrix.entry((rank, dst)).or_default();
-                    entry.msgs += cell.msgs;
-                    entry.bytes += cell.bytes;
-                }
+        for (rank, rp) in ranks.iter().enumerate() {
+            for (&dst, &cell) in &rp.data.matrix {
+                matrix.insert((rank, dst), cell);
             }
         }
+        let mut per_section: BTreeMap<SectionKey, Counters> = BTreeMap::new();
+        for (&(comm, label), c) in &st.sections {
+            let label = st.spine.interner.names[label as usize].clone();
+            per_section.insert(SectionKey { comm, label }, *c);
+        }
         PvarSnapshot {
-            nranks,
-            per_rank,
+            nranks: ranks.len(),
+            per_rank: ranks.iter().map(|rp| rp.data.counters).collect(),
             matrix,
-            per_section: self.sections.lock().clone(),
+            per_section,
         }
     }
 }
 
 impl Tool for PvarRegistry {
+    fn interests(&self) -> EventMask {
+        RankTracker::INTERESTS.with(EventKind::CallEnter)
+    }
+
     fn on_event(&self, world_rank: usize, event: &MpiEvent) {
-        match event {
-            MpiEvent::Init { size, .. } => {
-                let mut n = self.nranks.lock();
-                *n = (*n).max(*size);
-                // The implicit MPI_MAIN section opens here; the section
-                // runtime does not re-raise it at PMPI level, so open the
-                // attribution frame from Init directly.
-                self.with_rank(world_rank, |rp| {
-                    let snap = rp.counters;
-                    rp.stacks
-                        .entry(CommId::WORLD)
-                        .or_default()
-                        .push((Arc::from(crate::section::MPI_MAIN), snap));
-                });
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        if let MpiEvent::CallEnter { call, .. } = event {
+            if call.is_collective() {
+                st.spine.rank_mut(world_rank).data.counters.coll_calls += 1;
             }
-            MpiEvent::Finalize { .. } => {
-                let frames = self.with_rank(world_rank, |rp| {
-                    let now = rp.counters;
-                    // Close everything still open (normally just MPI_MAIN).
-                    let mut closed = Vec::new();
-                    for (comm, stack) in rp.stacks.drain() {
-                        for (label, snap) in stack {
-                            closed.push((comm, label, now, snap));
-                        }
-                    }
-                    closed
-                });
-                for (comm, label, now, snap) in frames {
-                    self.attribute(comm, &label, &now, &snap);
-                }
-            }
-            MpiEvent::SectionEnter { comm, label, .. } => {
-                self.with_rank(world_rank, |rp| {
-                    let snap = rp.counters;
-                    rp.stacks
-                        .entry(*comm)
-                        .or_default()
-                        .push((label.clone(), snap));
-                });
-            }
-            MpiEvent::SectionLeave { comm, label, .. } => {
-                let frame = self.with_rank(world_rank, |rp| {
-                    let now = rp.counters;
-                    rp.stacks
-                        .get_mut(comm)
-                        .and_then(|s| s.pop())
-                        .map(|(_, snap)| (now, snap))
-                });
-                if let Some((now, snap)) = frame {
-                    self.attribute(*comm, label, &now, &snap);
-                }
-            }
-            MpiEvent::SendEnqueued {
-                dst_world, bytes, ..
+            return;
+        }
+        let Some((step, rank)) = st.spine.step(world_rank, event) else {
+            return;
+        };
+        let rp = &mut rank.data;
+        match step.kind {
+            // `Init` opens the implicit MPI_MAIN frame the same way.
+            StepKind::Enter => rp.baselines.push(rp.counters),
+            StepKind::Leave {
+                comm,
+                label,
+                pos: Some(pos),
             } => {
-                self.with_rank(world_rank, |rp| {
+                let delta = rp.counters.since(&rp.baselines.remove(pos));
+                st.sections.entry((comm, label)).or_default().add(&delta);
+            }
+            StepKind::Rec {
+                kind,
+                bytes,
+                dst_world,
+            } => match kind {
+                RecKind::Send { .. } => {
                     rp.counters.sent_msgs += 1;
                     rp.counters.sent_bytes += bytes;
-                    let cell = rp.matrix.entry(*dst_world).or_default();
+                    let cell = rp.matrix.entry(dst_world).or_default();
                     cell.msgs += 1;
                     cell.bytes += bytes;
-                });
-            }
-            MpiEvent::RecvBlocked { time, .. } => {
-                self.with_rank(world_rank, |rp| {
-                    rp.recv_posted_ns = Some(time.as_nanos());
-                });
-            }
-            MpiEvent::RecvMatched { bytes, .. } => {
-                self.with_rank(world_rank, |rp| {
+                }
+                RecKind::RecvMatch {
+                    post_ns, done_ns, ..
+                } => {
                     rp.counters.recv_msgs += 1;
                     rp.counters.recv_bytes += bytes;
-                });
-            }
-            MpiEvent::CallEnter { call, .. } if call.is_collective() => {
-                self.with_rank(world_rank, |rp| rp.counters.coll_calls += 1);
-            }
-            MpiEvent::CallExit { time, .. } => {
-                // A blocking receive completes (clock advanced past the
-                // message arrival) at the exit of its enclosing call
-                // (Recv, Wait or Sendrecv).
-                self.with_rank(world_rank, |rp| {
-                    if let Some(posted) = rp.recv_posted_ns.take() {
-                        rp.counters.recv_wait_ns += time.as_nanos().saturating_sub(posted);
+                    rp.counters.recv_wait_ns += done_ns.saturating_sub(post_ns);
+                }
+                RecKind::CollExit { enter_ns, .. } => {
+                    rp.counters.coll_wait_ns += step.t_ns.saturating_sub(enter_ns);
+                }
+                RecKind::Fini => {
+                    // Close everything still open (normally just MPI_MAIN).
+                    let frames = rank.tracker.frames().iter();
+                    for (&frame, snap) in frames.zip(rp.baselines.drain(..)) {
+                        let delta = rp.counters.since(&snap);
+                        st.sections.entry(frame).or_default().add(&delta);
                     }
-                });
-            }
-            MpiEvent::CollectiveEnter { time, .. } => {
-                self.with_rank(world_rank, |rp| {
-                    rp.coll_entered_ns = Some(time.as_nanos());
-                });
-            }
-            MpiEvent::CollectiveExit { time, .. } => {
-                self.with_rank(world_rank, |rp| {
-                    if let Some(entered) = rp.coll_entered_ns.take() {
-                        rp.counters.coll_wait_ns += time.as_nanos().saturating_sub(entered);
-                    }
-                });
-            }
+                }
+                _ => {}
+            },
             _ => {}
         }
     }

@@ -536,9 +536,7 @@ fn coll_cost_ns(ctx: &Ctx<'_>, comm: CommId, round: u64, exit_rec_ns: u64) -> u6
             VTime::from_secs_f64(base + jitter).as_nanos()
         }
         None => {
-            let max_enter = cr
-                .and_then(|c| c.entries.iter().map(|&(_, t)| t).max())
-                .unwrap_or(exit_rec_ns);
+            let max_enter = cr.and_then(CollRound::max_enter_ns).unwrap_or(exit_rec_ns);
             exit_rec_ns.saturating_sub(max_enter)
         }
     }

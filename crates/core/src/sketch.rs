@@ -3,8 +3,8 @@
 //! Two classical data structures back [`crate::summary::SummaryTool`]:
 //!
 //! * [`QuantileSketch`] — a log-bucketed histogram at 16 sub-buckets per
-//!   decade (the fine-grained sibling of [`crate::DurationHistogram`]'s
-//!   half-decade buckets). Reporting the geometric midpoint of the bucket
+//!   decade (also [`crate::DurationHistogram`], whose half-decade view is
+//!   [`QuantileSketch::half_decade_counts`]). Reporting the geometric midpoint of the bucket
 //!   containing a quantile bounds the *relative* error by the half-width
 //!   of one bucket: `10^(1/32) - 1 ≈ 7.5%` ([`QUANTILE_REL_ERR`]), the
 //!   same guarantee family as DDSketch. Count, sum, min and max survive
@@ -29,6 +29,10 @@ const DECADES: usize = 13;
 
 /// Total bucket count of one [`QuantileSketch`].
 pub const QUANTILE_BUCKETS: usize = SUB_BUCKETS * DECADES;
+
+/// Buckets of the half-decade view: 1 ns .. ~32 s in steps of `10^(1/2)`;
+/// the last collects everything larger.
+pub const HALF_DECADE_BUCKETS: usize = 22;
 
 /// Documented worst-case relative error of [`QuantileSketch::quantile`]
 /// for durations inside the covered range: `10^(1/32) - 1`.
@@ -101,6 +105,22 @@ impl QuantileSketch {
             }
         }
         self.max_ns
+    }
+
+    /// The counts regrouped into half-decade buckets, `floor(2 * log10(ns))`
+    /// clamped to the last: each is 8 adjacent sub-buckets, and scaling by
+    /// 8 is exact in binary floating point, so no boundary value moves.
+    pub fn half_decade_counts(&self) -> [u64; HALF_DECADE_BUCKETS] {
+        let mut out = [0; HALF_DECADE_BUCKETS];
+        for (i, &c) in self.counts.iter().enumerate() {
+            out[(i / (SUB_BUCKETS / 2)).min(HALF_DECADE_BUCKETS - 1)] += c;
+        }
+        out
+    }
+
+    /// Exact mean duration in seconds (0 while empty).
+    pub fn mean_secs(&self) -> f64 {
+        self.mean_ns() * 1e-9
     }
 
     /// Exact mean in ns (0 while empty).
@@ -283,6 +303,33 @@ mod tests {
                 rel <= QUANTILE_REL_ERR + 0.005,
                 "q={q}: est {est} vs exact {exact} (rel {rel:.4})"
             );
+        }
+    }
+
+    #[test]
+    fn half_decade_view_is_floor_two_log10() {
+        for ns in [
+            0,
+            1,
+            3,
+            4,
+            9,
+            10,
+            31,
+            32,
+            316,
+            317,
+            999_999,
+            1_000_000,
+            31_622_776_601,
+            31_622_776_602,
+            u64::MAX,
+        ] {
+            let mut sk = QuantileSketch::default();
+            sk.record(ns);
+            let want =
+                ((2.0 * (ns.max(1) as f64).log10()).floor() as usize).min(HALF_DECADE_BUCKETS - 1);
+            assert_eq!(sk.half_decade_counts()[want], 1, "{ns} ns");
         }
     }
 

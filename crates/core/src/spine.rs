@@ -1,0 +1,640 @@
+//! The event spine: the one place that decides which section was open on
+//! a rank and why the rank waited.
+//!
+//! Every number the paper argues from (Eq. 6 bounds, per-section
+//! `Tsection`, imbalance) is arithmetic on per-rank section times, so this
+//! decision exists once. Two halves:
+//!
+//! * [`Spine`] turns the [`MpiEvent`] stream into completed [`Step`]s. It
+//!   owns the label [`Interner`] and one [`RankTracker`] per world rank
+//!   (open-section stack, posted receive, entered collective, per-comm
+//!   round counter), each next to the per-rank state `T` of the tool that
+//!   drives it.
+//! * [`attribute`] folds one record whose cross-rank fact is known — when
+//!   the matched send was issued, when the last member reached the
+//!   rendezvous — into a [`Sink`]:
+//!
+//!   | interval                          | meaning                        |
+//!   |-----------------------------------|--------------------------------|
+//!   | `[post, min(send, done))`         | late sender: receiver idled    |
+//!   | `[max(send, post), done)`         | transfer: wire + recv overhead |
+//!   | `[enter, min(max_enter, exit))`   | wait at collective             |
+//!   | `[max_enter, exit)`               | transfer: the operation's cost |
+//!
+//!   plus whole waits per class (a send issued before the post is a late
+//!   receiver of `post - send`) and the point counters (message sent or
+//!   received with its bytes, collective completed).
+//!
+//! The recorder appends steps to its log; the summarizer, the offline
+//! classifier and the timeline are three sinks of the same fold.
+
+use crate::fasthash::FastMap;
+use crate::waitstate::RecKind;
+use crate::whatif::WaitClass;
+use mpisim::{CommId, EventKind, EventMask, MpiEvent};
+use std::sync::Arc;
+
+/// Section-label interner: the hot path stores compact ids; analysis
+/// resolves them back to names (and sorts by name, since id allocation
+/// order is scheduling-dependent). `Init` interns
+/// [`MPI_MAIN`](crate::section::MPI_MAIN) before any other label, so it is
+/// id 0 — the section a rank is in when no frame is open.
+#[derive(Default)]
+pub(crate) struct Interner {
+    ids: FastMap<Arc<str>, u32>,
+    pub(crate) names: Vec<String>,
+}
+
+impl Interner {
+    pub(crate) fn intern(&mut self, label: &Arc<str>) -> u32 {
+        if let Some(&id) = self.ids.get(label) {
+            return id;
+        }
+        let id = self.names.len() as u32;
+        self.ids.insert(label.clone(), id);
+        self.names.push(label.to_string());
+        id
+    }
+}
+
+/// One rank's position in the event stream.
+#[derive(Debug, Default)]
+pub(crate) struct RankTracker {
+    /// Open section frames in enter order (across communicators).
+    stack: Vec<(CommId, u32)>,
+    /// Time of the previous step.
+    last_ns: u64,
+    recv_posted_ns: Option<u64>,
+    /// `(seq, post_ns, match_ns, bytes)` of a receive that matched but
+    /// whose enclosing call has not returned yet.
+    pending_recv: Option<(u64, u64, u64, u64)>,
+    /// `(enter_ns, round)` of the rendezvous the rank is inside.
+    coll_entered: Option<(u64, u64)>,
+    /// Next round number per communicator.
+    coll_rounds: FastMap<CommId, u64>,
+}
+
+impl RankTracker {
+    /// What the tracker consumes: every tool built on it subscribes to
+    /// exactly these kinds (plus whatever it reads beside the steps).
+    pub(crate) const INTERESTS: EventMask = EventMask::LIFECYCLE
+        .with(EventKind::SectionEnter)
+        .with(EventKind::SectionLeave)
+        .with(EventKind::SendEnqueued)
+        .with(EventKind::RecvBlocked)
+        .with(EventKind::RecvMatched)
+        .with(EventKind::CallExit)
+        .with(EventKind::CollectiveEnter)
+        .with(EventKind::CollectiveExit)
+        .with(EventKind::Compute);
+
+    /// The open frames, outermost first.
+    pub(crate) fn frames(&self) -> &[(CommId, u32)] {
+        &self.stack
+    }
+
+    fn current(&self) -> u32 {
+        self.stack.last().map_or(0, |&(_, id)| id)
+    }
+
+    /// Close the most recent frame of `(comm, label)`, wherever it sits:
+    /// sections are LIFO per communicator but may interleave across
+    /// communicators. Returns the position the frame held.
+    fn leave(&mut self, comm: CommId, label: u32) -> Option<usize> {
+        let pos = self.stack.iter().rposition(|&f| f == (comm, label))?;
+        self.stack.remove(pos);
+        Some(pos)
+    }
+
+    /// Bytes of tracker state (the summarizer's memory account).
+    pub(crate) fn state_bytes(&self) -> usize {
+        std::mem::size_of::<RankTracker>()
+            + self.coll_rounds.len() * std::mem::size_of::<(CommId, u64)>()
+    }
+}
+
+/// What happened at a [`Step`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum StepKind {
+    /// A section opened on top of the stack (`Init` opens `MPI_MAIN`).
+    Enter,
+    /// A section closed; `pos` is the stack position its frame held
+    /// (`None` for a leave that matches no open frame).
+    Leave {
+        comm: CommId,
+        label: u32,
+        pos: Option<usize>,
+    },
+    /// The rank reached a rendezvous of `size` members: round `round`
+    /// of `comm`, counted per rank in program order.
+    CollEnter {
+        comm: CommId,
+        round: u64,
+        op: &'static str,
+        size: usize,
+    },
+    /// Anything the log keeps a record of: a send, a completed receive, a
+    /// collective exit, compute, finalize. A receive's step is taken at
+    /// the exit of its enclosing call (Recv, Wait or Sendrecv) but timed
+    /// at the match — no event of the rank lies between the two, so it
+    /// still lands in program order. `bytes` is the payload of the
+    /// message or of the whole collective; `dst_world` a send's target.
+    /// `Fini` leaves the frames open for the driver to close.
+    Rec {
+        kind: RecKind,
+        bytes: u64,
+        dst_world: usize,
+    },
+}
+
+/// One completed step of one rank. `[from_ns, t_ns)` — the time since the
+/// rank's previous step — was spent in `prev_sec`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Step {
+    pub(crate) t_ns: u64,
+    pub(crate) from_ns: u64,
+    pub(crate) prev_sec: u32,
+    /// The innermost open section once the step has taken effect.
+    pub(crate) sec: u32,
+    pub(crate) kind: StepKind,
+}
+
+/// A rank's tracker next to the driving tool's per-rank state.
+#[derive(Debug, Default)]
+pub(crate) struct Tracked<T> {
+    pub(crate) tracker: RankTracker,
+    pub(crate) data: T,
+}
+
+/// The interner and every rank's tracker, indexed by world rank.
+pub(crate) struct Spine<T> {
+    pub(crate) interner: Interner,
+    ranks: Vec<Tracked<T>>,
+}
+
+impl<T> Default for Spine<T> {
+    fn default() -> Self {
+        Spine {
+            interner: Interner::default(),
+            ranks: Vec::new(),
+        }
+    }
+}
+
+impl<T: Default> Spine<T> {
+    /// Every rank seen so far, in world-rank order (`Init` sizes the
+    /// table to the world at once).
+    pub(crate) fn ranks(&self) -> &[Tracked<T>] {
+        &self.ranks
+    }
+
+    pub(crate) fn rank_mut(&mut self, rank: usize) -> &mut Tracked<T> {
+        if self.ranks.len() <= rank {
+            self.ranks.resize_with(rank + 1, Tracked::default);
+        }
+        &mut self.ranks[rank]
+    }
+
+    /// Open `label` on `rank` (the section-callback drivers' entry point;
+    /// event-driven tools go through [`Spine::step`]).
+    pub(crate) fn enter(&mut self, rank: usize, comm: CommId, label: &Arc<str>) {
+        let id = self.interner.intern(label);
+        self.rank_mut(rank).tracker.stack.push((comm, id));
+    }
+
+    /// Close the innermost `label` of `comm` on `rank`.
+    pub(crate) fn leave(&mut self, rank: usize, comm: CommId, label: &Arc<str>) {
+        let id = self.interner.intern(label);
+        self.rank_mut(rank).tracker.leave(comm, id);
+    }
+
+    /// Advance `rank` by one event. Events that only arm state (receive
+    /// posted, receive matched) and kinds outside
+    /// [`RankTracker::INTERESTS`] complete no step.
+    pub(crate) fn step(
+        &mut self,
+        rank: usize,
+        event: &MpiEvent,
+    ) -> Option<(Step, &mut Tracked<T>)> {
+        if let MpiEvent::Init { size, .. } = event {
+            if self.ranks.len() < *size {
+                self.ranks.resize_with(*size, Tracked::default);
+            }
+        }
+        let now_ns = event.time().as_nanos();
+        self.rank_mut(rank);
+        let (interner, tracked) = (&mut self.interner, &mut self.ranks[rank]);
+        let tr = &mut tracked.tracker;
+        let prev_sec = tr.current();
+        let mut t_ns = now_ns;
+        let rec = |kind| StepKind::Rec {
+            kind,
+            bytes: 0,
+            dst_world: 0,
+        };
+        let kind = match event {
+            MpiEvent::Init { .. } => {
+                let main = interner.intern(&Arc::from(crate::section::MPI_MAIN));
+                tr.stack.clear();
+                tr.stack.push((CommId::WORLD, main));
+                tr.last_ns = now_ns;
+                StepKind::Enter
+            }
+            MpiEvent::Finalize { .. } => rec(RecKind::Fini),
+            MpiEvent::SectionEnter { comm, label, .. } => {
+                tr.stack.push((*comm, interner.intern(label)));
+                StepKind::Enter
+            }
+            MpiEvent::SectionLeave { comm, label, .. } => {
+                let label = interner.intern(label);
+                let pos = tr.leave(*comm, label);
+                let comm = *comm;
+                StepKind::Leave { comm, label, pos }
+            }
+            MpiEvent::SendEnqueued {
+                seq,
+                bytes,
+                dst_world,
+                ..
+            } => StepKind::Rec {
+                kind: RecKind::Send { seq: *seq },
+                bytes: *bytes,
+                dst_world: *dst_world,
+            },
+            MpiEvent::RecvBlocked { .. } => {
+                tr.recv_posted_ns = Some(now_ns);
+                return None;
+            }
+            MpiEvent::RecvMatched { seq, bytes, .. } => {
+                let post_ns = tr.recv_posted_ns.take().unwrap_or(now_ns);
+                tr.pending_recv = Some((*seq, post_ns, now_ns, *bytes));
+                return None;
+            }
+            MpiEvent::CallExit { .. } => {
+                let (seq, post_ns, match_ns, bytes) = tr.pending_recv.take()?;
+                t_ns = match_ns;
+                let done_ns = now_ns;
+                StepKind::Rec {
+                    kind: RecKind::RecvMatch {
+                        seq,
+                        post_ns,
+                        done_ns,
+                    },
+                    bytes,
+                    dst_world: 0,
+                }
+            }
+            MpiEvent::CollectiveEnter {
+                comm, op, members, ..
+            } => {
+                let next = tr.coll_rounds.entry(*comm).or_insert(0);
+                let round = *next;
+                *next += 1;
+                tr.coll_entered = Some((now_ns, round));
+                StepKind::CollEnter {
+                    comm: *comm,
+                    round,
+                    op,
+                    size: members.len(),
+                }
+            }
+            MpiEvent::CollectiveExit { comm, bytes, .. } => {
+                let (enter_ns, round) = tr.coll_entered.take()?;
+                StepKind::Rec {
+                    kind: RecKind::CollExit {
+                        comm: *comm,
+                        round,
+                        enter_ns,
+                    },
+                    bytes: *bytes,
+                    dst_world: 0,
+                }
+            }
+            MpiEvent::Compute { base, elapsed, .. } => rec(RecKind::Compute {
+                base_ns: base.as_nanos(),
+                elapsed_ns: elapsed.as_nanos(),
+            }),
+            _ => return None,
+        };
+        let step = Step {
+            t_ns,
+            from_ns: tr.last_ns,
+            prev_sec,
+            sec: tr.current(),
+            kind,
+        };
+        tr.last_ns = t_ns;
+        Some((step, tracked))
+    }
+}
+
+/// The additive per-(window, section) slice every windowed consumer
+/// keeps: the timeline per rank, the summarizer's checkpoint rows summed
+/// over ranks.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct Cell {
+    pub(crate) time_ns: u64,
+    pub(crate) late_sender_ns: u64,
+    pub(crate) coll_wait_ns: u64,
+    pub(crate) transfer_ns: u64,
+    pub(crate) sent_msgs: u64,
+    pub(crate) sent_bytes: u64,
+    pub(crate) recv_msgs: u64,
+    pub(crate) recv_bytes: u64,
+    pub(crate) coll_exits: u64,
+}
+
+/// The interval classes of a [`Cell`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Span {
+    Presence,
+    LateSender,
+    CollWait,
+    Transfer,
+}
+
+/// The point counters of a [`Cell`]; messages carry their bytes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Count {
+    Sent(u64),
+    Recv(u64),
+    CollExit,
+}
+
+impl Cell {
+    pub(crate) fn add_span(&mut self, span: Span, ns: u64) {
+        *match span {
+            Span::Presence => &mut self.time_ns,
+            Span::LateSender => &mut self.late_sender_ns,
+            Span::CollWait => &mut self.coll_wait_ns,
+            Span::Transfer => &mut self.transfer_ns,
+        } += ns;
+    }
+
+    pub(crate) fn count(&mut self, count: Count) {
+        match count {
+            Count::Sent(bytes) => {
+                self.sent_msgs += 1;
+                self.sent_bytes += bytes;
+            }
+            Count::Recv(bytes) => {
+                self.recv_msgs += 1;
+                self.recv_bytes += bytes;
+            }
+            Count::CollExit => self.coll_exits += 1,
+        }
+    }
+
+    pub(crate) fn add(&mut self, o: &Cell) {
+        self.time_ns += o.time_ns;
+        self.late_sender_ns += o.late_sender_ns;
+        self.coll_wait_ns += o.coll_wait_ns;
+        self.transfer_ns += o.transfer_ns;
+        self.sent_msgs += o.sent_msgs;
+        self.sent_bytes += o.sent_bytes;
+        self.recv_msgs += o.recv_msgs;
+        self.recv_bytes += o.recv_bytes;
+        self.coll_exits += o.coll_exits;
+    }
+
+    /// Presence minus waits and transfer.
+    pub(crate) fn useful_ns(&self) -> u64 {
+        self.time_ns
+            .saturating_sub(self.late_sender_ns + self.coll_wait_ns + self.transfer_ns)
+    }
+}
+
+/// Where [`attribute`] deposits. Every method defaults to a no-op, so a
+/// sink names only what it reduces.
+pub(crate) trait Sink {
+    /// `[a, b)` on `rank`, inside section `sec`, was `span` time.
+    fn span(&mut self, _rank: usize, _sec: u32, _span: Span, _a: u64, _b: u64) {}
+    /// A point event of `rank` at `t` inside `sec`.
+    fn point(&mut self, _rank: usize, _sec: u32, _t: u64, _count: Count) {}
+    /// One whole wait of `class` that began at `start` and lasted `ns`
+    /// (possibly 0: the rank was the last to arrive).
+    fn wait(&mut self, _rank: usize, _sec: u32, _class: WaitClass, _start: u64, _ns: u64) {}
+}
+
+/// Fold one record of `rank`, taken at `t_ns` inside `sec`, into `sink`
+/// (the interval table is in the module documentation). `bytes` is the
+/// message's payload; `peer_ns` the record's one cross-rank fact: when
+/// the matched message was issued for a receive (the post instant if the
+/// send was never observed), when the last member arrived for a
+/// collective exit.
+pub(crate) fn attribute(
+    rank: usize,
+    sec: u32,
+    t_ns: u64,
+    kind: &RecKind,
+    bytes: u64,
+    peer_ns: u64,
+    sink: &mut impl Sink,
+) {
+    match *kind {
+        RecKind::Send { .. } => sink.point(rank, sec, t_ns, Count::Sent(bytes)),
+        RecKind::RecvMatch {
+            post_ns, done_ns, ..
+        } => {
+            let send_ns = peer_ns;
+            if send_ns > post_ns {
+                sink.wait(rank, sec, WaitClass::LateSender, post_ns, send_ns - post_ns);
+                sink.span(rank, sec, Span::LateSender, post_ns, send_ns.min(done_ns));
+            } else {
+                sink.wait(
+                    rank,
+                    sec,
+                    WaitClass::LateReceiver,
+                    send_ns,
+                    post_ns - send_ns,
+                );
+            }
+            sink.span(rank, sec, Span::Transfer, send_ns.max(post_ns), done_ns);
+            sink.point(rank, sec, done_ns, Count::Recv(bytes));
+        }
+        RecKind::CollExit { enter_ns, .. } => {
+            let max_enter_ns = peer_ns.max(enter_ns);
+            let wait = max_enter_ns - enter_ns;
+            sink.wait(rank, sec, WaitClass::WaitAtCollective, enter_ns, wait);
+            sink.span(rank, sec, Span::CollWait, enter_ns, max_enter_ns.min(t_ns));
+            sink.span(rank, sec, Span::Transfer, max_enter_ns, t_ns);
+            sink.point(rank, sec, t_ns, Count::CollExit);
+        }
+        RecKind::Boundary | RecKind::Compute { .. } | RecKind::Fini => {}
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{
+        classify, critpath, timeline, CommRecorder, PvarRegistry, SectionRuntime, SummaryTool,
+        TraceTool, VerifyMode, Windowing,
+    };
+    use mpisim::{Src, TagSel, Tool, WorldBuilder};
+
+    /// Everything `attribute` deposits, in call order.
+    #[derive(Default)]
+    struct Calls(Vec<String>);
+
+    impl Sink for Calls {
+        fn span(&mut self, _rank: usize, _sec: u32, span: Span, a: u64, b: u64) {
+            if b > a {
+                self.0.push(format!("{span:?} [{a},{b})"));
+            }
+        }
+        fn point(&mut self, _rank: usize, _sec: u32, t: u64, count: Count) {
+            self.0.push(format!("{count:?} @{t}"));
+        }
+        fn wait(&mut self, _rank: usize, _sec: u32, class: WaitClass, start: u64, ns: u64) {
+            self.0.push(format!("{} {ns} from {start}", class.name()));
+        }
+    }
+
+    fn attributed(t_ns: u64, kind: RecKind, peer_ns: u64) -> Vec<String> {
+        let mut calls = Calls::default();
+        attribute(0, 0, t_ns, &kind, 8, peer_ns, &mut calls);
+        calls.0
+    }
+
+    #[test]
+    fn the_four_intervals() {
+        let recv = |post_ns| RecKind::RecvMatch {
+            seq: 0,
+            post_ns,
+            done_ns: 50,
+        };
+        assert_eq!(
+            attributed(31, recv(10), 30),
+            [
+                "late-sender 20 from 10",
+                "LateSender [10,30)",
+                "Transfer [30,50)",
+                "Recv(8) @50"
+            ]
+        );
+        assert_eq!(
+            attributed(30, recv(30), 10),
+            [
+                "late-receiver 20 from 10",
+                "Transfer [30,50)",
+                "Recv(8) @50"
+            ]
+        );
+        let exit = |enter_ns| RecKind::CollExit {
+            comm: CommId::WORLD,
+            round: 0,
+            enter_ns,
+        };
+        assert_eq!(
+            attributed(55, exit(10), 40),
+            [
+                "wait-at-collective 30 from 10",
+                "CollWait [10,40)",
+                "Transfer [40,55)",
+                "CollExit @55"
+            ]
+        );
+        // The last arrival waits for nobody; its own entry is the maximum
+        // even when the table has not seen it.
+        assert_eq!(
+            attributed(55, exit(40), 10),
+            [
+                "wait-at-collective 0 from 40",
+                "Transfer [40,55)",
+                "CollExit @55"
+            ]
+        );
+    }
+
+    /// Delivers every event kind to `T`, whatever `T` subscribes to.
+    struct Wide<T>(Arc<T>);
+
+    impl<T: Tool> Tool for Wide<T> {
+        fn on_event(&self, world_rank: usize, event: &MpiEvent) {
+            self.0.on_event(world_rank, event);
+        }
+    }
+
+    /// Every artifact of one run of a program that raises every event
+    /// kind, with the four tools attached bare (`wide = false`: each gets
+    /// exactly its declared interests) or behind [`Wide`].
+    fn artifacts(wide: bool) -> Vec<String> {
+        fn attach<T: Tool + 'static>(wide: bool, tool: &Arc<T>) -> Arc<dyn Tool> {
+            if wide {
+                Arc::new(Wide(tool.clone()))
+            } else {
+                tool.clone()
+            }
+        }
+        let sections = SectionRuntime::new(VerifyMode::Active);
+        let (recorder, summary) = (CommRecorder::new(), SummaryTool::new());
+        let (pvar, trace) = (PvarRegistry::new(), TraceTool::new());
+        sections.attach(trace.clone());
+        let s = sections.clone();
+        WorldBuilder::new(4)
+            .machine(machine::presets::nehalem_cluster())
+            .seed(5)
+            .tool(sections.clone())
+            .tool(attach(wide, &recorder))
+            .tool(attach(wide, &summary))
+            .tool(attach(wide, &pvar))
+            .tool(attach(wide, &trace))
+            .run(move |p| {
+                let world = p.world();
+                let me = p.world_rank();
+                p.pcontrol(1);
+                for step in 0..3 {
+                    s.scoped(p, &world, "STEP", |p| {
+                        p.advance_secs(0.001 * (me + step + 1) as f64);
+                        let world = p.world();
+                        let req = world.irecv::<u64>(p, Src::Rank((me + 3) % 4), TagSel::Is(0));
+                        world.send(p, (me + 1) % 4, 0, &[me as u64; 16]);
+                        let _ = req.wait(p);
+                        s.scoped(p, &world, "SYNC", |p| {
+                            let world = p.world();
+                            let _ = world.allreduce_sum_f64(p, me as f64);
+                        });
+                    });
+                }
+            })
+            .expect("run failed");
+        let log = recorder.freeze();
+        let tl = timeline::build(&log, &Windowing::Fixed(3));
+        vec![
+            classify(&log).to_json(),
+            critpath::extract(&log).to_json(),
+            tl.to_json(),
+            summary.freeze().to_json(),
+            pvar.snapshot().to_json(),
+            trace.to_chrome_trace(),
+        ]
+    }
+
+    #[test]
+    fn declared_interests_lose_nothing() {
+        let narrow = artifacts(false);
+        assert_eq!(narrow, artifacts(true));
+        // Not vacuous: messages, waits and collectives all happened.
+        assert!(narrow[4].contains("\"sent_msgs\":3"), "{}", narrow[4]);
+        assert!(narrow[4].contains("\"coll_calls\":3"), "{}", narrow[4]);
+        assert!(narrow[5].contains("\"ph\":\"s\""), "{}", narrow[5]);
+    }
+
+    #[test]
+    fn leave_closes_the_innermost_matching_frame() {
+        let mut spine: Spine<()> = Spine::default();
+        let (a, b) = (Arc::from("a"), Arc::from("b"));
+        let other = CommId(7);
+        spine.enter(0, CommId::WORLD, &a);
+        spine.enter(0, other, &b);
+        spine.enter(0, CommId::WORLD, &a);
+        spine.leave(0, CommId::WORLD, &a);
+        // No Init here: "a" and "b" are the first labels interned.
+        let frames = |spine: &Spine<()>| spine.ranks()[0].tracker.frames().to_vec();
+        assert_eq!(frames(&spine), [(CommId::WORLD, 0), (other, 1)]);
+        // Cross-communicator exit order is free.
+        spine.leave(0, CommId::WORLD, &a);
+        assert_eq!(frames(&spine), [(other, 1)]);
+    }
+}

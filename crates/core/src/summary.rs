@@ -35,16 +35,16 @@
 
 use crate::fasthash::{fnv1a, FastMap};
 use crate::sketch::{HeavyHitter, QuantileSketch, SpaceSaving, QUANTILE_REL_ERR};
+use crate::spine::{attribute, Cell, Count, RankTracker, Sink, Span, Spine, StepKind, Tracked};
 use crate::timeline::{Timeline, Window, WindowSection};
-use crate::waitstate::{Interner, WaitBreakdown};
+use crate::waitstate::{RecKind, WaitBreakdown};
+use crate::whatif::WaitClass;
 use mpisim::diag::json_str;
-use mpisim::{CommId, MpiEvent, Tool};
+use mpisim::{CommId, EventMask, MpiEvent, Tool};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
-
-const SHARDS: usize = 64;
 
 /// World size at and above which `profile` switches to summary-only
 /// recording (full event log off unless a flag needs it).
@@ -66,40 +66,9 @@ pub const CHECKPOINT_ROW_BUDGET: usize = 64;
 /// Initial checkpoint cadence: 1 ms of virtual time per row.
 const CHECKPOINT_BASE_CADENCE_NS: u64 = 1_000_000;
 
-/// Wait classes, in fingerprint/profile key order.
+/// Wait-class names, indexed by `WaitClass as usize` (the profile key
+/// order the cluster fingerprint hashes).
 const CLASS_NAMES: [&str; 3] = ["late-sender", "late-receiver", "coll-wait"];
-const CLASS_LS: u32 = 0;
-const CLASS_LR: u32 = 1;
-const CLASS_CW: u32 = 2;
-
-/// One checkpoint cell: the additive slice of a
-/// [`WindowSection`] the summarizer can maintain online.
-#[derive(Debug, Default, Clone, Copy)]
-struct CheckCell {
-    time_ns: u64,
-    late_sender_ns: u64,
-    coll_wait_ns: u64,
-    transfer_ns: u64,
-    sent_msgs: u64,
-    sent_bytes: u64,
-    recv_msgs: u64,
-    recv_bytes: u64,
-    coll_exits: u64,
-}
-
-impl CheckCell {
-    fn add(&mut self, o: &CheckCell) {
-        self.time_ns += o.time_ns;
-        self.late_sender_ns += o.late_sender_ns;
-        self.coll_wait_ns += o.coll_wait_ns;
-        self.transfer_ns += o.transfer_ns;
-        self.sent_msgs += o.sent_msgs;
-        self.sent_bytes += o.sent_bytes;
-        self.recv_msgs += o.recv_msgs;
-        self.recv_bytes += o.recv_bytes;
-        self.coll_exits += o.coll_exits;
-    }
-}
 
 /// Fixed-budget virtual-time rows. The cadence starts at 1 ms and doubles
 /// (merging adjacent row pairs) whenever an event lands beyond row
@@ -109,7 +78,7 @@ impl CheckCell {
 #[derive(Debug, Clone)]
 struct Checkpoints {
     cadence_ns: u64,
-    rows: Vec<FastMap<u32, CheckCell>>,
+    rows: Vec<FastMap<u32, Cell>>,
 }
 
 impl Default for Checkpoints {
@@ -126,7 +95,7 @@ impl Checkpoints {
     fn fit(&mut self, t: u64) {
         while t / self.cadence_ns >= (2 * CHECKPOINT_ROW_BUDGET) as u64 {
             self.cadence_ns *= 2;
-            let mut merged: Vec<FastMap<u32, CheckCell>> =
+            let mut merged: Vec<FastMap<u32, Cell>> =
                 Vec::with_capacity(self.rows.len().div_ceil(2));
             for pair in self.rows.chunks(2) {
                 let mut row = pair[0].clone();
@@ -141,7 +110,7 @@ impl Checkpoints {
         }
     }
 
-    fn cell(&mut self, t: u64, sec: u32) -> &mut CheckCell {
+    fn cell(&mut self, t: u64, sec: u32) -> &mut Cell {
         self.fit(t);
         let idx = (t / self.cadence_ns) as usize;
         if self.rows.len() <= idx {
@@ -151,7 +120,7 @@ impl Checkpoints {
     }
 
     /// Split `[a, b)` across rows, like the timeline's interval splitter.
-    fn span(&mut self, a: u64, b: u64, sec: u32, mut f: impl FnMut(&mut CheckCell, u64)) {
+    fn span(&mut self, a: u64, b: u64, sec: u32, mut f: impl FnMut(&mut Cell, u64)) {
         if b <= a {
             return;
         }
@@ -184,25 +153,9 @@ struct SectionAgg {
     waits: WaitBreakdown,
 }
 
-/// A receive that matched but whose enclosing call has not returned yet.
-#[derive(Debug, Clone, Copy)]
-struct PendingRecv {
-    sec: u32,
-    post_ns: u64,
-    send_ns: u64,
-    match_ns: u64,
-    bytes: u64,
-}
-
-/// Per-rank residue: everything that must stay rank-local, all O(1) or
-/// O(sections) per rank.
-struct RankResidue {
-    stack: Vec<(CommId, u32)>,
-    last_t: u64,
-    recv_posted_ns: Option<u64>,
-    pending_recv: Option<PendingRecv>,
-    coll_pending: Option<(u64, u64)>, // (enter_ns, round)
-    coll_rounds: FastMap<CommId, u64>,
+/// Per-rank residue beside the tracker: everything that must stay
+/// rank-local, all O(1) or O(sections) per rank.
+struct Residue {
     /// Nonzero wait totals keyed by `sec * 4 + class` — the clustering
     /// fingerprint input.
     profile: Vec<(u32, u64)>,
@@ -213,15 +166,9 @@ struct RankResidue {
     fini_ns: u64,
 }
 
-impl Default for RankResidue {
+impl Default for Residue {
     fn default() -> Self {
-        RankResidue {
-            stack: Vec::new(),
-            last_t: 0,
-            recv_posted_ns: None,
-            pending_recv: None,
-            coll_pending: None,
-            coll_rounds: FastMap::default(),
+        Residue {
             profile: Vec::new(),
             edges: SpaceSaving::new(EDGES_PER_RANK),
             wait_total_ns: 0,
@@ -230,185 +177,97 @@ impl Default for RankResidue {
     }
 }
 
-impl RankResidue {
-    fn current_sec(&self, main_id: u32) -> u32 {
-        self.stack.last().map(|&(_, id)| id).unwrap_or(main_id)
-    }
-
-    /// Close the presence interval `[last_t, t)` against the section that
-    /// was current, returning `(sec, from, to)` for the checkpoint fold.
-    fn tick(&mut self, t: u64, main_id: u32) -> (u32, u64, u64) {
-        let sec = self.current_sec(main_id);
-        let from = self.last_t;
-        self.last_t = t;
-        (sec, from, t)
-    }
-
-    fn bump_profile(&mut self, key: u32, ns: u64) {
-        if ns == 0 {
-            return;
-        }
-        if let Some(e) = self.profile.iter_mut().find(|e| e.0 == key) {
-            e.1 += ns;
-        } else {
-            self.profile.push((key, ns));
-        }
-    }
-}
-
-/// One collective round awaiting all member exits.
-#[derive(Debug, Default, Clone)]
+/// One collective round some member is still inside.
+#[derive(Debug, Default, Clone, Copy)]
 struct CollAgg {
     max_enter_ns: u64,
     size: usize,
-    pend: Vec<PendColl>,
+    exited: usize,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct PendColl {
-    rank: usize,
-    sec: u32,
-    enter_ns: u64,
-    exit_ns: u64,
+/// All streaming state, behind the tool's one lock.
+#[derive(Default)]
+struct Summarizer {
+    spine: Spine<Residue>,
+    /// Per-section aggregates, indexed by interned id.
+    sections: Vec<SectionAgg>,
+    /// seq -> send_ns of messages in flight (removed on receive).
+    sends: FastMap<u64, u64>,
+    colls: FastMap<(CommId, u64), CollAgg>,
+    checkpoints: Checkpoints,
+}
+
+impl Summarizer {
+    fn section(&mut self, sec: u32) -> &mut SectionAgg {
+        let i = sec as usize;
+        if self.sections.len() <= i {
+            self.sections.resize_with(i + 1, SectionAgg::default);
+        }
+        &mut self.sections[i]
+    }
+}
+
+/// The summarizer as a sink of the attribution fold: intervals and point
+/// events into the checkpoint rows, whole waits into the section totals,
+/// the wait sketch and the rank's clustering profile.
+impl Sink for Summarizer {
+    fn span(&mut self, _rank: usize, sec: u32, span: Span, a: u64, b: u64) {
+        self.checkpoints
+            .span(a, b, sec, |cell, ns| cell.add_span(span, ns));
+    }
+
+    fn point(&mut self, _rank: usize, sec: u32, t: u64, count: Count) {
+        self.checkpoints.cell(t, sec).count(count);
+    }
+
+    fn wait(&mut self, rank: usize, sec: u32, class: WaitClass, _start: u64, ns: u64) {
+        // A late receiver is buffer occupancy, not idling: it enters the
+        // exact totals and the profile but neither sketch nor idle time.
+        let idle = class != WaitClass::LateReceiver && ns > 0;
+        let agg = self.section(sec);
+        agg.waits.add_class(class, ns);
+        if idle {
+            agg.wait_sketch.record(ns);
+        }
+        if ns > 0 {
+            let st = &mut self.spine.rank_mut(rank).data;
+            let key = sec * 4 + class as u32;
+            match st.profile.iter_mut().find(|e| e.0 == key) {
+                Some(e) => e.1 += ns,
+                None => st.profile.push((key, ns)),
+            }
+            if idle {
+                st.wait_total_ns += ns;
+            }
+        }
+    }
 }
 
 /// The streaming summarization tool. Attach like any PMPI tool, run, then
 /// [`SummaryTool::freeze`] into a [`RunSummary`].
 #[derive(Default)]
 pub struct SummaryTool {
-    shards: Vec<Mutex<FastMap<usize, RankResidue>>>,
-    interner: Mutex<Interner>,
-    sections: Mutex<Vec<SectionAgg>>,
-    sends: Mutex<FastMap<u64, u64>>, // seq -> send_ns (removed on match)
-    colls: Mutex<FastMap<(CommId, u64), CollAgg>>,
-    checkpoints: Mutex<Checkpoints>,
-    nranks: Mutex<usize>,
-    main_id: Mutex<Option<u32>>,
+    state: Mutex<Summarizer>,
 }
 
 impl SummaryTool {
     /// A fresh summarizer behind an `Arc`, ready to attach.
     pub fn new() -> Arc<SummaryTool> {
-        Arc::new(SummaryTool {
-            shards: (0..SHARDS)
-                .map(|_| Mutex::new(FastMap::default()))
-                .collect(),
-            ..SummaryTool::default()
-        })
-    }
-
-    fn main_id(&self) -> u32 {
-        let mut slot = self.main_id.lock();
-        *slot.get_or_insert_with(|| {
-            self.interner
-                .lock()
-                .intern(&Arc::from(crate::section::MPI_MAIN))
-        })
-    }
-
-    fn with_rank<R>(&self, rank: usize, f: impl FnOnce(&mut RankResidue) -> R) -> R {
-        let mut shard = self.shards[rank % SHARDS].lock();
-        f(shard.entry(rank).or_default())
-    }
-
-    fn with_section<R>(&self, sec: u32, f: impl FnOnce(&mut SectionAgg) -> R) -> R {
-        let mut sections = self.sections.lock();
-        let i = sec as usize;
-        if sections.len() <= i {
-            sections.resize_with(i + 1, SectionAgg::default);
-        }
-        f(&mut sections[i])
-    }
-
-    /// Fold a closed presence interval into the checkpoint rows.
-    fn presence(&self, sec: u32, from: u64, to: u64) {
-        if to > from {
-            self.checkpoints
-                .lock()
-                .span(from, to, sec, |cell, ns| cell.time_ns += ns);
-        }
-    }
-
-    /// Settle one member of a completed collective round. Touches the
-    /// rank shard, the section table and the checkpoints strictly one at
-    /// a time (never nested), so it is safe from any event thread.
-    fn settle_coll(&self, max_enter: u64, p: &PendColl) {
-        let wait = max_enter.saturating_sub(p.enter_ns);
-        if wait > 0 {
-            self.with_rank(p.rank, |st| {
-                st.bump_profile(p.sec * 4 + CLASS_CW, wait);
-                st.wait_total_ns += wait;
-            });
-            self.with_section(p.sec, |agg| {
-                agg.waits.coll_wait_ns += wait;
-                agg.wait_sketch.record(wait);
-            });
-        }
-        let mut ck = self.checkpoints.lock();
-        ck.span(p.enter_ns, max_enter.min(p.exit_ns), p.sec, |cell, ns| {
-            cell.coll_wait_ns += ns;
-        });
-        ck.span(max_enter.max(p.enter_ns), p.exit_ns, p.sec, |cell, ns| {
-            cell.transfer_ns += ns;
-        });
+        Arc::new(SummaryTool::default())
     }
 
     /// Freeze the streaming state into an immutable [`RunSummary`].
-    ///
-    /// Collective rounds still awaiting exits (only possible on aborted
-    /// runs) are settled with the arrivals seen so far, mirroring what
-    /// the offline classifier reports for such logs.
     pub fn freeze(&self) -> RunSummary {
-        let leftovers: Vec<CollAgg> = {
-            let mut colls = self.colls.lock();
-            colls.drain().map(|(_, agg)| agg).collect()
-        };
-        for agg in &leftovers {
-            for p in &agg.pend {
-                self.settle_coll(agg.max_enter_ns, p);
-            }
-        }
+        let st = self.state.lock();
+        let nranks = st.spine.ranks().len();
+        let names = &st.spine.interner.names;
+        let checkpoints = &st.checkpoints;
 
-        let nranks = *self.nranks.lock();
-        let names: Vec<String> = self.interner.lock().names.clone();
-        let sections_raw: Vec<SectionAgg> = self.sections.lock().clone();
-        let checkpoints: Checkpoints = self.checkpoints.lock().clone();
-
-        // Gather the per-rank residues in world-rank order.
-        struct RankOut {
-            profile: Vec<(u32, u64)>,
-            edges: SpaceSaving,
-            wait_total_ns: u64,
-            fini_ns: u64,
-            residue_bytes: usize,
-        }
-        let mut ranks: Vec<Option<RankOut>> = (0..nranks).map(|_| None).collect();
-        for shard in &self.shards {
-            let shard = shard.lock();
-            for (&rank, st) in shard.iter() {
-                if rank < nranks {
-                    let residue_bytes = std::mem::size_of::<RankResidue>()
-                        + st.profile.len() * std::mem::size_of::<(u32, u64)>()
-                        + st.edges.state_bytes()
-                        + st.coll_rounds.len() * std::mem::size_of::<(CommId, u64)>();
-                    let mut profile = st.profile.clone();
-                    profile.sort_unstable();
-                    ranks[rank] = Some(RankOut {
-                        profile,
-                        edges: st.edges.clone(),
-                        wait_total_ns: st.wait_total_ns,
-                        fini_ns: st.fini_ns,
-                        residue_bytes,
-                    });
-                }
-            }
-        }
-
-        let makespan_ns = ranks.iter().flatten().map(|r| r.fini_ns).max().unwrap_or(0);
+        let ranks = st.spine.ranks();
+        let makespan_ns = ranks.iter().map(|r| r.data.fini_ns).max().unwrap_or(0);
         let cpl_lower_bound_ns = ranks
             .iter()
-            .flatten()
-            .map(|r| r.fini_ns.saturating_sub(r.wait_total_ns))
+            .map(|r| r.data.fini_ns.saturating_sub(r.data.wait_total_ns))
             .max()
             .unwrap_or(0);
 
@@ -419,7 +278,7 @@ impl SummaryTool {
         let sections: Vec<SectionSummary> = order
             .iter()
             .map(|&i| {
-                let agg = sections_raw.get(i).cloned().unwrap_or_default();
+                let agg = st.sections.get(i).cloned().unwrap_or_default();
                 SectionSummary {
                     label: names[i].clone(),
                     waits: agg.waits,
@@ -432,10 +291,10 @@ impl SummaryTool {
         // Rank equivalence clusters: fingerprint each rank's quantized
         // per-section wait-class profile over label *names*.
         let mut acc: BTreeMap<u64, RankCluster> = BTreeMap::new();
-        for (rank, out) in ranks.iter().enumerate() {
-            let profile: Vec<(u32, u64)> =
-                out.as_ref().map(|o| o.profile.clone()).unwrap_or_default();
-            let mut cells: Vec<ProfileCell> = profile
+        for (rank, tracked) in ranks.iter().enumerate() {
+            let mut cells: Vec<ProfileCell> = tracked
+                .data
+                .profile
                 .iter()
                 .map(|&(key, ns)| ProfileCell {
                     label: names
@@ -473,8 +332,8 @@ impl SummaryTool {
 
         // Fold per-rank edge tables (rank order) into the global top-k.
         let mut global_edges = SpaceSaving::new(EDGE_BUDGET);
-        for out in ranks.iter().flatten() {
-            global_edges.absorb(&out.edges);
+        for tracked in ranks {
+            global_edges.absorb(&tracked.data.edges);
         }
         let dropped_edges = global_edges.evictions;
         let edges: Vec<EdgeSummary> = global_edges
@@ -497,7 +356,7 @@ impl SummaryTool {
             + nsec * std::mem::size_of::<SectionAgg>()
             + 2 * CHECKPOINT_ROW_BUDGET
                 * nsec
-                * (std::mem::size_of::<CheckCell>() + std::mem::size_of::<u32>())
+                * (std::mem::size_of::<Cell>() + std::mem::size_of::<u32>())
             + clusters
                 .iter()
                 .map(|c| 64 + c.profile.len() * std::mem::size_of::<(u32, u64, u64)>())
@@ -505,12 +364,16 @@ impl SummaryTool {
             + EDGE_BUDGET * std::mem::size_of::<HeavyHitter>()
             + ranks
                 .iter()
-                .flatten()
-                .map(|r| r.residue_bytes)
+                .map(|Tracked { tracker, data }| {
+                    tracker.state_bytes()
+                        + std::mem::size_of::<Residue>()
+                        + data.profile.len() * std::mem::size_of::<(u32, u64)>()
+                        + data.edges.state_bytes()
+                })
                 .sum::<usize>();
 
         let checkpoint_cadence_ns = checkpoints.cadence_ns;
-        let timeline = build_timeline(&checkpoints, &names, nranks, makespan_ns);
+        let timeline = build_timeline(checkpoints, names, nranks, makespan_ns);
 
         RunSummary {
             nranks,
@@ -564,24 +427,14 @@ fn build_timeline(ck: &Checkpoints, names: &[String], nranks: usize, makespan_ns
                     .get(sec as usize)
                     .cloned()
                     .unwrap_or_else(|| format!("#{sec}"));
-                let ws = WindowSection {
-                    capacity_ns: (end_ns - start_ns) * nranks as u64,
-                    time_ns: cell.time_ns,
-                    useful_ns: cell
-                        .time_ns
-                        .saturating_sub(cell.late_sender_ns + cell.coll_wait_ns + cell.transfer_ns),
-                    late_sender_ns: cell.late_sender_ns,
-                    coll_wait_ns: cell.coll_wait_ns,
-                    transfer_ns: cell.transfer_ns,
-                    max_time_ns: 0,
-                    max_useful_ns: 0,
-                    ranks: nranks,
-                    sent_msgs: cell.sent_msgs,
-                    sent_bytes: cell.sent_bytes,
-                    recv_msgs: cell.recv_msgs,
-                    recv_bytes: cell.recv_bytes,
-                    coll_exits: cell.coll_exits,
-                };
+                // Per-rank maxima are not tracked: the cell is already
+                // the sum over ranks.
+                let mut ws = WindowSection::default();
+                ws.absorb(cell);
+                ws.capacity_ns = (end_ns - start_ns) * nranks as u64;
+                ws.max_time_ns = 0;
+                ws.max_useful_ns = 0;
+                ws.ranks = nranks;
                 sections.insert(label, ws);
             }
         }
@@ -600,230 +453,80 @@ fn build_timeline(ck: &Checkpoints, names: &[String], nranks: usize, makespan_ns
 }
 
 impl Tool for SummaryTool {
-    fn interests(&self) -> mpisim::EventMask {
-        use mpisim::EventKind as K;
-        mpisim::EventMask::of(&[
-            K::Init,
-            K::Finalize,
-            K::SectionEnter,
-            K::SectionLeave,
-            K::SendEnqueued,
-            K::RecvBlocked,
-            K::RecvMatched,
-            K::CallExit,
-            K::CollectiveEnter,
-            K::CollectiveExit,
-            K::Compute,
-        ])
+    fn interests(&self) -> EventMask {
+        RankTracker::INTERESTS
     }
 
     fn on_event(&self, world_rank: usize, event: &MpiEvent) {
-        match event {
-            MpiEvent::Init { size, time } => {
-                {
-                    let mut n = self.nranks.lock();
-                    *n = (*n).max(*size);
-                }
-                let main = self.main_id();
-                self.with_rank(world_rank, |st| {
-                    st.stack.push((CommId::WORLD, main));
-                    st.last_t = time.as_nanos();
-                });
-            }
-            MpiEvent::Finalize { time } => {
-                let main = self.main_id();
-                let (sec, a, b) = self.with_rank(world_rank, |st| {
-                    let t = time.as_nanos();
-                    st.fini_ns = t;
-                    st.tick(t, main)
-                });
-                self.presence(sec, a, b);
-            }
-            MpiEvent::SectionEnter {
-                comm, label, time, ..
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        let Some((step, _)) = st.spine.step(world_rank, event) else {
+            return;
+        };
+        let (sec, t_ns) = (step.sec, step.t_ns);
+        st.span(
+            world_rank,
+            step.prev_sec,
+            Span::Presence,
+            step.from_ns,
+            t_ns,
+        );
+        let (kind, bytes, dst_world) = match step.kind {
+            StepKind::CollEnter {
+                comm, round, size, ..
             } => {
-                let id = self.interner.lock().intern(label);
-                let main = self.main_id();
-                let (sec, a, b) = self.with_rank(world_rank, |st| {
-                    let span = st.tick(time.as_nanos(), main);
-                    st.stack.push((*comm, id));
-                    span
-                });
-                self.presence(sec, a, b);
+                let agg = st.colls.entry((comm, round)).or_default();
+                agg.max_enter_ns = agg.max_enter_ns.max(t_ns);
+                agg.size = size;
+                return;
             }
-            MpiEvent::SectionLeave {
-                comm, label, time, ..
-            } => {
-                let id = self.interner.lock().intern(label);
-                let main = self.main_id();
-                let (sec, a, b) = self.with_rank(world_rank, |st| {
-                    let span = st.tick(time.as_nanos(), main);
-                    if let Some(pos) = st.stack.iter().rposition(|&(c, l)| c == *comm && l == id) {
-                        st.stack.remove(pos);
-                    }
-                    span
-                });
-                self.presence(sec, a, b);
-            }
-            MpiEvent::SendEnqueued {
-                seq,
-                time,
+            StepKind::Rec {
+                kind,
                 bytes,
                 dst_world,
-                ..
-            } => {
-                let t = time.as_nanos();
-                self.sends.lock().insert(*seq, t);
-                let main = self.main_id();
-                let dst = *dst_world;
-                let nbytes = *bytes;
-                let (sec, a, b) = self.with_rank(world_rank, |st| {
-                    let span = st.tick(t, main);
-                    let key = ((world_rank as u64) << 32) | dst as u64;
-                    st.edges.record(key, nbytes, 1);
-                    span
-                });
-                self.presence(sec, a, b);
-                let mut ck = self.checkpoints.lock();
-                let cell = ck.cell(t, sec);
-                cell.sent_msgs += 1;
-                cell.sent_bytes += nbytes;
+            } => (kind, bytes, dst_world),
+            StepKind::Enter | StepKind::Leave { .. } => return,
+        };
+        let peer_ns = match kind {
+            RecKind::Send { seq } => {
+                let key = ((world_rank as u64) << 32) | dst_world as u64;
+                let edges = &mut st.spine.rank_mut(world_rank).data.edges;
+                edges.record(key, bytes, 1);
+                st.sends.insert(seq, t_ns);
+                0
             }
-            MpiEvent::RecvBlocked { time, .. } => {
-                self.with_rank(world_rank, |st| {
-                    st.recv_posted_ns = Some(time.as_nanos());
-                });
-            }
-            MpiEvent::RecvMatched {
-                seq, time, bytes, ..
-            } => {
-                // The send event is always delivered before the match can
-                // be observed (the deposit only becomes visible after the
-                // sender raised it), so this lookup succeeds; the map is
-                // pruned on match, bounding it by in-flight messages.
-                let send_ns = self.sends.lock().remove(seq);
-                let main = self.main_id();
-                let nbytes = *bytes;
-                let (span, sec, post, send, wait) = self.with_rank(world_rank, |st| {
-                    let t = time.as_nanos();
-                    let post = st.recv_posted_ns.take().unwrap_or(t);
-                    let span = st.tick(t, main);
-                    let sec = span.0;
-                    let send = send_ns.unwrap_or(post);
-                    let wait = if send > post {
-                        let w = send - post;
-                        st.bump_profile(sec * 4 + CLASS_LS, w);
-                        st.wait_total_ns += w;
-                        w
-                    } else {
-                        st.bump_profile(sec * 4 + CLASS_LR, post - send);
-                        0
-                    };
-                    st.pending_recv = Some(PendingRecv {
-                        sec,
-                        post_ns: post,
-                        send_ns: send,
-                        match_ns: t,
-                        bytes: nbytes,
-                    });
-                    (span, sec, post, send, wait)
-                });
-                self.presence(span.0, span.1, span.2);
-                self.with_section(sec, |agg| {
-                    if wait > 0 {
-                        agg.waits.late_sender_ns += wait;
-                        agg.wait_sketch.record(wait);
-                    } else {
-                        agg.waits.late_receiver_ns += post - send;
-                    }
-                });
-                if wait > 0 {
-                    self.checkpoints.lock().span(post, send, sec, |cell, ns| {
-                        cell.late_sender_ns += ns;
-                    });
+            // The send event is always delivered before the match can be
+            // observed (the deposit only becomes visible after the sender
+            // raised it), so this lookup succeeds; pruning on receive
+            // bounds the map by in-flight messages.
+            RecKind::RecvMatch { seq, post_ns, .. } => st.sends.remove(&seq).unwrap_or(post_ns),
+            RecKind::CollExit { comm, round, .. } => {
+                // Every member raises its enter before it arrives and
+                // nobody leaves before all have arrived, so the round's
+                // last arrival is already known at its first exit.
+                let agg = st.colls.entry((comm, round)).or_default();
+                agg.exited += 1;
+                let CollAgg {
+                    max_enter_ns,
+                    size,
+                    exited,
+                } = *agg;
+                if exited == size {
+                    st.colls.remove(&(comm, round));
                 }
+                max_enter_ns
             }
-            MpiEvent::CallExit { time, .. } => {
-                // The blocking receive's completion edge: wire time after
-                // the send, plus the delivered-message counters.
-                let pending = self.with_rank(world_rank, |st| st.pending_recv.take());
-                if let Some(p) = pending {
-                    let done = time.as_nanos().max(p.match_ns);
-                    let mut ck = self.checkpoints.lock();
-                    ck.span(p.send_ns.max(p.post_ns), done, p.sec, |cell, ns| {
-                        cell.transfer_ns += ns;
-                    });
-                    let cell = ck.cell(done, p.sec);
-                    cell.recv_msgs += 1;
-                    cell.recv_bytes += p.bytes;
-                }
+            RecKind::Compute { elapsed_ns, .. } => {
+                st.section(sec).compute_sketch.record(elapsed_ns);
+                return;
             }
-            MpiEvent::CollectiveEnter {
-                comm,
-                members,
-                time,
-                ..
-            } => {
-                let t = time.as_nanos();
-                let round = self.with_rank(world_rank, |st| {
-                    let round = st.coll_rounds.entry(*comm).or_insert(0);
-                    let r = *round;
-                    *round += 1;
-                    st.coll_pending = Some((t, r));
-                    r
-                });
-                let mut colls = self.colls.lock();
-                let agg = colls.entry((*comm, round)).or_default();
-                agg.max_enter_ns = agg.max_enter_ns.max(t);
-                agg.size = members.len();
+            RecKind::Fini => {
+                st.spine.rank_mut(world_rank).data.fini_ns = t_ns;
+                return;
             }
-            MpiEvent::CollectiveExit { comm, time, .. } => {
-                let main = self.main_id();
-                let t = time.as_nanos();
-                let (span, pending) = self.with_rank(world_rank, |st| {
-                    let span = st.tick(t, main);
-                    (span, st.coll_pending.take())
-                });
-                self.presence(span.0, span.1, span.2);
-                let sec = span.0;
-                self.checkpoints.lock().cell(t, sec).coll_exits += 1;
-                if let Some((enter_ns, round)) = pending {
-                    // A rank's enter event precedes its own exit event, so
-                    // once every member has exited, every arrival time is
-                    // in — the round settles exactly once, with the final
-                    // max_enter, regardless of delivery interleaving.
-                    let done = {
-                        let mut colls = self.colls.lock();
-                        let agg = colls.entry((*comm, round)).or_default();
-                        agg.pend.push(PendColl {
-                            rank: world_rank,
-                            sec,
-                            enter_ns,
-                            exit_ns: t,
-                        });
-                        if agg.size > 0 && agg.pend.len() == agg.size {
-                            colls.remove(&(*comm, round))
-                        } else {
-                            None
-                        }
-                    };
-                    if let Some(agg) = done {
-                        for p in &agg.pend {
-                            self.settle_coll(agg.max_enter_ns, p);
-                        }
-                    }
-                }
-            }
-            MpiEvent::Compute { elapsed, time, .. } => {
-                let main = self.main_id();
-                let (sec, a, b) = self.with_rank(world_rank, |st| st.tick(time.as_nanos(), main));
-                self.presence(sec, a, b);
-                self.with_section(sec, |agg| {
-                    agg.compute_sketch.record(elapsed.as_nanos());
-                });
-            }
-            _ => {}
-        }
+            RecKind::Boundary => return,
+        };
+        attribute(world_rank, sec, t_ns, &kind, bytes, peer_ns, st);
     }
 }
 

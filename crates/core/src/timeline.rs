@@ -18,14 +18,18 @@
 //! * a log-bucket wait-duration histogram per window (reusing
 //!   [`DurationHistogram`] — one binning scheme for the whole repo).
 //!
+//! The interval arithmetic is the event spine's; this module is its
+//! fixed-edge window sink ([`CommLog::fold`] drives it).
 //! Everything is extracted from the frozen [`CommLog`] after the run: the
 //! engine adds zero overhead while virtual time advances, and identical
 //! seeds yield byte-identical timelines. The POP-style efficiency
 //! hierarchy over these numbers lives in [`crate::efficiency`]; trend
 //! detection over the resulting metric series lives in `speedup::trend`.
 
-use crate::histogram::{DurationHistogram, BUCKETS};
-use crate::waitstate::{CommLog, RecKind};
+use crate::histogram::DurationHistogram;
+use crate::spine::{Cell, Count, Sink, Span};
+use crate::waitstate::CommLog;
+use crate::whatif::WaitClass;
 use mpisim::diag::json_str;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
@@ -82,6 +86,25 @@ pub struct WindowSection {
 }
 
 impl WindowSection {
+    /// Fold one rank's cell in.
+    pub(crate) fn absorb(&mut self, cell: &Cell) {
+        self.time_ns += cell.time_ns;
+        self.useful_ns += cell.useful_ns();
+        self.late_sender_ns += cell.late_sender_ns;
+        self.coll_wait_ns += cell.coll_wait_ns;
+        self.transfer_ns += cell.transfer_ns;
+        self.max_time_ns = self.max_time_ns.max(cell.time_ns);
+        self.max_useful_ns = self.max_useful_ns.max(cell.useful_ns());
+        if cell.time_ns > 0 {
+            self.ranks += 1;
+        }
+        self.sent_msgs += cell.sent_msgs;
+        self.sent_bytes += cell.sent_bytes;
+        self.recv_msgs += cell.recv_msgs;
+        self.recv_bytes += cell.recv_bytes;
+        self.coll_exits += cell.coll_exits;
+    }
+
     fn add_counters(&mut self, other: &WindowSection) {
         self.capacity_ns += other.capacity_ns;
         self.time_ns += other.time_ns;
@@ -163,27 +186,6 @@ pub struct Timeline {
     pub windows: Vec<Window>,
 }
 
-/// Per-rank working cell during extraction.
-#[derive(Default, Clone, Copy)]
-struct RankCell {
-    time_ns: u64,
-    late_sender_ns: u64,
-    coll_wait_ns: u64,
-    transfer_ns: u64,
-    sent_msgs: u64,
-    sent_bytes: u64,
-    recv_msgs: u64,
-    recv_bytes: u64,
-    coll_exits: u64,
-}
-
-impl RankCell {
-    fn useful_ns(&self) -> u64 {
-        self.time_ns
-            .saturating_sub(self.late_sender_ns + self.coll_wait_ns + self.transfer_ns)
-    }
-}
-
 /// Compute the window edges for a log under a windowing policy.
 pub fn window_edges(log: &CommLog, windowing: &Windowing) -> Vec<u64> {
     let makespan = log.makespan_ns();
@@ -254,108 +256,55 @@ fn split_interval(edges: &[u64], a: u64, b: u64, mut f: impl FnMut(usize, u64)) 
     }
 }
 
+/// The fixed-edge window sink of [`CommLog::fold`]: one [`Cell`] per
+/// (window, section, rank), plus the waits that *started* in each window.
+struct Windows<'a> {
+    edges: &'a [u64],
+    cells: HashMap<(usize, u32, usize), Cell>,
+    hists: Vec<DurationHistogram>,
+}
+
+impl Sink for Windows<'_> {
+    fn span(&mut self, rank: usize, sec: u32, span: Span, a: u64, b: u64) {
+        split_interval(self.edges, a, b, |w, ns| {
+            self.cells
+                .entry((w, sec, rank))
+                .or_default()
+                .add_span(span, ns);
+        });
+    }
+
+    fn point(&mut self, rank: usize, sec: u32, t: u64, count: Count) {
+        let w = window_of(self.edges, t);
+        self.cells.entry((w, sec, rank)).or_default().count(count);
+    }
+
+    fn wait(&mut self, _rank: usize, _sec: u32, class: WaitClass, start: u64, ns: u64) {
+        // Idle waits only: a late receiver is buffer occupancy.
+        if ns > 0 && class != WaitClass::LateReceiver {
+            self.hists[window_of(self.edges, start)].record(ns);
+        }
+    }
+}
+
 /// Build the windowed timeline from a frozen communication log.
 pub fn build(log: &CommLog, windowing: &Windowing) -> Timeline {
     let edges = window_edges(log, windowing);
     let nwin = edges.len() - 1;
-    let mut cells: HashMap<(usize, u32, usize), RankCell> = HashMap::new();
-    let mut hists: Vec<DurationHistogram> = vec![DurationHistogram::default(); nwin];
-
-    for (rank, rr) in log.ranks.iter().enumerate() {
-        for (i, rec) in rr.recs.iter().enumerate() {
-            // Presence: the interval from this record to the next belongs
-            // to `rec.sec` (the section active after the record).
-            let next_t = rr
-                .recs
-                .get(i + 1)
-                .map(|r| r.t_ns)
-                .unwrap_or(rr.fini_ns)
-                .max(rec.t_ns);
-            split_interval(&edges, rec.t_ns, next_t, |w, ns| {
-                cells.entry((w, rec.sec, rank)).or_default().time_ns += ns;
-            });
-
-            match rec.kind {
-                RecKind::Send { seq } => {
-                    let w = window_of(&edges, rec.t_ns);
-                    let cell = cells.entry((w, rec.sec, rank)).or_default();
-                    cell.sent_msgs += 1;
-                    cell.sent_bytes += log.sends.get(&seq).map(|s| s.bytes).unwrap_or(0);
-                }
-                RecKind::RecvMatch {
-                    seq,
-                    post_ns,
-                    done_ns,
-                } => {
-                    let send = log.sends.get(&seq).copied();
-                    let (send_ns, bytes) =
-                        send.map(|s| (s.send_ns, s.bytes)).unwrap_or((post_ns, 0));
-                    if send_ns > post_ns {
-                        // Receiver idled until the send was issued.
-                        split_interval(&edges, post_ns, send_ns.min(done_ns), |w, ns| {
-                            cells.entry((w, rec.sec, rank)).or_default().late_sender_ns += ns;
-                        });
-                        hists[window_of(&edges, post_ns)].record(send_ns - post_ns);
-                    }
-                    // Wire time (and receive overhead) after the send.
-                    split_interval(&edges, send_ns.max(post_ns), done_ns, |w, ns| {
-                        cells.entry((w, rec.sec, rank)).or_default().transfer_ns += ns;
-                    });
-                    let w = window_of(&edges, done_ns);
-                    let cell = cells.entry((w, rec.sec, rank)).or_default();
-                    cell.recv_msgs += 1;
-                    cell.recv_bytes += bytes;
-                }
-                RecKind::CollExit {
-                    comm,
-                    round,
-                    enter_ns,
-                } => {
-                    let max_enter = log
-                        .colls
-                        .get(&(comm, round))
-                        .and_then(|cr| cr.entries.iter().map(|&(_, t)| t).max())
-                        .unwrap_or(enter_ns)
-                        .max(enter_ns);
-                    if max_enter > enter_ns {
-                        split_interval(&edges, enter_ns, max_enter.min(rec.t_ns), |w, ns| {
-                            cells.entry((w, rec.sec, rank)).or_default().coll_wait_ns += ns;
-                        });
-                        hists[window_of(&edges, enter_ns)].record(max_enter - enter_ns);
-                    }
-                    // The modelled operation cost after the last arrival.
-                    split_interval(&edges, max_enter, rec.t_ns, |w, ns| {
-                        cells.entry((w, rec.sec, rank)).or_default().transfer_ns += ns;
-                    });
-                    let w = window_of(&edges, rec.t_ns);
-                    cells.entry((w, rec.sec, rank)).or_default().coll_exits += 1;
-                }
-                _ => {}
-            }
-        }
-    }
+    let mut sink = Windows {
+        edges: &edges,
+        cells: HashMap::new(),
+        hists: vec![DurationHistogram::default(); nwin],
+    };
+    log.fold(&mut sink);
+    let Windows { cells, hists, .. } = sink;
 
     // Fold per-rank cells into per-(window, section) stats. BTreeMap keyed
     // by interned id first, then resolved to names, keeps the fold
     // deterministic regardless of HashMap iteration order.
     let mut folded: BTreeMap<(usize, u32), WindowSection> = BTreeMap::new();
     for (&(w, sec, _rank), cell) in &cells {
-        let ws = folded.entry((w, sec)).or_default();
-        ws.time_ns += cell.time_ns;
-        ws.useful_ns += cell.useful_ns();
-        ws.late_sender_ns += cell.late_sender_ns;
-        ws.coll_wait_ns += cell.coll_wait_ns;
-        ws.transfer_ns += cell.transfer_ns;
-        ws.max_time_ns = ws.max_time_ns.max(cell.time_ns);
-        ws.max_useful_ns = ws.max_useful_ns.max(cell.useful_ns());
-        if cell.time_ns > 0 {
-            ws.ranks += 1;
-        }
-        ws.sent_msgs += cell.sent_msgs;
-        ws.sent_bytes += cell.sent_bytes;
-        ws.recv_msgs += cell.recv_msgs;
-        ws.recv_bytes += cell.recv_bytes;
-        ws.coll_exits += cell.coll_exits;
+        folded.entry((w, sec)).or_default().absorb(cell);
     }
 
     let mut windows: Vec<Window> = (0..nwin)
@@ -524,7 +473,7 @@ impl Timeline {
 /// `min_ns: 0` rather than the `u64::MAX` sentinel).
 fn hist_json(h: &DurationHistogram) -> String {
     let mut out = String::from("{\"counts\":[");
-    for (i, c) in h.counts.iter().take(BUCKETS).enumerate() {
+    for (i, c) in h.half_decade_counts().iter().enumerate() {
         if i > 0 {
             out.push(',');
         }

@@ -18,7 +18,7 @@
 
 use crate::tool::{EnterInfo, LeaveInfo, SectionTool};
 use mpisim::diag::json_str;
-use mpisim::{CommId, MpiEvent, SectionData, Tool};
+use mpisim::{CommId, EventKind, EventMask, MpiEvent, SectionData, Tool};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Write as _;
@@ -326,9 +326,9 @@ impl TraceTool {
             } else {
                 format!("rank {rank};comm {}", comm.0)
             };
-            // Sweep with an explicit stack; child_ns accumulates nested
+            // Sweep over the spans still open; child_ns accumulates nested
             // time so the popped frame's weight is exclusive.
-            let mut stack: Vec<(&SpanEvent, u64)> = Vec::new();
+            let mut open: Vec<(&SpanEvent, u64)> = Vec::new();
             let pop = |stack: &mut Vec<(&SpanEvent, u64)>, folded: &mut BTreeMap<String, u64>| {
                 let (span, child_ns) = stack.pop().expect("pop on empty stack");
                 let dur = span.exit_ns - span.enter_ns;
@@ -348,17 +348,17 @@ impl TraceTool {
                 }
             };
             for e in group {
-                while let Some(&(top, _)) = stack.last() {
+                while let Some(&(top, _)) = open.last() {
                     if top.exit_ns <= e.enter_ns {
-                        pop(&mut stack, &mut folded);
+                        pop(&mut open, &mut folded);
                     } else {
                         break;
                     }
                 }
-                stack.push((e, 0));
+                open.push((e, 0));
             }
-            while !stack.is_empty() {
-                pop(&mut stack, &mut folded);
+            while !open.is_empty() {
+                pop(&mut open, &mut folded);
             }
             i = j;
         }
@@ -391,6 +391,10 @@ impl SectionTool for TraceTool {
 /// the same `Arc<TraceTool>` with both `sections.attach(..)` (spans) and
 /// `WorldBuilder::tool(..)` (flows).
 impl Tool for TraceTool {
+    fn interests(&self) -> EventMask {
+        EventMask::only(EventKind::SendEnqueued).with(EventKind::RecvMatched)
+    }
+
     fn on_event(&self, world_rank: usize, event: &MpiEvent) {
         match event {
             MpiEvent::SendEnqueued {

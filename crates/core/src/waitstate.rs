@@ -22,36 +22,14 @@
 //! The same log feeds [`crate::critpath`], which walks the recorded
 //! dependencies backward to extract the critical path.
 
+use crate::spine::{attribute, RankTracker, Sink, Span, Spine, StepKind};
+use crate::whatif::WaitClass;
 use mpisim::diag::json_str;
-use mpisim::{CommId, MpiEvent, Tool};
+use mpisim::{CommId, EventMask, MpiEvent, Tool};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::sync::Arc;
-
-const SHARDS: usize = 64;
-
-/// Section-label interner: recording threads store compact ids; analysis
-/// resolves them back to names (and sorts by name, since id allocation
-/// order is scheduling-dependent). Shared with the streaming summarizer
-/// (`crate::summary`), which has the same id/name split.
-#[derive(Default)]
-pub(crate) struct Interner {
-    ids: HashMap<Arc<str>, u32>,
-    pub(crate) names: Vec<String>,
-}
-
-impl Interner {
-    pub(crate) fn intern(&mut self, label: &Arc<str>) -> u32 {
-        if let Some(&id) = self.ids.get(label) {
-            return id;
-        }
-        let id = self.names.len() as u32;
-        self.ids.insert(label.clone(), id);
-        self.names.push(label.to_string());
-        id
-    }
-}
 
 /// One recorded communication event on one rank. `sec` is the section
 /// active *after* the record takes effect, so the interval from this
@@ -69,10 +47,9 @@ pub(crate) enum RecKind {
     Boundary,
     /// An eager send was issued (`seq` keys into [`CommLog::sends`]).
     Send { seq: u64 },
-    /// A receive matched; `post_ns` is when the receive was posted and
-    /// `done_ns` when the enclosing call returned (patched in at
-    /// `CallExit`, the same completion edge the pvar registry uses — the
-    /// `RecvMatched` event itself carries the pre-advance clock).
+    /// A receive matched at the record's `t_ns`; `post_ns` is when the
+    /// receive was posted and `done_ns` when the enclosing call returned
+    /// (the same completion edge the pvar registry uses).
     RecvMatch {
         seq: u64,
         post_ns: u64,
@@ -103,27 +80,8 @@ pub(crate) struct SendInfo {
     pub(crate) dst_world: usize,
 }
 
-#[derive(Default)]
-struct RankState {
-    recs: Vec<Rec>,
-    /// Open section frames in enter order (across communicators).
-    stack: Vec<(CommId, u32)>,
-    recv_posted_ns: Option<u64>,
-    /// Index into `recs` of a `RecvMatch` awaiting its `CallExit`
-    /// completion timestamp.
-    pending_recv_rec: Option<usize>,
-    coll_pending: Option<(u64, u64)>, // (enter_ns, round)
-    coll_rounds: HashMap<CommId, u64>,
-    fini_ns: u64,
-}
-
-impl RankState {
-    fn current_sec(&self, main_id: u32) -> u32 {
-        self.stack.last().map(|&(_, id)| id).unwrap_or(main_id)
-    }
-}
-
-/// Per-rank record sequence, frozen for analysis.
+/// Per-rank record sequence.
+#[derive(Clone, Default)]
 pub(crate) struct RankRecs {
     pub(crate) recs: Vec<Rec>,
     pub(crate) fini_ns: u64,
@@ -139,6 +97,13 @@ pub(crate) struct CollRound {
     pub(crate) op: &'static str,
     /// Sum of the byte counts declared by all participants.
     pub(crate) bytes: u64,
+}
+
+impl CollRound {
+    /// When the last member arrived (`None` for a round nobody entered).
+    pub(crate) fn max_enter_ns(&self) -> Option<u64> {
+        self.entries.iter().map(|&(_, t)| t).max()
+    }
 }
 
 /// `(comm, round)` -> that round's record.
@@ -173,6 +138,40 @@ impl CommLog {
     pub fn events(&self) -> usize {
         self.ranks.iter().map(|r| r.recs.len()).sum()
     }
+
+    /// Run the attribution fold over the whole log: every record's
+    /// presence up to the next one, and every communication record
+    /// resolved against the send and collective tables.
+    pub(crate) fn fold(&self, sink: &mut impl Sink) {
+        for (rank, rr) in self.ranks.iter().enumerate() {
+            for (i, rec) in rr.recs.iter().enumerate() {
+                let next_ns = rr.recs.get(i + 1).map_or(rr.fini_ns, |r| r.t_ns);
+                sink.span(rank, rec.sec, Span::Presence, rec.t_ns, next_ns);
+                // A send nobody recorded counts as issued at the post.
+                let (bytes, peer_ns) = match rec.kind {
+                    RecKind::Send { seq } => (self.sends.get(&seq).map_or(0, |s| s.bytes), 0),
+                    RecKind::RecvMatch { seq, post_ns, .. } => {
+                        let send = self.sends.get(&seq);
+                        send.map_or((0, post_ns), |s| (s.bytes, s.send_ns))
+                    }
+                    RecKind::CollExit { comm, round, .. } => {
+                        let round = self.colls.get(&(comm, round));
+                        (0, round.and_then(CollRound::max_enter_ns).unwrap_or(0))
+                    }
+                    _ => continue,
+                };
+                attribute(rank, rec.sec, rec.t_ns, &rec.kind, bytes, peer_ns, sink);
+            }
+        }
+    }
+}
+
+/// Everything the recorder has seen so far.
+#[derive(Default)]
+struct Recording {
+    spine: Spine<RankRecs>,
+    sends: HashMap<u64, SendInfo>,
+    colls: CollTable,
 }
 
 /// The recording tool. Attach alongside the section runtime, run, then
@@ -180,257 +179,79 @@ impl CommLog {
 /// [`crate::critpath::extract`].
 #[derive(Default)]
 pub struct CommRecorder {
-    shards: Vec<Mutex<HashMap<usize, RankState>>>,
-    interner: Mutex<Interner>,
-    sends: Mutex<HashMap<u64, SendInfo>>,
-    colls: Mutex<CollTable>,
-    nranks: Mutex<usize>,
-    main_id: Mutex<Option<u32>>,
+    state: Mutex<Recording>,
 }
 
 impl CommRecorder {
     /// A fresh recorder behind an `Arc`, ready to attach.
     pub fn new() -> Arc<CommRecorder> {
-        Arc::new(CommRecorder {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            interner: Mutex::new(Interner::default()),
-            sends: Mutex::new(HashMap::new()),
-            colls: Mutex::new(HashMap::new()),
-            nranks: Mutex::new(0),
-            main_id: Mutex::new(None),
-        })
-    }
-
-    fn main_id(&self) -> u32 {
-        let mut slot = self.main_id.lock();
-        *slot.get_or_insert_with(|| {
-            self.interner
-                .lock()
-                .intern(&Arc::from(crate::section::MPI_MAIN))
-        })
-    }
-
-    fn with_rank<R>(&self, rank: usize, f: impl FnOnce(&mut RankState) -> R) -> R {
-        let mut shard = self.shards[rank % SHARDS].lock();
-        f(shard.entry(rank).or_default())
+        Arc::new(CommRecorder::default())
     }
 
     /// Freeze the recorded state into an immutable [`CommLog`].
     pub fn freeze(&self) -> CommLog {
-        let nranks = *self.nranks.lock();
-        let mut ranks: Vec<RankRecs> = (0..nranks)
-            .map(|_| RankRecs {
-                recs: Vec::new(),
-                fini_ns: 0,
-            })
-            .collect();
-        for shard in &self.shards {
-            let shard = shard.lock();
-            for (&rank, st) in shard.iter() {
-                if rank < ranks.len() {
-                    ranks[rank] = RankRecs {
-                        recs: st.recs.clone(),
-                        fini_ns: st.fini_ns,
-                    };
-                }
-            }
-        }
+        let st = self.state.lock();
         CommLog {
-            ranks,
-            names: self.interner.lock().names.clone(),
-            sends: self.sends.lock().clone(),
-            colls: self.colls.lock().clone(),
+            ranks: st.spine.ranks().iter().map(|r| r.data.clone()).collect(),
+            names: st.spine.interner.names.clone(),
+            sends: st.sends.clone(),
+            colls: st.colls.clone(),
         }
     }
 }
 
 impl Tool for CommRecorder {
+    fn interests(&self) -> EventMask {
+        RankTracker::INTERESTS
+    }
+
     fn on_event(&self, world_rank: usize, event: &MpiEvent) {
-        match event {
-            MpiEvent::Init { size, time } => {
-                {
-                    let mut n = self.nranks.lock();
-                    *n = (*n).max(*size);
-                }
-                let main = self.main_id();
-                self.with_rank(world_rank, |st| {
-                    st.stack.push((CommId::WORLD, main));
-                    st.recs.push(Rec {
-                        t_ns: time.as_nanos(),
-                        sec: main,
-                        kind: RecKind::Boundary,
-                    });
-                });
-            }
-            MpiEvent::Finalize { time } => {
-                let main = self.main_id();
-                self.with_rank(world_rank, |st| {
-                    let t = time.as_nanos();
-                    st.fini_ns = t;
-                    let sec = st.current_sec(main);
-                    st.recs.push(Rec {
-                        t_ns: t,
-                        sec,
-                        kind: RecKind::Fini,
-                    });
-                });
-            }
-            MpiEvent::SectionEnter {
-                comm, label, time, ..
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        let Some((step, rank)) = st.spine.step(world_rank, event) else {
+            return;
+        };
+        let kind = match step.kind {
+            StepKind::Enter | StepKind::Leave { .. } => RecKind::Boundary,
+            StepKind::CollEnter {
+                comm, round, op, ..
             } => {
-                let id = self.interner.lock().intern(label);
-                self.with_rank(world_rank, |st| {
-                    st.stack.push((*comm, id));
-                    st.recs.push(Rec {
-                        t_ns: time.as_nanos(),
-                        sec: id,
-                        kind: RecKind::Boundary,
-                    });
-                });
+                let entry = st.colls.entry((comm, round)).or_default();
+                entry.op = op;
+                entry.entries.push((world_rank, step.t_ns));
+                return;
             }
-            MpiEvent::SectionLeave {
-                comm, label, time, ..
-            } => {
-                let id = self.interner.lock().intern(label);
-                let main = self.main_id();
-                self.with_rank(world_rank, |st| {
-                    // Sections are LIFO per communicator but may interleave
-                    // across communicators: close the most recent matching
-                    // frame, wherever it sits.
-                    if let Some(pos) = st.stack.iter().rposition(|&(c, l)| c == *comm && l == id) {
-                        st.stack.remove(pos);
-                    }
-                    let sec = st.current_sec(main);
-                    st.recs.push(Rec {
-                        t_ns: time.as_nanos(),
-                        sec,
-                        kind: RecKind::Boundary,
-                    });
-                });
-            }
-            MpiEvent::SendEnqueued {
-                seq,
-                time,
+            StepKind::Rec {
+                kind,
                 bytes,
                 dst_world,
-                ..
             } => {
-                let t = time.as_nanos();
-                self.sends.lock().insert(
-                    *seq,
-                    SendInfo {
-                        send_ns: t,
-                        bytes: *bytes,
-                        dst_world: *dst_world,
-                    },
-                );
-                let main = self.main_id();
-                self.with_rank(world_rank, |st| {
-                    let sec = st.current_sec(main);
-                    st.recs.push(Rec {
-                        t_ns: t,
-                        sec,
-                        kind: RecKind::Send { seq: *seq },
-                    });
-                });
-            }
-            MpiEvent::RecvBlocked { time, .. } => {
-                self.with_rank(world_rank, |st| {
-                    st.recv_posted_ns = Some(time.as_nanos());
-                });
-            }
-            MpiEvent::RecvMatched { seq, time, .. } => {
-                let main = self.main_id();
-                self.with_rank(world_rank, |st| {
-                    let t = time.as_nanos();
-                    let post = st.recv_posted_ns.take().unwrap_or(t);
-                    let sec = st.current_sec(main);
-                    st.pending_recv_rec = Some(st.recs.len());
-                    st.recs.push(Rec {
-                        t_ns: t,
-                        sec,
-                        kind: RecKind::RecvMatch {
-                            seq: *seq,
-                            post_ns: post,
-                            // Placeholder until the enclosing CallExit.
-                            done_ns: t,
-                        },
-                    });
-                });
-            }
-            MpiEvent::CallExit { time, .. } => {
-                // A blocking receive's clock advance (waiting out the
-                // sender, the wire and the receive overhead) lands at the
-                // exit of its enclosing call (Recv, Wait or Sendrecv) —
-                // patch the completion edge onto the pending record.
-                self.with_rank(world_rank, |st| {
-                    if let Some(i) = st.pending_recv_rec.take() {
-                        if let RecKind::RecvMatch { done_ns, .. } = &mut st.recs[i].kind {
-                            *done_ns = time.as_nanos();
+                match kind {
+                    RecKind::Send { seq } => {
+                        let send_ns = step.t_ns;
+                        let info = SendInfo {
+                            send_ns,
+                            bytes,
+                            dst_world,
+                        };
+                        st.sends.insert(seq, info);
+                    }
+                    RecKind::CollExit { comm, round, .. } => {
+                        if let Some(entry) = st.colls.get_mut(&(comm, round)) {
+                            entry.bytes = bytes;
                         }
                     }
-                });
-            }
-            MpiEvent::CollectiveEnter { comm, op, time, .. } => {
-                let t = time.as_nanos();
-                let round = self.with_rank(world_rank, |st| {
-                    let round = st.coll_rounds.entry(*comm).or_insert(0);
-                    let r = *round;
-                    *round += 1;
-                    st.coll_pending = Some((t, r));
-                    r
-                });
-                let mut colls = self.colls.lock();
-                let entry = colls.entry((*comm, round)).or_default();
-                entry.op = op;
-                entry.entries.push((world_rank, t));
-            }
-            MpiEvent::CollectiveExit {
-                comm, time, bytes, ..
-            } => {
-                let main = self.main_id();
-                let pending = self.with_rank(world_rank, |st| {
-                    let pending = st.coll_pending.take();
-                    if let Some((enter_ns, round)) = pending {
-                        let sec = st.current_sec(main);
-                        st.recs.push(Rec {
-                            t_ns: time.as_nanos(),
-                            sec,
-                            kind: RecKind::CollExit {
-                                comm: *comm,
-                                round,
-                                enter_ns,
-                            },
-                        });
-                    }
-                    pending
-                });
-                if let Some((_, round)) = pending {
-                    if let Some(entry) = self.colls.lock().get_mut(&(*comm, round)) {
-                        entry.bytes = *bytes;
-                    }
+                    RecKind::Fini => rank.data.fini_ns = step.t_ns,
+                    _ => {}
                 }
+                kind
             }
-            MpiEvent::Compute {
-                base,
-                elapsed,
-                time,
-            } => {
-                let main = self.main_id();
-                self.with_rank(world_rank, |st| {
-                    let sec = st.current_sec(main);
-                    st.recs.push(Rec {
-                        t_ns: time.as_nanos(),
-                        sec,
-                        kind: RecKind::Compute {
-                            base_ns: base.as_nanos(),
-                            elapsed_ns: elapsed.as_nanos(),
-                        },
-                    });
-                });
-            }
-            _ => {}
-        }
+        };
+        rank.data.recs.push(Rec {
+            t_ns: step.t_ns,
+            sec: step.sec,
+            kind,
+        });
     }
 }
 
@@ -450,6 +271,14 @@ impl WaitBreakdown {
         self.late_sender_ns += other.late_sender_ns;
         self.late_receiver_ns += other.late_receiver_ns;
         self.coll_wait_ns += other.coll_wait_ns;
+    }
+
+    pub(crate) fn add_class(&mut self, class: WaitClass, ns: u64) {
+        *match class {
+            WaitClass::LateSender => &mut self.late_sender_ns,
+            WaitClass::LateReceiver => &mut self.late_receiver_ns,
+            WaitClass::WaitAtCollective => &mut self.coll_wait_ns,
+        } += ns;
     }
 
     /// Late-sender seconds.
@@ -551,46 +380,37 @@ impl WaitStateReport {
     }
 }
 
+/// The totals sink of [`CommLog::fold`]: whole waits per rank and section.
+struct Totals {
+    per_section: Vec<Option<WaitBreakdown>>,
+    per_rank: Vec<WaitBreakdown>,
+}
+
+impl Sink for Totals {
+    fn wait(&mut self, rank: usize, sec: u32, class: WaitClass, _start: u64, ns: u64) {
+        self.per_rank[rank].add_class(class, ns);
+        self.per_section[sec as usize]
+            .get_or_insert_with(WaitBreakdown::default)
+            .add_class(class, ns);
+    }
+}
+
 /// Classify every wait in the log.
 pub fn classify(log: &CommLog) -> WaitStateReport {
-    let mut per_section: BTreeMap<String, WaitBreakdown> = BTreeMap::new();
-    let mut per_rank = vec![WaitBreakdown::default(); log.ranks.len()];
-    for (rank, rr) in log.ranks.iter().enumerate() {
-        for rec in &rr.recs {
-            let mut delta = WaitBreakdown::default();
-            match rec.kind {
-                RecKind::RecvMatch { seq, post_ns, .. } => {
-                    if let Some(send) = log.sends.get(&seq) {
-                        if send.send_ns > post_ns {
-                            delta.late_sender_ns = send.send_ns - post_ns;
-                        } else {
-                            delta.late_receiver_ns = post_ns - send.send_ns;
-                        }
-                    }
-                }
-                RecKind::CollExit {
-                    comm,
-                    round,
-                    enter_ns,
-                } => {
-                    if let Some(cr) = log.colls.get(&(comm, round)) {
-                        let max_enter =
-                            cr.entries.iter().map(|&(_, t)| t).max().unwrap_or(enter_ns);
-                        delta.coll_wait_ns = max_enter.saturating_sub(enter_ns);
-                    }
-                }
-                _ => continue,
-            }
-            per_rank[rank].add(&delta);
-            per_section
-                .entry(log.name(rec.sec).to_string())
-                .or_default()
-                .add(&delta);
-        }
-    }
+    let mut totals = Totals {
+        per_section: vec![None; log.names.len()],
+        per_rank: vec![WaitBreakdown::default(); log.ranks.len()],
+    };
+    log.fold(&mut totals);
+    let per_section = totals
+        .per_section
+        .into_iter()
+        .enumerate()
+        .filter_map(|(id, b)| Some((log.name(id as u32).to_string(), b?)))
+        .collect();
     WaitStateReport {
         per_section,
-        per_rank,
+        per_rank: totals.per_rank,
     }
 }
 

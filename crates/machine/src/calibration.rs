@@ -209,12 +209,14 @@ mod tests {
 
     #[test]
     fn cache_hits_on_identical_configuration() {
-        let (_, misses_before) = cache_counters();
+        // The counters are process-wide and other tests miss and hit
+        // concurrently, so only growth this test caused is asserted.
         let a = cached(&presets::dual_broadwell());
+        let (hits_between, _) = cache_counters();
         let b = cached(&presets::dual_broadwell());
         assert!(Arc::ptr_eq(&a, &b), "second lookup must be a cache hit");
-        let (_, misses_after) = cache_counters();
-        assert_eq!(misses_after, misses_before + 1);
+        let (hits_after, _) = cache_counters();
+        assert!(hits_after > hits_between);
     }
 
     #[test]

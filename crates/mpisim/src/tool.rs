@@ -4,9 +4,10 @@
 //! registered on the world before launch and shared by every rank — under
 //! the threads engine concurrently across rank threads, under the DES
 //! engine from the one scheduler thread — so implementations must be
-//! `Send + Sync` and are expected to keep per-rank state sharded (e.g. a
-//! `Mutex<Vec<_>>` indexed by rank) to stay non-intrusive — exactly the
-//! constraint a real PMPI tool faces.
+//! `Send + Sync`. The bundled tools keep all mutable state behind one
+//! `Mutex` taken once per event, with per-rank state in a `Vec` indexed
+//! by world rank and sized at `Init { size }`: the default engine is
+//! single-threaded, so one uncontended lock per event is the whole cost.
 //!
 //! Tools additionally declare an *interest mask* ([`Tool::interests`]):
 //! the runtime unions the masks of all attached tools and skips building

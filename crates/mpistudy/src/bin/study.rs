@@ -6,16 +6,14 @@
 //! study report --store DIR [--out DIR] [--json]
 //! study ls     --store DIR
 //! study gc     --store DIR
-//! study bench  [--jobs N] [--write]
 //! ```
 //!
 //! `run` expands the grid, skips every cell whose config hash is already
 //! stored (a warm sweep executes zero simulations) and fans the rest over
 //! `--jobs` worker threads. `report` serves all analyses from the store —
 //! it never simulates. `gc` verifies every document (parse + content hash
-//! vs filename) and removes violators. `bench` times a cold jobs=1 sweep
-//! against a cold jobs=N sweep and a warm rerun, and with `--write`
-//! merges the numbers into `BENCH_profiler.json`.
+//! vs filename) and removes violators. (Sweep timings live in
+//! `benchmark/`: `study_fig6_cold` and the `mpistudy.*` probes.)
 
 use mpistudy::{config::GridSpec, report, run_sweep, RunStore, SweepStats};
 use std::path::PathBuf;
@@ -31,7 +29,6 @@ fn main() {
     let mut jobs = 1usize;
     let mut out: Option<PathBuf> = None;
     let mut json = false;
-    let mut write = false;
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
@@ -53,10 +50,6 @@ fn main() {
             }
             "--json" => {
                 json = true;
-                i += 1;
-            }
-            "--write" => {
-                write = true;
                 i += 1;
             }
             other => {
@@ -133,7 +126,6 @@ fn main() {
                 }
             }
         }
-        "bench" => bench_sweeps(jobs, write),
         other => {
             eprintln!("unknown command: {other}");
             usage();
@@ -143,13 +135,12 @@ fn main() {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: study <run|report|ls|gc|bench> [options]\n\
+        "usage: study <run|report|ls|gc> [options]\n\
          \n\
          study run    --store DIR --grid \"SPEC\" [--jobs N]\n\
          study report --store DIR [--out DIR] [--json]\n\
          study ls     --store DIR\n\
          study gc     --store DIR\n\
-         study bench  [--jobs N] [--write]\n\
          \n\
          grid SPEC: workload=conv|conv-weak|lulesh machine=NAME p=LIST\n\
          \x20          [steps=N] [rows_per_rank=N] [s=N] [iters=N] [threads=N]\n\
@@ -179,109 +170,4 @@ fn report_sweep(stats: &SweepStats, total: usize, jobs: usize, secs: f64) {
         jobs,
         secs,
     );
-}
-
-/// Time the orchestrator itself: cold serial vs cold parallel vs warm.
-/// The grid is fixed (8 convolution cells on the ideal machine) so the
-/// numbers are comparable across hosts and revisions.
-fn bench_sweeps(jobs: usize, write: bool) {
-    let jobs = if jobs > 1 {
-        jobs
-    } else {
-        std::thread::available_parallelism().map_or(4, |n| n.get().clamp(2, 4))
-    };
-    // Eight mid-scale cells on the calibrated machine: heavy enough that
-    // the serial sweep takes seconds (queue overhead is invisible), small
-    // enough to finish promptly on one core.
-    let spec =
-        "workload=conv machine=nehalem_cluster p=64,80,96,112,128,144,192,256 steps=400 seeds=17";
-    let grid = GridSpec::parse(spec).expect("bench grid");
-    let cells = grid.cells();
-    let fresh = |tag: &str| {
-        let dir = std::env::temp_dir().join(format!("mpistudy-bench-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        RunStore::open(dir).expect("bench store")
-    };
-
-    let serial_store = fresh("serial");
-    let start = Instant::now();
-    let serial_stats = run_sweep(&serial_store, &cells, 1);
-    let cold_serial = start.elapsed().as_secs_f64();
-    assert_eq!(serial_stats.executed, cells.len());
-
-    let par_store = fresh("parallel");
-    let start = Instant::now();
-    run_sweep(&par_store, &cells, jobs);
-    let cold_parallel = start.elapsed().as_secs_f64();
-
-    let start = Instant::now();
-    let warm_stats = run_sweep(&par_store, &cells, jobs);
-    let warm = start.elapsed().as_secs_f64();
-    assert_eq!(warm_stats.executed, 0, "warm sweep must simulate nothing");
-
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let speedup = cold_serial / cold_parallel;
-    println!("grid: {spec} ({} cells)", cells.len());
-    println!("study_sweep_secs_cold: {cold_serial:.2} (jobs=1)");
-    println!("study_sweep_secs_cold_jobs{jobs}: {cold_parallel:.2}");
-    println!("study_sweep_secs_warm: {warm:.4} (jobs={jobs}, 100% cache hits)");
-    println!("study_jobs_speedup: {speedup:.2} (host cores: {host_cores})");
-    let _ = std::fs::remove_dir_all(serial_store.root());
-    let _ = std::fs::remove_dir_all(par_store.root());
-
-    if write {
-        merge_into_bench_json(cold_serial, cold_parallel, warm, speedup, jobs, host_cores);
-    }
-}
-
-/// Merge the study_* keys into BENCH_profiler.json (the bench binary owns
-/// that file but cannot depend on this crate, so the merge lives here:
-/// existing study_ lines are replaced, the rest of the file is untouched).
-fn merge_into_bench_json(
-    cold: f64,
-    cold_jobs: f64,
-    warm: f64,
-    speedup: f64,
-    jobs: usize,
-    host_cores: usize,
-) {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..");
-    let path = root.join("BENCH_profiler.json");
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!(
-                "cannot read {}: {e} (run the bench binary first)",
-                path.display()
-            );
-            std::process::exit(1);
-        }
-    };
-    let mut lines: Vec<String> = text
-        .lines()
-        .filter(|l| !l.trim_start().starts_with("\"study_"))
-        .map(|l| l.to_string())
-        .collect();
-    let insert_at = lines
-        .iter()
-        .position(|l| l.trim_start().starts_with("\"config\""))
-        .unwrap_or(lines.len().saturating_sub(1));
-    let new_lines = [
-        format!("  \"study_sweep_secs_cold\": {cold:.2},"),
-        format!("  \"study_sweep_secs_cold_jobs\": {cold_jobs:.2},"),
-        format!("  \"study_sweep_secs_warm\": {warm:.4},"),
-        format!("  \"study_jobs_speedup\": {speedup:.2},"),
-        format!("  \"study_jobs\": {jobs},"),
-        format!("  \"study_host_cores\": {host_cores},"),
-    ];
-    for (k, line) in new_lines.iter().enumerate() {
-        lines.insert(insert_at + k, line.clone());
-    }
-    let mut out = lines.join("\n");
-    out.push('\n');
-    mpisim::jsoncheck::assert_json(&out, "merged BENCH_profiler.json");
-    std::fs::write(&path, out).expect("write BENCH_profiler.json");
-    println!("merged study_* keys into {}", path.display());
 }

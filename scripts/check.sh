@@ -28,16 +28,17 @@ rm -f "$smoke_trace"
 
 echo "==> smoke: profile conv --efficiency --timeline --windows 8"
 smoke_metrics="$(mktemp /tmp/check-metrics.XXXXXX.json)"
+smoke_timeline="$(mktemp /tmp/check-timeline.XXXXXX.csv)"
 cargo run -q --release -p bench --bin profile -- \
-    conv --p 8 --steps 10 --efficiency --timeline /tmp/tl.csv --windows 8 \
+    conv --p 8 --steps 10 --efficiency --timeline "$smoke_timeline" --windows 8 \
     --metrics-json "$smoke_metrics" > /dev/null
-test -s /tmp/tl.csv || { echo "empty timeline CSV: /tmp/tl.csv"; exit 1; }
-head -1 /tmp/tl.csv | grep -q '^window,start_ns' \
+test -s "$smoke_timeline" || { echo "empty timeline CSV: $smoke_timeline"; exit 1; }
+head -1 "$smoke_timeline" | grep -q '^window,start_ns' \
     || { echo "timeline CSV missing header"; exit 1; }
 cargo run -q --release -p bench --bin jsoncheck -- "$smoke_metrics"
 grep -q '"timeline"' "$smoke_metrics" \
     || { echo "metrics JSON missing timeline object"; exit 1; }
-rm -f "$smoke_metrics" /tmp/tl.csv
+rm -f "$smoke_metrics" "$smoke_timeline"
 
 echo "==> smoke: what-if counterfactual replay"
 # The noisy p=64 convolution run flags HALO as degrading; replaying the
