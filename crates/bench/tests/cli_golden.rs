@@ -1,0 +1,70 @@
+//! Cross-commit pins for what the `profile` binary prints and writes.
+//! `golden_artifacts.rs` pins the library's documents and
+//! `benchmark/golden.json` the files of two flag sets with stdout thrown
+//! away; here the real binary runs and its *stdout*, its exit code and
+//! every file it wrote are reduced to FNV-1a fingerprints committed next
+//! to the code, so a front-end refactor that moves one byte fails.
+//!
+//! To re-pin after an intended change, run the test and copy the
+//! `actual:` table it prints on failure.
+
+mod support;
+use support::{check, files_print, print_of, run, scratch};
+
+const PROFILE: &str = env!("CARGO_BIN_EXE_profile");
+
+/// Run `profile` with `args`, expect `code`, and check stdout plus (when
+/// the flag set writes any) the written files against `golden`.
+fn pinned(tag: &str, args: &str, code: i32, golden: &[u64]) {
+    let dir = scratch(tag);
+    let args: Vec<&str> = args.split_whitespace().collect();
+    let out = run(PROFILE, &dir, &args);
+    assert_eq!(out.code, code, "{tag}: stderr:\n{}", out.stderr);
+    let mut got = vec![("stdout", print_of(&out.stdout))];
+    if golden.len() > 1 {
+        got.push(("files", files_print(&dir)));
+    }
+    check(tag, &got, golden);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn conv_observed_flag_set_is_pinned() {
+    pinned(
+        "conv-observed",
+        "conv --p 8 --steps 10 --seed 1 --metrics --efficiency \
+         --metrics-json metrics.json --profile-csv profile.csv",
+        0,
+        &[0x8d38c6ba8ee5c6b6, 0xd488800f58ce995e],
+    );
+}
+
+#[test]
+fn lulesh_summary_json_is_pinned() {
+    pinned(
+        "lulesh-summary",
+        "lulesh --p 8 --threads 4 --iters 5 --summary-json summary.json",
+        0,
+        &[0x719603a1f52cc257, 0x007dfac23e5515f4],
+    );
+}
+
+#[test]
+fn conv_compare_seq_what_if_is_pinned() {
+    pinned(
+        "conv-compare-seq",
+        "conv --p 8 --steps 10 --compare-seq --what-if jitter=0",
+        0,
+        &[0x18094214e039881c],
+    );
+}
+
+#[test]
+fn race_verify_is_pinned_and_exits_1() {
+    pinned(
+        "race-verify",
+        "race --p 4 --verify --verify-json verify.json",
+        1,
+        &[0x889d75772e5f5bea, 0x5cd19021b738ef8f],
+    );
+}
