@@ -1,36 +1,43 @@
 //! Regenerate every table and figure of the paper's evaluation section.
 //!
 //! ```text
-//! cargo run --release -p bench --bin figures -- <target> [options]
-//!
-//! targets:
-//!   fig5a  fig5b  fig5c  fig5d  fig6     convolution benchmark (§5.1)
-//!   fig7   fig8   fig9   fig10           LULESH proxy (§5.2)
-//!   ablation-jitter  ablation-network    DESIGN.md ablations (D2, D1)
-//!   ablation-adaptive ablation-balance   §8 / LULESH-`-b` extensions
-//!   halo-ratio  weak-scaling             §3 / Gustafson-regime extensions
-//!   amdahl-vs-partial  isoefficiency     §2 / Kumar-[1] analyses
-//!   decomp-2d  forecast                  decomposition & §7 porting studies
-//!   all                                  everything above
-//!
-//! options:
-//!   --steps N   convolution time steps        (default 1000, as the paper)
-//!   --reps N    convolution repetitions       (default 3; paper used 20)
-//!   --iters N   LULESH iterations for fig8/9  (default 500 = 1/5 scale;
-//!               fig10 always runs the full 2500 for absolute comparison)
-//!   --out DIR   output directory for CSVs     (default results/)
+//! cargo run --release -p bench --bin figures -- <target>... [options]
 //! ```
 //!
-//! Every target prints an aligned table and writes a CSV with the same
-//! rows. Where the paper states a number, the table repeats it next to the
-//! measured value (see EXPERIMENTS.md for the full comparison).
+//! `figures` with no arguments lists the targets (the `TARGETS` table
+//! below) and the options. Every target prints an aligned table and
+//! writes a CSV with the same rows. Where the paper states a number, the
+//! table repeats it next to the measured value (see EXPERIMENTS.md for the
+//! full comparison).
 
+use bench::cli::{Cli, Flag, Parsed};
 use bench::{
     conv_profile, f2, measure_convolution, measure_lulesh, render_table, seq_total, write_csv,
     ConvRun, CONV_PS,
 };
 use lulesh_proxy::PAPER_ITERATIONS;
 use std::path::PathBuf;
+
+const STEPS: Flag = Flag::value(
+    "--steps",
+    "N",
+    "convolution time steps (default 1000, as the paper)",
+);
+const REPS: Flag = Flag::value(
+    "--reps",
+    "N",
+    "convolution repetitions (default 3; the paper used 20)",
+);
+const ITERS: Flag = Flag::value(
+    "--iters",
+    "N",
+    "LULESH iterations for fig8/9 (default 500 = 1/5 scale; fig10 always runs all 2500)",
+);
+const OUT: Flag = Flag::value(
+    "--out",
+    "DIR",
+    "output directory for CSVs (default results/)",
+);
 
 struct Options {
     steps: usize,
@@ -39,109 +46,85 @@ struct Options {
     out: PathBuf,
 }
 
-impl Default for Options {
-    fn default() -> Self {
-        Options {
-            steps: 1000,
-            reps: 3,
-            iters: PAPER_ITERATIONS / 5,
-            out: PathBuf::from("results"),
-        }
+/// What a target computes from: the shared convolution sweep, or nothing.
+enum Target {
+    Conv(fn(&Options, &[ConvRun])),
+    Plain(fn(&Options)),
+}
+
+/// Every target, in the order `all` runs them.
+static TARGETS: [(&str, Target); 19] = [
+    // convolution benchmark (§5.1)
+    ("fig5a", Target::Conv(fig5a)),
+    ("fig5b", Target::Conv(fig5b)),
+    ("fig5c", Target::Conv(fig5c)),
+    ("fig5d", Target::Conv(fig5d)),
+    ("fig6", Target::Conv(fig6)),
+    // LULESH proxy (§5.2)
+    ("fig7", Target::Plain(fig7)),
+    ("fig8", Target::Plain(fig8)),
+    ("fig9", Target::Plain(fig9)),
+    ("fig10", Target::Plain(fig10)),
+    // DESIGN.md ablations (D2, D1)
+    ("ablation-jitter", Target::Plain(ablation_jitter)),
+    ("ablation-network", Target::Plain(ablation_network)),
+    // §8 / LULESH-`-b` extensions
+    ("ablation-adaptive", Target::Plain(ablation_adaptive)),
+    ("ablation-balance", Target::Plain(ablation_balance)),
+    // §3 / Gustafson-regime extensions
+    ("halo-ratio", Target::Plain(halo_ratio)),
+    ("weak-scaling", Target::Plain(weak_scaling)),
+    // §2 / Kumar-[1] analyses
+    ("amdahl-vs-partial", Target::Conv(amdahl_vs_partial)),
+    ("isoefficiency", Target::Conv(isoefficiency)),
+    // decomposition & §7 porting studies
+    ("decomp-2d", Target::Plain(decomp_2d)),
+    ("forecast", Target::Plain(forecast)),
+];
+
+/// The targets named on the command line (`all` = every one), checked
+/// against the table before anything runs.
+fn selection(parsed: Parsed) -> Result<(Options, Vec<&'static Target>), String> {
+    let opts = Options {
+        steps: parsed.num(&STEPS, 1000)?,
+        reps: parsed.num(&REPS, 3)?,
+        iters: parsed.num(&ITERS, PAPER_ITERATIONS / 5)?,
+        out: PathBuf::from(parsed.get(&OUT).unwrap_or("results")),
+    };
+    if parsed.positionals.is_empty() {
+        return Err("missing <target>".to_string());
     }
+    if parsed.positionals.iter().any(|t| t == "all") {
+        return Ok((opts, TARGETS.iter().map(|(_, target)| target).collect()));
+    }
+    let targets = parsed
+        .positionals
+        .iter()
+        .map(|name| {
+            TARGETS
+                .iter()
+                .find(|(known, _)| known == name)
+                .map(|(_, target)| target)
+                .ok_or_else(|| format!("unknown target '{name}'"))
+        })
+        .collect::<Result<_, _>>()?;
+    Ok((opts, targets))
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut targets: Vec<String> = Vec::new();
-    let mut opts = Options::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--steps" => {
-                opts.steps = args[i + 1].parse().expect("--steps N");
-                i += 2;
-            }
-            "--reps" => {
-                opts.reps = args[i + 1].parse().expect("--reps N");
-                i += 2;
-            }
-            "--iters" => {
-                opts.iters = args[i + 1].parse().expect("--iters N");
-                i += 2;
-            }
-            "--out" => {
-                opts.out = PathBuf::from(&args[i + 1]);
-                i += 2;
-            }
-            t => {
-                targets.push(t.to_string());
-                i += 1;
-            }
-        }
-    }
-    if targets.is_empty() {
-        eprintln!(
-            "usage: figures <target>... [--steps N] [--reps N] [--iters N] [--out DIR]\n\
-             targets: fig5a fig5b fig5c fig5d fig6 fig7 fig8 fig9 fig10\n\
-                      ablation-jitter ablation-network ablation-adaptive\n\
-                      ablation-balance halo-ratio weak-scaling\n\
-                      amdahl-vs-partial isoefficiency decomp-2d forecast all"
-        );
-        std::process::exit(2);
-    }
-    if targets.iter().any(|t| t == "all") {
-        targets = [
-            "fig5a",
-            "fig5b",
-            "fig5c",
-            "fig5d",
-            "fig6",
-            "fig7",
-            "fig8",
-            "fig9",
-            "fig10",
-            "ablation-jitter",
-            "ablation-network",
-            "ablation-adaptive",
-            "ablation-balance",
-            "halo-ratio",
-            "weak-scaling",
-            "amdahl-vs-partial",
-            "isoefficiency",
-            "decomp-2d",
-            "forecast",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    }
-
+    let names: Vec<&str> = TARGETS.iter().map(|(name, _)| *name).collect();
+    let notes = format!("targets: {} all", names.join(" "));
+    let cli = Cli {
+        synopsis: "figures <target>... [options]",
+        flags: &[STEPS, REPS, ITERS, OUT],
+        notes: &notes,
+    };
+    let (opts, targets) = cli.parse_env_or_exit(selection);
     let mut conv_cache: Option<Vec<ConvRun>> = None;
-    for target in &targets {
-        match target.as_str() {
-            "fig5a" => fig5a(&opts, conv_sweep(&opts, &mut conv_cache)),
-            "fig5b" => fig5b(&opts, conv_sweep(&opts, &mut conv_cache)),
-            "fig5c" => fig5c(&opts, conv_sweep(&opts, &mut conv_cache)),
-            "fig5d" => fig5d(&opts, conv_sweep(&opts, &mut conv_cache)),
-            "fig6" => fig6(&opts, conv_sweep(&opts, &mut conv_cache)),
-            "fig7" => fig7(&opts),
-            "fig8" => fig8(&opts),
-            "fig9" => fig9(&opts),
-            "fig10" => fig10(&opts),
-            "ablation-jitter" => ablation_jitter(&opts),
-            "ablation-network" => ablation_network(&opts),
-            "ablation-adaptive" => ablation_adaptive(&opts),
-            "ablation-balance" => ablation_balance(&opts),
-            "halo-ratio" => halo_ratio(&opts),
-            "weak-scaling" => weak_scaling(&opts),
-            "amdahl-vs-partial" => amdahl_vs_partial(&opts, conv_sweep(&opts, &mut conv_cache)),
-            "isoefficiency" => isoefficiency(&opts, conv_sweep(&opts, &mut conv_cache)),
-            "decomp-2d" => decomp_2d(&opts),
-            "forecast" => forecast(&opts),
-            other => {
-                eprintln!("unknown target: {other}");
-                std::process::exit(2);
-            }
+    for target in targets {
+        match target {
+            Target::Conv(figure) => figure(&opts, conv_sweep(&opts, &mut conv_cache)),
+            Target::Plain(figure) => figure(&opts),
         }
     }
 }
@@ -697,23 +680,12 @@ fn ablation_balance(opts: &Options) {
     let machine = machine::presets::knl();
     let iters = (opts.iters / 5).max(20);
     let run = |gradient: Option<f64>, schedule: shmem::Schedule| {
-        let sections = mpi_sections::SectionRuntime::new(mpi_sections::VerifyMode::Off);
-        let profiler = mpi_sections::SectionProfiler::new();
-        sections.attach(profiler.clone());
-        let s = sections.clone();
         let mut cfg = lulesh_proxy::LuleshConfig::timing(12, iters, 4);
         cfg.schedule = schedule;
         cfg.cost_gradient = gradient.map(|m| lulesh_proxy::CostGradient { max_multiplier: m });
-        let cfg = std::sync::Arc::new(cfg);
-        mpisim::WorldBuilder::new(64)
-            .machine(machine.clone())
-            .seed(13)
-            .tool(sections.clone())
-            .run(move |p| {
-                lulesh_proxy::run_lulesh(p, &s, &cfg);
-            })
-            .expect("balance run");
-        profiler.snapshot()
+        let (profile, _) =
+            bench::profiled(bench::Program::Lulesh(cfg), 64, &machine, 13).expect("balance run");
+        profile
     };
     let header = vec![
         "gradient",

@@ -8,408 +8,307 @@
 //! cargo run --release -p bench --bin profile -- conv   --p 64 --steps 100
 //! cargo run --release -p bench --bin profile -- lulesh --p 8 --threads 4 --iters 100
 //! cargo run --release -p bench --bin profile -- race   --p 4 --verify
-//!
-//! options:
-//!   --p N          MPI processes                     (default 8)
-//!   --threads N    OpenMP-style threads (lulesh)     (default 1)
-//!   --steps N      convolution steps                 (default 100)
-//!   --iters N      lulesh iterations                 (default 100)
-//!   --engine E     threads | des — execution engine   (default: des on
-//!                  x86-64, threads elsewhere; also via MPISIM_ENGINE)
-//!   --machine M    nehalem | knl | broadwell | ideal (default: per workload)
-//!   --machine-file F  load the machine from a `key = value` file (see
-//!                  `machine::config`); overrides --machine
-//!   --seed N       noise seed                        (default 1)
-//!   --trace FILE   write a Chrome trace JSON (open in chrome://tracing;
-//!                  rank rows are labeled and message arrows join each
-//!                  send to its matching receive)
-//!   --csv FILE     write the span trace as CSV
-//!   --profile-csv FILE  write the per-section summary as CSV
-//!   --metrics      print the pvar communication metrics (per-section
-//!                  message/byte counters), the wait-state breakdown
-//!                  (late-sender / late-receiver / collective-wait) and
-//!                  the critical-path speedup bound next to the Eq. 6
-//!                  ranking
-//!   --comm-matrix  print the per-(src,dst) communication matrix
-//!   --flamegraph FILE   write folded flamegraph stacks weighted by
-//!                  exclusive section time (flamegraph.pl / speedscope)
-//!   --metrics-json FILE  write the pvar + wait-state + critical-path
-//!                  metrics as one JSON document (byte-identical across
-//!                  runs with the same seed)
-//!   --compare-seq  also run the sequential baseline and print the
-//!                  per-section scaling comparison (Eq. 6 bounds vs a real
-//!                  baseline instead of the single-run proxy)
-//!   --check        attach the mpicheck correctness analyzer: deadlocks,
-//!                  collective divergence and wildcard-receive races are
-//!                  reported as structured diagnostics (exit code 1 on
-//!                  errors); a clean run prints "mpicheck: clean"
-//!   --verify       explore the space of wildcard-receive matchings
-//!                  (stateless model checking on the DES engine) and print
-//!                  a verdict per wildcard site: CONFIRMED (divergent
-//!                  witness pair, or deadlock under an alternative
-//!                  matching — exit code 1), REFUTED (all reachable
-//!                  matchings byte-identical) or trivially refuted (one
-//!                  live sender)
-//!   --verify-budget N    schedule budget for --verify (default 64)
-//!   --verify-json FILE   write the verdict report as JSON
-//!   --verify-witnesses PREFIX  write the first confirmed race's witness
-//!                  schedules to PREFIX.a.json / PREFIX.b.json
-//!   --replay-schedule FILE  force the run's wildcard matchings from a
-//!                  witness schedule (implies the DES engine); combined
-//!                  with --metrics-json, replaying each witness of a
-//!                  confirmed race reproduces its side of the divergence
-//!   --efficiency   print the windowed POP efficiency report (parallel =
-//!                  load balance x comm, comm = serialization x transfer;
-//!                  one sparkline per metric per section) and the
-//!                  trend-detector table naming degrading sections and
-//!                  their dominant wait-state class
-//!   --timeline FILE  write the per-(window, section) stats and the
-//!                  efficiency hierarchy as CSV
-//!   --windows N    number of fixed-width virtual-time windows (default 8)
-//!   --window-align LABEL  align windows to iterations of the named
-//!                  outermost section (one window per entry observed on
-//!                  rank 0) instead of fixed widths
-//!   --what-if SPEC  counterfactual replay: re-time the recorded trace
-//!                  under an altered machine model and report predicted
-//!                  makespan/speedup, re-evaluated Eq. 6 and critical-path
-//!                  bounds, re-timed wait-state totals and the trend
-//!                  verdict. Repeatable (one scenario per flag). SPEC is a
-//!                  comma-separated clause list: `net=ideal` (or another
-//!                  machine name) re-prices every message and collective,
-//!                  `jitter=0` replays noise-free, `null=late-sender`
-//!                  (late-receiver | wait-at-collective) nulls one
-//!                  wait-state class, `scale:HALO=0.5` scales a section's
-//!                  local work
-//!   --summary      attach the bounded-memory streaming summarizer and
-//!                  print its report: per-section wait/compute quantile
-//!                  sketches, rank equivalence clusters with a wait-state
-//!                  heatmap, top-k comm edges with the exact eviction
-//!                  count, and the Eq. 6 / `S <= T_seq/CPL` bounds — all
-//!                  from O(sections x buckets + K clusters + k edges)
-//!                  state, independent of the step count
-//!   --summary-json FILE  write the summary block as a JSON document
-//!                  (jsoncheck-valid, byte-identical across equal seeds
-//!                  and across the des/threads engines)
-//!   --trace-max-ranks N  cap Chrome-trace rank lanes and flow arrows at
-//!                  N ranks (default 512); dropped ranks are counted and
-//!                  logged instead of silently inflating the trace
 //! ```
+//!
+//! `profile` with no arguments prints every flag with a one-line
+//! description, generated from the flag table below; README explains the
+//! flags feature by feature.
 //!
 //! At p >= 1024 the metrics/efficiency flags automatically switch to
 //! **summary-only recording**: the full per-event `CommRecorder` (memory
 //! linear in `steps x p`) stays off and every report is served from the
-//! streaming summarizer's bounded state. `--what-if`, `--verify` and
-//! `--replay-schedule` still force full recording (the event log is their
-//! input); a log line states which mode ran.
+//! streaming summarizer's bounded state. The what-if, verify and
+//! replay-schedule flags still force full recording (the event log is
+//! their input); a log line states which mode ran.
 //!
-//! With any of the timeline flags active, `--metrics-json` gains a
+//! With any of the timeline flags active, the metrics JSON gains a
 //! `timeline` object (windowed stats + per-window wait histograms) and a
-//! `trends` array, and `--trace` gains per-window efficiency counter
-//! lanes under a synthetic "windowed efficiency" Perfetto process.
+//! `trends` array, and the Chrome trace gains per-window efficiency
+//! counter lanes under a synthetic "windowed efficiency" Perfetto process.
 //!
 //! The `race` workload is a deliberately racy wildcard-receive program
 //! (every sender ships a different payload to rank 0's `Src::Any` loop):
-//! the demonstration target for `--verify` and `--replay-schedule`.
+//! the demonstration target for schedule exploration and witness replay.
 
+use bench::cli::{Cli, Flag, Parsed};
+use bench::{Launch, Program};
+use machine::MachineModel;
+use mpi_sections::whatif::WhatIfSpec;
 use mpi_sections::{
     classify, critpath, render, render_bounds, CommRecorder, PvarRegistry, ReportOptions,
     SectionProfiler, SectionRuntime, SummaryTool, TraceTool, VerifyMode, Windowing,
     SUMMARY_AUTO_RANKS,
 };
-use mpisim::{Src, TagSel, WorldBuilder};
+use mpisim::{Engine, RunError, RunReport};
 use mpiverify::{RunOutcome, Schedule, ScheduleController};
 use std::sync::Arc;
 
-struct Args {
+const P: Flag = Flag::value("--p", "N", "MPI processes (default 8)");
+const THREADS: Flag = Flag::value("--threads", "N", "OpenMP-style threads, lulesh (default 1)");
+const STEPS: Flag = Flag::value("--steps", "N", "convolution steps (default 100)");
+const ITERS: Flag = Flag::value("--iters", "N", "lulesh iterations (default 100)");
+const ENGINE: Flag = Flag::value(
+    "--engine",
+    "E",
+    "threads | des (default: des on x86-64, threads elsewhere; also MPISIM_ENGINE)",
+);
+const MACHINE: Flag = Flag::value(
+    "--machine",
+    "M",
+    "machine preset (default: knl for lulesh, nehalem_cluster otherwise)",
+);
+const MACHINE_FILE: Flag = Flag::value(
+    "--machine-file",
+    "F",
+    "load the machine from a `key = value` file (overrides the preset)",
+);
+const SEED: Flag = Flag::value("--seed", "N", "noise seed (default 1)");
+const TRACE: Flag = Flag::value(
+    "--trace",
+    "FILE",
+    "write a Chrome trace JSON (labeled rank rows, message arrows)",
+);
+const CSV: Flag = Flag::value("--csv", "FILE", "write the span trace as CSV");
+const PROFILE_CSV: Flag = Flag::value(
+    "--profile-csv",
+    "FILE",
+    "write the per-section summary as CSV",
+);
+const COMPARE_SEQ: Flag = Flag::switch(
+    "--compare-seq",
+    "also run the sequential baseline and print the per-section scaling comparison",
+);
+const CHECK: Flag = Flag::switch(
+    "--check",
+    "attach the mpicheck correctness analyzer (exit code 1 on errors)",
+);
+const VERIFY: Flag = Flag::switch(
+    "--verify",
+    "explore wildcard-receive matchings; a verdict per site (exit code 1 on CONFIRMED)",
+);
+const VERIFY_BUDGET: Flag = Flag::value(
+    "--verify-budget",
+    "N",
+    "schedule budget of the exploration (default 64)",
+);
+const VERIFY_JSON: Flag = Flag::value("--verify-json", "FILE", "write the verdict report as JSON");
+const VERIFY_WITNESSES: Flag = Flag::value(
+    "--verify-witnesses",
+    "PREFIX",
+    "write the first confirmed race's witness schedules to PREFIX.a.json / PREFIX.b.json",
+);
+const REPLAY_SCHEDULE: Flag = Flag::value(
+    "--replay-schedule",
+    "FILE",
+    "force the run's wildcard matchings from a witness schedule (implies des)",
+);
+const METRICS: Flag = Flag::switch(
+    "--metrics",
+    "print pvar counters, the wait-state breakdown and the critical-path bound",
+);
+const COMM_MATRIX: Flag = Flag::switch(
+    "--comm-matrix",
+    "print the per-(src,dst) communication matrix",
+);
+const FLAMEGRAPH: Flag = Flag::value(
+    "--flamegraph",
+    "FILE",
+    "write folded flamegraph stacks weighted by exclusive section time",
+);
+const METRICS_JSON: Flag = Flag::value(
+    "--metrics-json",
+    "FILE",
+    "write pvar + wait-state + critical-path metrics as one JSON document",
+);
+const EFFICIENCY: Flag = Flag::switch(
+    "--efficiency",
+    "print the windowed POP efficiency report and the trend-detector table",
+);
+const TIMELINE: Flag = Flag::value(
+    "--timeline",
+    "FILE",
+    "write the per-(window, section) stats and efficiency hierarchy as CSV",
+);
+const WINDOWS: Flag = Flag::value(
+    "--windows",
+    "N",
+    "number of fixed-width virtual-time windows (default 8)",
+);
+const WINDOW_ALIGN: Flag = Flag::value(
+    "--window-align",
+    "LABEL",
+    "one window per rank-0 entry of the named section instead of fixed widths",
+);
+const WHAT_IF: Flag = Flag::value(
+    "--what-if",
+    "SPEC",
+    "counterfactual replay, repeatable: net=MACHINE | jitter=0 | null=CLASS | scale:SECTION=K, comma-joined",
+);
+const SUMMARY: Flag = Flag::switch(
+    "--summary",
+    "attach the bounded-memory streaming summarizer and print its report",
+);
+const SUMMARY_JSON: Flag = Flag::value(
+    "--summary-json",
+    "FILE",
+    "write the summary block as a JSON document",
+);
+const TRACE_MAX_RANKS: Flag = Flag::value(
+    "--trace-max-ranks",
+    "N",
+    "cap Chrome-trace rank lanes and flow arrows (default 512); drops are counted",
+);
+
+const CLI: Cli<'static> = Cli {
+    synopsis: "profile <conv|lulesh|race> [options]",
+    flags: &[
+        P,
+        THREADS,
+        STEPS,
+        ITERS,
+        ENGINE,
+        MACHINE,
+        MACHINE_FILE,
+        SEED,
+        TRACE,
+        CSV,
+        PROFILE_CSV,
+        COMPARE_SEQ,
+        CHECK,
+        VERIFY,
+        VERIFY_BUDGET,
+        VERIFY_JSON,
+        VERIFY_WITNESSES,
+        REPLAY_SCHEDULE,
+        METRICS,
+        COMM_MATRIX,
+        FLAMEGRAPH,
+        METRICS_JSON,
+        EFFICIENCY,
+        TIMELINE,
+        WINDOWS,
+        WINDOW_ALIGN,
+        WHAT_IF,
+        SUMMARY,
+        SUMMARY_JSON,
+        TRACE_MAX_RANKS,
+    ],
+    notes: "",
+};
+
+/// What the command line selects, validated: everything that is more
+/// than "was this flag given" or "which path" (those are read from the
+/// parsed flags where they are used).
+struct Config {
+    /// The workload as typed; it heads every JSON document.
     workload: String,
+    program: Program,
+    /// The same global problem on one rank (the baseline of the
+    /// sequential comparison).
+    sequential: Program,
+    /// The banner up to the machine: `convolution: p=8, 10 steps`.
+    banner: String,
     p: usize,
-    threads: usize,
-    steps: usize,
-    iters: usize,
-    engine: Option<mpisim::Engine>,
-    machine: Option<String>,
-    machine_file: Option<String>,
+    engine: Option<Engine>,
+    /// Resolved once: the file if given, else the preset, else the
+    /// workload's default.
+    machine: MachineModel,
     seed: u64,
-    trace: Option<String>,
-    csv: Option<String>,
-    profile_csv: Option<String>,
-    compare_seq: bool,
-    check: bool,
-    verify: bool,
     verify_budget: usize,
-    verify_json: Option<String>,
-    verify_witnesses: Option<String>,
-    replay_schedule: Option<String>,
-    metrics: bool,
-    comm_matrix: bool,
-    flamegraph: Option<String>,
-    metrics_json: Option<String>,
-    efficiency: bool,
-    timeline: Option<String>,
-    windows: usize,
-    window_align: Option<String>,
-    what_if: Vec<String>,
-    summary: bool,
-    summary_json: Option<String>,
+    windowing: Windowing,
+    what_if: Vec<WhatIfSpec>,
     trace_max_ranks: usize,
 }
 
-const USAGE: &str = "usage: profile <conv|lulesh|race> [--p N] [--threads N] [--steps N] [--iters N] \
-[--engine threads|des] [--machine M] [--machine-file F] [--seed N] [--trace FILE] [--csv FILE] [--profile-csv FILE] \
-[--check] [--verify] [--verify-budget N] [--verify-json FILE] [--verify-witnesses PREFIX] \
-[--replay-schedule FILE] [--metrics] [--comm-matrix] [--flamegraph FILE] [--metrics-json FILE] [--compare-seq] \
-[--efficiency] [--timeline FILE] [--windows N] [--window-align LABEL] [--what-if SPEC]... \
-[--summary] [--summary-json FILE] [--trace-max-ranks N]";
-
-/// The operand of flag `argv[i]`, or a usage error if argv ends first.
-fn operand(argv: &[String], i: usize) -> &str {
-    argv.get(i + 1).map(String::as_str).unwrap_or_else(|| {
-        eprintln!("error: {} requires a value\n{USAGE}", argv[i]);
-        std::process::exit(2);
-    })
-}
-
-/// The operand of flag `argv[i]` parsed as a number, or a usage error.
-fn numeric_operand<T: std::str::FromStr>(argv: &[String], i: usize) -> T {
-    let raw = operand(argv, i);
-    raw.parse().unwrap_or_else(|_| {
-        eprintln!("error: {} expects a number, got '{raw}'\n{USAGE}", argv[i]);
-        std::process::exit(2);
-    })
-}
-
-fn parse() -> Args {
-    let mut args = Args {
-        workload: String::new(),
-        p: 8,
-        threads: 1,
-        steps: 100,
-        iters: 100,
-        engine: None,
-        machine: None,
-        machine_file: None,
-        seed: 1,
-        trace: None,
-        csv: None,
-        profile_csv: None,
-        compare_seq: false,
-        check: false,
-        verify: false,
-        verify_budget: 64,
-        verify_json: None,
-        verify_witnesses: None,
-        replay_schedule: None,
-        metrics: false,
-        comm_matrix: false,
-        flamegraph: None,
-        metrics_json: None,
-        efficiency: false,
-        timeline: None,
-        windows: 8,
-        window_align: None,
-        what_if: Vec::new(),
-        summary: false,
-        summary_json: None,
-        trace_max_ranks: 512,
-    };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--p" => {
-                args.p = numeric_operand(&argv, i);
-                i += 2;
-            }
-            "--threads" => {
-                args.threads = numeric_operand(&argv, i);
-                i += 2;
-            }
-            "--steps" => {
-                args.steps = numeric_operand(&argv, i);
-                i += 2;
-            }
-            "--iters" => {
-                args.iters = numeric_operand(&argv, i);
-                i += 2;
-            }
-            "--engine" => {
-                args.engine = Some(operand(&argv, i).parse().unwrap_or_else(|e| {
-                    eprintln!("error: {e}\n{USAGE}");
-                    std::process::exit(2);
-                }));
-                i += 2;
-            }
-            "--machine" => {
-                args.machine = Some(operand(&argv, i).to_string());
-                i += 2;
-            }
-            "--machine-file" => {
-                args.machine_file = Some(operand(&argv, i).to_string());
-                i += 2;
-            }
-            "--seed" => {
-                args.seed = numeric_operand(&argv, i);
-                i += 2;
-            }
-            "--trace" => {
-                args.trace = Some(operand(&argv, i).to_string());
-                i += 2;
-            }
-            "--csv" => {
-                args.csv = Some(operand(&argv, i).to_string());
-                i += 2;
-            }
-            "--profile-csv" => {
-                args.profile_csv = Some(operand(&argv, i).to_string());
-                i += 2;
-            }
-            "--compare-seq" => {
-                args.compare_seq = true;
-                i += 1;
-            }
-            "--check" => {
-                args.check = true;
-                i += 1;
-            }
-            "--verify" => {
-                args.verify = true;
-                i += 1;
-            }
-            "--verify-budget" => {
-                args.verify_budget = numeric_operand(&argv, i);
-                i += 2;
-            }
-            "--verify-json" => {
-                args.verify_json = Some(operand(&argv, i).to_string());
-                i += 2;
-            }
-            "--verify-witnesses" => {
-                args.verify_witnesses = Some(operand(&argv, i).to_string());
-                i += 2;
-            }
-            "--replay-schedule" => {
-                args.replay_schedule = Some(operand(&argv, i).to_string());
-                i += 2;
-            }
-            "--metrics" => {
-                args.metrics = true;
-                i += 1;
-            }
-            "--comm-matrix" => {
-                args.comm_matrix = true;
-                i += 1;
-            }
-            "--flamegraph" => {
-                args.flamegraph = Some(operand(&argv, i).to_string());
-                i += 2;
-            }
-            "--metrics-json" => {
-                args.metrics_json = Some(operand(&argv, i).to_string());
-                i += 2;
-            }
-            "--efficiency" => {
-                args.efficiency = true;
-                i += 1;
-            }
-            "--timeline" => {
-                args.timeline = Some(operand(&argv, i).to_string());
-                i += 2;
-            }
-            "--windows" => {
-                args.windows = numeric_operand(&argv, i);
-                i += 2;
-            }
-            "--window-align" => {
-                args.window_align = Some(operand(&argv, i).to_string());
-                i += 2;
-            }
-            "--summary" => {
-                args.summary = true;
-                i += 1;
-            }
-            "--summary-json" => {
-                args.summary_json = Some(operand(&argv, i).to_string());
-                i += 2;
-            }
-            "--trace-max-ranks" => {
-                args.trace_max_ranks = numeric_operand(&argv, i);
-                i += 2;
-            }
-            "--what-if" => {
-                let raw = operand(&argv, i);
-                if let Err(e) = mpi_sections::whatif::parse(raw) {
-                    eprintln!("error: --what-if: {e}\n{USAGE}");
-                    std::process::exit(2);
-                }
-                args.what_if.push(raw.to_string());
-                i += 2;
-            }
-            w if !w.starts_with("--") && args.workload.is_empty() => {
-                args.workload = w.to_string();
-                i += 1;
-            }
-            other => {
-                eprintln!("error: unknown argument '{other}'\n{USAGE}");
-                std::process::exit(2);
-            }
+fn config(flags: &Parsed) -> Result<Config, String> {
+    let workload = flags.only_positional("<workload>")?;
+    let p: usize = flags.num(&P, 8)?;
+    let steps: usize = flags.num(&STEPS, 100)?;
+    let iters: usize = flags.num(&ITERS, 100)?;
+    let threads: usize = flags.num(&THREADS, 1)?;
+    // The one place a workload name is interpreted: its program, its
+    // sequential equivalent, its default machine and its banner.
+    let (program, sequential, default_machine, banner) = match workload {
+        "conv" => {
+            let program = Program::Conv(convolution::ConvConfig::paper(steps));
+            let banner = format!("convolution: p={p}, {steps} steps");
+            (program.clone(), program, "nehalem_cluster", banner)
         }
+        "lulesh" => {
+            let s =
+                lulesh_proxy::size_for(lulesh_proxy::PAPER_TOTAL_ELEMENTS, p).ok_or_else(|| {
+                    format!(
+                        "{} must be a perfect cube dividing 110592 (1, 8, 27, 64); got {p}",
+                        P.name
+                    )
+                })?;
+            // Same *global* problem sequentially: s_global = s * cbrt(p).
+            let side = (p as f64).cbrt().round() as usize;
+            let timing = |s| Program::Lulesh(lulesh_proxy::LuleshConfig::timing(s, iters, threads));
+            let banner = format!("lulesh: p={p}, {iters} iterations, {threads} threads");
+            (timing(s), timing(s * side), "knl", banner)
+        }
+        "race" => (
+            Program::Race,
+            Program::Race,
+            "nehalem_cluster",
+            format!("race: p={p}"),
+        ),
+        other => return Err(format!("unknown workload '{other}' (conv|lulesh|race)")),
+    };
+    let machine = match flags.get(&MACHINE_FILE) {
+        Some(path) => {
+            MachineModel::from_config_file(std::path::Path::new(path)).map_err(|e| e.to_string())?
+        }
+        None => machine::presets::by_name(flags.get(&MACHINE).unwrap_or(default_machine))?,
+    };
+    let engine = flags.get(&ENGINE).map(str::parse).transpose()?;
+    let windows: usize = flags.num(&WINDOWS, 8)?;
+    if windows == 0 {
+        return Err(format!("{} expects N >= 1", WINDOWS.name));
     }
-    if args.workload.is_empty() {
-        eprintln!("{USAGE}");
-        std::process::exit(2);
-    }
-    if args.windows == 0 {
-        eprintln!("error: --windows expects N >= 1\n{USAGE}");
-        std::process::exit(2);
-    }
-    if args.verify_budget == 0 {
-        eprintln!("error: --verify-budget expects N >= 1\n{USAGE}");
-        std::process::exit(2);
+    let verify_budget = flags.num(&VERIFY_BUDGET, 64)?;
+    if verify_budget == 0 {
+        return Err(format!("{} expects N >= 1", VERIFY_BUDGET.name));
     }
     // Schedule control relies on the DES engine's deterministic global
     // decision order; under the threads engine the forced prefix can
     // interleave differently across receivers and replay is unsound.
-    if (args.verify || args.replay_schedule.is_some())
-        && args.engine == Some(mpisim::Engine::Threads)
-    {
-        eprintln!("error: --verify/--replay-schedule require the des engine\n{USAGE}");
-        std::process::exit(2);
+    if (flags.has(&VERIFY) || flags.has(&REPLAY_SCHEDULE)) && engine == Some(Engine::Threads) {
+        return Err(format!(
+            "{}/{} require the des engine",
+            VERIFY.name, REPLAY_SCHEDULE.name
+        ));
     }
-    args
+    let what_if = flags
+        .all(&WHAT_IF)
+        .map(|raw| mpi_sections::whatif::parse(raw).map_err(|e| format!("{}: {e}", WHAT_IF.name)))
+        .collect::<Result<_, _>>()?;
+    Ok(Config {
+        workload: workload.to_string(),
+        program,
+        sequential,
+        banner,
+        p,
+        engine,
+        machine,
+        seed: flags.num(&SEED, 1)?,
+        verify_budget,
+        windowing: match flags.get(&WINDOW_ALIGN) {
+            Some(label) => Windowing::Aligned(label.to_string()),
+            None => Windowing::Fixed(windows),
+        },
+        what_if,
+        trace_max_ranks: flags.num(&TRACE_MAX_RANKS, 512)?,
+    })
 }
 
-fn resolve_machine(args: &Args, default: &str) -> machine::MachineModel {
-    if let Some(path) = &args.machine_file {
-        match machine::MachineModel::from_config_file(std::path::Path::new(path)) {
-            Ok(m) => return m,
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        }
-    }
-    machine_by_name(args.machine.as_deref().unwrap_or(default))
-}
-
-fn machine_by_name(name: &str) -> machine::MachineModel {
-    match name {
-        "nehalem" => machine::presets::nehalem_cluster(),
-        "knl" => machine::presets::knl(),
-        "broadwell" => machine::presets::dual_broadwell(),
-        "ideal" => machine::presets::ideal(),
-        other => {
-            eprintln!("unknown machine '{other}' (nehalem|knl|broadwell|ideal)");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Unwrap a run result, rendering structured diagnostics (from `--check`
+/// Unwrap a run result, rendering structured diagnostics (from the analyzer
 /// or section verification) as a report instead of a panic backtrace.
-fn unwrap_run<R>(result: Result<mpisim::RunReport<R>, mpisim::RunError>) -> mpisim::RunReport<R> {
+fn unwrap_run<R>(result: Result<RunReport<R>, RunError>) -> RunReport<R> {
     match result {
         Ok(report) => report,
-        Err(mpisim::RunError::Diagnosed(diags)) => {
+        Err(RunError::Diagnosed(diags)) => {
             eprintln!("{}", mpisim::diag::report(&diags));
             std::process::exit(1);
         }
@@ -463,9 +362,10 @@ impl Stack {
         }
     }
 
-    /// The PMPI-layer tools of this stack, in attach order.
+    /// The PMPI-layer tools of this stack that attach after the section
+    /// runtime, in attach order.
     fn world_tools(&self) -> Vec<Arc<dyn mpisim::Tool>> {
-        let mut tools: Vec<Arc<dyn mpisim::Tool>> = vec![self.sections.clone()];
+        let mut tools: Vec<Arc<dyn mpisim::Tool>> = Vec::new();
         if let Some(checker) = &self.checker {
             tools.push(checker.clone());
         }
@@ -485,100 +385,34 @@ impl Stack {
     }
 }
 
-/// The deliberately racy demonstration workload: ranks 1..p each send a
-/// *different* payload (value and length scale with the rank) to rank 0,
-/// which drains them through an order-sensitive wildcard-receive fold. Any
-/// two matchings produce different checksums and different transfer
-/// timings, so `--verify` confirms the race; replaying either witness
-/// schedule reproduces its checksum exactly.
-fn run_race(p: &mut mpisim::Proc, s: &SectionRuntime) -> u64 {
-    let world = p.world();
-    let me = p.world_rank();
-    let n = p.world_size();
-    s.scoped(p, &world, "RACE", |p| {
-        let world = p.world();
-        if me == 0 {
-            world.barrier(p);
-            let mut acc: u64 = 0;
-            for _ in 1..n {
-                let m = world.recv::<u64>(p, Src::Any, TagSel::Is(7));
-                acc = acc
-                    .wrapping_mul(31)
-                    .wrapping_add(m.data[0].wrapping_mul(n as u64))
-                    .wrapping_add(m.src as u64);
-            }
-            acc
-        } else {
-            world.send(p, 0, 7, &vec![me as u64; me]);
-            world.barrier(p);
-            0
-        }
-    })
-}
-
-/// Execute the selected workload once against `stack`'s tools. With a
-/// controller (exploration/replay), the engine is forced to DES so the
-/// global wildcard-decision order is deterministic.
+/// Execute the selected workload once against `stack`'s tools, with a
+/// controller when exploring or replaying a schedule.
 fn run_once(
-    args: &Args,
+    cfg: &Config,
     stack: &Stack,
     controller: Option<Arc<ScheduleController>>,
-) -> Result<mpisim::RunReport<u64>, mpisim::RunError> {
-    let default_machine = match args.workload.as_str() {
-        "lulesh" => "knl",
-        _ => "nehalem",
+) -> Result<RunReport<u64>, RunError> {
+    let launch = Launch {
+        program: cfg.program.clone(),
+        p: cfg.p,
+        machine: &cfg.machine,
+        seed: cfg.seed,
+        engine: cfg.engine,
+        controller: controller.map(|ctl| ctl as Arc<dyn mpisim::MatchController>),
     };
-    let m = resolve_machine(args, default_machine);
-    let mut builder = WorldBuilder::new(args.p).machine(m).seed(args.seed);
-    if controller.is_some() {
-        builder = builder.engine(mpisim::Engine::Des);
-    } else if let Some(engine) = args.engine {
-        builder = builder.engine(engine);
-    }
-    if let Some(ctl) = controller {
-        builder = builder.match_controller(ctl as Arc<dyn mpisim::MatchController>);
-    }
-    for t in stack.world_tools() {
-        builder = builder.tool(t);
-    }
-    match args.workload.as_str() {
-        "conv" => {
-            let s = stack.sections.clone();
-            let cfg = Arc::new(convolution::ConvConfig::paper(args.steps));
-            builder.run(move |p| {
-                convolution::run_convolution(p, &s, &cfg);
-                0
-            })
-        }
-        "lulesh" => {
-            let s = lulesh_proxy::size_for(lulesh_proxy::PAPER_TOTAL_ELEMENTS, args.p)
-                .unwrap_or_else(|| {
-                    eprintln!(
-                        "--p must be a perfect cube dividing 110592 (1, 8, 27, 64); got {}",
-                        args.p
-                    );
-                    std::process::exit(2);
-                });
-            let sr = stack.sections.clone();
-            let cfg = Arc::new(lulesh_proxy::LuleshConfig::timing(
-                s,
-                args.iters,
-                args.threads,
-            ));
-            builder.run(move |p| {
-                lulesh_proxy::run_lulesh(p, &sr, &cfg);
-                0
-            })
-        }
-        "race" => {
-            let s = stack.sections.clone();
-            builder.run(move |p| run_race(p, &s))
-        }
-        other => {
-            eprintln!("unknown workload '{other}' (conv|lulesh|race)");
-            std::process::exit(2);
-        }
-    }
+    launch.run(&stack.sections, stack.world_tools())
+}
+
+/// The opening of every JSON document `profile` writes, up to and
+/// including the machine block; the caller appends `,"key":...}`.
+fn doc_header(cfg: &Config) -> String {
+    format!(
+        "{{\"workload\":\"{}\",\"p\":{},\"seed\":{},\"config\":{{\"machine\":{}}}",
+        cfg.workload,
+        cfg.p,
+        cfg.seed,
+        bench::whatif::machine_config_json(&cfg.machine),
+    )
 }
 
 /// Fold one run's observable artifacts into the fingerprint input the
@@ -586,7 +420,7 @@ fn run_once(
 /// profile, the pvar counters, the wait-state/critical-path analyses and
 /// any analyzer diagnostics. Anything omitted here is invisible to the
 /// divergence check.
-fn artifact_of(stack: &Stack, report: &mpisim::RunReport<u64>) -> String {
+fn artifact_of(stack: &Stack, report: &RunReport<u64>) -> String {
     let mut a = format!(
         "results:{:?};makespan_ns:{};",
         report.results, report.makespan.0
@@ -609,44 +443,50 @@ fn artifact_of(stack: &Stack, report: &mpisim::RunReport<u64>) -> String {
 }
 
 fn main() {
-    let args = parse();
-    let windowing = args.efficiency || args.timeline.is_some();
-    let wants_full = args.metrics
-        || args.comm_matrix
-        || args.metrics_json.is_some()
+    let (flags, cfg) = CLI.parse_env_or_exit(|flags| {
+        let cfg = config(&flags)?;
+        Ok((flags, cfg))
+    });
+    let windowing = flags.has(&EFFICIENCY) || flags.has(&TIMELINE);
+    let wants_full = flags.has(&METRICS)
+        || flags.has(&COMM_MATRIX)
+        || flags.has(&METRICS_JSON)
         || windowing
-        || !args.what_if.is_empty();
+        || !cfg.what_if.is_empty();
     // The event log is the replay/verification input: those flags pin
     // full recording at any p. Everything else is served from the
     // bounded summarizer once p reaches the auto-switch threshold.
-    let needs_log = !args.what_if.is_empty() || args.verify || args.replay_schedule.is_some();
-    let summary_only = args.p >= SUMMARY_AUTO_RANKS && !needs_log;
+    let needs_log = !cfg.what_if.is_empty() || flags.has(&VERIFY) || flags.has(&REPLAY_SCHEDULE);
+    let summary_only = cfg.p >= SUMMARY_AUTO_RANKS && !needs_log;
     let observing = wants_full && !summary_only;
-    let summarizing = args.summary || args.summary_json.is_some() || (wants_full && summary_only);
+    let summarizing =
+        flags.has(&SUMMARY) || flags.has(&SUMMARY_JSON) || (wants_full && summary_only);
     if wants_full && summary_only {
         println!(
             "p >= {SUMMARY_AUTO_RANKS}: summary-only recording (bounded streaming sketches; \
-             full comm recorder off — pass --what-if or --verify to force full recording)\n"
+             full comm recorder off — pass {} or {} to force full recording)\n",
+            WHAT_IF.name, VERIFY.name
         );
-    } else if args.p >= SUMMARY_AUTO_RANKS && needs_log {
+    } else if cfg.p >= SUMMARY_AUTO_RANKS && needs_log {
         println!(
             "p >= {SUMMARY_AUTO_RANKS} but full comm recording kept: \
-             --what-if/--verify/--replay-schedule require the event log\n"
+             {}/{}/{} require the event log\n",
+            WHAT_IF.name, VERIFY.name, REPLAY_SCHEDULE.name
         );
     }
-    let tracing = args.trace.is_some() || args.csv.is_some() || args.flamegraph.is_some();
+    let tracing = flags.has(&TRACE) || flags.has(&CSV) || flags.has(&FLAMEGRAPH);
     let stack = Stack::build(
-        args.check,
+        flags.has(&CHECK),
         observing,
         tracing,
-        args.trace.is_some(),
+        flags.has(&TRACE),
         summarizing,
     );
 
     // A replayed schedule steers the main run's wildcard matchings; the
     // controller doubles as the witness-fidelity check (divergence means
     // the schedule does not belong to this program/seed/machine).
-    let replay = args.replay_schedule.as_ref().map(|path| {
+    let replay = flags.get(&REPLAY_SCHEDULE).map(|path| {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("error: cannot read schedule '{path}': {e}");
             std::process::exit(2);
@@ -655,41 +495,24 @@ fn main() {
             eprintln!("error: {e}");
             std::process::exit(2);
         });
-        (
-            path.clone(),
-            Arc::new(ScheduleController::replaying(schedule)),
-        )
+        (path, Arc::new(ScheduleController::replaying(schedule)))
     });
 
     let report = unwrap_run(run_once(
-        &args,
+        &cfg,
         &stack,
         replay.as_ref().map(|(_, ctl)| ctl.clone()),
     ));
-    match args.workload.as_str() {
-        "conv" => println!(
-            "convolution: p={}, {} steps, machine '{}', simulated walltime {:.3} s\n",
-            args.p,
-            args.steps,
-            resolve_machine(&args, "nehalem").name,
-            report.makespan_secs()
-        ),
-        "lulesh" => println!(
-            "lulesh: p={}, {} iterations, {} threads, machine '{}', simulated walltime {:.3} s\n",
-            args.p,
-            args.iters,
-            args.threads,
-            resolve_machine(&args, "knl").name,
-            report.makespan_secs()
-        ),
-        _ => println!(
-            "race: p={}, machine '{}', simulated walltime {:.3} s, wildcard checksum {:#x}\n",
-            args.p,
-            resolve_machine(&args, "nehalem").name,
-            report.makespan_secs(),
-            report.results[0]
-        ),
+    print!(
+        "{}, machine '{}', simulated walltime {:.3} s",
+        cfg.banner,
+        cfg.machine.name,
+        report.makespan_secs()
+    );
+    if matches!(cfg.program, Program::Race) {
+        print!(", wildcard checksum {:#x}", report.results[0]);
     }
+    println!("\n");
     if let Some((path, ctl)) = &replay {
         let replayed = ctl.schedule().decisions.len();
         if ctl.diverged() {
@@ -706,10 +529,10 @@ fn main() {
     // The dynamic verifier: re-execute the program under forced wildcard
     // matchings (fresh silent tool stack per run) and upgrade each
     // heuristic race warning to a verdict.
-    let verify_report = args.verify.then(|| {
-        mpiverify::explore(args.verify_budget, |ctl| {
-            let vstack = Stack::build(args.check, true, false, false, false);
-            match run_once(&args, &vstack, Some(ctl.clone())) {
+    let verify_report = flags.has(&VERIFY).then(|| {
+        mpiverify::explore(cfg.verify_budget, |ctl| {
+            let vstack = Stack::build(flags.has(&CHECK), true, false, false, false);
+            match run_once(&cfg, &vstack, Some(ctl.clone())) {
                 Ok(rep) => RunOutcome {
                     artifact: artifact_of(&vstack, &rep),
                     failure: None,
@@ -761,7 +584,7 @@ fn main() {
         .filter(|s| s.key.label != mpi_sections::MPI_MAIN)
         .map(|s| s.total_excl_secs)
         .sum();
-    println!("{}", render_bounds(&profile, total, args.p));
+    println!("{}", render_bounds(&profile, total, cfg.p));
 
     // Communication-aware observability: pvar counters, wait-state
     // classification and the critical-path bound complement the Eq. 6
@@ -777,21 +600,17 @@ fn main() {
     // The windowed view: time-resolved POP efficiencies per section, the
     // trend diagnosis on top of them, and the CSV/JSON/counter exports.
     // In summary-only mode the timeline comes from the summarizer's
-    // checkpoint rows (cadence-determined windows; --windows and
-    // --window-align apply only to full recording).
-    let windowing_mode = match &args.window_align {
-        Some(label) => Windowing::Aligned(label.clone()),
-        None => Windowing::Fixed(args.windows),
-    };
+    // checkpoint rows (cadence-determined windows; the window flags
+    // apply only to full recording).
     let tl = match (&comm_log, &run_summary) {
-        (Some(log), _) => Some(mpi_sections::timeline::build(log, &windowing_mode)),
+        (Some(log), _) => Some(mpi_sections::timeline::build(log, &cfg.windowing)),
         (None, Some(rs)) if wants_full || windowing => Some(rs.to_timeline().clone()),
         _ => None,
     };
     let trends = tl
         .as_ref()
         .map(|tl| speedup::trend::detect(tl, &speedup::trend::TrendConfig::default()));
-    if args.efficiency {
+    if flags.has(&EFFICIENCY) {
         let (tl, trends) = (
             tl.as_ref().expect("recorder"),
             trends.as_ref().expect("recorder"),
@@ -799,7 +618,7 @@ fn main() {
         println!("{}", mpi_sections::efficiency::render(tl));
         println!("{}", speedup::trend::render(trends));
     }
-    if let Some(path) = &args.timeline {
+    if let Some(path) = flags.get(&TIMELINE) {
         let tl = tl.as_ref().expect("recorder");
         std::fs::write(path, tl.to_csv()).expect("write timeline csv");
         println!(
@@ -808,53 +627,46 @@ fn main() {
         );
     }
 
-    if args.metrics {
+    if flags.has(&METRICS) {
         if let Some(snapshot) = &snapshot {
             println!("{}", snapshot.render_metrics());
         }
         if let Some((waits, cp)) = &analysis {
             println!("{}", waits.render());
-            println!("{}", cp.render(total, args.p));
+            println!("{}", cp.render(total, cfg.p));
         }
     }
-    if args.comm_matrix {
+    if flags.has(&COMM_MATRIX) {
         if let Some(snapshot) = &snapshot {
             println!("{}", snapshot.render_matrix(32));
         }
     }
     if let Some(rs) = &run_summary {
-        if args.summary || (summary_only && (args.metrics || args.comm_matrix)) {
+        if flags.has(&SUMMARY) || (summary_only && (flags.has(&METRICS) || flags.has(&COMM_MATRIX)))
+        {
             println!("{}", rs.render(total));
         }
     }
 
-    // Counterfactual replay: each --what-if spec re-times the recorded
+    // Counterfactual replay: each what-if spec re-times the recorded
     // trace under its altered model, then the whole analysis stack
     // (bounds, wait states, windowed trends) reruns on the re-timed log.
-    let machine_model = resolve_machine(
-        &args,
-        match args.workload.as_str() {
-            "lulesh" => "knl",
-            _ => "nehalem",
-        },
-    );
-    let scenarios: Vec<bench::whatif::Scenario> = args
+    let scenarios: Vec<bench::whatif::Scenario> = cfg
         .what_if
         .iter()
-        .map(|raw| {
-            let spec = mpi_sections::whatif::parse(raw).expect("validated at parse time");
+        .map(|spec| {
             let log = comm_log.as_ref().expect("recorder attached");
             bench::whatif::analyze(
                 log,
-                &machine_model,
-                args.seed,
-                &spec,
+                &cfg.machine,
+                cfg.seed,
+                spec,
                 total,
-                args.p,
-                &windowing_mode,
+                cfg.p,
+                &cfg.windowing,
             )
             .unwrap_or_else(|e| {
-                eprintln!("error: --what-if {raw}: {e}");
+                eprintln!("error: {} {}: {e}", WHAT_IF.name, spec.raw);
                 std::process::exit(1);
             })
         })
@@ -863,19 +675,19 @@ fn main() {
         println!("{}", bench::whatif::render(&scenarios));
     }
 
-    if let Some(path) = &args.metrics_json {
+    if let Some(path) = flags.get(&METRICS_JSON) {
+        // Exact makespan and a result fingerprint make the document
+        // sensitive to wildcard matching order: replaying each witness
+        // of a confirmed race yields observably different metrics JSON.
+        let head = format!(
+            "{},\"makespan_ns\":{},\"results_fingerprint\":\"{:016x}\"",
+            doc_header(&cfg),
+            report.makespan.0,
+            mpiverify::fingerprint(&format!("{:?}", report.results)),
+        );
         let json = if let (Some((waits, cp)), Some(snapshot)) = (&analysis, &snapshot) {
-            // Exact makespan and a result fingerprint make the document
-            // sensitive to wildcard matching order: replaying each witness
-            // of a confirmed race yields observably different metrics JSON.
             format!(
-                "{{\"workload\":\"{}\",\"p\":{},\"seed\":{},\"config\":{{\"machine\":{}}},\"makespan_ns\":{},\"results_fingerprint\":\"{:016x}\",\"pvar\":{},\"waitstate\":{},\"critical_path\":{},\"timeline\":{},\"trends\":{},\"whatif\":{}}}\n",
-                args.workload,
-                args.p,
-                args.seed,
-                bench::whatif::machine_config_json(&machine_model),
-                report.makespan.0,
-                mpiverify::fingerprint(&format!("{:?}", report.results)),
+                "{head},\"pvar\":{},\"waitstate\":{},\"critical_path\":{},\"timeline\":{},\"trends\":{},\"whatif\":{}}}\n",
                 snapshot.to_json(),
                 waits.to_json(),
                 cp.to_json(),
@@ -889,13 +701,7 @@ fn main() {
             // timeline and trends replace them.
             let rs = run_summary.as_ref().expect("summarizer attached");
             format!(
-                "{{\"workload\":\"{}\",\"p\":{},\"seed\":{},\"config\":{{\"machine\":{}}},\"makespan_ns\":{},\"results_fingerprint\":\"{:016x}\",\"summary\":{},\"timeline\":{},\"trends\":{}}}\n",
-                args.workload,
-                args.p,
-                args.seed,
-                bench::whatif::machine_config_json(&machine_model),
-                report.makespan.0,
-                mpiverify::fingerprint(&format!("{:?}", report.results)),
+                "{head},\"summary\":{},\"timeline\":{},\"trends\":{}}}\n",
                 rs.to_json(),
                 tl.as_ref().expect("summarizer").to_json(),
                 speedup::trend::to_json(trends.as_ref().expect("summarizer")),
@@ -905,16 +711,9 @@ fn main() {
         println!("wrote metrics JSON to {path}");
     }
 
-    if let Some(path) = &args.summary_json {
+    if let Some(path) = flags.get(&SUMMARY_JSON) {
         let rs = run_summary.as_ref().expect("summarizer attached");
-        let json = format!(
-            "{{\"workload\":\"{}\",\"p\":{},\"seed\":{},\"config\":{{\"machine\":{}}},\"summary\":{}}}\n",
-            args.workload,
-            args.p,
-            args.seed,
-            bench::whatif::machine_config_json(&machine_model),
-            rs.to_json(),
-        );
+        let json = format!("{},\"summary\":{}}}\n", doc_header(&cfg), rs.to_json());
         std::fs::write(path, json).expect("write summary json");
         println!(
             "wrote summary JSON to {path} (summarizer state {} bytes)",
@@ -922,62 +721,12 @@ fn main() {
         );
     }
 
-    if args.compare_seq && args.p > 1 {
+    if flags.has(&COMPARE_SEQ) && cfg.p > 1 {
         // Re-run the same workload sequentially and line the two profiles
         // up (the paper's actual workflow: a sequential reference run).
-        let base_sections = SectionRuntime::new(VerifyMode::Off);
-        let base_profiler = SectionProfiler::new();
-        base_sections.attach(base_profiler.clone());
-        match args.workload.as_str() {
-            "conv" => {
-                let m = resolve_machine(&args, "nehalem");
-                let s = base_sections.clone();
-                let cfg = Arc::new(convolution::ConvConfig::paper(args.steps));
-                WorldBuilder::new(1)
-                    .machine(m)
-                    .seed(args.seed)
-                    .tool(base_sections.clone())
-                    .run(move |p| {
-                        convolution::run_convolution(p, &s, &cfg);
-                    })
-                    .expect("baseline run failed");
-            }
-            "lulesh" => {
-                let m = resolve_machine(&args, "knl");
-                // Same *global* problem sequentially: s_global = s * cbrt(p).
-                let s_local = lulesh_proxy::size_for(lulesh_proxy::PAPER_TOTAL_ELEMENTS, args.p)
-                    .expect("validated above");
-                let side = (args.p as f64).cbrt().round() as usize;
-                let sr = base_sections.clone();
-                let cfg = Arc::new(lulesh_proxy::LuleshConfig::timing(
-                    s_local * side,
-                    args.iters,
-                    args.threads,
-                ));
-                WorldBuilder::new(1)
-                    .machine(m)
-                    .seed(args.seed)
-                    .tool(base_sections.clone())
-                    .run(move |p| {
-                        lulesh_proxy::run_lulesh(p, &sr, &cfg);
-                    })
-                    .expect("baseline run failed");
-            }
-            _ => {
-                let m = resolve_machine(&args, "nehalem");
-                let s = base_sections.clone();
-                WorldBuilder::new(1)
-                    .machine(m)
-                    .seed(args.seed)
-                    .tool(base_sections.clone())
-                    .run(move |p| {
-                        run_race(p, &s);
-                    })
-                    .expect("baseline run failed");
-            }
-        }
-        let comparison =
-            mpi_sections::ProfileComparison::between(&base_profiler.snapshot(), &profile, args.p);
+        let (baseline, _) = bench::profiled(cfg.sequential.clone(), 1, &cfg.machine, cfg.seed)
+            .expect("baseline run failed");
+        let comparison = mpi_sections::ProfileComparison::between(&baseline, &profile, cfg.p);
         println!("{}", comparison.render());
         if let Some(binding) = comparison.binding() {
             println!(
@@ -995,28 +744,28 @@ fn main() {
         }
     }
 
-    if let Some(path) = &args.trace {
+    if let Some(path) = flags.get(&TRACE) {
         let (json, dropped_ranks) = stack
             .trace
-            .to_chrome_trace_capped(args.trace_max_ranks, tl.as_ref());
+            .to_chrome_trace_capped(cfg.trace_max_ranks, tl.as_ref());
         std::fs::write(path, json).expect("write trace");
         println!("wrote Chrome trace ({} spans) to {path}", stack.trace.len());
         if dropped_ranks > 0 {
             println!(
-                "trace capped at {} rank lanes: {} rank(s) dropped (raise with --trace-max-ranks)",
-                args.trace_max_ranks, dropped_ranks
+                "trace capped at {} rank lanes: {} rank(s) dropped (raise with {})",
+                cfg.trace_max_ranks, dropped_ranks, TRACE_MAX_RANKS.name
             );
         }
     }
-    if let Some(path) = &args.csv {
+    if let Some(path) = flags.get(&CSV) {
         std::fs::write(path, stack.trace.to_csv()).expect("write csv");
         println!("wrote span CSV to {path}");
     }
-    if let Some(path) = &args.profile_csv {
+    if let Some(path) = flags.get(&PROFILE_CSV) {
         std::fs::write(path, profile.to_csv()).expect("write profile csv");
         println!("wrote profile CSV to {path}");
     }
-    if let Some(path) = &args.flamegraph {
+    if let Some(path) = flags.get(&FLAMEGRAPH) {
         std::fs::write(path, stack.trace.to_folded()).expect("write flamegraph");
         println!("wrote folded flamegraph stacks to {path}");
     }
@@ -1025,13 +774,13 @@ fn main() {
     // inspect the files even when a confirmed race makes us exit 1.
     if let Some(vreport) = &verify_report {
         println!("{}", vreport.render_text());
-        if let Some(path) = &args.verify_json {
+        if let Some(path) = flags.get(&VERIFY_JSON) {
             let mut json = vreport.to_json();
             json.push('\n');
             std::fs::write(path, json).expect("write verify json");
             println!("wrote verify report JSON to {path}");
         }
-        if let Some(prefix) = &args.verify_witnesses {
+        if let Some(prefix) = flags.get(&VERIFY_WITNESSES) {
             if let Some((a, b)) = vreport.first_witness_pair() {
                 std::fs::write(format!("{prefix}.a.json"), a.to_json()).expect("write witness a");
                 std::fs::write(format!("{prefix}.b.json"), b.to_json()).expect("write witness b");

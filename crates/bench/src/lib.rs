@@ -4,18 +4,172 @@
 //! The `figures` binary (this crate's `src/bin/figures.rs`) drives these
 //! runners to regenerate every table and figure of the paper; the Criterion
 //! benches reuse them for the microbenchmark ablations.
+//!
+//! Every conv / LULESH / race world the harness simulates — a `profile`
+//! run and its `--compare-seq` baseline, a figure row, an mpistudy grid
+//! cell — is built by [`Launch::run`], so equal configurations are the
+//! same program on the same machine by construction. [`cli`] is the
+//! argument layer the three binaries share.
 
+pub mod cli;
 pub mod whatif;
 
 use convolution::{run_convolution, ConvConfig};
 use lulesh_proxy::{run_lulesh, LuleshConfig};
 use machine::MachineModel;
 use mpi_sections::{Profile, SectionProfiler, SectionRuntime, VerifyMode};
-use mpisim::WorldBuilder;
+use mpisim::{Engine, MatchController, RunError, RunReport, Src, TagSel, Tool, WorldBuilder};
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::Path;
 use std::sync::Arc;
+
+/// What a launch simulates.
+#[derive(Debug, Clone)]
+pub enum Program {
+    /// The §5.1 convolution benchmark.
+    Conv(ConvConfig),
+    /// The §5.2 LULESH proxy.
+    Lulesh(LuleshConfig),
+    /// The deliberately racy demonstration workload: ranks 1..p each send
+    /// a *different* payload (value and length scale with the rank) to
+    /// rank 0, which drains them through an order-sensitive
+    /// wildcard-receive fold. Any two matchings produce different
+    /// checksums and different transfer timings, so `profile --verify`
+    /// confirms the race; replaying either witness schedule reproduces
+    /// its checksum exactly.
+    Race,
+}
+
+impl Program {
+    /// The weak-scaling convolution: the per-rank image slice is held
+    /// constant (`rows_per_rank` rows of the paper's 5616-wide image)
+    /// while the global image grows with `p` — the Gustafson-regime
+    /// workload.
+    pub fn conv_weak(p: usize, rows_per_rank: usize, steps: usize) -> Program {
+        Program::Conv(ConvConfig {
+            width: 5616,
+            height: rows_per_rank * p,
+            steps,
+            fidelity: convolution::Fidelity::Timing,
+            store_path: None,
+        })
+    }
+}
+
+/// One simulated run, fully specified: the only place the harness builds
+/// a world for a [`Program`].
+pub struct Launch<'a> {
+    /// The program every rank executes.
+    pub program: Program,
+    /// MPI process count.
+    pub p: usize,
+    /// The machine pricing the run.
+    pub machine: &'a MachineModel,
+    /// Noise seed.
+    pub seed: u64,
+    /// `None` keeps the builder default (DES on x86-64, honoring
+    /// `MPISIM_ENGINE`).
+    pub engine: Option<Engine>,
+    /// Steers wildcard matching (exploration, witness replay). Forces the
+    /// DES engine, whose global decision order is deterministic.
+    pub controller: Option<Arc<dyn MatchController>>,
+}
+
+impl Launch<'_> {
+    /// Run with `sections` as the first PMPI tool and `tools` after it,
+    /// in order. Rank results are the race's wildcard checksum on rank 0
+    /// and 0 everywhere else.
+    pub fn run(
+        self,
+        sections: &Arc<SectionRuntime>,
+        tools: Vec<Arc<dyn Tool>>,
+    ) -> Result<RunReport<u64>, RunError> {
+        let mut builder = WorldBuilder::new(self.p)
+            .machine(self.machine.clone())
+            .seed(self.seed)
+            .tool(sections.clone());
+        builder = match (self.controller, self.engine) {
+            (Some(controller), _) => builder.engine(Engine::Des).match_controller(controller),
+            (None, Some(engine)) => builder.engine(engine),
+            (None, None) => builder,
+        };
+        for tool in tools {
+            builder = builder.tool(tool);
+        }
+        match self.program {
+            Program::Conv(cfg) => builder.run(|p| {
+                run_convolution(p, sections, &cfg);
+                0
+            }),
+            Program::Lulesh(cfg) => builder.run(|p| {
+                run_lulesh(p, sections, &cfg);
+                0
+            }),
+            Program::Race => builder.run(|p| run_race(p, sections)),
+        }
+    }
+}
+
+fn run_race(p: &mut mpisim::Proc, s: &SectionRuntime) -> u64 {
+    let world = p.world();
+    let me = p.world_rank();
+    let n = p.world_size();
+    s.scoped(p, &world, "RACE", |p| {
+        let world = p.world();
+        if me == 0 {
+            world.barrier(p);
+            let mut acc: u64 = 0;
+            for _ in 1..n {
+                let m = world.recv::<u64>(p, Src::Any, TagSel::Is(7));
+                acc = acc
+                    .wrapping_mul(31)
+                    .wrapping_add(m.data[0].wrapping_mul(n as u64))
+                    .wrapping_add(m.src as u64);
+            }
+            acc
+        } else {
+            world.send(p, 0, 7, &vec![me as u64; me]);
+            world.barrier(p);
+            0
+        }
+    })
+}
+
+/// Launch `program` under a fresh section runtime (verification off) and
+/// section profiler on the default engine: the full section profile and
+/// the makespan in seconds.
+pub fn profiled(
+    program: Program,
+    p: usize,
+    machine: &MachineModel,
+    seed: u64,
+) -> Result<(Profile, f64), RunError> {
+    let sections = SectionRuntime::new(VerifyMode::Off);
+    let profiler = SectionProfiler::new();
+    sections.attach(profiler.clone());
+    let launch = Launch {
+        program,
+        p,
+        machine,
+        seed,
+        engine: None,
+        controller: None,
+    };
+    let report = launch.run(&sections, Vec::new())?;
+    Ok((profiler.snapshot(), report.makespan_secs()))
+}
+
+/// [`profiled`], reduced to the cell a sweep store persists.
+pub fn profiled_cell(
+    program: Program,
+    p: usize,
+    machine: &MachineModel,
+    seed: u64,
+) -> Result<CellOutcome, RunError> {
+    let (profile, wall) = profiled(program, p, machine, seed)?;
+    Ok(CellOutcome::from_profile(&profile, wall))
+}
 
 /// One profiled run of the convolution benchmark.
 #[derive(Debug, Clone)]
@@ -101,8 +255,8 @@ impl CellOutcome {
 
 /// Run one convolution grid cell: scale `p`, one `seed`.
 pub fn conv_cell(p: usize, steps: usize, machine: &MachineModel, seed: u64) -> CellOutcome {
-    let (profile, wall) = conv_profile(p, steps, machine, seed);
-    CellOutcome::from_profile(&profile, wall)
+    profiled_cell(Program::Conv(ConvConfig::paper(steps)), p, machine, seed)
+        .expect("convolution run failed")
 }
 
 /// Average per-seed cell outcomes into the [`ConvRun`] the figures
@@ -146,9 +300,7 @@ pub fn measure_convolution(
     conv_run_from_cells(p, &cells)
 }
 
-/// Run one weak-scaling convolution cell: the per-rank image slice is held
-/// constant (`rows_per_rank` rows of the paper's 5616-wide image) while
-/// the global image grows with `p` — the Gustafson-regime workload.
+/// Run one weak-scaling convolution cell ([`Program::conv_weak`]).
 pub fn weak_conv_cell(
     p: usize,
     rows_per_rank: usize,
@@ -156,61 +308,19 @@ pub fn weak_conv_cell(
     machine: &MachineModel,
     seed: u64,
 ) -> CellOutcome {
-    let sections = SectionRuntime::new(VerifyMode::Off);
-    let profiler = SectionProfiler::new();
-    sections.attach(profiler.clone());
-    let s = sections.clone();
-    let cfg = Arc::new(ConvConfig {
-        width: 5616,
-        height: rows_per_rank * p,
-        steps,
-        fidelity: convolution::Fidelity::Timing,
-        store_path: None,
-    });
-    let report = WorldBuilder::new(p)
-        .machine(machine.clone())
-        .seed(seed)
-        .tool(sections.clone())
-        .run(move |pr| {
-            run_convolution(pr, &s, &cfg);
-        })
-        .expect("weak-scaling run failed");
-    CellOutcome::from_profile(&profiler.snapshot(), report.makespan_secs())
+    profiled_cell(
+        Program::conv_weak(p, rows_per_rank, steps),
+        p,
+        machine,
+        seed,
+    )
+    .expect("weak-scaling run failed")
 }
 
 /// One convolution run, returning the full section profile.
 pub fn conv_profile(p: usize, steps: usize, machine: &MachineModel, seed: u64) -> (Profile, f64) {
-    conv_profile_on(None, p, steps, machine, seed)
-}
-
-/// [`conv_profile`] with an explicit execution engine (`None` keeps the
-/// builder default: DES on x86-64, honoring `MPISIM_ENGINE`). The bench
-/// bin uses this to pin each engine when comparing them.
-pub fn conv_profile_on(
-    engine: Option<mpisim::Engine>,
-    p: usize,
-    steps: usize,
-    machine: &MachineModel,
-    seed: u64,
-) -> (Profile, f64) {
-    let sections = SectionRuntime::new(VerifyMode::Off);
-    let profiler = SectionProfiler::new();
-    sections.attach(profiler.clone());
-    let s = sections.clone();
-    let cfg = Arc::new(ConvConfig::paper(steps));
-    let mut builder = WorldBuilder::new(p)
-        .machine(machine.clone())
-        .seed(seed)
-        .tool(sections.clone());
-    if let Some(engine) = engine {
-        builder = builder.engine(engine);
-    }
-    let report = builder
-        .run(move |pr| {
-            run_convolution(pr, &s, &cfg);
-        })
-        .expect("convolution run failed");
-    (profiler.snapshot(), report.makespan_secs())
+    profiled(Program::Conv(ConvConfig::paper(steps)), p, machine, seed)
+        .expect("convolution run failed")
 }
 
 /// One profiled run of the LULESH proxy.
@@ -262,45 +372,10 @@ pub fn lulesh_profile(
     machine: &MachineModel,
     seed: u64,
 ) -> Profile {
-    lulesh_profile_with_wall(p, s, iterations, threads, machine, seed).0
-}
-
-/// [`lulesh_profile`] plus the run's makespan in seconds.
-pub fn lulesh_profile_with_wall(
-    p: usize,
-    s: usize,
-    iterations: usize,
-    threads: usize,
-    machine: &MachineModel,
-    seed: u64,
-) -> (Profile, f64) {
-    let sections = SectionRuntime::new(VerifyMode::Off);
-    let profiler = SectionProfiler::new();
-    sections.attach(profiler.clone());
-    let sh = sections.clone();
-    let cfg = Arc::new(LuleshConfig::timing(s, iterations, threads));
-    let report = WorldBuilder::new(p)
-        .machine(machine.clone())
-        .seed(seed)
-        .tool(sections.clone())
-        .run(move |pr| {
-            run_lulesh(pr, &sh, &cfg);
-        })
-        .expect("lulesh run failed");
-    (profiler.snapshot(), report.makespan_secs())
-}
-
-/// Run one LULESH grid cell in the hybrid configuration.
-pub fn lulesh_cell(
-    p: usize,
-    s: usize,
-    iterations: usize,
-    threads: usize,
-    machine: &MachineModel,
-    seed: u64,
-) -> CellOutcome {
-    let (profile, wall) = lulesh_profile_with_wall(p, s, iterations, threads, machine, seed);
-    CellOutcome::from_profile(&profile, wall)
+    let program = Program::Lulesh(LuleshConfig::timing(s, iterations, threads));
+    profiled(program, p, machine, seed)
+        .expect("lulesh run failed")
+        .0
 }
 
 // ---------------------------------------------------------------------

@@ -11,6 +11,7 @@
 use machine::MachineModel;
 use mpi_sections::whatif::WhatIfSpec;
 use mpi_sections::{classify, critpath, replay, CommLog, Windowing, MPI_MAIN};
+use mpisim::diag::json_str;
 use speedup::trend::{self, SectionTrend, TrendConfig};
 
 /// One evaluated scenario: the replay's headline numbers plus the full
@@ -238,22 +239,6 @@ fn json_usize(v: usize) -> String {
     } else {
         v.to_string()
     }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

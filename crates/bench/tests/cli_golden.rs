@@ -9,9 +9,10 @@
 //! `actual:` table it prints on failure.
 
 mod support;
-use support::{check, files_print, print_of, run, scratch};
+use support::{assert_usage_error, check, files_print, print_of, run, scratch};
 
 const PROFILE: &str = env!("CARGO_BIN_EXE_profile");
+const FIGURES: &str = env!("CARGO_BIN_EXE_figures");
 
 /// Run `profile` with `args`, expect `code`, and check stdout plus (when
 /// the flag set writes any) the written files against `golden`.
@@ -67,4 +68,40 @@ fn race_verify_is_pinned_and_exits_1() {
         1,
         &[0x889d75772e5f5bea, 0x5cd19021b738ef8f],
     );
+}
+
+#[test]
+fn hostile_command_lines_get_one_error_line_and_the_usage() {
+    for (exe, args, needle) in [
+        (PROFILE, "conv --p", "--p requires a value"),
+        (PROFILE, "conv --p x", "--p expects a number, got 'x'"),
+        (PROFILE, "conv --bogus", "unknown argument '--bogus'"),
+        (PROFILE, "conv extra", "unknown argument 'extra'"),
+        (PROFILE, "quantum", "unknown workload 'quantum'"),
+        (PROFILE, "conv --machine marsrover", "dual_broadwell"),
+        (PROFILE, "conv --what-if net=marsrover", "future_manycore"),
+        (PROFILE, "lulesh --p 5", "perfect cube"),
+        (FIGURES, "fig7 --steps", "--steps requires a value"),
+        (FIGURES, "fig7 --reps x", "--reps expects a number, got 'x'"),
+        (FIGURES, "fig7 --bogus", "unknown argument '--bogus'"),
+        (FIGURES, "fig7 fig11", "unknown target 'fig11'"),
+    ] {
+        let args: Vec<&str> = args.split_whitespace().collect();
+        assert_usage_error(exe, &args, needle);
+    }
+}
+
+#[test]
+fn every_spelling_of_a_machine_resolves() {
+    let dir = scratch("machine-names");
+    for args in [
+        "conv --p 2 --steps 2 --machine nehalem_cluster",
+        "conv --p 2 --steps 2 --machine nehalem --what-if net=dual_broadwell",
+    ] {
+        let args: Vec<&str> = args.split_whitespace().collect();
+        let out = run(PROFILE, &dir, &args);
+        assert_eq!(out.code, 0, "{args:?}: stderr:\n{}", out.stderr);
+        assert!(out.stdout.contains("machine 'nehalem-cluster'"));
+    }
+    let _ = std::fs::remove_dir_all(dir);
 }

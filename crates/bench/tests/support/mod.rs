@@ -38,6 +38,27 @@ pub fn run(exe: &str, dir: &Path, args: &[&str]) -> Run {
     }
 }
 
+/// A command-line fault is answered with exit code 2, nothing on stdout,
+/// and on stderr one `error: ...` line (containing `needle`) followed by
+/// the usage — never a panic.
+pub fn assert_usage_error(exe: &str, args: &[&str], needle: &str) {
+    let out = run(exe, &std::env::temp_dir(), args);
+    let what = format!("{args:?}: stderr:\n{}", out.stderr);
+    assert_eq!(out.code, 2, "{what}");
+    assert_eq!(out.stdout, "", "{what}");
+    assert!(!out.stderr.contains("panicked"), "{what}");
+    let mut lines = out.stderr.lines();
+    let first = lines.next().unwrap_or("");
+    assert!(
+        first.starts_with("error: ") && first.contains(needle),
+        "{what}"
+    );
+    assert!(
+        lines.next().is_some_and(|l| l.starts_with("usage: ")),
+        "{what}"
+    );
+}
+
 /// One fingerprint over every file under `dir`: relative path and bytes,
 /// in path order.
 pub fn files_print(dir: &Path) -> u64 {

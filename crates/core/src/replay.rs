@@ -221,10 +221,10 @@ fn resolve_net(recorded: &MachineModel, spec: &WhatIfSpec) -> Result<Option<NetP
             recorded.noise.net_latency_jitter_mean,
         ),
         Some("ideal") => (NetworkModel::FREE, recorded.topology, 0.0),
-        Some("nehalem") => net_of(machine::presets::nehalem_cluster()),
-        Some("knl") => net_of(machine::presets::knl()),
-        Some("broadwell") => net_of(machine::presets::dual_broadwell()),
-        Some(other) => return Err(format!("unknown what-if machine '{other}'")),
+        Some(name) => {
+            let m = machine::presets::by_name(name)?;
+            (m.network, m.topology, m.noise.net_latency_jitter_mean)
+        }
     };
     let mean = if spec.zero_jitter { 0.0 } else { mean };
     Ok(Some(NetPricing {
@@ -235,10 +235,6 @@ fn resolve_net(recorded: &MachineModel, spec: &WhatIfSpec) -> Result<Option<NetP
             net_latency_jitter_mean: mean,
         },
     }))
-}
-
-fn net_of(m: MachineModel) -> (NetworkModel, Topology, f64) {
-    (m.network, m.topology, m.noise.net_latency_jitter_mean)
 }
 
 /// Per-rank replay cursor.

@@ -79,9 +79,6 @@ impl WhatIfSpec {
     }
 }
 
-/// Machine names `net=` accepts (the preset set of [`machine::presets`]).
-const NET_NAMES: &[&str] = &["ideal", "nehalem", "knl", "broadwell"];
-
 /// Parse one `--what-if` spec.
 pub fn parse(spec: &str) -> Result<WhatIfSpec, String> {
     let raw = spec.trim();
@@ -104,12 +101,7 @@ pub fn parse(spec: &str) -> Result<WhatIfSpec, String> {
             if out.net.is_some() {
                 return Err(format!("duplicate net= clause in '{raw}'"));
             }
-            if !NET_NAMES.contains(&rest) {
-                return Err(format!(
-                    "unknown machine '{rest}' in '{clause}' (expected one of {})",
-                    NET_NAMES.join("|")
-                ));
-            }
+            machine::presets::by_name(rest).map_err(|e| format!("{e} in '{clause}'"))?;
             out.net = Some(rest.to_string());
         } else if let Some(rest) = clause.strip_prefix("jitter=") {
             if out.zero_jitter {

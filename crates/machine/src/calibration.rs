@@ -16,7 +16,7 @@
 //! can state exactly what hardware model produced a row.
 
 use crate::work::Work;
-use crate::MachineModel;
+use crate::{json_str, MachineModel};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -129,26 +129,6 @@ impl Calibration {
             pair_rows(&self.omp_region_secs, "threads"),
         )
     }
-}
-
-/// Minimal JSON string escaping (the machine dump contains no exotica,
-/// but quotes and backslashes must survive).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Process-wide calibration cache keyed by the machine's parameter dump.

@@ -143,6 +143,30 @@ impl MachineModel {
     }
 }
 
+/// Render a string as a JSON string literal (quotes included), escaping
+/// quotes, backslashes and control characters. The workspace builds with no
+/// registry access (no serde), so every hand-rolled JSON emitter shares
+/// this one escaper. It lives here because this is the lowest crate that
+/// emits JSON (the calibration document); everything above reaches it as
+/// `mpisim::diag::json_str`.
+pub fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -249,6 +249,36 @@ pub fn ideal() -> MachineModel {
     }
 }
 
+/// The names a preset answers to (canonical spelling first) and its
+/// constructor.
+type Preset = (&'static [&'static str], fn() -> MachineModel);
+
+/// Every preset. This is the one place a machine name is matched to a
+/// model: `profile --machine`, `study` grids and `--what-if net=` all
+/// resolve through [`by_name`].
+const REGISTRY: [Preset; 5] = [
+    (&["nehalem_cluster", "nehalem"], nehalem_cluster),
+    (&["knl"], knl),
+    (&["dual_broadwell", "broadwell"], dual_broadwell),
+    (&["future_manycore", "future"], future_manycore),
+    (&["ideal"], ideal),
+];
+
+/// Resolve a preset by any of its names; the error lists the canonical
+/// ones.
+pub fn by_name(name: &str) -> Result<MachineModel, String> {
+    match REGISTRY.iter().find(|(names, _)| names.contains(&name)) {
+        Some((_, preset)) => Ok(preset()),
+        None => {
+            let known: Vec<&str> = REGISTRY.iter().map(|(names, _)| names[0]).collect();
+            Err(format!(
+                "unknown machine '{name}' (known: {})",
+                known.join(", ")
+            ))
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,6 +289,27 @@ mod tests {
         for m in [nehalem_cluster(), knl(), dual_broadwell(), ideal()] {
             assert!(m.cores_per_node >= 1);
             assert!(m.compute.core.flops_per_sec > 0.0);
+        }
+    }
+
+    #[test]
+    fn by_name_accepts_every_spelling_and_lists_the_registry() {
+        for (short, long) in [
+            ("nehalem", "nehalem_cluster"),
+            ("broadwell", "dual_broadwell"),
+            ("future", "future_manycore"),
+            ("knl", "knl"),
+            ("ideal", "ideal"),
+        ] {
+            assert_eq!(
+                by_name(short).unwrap().describe(),
+                by_name(long).unwrap().describe()
+            );
+        }
+        let err = by_name("marsrover").unwrap_err();
+        assert!(err.contains("unknown machine 'marsrover'"), "{err}");
+        for (names, _) in REGISTRY {
+            assert!(err.contains(names[0]), "{err}");
         }
     }
 

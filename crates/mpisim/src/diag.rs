@@ -209,28 +209,10 @@ fn push_field(out: &mut String, key: &str, rendered_value: &str) {
     out.push_str(rendered_value);
 }
 
-/// Render a string as a JSON string literal (quotes included), escaping
-/// quotes, backslashes and control characters. The workspace builds with no
-/// registry access (no serde), so every hand-rolled JSON emitter — the
-/// diagnostic reports here, the trace/metrics exporters in `mpi-sections` —
-/// shares this one escaper instead of growing ad-hoc copies.
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
+/// The workspace's one JSON string escaper (defined in `machine`, the
+/// lowest crate that emits JSON), re-exported where every emitter above
+/// looks for it.
+pub use machine::json_str;
 
 /// Remove exact duplicates, preserving first-occurrence order (several
 /// ranks may report the same fault before the world unwinds).

@@ -6,7 +6,9 @@
 //! and the `jsoncheck` CLI run over each emitted document, catching the
 //! classic hand-rolled-JSON failures (trailing commas, unescaped quotes,
 //! unbalanced brackets, bare `NaN`s) without pulling in a parser
-//! dependency. It validates grammar only — it does not build a DOM.
+//! dependency. [`check_json`] validates grammar only; [`parse_json`]
+//! builds a [`Json`] DOM on the same grammar and is the workspace's one
+//! JSON parser (run-store documents, witness schedules).
 
 /// Validate that `input` is exactly one well-formed JSON value (with
 /// optional surrounding whitespace). Returns the byte offset where
@@ -244,6 +246,14 @@ impl Json {
 
     /// The value as usize, if it is a non-negative integer number.
     pub fn as_usize(&self) -> Option<usize> {
+        match self {
+            Json::Num(raw) => raw.parse().ok(),
+            _ => None,
+        }
+    }
+
+    /// The value as i32, if it is an integer number in range.
+    pub fn as_i32(&self) -> Option<i32> {
         match self {
             Json::Num(raw) => raw.parse().ok(),
             _ => None,

@@ -1,82 +1,95 @@
-//! The sweep-service CLI.
-//!
-//! ```text
-//! study run    --store DIR --grid "workload=conv machine=nehalem_cluster \
-//!                                  p=1,8,64 steps=250 seeds=0,1,2" [--jobs N]
-//! study report --store DIR [--out DIR] [--json]
-//! study ls     --store DIR
-//! study gc     --store DIR
-//! ```
+//! The sweep-service CLI (`study` with no arguments prints the usage).
 //!
 //! `run` expands the grid, skips every cell whose config hash is already
 //! stored (a warm sweep executes zero simulations) and fans the rest over
-//! `--jobs` worker threads. `report` serves all analyses from the store —
-//! it never simulates. `gc` verifies every document (parse + content hash
-//! vs filename) and removes violators. (Sweep timings live in
+//! a pool of worker threads; a cell that cannot run is reported, the rest
+//! still run, and the exit code is 1. `report` serves all analyses from
+//! the store — it never simulates. `gc` verifies every document (parse +
+//! content hash vs filename) and removes violators. (Sweep timings live in
 //! `benchmark/`: `study_fig6_cold` and the `mpistudy.*` probes.)
 
-use mpistudy::{config::GridSpec, report, run_sweep, RunStore, SweepStats};
+use bench::cli::{Cli, Flag, Parsed};
+use mpistudy::{config::GridSpec, report, run_sweep, RunStore};
 use std::path::PathBuf;
 use std::time::Instant;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = args.first() else {
-        usage();
-    };
-    let mut store_dir: Option<PathBuf> = None;
-    let mut grid: Option<String> = None;
-    let mut jobs = 1usize;
-    let mut out: Option<PathBuf> = None;
-    let mut json = false;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--store" => {
-                store_dir = Some(PathBuf::from(&args[i + 1]));
-                i += 2;
-            }
-            "--grid" => {
-                grid = Some(args[i + 1].clone());
-                i += 2;
-            }
-            "--jobs" => {
-                jobs = args[i + 1].parse().expect("--jobs N");
-                i += 2;
-            }
-            "--out" => {
-                out = Some(PathBuf::from(&args[i + 1]));
-                i += 2;
-            }
-            "--json" => {
-                json = true;
-                i += 1;
-            }
-            other => {
-                eprintln!("unknown option: {other}");
-                usage();
+const STORE: Flag = Flag::value(
+    "--store",
+    "DIR",
+    "the run store (required by every command)",
+);
+const GRID: Flag = Flag::value("--grid", "SPEC", "run: the grid to sweep");
+const JOBS: Flag = Flag::value("--jobs", "N", "run: worker threads (default 1)");
+const OUT: Flag = Flag::value("--out", "DIR", "report: also write the figure CSVs here");
+const JSON: Flag = Flag::switch("--json", "report: print JSON instead of tables");
+
+const CLI: Cli<'static> = Cli {
+    synopsis: "study <run|report|ls|gc> [options]",
+    flags: &[STORE, GRID, JOBS, OUT, JSON],
+    notes: "grid SPEC: workload=conv|conv-weak|lulesh machine=NAME p=LIST\n\
+            \x20          [steps=N] [rows_per_rank=N] [s=N] [iters=N] [threads=N]\n\
+            \x20          [seeds=LIST]",
+};
+
+enum Command {
+    Run { grid: GridSpec, jobs: usize },
+    Report { out: Option<PathBuf>, json: bool },
+    Ls,
+    Gc,
+}
+
+fn command(parsed: Parsed) -> Result<(Command, PathBuf), String> {
+    let jobs = parsed.num(&JOBS, 1)?;
+    let command = match parsed.only_positional("<command>")? {
+        "run" => {
+            let spec = parsed
+                .get(&GRID)
+                .ok_or_else(|| format!("run needs {} \"...\"", GRID.name))?;
+            Command::Run {
+                grid: GridSpec::parse(spec).map_err(|e| format!("{}: {e}", GRID.name))?,
+                jobs,
             }
         }
-    }
+        "report" => Command::Report {
+            out: parsed.get(&OUT).map(PathBuf::from),
+            json: parsed.has(&JSON),
+        },
+        "ls" => Command::Ls,
+        "gc" => Command::Gc,
+        other => return Err(format!("unknown command '{other}'")),
+    };
+    let store = parsed
+        .get(&STORE)
+        .ok_or_else(|| format!("missing {} DIR", STORE.name))?;
+    Ok((command, PathBuf::from(store)))
+}
 
-    match command.as_str() {
-        "run" => {
-            let store = open_store(store_dir);
-            let spec = grid.unwrap_or_else(|| {
-                eprintln!("run needs --grid \"...\"");
-                std::process::exit(2);
-            });
-            let grid = GridSpec::parse(&spec).unwrap_or_else(|e| {
-                eprintln!("bad grid: {e}");
-                std::process::exit(2);
-            });
+fn main() {
+    let (command, store_dir) = CLI.parse_env_or_exit(command);
+    let store = RunStore::open(store_dir).unwrap_or_else(|e| {
+        eprintln!("cannot open store: {e}");
+        std::process::exit(1);
+    });
+    match command {
+        Command::Run { grid, jobs } => {
             let cells = grid.cells();
             let start = Instant::now();
             let stats = run_sweep(&store, &cells, jobs);
-            report_sweep(&stats, cells.len(), jobs, start.elapsed().as_secs_f64());
+            println!(
+                "sweep: {} cells, {} executed, {} cached ({}% hit), jobs={}, {:.2}s",
+                cells.len(),
+                stats.executed,
+                stats.cached,
+                (100 * stats.cached).checked_div(cells.len()).unwrap_or(0),
+                jobs,
+                start.elapsed().as_secs_f64(),
+            );
+            if stats.failed > 0 {
+                eprintln!("sweep: {} cell(s) failed", stats.failed);
+                std::process::exit(1);
+            }
         }
-        "report" => {
-            let store = open_store(store_dir);
+        Command::Report { out, json } => {
             let rep = report::build(&store);
             if json {
                 print!("{}", rep.to_json());
@@ -97,8 +110,7 @@ fn main() {
                 }
             }
         }
-        "ls" => {
-            let store = open_store(store_dir);
+        Command::Ls => {
             for doc in store.iter() {
                 println!(
                     "{}  {:9} p={:<5} seed={:<3} machine={} wall={:.3}s",
@@ -106,68 +118,22 @@ fn main() {
                 );
             }
         }
-        "gc" => {
-            let store = open_store(store_dir);
-            match store.gc() {
-                Ok(rep) => {
-                    println!(
-                        "gc: {} intact, {} removed, {} stale tmp",
-                        rep.intact,
-                        rep.removed.len(),
-                        rep.stale_tmp
-                    );
-                    for p in &rep.removed {
-                        eprintln!("removed corrupt {}", p.display());
-                    }
-                }
-                Err(e) => {
-                    eprintln!("gc failed: {e}");
-                    std::process::exit(1);
+        Command::Gc => match store.gc() {
+            Ok(rep) => {
+                println!(
+                    "gc: {} intact, {} removed, {} stale tmp",
+                    rep.intact,
+                    rep.removed.len(),
+                    rep.stale_tmp
+                );
+                for p in &rep.removed {
+                    eprintln!("removed corrupt {}", p.display());
                 }
             }
-        }
-        other => {
-            eprintln!("unknown command: {other}");
-            usage();
-        }
+            Err(e) => {
+                eprintln!("gc failed: {e}");
+                std::process::exit(1);
+            }
+        },
     }
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: study <run|report|ls|gc> [options]\n\
-         \n\
-         study run    --store DIR --grid \"SPEC\" [--jobs N]\n\
-         study report --store DIR [--out DIR] [--json]\n\
-         study ls     --store DIR\n\
-         study gc     --store DIR\n\
-         \n\
-         grid SPEC: workload=conv|conv-weak|lulesh machine=NAME p=LIST\n\
-         \x20          [steps=N] [rows_per_rank=N] [s=N] [iters=N] [threads=N]\n\
-         \x20          [seeds=LIST]"
-    );
-    std::process::exit(2);
-}
-
-fn open_store(dir: Option<PathBuf>) -> RunStore {
-    let dir = dir.unwrap_or_else(|| {
-        eprintln!("missing --store DIR");
-        std::process::exit(2);
-    });
-    RunStore::open(dir).unwrap_or_else(|e| {
-        eprintln!("cannot open store: {e}");
-        std::process::exit(1);
-    })
-}
-
-fn report_sweep(stats: &SweepStats, total: usize, jobs: usize, secs: f64) {
-    println!(
-        "sweep: {} cells, {} executed, {} cached ({}% hit), jobs={}, {:.2}s",
-        total,
-        stats.executed,
-        stats.cached,
-        (100 * stats.cached).checked_div(total).unwrap_or(0),
-        jobs,
-        secs,
-    );
 }

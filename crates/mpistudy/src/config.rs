@@ -102,19 +102,10 @@ pub fn machine_fingerprint(m: &MachineModel) -> String {
     fasthash::fnv1a_hex(&m.describe())
 }
 
-/// Resolve a machine preset by name.
+/// Resolve a machine preset by name (the registry is
+/// [`machine::presets::by_name`]).
 pub fn resolve_machine(name: &str) -> Result<MachineModel, String> {
-    match name {
-        "nehalem" | "nehalem_cluster" => Ok(machine::presets::nehalem_cluster()),
-        "knl" => Ok(machine::presets::knl()),
-        "broadwell" | "dual_broadwell" => Ok(machine::presets::dual_broadwell()),
-        "future" | "future_manycore" => Ok(machine::presets::future_manycore()),
-        "ideal" => Ok(machine::presets::ideal()),
-        other => Err(format!(
-            "unknown machine '{other}' (known: nehalem_cluster, knl, \
-             dual_broadwell, future_manycore, ideal)"
-        )),
-    }
+    machine::presets::by_name(name)
 }
 
 /// A parsed `--grid` specification, expandable into cells.

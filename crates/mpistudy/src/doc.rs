@@ -18,6 +18,7 @@
 
 use crate::config::{CellConfig, Workload};
 use bench::{CellOutcome, CellSection};
+use mpisim::diag::json_str;
 use mpisim::jsoncheck::{parse_json, Json};
 
 /// Schema tag of the run document.
@@ -204,25 +205,6 @@ fn field_f64(dom: &Json, key: &str) -> Result<f64, String> {
     dom.get(key)
         .and_then(Json::as_f64)
         .ok_or_else(|| format!("missing number field '{key}'"))
-}
-
-/// Minimal JSON string escaping.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

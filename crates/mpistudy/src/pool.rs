@@ -16,82 +16,113 @@
 use crate::config::{machine_fingerprint, resolve_machine, CellConfig, Workload};
 use crate::doc::RunDoc;
 use crate::store::RunStore;
-use bench::CellOutcome;
+use bench::{CellOutcome, Program};
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Mutex;
 
-/// What a sweep did: how many cells it simulated vs served from the store.
+/// What a sweep did: how many cells it simulated, served from the store,
+/// or could not run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepStats {
     /// Cells actually simulated (and inserted).
     pub executed: usize,
     /// Cells already present — skipped without running any simulation.
     pub cached: usize,
+    /// Cells whose simulation or store write failed; each is reported on
+    /// stderr and leaves no document behind.
+    pub failed: usize,
+}
+
+/// The program a cell's workload runs at scale `p`.
+fn program(workload: &Workload, p: usize) -> Program {
+    match *workload {
+        Workload::Conv { steps } => Program::Conv(convolution::ConvConfig::paper(steps)),
+        Workload::ConvWeak {
+            rows_per_rank,
+            steps,
+        } => Program::conv_weak(p, rows_per_rank, steps),
+        Workload::Lulesh { s, iters, threads } => {
+            Program::Lulesh(lulesh_proxy::LuleshConfig::timing(s, iters, threads))
+        }
+    }
 }
 
 /// Simulate one cell (no store interaction).
 pub fn execute_cell(cfg: &CellConfig, machine: &machine::MachineModel) -> CellOutcome {
-    match cfg.workload {
-        Workload::Conv { steps } => bench::conv_cell(cfg.p, steps, machine, cfg.seed),
-        Workload::ConvWeak {
-            rows_per_rank,
-            steps,
-        } => bench::weak_conv_cell(cfg.p, rows_per_rank, steps, machine, cfg.seed),
-        Workload::Lulesh { s, iters, threads } => {
-            bench::lulesh_cell(cfg.p, s, iters, threads, machine, cfg.seed)
+    try_execute_cell(cfg, machine).expect("cell run failed")
+}
+
+fn try_execute_cell(
+    cfg: &CellConfig,
+    machine: &machine::MachineModel,
+) -> Result<CellOutcome, mpisim::RunError> {
+    bench::profiled_cell(program(&cfg.workload, cfg.p), cfg.p, machine, cfg.seed)
+}
+
+/// Check the store, else simulate one cell and persist it. `Ok(true)`
+/// when the cell was simulated, `Ok(false)` when it was already stored;
+/// an error names the cell by its canonical configuration.
+fn sweep_cell(store: &RunStore, cfg: &CellConfig) -> Result<bool, String> {
+    // Resolving the preset is cheap; the calibration behind it is
+    // cached process-wide by the machine crate.
+    let machine = resolve_machine(&cfg.machine)?;
+    let fp = machine_fingerprint(&machine);
+    let run = || -> Result<bool, String> {
+        if store.contains(&cfg.hash(&fp)) {
+            return Ok(false);
         }
-    }
+        if !store.contains_machine(&fp) {
+            let calibration = machine::calibration::cached(&machine);
+            store
+                .insert_machine(&fp, &calibration.to_json())
+                .map_err(|e| format!("store machine calibration: {e}"))?;
+        }
+        let outcome = try_execute_cell(cfg, &machine).map_err(|e| e.to_string())?;
+        store
+            .insert(&RunDoc::new(cfg, &fp, &outcome))
+            .map_err(|e| format!("store run document: {e}"))?;
+        Ok(true)
+    };
+    run().map_err(|e| format!("{}: {e}", cfg.canonical(&fp)))
 }
 
 /// Fan `cells` across `jobs` worker threads against `store`. Returns the
-/// executed/cached split. Panics in a worker (a failed simulation)
-/// propagate after the pool drains.
+/// executed/cached/failed split. A cell that cannot run — its simulation
+/// returns an error or panics, or its document cannot be written — is
+/// reported on stderr and counted as failed; the other cells still run.
 pub fn run_sweep(store: &RunStore, cells: &[CellConfig], jobs: usize) -> SweepStats {
-    let jobs = jobs.max(1);
-    let queue: Arc<Mutex<VecDeque<CellConfig>>> =
-        Arc::new(Mutex::new(cells.iter().cloned().collect()));
-    let stats = Arc::new(Mutex::new(SweepStats::default()));
-    let worker = |queue: Arc<Mutex<VecDeque<CellConfig>>>,
-                  stats: Arc<Mutex<SweepStats>>,
-                  store: RunStore| {
-        move || loop {
-            let Some(cfg) = queue.lock().expect("sweep queue").pop_front() else {
-                return;
-            };
-            // Resolving the preset is cheap; the calibration behind it is
-            // cached process-wide by the machine crate.
-            let machine = resolve_machine(&cfg.machine).expect("validated at parse time");
-            let fp = machine_fingerprint(&machine);
-            let hash = cfg.hash(&fp);
-            if store.contains(&hash) {
-                stats.lock().expect("sweep stats").cached += 1;
-                continue;
+    let queue: Mutex<VecDeque<&CellConfig>> = Mutex::new(cells.iter().collect());
+    let stats = Mutex::new(SweepStats::default());
+    let worker = || loop {
+        let Some(cfg) = queue.lock().expect("sweep queue").pop_front() else {
+            return;
+        };
+        // No lock is held while a cell runs, so a panic in one cannot
+        // poison the queue or the tally.
+        let outcome = catch_unwind(AssertUnwindSafe(|| sweep_cell(store, cfg)))
+            .unwrap_or_else(|_| Err(format!("{cfg:?}: panicked")));
+        let mut stats = stats.lock().expect("sweep stats");
+        match outcome {
+            Ok(true) => stats.executed += 1,
+            Ok(false) => stats.cached += 1,
+            Err(e) => {
+                stats.failed += 1;
+                eprintln!("cell failed: {e}");
             }
-            if !store.contains_machine(&fp) {
-                let calibration = machine::calibration::cached(&machine);
-                store
-                    .insert_machine(&fp, &calibration.to_json())
-                    .expect("store machine calibration");
-            }
-            let outcome = execute_cell(&cfg, &machine);
-            let doc = RunDoc::new(&cfg, &fp, &outcome);
-            store.insert(&doc).expect("store run document");
-            stats.lock().expect("sweep stats").executed += 1;
         }
     };
-    if jobs == 1 {
+    if jobs <= 1 {
         // Run inline: keeps single-job sweeps debuggable (no thread hop).
-        worker(queue, stats.clone(), store.clone())();
+        worker();
     } else {
-        let handles: Vec<_> = (0..jobs)
-            .map(|_| std::thread::spawn(worker(queue.clone(), stats.clone(), store.clone())))
-            .collect();
-        for h in handles {
-            h.join().expect("sweep worker panicked");
-        }
+        std::thread::scope(|scope| {
+            for _ in 0..jobs {
+                scope.spawn(worker);
+            }
+        });
     }
-    let out = *stats.lock().expect("sweep stats");
-    out
+    stats.into_inner().expect("sweep stats")
 }
 
 #[cfg(test)]
@@ -118,7 +149,8 @@ mod tests {
             cold,
             SweepStats {
                 executed: 6,
-                cached: 0
+                cached: 0,
+                failed: 0
             }
         );
         let warm = run_sweep(&store, &grid.cells(), 2);
@@ -126,7 +158,8 @@ mod tests {
             warm,
             SweepStats {
                 executed: 0,
-                cached: 6
+                cached: 6,
+                failed: 0
             }
         );
         // And the store holds exactly the grid, plus one machine doc.
@@ -145,7 +178,8 @@ mod tests {
             stats,
             SweepStats {
                 executed: 2,
-                cached: 2
+                cached: 2,
+                failed: 0
             }
         );
         let _ = std::fs::remove_dir_all(store.root());

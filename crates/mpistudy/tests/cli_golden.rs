@@ -6,7 +6,7 @@
 
 #[path = "../../bench/tests/support/mod.rs"]
 mod support;
-use support::{check, files_print, print_of, run, scratch};
+use support::{assert_usage_error, check, files_print, print_of, run, scratch};
 
 const STUDY: &str = env!("CARGO_BIN_EXE_study");
 
@@ -53,5 +53,84 @@ fn sweep_and_report_are_pinned() {
             0x08682879a83a285d,
         ],
     );
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn hostile_command_lines_get_one_error_line_and_the_usage() {
+    let cases: [(&[&str], &str); 7] = [
+        (&["run", "--store"], "--store requires a value"),
+        (
+            &["run", "--store", "D", "--grid", GRID, "--jobs", "x"],
+            "--jobs expects a number, got 'x'",
+        ),
+        (&["run", "--bogus"], "unknown argument '--bogus'"),
+        (
+            &["frobnicate", "--store", "D"],
+            "unknown command 'frobnicate'",
+        ),
+        (&["ls"], "missing --store"),
+        (
+            &[
+                "run",
+                "--store",
+                "D",
+                "--grid",
+                "workload=quantum machine=knl p=1",
+            ],
+            "unknown workload 'quantum'",
+        ),
+        (
+            &[
+                "run",
+                "--store",
+                "D",
+                "--grid",
+                "workload=conv machine=marsrover p=1 steps=2",
+            ],
+            "nehalem_cluster",
+        ),
+    ];
+    for (args, needle) in cases {
+        assert_usage_error(STUDY, args, needle);
+    }
+}
+
+#[test]
+fn a_cell_that_cannot_run_is_counted_and_the_rest_still_run() {
+    // p = 5 is not a cube, so the LULESH mesh refuses it inside the run;
+    // p = 1 and p = 8 are fine and must still be simulated and stored.
+    let dir = scratch("bad-cell");
+    let grid = "workload=lulesh machine=nehalem p=1,5,8 s=4 iters=2 threads=1 seeds=0";
+    for jobs in ["1", "2"] {
+        let store = format!("store-{jobs}");
+        let out = run(
+            STUDY,
+            &dir,
+            &["run", "--store", &store, "--grid", grid, "--jobs", jobs],
+        );
+        assert_eq!(out.code, 1, "stderr:\n{}", out.stderr);
+        assert!(
+            out.stdout
+                .starts_with("sweep: 3 cells, 2 executed, 0 cached"),
+            "{}",
+            out.stdout
+        );
+        let failed: Vec<&str> = out
+            .stderr
+            .lines()
+            .filter(|l| l.starts_with("cell failed: "))
+            .collect();
+        assert_eq!(failed.len(), 1, "stderr:\n{}", out.stderr);
+        assert!(failed[0].contains("workload=lulesh") && failed[0].contains("p=5"));
+        assert!(failed[0].contains("perfect-cube"), "{}", failed[0]);
+        assert!(out.stderr.contains("sweep: 1 cell(s) failed"));
+        assert_eq!(
+            std::fs::read_dir(dir.join(&store).join("runs"))
+                .unwrap()
+                .count(),
+            2
+        );
+    }
     let _ = std::fs::remove_dir_all(dir);
 }

@@ -11,10 +11,10 @@
 //! observation.
 //!
 //! The on-disk format is a small hand-rolled JSON document (this
-//! workspace has no serde); [`Schedule::from_json`] parses it back with
-//! the minimal recursive-descent reader at the bottom of this module.
+//! workspace has no serde); [`Schedule::from_json`] reads it back through
+//! the workspace's one parser, [`mpisim::jsoncheck::parse_json`].
 
-use mpisim::diag::json_str;
+use mpisim::jsoncheck::{parse_json, Json};
 
 /// One resolved wildcard-receive matching.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,29 +66,34 @@ impl Schedule {
     /// Parse a `mpiverify-schedule-v1` document produced by
     /// [`Schedule::to_json`].
     pub fn from_json(text: &str) -> Result<Schedule, String> {
-        let value = parse_value(text)?;
-        let obj = value
-            .as_obj()
-            .ok_or("schedule: top level must be an object")?;
-        match obj_get(obj, "format").and_then(Value::as_str) {
+        let doc =
+            parse_json(text).map_err(|pos| format!("schedule: invalid JSON at byte {pos}"))?;
+        if !matches!(doc, Json::Obj(_)) {
+            return Err("schedule: top level must be an object".into());
+        }
+        match doc.get("format").and_then(Json::as_str) {
             Some("mpiverify-schedule-v1") => {}
             Some(other) => return Err(format!("schedule: unknown format '{other}'")),
             None => return Err("schedule: missing \"format\" string".into()),
         }
-        let decisions = obj_get(obj, "decisions")
-            .and_then(Value::as_arr)
+        let decisions = doc
+            .get("decisions")
+            .and_then(Json::as_arr)
             .ok_or("schedule: missing \"decisions\" array")?;
         let mut out = Vec::with_capacity(decisions.len());
         for d in decisions {
-            let d = d.as_obj().ok_or("schedule: decision must be an object")?;
+            if !matches!(d, Json::Obj(_)) {
+                return Err("schedule: decision must be an object".into());
+            }
             let field = |name: &str| -> Result<usize, String> {
-                obj_get(d, name)
-                    .and_then(Value::as_usize)
+                d.get(name)
+                    .and_then(Json::as_usize)
                     .ok_or_else(|| format!("schedule: decision missing integer \"{name}\""))
             };
             let mut candidates = Vec::new();
-            for c in obj_get(d, "candidates")
-                .and_then(Value::as_arr)
+            for c in d
+                .get("candidates")
+                .and_then(Json::as_arr)
                 .ok_or("schedule: decision missing \"candidates\" array")?
             {
                 let pair = c
@@ -99,9 +104,9 @@ impl Schedule {
                     .as_usize()
                     .ok_or("schedule: candidate sender must be a non-negative integer")?;
                 let tag = pair[1]
-                    .as_i64()
+                    .as_i32()
                     .ok_or("schedule: candidate tag must be an integer")?;
-                candidates.push((src, tag as i32));
+                candidates.push((src, tag));
             }
             out.push(Decision {
                 receiver: field("receiver")?,
@@ -124,236 +129,6 @@ pub fn describe(d: &Decision) -> String {
         d.chosen,
         senders.join(",")
     )
-}
-
-/// Quote a string as a JSON literal (re-exported convenience).
-pub fn quote(s: &str) -> String {
-    json_str(s)
-}
-
-// --- minimal JSON reader -------------------------------------------------
-//
-// `mpisim::jsoncheck` validates syntax but builds no DOM, so schedule
-// loading needs its own reader. It covers exactly the JSON this crate
-// emits (objects, arrays, strings without exotic escapes, integers,
-// bools, null) and rejects everything else with a position-free error —
-// enough for trusted witness files, not a general-purpose parser.
-
-#[derive(Debug)]
-enum Value {
-    Null,
-    Bool,
-    Num(f64),
-    Str(String),
-    Arr(Vec<Value>),
-    Obj(Vec<(String, Value)>),
-}
-
-impl Value {
-    fn as_obj(&self) -> Option<&[(String, Value)]> {
-        match self {
-            Value::Obj(fields) => Some(fields),
-            _ => None,
-        }
-    }
-    fn as_arr(&self) -> Option<&[Value]> {
-        match self {
-            Value::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-    fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::Num(n) if n.fract() == 0.0 => Some(*n as i64),
-            _ => None,
-        }
-    }
-    fn as_usize(&self) -> Option<usize> {
-        self.as_i64().filter(|n| *n >= 0).map(|n| n as usize)
-    }
-}
-
-fn obj_get<'a>(fields: &'a [(String, Value)], name: &str) -> Option<&'a Value> {
-    fields.iter().find(|(k, _)| k == name).map(|(_, v)| v)
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-fn parse_value(text: &str) -> Result<Value, String> {
-    let mut r = Reader {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let v = r.value()?;
-    r.skip_ws();
-    if r.pos != r.bytes.len() {
-        return Err("schedule: trailing garbage after JSON value".into());
-    }
-    Ok(v)
-}
-
-impl Reader<'_> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, String> {
-        self.skip_ws();
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| "schedule: unexpected end of input".into())
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek()? == b {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("schedule: expected '{}'", b as char))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, String> {
-        match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(Value::Str(self.string()?)),
-            b't' => self.literal("true", Value::Bool),
-            b'f' => self.literal("false", Value::Bool),
-            b'n' => self.literal("null", Value::Null),
-            b'-' | b'0'..=b'9' => self.number(),
-            other => Err(format!("schedule: unexpected byte '{}'", other as char)),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Value) -> Result<Value, String> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("schedule: expected '{word}'"))
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(Value::Obj(fields));
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(Value::Obj(fields));
-                }
-                _ => return Err("schedule: expected ',' or '}' in object".into()),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err("schedule: expected ',' or ']' in array".into()),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err("schedule: unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    let esc = self
-                        .bytes
-                        .get(self.pos + 1)
-                        .ok_or("schedule: unterminated escape")?;
-                    out.push(match esc {
-                        b'"' => '"',
-                        b'\\' => '\\',
-                        b'/' => '/',
-                        b'n' => '\n',
-                        b't' => '\t',
-                        b'r' => '\r',
-                        other => {
-                            return Err(format!(
-                                "schedule: unsupported escape '\\{}'",
-                                *other as char
-                            ))
-                        }
-                    });
-                    self.pos += 2;
-                }
-                Some(&b) => {
-                    // Schedule documents are ASCII by construction; pass
-                    // through any UTF-8 continuation bytes untouched.
-                    out.push(b as char);
-                    self.pos += 1;
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, String> {
-        self.skip_ws();
-        let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Value::Num)
-            .ok_or_else(|| "schedule: malformed number".into())
-    }
 }
 
 #[cfg(test)]

@@ -14,6 +14,25 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> benchmark package builds against these crates (the root test never compiles it)"
+(cd benchmark && cargo test --release --quiet)
+cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- suite --smoke > /dev/null
+
+echo "==> smoke: hostile command lines exit 2, not 101"
+for hostile in \
+    "mpistudy study run --store" \
+    "bench figures fig7 --steps" \
+    "bench figures fig7 --reps x"
+do
+    set -- $hostile
+    package="$1"; binary="$2"; shift 2
+    hostile_status=0
+    cargo run -q --release -p "$package" --bin "$binary" -- "$@" > /dev/null 2>&1 \
+        || hostile_status=$?
+    test "$hostile_status" -eq 2 \
+        || { echo "$binary $*: expected exit 2, got $hostile_status"; exit 1; }
+done
+
 echo "==> smoke: examples"
 cargo run -q --release --example quickstart > /dev/null
 cargo run -q --release --example check_misuse > /dev/null
