@@ -30,10 +30,11 @@ impl ContextTool {
     pub fn context_of(&self, world_rank: usize) -> Vec<String> {
         let spine = self.spine.lock();
         let frames = spine.ranks().get(world_rank).map(|r| r.tracker.frames());
+        let names = spine.interner.names();
         frames
             .unwrap_or_default()
             .iter()
-            .map(|&(_, id)| spine.interner.names[id as usize].clone())
+            .map(|&(_, id)| names[id as usize].clone())
             .collect()
     }
 
@@ -51,12 +52,12 @@ impl ContextTool {
     /// Ranks currently inside a section with the given label.
     pub fn ranks_in(&self, label: &str) -> Vec<usize> {
         let spine = self.spine.lock();
-        let id = spine.interner.names.iter().position(|n| n == label);
+        let id = spine.interner.id_of(label);
         let ranks = spine.ranks().iter().enumerate();
         ranks
             .filter(|(_, r)| {
                 let mut open = r.tracker.frames().iter();
-                open.any(|&(_, l)| Some(l as usize) == id)
+                open.any(|&(_, l)| Some(l) == id)
             })
             .map(|(rank, _)| rank)
             .collect()

@@ -60,9 +60,14 @@ impl Hasher for FastHasher {
         }
         let rest = chunks.remainder();
         if !rest.is_empty() {
-            let mut tail = [0u8; 8];
-            tail[..rest.len()].copy_from_slice(rest);
-            self.add(u64::from_le_bytes(tail));
+            // The tail as a zero-padded little-endian word, assembled in
+            // registers: a variable-length copy into a buffer is a
+            // `memcpy` call, and short labels are all tail.
+            let tail = rest
+                .iter()
+                .rev()
+                .fold(0u64, |word, &b| (word << 8) | u64::from(b));
+            self.add(tail);
             self.add(rest.len() as u64);
         }
     }
@@ -122,6 +127,28 @@ mod tests {
         a.write(b"HALO");
         b.write(b"HALT");
         assert_ne!(a.finish(), b.finish());
+    }
+
+    #[test]
+    fn tail_is_the_zero_padded_little_endian_word() {
+        // Hash values feed map iteration order, which deterministic
+        // exports rely on: the tail must stay the word a zero-padded
+        // 8-byte buffer reads as.
+        for len in 1..=17u8 {
+            let bytes: Vec<u8> = (1..=len).collect();
+            let mut got = FastHasher::default();
+            got.write(&bytes);
+            let mut want = FastHasher::default();
+            for chunk in bytes.chunks(8) {
+                let mut word = [0u8; 8];
+                word[..chunk.len()].copy_from_slice(chunk);
+                want.add(u64::from_le_bytes(word));
+                if chunk.len() < 8 {
+                    want.add(chunk.len() as u64);
+                }
+            }
+            assert_eq!(got.finish(), want.finish(), "len {len}");
+        }
     }
 
     #[test]

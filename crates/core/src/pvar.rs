@@ -171,8 +171,9 @@ impl PvarRegistry {
             }
         }
         let mut per_section: BTreeMap<SectionKey, Counters> = BTreeMap::new();
+        let names = st.spine.interner.names();
         for (&(comm, label), c) in &st.sections {
-            let label = st.spine.interner.names[label as usize].clone();
+            let label = names[label as usize].clone();
             per_section.insert(SectionKey { comm, label }, *c);
         }
         PvarSnapshot {

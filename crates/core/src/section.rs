@@ -28,7 +28,6 @@ use mpisim::{
     SectionData, Severity, Tool,
 };
 use parking_lot::Mutex;
-use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -63,44 +62,81 @@ struct Frame {
     occurrence: u64,
 }
 
-/// Per-(rank, comm) state of one label: occurrence counter plus the
-/// runtime-wide dense section id, both resolved by the same hash probe.
-struct LabelSlot {
-    count: Cell<u64>,
-    id: u32,
+/// Labels by name: the communicators each was entered on, with the dense
+/// section id it has there (a label lives on one or two communicators: a
+/// scan, not a map).
+type LabelMap = FastMap<Arc<str>, Vec<(CommId, u32)>>;
+
+/// The label's one allocation and the id of (comm, label), if known.
+fn section_of(labels: &LabelMap, comm: CommId, label: &str) -> Option<(Arc<str>, u32)> {
+    let (name, on) = labels.get_key_value(label)?;
+    let &(_, id) = on.iter().find(|(c, _)| *c == comm)?;
+    Some((name.clone(), id))
 }
 
 /// One rank's section state on one communicator.
-#[derive(Default)]
 struct CommSections {
+    comm: CommId,
     /// Open-section stack.
     stack: Vec<Frame>,
-    /// Occurrence counter per label. The map's keys double as the label
-    /// intern table: after the first enter of a label, subsequent enters
-    /// clone the existing `Arc<str>` instead of re-allocating (the
-    /// dominant cost of the old hot path). `Cell` lets one probe both
-    /// yield the interned key and bump the counter.
-    occurrences: FastMap<Arc<str>, LabelSlot>,
-    /// Count of section events (enters + exits) on this (rank, comm).
-    /// Misuse diagnostics carry the rank-wide index, recovered (cold path
-    /// only) by summing over the rank's communicators.
+    /// Enters so far per section id. A rank enters a handful of distinct
+    /// labels, so a scan over pairs beats a hash probe — and unlike a table
+    /// indexed by the runtime-wide id it stays small when thousands of
+    /// sub-communicators each bring their own sections.
+    occurrences: Vec<(u32, u64)>,
+    /// Count of section events (enters + exits) on this (rank, comm) —
+    /// which is also how far the rank has come through the communicator's
+    /// verification log. Misuse diagnostics carry the rank-wide index:
+    /// the sum over the rank's communicators (cold path only).
     events: u64,
 }
 
-/// Shard state: per-(rank, communicator) section stacks. Keying the flat
-/// map by the pair instead of nesting rank → comm maps halves the hash
-/// probes on the enter/exit hot path.
-type Shard = FastMap<(usize, CommId), CommSections>;
+/// One rank's communicators in first-use order (the world first: `Init`
+/// opens `MPI_MAIN` there). A rank belongs to a handful.
+type RankSections = Vec<CommSections>;
 
-/// Rank-wide section-event count (sum over the rank's communicators); all
-/// of a rank's entries live in one shard because the shard index is
-/// derived from the rank alone.
-fn rank_events(shard: &Shard, world_rank: usize) -> u64 {
-    shard
-        .iter()
-        .filter(|((r, _), _)| *r == world_rank)
-        .map(|(_, cs)| cs.events)
-        .sum()
+/// Shard `s` holds the world ranks `s, s + SHARDS, ...`, rank `r` at index
+/// `r / SHARDS`: a rank's state is one lock and one index away.
+#[derive(Default)]
+struct Shard {
+    /// The entries of the runtime's label table this shard's ranks have
+    /// used, so an enter resolves its label under the one lock it takes.
+    labels: LabelMap,
+    ranks: Vec<RankSections>,
+}
+
+/// The rank's slot in its shard's table. `Init` sizes the table to the
+/// world; a rank that shows up without one (the `PcontrolAdapter` path on
+/// a runtime that is not registered as a tool) grows it.
+fn rank_sections(ranks: &mut Vec<RankSections>, world_rank: usize) -> &mut RankSections {
+    let slot = world_rank / SHARDS;
+    if ranks.len() <= slot {
+        ranks.resize_with(slot + 1, Vec::new);
+    }
+    &mut ranks[slot]
+}
+
+/// Index of `comm` among the rank's communicators, added on first use.
+fn comm_index(rank: &mut RankSections, comm: CommId) -> usize {
+    rank.iter().position(|c| c.comm == comm).unwrap_or_else(|| {
+        rank.push(CommSections {
+            comm,
+            stack: Vec::new(),
+            occurrences: Vec::new(),
+            events: 0,
+        });
+        rank.len() - 1
+    })
+}
+
+/// Rank-wide section-event count (sum over the rank's communicators); the
+/// misuse reports give the failing event's index in it.
+fn rank_events(rank: &RankSections) -> u64 {
+    rank.iter().map(|cs| cs.events).sum()
+}
+
+fn open_labels(cs: &CommSections) -> Vec<String> {
+    cs.stack.iter().map(|f| f.label.to_string()).collect()
 }
 
 /// One record of the shared verification log.
@@ -108,16 +144,6 @@ fn rank_events(shard: &Shard, world_rank: usize) -> u64 {
 enum VerifyEvent {
     Enter(Arc<str>),
     Exit(Arc<str>),
-}
-
-/// Shared verification state of one communicator.
-#[derive(Default)]
-struct CommVerify {
-    /// The agreed sequence of section events (grown by the first rank to
-    /// perform each step).
-    log: Vec<VerifyEvent>,
-    /// How far each world rank has progressed through the log.
-    position: FastMap<usize, usize>,
 }
 
 const SHARDS: usize = 64;
@@ -135,7 +161,10 @@ pub struct SectionRuntime {
     /// Rank state, sharded by world rank to keep enter/exit non-intrusive.
     shards: Vec<Mutex<Shard>>,
     verify: VerifyMode,
-    verify_state: Mutex<FastMap<CommId, CommVerify>>,
+    /// Per communicator, the agreed sequence of section events (grown by
+    /// the first rank to perform each step). Taken under the rank's shard
+    /// lock, never the other way round.
+    verify_log: Mutex<FastMap<CommId, Vec<VerifyEvent>>>,
     /// Attached tools in fixed write-once slots: the dispatch loop reads
     /// them lock-free (`OnceLock::get` is one `Acquire` load), which
     /// matters because every section exit walks this list.
@@ -146,25 +175,26 @@ pub struct SectionRuntime {
     /// Cached count of tools whose [`SectionTool::wants_enter`] is true;
     /// when zero, enters skip `EnterInfo` and the dispatch chain.
     n_enter_tools: AtomicUsize,
-    /// Runtime-wide dense id per (comm, label) section, assigned in
-    /// first-seen order. Only consulted on a rank's *first* enter of a
-    /// label (cold); afterwards the id rides in the rank's `LabelSlot`.
-    ids: Mutex<FastMap<(CommId, Arc<str>), u32>>,
+    /// The runtime-wide label table: one `Arc<str>` per label and one
+    /// dense id per (comm, label), assigned in first-seen order. Every
+    /// rank's frames, `EnterInfo`/`LeaveInfo` and section events share the
+    /// label's one allocation, so downstream interners can recognise it
+    /// by address. Consulted once per shard and (comm, label); after that
+    /// the shard's own copy of the entry answers.
+    labels: Mutex<LabelMap>,
 }
 
 impl SectionRuntime {
     /// A runtime with the given verification mode and no tools.
     pub fn new(verify: VerifyMode) -> Arc<SectionRuntime> {
         Arc::new(SectionRuntime {
-            shards: (0..SHARDS)
-                .map(|_| Mutex::new(FastMap::default()))
-                .collect(),
+            shards: (0..SHARDS).map(|_| Mutex::default()).collect(),
             verify,
-            verify_state: Mutex::new(FastMap::default()),
+            verify_log: Mutex::new(FastMap::default()),
             tools: std::array::from_fn(|_| OnceLock::new()),
             n_tools: AtomicUsize::new(0),
             n_enter_tools: AtomicUsize::new(0),
-            ids: Mutex::new(FastMap::default()),
+            labels: Mutex::default(),
         })
     }
 
@@ -294,7 +324,11 @@ impl SectionRuntime {
     /// Depth of open sections for a rank on a communicator (diagnostics).
     pub fn depth(&self, world_rank: usize, comm: CommId) -> usize {
         let shard = self.shards[world_rank % SHARDS].lock();
-        shard.get(&(world_rank, comm)).map_or(0, |c| c.stack.len())
+        shard
+            .ranks
+            .get(world_rank / SHARDS)
+            .and_then(|rank| rank.iter().find(|c| c.comm == comm))
+            .map_or(0, |c| c.stack.len())
     }
 
     // ------------------------------------------------------------------
@@ -309,46 +343,39 @@ impl SectionRuntime {
         now: VTime,
         want_label: bool,
     ) -> Option<Arc<str>> {
-        self.verify_step(world_rank, comm.id, true, label);
         let enter_tools = self.n_enter_tools.load(Ordering::Acquire) > 0;
-        // Clone the interned label out of the lock only when someone will
-        // actually look at it (event raise or an enter-side tool).
+        // Keep a second handle on the label only when someone will look at
+        // it (event raise or an enter-side tool); the first moves into the
+        // frame.
         let need_label = want_label || enter_tools;
         let (label, id, occurrence, depth) = {
             let mut shard = self.shards[world_rank % SHARDS].lock();
-            let cs = shard.entry((world_rank, comm.id)).or_default();
+            let (label, id) = match section_of(&shard.labels, comm.id, label) {
+                Some(known) => known,
+                None => {
+                    let (name, id) = self.intern(comm.id, label);
+                    let on = shard.labels.entry(name.clone()).or_default();
+                    on.push((comm.id, id));
+                    (name, id)
+                }
+            };
+            let rank = rank_sections(&mut shard.ranks, world_rank);
+            let at = comm_index(rank, comm.id);
+            self.verify_step(world_rank, rank, at, true, &label, || label.clone());
+            let cs = &mut rank[at];
             cs.events += 1;
-            // Intern: after the first enter of a label, reuse the map
-            // key's allocation instead of `Arc::from`-ing every call. The
-            // `Cell` counter makes one probe serve both lookup and bump,
-            // and the slot carries the dense section id alongside.
-            let (label, id, occurrence) = match cs.occurrences.get_key_value(label) {
-                Some((interned, slot)) => {
-                    let occurrence = slot.count.get();
-                    slot.count.set(occurrence + 1);
-                    (interned.clone(), slot.id, occurrence)
+            let occurrence = match cs.occurrences.iter_mut().find(|(sec, _)| *sec == id) {
+                Some((_, count)) => {
+                    *count += 1;
+                    *count - 1
                 }
                 None => {
-                    let interned: Arc<str> = Arc::from(label);
-                    // First enter of this label on this (rank, comm):
-                    // resolve the runtime-wide dense id (cold path).
-                    let id = {
-                        let mut ids = self.ids.lock();
-                        let next = ids.len() as u32;
-                        *ids.entry((comm.id, interned.clone())).or_insert(next)
-                    };
-                    cs.occurrences.insert(
-                        interned.clone(),
-                        LabelSlot {
-                            count: Cell::new(1),
-                            id,
-                        },
-                    );
-                    (interned, id, 0)
+                    cs.occurrences.push((id, 1));
+                    0
                 }
             };
             let depth = cs.stack.len();
-            let ret = need_label.then(|| label.clone());
+            let kept = need_label.then(|| label.clone());
             cs.stack.push(Frame {
                 label,
                 id,
@@ -357,7 +384,7 @@ impl SectionRuntime {
                 child_time: VTime::ZERO,
                 occurrence,
             });
-            (ret, id, occurrence, depth)
+            (kept, id, occurrence, depth)
         };
         // Leave-side tools (the profiler) fold everything at exit; when no
         // attached tool acts on enters, skip the info build and dispatch.
@@ -383,10 +410,9 @@ impl SectionRuntime {
             }
             if data != [0u8; 32] {
                 let mut shard = self.shards[world_rank % SHARDS].lock();
-                if let Some(frame) = shard
-                    .get_mut(&(world_rank, comm.id))
-                    .and_then(|c| c.stack.last_mut())
-                {
+                let rank = rank_sections(&mut shard.ranks, world_rank);
+                let open = rank.iter_mut().find(|c| c.comm == comm.id);
+                if let Some(frame) = open.and_then(|c| c.stack.last_mut()) {
                     frame.data = data;
                 }
             }
@@ -405,20 +431,26 @@ impl SectionRuntime {
         label: &str,
         now: VTime,
     ) -> (SectionData, Arc<str>) {
-        self.verify_step(world_rank, comm.id, false, label);
         let (frame, depth) = {
             let mut shard = self.shards[world_rank % SHARDS].lock();
-            let cs = shard.entry((world_rank, comm.id)).or_default();
+            let rank = rank_sections(&mut shard.ranks, world_rank);
+            let at = comm_index(rank, comm.id);
+            // The log shares the frame's label when the exit is the one
+            // perfect nesting allows; a misnested exit allocates its own.
+            self.verify_step(world_rank, rank, at, false, label, || {
+                match rank[at].stack.last() {
+                    Some(frame) if &*frame.label == label => frame.label.clone(),
+                    _ => Arc::from(label),
+                }
+            });
+            let cs = &mut rank[at];
             cs.events += 1;
             let Some(frame) = cs.stack.pop() else {
-                // Cold path: the rank-wide event index (pre-bump) is
-                // recovered by summing the rank's per-comm counters.
-                let event_index = rank_events(&shard, world_rank) - 1;
                 section_misuse(
                     world_rank,
                     comm.id,
                     Vec::new(),
-                    event_index,
+                    rank_events(rank) - 1,
                     format!(
                         "mpi-sections: exit of '{label}' on rank {world_rank} \
                          with no open section"
@@ -429,14 +461,13 @@ impl SectionRuntime {
                 // The misuse-context stack (cold path only: snapshotting
                 // every open label on every exit is what the hot path pays
                 // for otherwise).
-                let mut open: Vec<String> = cs.stack.iter().map(|f| f.label.to_string()).collect();
+                let mut open = open_labels(cs);
                 open.push(frame.label.to_string());
-                let event_index = rank_events(&shard, world_rank) - 1;
                 section_misuse(
                     world_rank,
                     comm.id,
                     open,
-                    event_index,
+                    rank_events(rank) - 1,
                     format!(
                         "mpi-sections: imperfect nesting on rank {world_rank}: \
                          exiting '{label}' but innermost open section is '{}'",
@@ -483,57 +514,74 @@ impl SectionRuntime {
         }
     }
 
-    fn verify_step(&self, world_rank: usize, comm: CommId, is_enter: bool, label: &str) {
+    /// The one allocation and the id of (comm, label), assigned here if
+    /// this is its first enter anywhere in the runtime (cold path).
+    fn intern(&self, comm: CommId, label: &str) -> (Arc<str>, u32) {
+        let mut labels = self.labels.lock();
+        if let Some(known) = section_of(&labels, comm, label) {
+            return known;
+        }
+        let id = labels.values().map(Vec::len).sum::<usize>() as u32;
+        let name = match labels.get_key_value(label) {
+            Some((name, _)) => name.clone(),
+            None => Arc::from(label),
+        };
+        labels.entry(name.clone()).or_default().push((comm, id));
+        (name, id)
+    }
+
+    /// Check the rank's next section event on communicator `rank[at]`
+    /// against the communicator's log, appending it (with the label
+    /// `shared` hands over) when this rank is the first to get there.
+    fn verify_step(
+        &self,
+        world_rank: usize,
+        rank: &RankSections,
+        at: usize,
+        is_enter: bool,
+        label: &str,
+        shared: impl FnOnce() -> Arc<str>,
+    ) {
         if self.verify == VerifyMode::Off {
             return;
         }
-        let mut state = self.verify_state.lock();
-        let cv = state.entry(comm).or_default();
-        let pos = cv.position.entry(world_rank).or_insert(0);
-        if *pos == cv.log.len() {
-            let label: Arc<str> = Arc::from(label);
-            cv.log.push(if is_enter {
+        let event = |label| {
+            if is_enter {
                 VerifyEvent::Enter(label)
             } else {
                 VerifyEvent::Exit(label)
-            });
-        } else {
+            }
+        };
+        let cs = &rank[at];
+        let pos = cs.events as usize;
+        let mut logs = self.verify_log.lock();
+        let log = logs.entry(cs.comm).or_default();
+        let Some(expected) = log.get(pos) else {
             assert!(
-                *pos < cv.log.len(),
+                pos == log.len(),
                 "mpi-sections: verification position overran the log"
             );
-            let agrees = match &cv.log[*pos] {
-                VerifyEvent::Enter(l) => is_enter && &**l == label,
-                VerifyEvent::Exit(l) => !is_enter && &**l == label,
-            };
-            if !agrees {
-                let event = if is_enter {
-                    VerifyEvent::Enter(Arc::from(label))
-                } else {
-                    VerifyEvent::Exit(Arc::from(label))
-                };
-                let message = format!(
-                    "mpi-sections: section order violation on rank {world_rank}: \
-                     expected {:?} at step {pos}, got {event:?}",
-                    cv.log[*pos]
-                );
-                let (label_stack, event_index) = self.rank_snapshot(world_rank, comm);
-                section_misuse(world_rank, comm, label_stack, event_index, message);
-            }
+            log.push(event(shared()));
+            return;
+        };
+        let agrees = match expected {
+            VerifyEvent::Enter(l) => is_enter && &**l == label,
+            VerifyEvent::Exit(l) => !is_enter && &**l == label,
+        };
+        if !agrees {
+            let message = format!(
+                "mpi-sections: section order violation on rank {world_rank}: \
+                 expected {expected:?} at step {pos}, got {:?}",
+                event(Arc::from(label))
+            );
+            section_misuse(
+                world_rank,
+                cs.comm,
+                open_labels(cs),
+                rank_events(rank),
+                message,
+            );
         }
-        *pos += 1;
-    }
-
-    /// Open labels on `comm` plus the rank's next section-event index
-    /// (misuse-diagnostic context). Lock order is `verify_state` → shard,
-    /// consistently with the callers.
-    fn rank_snapshot(&self, world_rank: usize, comm: CommId) -> (Vec<String>, u64) {
-        let shard = self.shards[world_rank % SHARDS].lock();
-        let labels = shard
-            .get(&(world_rank, comm))
-            .map(|c| c.stack.iter().map(|f| f.label.to_string()).collect())
-            .unwrap_or_default();
-        (labels, rank_events(&shard, world_rank))
     }
 }
 
@@ -577,6 +625,14 @@ impl Tool for SectionRuntime {
     fn on_event(&self, world_rank: usize, event: &MpiEvent) {
         match event {
             MpiEvent::Init { size, time } => {
+                {
+                    // Size this rank's shard to the world at once.
+                    let mut shard = self.shards[world_rank % SHARDS].lock();
+                    let slots = size.div_ceil(SHARDS);
+                    if shard.ranks.len() < slots {
+                        shard.ranks.resize_with(slots, Vec::new);
+                    }
+                }
                 self.enter_at(
                     world_rank,
                     CommInfo {
@@ -613,11 +669,13 @@ impl Tool for SectionRuntime {
     fn rank_context(&self, world_rank: usize) -> Option<String> {
         let shard = self.shards[world_rank % SHARDS].lock();
         let mut parts: Vec<String> = shard
+            .ranks
+            .get(world_rank / SHARDS)?
             .iter()
-            .filter(|((r, _), cs)| *r == world_rank && !cs.stack.is_empty())
-            .map(|((_, comm), cs)| {
+            .filter(|cs| !cs.stack.is_empty())
+            .map(|cs| {
                 let labels: Vec<&str> = cs.stack.iter().map(|f| &*f.label).collect();
-                format!("comm {}: {}", comm.0, labels.join(" > "))
+                format!("comm {}: {}", cs.comm.0, labels.join(" > "))
             })
             .collect();
         if parts.is_empty() {
@@ -791,6 +849,144 @@ mod tests {
                 s.exit(p, &sub, "local");
             })
             .unwrap();
+    }
+
+    #[test]
+    fn split_comm_profile_is_engine_independent_at_p64() {
+        let csv = |engine| {
+            let sections = SectionRuntime::new(VerifyMode::Active);
+            let profiler = crate::SectionProfiler::new();
+            sections.attach(profiler.clone());
+            let s = sections.clone();
+            WorldBuilder::new(64)
+                .engine(engine)
+                .machine(machine::presets::nehalem_cluster())
+                .seed(3)
+                .tool(sections.clone())
+                .run(move |p| {
+                    let world = p.world();
+                    let me = p.world_rank();
+                    let sub = world.split(p, Some((me % 4) as i32), 0).unwrap();
+                    for step in 0..3 {
+                        s.enter(p, &world, "global");
+                        s.enter(p, &sub, "local");
+                        p.advance_secs(1e-3 * (me % 5 + step) as f64);
+                        sub.barrier(p);
+                        // Cross-communicator exit order.
+                        s.exit(p, &world, "global");
+                        s.exit(p, &sub, "local");
+                    }
+                })
+                .unwrap();
+            profiler.snapshot().to_csv()
+        };
+        let des = csv(mpisim::Engine::Des);
+        assert_eq!(des, csv(mpisim::Engine::Threads));
+        // One "local" row per sub-communicator: 16 ranks, 3 instances.
+        assert_eq!(des.matches(",local,16,3,").count(), 4, "{des}");
+        assert_eq!(des.matches(",global,64,3,").count(), 1, "{des}");
+    }
+
+    #[test]
+    fn a_rank_beyond_the_table_grows_it() {
+        // The `PcontrolAdapter` path on a runtime that is not registered
+        // as a tool: no `Init` has sized the table.
+        let sections = SectionRuntime::new(VerifyMode::Active);
+        let far = 5 * SHARDS + 3;
+        sections.enter_world_section(far, far + 1, "phase", VTime::ZERO);
+        assert_eq!(sections.depth(far, CommId::WORLD), 1);
+        // Same shard, lower slots: present now, and empty.
+        assert_eq!(sections.depth(3, CommId::WORLD), 0);
+        assert_eq!(sections.depth(far + SHARDS, CommId::WORLD), 0);
+        sections.exit_world_section(far, far + 1, "phase", VTime::from_nanos(5));
+        assert_eq!(sections.depth(far, CommId::WORLD), 0);
+    }
+
+    /// The one `SectionMisuse` finding of a failed two-rank run.
+    fn misuse_of(err: mpisim::RunError) -> (Vec<usize>, Option<CommId>, Vec<String>, u64) {
+        let diags = err.diagnostics();
+        assert_eq!(diags.len(), 1, "{err}");
+        match &diags[0].kind {
+            DiagnosticKind::SectionMisuse {
+                label_stack,
+                event_index,
+            } => (
+                diags[0].ranks.clone(),
+                diags[0].comm,
+                label_stack.clone(),
+                *event_index,
+            ),
+            other => panic!("expected SectionMisuse, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn misuse_reports_count_events_over_all_communicators() {
+        let sub_id = Arc::new(Mutex::new(CommId::WORLD));
+        let run = |verify, body: fn(&SectionRuntime, &mut Proc, &Comm)| {
+            let sections = SectionRuntime::new(verify);
+            let (s, sub_id) = (sections.clone(), sub_id.clone());
+            let err = WorldBuilder::new(2)
+                .engine(mpisim::Engine::Des)
+                .run(move |p| {
+                    let world = p.world();
+                    let sub = world.split(p, Some(0), 0).unwrap();
+                    *sub_id.lock() = sub.id();
+                    s.enter(p, &world, "a");
+                    s.enter(p, &sub, "x");
+                    body(&s, p, &sub);
+                })
+                .unwrap_err();
+            misuse_of(err)
+        };
+        // Imperfect nesting on the sub-communicator: its open labels, and
+        // one world event plus two sub events before the failing exit.
+        let (ranks, comm, stack, index) = run(VerifyMode::Off, |s, p, sub| {
+            if p.world_rank() == 0 {
+                s.enter(p, sub, "y");
+                s.exit(p, sub, "x");
+            }
+        });
+        assert_eq!((ranks, comm), (vec![0], Some(*sub_id.lock())));
+        assert_eq!((stack, index), (vec!["x".to_string(), "y".to_string()], 3));
+        // Order violation: rank 0 ran ahead and logged "y"; rank 1 enters
+        // "z" as its third section event.
+        let (ranks, comm, stack, index) = run(VerifyMode::Active, |s, p, sub| {
+            let label = if p.world_rank() == 0 { "y" } else { "z" };
+            s.enter(p, sub, label);
+        });
+        assert_eq!((ranks, comm), (vec![1], Some(*sub_id.lock())));
+        assert_eq!((stack, index), (vec!["x".to_string()], 2));
+    }
+
+    #[test]
+    fn rank_context_lists_every_communicator_with_open_sections() {
+        let sections = SectionRuntime::new(VerifyMode::Active);
+        let s = sections.clone();
+        let err = WorldBuilder::new(2)
+            .tool(sections.clone())
+            .run(move |p| {
+                let world = p.world();
+                let sub = world.split(p, Some(0), 0).unwrap();
+                s.enter(p, &sub, "local");
+                s.enter(p, &world, "global");
+                s.scoped(p, &sub, "closed", |_| {});
+                assert_eq!(s.depth(p.world_rank(), sub.id()), 1);
+                assert_eq!(s.depth(p.world_rank(), world.id()), 2);
+                if p.world_rank() == 1 {
+                    panic!("boom on comm {}", sub.id().0);
+                }
+                world.barrier(p);
+            })
+            .unwrap_err();
+        let msg = err.to_string();
+        let sub = msg
+            .split("boom on comm ")
+            .nth(1)
+            .and_then(|rest| rest.split(' ').next())
+            .expect("panic message names the sub-communicator");
+        let expect = format!("open sections: comm 0: MPI_MAIN > global; comm {sub}: local");
+        assert!(msg.contains(&expect), "{msg}");
     }
 
     #[test]

@@ -29,6 +29,7 @@
 //! classifier and the timeline are three sinks of the same fold.
 
 use crate::fasthash::FastMap;
+use crate::section::MPI_MAIN;
 use crate::waitstate::RecKind;
 use crate::whatif::WaitClass;
 use mpisim::{CommId, EventKind, EventMask, MpiEvent};
@@ -36,24 +37,53 @@ use std::sync::Arc;
 
 /// Section-label interner: the hot path stores compact ids; analysis
 /// resolves them back to names (and sorts by name, since id allocation
-/// order is scheduling-dependent). `Init` interns
-/// [`MPI_MAIN`](crate::section::MPI_MAIN) before any other label, so it is
-/// id 0 — the section a rank is in when no frame is open.
+/// order is scheduling-dependent). `Init` interns [`MPI_MAIN`] before any
+/// other label, so it is id 0 — the section a rank is in when no frame is
+/// open.
 #[derive(Default)]
 pub(crate) struct Interner {
     ids: FastMap<Arc<str>, u32>,
-    pub(crate) names: Vec<String>,
+    /// The label each id was first interned from, by id.
+    labels: Vec<Arc<str>>,
 }
 
+/// How many of the earliest labels [`Interner::intern`] compares by
+/// address before it hashes: programs enter a handful of labels, and the
+/// bound keeps one with thousands from paying for the shortcut.
+const ADDRESS_PROBE: usize = 32;
+
 impl Interner {
+    /// The id of `label`. The section runtime hands every rank the same
+    /// allocation per label, so its address usually settles it without
+    /// hashing the bytes.
     pub(crate) fn intern(&mut self, label: &Arc<str>) -> u32 {
-        if let Some(&id) = self.ids.get(label) {
+        let mut known = self.labels.iter().take(ADDRESS_PROBE);
+        if let Some(id) = known.position(|n| Arc::ptr_eq(n, label)) {
+            return id as u32;
+        }
+        self.intern_str(label, || label.clone())
+    }
+
+    /// The id of `label`, if it was ever interned.
+    pub(crate) fn id_of(&self, label: &str) -> Option<u32> {
+        self.ids.get(label).copied()
+    }
+
+    /// The id of `label`, allocated by `shared` if it is new.
+    fn intern_str(&mut self, label: &str, shared: impl FnOnce() -> Arc<str>) -> u32 {
+        if let Some(id) = self.id_of(label) {
             return id;
         }
-        let id = self.names.len() as u32;
+        let label = shared();
+        let id = self.labels.len() as u32;
         self.ids.insert(label.clone(), id);
-        self.names.push(label.to_string());
+        self.labels.push(label);
         id
+    }
+
+    /// Every label, by id.
+    pub(crate) fn names(&self) -> Vec<String> {
+        self.labels.iter().map(|l| l.to_string()).collect()
     }
 }
 
@@ -234,7 +264,7 @@ impl<T: Default> Spine<T> {
         };
         let kind = match event {
             MpiEvent::Init { .. } => {
-                let main = interner.intern(&Arc::from(crate::section::MPI_MAIN));
+                let main = interner.intern_str(MPI_MAIN, || Arc::from(MPI_MAIN));
                 tr.stack.clear();
                 tr.stack.push((CommId::WORLD, main));
                 tr.last_ns = now_ns;
@@ -331,7 +361,7 @@ impl<T: Default> Spine<T> {
 /// The additive per-(window, section) slice every windowed consumer
 /// keeps: the timeline per rank, the summarizer's checkpoint rows summed
 /// over ranks.
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Cell {
     pub(crate) time_ns: u64,
     pub(crate) late_sender_ns: u64,
@@ -395,6 +425,11 @@ impl Cell {
         self.recv_msgs += o.recv_msgs;
         self.recv_bytes += o.recv_bytes;
         self.coll_exits += o.coll_exits;
+    }
+
+    /// Nothing was ever deposited here.
+    pub(crate) fn is_zero(&self) -> bool {
+        *self == Cell::default()
     }
 
     /// Presence minus waits and transfer.
@@ -619,6 +654,27 @@ mod tests {
         assert!(narrow[4].contains("\"sent_msgs\":3"), "{}", narrow[4]);
         assert!(narrow[4].contains("\"coll_calls\":3"), "{}", narrow[4]);
         assert!(narrow[5].contains("\"ph\":\"s\""), "{}", narrow[5]);
+    }
+
+    #[test]
+    fn interner_knows_a_label_by_address_and_by_text() {
+        let mut interner = Interner::default();
+        let a: Arc<str> = Arc::from("a");
+        let id = interner.intern(&a);
+        assert_eq!(interner.intern(&a), id);
+        // Another allocation of the same text, and the text itself.
+        assert_eq!(interner.intern(&Arc::from("a")), id);
+        assert_eq!(interner.intern_str("a", || unreachable!("known")), id);
+        assert_ne!(interner.intern(&Arc::from("b")), id);
+        // Labels past the address probe are found by their text.
+        let many: Vec<Arc<str>> = (0..2 * ADDRESS_PROBE)
+            .map(|k| Arc::from(format!("l{k}")))
+            .collect();
+        let ids: Vec<u32> = many.iter().map(|l| interner.intern(l)).collect();
+        let again: Vec<u32> = many.iter().map(|l| interner.intern(l)).collect();
+        assert_eq!(ids, again);
+        assert_eq!(interner.names().len(), 2 + 2 * ADDRESS_PROBE);
+        assert_eq!(interner.names()[ids[5] as usize], "l5");
     }
 
     #[test]

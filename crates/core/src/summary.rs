@@ -70,15 +70,17 @@ const CHECKPOINT_BASE_CADENCE_NS: u64 = 1_000_000;
 /// order the cluster fingerprint hashes).
 const CLASS_NAMES: [&str; 3] = ["late-sender", "late-receiver", "coll-wait"];
 
-/// Fixed-budget virtual-time rows. The cadence starts at 1 ms and doubles
-/// (merging adjacent row pairs) whenever an event lands beyond row
-/// `2 × CHECKPOINT_ROW_BUDGET`; since every cell field is additive, the
-/// final rows depend only on the final cadence — itself a function of the
-/// largest timestamp seen — never on event interleaving.
+/// Fixed-budget virtual-time rows, each indexed by interned section id; a
+/// section was present in a row iff its cell is non-zero. The cadence
+/// starts at 1 ms and doubles (merging adjacent row pairs) whenever an
+/// event lands beyond row `2 × CHECKPOINT_ROW_BUDGET`; since every cell
+/// field is additive, the final rows depend only on the final cadence —
+/// itself a function of the largest timestamp seen — never on event
+/// interleaving.
 #[derive(Debug, Clone)]
 struct Checkpoints {
     cadence_ns: u64,
-    rows: Vec<FastMap<u32, Cell>>,
+    rows: Vec<Vec<Cell>>,
 }
 
 impl Default for Checkpoints {
@@ -90,33 +92,42 @@ impl Default for Checkpoints {
     }
 }
 
+/// Entry `id` of a table indexed by interned section id, which grows to
+/// hold it.
+fn slot<T: Default>(table: &mut Vec<T>, id: u32) -> &mut T {
+    let i = id as usize;
+    if table.len() <= i {
+        table.resize_with(i + 1, T::default);
+    }
+    &mut table[i]
+}
+
 impl Checkpoints {
-    /// Grow the cadence until time `t` maps below the hard row cap.
-    fn fit(&mut self, t: u64) {
+    /// Grow the cadence until time `t` maps below the hard row cap, and
+    /// the table until it has `t`'s row; returns that row's index.
+    fn fit(&mut self, t: u64) -> usize {
         while t / self.cadence_ns >= (2 * CHECKPOINT_ROW_BUDGET) as u64 {
             self.cadence_ns *= 2;
-            let mut merged: Vec<FastMap<u32, Cell>> =
-                Vec::with_capacity(self.rows.len().div_ceil(2));
+            let mut merged: Vec<Vec<Cell>> = Vec::with_capacity(self.rows.len().div_ceil(2));
             for pair in self.rows.chunks(2) {
                 let mut row = pair[0].clone();
-                if let Some(b) = pair.get(1) {
-                    for (&sec, cell) in b.iter() {
-                        row.entry(sec).or_default().add(cell);
-                    }
+                for (sec, cell) in pair.get(1).into_iter().flatten().enumerate() {
+                    slot(&mut row, sec as u32).add(cell);
                 }
                 merged.push(row);
             }
             self.rows = merged;
         }
+        let idx = (t / self.cadence_ns) as usize;
+        if self.rows.len() <= idx {
+            self.rows.resize_with(idx + 1, Vec::new);
+        }
+        idx
     }
 
     fn cell(&mut self, t: u64, sec: u32) -> &mut Cell {
-        self.fit(t);
-        let idx = (t / self.cadence_ns) as usize;
-        if self.rows.len() <= idx {
-            self.rows.resize_with(idx + 1, FastMap::default);
-        }
-        self.rows[idx].entry(sec).or_default()
+        let idx = self.fit(t);
+        slot(&mut self.rows[idx], sec)
     }
 
     /// Split `[a, b)` across rows, like the timeline's interval splitter.
@@ -124,20 +135,11 @@ impl Checkpoints {
         if b <= a {
             return;
         }
-        self.fit(b - 1);
+        let last = self.fit(b - 1);
         let c = self.cadence_ns;
-        let mut w = a / c;
-        let last = (b - 1) / c;
-        loop {
-            let lo = a.max(w * c);
-            let hi = b.min((w + 1) * c);
-            if hi > lo {
-                f(self.cell(lo, sec), hi - lo);
-            }
-            if w == last {
-                break;
-            }
-            w += 1;
+        let first = (a / c) as usize;
+        for (row, w) in self.rows[first..=last].iter_mut().zip(first as u64..) {
+            f(slot(row, sec), b.min((w + 1) * c) - a.max(w * c));
         }
     }
 }
@@ -199,11 +201,7 @@ struct Summarizer {
 
 impl Summarizer {
     fn section(&mut self, sec: u32) -> &mut SectionAgg {
-        let i = sec as usize;
-        if self.sections.len() <= i {
-            self.sections.resize_with(i + 1, SectionAgg::default);
-        }
-        &mut self.sections[i]
+        slot(&mut self.sections, sec)
     }
 }
 
@@ -260,7 +258,7 @@ impl SummaryTool {
     pub fn freeze(&self) -> RunSummary {
         let st = self.state.lock();
         let nranks = st.spine.ranks().len();
-        let names = &st.spine.interner.names;
+        let names = &st.spine.interner.names();
         let checkpoints = &st.checkpoints;
 
         let ranks = st.spine.ranks();
@@ -418,25 +416,18 @@ fn build_timeline(ck: &Checkpoints, names: &[String], nranks: usize, makespan_ns
         let start_ns = edges_ns[w];
         let end_ns = edges_ns[w + 1];
         let mut sections: BTreeMap<String, WindowSection> = BTreeMap::new();
-        if let Some(row) = ck.rows.get(w) {
-            let mut ids: Vec<u32> = row.keys().copied().collect();
-            ids.sort_unstable();
-            for sec in ids {
-                let cell = &row[&sec];
-                let label = names
-                    .get(sec as usize)
-                    .cloned()
-                    .unwrap_or_else(|| format!("#{sec}"));
-                // Per-rank maxima are not tracked: the cell is already
-                // the sum over ranks.
-                let mut ws = WindowSection::default();
-                ws.absorb(cell);
-                ws.capacity_ns = (end_ns - start_ns) * nranks as u64;
-                ws.max_time_ns = 0;
-                ws.max_useful_ns = 0;
-                ws.ranks = nranks;
-                sections.insert(label, ws);
-            }
+        let row = ck.rows.get(w).into_iter().flatten().enumerate();
+        for (sec, cell) in row.filter(|(_, cell)| !cell.is_zero()) {
+            let label = names.get(sec).cloned().unwrap_or_else(|| format!("#{sec}"));
+            // Per-rank maxima are not tracked: the cell is already the
+            // sum over ranks.
+            let mut ws = WindowSection::default();
+            ws.absorb(cell);
+            ws.capacity_ns = (end_ns - start_ns) * nranks as u64;
+            ws.max_time_ns = 0;
+            ws.max_useful_ns = 0;
+            ws.ranks = nranks;
+            sections.insert(label, ws);
         }
         windows.push(Window {
             start_ns,
@@ -1086,12 +1077,7 @@ mod tests {
         ck.span(0, 40_000_000_000, 0, |cell, ns| cell.time_ns += ns);
         assert!(ck.rows.len() <= 2 * CHECKPOINT_ROW_BUDGET);
         assert!(ck.cadence_ns > CHECKPOINT_BASE_CADENCE_NS);
-        let total: u64 = ck
-            .rows
-            .iter()
-            .flat_map(|r| r.values())
-            .map(|c| c.time_ns)
-            .sum();
+        let total: u64 = ck.rows.iter().flatten().map(|c| c.time_ns).sum();
         assert_eq!(total, 40_000_000_000);
     }
 }

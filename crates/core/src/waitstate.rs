@@ -193,7 +193,7 @@ impl CommRecorder {
         let st = self.state.lock();
         CommLog {
             ranks: st.spine.ranks().iter().map(|r| r.data.clone()).collect(),
-            names: st.spine.interner.names.clone(),
+            names: st.spine.interner.names(),
             sends: st.sends.clone(),
             colls: st.colls.clone(),
         }

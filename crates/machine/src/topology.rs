@@ -41,6 +41,16 @@ impl Topology {
         }
     }
 
+    /// How many of `nranks` ranks block placement puts on `node`: a full
+    /// `ranks_per_node`, fewer on the tail node, none beyond it.
+    /// Saturating because [`Topology::SINGLE_NODE`] has `usize::MAX` slots.
+    pub fn ranks_on_node(&self, node: usize, nranks: usize) -> usize {
+        let rpn = self.ranks_per_node.max(1);
+        let first = node.saturating_mul(rpn);
+        let end = node.saturating_add(1).saturating_mul(rpn).min(nranks);
+        end.saturating_sub(first)
+    }
+
     /// True when two ranks share a node.
     #[inline]
     pub fn same_node(&self, a: usize, b: usize) -> bool {

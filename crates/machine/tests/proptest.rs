@@ -115,4 +115,28 @@ proptest! {
         prop_assert!(!t.same_node(first, first + ranks_per_node));
         prop_assert_eq!(t.nodes_for(rank + 1), rank / ranks_per_node + 1);
     }
+
+    #[test]
+    fn ranks_on_node_closed_form_is_the_scan(
+        ranks_per_node in prop_oneof![1usize..65, Just(usize::MAX)],
+        nranks in 1usize..4097,
+    ) {
+        let t = Topology { ranks_per_node };
+        // The scan `Proc::new` used to run per rank, run once: node-mates
+        // counted by walking every rank.
+        let mut scanned = vec![0usize; t.nodes_for(nranks)];
+        for rank in 0..nranks {
+            scanned[t.node_of(rank)] += 1;
+        }
+        for rank in 0..nranks {
+            let node = t.node_of(rank);
+            prop_assert_eq!(t.ranks_on_node(node, nranks), scanned[node]);
+        }
+        let (tail, full) = scanned.split_last().expect("nranks >= 1");
+        prop_assert!(full.iter().all(|&n| n == ranks_per_node));
+        prop_assert!((1..=ranks_per_node).contains(tail));
+        let per_node = (0..scanned.len()).map(|node| t.ranks_on_node(node, nranks));
+        prop_assert_eq!(per_node.sum::<usize>(), nranks);
+        prop_assert_eq!(t.ranks_on_node(scanned.len(), nranks), 0);
+    }
 }

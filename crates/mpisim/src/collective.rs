@@ -57,6 +57,10 @@ pub struct Done {
     /// The data slots, indexed by local rank. Readers may take or clone
     /// from them under the lock according to the operation's semantics.
     pub slots: Mutex<Vec<Slot>>,
+    /// The generation's reduction over all slots, computed by the first
+    /// reader that needs it and cloned by the rest (an allreduce folds p
+    /// slots once, not once per rank).
+    pub(crate) folded: Mutex<Slot>,
     remaining_readers: Mutex<usize>,
 }
 
@@ -185,6 +189,7 @@ impl Rendezvous {
                 exit,
                 total_bytes: st.total_bytes,
                 slots: Mutex::new(slots),
+                folded: Mutex::new(None),
                 remaining_readers: Mutex::new(self.p),
             });
             st.done.insert(gen, done.clone());

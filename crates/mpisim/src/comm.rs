@@ -899,13 +899,29 @@ impl Comm {
         let (gen, done) = self.sync(p, "allreduce", None, my_bytes, slot, |cc, total| {
             cc.allreduce((total as usize) / psize.max(1))
         });
-        let out = Self::fold_slots(&done, psize, &op);
+        let out = Self::with_fold(&done, psize, &op, <[T]>::to_vec);
         self.finish(gen, &done);
         p.tool_call_exit(MpiCall::Allreduce, self.id(), my_bytes);
         out
     }
 
-    fn fold_slots<T, F>(done: &Arc<Done>, psize: usize, op: &F) -> Vec<T>
+    /// Read the reduction every rank of the generation shares: the first
+    /// reader folds the slots (in rank order, like [`Comm::reduce`]'s
+    /// root) and leaves the result in the record for the others.
+    fn with_fold<T, F, R>(done: &Done, psize: usize, op: &F, read: impl FnOnce(&[T]) -> R) -> R
+    where
+        T: Clone + Send + 'static,
+        F: Fn(&T, &T) -> T,
+    {
+        let mut folded = done.folded.lock();
+        let all = folded.get_or_insert_with(|| Box::new(Self::fold_slots(done, psize, op)));
+        read(
+            all.downcast_ref::<Vec<T>>()
+                .expect("mpisim: reduce datatype mismatch"),
+        )
+    }
+
+    fn fold_slots<T, F>(done: &Done, psize: usize, op: &F) -> Vec<T>
     where
         T: Clone + 'static,
         F: Fn(&T, &T) -> T,
@@ -1049,9 +1065,10 @@ impl Comm {
             // Same communication volume class as an allreduce of one block.
             cc.allreduce((total as usize) / (psize * psize).max(1))
         });
-        let full = Self::fold_slots::<T, F>(&done, psize, &op);
+        let out = Self::with_fold(&done, psize, &op, |full: &[T]| {
+            full[self.local_rank * block..(self.local_rank + 1) * block].to_vec()
+        });
         self.finish(gen, &done);
-        let out: Vec<T> = full[self.local_rank * block..(self.local_rank + 1) * block].to_vec();
         p.tool_call_exit(MpiCall::Reduce, self.id(), my_bytes);
         out
     }

@@ -54,8 +54,7 @@ impl Proc {
         world_shared: Arc<CommShared>,
     ) -> Self {
         let topo = machine.topology;
-        let node = topo.node_of(world_rank);
-        let ranks_on_my_node = (0..nranks).filter(|&r| topo.node_of(r) == node).count();
+        let ranks_on_my_node = topo.ranks_on_node(topo.node_of(world_rank), nranks);
         Proc {
             world_rank,
             nranks,

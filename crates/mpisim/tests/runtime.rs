@@ -3,7 +3,7 @@
 //! events, and failure handling.
 
 use machine::{presets, LinkModel, NetworkModel, Topology, VTime, Work};
-use mpisim::{MpiEvent, Src, TagSel, Tool, WorldBuilder};
+use mpisim::{Engine, MpiEvent, Src, TagSel, Tool, WorldBuilder};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -367,6 +367,32 @@ fn scalar_allreduce_helpers() {
 }
 
 #[test]
+fn allreduce_folds_in_rank_order_on_both_engines() {
+    // Floating-point addition does not associate: the one shared fold
+    // must visit ranks 0..p in order for every rank to read the bits a
+    // rank-order reduction produces, round after round.
+    let n = 24;
+    let term = |rank: usize, round: usize| 0.1 * (rank + 1) as f64 + 1e-9 * round as f64;
+    for engine in [Engine::Des, Engine::Threads] {
+        let report = WorldBuilder::new(n)
+            .engine(engine)
+            .run(|p| {
+                let world = p.world();
+                (0..3)
+                    .map(|round| world.allreduce_sum_f64(p, term(p.world_rank(), round)))
+                    .collect::<Vec<f64>>()
+            })
+            .unwrap();
+        for round in 0..3 {
+            let expect = (1..n).fold(term(0, round), |acc, rank| acc + term(rank, round));
+            for sums in &report.results {
+                assert_eq!(sums[round].to_bits(), expect.to_bits(), "{engine:?}");
+            }
+        }
+    }
+}
+
+#[test]
 fn alltoall_transpose() {
     let n = 3;
     let report = WorldBuilder::new(n)
@@ -509,6 +535,17 @@ fn compute_prices_work_on_ideal_machine() {
         })
         .unwrap();
     assert_eq!(report.results[0], VTime::from_secs_f64(3.0));
+}
+
+#[test]
+fn ranks_on_node_counts_a_partial_tail_node() {
+    // The count feeds `shmem::Team`'s contention pricing: a wrong count is
+    // a wrong virtual clock. 10 ranks on 4-slot nodes: 4 + 4 + 2.
+    let report = WorldBuilder::new(10)
+        .machine(lab_machine())
+        .run(|p| p.ranks_on_node())
+        .unwrap();
+    assert_eq!(report.results, [4, 4, 4, 4, 4, 4, 4, 4, 2, 2]);
 }
 
 #[test]

@@ -18,6 +18,15 @@ echo "==> benchmark package builds against these crates (the root test never com
 (cd benchmark && cargo test --release --quiet)
 cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- suite --smoke > /dev/null
 
+echo "==> benchmark: one full-size conv16k_scale run must come back correct"
+# `suite --smoke` caps p at 64 and nothing else here launches more than
+# 4096 ranks: a failure only 16384 ranks show (a fiber stack overflowing,
+# a table sized short of `Init.size`) would otherwise pass the gate.
+cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload conv16k_scale --seed 2 --seconds 6 --trace 0 \
+    | tail -n 1 | grep -q '"correct": true' \
+    || { echo "conv16k_scale: result line does not say \"correct\": true"; exit 1; }
+
 echo "==> smoke: hostile command lines exit 2, not 101"
 for hostile in \
     "mpistudy study run --store" \
