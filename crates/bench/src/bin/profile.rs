@@ -312,6 +312,12 @@ fn unwrap_run<R>(result: Result<RunReport<R>, RunError>) -> RunReport<R> {
             eprintln!("{}", mpisim::diag::report(&diags));
             std::process::exit(1);
         }
+        // Not a failure of the program under test: the host cannot hold
+        // the world as configured.
+        Err(e @ RunError::StackReservation(_)) => {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        }
         Err(e) => {
             eprintln!("run failed: {e}");
             std::process::exit(1);

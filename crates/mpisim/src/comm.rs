@@ -181,11 +181,18 @@ impl std::fmt::Debug for Comm {
 
 impl Comm {
     pub(crate) fn from_shared(shared: Arc<CommShared>, world_rank: usize) -> Comm {
-        let local_rank = shared
-            .world_ranks
-            .iter()
-            .position(|&w| w == world_rank)
-            .expect("mpisim: rank is not a member of this communicator");
+        // The world communicator, and any other whose ranks are the
+        // identity, answers in O(1): `Proc::world()` runs on every rank, so
+        // a scan there is O(p²) over a launch.
+        let local_rank = if shared.world_ranks.get(world_rank) == Some(&world_rank) {
+            world_rank
+        } else {
+            shared
+                .world_ranks
+                .iter()
+                .position(|&w| w == world_rank)
+                .expect("mpisim: rank is not a member of this communicator")
+        };
         Comm { shared, local_rank }
     }
 

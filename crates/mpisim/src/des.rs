@@ -201,7 +201,7 @@ impl Scheduler {
     /// Drive every fiber to completion. `poison_world` is invoked once if
     /// a deadlock is detected, before the blocked ranks are revived to
     /// unwind.
-    pub(crate) fn drive(&self, fibers: &mut [crate::fiber::Fiber], poison_world: &dyn Fn()) {
+    pub(crate) fn drive(&self, fibers: &mut [crate::fiber::Fiber<'_>], poison_world: &dyn Fn()) {
         let nranks = fibers.len();
         let mut ndone = 0usize;
         while ndone < nranks {
@@ -317,6 +317,11 @@ pub(crate) fn is_active() -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fiber::{Fiber, StackPool};
+
+    fn pool(count: usize) -> StackPool {
+        StackPool::acquire(32 * 1024, count).expect("stack pool")
+    }
 
     /// Same virtual time, different ranks: the heap must always yield
     /// ascending rank ids — the deterministic tie-break the engine's
@@ -356,14 +361,16 @@ mod tests {
         let sched = Rc::new(Scheduler::new(n));
         let log: StdRc<StdRefCell<Vec<usize>>> = StdRc::new(StdRefCell::new(Vec::new()));
         let guard = install(sched.clone());
-        let mut fibers: Vec<crate::fiber::Fiber> = (0..n)
+        let pool = pool(n);
+        let mut fibers: Vec<Fiber<'_>> = (0..n)
             .map(|rank| {
                 let log = log.clone();
                 let body = move || {
                     log.borrow_mut().push(rank);
                 };
-                // SAFETY: every captured value is owned by the closure.
-                unsafe { crate::fiber::Fiber::new(32 * 1024, Box::new(body)) }
+                // SAFETY: every captured value is owned by the closure;
+                // one fiber per slot.
+                unsafe { pool.fiber(rank, Box::new(body)) }
             })
             .collect();
         sched.drive(&mut fibers, &|| {});
@@ -381,7 +388,8 @@ mod tests {
         let sched = Rc::new(Scheduler::new(2));
         let log: StdRc<StdRefCell<Vec<&'static str>>> = StdRc::new(StdRefCell::new(Vec::new()));
         let guard = install(sched.clone());
-        let mut fibers: Vec<crate::fiber::Fiber> = Vec::new();
+        let pool = pool(2);
+        let mut fibers: Vec<Fiber<'_>> = Vec::new();
         {
             let log0 = log.clone();
             let body0 = move || {
@@ -393,16 +401,16 @@ mod tests {
                 .unwrap();
                 log0.borrow_mut().push("r0 resumed");
             };
-            // SAFETY: captured values are owned.
-            fibers.push(unsafe { crate::fiber::Fiber::new(32 * 1024, Box::new(body0)) });
+            // SAFETY: captured values are owned; one fiber per slot.
+            fibers.push(unsafe { pool.fiber(0, Box::new(body0)) });
             let log1 = log.clone();
             let body1 = move || {
                 log1.borrow_mut().push("r1 wakes r0");
                 with_active(|s| s.wake(0)).unwrap();
                 log1.borrow_mut().push("r1 done");
             };
-            // SAFETY: captured values are owned.
-            fibers.push(unsafe { crate::fiber::Fiber::new(32 * 1024, Box::new(body1)) });
+            // SAFETY: captured values are owned; one fiber per slot.
+            fibers.push(unsafe { pool.fiber(1, Box::new(body1)) });
         }
         sched.drive(&mut fibers, &|| {});
         drop(guard);
@@ -419,7 +427,8 @@ mod tests {
         let sched = Rc::new(Scheduler::new(2));
         let poisoned = Rc::new(Cell::new(false));
         let guard = install(sched.clone());
-        let mut fibers: Vec<crate::fiber::Fiber> = (0..2)
+        let pool = pool(2);
+        let mut fibers: Vec<Fiber<'_>> = (0..2)
             .map(|rank| {
                 let p = poisoned.clone();
                 let body = move || {
@@ -431,8 +440,8 @@ mod tests {
                     // Revived by the deadlock path: the world is poisoned.
                     assert!(p.get(), "woken without poison");
                 };
-                // SAFETY: captured values are owned.
-                unsafe { crate::fiber::Fiber::new(32 * 1024, Box::new(body)) }
+                // SAFETY: captured values are owned; one fiber per slot.
+                unsafe { pool.fiber(rank, Box::new(body)) }
             })
             .collect();
         let p = poisoned.clone();

@@ -25,6 +25,10 @@ pub enum RunError {
     /// A correctness tool aborted the run with structured findings
     /// (deduplicated, in report order).
     Diagnosed(Vec<Diagnostic>),
+    /// The DES engine could not reserve the world's fiber stacks — more
+    /// ranks than `vm.max_map_count` leaves room to guard, or a stack size
+    /// the address space cannot hold. Carries the reason as one line.
+    StackReservation(String),
 }
 
 impl RunError {
@@ -44,6 +48,7 @@ impl fmt::Display for RunError {
                 write!(f, "rank {rank} failed: {message}")
             }
             RunError::NoRanks => write!(f, "world must have at least one rank"),
+            RunError::StackReservation(reason) => f.write_str(reason),
             RunError::Diagnosed(diags) => {
                 write!(
                     f,
@@ -77,6 +82,10 @@ mod tests {
         assert_eq!(
             RunError::NoRanks.to_string(),
             "world must have at least one rank"
+        );
+        assert_eq!(
+            RunError::StackReservation("no room".into()).to_string(),
+            "no room"
         );
     }
 

@@ -1,11 +1,25 @@
 //! Stackful fibers: the cooperative tasks behind the discrete-event engine.
 //!
-//! Each virtual rank runs on its own heap-allocated stack and is entered
-//! and left through a hand-written x86-64 context switch that saves only
-//! the System-V callee-saved state (rbp, rbx, r12–r15, mxcsr, x87 control
-//! word). A switch is ~20 ns, and a suspended fiber costs nothing but the
-//! pages its stack has actually touched — which is what makes 16k+ ranks
-//! on one OS thread practical where 16k threads are not.
+//! Each virtual rank runs on its own stack and is entered and left through
+//! a hand-written x86-64 context switch that saves only the System-V
+//! callee-saved state (rbp, rbx, r12–r15, mxcsr, x87 control word). A
+//! switch is ~20 ns, and a suspended fiber costs nothing but the pages its
+//! stack has actually touched — which is what makes 16k+ ranks on one OS
+//! thread practical where 16k threads are not.
+//!
+//! **Stacks.** All stacks of a world are slots of one [`StackPool`]: a
+//! single `mmap` reservation laid out `[guard page | page-aligned stack]`
+//! per slot. The reservation is `MAP_NORESERVE`, so a slot costs address
+//! space until a frame touches it, and because a stack's top is page
+//! aligned a rank that only blocks in a collective lives on one page. Every
+//! guard is `PROT_NONE`: a fiber that outgrows its stack faults *at* the
+//! overflow, before it can reach the slot below, and a `SIGSEGV`/`SIGBUS`
+//! handler turns that fault into one line on stderr and an abort. Guards
+//! split the reservation into two kernel mappings per slot, which is what
+//! bounds a world's size (see [`StackPool::acquire`]). A scheduler thread
+//! keeps its pool between worlds and hands it to the next world that fits,
+//! so a sweep of small worlds maps, guards and first-touches its stacks
+//! once.
 //!
 //! The module is intentionally minimal: [`Fiber::resume`] enters a fiber
 //! from the scheduler, [`suspend_current`] switches the running fiber back
@@ -16,12 +30,16 @@
 //! Safety containment: this is the only place in the workspace (together
 //! with the thread-local scheduler handle in `des.rs`) that needs
 //! `unsafe`; the workspace-wide `unsafe_code = "deny"` lint is re-allowed
-//! for exactly these two modules.
+//! for exactly these two modules. The handful of libc calls the pool and
+//! the fault handler make are declared in [`sys`], so no `libc` crate is
+//! needed.
 #![allow(unsafe_code)]
 
-use std::alloc::{alloc, dealloc, Layout};
 use std::arch::naked_asm;
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
+use std::ffi::{c_int, c_void};
+use std::marker::PhantomData;
+use std::sync::OnceLock;
 
 /// Default stack size per fiber. Large enough for the workload crates'
 /// deepest frames (section scopes + collective internals), small enough
@@ -29,9 +47,107 @@ use std::cell::Cell;
 /// pages are never committed.
 pub const DEFAULT_STACK_SIZE: usize = 512 * 1024;
 
-/// Value planted at the low end of every fiber stack; if a fiber ever
-/// grows past its stack the canary is the first thing it tramples.
-const STACK_CANARY: u64 = 0xFEED_FACE_CAFE_F1BE;
+/// Smallest stack a fiber is given, whatever was asked for.
+const MIN_STACK_SIZE: usize = 16 * 1024;
+
+/// The x86-64 base page: the granularity of `mprotect`, and so the size of
+/// a guard and the unit stack sizes are rounded up to.
+const PAGE: usize = 4096;
+
+/// Kernel mappings left to the rest of the process (heap arenas, thread
+/// stacks, shared objects) when a pool is sized against `vm.max_map_count`.
+const SPARE_MAPPINGS: usize = 4096;
+
+/// Linux's default `vm.max_map_count`, assumed where the sysctl cannot be
+/// read.
+const DEFAULT_MAX_MAP_COUNT: usize = 65_530;
+
+const OVERFLOW_MSG: &[u8] = b"mpisim: fiber stack overflow (raise the engine's stack size)\n";
+
+/// The libc surface of this module: memory mapping for the pool, signal
+/// plumbing for the overflow handler. Constants and struct layouts are the
+/// x86-64 Linux and macOS ones.
+mod sys {
+    use std::ffi::{c_int, c_void};
+
+    #[cfg(not(any(target_os = "linux", target_os = "macos")))]
+    compile_error!("mpisim fibers know the mmap and sigaction ABI of Linux and macOS only");
+
+    pub const PROT_NONE: c_int = 0;
+    pub const PROT_READ: c_int = 1;
+    pub const PROT_WRITE: c_int = 2;
+    pub const MAP_PRIVATE: c_int = 0x02;
+    pub const MAP_FAILED: *mut c_void = usize::MAX as *mut c_void;
+    pub const SIGSEGV: c_int = 11;
+
+    #[cfg(target_os = "linux")]
+    mod os {
+        use std::ffi::c_int;
+
+        pub const MAP_ANONYMOUS: c_int = 0x20;
+        pub const MAP_NORESERVE: c_int = 0x4000;
+        pub const MADV_NOHUGEPAGE: c_int = 15;
+        pub const SIGBUS: c_int = 7;
+        pub const SA_SIGINFO: c_int = 0x4;
+        pub const SA_ONSTACK: c_int = 0x0800_0000;
+        /// Byte offset of `si_addr` in `siginfo_t`.
+        pub const SI_ADDR_OFFSET: usize = 16;
+
+        /// `struct sigaction` as the C library's `sigaction()` takes it.
+        #[repr(C)]
+        pub struct SigAction {
+            pub handler: usize,
+            pub mask: [u64; 16],
+            pub flags: c_int,
+            pub restorer: usize,
+        }
+    }
+
+    #[cfg(target_os = "macos")]
+    mod os {
+        use std::ffi::c_int;
+
+        pub const MAP_ANONYMOUS: c_int = 0x1000;
+        pub const MAP_NORESERVE: c_int = 0x40;
+        pub const SIGBUS: c_int = 10;
+        pub const SA_SIGINFO: c_int = 0x40;
+        pub const SA_ONSTACK: c_int = 0x1;
+        /// Byte offset of `si_addr` in `siginfo_t`.
+        pub const SI_ADDR_OFFSET: usize = 24;
+
+        /// `struct sigaction` as the C library's `sigaction()` takes it.
+        #[repr(C)]
+        pub struct SigAction {
+            pub handler: usize,
+            pub mask: u32,
+            pub flags: c_int,
+        }
+    }
+
+    pub use os::*;
+
+    extern "C" {
+        pub fn mmap(
+            addr: *mut c_void,
+            len: usize,
+            prot: c_int,
+            flags: c_int,
+            fd: c_int,
+            offset: i64,
+        ) -> *mut c_void;
+        pub fn munmap(addr: *mut c_void, len: usize) -> c_int;
+        pub fn mprotect(addr: *mut c_void, len: usize, prot: c_int) -> c_int;
+        #[cfg(target_os = "linux")]
+        pub fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
+        pub fn sigaction(
+            signal: c_int,
+            action: *const SigAction,
+            previous: *mut SigAction,
+        ) -> c_int;
+        pub fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
+        pub fn abort() -> !;
+    }
+}
 
 /// Callee-saved context frame the switch pushes: 6 GP registers, plus a
 /// 16-byte slot holding mxcsr / the x87 control word, plus the return
@@ -124,79 +240,285 @@ struct FiberInner {
 thread_local! {
     /// The fiber currently running on this OS thread (null outside any).
     static RUNNING: Cell<*mut FiberInner> = const { Cell::new(std::ptr::null_mut()) };
+
+    /// The pool this thread's last world left behind, for the next one.
+    static CACHED: RefCell<Option<StackPool>> = const { RefCell::new(None) };
+
+    /// `[base, length, slot stride]` of this thread's live reservation, all
+    /// zero when it has none. Plain words with no destructor, so the fault
+    /// handler can read them from signal context.
+    static RESERVATION: Cell<[usize; 3]> = const { Cell::new([0; 3]) };
 }
 
-/// A suspended or runnable fiber owning its stack.
-pub struct Fiber {
-    inner: Box<FiberInner>,
-    stack: *mut u8,
-    layout: Layout,
+/// The `SIGSEGV` and `SIGBUS` actions in force before [`on_fault`] was
+/// installed, in that order.
+static PREVIOUS_ACTIONS: OnceLock<[sys::SigAction; 2]> = OnceLock::new();
+
+/// One reservation of fiber stacks, `capacity` slots of
+/// `[guard page | stack]`, owned by the thread that mapped it.
+pub(crate) struct StackPool {
+    base: *mut u8,
+    /// Usable bytes per slot, a multiple of [`PAGE`].
+    stack_bytes: usize,
+    capacity: usize,
 }
 
-impl Fiber {
-    /// Create a fiber that will run `entry` when first resumed.
+impl StackPool {
+    /// A pool with at least `count` stacks of at least `stack_size` bytes
+    /// each (rounded up to whole pages, [`MIN_STACK_SIZE`] at least): the
+    /// one this thread's previous world released if it fits, a fresh
+    /// reservation otherwise — the previous one is unmapped first.
+    ///
+    /// A fresh reservation is sized to the next power of two, so worlds of
+    /// similar size share it. It fails, with a message fit for one `error:`
+    /// line, when the stack size overflows, when the guards would take more
+    /// kernel mappings than `vm.max_map_count` allows (two per slot, plus
+    /// [`SPARE_MAPPINGS`]), or when the kernel refuses the address space.
+    pub(crate) fn acquire(stack_size: usize, count: usize) -> Result<StackPool, String> {
+        let stack_bytes = stack_size
+            .max(MIN_STACK_SIZE)
+            .checked_next_multiple_of(PAGE)
+            .ok_or_else(|| format!("a fiber stack of {stack_size} bytes is too large"))?;
+        let cached = CACHED.with(|cached| cached.take());
+        match cached {
+            Some(pool) if pool.stack_bytes == stack_bytes && count <= pool.capacity => Ok(pool),
+            stale => {
+                drop(stale);
+                StackPool::map(stack_bytes, count)
+            }
+        }
+    }
+
+    /// Bytes from one slot to the next: its guard page and its stack.
+    fn stride(&self) -> usize {
+        self.stack_bytes + PAGE
+    }
+
+    /// Leave the pool to this thread's next world.
+    pub(crate) fn release(self) {
+        CACHED.with(|cached| cached.replace(Some(self)));
+    }
+
+    fn map(stack_bytes: usize, count: usize) -> Result<StackPool, String> {
+        assert!(
+            RESERVATION.get()[1] == 0,
+            "mpisim: a thread holds one fiber stack reservation at a time"
+        );
+        let max_map_count = std::fs::read_to_string("/proc/sys/vm/max_map_count")
+            .ok()
+            .and_then(|text| text.trim().parse::<usize>().ok())
+            .unwrap_or(DEFAULT_MAX_MAP_COUNT);
+        let capacity = capacity_for(count, max_map_count)?;
+        let extent = stack_bytes
+            .checked_add(PAGE)
+            .and_then(|stride| Some((stride, stride.checked_mul(capacity)?)));
+        let Some((stride, len)) = extent else {
+            return Err(format!(
+                "{capacity} fiber stacks of {stack_bytes} bytes overflow the address space"
+            ));
+        };
+        // SAFETY: an anonymous private mapping at an address of the
+        // kernel's choosing aliases nothing; failure is checked.
+        let base = unsafe {
+            sys::mmap(
+                std::ptr::null_mut(),
+                len,
+                sys::PROT_READ | sys::PROT_WRITE,
+                sys::MAP_PRIVATE | sys::MAP_ANONYMOUS | sys::MAP_NORESERVE,
+                -1,
+                0,
+            )
+        };
+        if base == sys::MAP_FAILED {
+            return Err(format!(
+                "cannot reserve {len} bytes of address space for {capacity} fiber stacks of \
+                 {stack_bytes} bytes: {}",
+                std::io::Error::last_os_error()
+            ));
+        }
+        // With transparent huge pages set to `always`, one touched byte
+        // would commit 2 MiB — the stacks of four ranks. A kernel built
+        // without THP rejects the advice, which is just as good.
+        // SAFETY: the range is the mapping made above.
+        #[cfg(target_os = "linux")]
+        unsafe {
+            sys::madvise(base, len, sys::MADV_NOHUGEPAGE);
+        }
+        let base = base.cast::<u8>();
+        for slot in 0..capacity {
+            // SAFETY: the guard is the first page of slot `slot`, inside
+            // the mapping; nothing has been handed out of it yet.
+            let failed =
+                unsafe { sys::mprotect(base.add(slot * stride).cast(), PAGE, sys::PROT_NONE) != 0 };
+            if failed {
+                let cause = std::io::Error::last_os_error();
+                // Unmap before building the message: at the mapping limit
+                // the allocator cannot grow either.
+                // SAFETY: the mapping made above, not yet shared.
+                unsafe { sys::munmap(base.cast(), len) };
+                return Err(format!(
+                    "cannot guard {capacity} fiber stacks, mprotect of guard {slot}: {cause} \
+                     (vm.max_map_count is {max_map_count}, and worlds on other threads count \
+                     against it too)"
+                ));
+            }
+        }
+        RESERVATION.set([base as usize, len, stride]);
+        install_fault_handler();
+        Ok(StackPool {
+            base,
+            stack_bytes,
+            capacity,
+        })
+    }
+
+    /// Create a fiber on stack `slot` that will run `entry` when first
+    /// resumed.
     ///
     /// # Safety
     ///
-    /// The `'a` borrow inside `entry` is erased to `'static`. The caller
-    /// must keep everything `entry` borrows alive until this `Fiber` has
-    /// either run to completion or been dropped — the scheduler satisfies
-    /// this by owning all fibers in the same scope as the borrowed state
-    /// and never resuming a fiber after that scope unwinds.
-    pub unsafe fn new<'a>(stack_size: usize, entry: Box<dyn FnOnce() + 'a>) -> Fiber {
+    /// * The `'a` borrow inside `entry` is erased to `'static`. The caller
+    ///   must keep everything `entry` borrows alive until the fiber has
+    ///   either run to completion or been dropped — the scheduler satisfies
+    ///   this by owning all fibers in the same scope as the borrowed state
+    ///   and never resuming a fiber after that scope unwinds.
+    /// * No other live fiber may have been created on `slot`: two fibers
+    ///   on one stack overwrite each other's frames. The scheduler gives
+    ///   rank `i` slot `i`.
+    pub(crate) unsafe fn fiber<'a>(&self, slot: usize, entry: Box<dyn FnOnce() + 'a>) -> Fiber<'_> {
+        assert!(
+            slot < self.capacity,
+            "fiber slot {slot} of {}",
+            self.capacity
+        );
+        // SAFETY: only the lifetime changes; the caller keeps the borrows
+        // alive (first condition above).
         let entry: Box<dyn FnOnce() + 'static> = unsafe { std::mem::transmute(entry) };
-        let size = stack_size.max(16 * 1024) & !15;
-        let layout = Layout::from_size_align(size, 16).expect("fiber stack layout");
-        // SAFETY: layout has non-zero size; alloc failure is checked.
-        let stack = unsafe { alloc(layout) };
-        assert!(!stack.is_null(), "fiber stack allocation failed");
-        // SAFETY: the canary slot is the lowest 8 bytes of the fresh stack.
-        unsafe { (stack as *mut u64).write(STACK_CANARY) };
         let mut inner = Box::new(FiberInner {
             fiber_rsp: std::ptr::null_mut(),
             caller_rsp: std::ptr::null_mut(),
             done: false,
             entry: Some(entry),
         });
-        // SAFETY: stack covers [stack, stack+size); seed_stack writes the
-        // initial context frame at its high end.
-        inner.fiber_rsp = unsafe { seed_stack(stack, size, &mut *inner) };
+        // SAFETY: `slot < capacity`, so the slot's stack — the
+        // `stack_bytes` above its guard page — lies inside the mapping, is
+        // readable and writable, and by the second condition above is this
+        // fiber's alone.
+        inner.fiber_rsp = unsafe {
+            let stack = self.base.add(slot * self.stride() + PAGE);
+            seed_stack(stack, self.stack_bytes, &mut *inner)
+        };
         Fiber {
             inner,
-            stack,
-            layout,
+            stack: PhantomData,
         }
     }
+}
 
+impl Drop for StackPool {
+    fn drop(&mut self) {
+        RESERVATION.set([0; 3]);
+        // SAFETY: the mapping made in `map`; every fiber borrowed the pool
+        // and is gone. An error here could only mean the arguments are not
+        // that mapping, and a destructor has nobody to report it to.
+        unsafe { sys::munmap(self.base.cast(), self.stride() * self.capacity) };
+    }
+}
+
+/// Slots to reserve for a world of `count` ranks: the next power of two,
+/// so worlds of similar size share a pool, as far as the kernel's mapping
+/// limit allows — each slot's guard splits the reservation into two
+/// mappings, and [`SPARE_MAPPINGS`] stay with the rest of the process.
+fn capacity_for(count: usize, max_map_count: usize) -> Result<usize, String> {
+    let most = max_map_count.saturating_sub(SPARE_MAPPINGS) / 2;
+    if count > most {
+        return Err(format!(
+            "{count} fiber stacks take 2 x {count} + {SPARE_MAPPINGS} memory mappings (a stack \
+             and its guard page each, plus the rest of the process) but vm.max_map_count is \
+             {max_map_count}: the largest p that fits is {most} (raise the limit with `sysctl \
+             -w vm.max_map_count=N`)"
+        ));
+    }
+    Ok(count.next_power_of_two().min(most))
+}
+
+/// Route `SIGSEGV` and `SIGBUS` through [`on_fault`], once per process.
+fn install_fault_handler() {
+    PREVIOUS_ACTIONS.get_or_init(|| {
+        [sys::SIGSEGV, sys::SIGBUS].map(|signal| {
+            // SAFETY: all-zero is a valid `struct sigaction` (default
+            // action, empty mask, no flags).
+            let mut action: sys::SigAction = unsafe { std::mem::zeroed() };
+            action.handler = on_fault as *const () as usize;
+            // The faulting fiber has no stack left to run a handler on;
+            // std gives the main thread and every `std::thread` an
+            // alternate signal stack.
+            action.flags = sys::SA_SIGINFO | sys::SA_ONSTACK;
+            // SAFETY: as above.
+            let mut previous: sys::SigAction = unsafe { std::mem::zeroed() };
+            // SAFETY: both pointers are to live, initialised structs, and
+            // `on_fault` has the three-argument `SA_SIGINFO` signature.
+            unsafe { sys::sigaction(signal, &action, &mut previous) };
+            previous
+        })
+    });
+}
+
+/// A fault on one of this thread's guard pages is a fiber stack overflow:
+/// say so and abort. Any other fault is not ours: put the previous action
+/// back and return, so the faulting instruction runs again and the fault
+/// goes where it went before — how std's own stack-overflow handler
+/// declines a fault.
+extern "C" fn on_fault(signal: c_int, info: *const u8, _context: *mut c_void) {
+    // SAFETY: installed with `SA_SIGINFO`, so `info` points to a
+    // `siginfo_t`, which for these two signals carries the faulting
+    // address at this offset.
+    let address = unsafe { info.add(sys::SI_ADDR_OFFSET).cast::<usize>().read() };
+    let [base, len, stride] = RESERVATION.get();
+    let offset = address.wrapping_sub(base);
+    if offset < len && offset % stride < PAGE {
+        // SAFETY: `write` and `abort` are async-signal-safe; the buffer is
+        // a static.
+        unsafe {
+            sys::write(2, OVERFLOW_MSG.as_ptr().cast(), OVERFLOW_MSG.len());
+            sys::abort();
+        }
+    }
+    // SAFETY: all-zero is the default action, for a fault that arrives
+    // while `install_fault_handler` is still between its two calls.
+    let default: sys::SigAction = unsafe { std::mem::zeroed() };
+    let previous = PREVIOUS_ACTIONS.get().map_or(&default, |actions| {
+        &actions[usize::from(signal != sys::SIGSEGV)]
+    });
+    // SAFETY: `previous` is a live, initialised struct; `sigaction` is
+    // async-signal-safe.
+    unsafe { sys::sigaction(signal, previous, std::ptr::null_mut()) };
+}
+
+/// A suspended or runnable fiber on one stack of the pool it borrows.
+pub struct Fiber<'pool> {
+    inner: Box<FiberInner>,
+    stack: PhantomData<&'pool StackPool>,
+}
+
+impl Fiber<'_> {
     /// Run the fiber until it suspends or finishes; returns `true` once
     /// the fiber's entry function has returned.
+    ///
+    /// Dropping an unfinished fiber abandons its stack without running the
+    /// destructors of frames parked on it — a leak, never UB. The scheduler
+    /// only drops unfinished fibers while unwinding from a harness-level
+    /// failure.
     pub fn resume(&mut self) -> bool {
         assert!(!self.inner.done, "resumed a finished fiber");
         let inner: *mut FiberInner = &mut *self.inner;
         let previous = RUNNING.with(|running| running.replace(inner));
         // SAFETY: both pointers are fields of the live boxed FiberInner;
         // the seeded (or previously saved) fiber_rsp points into this
-        // fiber's own stack allocation.
+        // fiber's own stack slot, which the borrowed pool keeps mapped.
         unsafe { switch_context(&mut (*inner).caller_rsp, &mut (*inner).fiber_rsp) };
         RUNNING.with(|running| running.set(previous));
-        // SAFETY: the canary slot was initialised in `new`.
-        let canary = unsafe { (self.stack as *const u64).read() };
-        assert!(
-            canary == STACK_CANARY,
-            "fiber stack overflow (raise the engine's stack size)"
-        );
         self.inner.done
-    }
-}
-
-impl Drop for Fiber {
-    fn drop(&mut self) {
-        // Dropping an unfinished fiber abandons its stack without running
-        // the destructors of frames parked on it — a leak, never UB. The
-        // scheduler only drops unfinished fibers while unwinding from a
-        // harness-level failure.
-        // SAFETY: allocated with this exact layout in `new`.
-        unsafe { dealloc(self.stack, self.layout) };
     }
 }
 
@@ -223,7 +545,7 @@ pub fn in_fiber() -> bool {
 ///
 /// # Safety
 ///
-/// `stack` must point to a live allocation of `size` bytes.
+/// `stack` must point to `size` writable bytes that no live fiber uses.
 unsafe fn seed_stack(stack: *mut u8, size: usize, inner: *mut FiberInner) -> *mut u8 {
     let top = unsafe { stack.add(size) };
     let frame = unsafe { top.sub(CTX_FRAME).cast::<u64>() };
@@ -245,14 +567,18 @@ unsafe fn seed_stack(stack: *mut u8, size: usize, inner: *mut FiberInner) -> *mu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
     use std::rc::Rc;
+
+    fn pool(count: usize) -> StackPool {
+        StackPool::acquire(32 * 1024, count).expect("stack pool")
+    }
 
     #[test]
     fn runs_to_completion() {
         let hit = Rc::new(Cell::new(false));
         let h = hit.clone();
-        let mut f = unsafe { Fiber::new(64 * 1024, Box::new(move || h.set(true))) };
+        let pool = pool(1);
+        let mut f = unsafe { pool.fiber(0, Box::new(move || h.set(true))) };
         assert!(f.resume());
         assert!(hit.get());
     }
@@ -261,9 +587,10 @@ mod tests {
     fn suspend_and_resume_interleave() {
         let log = Rc::new(RefCell::new(Vec::new()));
         let l = log.clone();
+        let pool = pool(1);
         let mut f = unsafe {
-            Fiber::new(
-                64 * 1024,
+            pool.fiber(
+                0,
                 Box::new(move || {
                     l.borrow_mut().push("a");
                     suspend_current();
@@ -283,12 +610,13 @@ mod tests {
     #[test]
     fn many_fibers_round_robin() {
         let counter = Rc::new(Cell::new(0u64));
-        let mut fibers: Vec<Fiber> = (0..100)
-            .map(|_| {
+        let pool = pool(100);
+        let mut fibers: Vec<Fiber<'_>> = (0..100)
+            .map(|slot| {
                 let c = counter.clone();
                 unsafe {
-                    Fiber::new(
-                        32 * 1024,
+                    pool.fiber(
+                        slot,
                         Box::new(move || {
                             for _ in 0..10 {
                                 c.set(c.get() + 1);
@@ -316,7 +644,8 @@ mod tests {
         let mut total = 0u64;
         {
             let t = &mut total;
-            let mut f = unsafe { Fiber::new(32 * 1024, Box::new(move || *t = 41 + 1)) };
+            let pool = pool(1);
+            let mut f = unsafe { pool.fiber(0, Box::new(move || *t = 41 + 1)) };
             assert!(f.resume());
         }
         assert_eq!(total, 42);
@@ -327,7 +656,8 @@ mod tests {
         assert!(!in_fiber());
         let seen = Rc::new(Cell::new(false));
         let s = seen.clone();
-        let mut f = unsafe { Fiber::new(32 * 1024, Box::new(move || s.set(in_fiber()))) };
+        let pool = pool(1);
+        let mut f = unsafe { pool.fiber(0, Box::new(move || s.set(in_fiber()))) };
         f.resume();
         assert!(seen.get());
         assert!(!in_fiber());
@@ -340,9 +670,10 @@ mod tests {
         // results must still be correct after interleaved fibers.
         let out = Rc::new(Cell::new(0.0f64));
         let o = out.clone();
+        let pool = pool(1);
         let mut f = unsafe {
-            Fiber::new(
-                32 * 1024,
+            pool.fiber(
+                0,
                 Box::new(move || {
                     let x = 1.5f64;
                     suspend_current();
@@ -354,5 +685,94 @@ mod tests {
         let _noise = (0..100).map(|i| (i as f64).sqrt()).sum::<f64>();
         assert!(f.resume());
         assert_eq!(out.get(), 3.25);
+    }
+
+    /// Where a world's pool lands: the released one when it fits, a fresh
+    /// reservation (the old one unmapped first — `map` asserts the thread
+    /// holds no other) when the world is larger or the stack size differs.
+    #[test]
+    fn released_pool_serves_the_next_world_that_fits() {
+        let first = StackPool::acquire(64 * 1024, 64).expect("p = 64");
+        let (base, capacity) = (first.base, first.capacity);
+        assert_eq!(capacity, 64);
+        first.release();
+        for count in [8, 64] {
+            let again = StackPool::acquire(64 * 1024, count).expect("reused");
+            assert_eq!((again.base, again.capacity), (base, capacity));
+            assert_eq!(RESERVATION.get()[0], base as usize);
+            again.release();
+        }
+        let grown = StackPool::acquire(64 * 1024, 100).expect("p = 100");
+        assert_eq!(grown.capacity, 128, "rounded up to a power of two");
+        assert_eq!(RESERVATION.get()[0], grown.base as usize);
+        grown.release();
+        let resized = StackPool::acquire(40_000, 100).expect("different stack size");
+        assert_eq!(resized.stack_bytes, 40_960, "rounded up to pages");
+        assert_eq!(RESERVATION.get()[2], 40_960 + PAGE);
+        drop(resized);
+        assert_eq!(RESERVATION.get(), [0; 3]);
+        assert!(CACHED.with(|cached| cached.borrow().is_none()));
+    }
+
+    #[test]
+    fn stack_sizes_are_clamped_or_refused_without_panicking() {
+        let smallest = StackPool::acquire(0, 1).expect("the minimum stack");
+        assert_eq!(smallest.stack_bytes, MIN_STACK_SIZE);
+        drop(smallest);
+        let refused = StackPool::acquire(usize::MAX, 1)
+            .err()
+            .expect("no such stack");
+        assert!(refused.contains("too large"), "{refused}");
+        let refused = StackPool::acquire(usize::MAX / 2, 4)
+            .err()
+            .expect("no such address space");
+        assert!(refused.contains("address space"), "{refused}");
+    }
+
+    #[test]
+    fn capacity_is_a_power_of_two_within_the_mapping_limit() {
+        assert_eq!(capacity_for(1, DEFAULT_MAX_MAP_COUNT), Ok(1));
+        assert_eq!(capacity_for(100, DEFAULT_MAX_MAP_COUNT), Ok(128));
+        assert_eq!(capacity_for(16_384, DEFAULT_MAX_MAP_COUNT), Ok(16_384));
+        // 2 x 32768 + 4096 mappings are over the default limit: the pool
+        // stops at what fits instead of refusing a p that does.
+        assert_eq!(capacity_for(16_385, DEFAULT_MAX_MAP_COUNT), Ok(30_717));
+        assert_eq!(capacity_for(30_717, DEFAULT_MAX_MAP_COUNT), Ok(30_717));
+        let refused = capacity_for(40_000, DEFAULT_MAX_MAP_COUNT).expect_err("over the limit");
+        assert!(refused.contains("vm.max_map_count is 65530"), "{refused}");
+        assert!(
+            refused.contains("largest p that fits is 30717"),
+            "{refused}"
+        );
+        assert!(!refused.contains('\n'), "one line: {refused}");
+        assert!(capacity_for(1, 100).is_err(), "a limit below the spare");
+    }
+
+    /// Adjacent slots do not overlap and every byte of a stack is usable:
+    /// filling slot 1 to its lowest byte leaves the frames parked at the
+    /// top of slot 0 — the first thing an unguarded overflow would reach —
+    /// intact.
+    #[test]
+    fn a_full_stack_stops_short_of_its_neighbour() {
+        let pool = pool(2);
+        let resumed = Rc::new(Cell::new(false));
+        let r = resumed.clone();
+        let mut below = unsafe {
+            pool.fiber(
+                0,
+                Box::new(move || {
+                    let parked = std::hint::black_box([0xA5u8; 256]);
+                    suspend_current();
+                    r.set(parked.iter().all(|&b| b == 0xA5));
+                }),
+            )
+        };
+        assert!(!below.resume());
+        // SAFETY: slot 1's stack, which no fiber uses.
+        let above = unsafe { pool.base.add(pool.stride() + PAGE) };
+        // SAFETY: the same stack, whole.
+        unsafe { std::ptr::write_bytes(above, 0x5A, pool.stack_bytes) };
+        assert!(below.resume());
+        assert!(resumed.get());
     }
 }

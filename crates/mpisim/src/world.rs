@@ -115,8 +115,11 @@ impl WorldBuilder {
     }
 
     /// Per-rank fiber stack size for the DES engine (ignored by the
-    /// threads engine). Untouched pages are never committed, so a generous
-    /// size costs address space, not memory.
+    /// threads engine), rounded up to whole pages and to 16 KiB at least.
+    /// Untouched pages are never committed, so a generous size costs
+    /// address space — the stack plus one guard page per rank — not
+    /// memory. A size the host cannot map fails [`WorldBuilder::run`] with
+    /// [`RunError::StackReservation`].
     pub fn stack_size(mut self, bytes: usize) -> Self {
         self.stack_size = bytes;
         self
@@ -305,9 +308,11 @@ where
 
     let scheduler = Rc::new(crate::des::Scheduler::new(nranks));
     let _active = crate::des::install(scheduler.clone());
+    let stacks =
+        crate::fiber::StackPool::acquire(stack_size, nranks).map_err(RunError::StackReservation)?;
     let outcomes: Rc<RefCell<Vec<Outcome<R>>>> =
         Rc::new(RefCell::new((0..nranks).map(|_| None).collect()));
-    let mut fibers: Vec<crate::fiber::Fiber> = (0..nranks)
+    let mut fibers: Vec<crate::fiber::Fiber<'_>> = (0..nranks)
         .map(|rank| {
             let outcomes = outcomes.clone();
             let body = move || {
@@ -326,13 +331,15 @@ where
             };
             // SAFETY: the fibers borrow `shared` and `f`, which outlive
             // them in this function, and `drive` runs every fiber to
-            // completion before we return (panics unwind through the
-            // fiber drop glue, which only frees stacks).
-            unsafe { crate::fiber::Fiber::new(stack_size, Box::new(body)) }
+            // completion before we return (a panic unwinds through the
+            // fibers' drop glue and then unmaps their stacks). Rank `rank`
+            // is the only fiber on slot `rank`.
+            unsafe { stacks.fiber(rank, Box::new(body)) }
         })
         .collect();
     scheduler.drive(&mut fibers, &|| shared.poison.set());
     drop(fibers);
+    stacks.release();
     let outcomes: Vec<Result<(R, VTime), RankFailure>> = Rc::into_inner(outcomes)
         .expect("fibers dropped")
         .into_inner()

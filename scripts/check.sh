@@ -14,6 +14,14 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> fiber stacks come from the pooled reservation only"
+# One allocation path: no heap-allocated stack and no after-the-fact
+# canary may come back beside the guarded `StackPool`.
+if grep -n 'std::alloc\|STACK_CANARY' crates/mpisim/src/fiber.rs; then
+    echo "crates/mpisim/src/fiber.rs: a second stack allocator or a canary is back"
+    exit 1
+fi
+
 echo "==> benchmark package builds against these crates (the root test never compiles it)"
 (cd benchmark && cargo test --release --quiet)
 cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- suite --smoke > /dev/null
@@ -196,5 +204,15 @@ grep -q '"dropped_edges"' "$smoke_summary" \
 grep -q '"schema":"mpisim-summary-v1"' "$smoke_summary" \
     || { echo "summary JSON missing schema marker"; exit 1; }
 rm -f "$smoke_summary"
+
+echo "==> smoke: one reservation for 16384 stacks, conv --p 16384 --steps 1 (time-boxed)"
+# The benchmark's scale through the CLI: the mapping-budget check, 16384
+# guard pages, one step, and teardown of the whole reservation at exit.
+stacks_start="$(date +%s)"
+cargo run -q --release -p bench --bin profile -- \
+    conv --p 16384 --steps 1 --machine ideal > /dev/null
+stacks_secs="$(( $(date +%s) - stacks_start ))"
+test "$stacks_secs" -le 60 \
+    || { echo "p=16384 one-step smoke took ${stacks_secs}s (> 60s box)"; exit 1; }
 
 echo "==> all checks passed"
