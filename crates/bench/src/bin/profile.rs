@@ -50,7 +50,7 @@ const ITERS: Flag = Flag::value("--iters", "N", "lulesh iterations (default 100)
 const ENGINE: Flag = Flag::value(
     "--engine",
     "E",
-    "threads | des (default: des on x86-64, threads elsewhere; also MPISIM_ENGINE)",
+    "threads | des (default: des; also MPISIM_ENGINE)",
 );
 const MACHINE: Flag = Flag::value(
     "--machine",
@@ -270,15 +270,6 @@ fn config(flags: &Parsed) -> Result<Config, String> {
     let verify_budget = flags.num(&VERIFY_BUDGET, 64)?;
     if verify_budget == 0 {
         return Err(format!("{} expects N >= 1", VERIFY_BUDGET.name));
-    }
-    // Schedule control relies on the DES engine's deterministic global
-    // decision order; under the threads engine the forced prefix can
-    // interleave differently across receivers and replay is unsound.
-    if (flags.has(&VERIFY) || flags.has(&REPLAY_SCHEDULE)) && engine == Some(Engine::Threads) {
-        return Err(format!(
-            "{}/{} require the des engine",
-            VERIFY.name, REPLAY_SCHEDULE.name
-        ));
     }
     let what_if = flags
         .all(&WHAT_IF)

@@ -68,11 +68,11 @@ pub struct Launch<'a> {
     pub machine: &'a MachineModel,
     /// Noise seed.
     pub seed: u64,
-    /// `None` keeps the builder default (DES on x86-64, honoring
-    /// `MPISIM_ENGINE`).
+    /// `None` keeps the builder default (`des`, honoring `MPISIM_ENGINE`).
     pub engine: Option<Engine>,
-    /// Steers wildcard matching (exploration, witness replay). Forces the
-    /// DES engine, whose global decision order is deterministic.
+    /// Steers wildcard matching (exploration, witness replay). Either
+    /// engine's global decision order is deterministic; a witness replays
+    /// under the engine that recorded it.
     pub controller: Option<Arc<dyn MatchController>>,
 }
 
@@ -89,11 +89,12 @@ impl Launch<'_> {
             .machine(self.machine.clone())
             .seed(self.seed)
             .tool(sections.clone());
-        builder = match (self.controller, self.engine) {
-            (Some(controller), _) => builder.engine(Engine::Des).match_controller(controller),
-            (None, Some(engine)) => builder.engine(engine),
-            (None, None) => builder,
-        };
+        if let Some(engine) = self.engine {
+            builder = builder.engine(engine);
+        }
+        if let Some(controller) = self.controller {
+            builder = builder.match_controller(controller);
+        }
         for tool in tools {
             builder = builder.tool(tool);
         }

@@ -70,6 +70,40 @@ fn race_verify_is_pinned_and_exits_1() {
     );
 }
 
+/// Exploration steers the same scheduler on either engine. The reference
+/// engine queues the three senders in the opposite order, so the canonical
+/// run and the fingerprints differ — pinned apart — while the exploration
+/// summary and the verdict at each site may not.
+#[test]
+fn race_verify_on_the_threads_engine_confirms_the_same_sites() {
+    let flags = "race --p 4 --verify --verify-json verify.json --engine";
+    pinned(
+        "race-verify-threads",
+        &format!("{flags} threads"),
+        1,
+        &[0xe646bd4e5de2b0ad, 0xc12d702715ee28fb],
+    );
+    let dir = scratch("race-verify-sites");
+    let [des, threads] = ["des", "threads"].map(|engine| {
+        let args: Vec<&str> = flags.split_whitespace().chain([engine]).collect();
+        let out = run(PROFILE, &dir, &args);
+        assert_eq!(out.code, 1, "{engine}: stderr:\n{}", out.stderr);
+        out.stdout
+            .lines()
+            .filter_map(|line| match line {
+                summary if summary.starts_with("verify: ") => Some(summary),
+                site if site.contains(" wildcard #") => site.split(':').next(),
+                _ => None,
+            })
+            .map(str::to_string)
+            .collect::<Vec<_>>()
+    });
+    assert_eq!(des, threads);
+    assert_eq!(des.len(), 4, "the summary and three sites: {des:?}");
+    assert!(des[1].contains("CONFIRMED") && des[2].contains("CONFIRMED"));
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 #[test]
 fn hostile_command_lines_get_one_error_line_and_the_usage() {
     for (exe, args, needle) in [

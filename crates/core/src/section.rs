@@ -15,10 +15,13 @@
 //! * **Collective consistency** ([`VerifyMode::Active`], the default):
 //!   every rank of a communicator must traverse the same sequence of
 //!   section enters/exits. The check shares a per-communicator event log
-//!   guarded by a mutex — no time synchronization is introduced, only
-//!   detection. This is the paper's "selectively enabled" switch: pass
-//!   [`VerifyMode::Off`] for production-scale sweeps, where the shared
-//!   log's lock traffic and growth are measurable.
+//!   — no time synchronization is introduced, only detection. This is the
+//!   paper's "selectively enabled" switch: pass [`VerifyMode::Off`] for
+//!   production-scale sweeps, where the shared log's growth is measurable.
+//!
+//! A world runs one rank at a time, so all of this lives behind one lock
+//! that is never contended within a world: a rank's enter or exit takes it
+//! once, and tools are called after it is released.
 
 use crate::fasthash::FastMap;
 use crate::tool::{EnterInfo, LeaveInfo, SectionTool};
@@ -95,25 +98,44 @@ struct CommSections {
 /// opens `MPI_MAIN` there). A rank belongs to a handful.
 type RankSections = Vec<CommSections>;
 
-/// Shard `s` holds the world ranks `s, s + SHARDS, ...`, rank `r` at index
-/// `r / SHARDS`: a rank's state is one lock and one index away.
+/// Everything the runtime's one lock guards.
 #[derive(Default)]
-struct Shard {
-    /// The entries of the runtime's label table this shard's ranks have
-    /// used, so an enter resolves its label under the one lock it takes.
+struct State {
+    /// The label table: one `Arc<str>` per label and one dense id per
+    /// (comm, label), assigned in first-seen order. Every rank's frames,
+    /// `EnterInfo`/`LeaveInfo` and section events share the label's one
+    /// allocation, so downstream interners can recognise it by address.
     labels: LabelMap,
+    /// Section state by world rank.
     ranks: Vec<RankSections>,
+    /// Per communicator, the agreed sequence of section events (grown by
+    /// the first rank to perform each step).
+    verify_log: FastMap<CommId, Vec<VerifyEvent>>,
 }
 
-/// The rank's slot in its shard's table. `Init` sizes the table to the
-/// world; a rank that shows up without one (the `PcontrolAdapter` path on
-/// a runtime that is not registered as a tool) grows it.
+/// The rank's slot in the table. `Init` sizes the table to the world; a
+/// rank that shows up without one (the `PcontrolAdapter` path on a runtime
+/// that is not registered as a tool) grows it.
 fn rank_sections(ranks: &mut Vec<RankSections>, world_rank: usize) -> &mut RankSections {
-    let slot = world_rank / SHARDS;
-    if ranks.len() <= slot {
-        ranks.resize_with(slot + 1, Vec::new);
+    if ranks.len() <= world_rank {
+        ranks.resize_with(world_rank + 1, Vec::new);
     }
-    &mut ranks[slot]
+    &mut ranks[world_rank]
+}
+
+/// The one allocation and the id of (comm, label), assigned here if this
+/// is its first enter anywhere in the runtime.
+fn intern(labels: &mut LabelMap, comm: CommId, label: &str) -> (Arc<str>, u32) {
+    if let Some(known) = section_of(labels, comm, label) {
+        return known;
+    }
+    let id = labels.values().map(Vec::len).sum::<usize>() as u32;
+    let name = match labels.get_key_value(label) {
+        Some((name, _)) => name.clone(),
+        None => Arc::from(label),
+    };
+    labels.entry(name.clone()).or_default().push((comm, id));
+    (name, id)
 }
 
 /// Index of `comm` among the rank's communicators, added on first use.
@@ -146,8 +168,6 @@ enum VerifyEvent {
     Exit(Arc<str>),
 }
 
-const SHARDS: usize = 64;
-
 /// Fixed tool-slot capacity (see [`SectionRuntime::attach`]).
 const MAX_TOOLS: usize = 16;
 
@@ -158,13 +178,8 @@ const MAX_TOOLS: usize = 16;
 ///
 /// [`exit`]: SectionRuntime::exit
 pub struct SectionRuntime {
-    /// Rank state, sharded by world rank to keep enter/exit non-intrusive.
-    shards: Vec<Mutex<Shard>>,
+    state: Mutex<State>,
     verify: VerifyMode,
-    /// Per communicator, the agreed sequence of section events (grown by
-    /// the first rank to perform each step). Taken under the rank's shard
-    /// lock, never the other way round.
-    verify_log: Mutex<FastMap<CommId, Vec<VerifyEvent>>>,
     /// Attached tools in fixed write-once slots: the dispatch loop reads
     /// them lock-free (`OnceLock::get` is one `Acquire` load), which
     /// matters because every section exit walks this list.
@@ -175,26 +190,17 @@ pub struct SectionRuntime {
     /// Cached count of tools whose [`SectionTool::wants_enter`] is true;
     /// when zero, enters skip `EnterInfo` and the dispatch chain.
     n_enter_tools: AtomicUsize,
-    /// The runtime-wide label table: one `Arc<str>` per label and one
-    /// dense id per (comm, label), assigned in first-seen order. Every
-    /// rank's frames, `EnterInfo`/`LeaveInfo` and section events share the
-    /// label's one allocation, so downstream interners can recognise it
-    /// by address. Consulted once per shard and (comm, label); after that
-    /// the shard's own copy of the entry answers.
-    labels: Mutex<LabelMap>,
 }
 
 impl SectionRuntime {
     /// A runtime with the given verification mode and no tools.
     pub fn new(verify: VerifyMode) -> Arc<SectionRuntime> {
         Arc::new(SectionRuntime {
-            shards: (0..SHARDS).map(|_| Mutex::default()).collect(),
+            state: Mutex::default(),
             verify,
-            verify_log: Mutex::new(FastMap::default()),
             tools: std::array::from_fn(|_| OnceLock::new()),
             n_tools: AtomicUsize::new(0),
             n_enter_tools: AtomicUsize::new(0),
-            labels: Mutex::default(),
         })
     }
 
@@ -323,10 +329,10 @@ impl SectionRuntime {
 
     /// Depth of open sections for a rank on a communicator (diagnostics).
     pub fn depth(&self, world_rank: usize, comm: CommId) -> usize {
-        let shard = self.shards[world_rank % SHARDS].lock();
-        shard
+        let state = self.state.lock();
+        state
             .ranks
-            .get(world_rank / SHARDS)
+            .get(world_rank)
             .and_then(|rank| rank.iter().find(|c| c.comm == comm))
             .map_or(0, |c| c.stack.len())
     }
@@ -349,19 +355,12 @@ impl SectionRuntime {
         // frame.
         let need_label = want_label || enter_tools;
         let (label, id, occurrence, depth) = {
-            let mut shard = self.shards[world_rank % SHARDS].lock();
-            let (label, id) = match section_of(&shard.labels, comm.id, label) {
-                Some(known) => known,
-                None => {
-                    let (name, id) = self.intern(comm.id, label);
-                    let on = shard.labels.entry(name.clone()).or_default();
-                    on.push((comm.id, id));
-                    (name, id)
-                }
-            };
-            let rank = rank_sections(&mut shard.ranks, world_rank);
+            let state = &mut *self.state.lock();
+            let (label, id) = intern(&mut state.labels, comm.id, label);
+            let rank = rank_sections(&mut state.ranks, world_rank);
             let at = comm_index(rank, comm.id);
-            self.verify_step(world_rank, rank, at, true, &label, || label.clone());
+            let log = &mut state.verify_log;
+            self.verify_step(log, world_rank, rank, at, true, &label, || label.clone());
             let cs = &mut rank[at];
             cs.events += 1;
             let occurrence = match cs.occurrences.iter_mut().find(|(sec, _)| *sec == id) {
@@ -409,8 +408,8 @@ impl SectionRuntime {
                 }
             }
             if data != [0u8; 32] {
-                let mut shard = self.shards[world_rank % SHARDS].lock();
-                let rank = rank_sections(&mut shard.ranks, world_rank);
+                let mut state = self.state.lock();
+                let rank = rank_sections(&mut state.ranks, world_rank);
                 let open = rank.iter_mut().find(|c| c.comm == comm.id);
                 if let Some(frame) = open.and_then(|c| c.stack.last_mut()) {
                     frame.data = data;
@@ -432,12 +431,13 @@ impl SectionRuntime {
         now: VTime,
     ) -> (SectionData, Arc<str>) {
         let (frame, depth) = {
-            let mut shard = self.shards[world_rank % SHARDS].lock();
-            let rank = rank_sections(&mut shard.ranks, world_rank);
+            let state = &mut *self.state.lock();
+            let rank = rank_sections(&mut state.ranks, world_rank);
             let at = comm_index(rank, comm.id);
             // The log shares the frame's label when the exit is the one
             // perfect nesting allows; a misnested exit allocates its own.
-            self.verify_step(world_rank, rank, at, false, label, || {
+            let log = &mut state.verify_log;
+            self.verify_step(log, world_rank, rank, at, false, label, || {
                 match rank[at].stack.last() {
                     Some(frame) if &*frame.label == label => frame.label.clone(),
                     _ => Arc::from(label),
@@ -514,27 +514,13 @@ impl SectionRuntime {
         }
     }
 
-    /// The one allocation and the id of (comm, label), assigned here if
-    /// this is its first enter anywhere in the runtime (cold path).
-    fn intern(&self, comm: CommId, label: &str) -> (Arc<str>, u32) {
-        let mut labels = self.labels.lock();
-        if let Some(known) = section_of(&labels, comm, label) {
-            return known;
-        }
-        let id = labels.values().map(Vec::len).sum::<usize>() as u32;
-        let name = match labels.get_key_value(label) {
-            Some((name, _)) => name.clone(),
-            None => Arc::from(label),
-        };
-        labels.entry(name.clone()).or_default().push((comm, id));
-        (name, id)
-    }
-
     /// Check the rank's next section event on communicator `rank[at]`
-    /// against the communicator's log, appending it (with the label
-    /// `shared` hands over) when this rank is the first to get there.
+    /// against the communicator's log in `logs`, appending it (with the
+    /// label `shared` hands over) when this rank is the first to get there.
+    #[allow(clippy::too_many_arguments)]
     fn verify_step(
         &self,
+        logs: &mut FastMap<CommId, Vec<VerifyEvent>>,
         world_rank: usize,
         rank: &RankSections,
         at: usize,
@@ -554,7 +540,6 @@ impl SectionRuntime {
         };
         let cs = &rank[at];
         let pos = cs.events as usize;
-        let mut logs = self.verify_log.lock();
         let log = logs.entry(cs.comm).or_default();
         let Some(expected) = log.get(pos) else {
             assert!(
@@ -626,11 +611,10 @@ impl Tool for SectionRuntime {
         match event {
             MpiEvent::Init { size, time } => {
                 {
-                    // Size this rank's shard to the world at once.
-                    let mut shard = self.shards[world_rank % SHARDS].lock();
-                    let slots = size.div_ceil(SHARDS);
-                    if shard.ranks.len() < slots {
-                        shard.ranks.resize_with(slots, Vec::new);
+                    // Size the table to the world at once.
+                    let mut state = self.state.lock();
+                    if state.ranks.len() < *size {
+                        state.ranks.resize_with(*size, Vec::new);
                     }
                 }
                 self.enter_at(
@@ -667,10 +651,10 @@ impl Tool for SectionRuntime {
     /// When a rank panics, report its open-section stacks so the failure
     /// message carries the phase the rank died in.
     fn rank_context(&self, world_rank: usize) -> Option<String> {
-        let shard = self.shards[world_rank % SHARDS].lock();
-        let mut parts: Vec<String> = shard
+        let state = self.state.lock();
+        let mut parts: Vec<String> = state
             .ranks
-            .get(world_rank / SHARDS)?
+            .get(world_rank)?
             .iter()
             .filter(|cs| !cs.stack.is_empty())
             .map(|cs| {
@@ -892,12 +876,12 @@ mod tests {
         // The `PcontrolAdapter` path on a runtime that is not registered
         // as a tool: no `Init` has sized the table.
         let sections = SectionRuntime::new(VerifyMode::Active);
-        let far = 5 * SHARDS + 3;
+        let far = 323;
         sections.enter_world_section(far, far + 1, "phase", VTime::ZERO);
         assert_eq!(sections.depth(far, CommId::WORLD), 1);
-        // Same shard, lower slots: present now, and empty.
+        // Lower slots are present now, and empty; higher ones still absent.
         assert_eq!(sections.depth(3, CommId::WORLD), 0);
-        assert_eq!(sections.depth(far + SHARDS, CommId::WORLD), 0);
+        assert_eq!(sections.depth(far + 64, CommId::WORLD), 0);
         sections.exit_world_section(far, far + 1, "phase", VTime::from_nanos(5));
         assert_eq!(sections.depth(far, CommId::WORLD), 0);
     }

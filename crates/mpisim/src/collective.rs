@@ -16,10 +16,13 @@
 //! generation; earlier generations only linger in `done` until their last
 //! reader leaves. The per-generation records let fast ranks start the next
 //! collective while slow ranks still read the previous one.
+//!
+//! An early arriver suspends its fiber; the last arriver re-queues every
+//! participant with the world's scheduler (`crate::des`).
 
 use crate::mailbox::Poison;
 use machine::VTime;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::any::Any;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -79,28 +82,18 @@ struct RvState {
 
 /// The rendezvous object of one communicator.
 pub struct Rendezvous {
-    p: usize,
     state: Mutex<RvState>,
-    cv: Condvar,
     /// World ranks of the participants, indexed by local rank — who the
-    /// DES scheduler must wake when the collective completes. `None` for
-    /// standalone rendezvous (unit tests) that only run under threads.
-    members: Option<Arc<Vec<usize>>>,
+    /// scheduler must wake when the collective completes.
+    members: Arc<Vec<usize>>,
 }
 
 impl Rendezvous {
-    /// A rendezvous for `p` participants.
-    pub fn new(p: usize) -> Self {
-        Rendezvous::with_members(p, None)
-    }
-
     /// A rendezvous whose participants are the given world ranks (indexed
-    /// by local rank). The registry always uses this form so the DES
-    /// engine knows which fibers to revive.
-    pub fn with_members(p: usize, members: Option<Arc<Vec<usize>>>) -> Self {
-        debug_assert!(members.as_ref().is_none_or(|m| m.len() == p));
+    /// by local rank).
+    pub fn new(members: Arc<Vec<usize>>) -> Self {
+        let p = members.len();
         Rendezvous {
-            p,
             state: Mutex::new(RvState {
                 gen: 0,
                 arrived: 0,
@@ -110,24 +103,13 @@ impl Rendezvous {
                 op: None,
                 done: HashMap::new(),
             }),
-            cv: Condvar::new(),
             members,
-        }
-    }
-
-    /// Under the DES engine, make every (other) participant runnable.
-    #[cfg(target_arch = "x86_64")]
-    fn des_wake_members(&self, scheduler: &crate::des::Scheduler) {
-        if let Some(members) = &self.members {
-            for &world_rank in members.iter() {
-                scheduler.wake(world_rank);
-            }
         }
     }
 
     /// Number of participants.
     pub fn participants(&self) -> usize {
-        self.p
+        self.members.len()
     }
 
     /// Execute one collective phase for local rank `local`.
@@ -135,7 +117,7 @@ impl Rendezvous {
     /// `op` is a static label used to detect mismatched collectives (one
     /// rank in a barrier while another is in a bcast), which panics as it
     /// would abort a real MPI program. `compute_exit` runs exactly once per
-    /// generation, on the last arriving rank's thread.
+    /// generation, on the last arriving rank.
     ///
     /// Returns the generation's [`Done`] record; the caller must finish by
     /// calling [`Rendezvous::finish_read`] exactly once.
@@ -153,7 +135,8 @@ impl Rendezvous {
     where
         F: FnOnce(&RvView<'_>) -> VTime,
     {
-        assert!(local < self.p, "mpisim: local rank {local} out of range");
+        let p = self.participants();
+        assert!(local < p, "mpisim: local rank {local} out of range");
         let mut st = self.state.lock();
         poison.check();
         match st.op {
@@ -172,7 +155,7 @@ impl Rendezvous {
         st.slots[local] = slot;
         st.total_bytes += bytes;
         st.arrived += 1;
-        if st.arrived == self.p {
+        if st.arrived == p {
             // Last arriver: compute and publish, then open the next
             // generation for arrivals.
             let exit = {
@@ -180,17 +163,17 @@ impl Rendezvous {
                     entries: &st.entries,
                     total_bytes: st.total_bytes,
                     gen,
-                    p: self.p,
+                    p,
                 };
                 compute_exit(&view)
             };
-            let slots = std::mem::replace(&mut st.slots, (0..self.p).map(|_| None).collect());
+            let slots = std::mem::replace(&mut st.slots, (0..p).map(|_| None).collect());
             let done = Arc::new(Done {
                 exit,
                 total_bytes: st.total_bytes,
                 slots: Mutex::new(slots),
                 folded: Mutex::new(None),
-                remaining_readers: Mutex::new(self.p),
+                remaining_readers: Mutex::new(p),
             });
             st.done.insert(gen, done.clone());
             st.gen += 1;
@@ -198,11 +181,7 @@ impl Rendezvous {
             st.total_bytes = 0;
             st.op = None;
             st.entries.iter_mut().for_each(|e| *e = VTime::ZERO);
-            #[cfg(target_arch = "x86_64")]
-            if crate::des::with_active(|s| self.des_wake_members(s)).is_some() {
-                return (gen, done);
-            }
-            self.cv.notify_all();
+            crate::des::with_active(|s| self.members.iter().for_each(|&rank| s.wake(rank)));
             (gen, done)
         } else {
             // Wait until this generation completes.
@@ -211,17 +190,12 @@ impl Rendezvous {
                     return (gen, done.clone());
                 }
                 poison.check();
-                #[cfg(target_arch = "x86_64")]
-                if crate::des::is_active() {
-                    // Suspend this fiber; the last arriver (or the poison
-                    // path) re-queues it. Release the state lock first —
-                    // peers run on this same scheduler thread.
-                    drop(st);
-                    crate::des::with_active(|s| s.block_current());
-                    st = self.state.lock();
-                    continue;
-                }
-                self.cv.wait(&mut st);
+                // Suspend this fiber; the last arriver (or the poison
+                // path) re-queues it. Release the state lock first — peers
+                // take it while this rank sleeps.
+                drop(st);
+                crate::des::with_active(|s| s.block_current());
+                st = self.state.lock();
             }
         }
     }
@@ -239,61 +213,62 @@ impl Rendezvous {
             self.state.lock().done.remove(&gen);
         }
     }
-
-    /// Wake all blocked participants (world poisoning).
-    pub fn wake_all(&self) {
-        #[cfg(target_arch = "x86_64")]
-        if crate::des::with_active(|s| self.des_wake_members(s)).is_some() {
-            return;
-        }
-        let _guard = self.state.lock();
-        self.cv.notify_all();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Engine, RunError, WorldBuilder};
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::thread;
 
-    fn run_barrier(p: usize, entries: Vec<u64>) -> Vec<VTime> {
-        let rv = Arc::new(Rendezvous::new(p));
-        let poison = Arc::new(Poison::default());
-        let computed = Arc::new(AtomicUsize::new(0));
-        thread::scope(|s| {
-            let mut handles = Vec::new();
-            for (local, entry) in entries.iter().copied().enumerate() {
-                let rv = rv.clone();
-                let poison = poison.clone();
-                let computed = computed.clone();
-                handles.push(s.spawn(move || {
-                    let (gen, done) = rv.arrive(
-                        local,
-                        "barrier",
-                        VTime::from_nanos(entry),
-                        0,
-                        None,
-                        |view| {
-                            computed.fetch_add(1, Ordering::SeqCst);
-                            view.max_entry() + VTime::from_nanos(10)
-                        },
-                        &poison,
-                    );
-                    let exit = done.exit;
-                    rv.finish_read(gen, &done);
-                    exit
-                }));
-            }
-            let times: Vec<VTime> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-            assert_eq!(computed.load(Ordering::SeqCst), 1, "exit computed once");
-            times
+    /// Run `body(rendezvous, local rank, poison)` as every rank of a
+    /// `p`-rank world sharing one free-standing rendezvous; each engine's
+    /// per-rank results.
+    fn on_each_engine<R: Send>(
+        p: usize,
+        body: impl Fn(&Rendezvous, usize, &Poison) -> R + Send + Sync,
+    ) -> [Result<Vec<R>, RunError>; 2] {
+        [Engine::Des, Engine::Threads].map(|engine| {
+            let rv = Rendezvous::new(Arc::new((0..p).collect()));
+            let report = WorldBuilder::new(p)
+                .engine(engine)
+                .run(|proc| body(&rv, proc.world_rank(), &proc.mailboxes.poison))?;
+            assert!(rv.state.lock().done.is_empty(), "all records reclaimed");
+            Ok(report.results)
         })
+    }
+
+    fn run_barrier(entries: Vec<u64>) -> Vec<VTime> {
+        let computed = AtomicUsize::new(0);
+        let [des, threads] = on_each_engine(entries.len(), |rv, local, poison| {
+            let (gen, done) = rv.arrive(
+                local,
+                "barrier",
+                VTime::from_nanos(entries[local]),
+                0,
+                None,
+                |view| {
+                    computed.fetch_add(1, Ordering::SeqCst);
+                    view.max_entry() + VTime::from_nanos(10)
+                },
+                poison,
+            );
+            let exit = done.exit;
+            rv.finish_read(gen, &done);
+            exit
+        });
+        assert_eq!(
+            computed.load(Ordering::SeqCst),
+            2,
+            "exit computed once per world"
+        );
+        assert_eq!(des, threads);
+        des.unwrap()
     }
 
     #[test]
     fn all_exit_at_max_plus_cost() {
-        let times = run_barrier(4, vec![5, 80, 20, 3]);
+        let times = run_barrier(vec![5, 80, 20, 3]);
         for t in &times {
             assert_eq!(*t, VTime::from_nanos(90));
         }
@@ -301,107 +276,77 @@ mod tests {
 
     #[test]
     fn single_participant() {
-        let times = run_barrier(1, vec![42]);
+        let times = run_barrier(vec![42]);
         assert_eq!(times, vec![VTime::from_nanos(52)]);
     }
 
     #[test]
     fn generations_progress() {
-        let p = 3;
-        let rv = Arc::new(Rendezvous::new(p));
-        let poison = Arc::new(Poison::default());
-        thread::scope(|s| {
-            for local in 0..p {
-                let rv = rv.clone();
-                let poison = poison.clone();
-                s.spawn(move || {
-                    for round in 0..50u64 {
-                        let (gen, done) = rv.arrive(
-                            local,
-                            "barrier",
-                            VTime::from_nanos(round),
-                            0,
-                            None,
-                            |view| view.max_entry() + VTime::from_nanos(1),
-                            &poison,
-                        );
-                        assert_eq!(gen, round, "generations advance in lockstep");
-                        assert_eq!(done.exit, VTime::from_nanos(round + 1));
-                        rv.finish_read(gen, &done);
-                    }
-                });
+        let worlds = on_each_engine(3, |rv, local, poison| {
+            for round in 0..50u64 {
+                let (gen, done) = rv.arrive(
+                    local,
+                    "barrier",
+                    VTime::from_nanos(round),
+                    0,
+                    None,
+                    |view| view.max_entry() + VTime::from_nanos(1),
+                    poison,
+                );
+                assert_eq!(gen, round, "generations advance in lockstep");
+                assert_eq!(done.exit, VTime::from_nanos(round + 1));
+                rv.finish_read(gen, &done);
             }
         });
-        // All records reclaimed.
-        assert!(rv.state.lock().done.is_empty());
+        assert_eq!(worlds, [Ok(vec![(); 3]), Ok(vec![(); 3])]);
     }
 
     #[test]
     fn slots_transport_data() {
-        let p = 2;
-        let rv = Arc::new(Rendezvous::new(p));
-        let poison = Arc::new(Poison::default());
-        let results: Vec<i32> = thread::scope(|s| {
-            let handles: Vec<_> = (0..p)
-                .map(|local| {
-                    let rv = rv.clone();
-                    let poison = poison.clone();
-                    s.spawn(move || {
-                        let slot: Slot = Some(Box::new(vec![local as i32 * 10]));
-                        let (gen, done) = rv.arrive(
-                            local,
-                            "gather",
-                            VTime::ZERO,
-                            4,
-                            slot,
-                            |view| {
-                                assert_eq!(view.total_bytes, 8);
-                                VTime::from_nanos(1)
-                            },
-                            &poison,
-                        );
-                        // Each rank reads the *other* rank's value.
-                        let other = 1 - local;
-                        let value = {
-                            let slots = done.slots.lock();
-                            let any = slots[other].as_ref().unwrap();
-                            any.downcast_ref::<Vec<i32>>().unwrap()[0]
-                        };
-                        rv.finish_read(gen, &done);
-                        value
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        let worlds = on_each_engine(2, |rv, local, poison| {
+            let slot: Slot = Some(Box::new(vec![local as i32 * 10]));
+            let (gen, done) = rv.arrive(
+                local,
+                "gather",
+                VTime::ZERO,
+                4,
+                slot,
+                |view| {
+                    assert_eq!(view.total_bytes, 8);
+                    VTime::from_nanos(1)
+                },
+                poison,
+            );
+            // Each rank reads the *other* rank's value.
+            let other = 1 - local;
+            let value = {
+                let slots = done.slots.lock();
+                let any = slots[other].as_ref().unwrap();
+                any.downcast_ref::<Vec<i32>>().unwrap()[0]
+            };
+            rv.finish_read(gen, &done);
+            value
         });
-        assert_eq!(results, vec![10, 0]);
+        assert_eq!(worlds, [Ok(vec![10, 0]), Ok(vec![10, 0])]);
     }
 
     #[test]
     fn mismatched_ops_panic() {
         // Whichever rank arrives second observes the mismatch and panics;
-        // it then poisons the rendezvous so the blocked first arriver
-        // unwinds too (this is exactly what the world harness does).
-        let rv = Arc::new(Rendezvous::new(2));
-        let poison = Arc::new(Poison::default());
-        let mut handles = Vec::new();
-        for (local, op) in [(0usize, "barrier"), (1usize, "bcast")] {
-            let rv = rv.clone();
-            let poison = poison.clone();
-            handles.push(thread::spawn(move || {
-                let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let (gen, done) =
-                        rv.arrive(local, op, VTime::ZERO, 0, None, |v| v.max_entry(), &poison);
-                    rv.finish_read(gen, &done);
-                }));
-                if r.is_err() {
-                    poison.set();
-                    rv.wake_all();
+        // the harness then poisons the world, so the first arriver, asleep
+        // in the rendezvous, is woken and unwinds too.
+        let worlds = on_each_engine(2, |rv, local, poison| {
+            let op = ["barrier", "bcast"][local];
+            let (gen, done) = rv.arrive(local, op, VTime::ZERO, 0, None, |v| v.max_entry(), poison);
+            rv.finish_read(gen, &done);
+        });
+        for failed in worlds {
+            match failed {
+                Err(RunError::RankPanicked { message, .. }) => {
+                    assert!(message.contains("collective mismatch"), "{message}");
                 }
-                r.is_err()
-            }));
+                other => panic!("mismatch must be detected, got {other:?}"),
+            }
         }
-        let errs: Vec<bool> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        assert!(errs.iter().any(|&e| e), "mismatch must be detected");
     }
 }

@@ -21,7 +21,6 @@ use crate::event::{CommId, EventKind, MpiCall, MpiEvent};
 use crate::message::{Envelope, Payload, Src, TagSel};
 use crate::proc::Proc;
 use machine::{DetRng, Topology, VTime};
-use parking_lot::Mutex;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -35,11 +34,9 @@ pub struct CommShared {
     pub(crate) spans_nodes: bool,
 }
 
-/// Allocates communicator ids and tracks all live communicators (so world
-/// poisoning can wake rendezvous waiters).
+/// Allocates communicator ids and builds the shared communicator objects.
 pub(crate) struct Registry {
     next_id: AtomicU64,
-    all: Mutex<Vec<Arc<CommShared>>>,
     topology: Topology,
 }
 
@@ -47,7 +44,6 @@ impl Registry {
     pub(crate) fn new(topology: Topology) -> Self {
         Registry {
             next_id: AtomicU64::new(0),
-            all: Mutex::new(Vec::new()),
             topology,
         }
     }
@@ -69,21 +65,12 @@ impl Registry {
     pub(crate) fn register_with_id(&self, id: CommId, world_ranks: Vec<usize>) -> Arc<CommShared> {
         let spans_nodes = self.topology.spans_nodes(&world_ranks);
         let world_ranks = Arc::new(world_ranks);
-        let shared = Arc::new(CommShared {
+        Arc::new(CommShared {
             id,
-            rendezvous: Rendezvous::with_members(world_ranks.len(), Some(world_ranks.clone())),
+            rendezvous: Rendezvous::new(world_ranks.clone()),
             world_ranks,
             spans_nodes,
-        });
-        self.all.lock().push(shared.clone());
-        shared
-    }
-
-    /// Wake every rendezvous (poisoning path).
-    pub(crate) fn wake_all(&self) {
-        for comm in self.all.lock().iter() {
-            comm.rendezvous.wake_all();
-        }
+        })
     }
 }
 
@@ -266,7 +253,7 @@ impl Comm {
                 time: p.now,
             });
         }
-        p.mailboxes.of(dest_world).deposit(envelope);
+        crate::des::with_active(|s| s.deposit(dest_world, envelope));
         bytes
     }
 
@@ -290,9 +277,7 @@ impl Comm {
         // Candidate observation is only paid for when a tool subscribed
         // to RecvMatched (it is what a race analyzer joins on).
         let observing = p.wants(EventKind::RecvMatched);
-        let controller = p.mailboxes.controller();
-        #[cfg(target_arch = "x86_64")]
-        let des_hit = crate::des::with_active(|s| {
+        let (envelope, candidates) = crate::des::with_active(|s| {
             s.recv_match(
                 p.world_rank,
                 p.now,
@@ -301,22 +286,9 @@ impl Comm {
                 tag,
                 observing,
                 &p.mailboxes.poison,
-                controller,
+                p.mailboxes.controller(),
             )
         });
-        #[cfg(not(target_arch = "x86_64"))]
-        let des_hit: Option<(Envelope, Vec<(usize, i32)>)> = None;
-        let (envelope, candidates) = match des_hit {
-            Some(hit) => hit,
-            None => p.mailboxes.of(p.world_rank).take_matching_controlled(
-                self.id(),
-                src,
-                tag,
-                &p.mailboxes.poison,
-                observing,
-                controller,
-            ),
-        };
         if observing {
             p.raise(MpiEvent::RecvMatched {
                 comm: self.id(),
@@ -445,31 +417,28 @@ impl Comm {
 
     /// Non-blocking probe: is a matching message already queued?
     ///
-    /// Under the threads engine this answers from *real-time* mailbox
-    /// state: a `false` may become `true` the moment the sender's OS
-    /// thread gets scheduled, independent of virtual time — a single
-    /// probe's outcome is not reproducible across runs. Under the DES
-    /// engine a miss parks the caller as a *poller* (revived by the next
-    /// deposit into its mailbox or when every other rank is blocked or
-    /// done) before reporting `false`, so poll loops make progress and
-    /// probe outcomes are deterministic. Deterministic protocols should
-    /// poll in a loop (as `RecvReq::test` users do) or use blocking
-    /// receives.
+    /// A miss parks the caller as a *poller* (revived by the next deposit
+    /// into its mailbox or when every other rank is blocked or done)
+    /// before reporting `false`, so poll loops make progress, and — the
+    /// scheduler alone deciding who runs next — a program's sequence of
+    /// hits and misses is the same on every run of an engine. It is not
+    /// the same *across* engines, which order equal-clock ranks
+    /// differently: a protocol whose result must not depend on the
+    /// schedule polls in a loop (as `RecvReq::test` users do) or uses
+    /// blocking receives.
     pub fn probe(&self, p: &Proc, src: Src, tag: TagSel) -> bool {
-        let mailbox = p.mailboxes.of(p.world_rank);
-        let hit = mailbox.probe(self.id(), src, tag);
-        #[cfg(target_arch = "x86_64")]
-        if !hit {
-            crate::des::with_active(|s| {
+        crate::des::with_active(|s| {
+            let hit = s.queue_probe(p.world_rank, self.id(), src, tag);
+            if !hit {
                 // Yield so peers can run; report the miss afterwards (the
                 // caller decides whether to keep polling). The poison
                 // check makes a spin loop unwind with its peers.
                 s.note_clock(p.world_rank, p.now);
                 s.park_poller();
                 p.mailboxes.poison.check();
-            });
-        }
-        hit
+            }
+            hit
+        })
     }
 
     // ------------------------------------------------------------------
@@ -508,7 +477,6 @@ impl Comm {
                 time: p.now,
             });
         }
-        #[cfg(target_arch = "x86_64")]
         crate::des::with_active(|s| s.note_clock(p.world_rank, p.now));
         let (gen, done) = self.shared.rendezvous.arrive(
             self.local_rank,

@@ -5,7 +5,8 @@
 //! at match time is the one place this runtime's behavior is a *choice*
 //! rather than a consequence of virtual time: real MPI may deliver any of
 //! the candidates first. By default the simulator resolves the choice by
-//! arrival order (deterministically, under the DES engine). A
+//! arrival order (deterministically: one scheduler decides who runs next
+//! on either engine). A
 //! [`MatchController`] attached via
 //! [`WorldBuilder::match_controller`](crate::WorldBuilder::match_controller)
 //! is consulted at exactly these points instead, which lets a

@@ -1,25 +1,28 @@
-//! The conservative discrete-event scheduler behind `--engine des`.
+//! The conservative discrete-event scheduler behind both engines.
 //!
 //! One OS thread drives every rank of a world as a cooperative fiber
-//! (see [`crate::fiber`]). Runnable ranks sit in a binary heap keyed by
+//! (see [`crate::fiber`]), one at a time whichever way the fibers are
+//! switched. Runnable ranks sit in a binary heap keyed by
 //! `(virtual clock, world rank)` — the rank id is the deterministic
 //! tie-break, so two ranks reaching the same virtual time always run in
 //! the same order and a seeded run replays bit-identically. A blocking
-//! operation (receive match, collective arrival) suspends its fiber
-//! instead of parking an OS thread on a condvar; the peer that satisfies
-//! the wait re-queues the sleeper at the clock it blocked with.
+//! operation (receive match, collective arrival) suspends its fiber; the
+//! peer that satisfies the wait re-queues the sleeper at the clock it
+//! blocked with.
 //!
 //! Conservative ordering: the scheduler never speculates. A rank runs
 //! until it *cannot* proceed (no matching message / collective not yet
 //! complete), and every virtual timestamp a rank observes is carried on
 //! the message or collective record itself, so results are independent of
 //! the order in which runnable ranks are interleaved. The heap order only
-//! decides *fairness* and determinism, never timing.
+//! decides *fairness* and determinism, never timing — which is why the
+//! reference engine may, and does, break clock ties in the opposite rank
+//! order (see [`Scheduler::new`]).
 //!
 //! Non-blocking probes get a third state: a rank that polls and misses is
 //! parked as a *poller* and revived when a message lands in its mailbox
 //! or when the ready queue drains — so `test`/`probe` spin loops make
-//! progress without busy-looping the single scheduler thread, and a probe
+//! progress without busy-looping the scheduler, and a probe
 //! still observes "not here yet" exactly as it can under real MPI.
 //!
 //! When the ready queue is empty, no pollers remain, and live ranks are
@@ -29,7 +32,7 @@
 #![allow(unsafe_code)]
 
 use crate::event::CommId;
-use crate::mailbox::Poison;
+use crate::mailbox::{take_from_queue, Poison};
 use crate::message::{Envelope, Src, TagSel};
 use machine::VTime;
 use std::cell::{Cell, RefCell};
@@ -60,32 +63,35 @@ struct Slot {
     clock: VTime,
 }
 
-/// Scheduler state for one world. Single-threaded by construction: it
-/// lives behind an `Rc` installed in a thread-local while the world runs.
+/// Scheduler state for one world. Single-threaded in effect: exactly one
+/// of the world's fibers or [`Scheduler::drive`] runs at any moment, each
+/// reaching it through its own thread's [`ACTIVE`] slot, so plain `Cell`
+/// and `RefCell` state needs no lock.
 pub(crate) struct Scheduler {
+    /// Runnable ranks as `(clock, rank ^ tie_flip)`, smallest first.
     ready: RefCell<BinaryHeap<Reverse<(VTime, usize)>>>,
+    /// `0`, or `usize::MAX` to run equal-clock ranks in descending order.
+    tie_flip: usize,
     slots: RefCell<Vec<Slot>>,
-    /// Per-rank incoming-message queues. Under the DES engine the whole
-    /// world runs on one OS thread, so p2p matching needs no mutex: the
-    /// mailbox layer routes deposits and takes here (plain `RefCell`
-    /// borrows) whenever a scheduler is installed.
+    /// Per-rank incoming-message queues: the world's mailboxes.
     queues: RefCell<Vec<Vec<Envelope>>>,
     current: Cell<usize>,
     deadlocked: Cell<bool>,
 }
 
 impl Scheduler {
-    pub(crate) fn new(nranks: usize) -> Scheduler {
-        let mut ready = BinaryHeap::with_capacity(nranks);
-        for rank in 0..nranks {
-            ready.push(Reverse((VTime::ZERO, rank)));
-        }
-        Scheduler {
-            ready: RefCell::new(ready),
+    /// A scheduler with every rank runnable at time zero. Equal clocks run
+    /// in ascending rank order, or descending with `reverse_ties`: no
+    /// virtual time may depend on which, and running the suite both ways is
+    /// how that is checked.
+    pub(crate) fn new(nranks: usize, reverse_ties: bool) -> Scheduler {
+        let scheduler = Scheduler {
+            ready: RefCell::new(BinaryHeap::with_capacity(nranks)),
+            tie_flip: if reverse_ties { usize::MAX } else { 0 },
             slots: RefCell::new(
                 (0..nranks)
                     .map(|_| Slot {
-                        state: RankState::Ready,
+                        state: RankState::Blocked,
                         clock: VTime::ZERO,
                     })
                     .collect(),
@@ -93,41 +99,27 @@ impl Scheduler {
             queues: RefCell::new((0..nranks).map(|_| Vec::new()).collect()),
             current: Cell::new(usize::MAX),
             deadlocked: Cell::new(false),
-        }
+        };
+        // Parked, then woken: `wake` is the one place that makes a heap key.
+        scheduler.wake_all();
+        scheduler
     }
 
-    /// Deposit a message into `rank`'s queue (lock-free p2p fast path).
+    /// Deposit a message into `rank`'s queue and make `rank` runnable.
     #[inline]
     pub(crate) fn deposit(&self, rank: usize, envelope: Envelope) {
         self.queues.borrow_mut()[rank].push(envelope);
-    }
-
-    /// Remove the first message in `rank`'s queue matching the selectors,
-    /// if any. With `observe`, also report every matching candidate as
-    /// `(sender world rank, tag)` — exact because nothing else can run
-    /// between the scan and the removal on the single scheduler thread.
-    /// Wildcard matches are resolved through `controller` when one is
-    /// given (the verification hook — see [`crate::control`]).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn try_take(
-        &self,
-        rank: usize,
-        comm: CommId,
-        src: Src,
-        tag: TagSel,
-        observe: bool,
-        controller: Option<&dyn crate::control::MatchController>,
-    ) -> Option<(Envelope, Vec<(usize, i32)>)> {
-        let mut queues = self.queues.borrow_mut();
-        let queue = &mut queues[rank];
-        crate::mailbox::take_from_queue(queue, rank, comm, src, tag, observe, controller)
+        self.wake(rank);
     }
 
     /// The whole blocking-receive operation in one scheduler call: note
     /// `rank`'s clock (the key a waker re-queues it with), then take the
     /// first matching message, suspending the fiber between misses. Doing
     /// it here keeps the hot p2p receive path down to a single
-    /// thread-local dispatch.
+    /// thread-local dispatch. With `observe`, every matching candidate is
+    /// reported too — exact because nothing else runs between the scan and
+    /// the removal. Wildcard matches are resolved through `controller`
+    /// when one is given (the verification hook — see [`crate::control`]).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn recv_match(
         &self,
@@ -143,7 +135,18 @@ impl Scheduler {
         self.slots.borrow_mut()[rank].clock = now;
         loop {
             poison.check();
-            if let Some(hit) = self.try_take(rank, comm, src, tag, observe, controller) {
+            // The borrow ends with the statement, before the fiber
+            // suspends: peers deposit into this queue.
+            let hit = take_from_queue(
+                &mut self.queues.borrow_mut()[rank],
+                rank,
+                comm,
+                src,
+                tag,
+                observe,
+                controller,
+            );
+            if let Some(hit) = hit {
                 return hit;
             }
             self.block_current();
@@ -155,11 +158,6 @@ impl Scheduler {
         self.queues.borrow()[rank]
             .iter()
             .any(|e| e.matches(comm, src, tag))
-    }
-
-    /// Queued-message count for `rank` (diagnostics).
-    pub(crate) fn queue_len(&self, rank: usize) -> usize {
-        self.queues.borrow()[rank].len()
     }
 
     /// Did the scheduler poison the world because every live rank was
@@ -194,8 +192,15 @@ impl Scheduler {
         let slot = &mut slots[rank];
         if matches!(slot.state, RankState::Blocked | RankState::Polling) {
             slot.state = RankState::Ready;
-            self.ready.borrow_mut().push(Reverse((slot.clock, rank)));
+            let key = (slot.clock, rank ^ self.tie_flip);
+            self.ready.borrow_mut().push(Reverse(key));
         }
+    }
+
+    /// Make every suspended rank runnable (the world went down).
+    pub(crate) fn wake_all(&self) {
+        let nranks = self.slots.borrow().len();
+        (0..nranks).for_each(|rank| self.wake(rank));
     }
 
     /// Drive every fiber to completion. `poison_world` is invoked once if
@@ -206,39 +211,28 @@ impl Scheduler {
         let mut ndone = 0usize;
         while ndone < nranks {
             let next = self.ready.borrow_mut().pop();
-            let Some(Reverse((_, rank))) = next else {
+            let Some(Reverse((_, key))) = next else {
                 // Ready heap empty. Revive pollers first: a poller's spin
                 // loop owns the decision to keep polling or give up.
-                let mut revived = false;
-                {
-                    let mut slots = self.slots.borrow_mut();
-                    let mut ready = self.ready.borrow_mut();
-                    for (rank, slot) in slots.iter_mut().enumerate() {
-                        if slot.state == RankState::Polling {
-                            slot.state = RankState::Ready;
-                            ready.push(Reverse((slot.clock, rank)));
-                            revived = true;
-                        }
-                    }
-                }
-                if revived {
-                    continue;
-                }
-                // No runnable rank, no poller, not everyone done: the
-                // remaining ranks wait on messages that can never arrive.
-                self.deadlocked.set(true);
-                poison_world();
-                let blocked: Vec<usize> = {
+                let pollers: Vec<usize> = {
                     let slots = self.slots.borrow();
                     (0..nranks)
-                        .filter(|&r| slots[r].state == RankState::Blocked)
+                        .filter(|&r| slots[r].state == RankState::Polling)
                         .collect()
                 };
-                for rank in blocked {
-                    self.wake(rank);
+                if pollers.is_empty() {
+                    // No runnable rank, no poller, not everyone done: the
+                    // remaining ranks wait on messages that can never
+                    // arrive.
+                    self.deadlocked.set(true);
+                    poison_world();
+                    self.wake_all();
+                } else {
+                    pollers.into_iter().for_each(|rank| self.wake(rank));
                 }
                 continue;
             };
+            let rank = key ^ self.tie_flip;
             self.slots.borrow_mut()[rank].state = RankState::Running;
             self.current.set(rank);
             let done = fibers[rank].resume();
@@ -250,19 +244,18 @@ impl Scheduler {
             } else if slots[rank].state == RankState::Running {
                 // The fiber suspended without declaring why (defensive:
                 // no simulator path does this). Treat it as a plain yield.
-                slots[rank].state = RankState::Ready;
-                self.ready
-                    .borrow_mut()
-                    .push(Reverse((slots[rank].clock, rank)));
+                slots[rank].state = RankState::Blocked;
+                drop(slots);
+                self.wake(rank);
             }
         }
     }
 }
 
 thread_local! {
-    /// The scheduler of the world currently driven by this OS thread.
-    /// A raw pointer kept alive by the `Rc` inside [`InstallGuard`];
-    /// cleared (also on unwind) when the guard drops.
+    /// The scheduler of the world this OS thread drives, or is a fiber of.
+    /// A raw pointer kept alive by the `Rc` inside the driving thread's
+    /// [`InstallGuard`], which clears it (also on unwind) when it drops.
     static ACTIVE: Cell<*const Scheduler> = const { Cell::new(std::ptr::null()) };
 }
 
@@ -275,7 +268,7 @@ pub(crate) fn install(scheduler: Rc<Scheduler>) -> InstallGuard {
     ACTIVE.with(|active| {
         assert!(
             active.get().is_null(),
-            "mpisim: nested DES worlds on one thread are not supported"
+            "mpisim: nested worlds on one thread are not supported"
         );
         active.set(Rc::as_ptr(&scheduler));
     });
@@ -290,37 +283,89 @@ impl Drop for InstallGuard {
     }
 }
 
-/// Run `f` against the active scheduler, if this thread is driving one.
-/// The cheap null check is the engine dispatch on every hot path: under
-/// the threads engine it costs one thread-local load.
-#[inline]
-pub(crate) fn with_active<R>(f: impl FnOnce(&Scheduler) -> R) -> Option<R> {
-    ACTIVE.with(|active| {
-        let ptr = active.get();
-        if ptr.is_null() {
-            None
-        } else {
-            // SAFETY: non-null only between `install` and the guard's
-            // drop, during which the Rc keeps the scheduler alive; all
-            // access is from this one thread.
-            Some(f(unsafe { &*ptr }))
-        }
-    })
+/// This thread's scheduler, for the thread of one of its fibers to adopt.
+pub(crate) struct Handle(*const Scheduler);
+
+// SAFETY: the pointer is only dereferenced after `adopt`, whose caller
+// answers for the thread it is then used on.
+unsafe impl Send for Handle {}
+
+/// The scheduler installed on this thread (none is a handle too: adopting
+/// it installs nothing).
+pub(crate) fn handle() -> Handle {
+    Handle(ACTIVE.with(Cell::get))
 }
 
-/// Is a DES scheduler driving this thread?
+impl Handle {
+    /// Make the calling thread one of the scheduler's own.
+    ///
+    /// # Safety
+    ///
+    /// From here on the calling thread may run only while the thread that
+    /// installed the scheduler waits for it, with a lock or a join ordering
+    /// every hand-over, and it must end before that thread's
+    /// [`InstallGuard`] drops.
+    pub(crate) unsafe fn adopt(self) {
+        ACTIVE.with(|active| active.set(self.0));
+    }
+}
+
+/// Run `f` against this thread's scheduler: one thread-local load on every
+/// communication path. Communication needs a `Proc`, and a `Proc` exists
+/// only inside a driven world, so there always is one.
 #[inline]
-pub(crate) fn is_active() -> bool {
-    ACTIVE.with(|active| !active.get().is_null())
+pub(crate) fn with_active<R>(f: impl FnOnce(&Scheduler) -> R) -> R {
+    ACTIVE.with(|active| {
+        let ptr = active.get();
+        assert!(!ptr.is_null(), "mpisim: no world is running on this thread");
+        // SAFETY: non-null only between `install` and the guard's drop,
+        // during which the Rc keeps the scheduler alive; the world's
+        // threads reach it one at a time (see `Handle::adopt`).
+        f(unsafe { &*ptr })
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fiber::{Fiber, StackPool};
+    use crate::fiber::{Fiber, StackPool, Switch};
+    use std::sync::{Arc, Mutex};
 
-    fn pool(count: usize) -> StackPool {
-        StackPool::acquire(32 * 1024, count).expect("stack pool")
+    /// Drive one fiber per `body` on each backing, ties broken both ways,
+    /// and hand back each run's scheduler with the order its ranks logged.
+    fn drive_each_way<B>(
+        bodies: impl Fn(Arc<Mutex<Vec<String>>>) -> Vec<B>,
+    ) -> Vec<(bool, Vec<String>)>
+    where
+        B: FnOnce() + Send + 'static,
+    {
+        let mut runs = Vec::new();
+        for switch in [Switch::Native, Switch::Baton] {
+            for reverse_ties in [false, true] {
+                let log = Arc::new(Mutex::new(Vec::new()));
+                let bodies = bodies(log.clone());
+                let sched = Rc::new(Scheduler::new(bodies.len(), reverse_ties));
+                let guard = install(sched.clone());
+                let pool = StackPool::acquire(switch, 32 * 1024, bodies.len()).expect("stacks");
+                let mut fibers: Vec<Fiber<'_>> = bodies
+                    .into_iter()
+                    .enumerate()
+                    // SAFETY: the bodies own what they capture; one fiber
+                    // per slot; `guard` outlives the fibers.
+                    .map(|(rank, body)| unsafe { pool.fiber(rank, Box::new(body)) }.unwrap())
+                    .collect();
+                let poisoned = log.clone();
+                sched.drive(&mut fibers, &|| {
+                    poisoned.lock().unwrap().push("poisoned".into());
+                });
+                drop(fibers);
+                drop(guard);
+                let log = std::mem::take(&mut *log.lock().unwrap());
+                assert_eq!(sched.deadlocked(), log.iter().any(|l| l == "poisoned"));
+                runs.push((reverse_ties, log));
+            }
+        }
+        runs
     }
 
     /// Same virtual time, different ranks: the heap must always yield
@@ -352,101 +397,89 @@ mod tests {
     }
 
     /// Scheduler-level determinism: many same-clock ranks run in rank
-    /// order, and a woken rank re-enters at its recorded clock.
+    /// order — descending where ties are reversed — on either backing.
     #[test]
     fn drive_runs_equal_clock_ranks_in_rank_order() {
-        use std::cell::RefCell as StdRefCell;
-        use std::rc::Rc as StdRc;
         let n = 8;
-        let sched = Rc::new(Scheduler::new(n));
-        let log: StdRc<StdRefCell<Vec<usize>>> = StdRc::new(StdRefCell::new(Vec::new()));
-        let guard = install(sched.clone());
-        let pool = pool(n);
-        let mut fibers: Vec<Fiber<'_>> = (0..n)
-            .map(|rank| {
-                let log = log.clone();
-                let body = move || {
-                    log.borrow_mut().push(rank);
-                };
-                // SAFETY: every captured value is owned by the closure;
-                // one fiber per slot.
-                unsafe { pool.fiber(rank, Box::new(body)) }
-            })
-            .collect();
-        sched.drive(&mut fibers, &|| {});
-        drop(guard);
-        assert_eq!(*log.borrow(), (0..n).collect::<Vec<_>>());
-        assert!(!sched.deadlocked());
+        let runs = drive_each_way(|log| {
+            (0..n)
+                .map(|rank| {
+                    let log = log.clone();
+                    move || log.lock().unwrap().push(rank.to_string())
+                })
+                .collect()
+        });
+        for (reverse_ties, log) in runs {
+            let mut expected: Vec<String> = (0..n).map(|rank| rank.to_string()).collect();
+            if reverse_ties {
+                expected.reverse();
+            }
+            assert_eq!(log, expected);
+        }
     }
 
     /// A blocked rank is revived at the clock it blocked with, after the
     /// waker runs; pure wake/block plumbing without mailboxes.
     #[test]
     fn block_and_wake_round_trip() {
-        use std::cell::RefCell as StdRefCell;
-        use std::rc::Rc as StdRc;
-        let sched = Rc::new(Scheduler::new(2));
-        let log: StdRc<StdRefCell<Vec<&'static str>>> = StdRc::new(StdRefCell::new(Vec::new()));
-        let guard = install(sched.clone());
-        let pool = pool(2);
-        let mut fibers: Vec<Fiber<'_>> = Vec::new();
-        {
-            let log0 = log.clone();
+        let runs = drive_each_way(|log| {
+            let (log0, log1) = (log.clone(), log);
             let body0 = move || {
-                log0.borrow_mut().push("r0 blocks");
+                log0.lock().unwrap().push("r0 blocks".into());
                 with_active(|s| {
                     s.note_clock(0, VTime(10));
                     s.block_current();
-                })
-                .unwrap();
-                log0.borrow_mut().push("r0 resumed");
+                });
+                log0.lock().unwrap().push("r0 resumed".into());
             };
-            // SAFETY: captured values are owned; one fiber per slot.
-            fibers.push(unsafe { pool.fiber(0, Box::new(body0)) });
-            let log1 = log.clone();
             let body1 = move || {
-                log1.borrow_mut().push("r1 wakes r0");
-                with_active(|s| s.wake(0)).unwrap();
-                log1.borrow_mut().push("r1 done");
+                if log1.lock().unwrap().is_empty() {
+                    // Reversed ties ran us first: let rank 0 block.
+                    with_active(|s| {
+                        s.note_clock(1, VTime(5));
+                        s.park_poller();
+                    });
+                }
+                log1.lock().unwrap().push("r1 wakes r0".into());
+                with_active(|s| s.wake(0));
+                log1.lock().unwrap().push("r1 done".into());
             };
-            // SAFETY: captured values are owned; one fiber per slot.
-            fibers.push(unsafe { pool.fiber(1, Box::new(body1)) });
+            let bodies: Vec<Box<dyn FnOnce() + Send>> = vec![Box::new(body0), Box::new(body1)];
+            bodies
+        });
+        for (_, log) in runs {
+            assert_eq!(log, ["r0 blocks", "r1 wakes r0", "r1 done", "r0 resumed"]);
         }
-        sched.drive(&mut fibers, &|| {});
-        drop(guard);
-        assert_eq!(
-            *log.borrow(),
-            ["r0 blocks", "r1 wakes r0", "r1 done", "r0 resumed"]
-        );
     }
 
     /// All ranks blocked, nobody to wake them: the scheduler must call
     /// the poison hook and revive them rather than loop forever.
     #[test]
     fn deadlock_is_detected_and_poisoned() {
-        let sched = Rc::new(Scheduler::new(2));
-        let poisoned = Rc::new(Cell::new(false));
-        let guard = install(sched.clone());
-        let pool = pool(2);
-        let mut fibers: Vec<Fiber<'_>> = (0..2)
-            .map(|rank| {
-                let p = poisoned.clone();
-                let body = move || {
-                    with_active(|s| {
-                        s.note_clock(rank, VTime::ZERO);
-                        s.block_current();
-                    })
-                    .unwrap();
-                    // Revived by the deadlock path: the world is poisoned.
-                    assert!(p.get(), "woken without poison");
-                };
-                // SAFETY: captured values are owned; one fiber per slot.
-                unsafe { pool.fiber(rank, Box::new(body)) }
-            })
-            .collect();
-        let p = poisoned.clone();
-        sched.drive(&mut fibers, &move || p.set(true));
-        drop(guard);
-        assert!(sched.deadlocked());
+        let runs = drive_each_way(|log| {
+            (0..2)
+                .map(|rank| {
+                    let log = log.clone();
+                    move || {
+                        with_active(|s| {
+                            s.note_clock(rank, VTime::ZERO);
+                            s.block_current();
+                        });
+                        // Revived by the deadlock path: the world is poisoned.
+                        assert_eq!(log.lock().unwrap()[0], "poisoned", "woken without poison");
+                        log.lock().unwrap().push(format!("r{rank} revived"));
+                    }
+                })
+                .collect()
+        });
+        for (reverse_ties, log) in runs {
+            let revived = if reverse_ties {
+                ["r1 revived", "r0 revived"]
+            } else {
+                ["r0 revived", "r1 revived"]
+            };
+            assert_eq!(log[0], "poisoned");
+            assert_eq!(log[1..], revived);
+        }
     }
 }

@@ -25,9 +25,10 @@ pub enum RunError {
     /// A correctness tool aborted the run with structured findings
     /// (deduplicated, in report order).
     Diagnosed(Vec<Diagnostic>),
-    /// The DES engine could not reserve the world's fiber stacks — more
-    /// ranks than `vm.max_map_count` leaves room to guard, or a stack size
-    /// the address space cannot hold. Carries the reason as one line.
+    /// The world's fiber stacks could not be had — more ranks than
+    /// `vm.max_map_count` leaves room to guard, a stack size the address
+    /// space cannot hold, or (thread-backed fibers) a rank's thread the
+    /// host would not start. Carries the reason as one line.
     StackReservation(String),
 }
 

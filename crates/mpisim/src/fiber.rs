@@ -1,45 +1,34 @@
-//! Stackful fibers: the cooperative tasks behind the discrete-event engine.
+//! Stackful fibers: the cooperative tasks the scheduler drives.
 //!
-//! Each virtual rank runs on its own stack and is entered and left through
-//! a hand-written x86-64 context switch that saves only the System-V
-//! callee-saved state (rbp, rbx, r12–r15, mxcsr, x87 control word). A
-//! switch is ~20 ns, and a suspended fiber costs nothing but the pages its
-//! stack has actually touched — which is what makes 16k+ ranks on one OS
-//! thread practical where 16k threads are not.
+//! A fiber is one virtual rank's flow of control. [`Fiber::resume`] enters
+//! it from the scheduler, [`suspend_current`] switches the running fiber
+//! back out; there is no preemption, and exactly one of a world's fibers or
+//! its scheduler runs at any moment. Two backings sit behind that one
+//! interface, chosen per pool by a [`Switch`]:
 //!
-//! **Stacks.** All stacks of a world are slots of one [`StackPool`]: a
-//! single `mmap` reservation laid out `[guard page | page-aligned stack]`
-//! per slot. The reservation is `MAP_NORESERVE`, so a slot costs address
-//! space until a frame touches it, and because a stack's top is page
-//! aligned a rank that only blocks in a collective lives on one page. Every
-//! guard is `PROT_NONE`: a fiber that outgrows its stack faults *at* the
-//! overflow, before it can reach the slot below, and a `SIGSEGV`/`SIGBUS`
-//! handler turns that fault into one line on stderr and an abort. Guards
-//! split the reservation into two kernel mappings per slot, which is what
-//! bounds a world's size (see [`StackPool::acquire`]). A scheduler thread
-//! keeps its pool between worlds and hands it to the next world that fits,
-//! so a sweep of small worlds maps, guards and first-touches its stacks
-//! once.
+//! * **the x86-64 switch** (`asm`) — every fiber is a stack in one guarded
+//!   reservation on the scheduler's own thread, entered by a hand-written
+//!   register swap. ~20 ns a switch and a page per parked rank: what makes
+//!   16k-rank worlds practical.
+//! * **the baton** ([`baton`]) — every fiber is a parked OS thread, and a
+//!   switch hands a `Mutex`+`Condvar` baton from the scheduler's thread to
+//!   the fiber's and back. Microseconds a switch, but safe code on every
+//!   target: it is what a non-x86-64 host runs, and what the assembly is
+//!   checked against on an x86-64 one.
 //!
-//! The module is intentionally minimal: [`Fiber::resume`] enters a fiber
-//! from the scheduler, [`suspend_current`] switches the running fiber back
-//! out. There is no preemption and no cross-thread migration; a fiber
-//! resumes on whichever OS thread calls `resume`, and the simulator drives
-//! all fibers of a world from one scheduler thread.
+//! This file is the only place in the crate that knows the target
+//! architecture.
 //!
-//! Safety containment: this is the only place in the workspace (together
-//! with the thread-local scheduler handle in `des.rs`) that needs
-//! `unsafe`; the workspace-wide `unsafe_code = "deny"` lint is re-allowed
-//! for exactly these two modules. The handful of libc calls the pool and
-//! the fault handler make are declared in [`sys`], so no `libc` crate is
-//! needed.
+//! Safety containment: this module tree and the scheduler handle in
+//! `des.rs` are the only places in the workspace that need `unsafe`; the
+//! workspace-wide `unsafe_code = "deny"` lint is re-allowed for exactly
+//! these.
 #![allow(unsafe_code)]
 
-use std::arch::naked_asm;
-use std::cell::{Cell, RefCell};
-use std::ffi::{c_int, c_void};
+#[cfg(target_arch = "x86_64")]
+mod asm;
+
 use std::marker::PhantomData;
-use std::sync::OnceLock;
 
 /// Default stack size per fiber. Large enough for the workload crates'
 /// deepest frames (section scopes + collective internals), small enough
@@ -50,330 +39,57 @@ pub const DEFAULT_STACK_SIZE: usize = 512 * 1024;
 /// Smallest stack a fiber is given, whatever was asked for.
 const MIN_STACK_SIZE: usize = 16 * 1024;
 
-/// The x86-64 base page: the granularity of `mprotect`, and so the size of
-/// a guard and the unit stack sizes are rounded up to.
-const PAGE: usize = 4096;
-
-/// Kernel mappings left to the rest of the process (heap arenas, thread
-/// stacks, shared objects) when a pool is sized against `vm.max_map_count`.
-const SPARE_MAPPINGS: usize = 4096;
-
-/// Linux's default `vm.max_map_count`, assumed where the sysctl cannot be
-/// read.
-const DEFAULT_MAX_MAP_COUNT: usize = 65_530;
-
-const OVERFLOW_MSG: &[u8] = b"mpisim: fiber stack overflow (raise the engine's stack size)\n";
-
-/// The libc surface of this module: memory mapping for the pool, signal
-/// plumbing for the overflow handler. Constants and struct layouts are the
-/// x86-64 Linux and macOS ones.
-mod sys {
-    use std::ffi::{c_int, c_void};
-
-    #[cfg(not(any(target_os = "linux", target_os = "macos")))]
-    compile_error!("mpisim fibers know the mmap and sigaction ABI of Linux and macOS only");
-
-    pub const PROT_NONE: c_int = 0;
-    pub const PROT_READ: c_int = 1;
-    pub const PROT_WRITE: c_int = 2;
-    pub const MAP_PRIVATE: c_int = 0x02;
-    pub const MAP_FAILED: *mut c_void = usize::MAX as *mut c_void;
-    pub const SIGSEGV: c_int = 11;
-
-    #[cfg(target_os = "linux")]
-    mod os {
-        use std::ffi::c_int;
-
-        pub const MAP_ANONYMOUS: c_int = 0x20;
-        pub const MAP_NORESERVE: c_int = 0x4000;
-        pub const MADV_NOHUGEPAGE: c_int = 15;
-        pub const SIGBUS: c_int = 7;
-        pub const SA_SIGINFO: c_int = 0x4;
-        pub const SA_ONSTACK: c_int = 0x0800_0000;
-        /// Byte offset of `si_addr` in `siginfo_t`.
-        pub const SI_ADDR_OFFSET: usize = 16;
-
-        /// `struct sigaction` as the C library's `sigaction()` takes it.
-        #[repr(C)]
-        pub struct SigAction {
-            pub handler: usize,
-            pub mask: [u64; 16],
-            pub flags: c_int,
-            pub restorer: usize,
-        }
-    }
-
-    #[cfg(target_os = "macos")]
-    mod os {
-        use std::ffi::c_int;
-
-        pub const MAP_ANONYMOUS: c_int = 0x1000;
-        pub const MAP_NORESERVE: c_int = 0x40;
-        pub const SIGBUS: c_int = 10;
-        pub const SA_SIGINFO: c_int = 0x40;
-        pub const SA_ONSTACK: c_int = 0x1;
-        /// Byte offset of `si_addr` in `siginfo_t`.
-        pub const SI_ADDR_OFFSET: usize = 24;
-
-        /// `struct sigaction` as the C library's `sigaction()` takes it.
-        #[repr(C)]
-        pub struct SigAction {
-            pub handler: usize,
-            pub mask: u32,
-            pub flags: c_int,
-        }
-    }
-
-    pub use os::*;
-
-    extern "C" {
-        pub fn mmap(
-            addr: *mut c_void,
-            len: usize,
-            prot: c_int,
-            flags: c_int,
-            fd: c_int,
-            offset: i64,
-        ) -> *mut c_void;
-        pub fn munmap(addr: *mut c_void, len: usize) -> c_int;
-        pub fn mprotect(addr: *mut c_void, len: usize, prot: c_int) -> c_int;
-        #[cfg(target_os = "linux")]
-        pub fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
-        pub fn sigaction(
-            signal: c_int,
-            action: *const SigAction,
-            previous: *mut SigAction,
-        ) -> c_int;
-        pub fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
-        pub fn abort() -> !;
-    }
+/// How a pool's fibers are switched.
+#[derive(Clone, Copy)]
+pub(crate) enum Switch {
+    /// The cheapest switch the target has: the assembly on x86-64, the
+    /// baton elsewhere.
+    Native,
+    /// The baton, whatever the target.
+    Baton,
 }
 
-/// Callee-saved context frame the switch pushes: 6 GP registers, plus a
-/// 16-byte slot holding mxcsr / the x87 control word, plus the return
-/// address consumed by `ret`.
-const CTX_FRAME: usize = 6 * 8 + 16 + 8;
+/// The stacks of one world's fibers.
+pub(crate) struct StackPool(Stacks);
 
-// The saved-state handshake: `switch_context(save, load)` pushes the
-// callee-saved registers of the *current* stack, stores rsp through
-// `save`, installs the stack pointer read from `load`, pops the same
-// frame and returns on the new stack. Both sides of every switch are this
-// one function, so the frame layout only has to agree with itself — and
-// with `seed_stack` below, which fabricates the frame a brand-new fiber
-// is first "restored" from.
-#[unsafe(naked)]
-unsafe extern "C" fn switch_context(_save: *mut *mut u8, _load: *mut *mut u8) {
-    naked_asm!(
-        "push rbp",
-        "push rbx",
-        "push r12",
-        "push r13",
-        "push r14",
-        "push r15",
-        "sub rsp, 16",
-        "stmxcsr [rsp]",
-        "fnstcw [rsp + 4]",
-        "mov [rdi], rsp",
-        "mov rsp, [rsi]",
-        "ldmxcsr [rsp]",
-        "fldcw [rsp + 4]",
-        "add rsp, 16",
-        "pop r15",
-        "pop r14",
-        "pop r13",
-        "pop r12",
-        "pop rbx",
-        "pop rbp",
-        "ret",
-    )
-}
-
-// First code a new fiber executes: the seeded frame parked the FiberInner
-// pointer in rbx (a callee-saved register, so the restore sequence above
-// delivers it for free). Realign the stack and call into Rust.
-#[unsafe(naked)]
-unsafe extern "C" fn trampoline() {
-    naked_asm!(
-        "mov rdi, rbx",
-        "and rsp, -16",
-        "call {entry}",
-        "ud2",
-        entry = sym fiber_entry,
-    )
-}
-
-extern "C" fn fiber_entry(inner: *mut FiberInner) -> ! {
-    // SAFETY: `inner` is the boxed FiberInner whose address was seeded
-    // into the new fiber's rbx by `seed_stack`; the box outlives the
-    // fiber (it is owned by the `Fiber` that resumed us).
-    let inner = unsafe { &mut *inner };
-    let entry = inner.entry.take().expect("fiber entered twice");
-    // The simulator wraps every rank body in catch_unwind, so a panic
-    // reaching this frame is a harness bug; unwinding must never cross
-    // the context-switch assembly.
-    if std::panic::catch_unwind(std::panic::AssertUnwindSafe(entry)).is_err() {
-        eprintln!("mpisim: panic escaped a fiber's unwind net; aborting");
-        std::process::abort();
-    }
-    inner.done = true;
-    loop {
-        // Hand control back to the scheduler forever; a done fiber is
-        // never resumed again, but a spurious resume must not fall off
-        // the end of the stack.
-        // SAFETY: same save/load discipline as `suspend_current`.
-        unsafe { switch_context(&mut inner.fiber_rsp, &mut inner.caller_rsp) };
-    }
-}
-
-/// Per-fiber bookkeeping. Boxed so its address is stable while the fiber
-/// holds a pointer to it in a register.
-struct FiberInner {
-    /// Where the fiber's stack pointer is parked while it is suspended.
-    fiber_rsp: *mut u8,
-    /// Where the resuming caller's stack pointer is parked while the
-    /// fiber runs.
-    caller_rsp: *mut u8,
-    done: bool,
-    entry: Option<Box<dyn FnOnce()>>,
-}
-
-thread_local! {
-    /// The fiber currently running on this OS thread (null outside any).
-    static RUNNING: Cell<*mut FiberInner> = const { Cell::new(std::ptr::null_mut()) };
-
-    /// The pool this thread's last world left behind, for the next one.
-    static CACHED: RefCell<Option<StackPool>> = const { RefCell::new(None) };
-
-    /// `[base, length, slot stride]` of this thread's live reservation, all
-    /// zero when it has none. Plain words with no destructor, so the fault
-    /// handler can read them from signal context.
-    static RESERVATION: Cell<[usize; 3]> = const { Cell::new([0; 3]) };
-}
-
-/// The `SIGSEGV` and `SIGBUS` actions in force before [`on_fault`] was
-/// installed, in that order.
-static PREVIOUS_ACTIONS: OnceLock<[sys::SigAction; 2]> = OnceLock::new();
-
-/// One reservation of fiber stacks, `capacity` slots of
-/// `[guard page | stack]`, owned by the thread that mapped it.
-pub(crate) struct StackPool {
-    base: *mut u8,
-    /// Usable bytes per slot, a multiple of [`PAGE`].
-    stack_bytes: usize,
-    capacity: usize,
+enum Stacks {
+    #[cfg(target_arch = "x86_64")]
+    Reserved(asm::StackPool),
+    /// Each fiber's thread brings its own stack.
+    PerThread { stack_size: usize, count: usize },
 }
 
 impl StackPool {
-    /// A pool with at least `count` stacks of at least `stack_size` bytes
-    /// each (rounded up to whole pages, [`MIN_STACK_SIZE`] at least): the
-    /// one this thread's previous world released if it fits, a fresh
-    /// reservation otherwise — the previous one is unmapped first.
-    ///
-    /// A fresh reservation is sized to the next power of two, so worlds of
-    /// similar size share it. It fails, with a message fit for one `error:`
-    /// line, when the stack size overflows, when the guards would take more
-    /// kernel mappings than `vm.max_map_count` allows (two per slot, plus
-    /// [`SPARE_MAPPINGS`]), or when the kernel refuses the address space.
-    pub(crate) fn acquire(stack_size: usize, count: usize) -> Result<StackPool, String> {
-        let stack_bytes = stack_size
-            .max(MIN_STACK_SIZE)
-            .checked_next_multiple_of(PAGE)
-            .ok_or_else(|| format!("a fiber stack of {stack_size} bytes is too large"))?;
-        let cached = CACHED.with(|cached| cached.take());
-        match cached {
-            Some(pool) if pool.stack_bytes == stack_bytes && count <= pool.capacity => Ok(pool),
-            stale => {
-                drop(stale);
-                StackPool::map(stack_bytes, count)
-            }
+    /// Stacks for `count` fibers of at least `stack_size` bytes each
+    /// ([`MIN_STACK_SIZE`] at least). Fails, with a message fit for one
+    /// `error:` line, when the assembly backing cannot reserve them (see
+    /// `asm::StackPool::acquire`); the baton's threads map their stacks one
+    /// by one, in [`StackPool::fiber`].
+    pub(crate) fn acquire(
+        switch: Switch,
+        stack_size: usize,
+        count: usize,
+    ) -> Result<StackPool, String> {
+        let stack_size = stack_size.max(MIN_STACK_SIZE);
+        match switch {
+            #[cfg(target_arch = "x86_64")]
+            Switch::Native => asm::StackPool::acquire(stack_size, count)
+                .map(|pool| StackPool(Stacks::Reserved(pool))),
+            _ => Ok(StackPool(Stacks::PerThread { stack_size, count })),
         }
     }
 
-    /// Bytes from one slot to the next: its guard page and its stack.
-    fn stride(&self) -> usize {
-        self.stack_bytes + PAGE
-    }
-
-    /// Leave the pool to this thread's next world.
+    /// Leave what can be reused to this thread's next world.
     pub(crate) fn release(self) {
-        CACHED.with(|cached| cached.replace(Some(self)));
-    }
-
-    fn map(stack_bytes: usize, count: usize) -> Result<StackPool, String> {
-        assert!(
-            RESERVATION.get()[1] == 0,
-            "mpisim: a thread holds one fiber stack reservation at a time"
-        );
-        let max_map_count = std::fs::read_to_string("/proc/sys/vm/max_map_count")
-            .ok()
-            .and_then(|text| text.trim().parse::<usize>().ok())
-            .unwrap_or(DEFAULT_MAX_MAP_COUNT);
-        let capacity = capacity_for(count, max_map_count)?;
-        let extent = stack_bytes
-            .checked_add(PAGE)
-            .and_then(|stride| Some((stride, stride.checked_mul(capacity)?)));
-        let Some((stride, len)) = extent else {
-            return Err(format!(
-                "{capacity} fiber stacks of {stack_bytes} bytes overflow the address space"
-            ));
-        };
-        // SAFETY: an anonymous private mapping at an address of the
-        // kernel's choosing aliases nothing; failure is checked.
-        let base = unsafe {
-            sys::mmap(
-                std::ptr::null_mut(),
-                len,
-                sys::PROT_READ | sys::PROT_WRITE,
-                sys::MAP_PRIVATE | sys::MAP_ANONYMOUS | sys::MAP_NORESERVE,
-                -1,
-                0,
-            )
-        };
-        if base == sys::MAP_FAILED {
-            return Err(format!(
-                "cannot reserve {len} bytes of address space for {capacity} fiber stacks of \
-                 {stack_bytes} bytes: {}",
-                std::io::Error::last_os_error()
-            ));
+        match self.0 {
+            #[cfg(target_arch = "x86_64")]
+            Stacks::Reserved(pool) => pool.release(),
+            Stacks::PerThread { .. } => {}
         }
-        // With transparent huge pages set to `always`, one touched byte
-        // would commit 2 MiB — the stacks of four ranks. A kernel built
-        // without THP rejects the advice, which is just as good.
-        // SAFETY: the range is the mapping made above.
-        #[cfg(target_os = "linux")]
-        unsafe {
-            sys::madvise(base, len, sys::MADV_NOHUGEPAGE);
-        }
-        let base = base.cast::<u8>();
-        for slot in 0..capacity {
-            // SAFETY: the guard is the first page of slot `slot`, inside
-            // the mapping; nothing has been handed out of it yet.
-            let failed =
-                unsafe { sys::mprotect(base.add(slot * stride).cast(), PAGE, sys::PROT_NONE) != 0 };
-            if failed {
-                let cause = std::io::Error::last_os_error();
-                // Unmap before building the message: at the mapping limit
-                // the allocator cannot grow either.
-                // SAFETY: the mapping made above, not yet shared.
-                unsafe { sys::munmap(base.cast(), len) };
-                return Err(format!(
-                    "cannot guard {capacity} fiber stacks, mprotect of guard {slot}: {cause} \
-                     (vm.max_map_count is {max_map_count}, and worlds on other threads count \
-                     against it too)"
-                ));
-            }
-        }
-        RESERVATION.set([base as usize, len, stride]);
-        install_fault_handler();
-        Ok(StackPool {
-            base,
-            stack_bytes,
-            capacity,
-        })
     }
 
     /// Create a fiber on stack `slot` that will run `entry` when first
-    /// resumed.
+    /// resumed. Fails when the baton cannot start the fiber's thread.
     ///
     /// # Safety
     ///
@@ -382,316 +98,483 @@ impl StackPool {
     ///   either run to completion or been dropped — the scheduler satisfies
     ///   this by owning all fibers in the same scope as the borrowed state
     ///   and never resuming a fiber after that scope unwinds.
-    /// * No other live fiber may have been created on `slot`: two fibers
-    ///   on one stack overwrite each other's frames. The scheduler gives
-    ///   rank `i` slot `i`.
-    pub(crate) unsafe fn fiber<'a>(&self, slot: usize, entry: Box<dyn FnOnce() + 'a>) -> Fiber<'_> {
-        assert!(
-            slot < self.capacity,
-            "fiber slot {slot} of {}",
-            self.capacity
-        );
+    /// * No other live fiber may have been created on `slot`. The scheduler
+    ///   gives rank `i` slot `i`.
+    /// * The scheduler installed on this thread, if any, must stay
+    ///   installed until the fiber is dropped: `entry` reaches it from the
+    ///   fiber's thread.
+    pub(crate) unsafe fn fiber<'a>(
+        &self,
+        slot: usize,
+        entry: Box<dyn FnOnce() + Send + 'a>,
+    ) -> Result<Fiber<'_>, String> {
         // SAFETY: only the lifetime changes; the caller keeps the borrows
         // alive (first condition above).
-        let entry: Box<dyn FnOnce() + 'static> = unsafe { std::mem::transmute(entry) };
-        let mut inner = Box::new(FiberInner {
-            fiber_rsp: std::ptr::null_mut(),
-            caller_rsp: std::ptr::null_mut(),
-            done: false,
-            entry: Some(entry),
-        });
-        // SAFETY: `slot < capacity`, so the slot's stack — the
-        // `stack_bytes` above its guard page — lies inside the mapping, is
-        // readable and writable, and by the second condition above is this
-        // fiber's alone.
-        inner.fiber_rsp = unsafe {
-            let stack = self.base.add(slot * self.stride() + PAGE);
-            seed_stack(stack, self.stack_bytes, &mut *inner)
+        let entry: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(entry) };
+        let flow = match &self.0 {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the returned fiber borrows the pool, and the slot is
+            // free by the second condition above.
+            Stacks::Reserved(pool) => Flow::Stack(unsafe { pool.fiber(slot, entry) }),
+            Stacks::PerThread { stack_size, count } => {
+                assert!(slot < *count, "fiber slot {slot} of {count}");
+                // SAFETY: the third condition above.
+                Flow::Thread(Box::new(unsafe {
+                    baton::Fiber::spawn(slot, *stack_size, entry)
+                }?))
+            }
         };
-        Fiber {
-            inner,
-            stack: PhantomData,
-        }
-    }
-}
-
-impl Drop for StackPool {
-    fn drop(&mut self) {
-        RESERVATION.set([0; 3]);
-        // SAFETY: the mapping made in `map`; every fiber borrowed the pool
-        // and is gone. An error here could only mean the arguments are not
-        // that mapping, and a destructor has nobody to report it to.
-        unsafe { sys::munmap(self.base.cast(), self.stride() * self.capacity) };
-    }
-}
-
-/// Slots to reserve for a world of `count` ranks: the next power of two,
-/// so worlds of similar size share a pool, as far as the kernel's mapping
-/// limit allows — each slot's guard splits the reservation into two
-/// mappings, and [`SPARE_MAPPINGS`] stay with the rest of the process.
-fn capacity_for(count: usize, max_map_count: usize) -> Result<usize, String> {
-    let most = max_map_count.saturating_sub(SPARE_MAPPINGS) / 2;
-    if count > most {
-        return Err(format!(
-            "{count} fiber stacks take 2 x {count} + {SPARE_MAPPINGS} memory mappings (a stack \
-             and its guard page each, plus the rest of the process) but vm.max_map_count is \
-             {max_map_count}: the largest p that fits is {most} (raise the limit with `sysctl \
-             -w vm.max_map_count=N`)"
-        ));
-    }
-    Ok(count.next_power_of_two().min(most))
-}
-
-/// Route `SIGSEGV` and `SIGBUS` through [`on_fault`], once per process.
-fn install_fault_handler() {
-    PREVIOUS_ACTIONS.get_or_init(|| {
-        [sys::SIGSEGV, sys::SIGBUS].map(|signal| {
-            // SAFETY: all-zero is a valid `struct sigaction` (default
-            // action, empty mask, no flags).
-            let mut action: sys::SigAction = unsafe { std::mem::zeroed() };
-            action.handler = on_fault as *const () as usize;
-            // The faulting fiber has no stack left to run a handler on;
-            // std gives the main thread and every `std::thread` an
-            // alternate signal stack.
-            action.flags = sys::SA_SIGINFO | sys::SA_ONSTACK;
-            // SAFETY: as above.
-            let mut previous: sys::SigAction = unsafe { std::mem::zeroed() };
-            // SAFETY: both pointers are to live, initialised structs, and
-            // `on_fault` has the three-argument `SA_SIGINFO` signature.
-            unsafe { sys::sigaction(signal, &action, &mut previous) };
-            previous
+        Ok(Fiber {
+            flow,
+            pool: PhantomData,
         })
-    });
-}
-
-/// A fault on one of this thread's guard pages is a fiber stack overflow:
-/// say so and abort. Any other fault is not ours: put the previous action
-/// back and return, so the faulting instruction runs again and the fault
-/// goes where it went before — how std's own stack-overflow handler
-/// declines a fault.
-extern "C" fn on_fault(signal: c_int, info: *const u8, _context: *mut c_void) {
-    // SAFETY: installed with `SA_SIGINFO`, so `info` points to a
-    // `siginfo_t`, which for these two signals carries the faulting
-    // address at this offset.
-    let address = unsafe { info.add(sys::SI_ADDR_OFFSET).cast::<usize>().read() };
-    let [base, len, stride] = RESERVATION.get();
-    let offset = address.wrapping_sub(base);
-    if offset < len && offset % stride < PAGE {
-        // SAFETY: `write` and `abort` are async-signal-safe; the buffer is
-        // a static.
-        unsafe {
-            sys::write(2, OVERFLOW_MSG.as_ptr().cast(), OVERFLOW_MSG.len());
-            sys::abort();
-        }
     }
-    // SAFETY: all-zero is the default action, for a fault that arrives
-    // while `install_fault_handler` is still between its two calls.
-    let default: sys::SigAction = unsafe { std::mem::zeroed() };
-    let previous = PREVIOUS_ACTIONS.get().map_or(&default, |actions| {
-        &actions[usize::from(signal != sys::SIGSEGV)]
-    });
-    // SAFETY: `previous` is a live, initialised struct; `sigaction` is
-    // async-signal-safe.
-    unsafe { sys::sigaction(signal, previous, std::ptr::null_mut()) };
 }
 
-/// A suspended or runnable fiber on one stack of the pool it borrows.
+/// A suspended or runnable fiber of the pool it borrows.
 pub struct Fiber<'pool> {
-    inner: Box<FiberInner>,
-    stack: PhantomData<&'pool StackPool>,
+    flow: Flow,
+    pool: PhantomData<&'pool StackPool>,
+}
+
+enum Flow {
+    #[cfg(target_arch = "x86_64")]
+    Stack(asm::Fiber),
+    /// Boxed to keep a world's `Vec<Fiber>` as dense as its assembly
+    /// fibers are: the scheduler indexes it on every resume.
+    Thread(Box<baton::Fiber>),
 }
 
 impl Fiber<'_> {
     /// Run the fiber until it suspends or finishes; returns `true` once
     /// the fiber's entry function has returned.
     ///
-    /// Dropping an unfinished fiber abandons its stack without running the
-    /// destructors of frames parked on it — a leak, never UB. The scheduler
-    /// only drops unfinished fibers while unwinding from a harness-level
-    /// failure.
+    /// The simulator wraps every rank body in `catch_unwind`, so a panic
+    /// that leaves `entry` is a harness bug. The baton re-raises it here,
+    /// on the resuming thread; unwinding cannot cross the assembly switch,
+    /// which reports it and aborts the process.
+    ///
+    /// Dropping an unfinished fiber ends it without another `resume`: the
+    /// baton unwinds the fiber's thread from its suspension point and joins
+    /// it, the assembly backing abandons the stack with the frames parked
+    /// on it (a leak, never UB). The scheduler only drops unfinished fibers
+    /// while unwinding from a harness-level failure.
     pub fn resume(&mut self) -> bool {
-        assert!(!self.inner.done, "resumed a finished fiber");
-        let inner: *mut FiberInner = &mut *self.inner;
-        let previous = RUNNING.with(|running| running.replace(inner));
-        // SAFETY: both pointers are fields of the live boxed FiberInner;
-        // the seeded (or previously saved) fiber_rsp points into this
-        // fiber's own stack slot, which the borrowed pool keeps mapped.
-        unsafe { switch_context(&mut (*inner).caller_rsp, &mut (*inner).fiber_rsp) };
-        RUNNING.with(|running| running.set(previous));
-        self.inner.done
+        match &mut self.flow {
+            #[cfg(target_arch = "x86_64")]
+            Flow::Stack(fiber) => fiber.resume(),
+            Flow::Thread(fiber) => fiber.resume(),
+        }
     }
 }
 
 /// Suspend the currently running fiber, returning control to whoever
 /// called [`Fiber::resume`]. Panics when called from outside any fiber.
 pub fn suspend_current() {
-    let inner = RUNNING.with(|running| running.get());
-    assert!(!inner.is_null(), "suspend_current outside a fiber");
-    // SAFETY: `inner` was installed by the `resume` frame still live on
-    // the caller side of this switch.
-    unsafe { switch_context(&mut (*inner).fiber_rsp, &mut (*inner).caller_rsp) };
+    #[cfg(target_arch = "x86_64")]
+    if asm::suspend_running() {
+        return;
+    }
+    baton::suspend_running();
+}
+
+/// The portable backing: a parked OS thread per fiber.
+///
+/// The two sides of a switch — the scheduler's thread in `resume`, the
+/// fiber's thread in `suspend_running` — take turns through one [`Baton`]:
+/// each hands the turn over and sleeps until it comes back, so the world
+/// stays as single-threaded as it is on the assembly backing, and the
+/// baton's mutex orders everything one side did before everything the
+/// other does next.
+mod baton {
+    use std::cell::OnceCell;
+    use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+    use std::thread::JoinHandle;
+
+    /// Whose move it is.
+    #[derive(Clone, Copy, PartialEq, Eq)]
+    enum Turn {
+        /// The resumer's: the fiber is not started yet, or suspended.
+        Scheduler,
+        Fiber,
+        /// The fiber's thread is past `entry`, or never ran it.
+        Finished,
+        /// The fiber was dropped unfinished: its thread must unwind.
+        Cancelled,
+    }
+
+    struct Baton {
+        turn: Mutex<Turn>,
+        passed: Condvar,
+    }
+
+    /// What a cancelled fiber's thread unwinds with.
+    struct Cancelled;
+
+    thread_local! {
+        /// The baton of the fiber this thread is (unset on any other).
+        static OWN: OnceCell<Arc<Baton>> = const { OnceCell::new() };
+    }
+
+    impl Baton {
+        /// The lock guards a plain enum that is valid at every step, so a
+        /// holder's panic leaves nothing to distrust.
+        fn lock(&self) -> MutexGuard<'_, Turn> {
+            self.turn.lock().unwrap_or_else(PoisonError::into_inner)
+        }
+
+        /// Give the turn to `to`; the other side is the only waiter.
+        fn pass(&self, turn: &mut MutexGuard<'_, Turn>, to: Turn) {
+            **turn = to;
+            self.passed.notify_one();
+        }
+
+        /// Sleep until the turn is no longer `held`.
+        fn wait_out<'a>(&self, mut turn: MutexGuard<'a, Turn>, held: Turn) -> MutexGuard<'a, Turn> {
+            while *turn == held {
+                turn = self
+                    .passed
+                    .wait(turn)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+            turn
+        }
+    }
+
+    pub(super) struct Fiber {
+        baton: Arc<Baton>,
+        /// Joined, and gone, once the fiber has finished.
+        thread: Option<JoinHandle<()>>,
+    }
+
+    impl Fiber {
+        /// Start fiber `slot`'s thread, parked until the first `resume`.
+        ///
+        /// # Safety
+        ///
+        /// The scheduler installed on the calling thread, if any, must
+        /// stay installed until the fiber is dropped.
+        pub(super) unsafe fn spawn(
+            slot: usize,
+            stack_size: usize,
+            entry: Box<dyn FnOnce() + Send>,
+        ) -> Result<Fiber, String> {
+            let baton = Arc::new(Baton {
+                turn: Mutex::new(Turn::Scheduler),
+                passed: Condvar::new(),
+            });
+            let scheduler = crate::des::handle();
+            let own = baton.clone();
+            let body = move || {
+                // However this thread ends — `entry` returned, panicked or
+                // never ran — the resumer is told, so it can join.
+                struct Finish(Arc<Baton>);
+                impl Drop for Finish {
+                    fn drop(&mut self) {
+                        self.0.pass(&mut self.0.lock(), Turn::Finished);
+                    }
+                }
+                let finish = Finish(own);
+                let first = *finish.0.wait_out(finish.0.lock(), Turn::Scheduler);
+                if first == Turn::Fiber {
+                    // SAFETY: this thread runs only while the scheduler's
+                    // thread is parked in `resume` or `drop` below, both
+                    // inside the span the caller vouched for.
+                    unsafe { scheduler.adopt() };
+                    OWN.with(|own| own.set(finish.0.clone()))
+                        .ok()
+                        .expect("a fresh thread has no baton yet");
+                    entry();
+                }
+            };
+            let thread = std::thread::Builder::new()
+                .name(format!("fiber {slot}"))
+                .stack_size(stack_size)
+                .spawn(body)
+                .map_err(|cause| format!("cannot start a thread for fiber {slot}: {cause}"))?;
+            Ok(Fiber {
+                baton,
+                thread: Some(thread),
+            })
+        }
+
+        pub(super) fn resume(&mut self) -> bool {
+            assert!(self.thread.is_some(), "resumed a finished fiber");
+            let mut turn = self.baton.lock();
+            self.baton.pass(&mut turn, Turn::Fiber);
+            if *self.baton.wait_out(turn, Turn::Fiber) == Turn::Scheduler {
+                return false;
+            }
+            let thread = self.thread.take().expect("checked on entry");
+            if let Err(panic) = thread.join() {
+                std::panic::resume_unwind(panic);
+            }
+            true
+        }
+    }
+
+    impl Drop for Fiber {
+        fn drop(&mut self) {
+            if let Some(thread) = self.thread.take() {
+                self.baton.pass(&mut self.baton.lock(), Turn::Cancelled);
+                // The body unwinds with `Cancelled` or whatever it makes of
+                // that; nobody is left to want it.
+                let _ = thread.join();
+            }
+        }
+    }
+
+    /// Hand the turn back to the resumer and sleep until the next `resume`.
+    pub(super) fn suspend_running() {
+        OWN.with(|own| {
+            let baton = own.get().expect("suspend_current outside a fiber");
+            let mut turn = baton.lock();
+            // A body that swallowed its cancellation is cancelled again.
+            if *turn != Turn::Cancelled {
+                baton.pass(&mut turn, Turn::Scheduler);
+                turn = baton.wait_out(turn, Turn::Scheduler);
+            }
+            if *turn == Turn::Cancelled {
+                drop(turn);
+                std::panic::resume_unwind(Box::new(Cancelled));
+            }
+        });
+    }
+
+    /// Is the calling thread a fiber's?
+    #[cfg(test)]
+    pub(super) fn in_fiber() -> bool {
+        OWN.with(|own| own.get().is_some())
+    }
 }
 
 /// Is the calling code executing inside a fiber?
 #[cfg(test)]
 pub fn in_fiber() -> bool {
-    RUNNING.with(|running| !running.get().is_null())
-}
-
-/// Write the initial context frame a fresh fiber is "restored" from and
-/// return the stack pointer to load. Layout mirrors `switch_context`'s
-/// restore path exactly: mxcsr/fcw slot, r15..rbx..rbp, return address
-/// (the trampoline), plus a null frame-pointer backstop above it.
-///
-/// # Safety
-///
-/// `stack` must point to `size` writable bytes that no live fiber uses.
-unsafe fn seed_stack(stack: *mut u8, size: usize, inner: *mut FiberInner) -> *mut u8 {
-    let top = unsafe { stack.add(size) };
-    let frame = unsafe { top.sub(CTX_FRAME).cast::<u64>() };
-    unsafe {
-        frame.write(0x1F80); // [rsp]   mxcsr (default), [rsp+4] fcw below
-        frame.cast::<u32>().add(1).write(0x037F); // x87 default control word
-        frame.add(1).write(0); // pad to 16 bytes
-        frame.add(2).write(0); // r15
-        frame.add(3).write(0); // r14
-        frame.add(4).write(0); // r13
-        frame.add(5).write(0); // r12
-        frame.add(6).write(inner as u64); // rbx -> FiberInner
-        frame.add(7).write(0); // rbp
-        frame.add(8).write(trampoline as *const () as usize as u64); // ret target
+    #[cfg(target_arch = "x86_64")]
+    if asm::in_fiber() {
+        return true;
     }
-    frame.cast::<u8>()
+    baton::in_fiber()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::rc::Rc;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
+    use std::sync::{Arc, Mutex};
 
-    fn pool(count: usize) -> StackPool {
-        StackPool::acquire(32 * 1024, count).expect("stack pool")
+    /// Both backings (the same one twice off x86-64): what holds for one
+    /// switch must hold for the other.
+    const SWITCHES: [Switch; 2] = [Switch::Native, Switch::Baton];
+
+    fn pool(switch: Switch, count: usize) -> StackPool {
+        StackPool::acquire(switch, 32 * 1024, count).expect("stack pool")
     }
 
     #[test]
     fn runs_to_completion() {
-        let hit = Rc::new(Cell::new(false));
-        let h = hit.clone();
-        let pool = pool(1);
-        let mut f = unsafe { pool.fiber(0, Box::new(move || h.set(true))) };
-        assert!(f.resume());
-        assert!(hit.get());
+        for switch in SWITCHES {
+            let hit = Arc::new(AtomicBool::new(false));
+            let h = hit.clone();
+            let pool = pool(switch, 1);
+            let mut f = unsafe { pool.fiber(0, Box::new(move || h.store(true, SeqCst))) }.unwrap();
+            assert!(f.resume());
+            assert!(hit.load(SeqCst));
+        }
     }
 
     #[test]
     fn suspend_and_resume_interleave() {
-        let log = Rc::new(RefCell::new(Vec::new()));
-        let l = log.clone();
-        let pool = pool(1);
-        let mut f = unsafe {
-            pool.fiber(
-                0,
-                Box::new(move || {
-                    l.borrow_mut().push("a");
-                    suspend_current();
-                    l.borrow_mut().push("b");
-                    suspend_current();
-                    l.borrow_mut().push("c");
-                }),
-            )
-        };
-        assert!(!f.resume());
-        log.borrow_mut().push("between");
-        assert!(!f.resume());
-        assert!(f.resume());
-        assert_eq!(*log.borrow(), ["a", "between", "b", "c"]);
+        for switch in SWITCHES {
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let l = log.clone();
+            let pool = pool(switch, 1);
+            let mut f = unsafe {
+                pool.fiber(
+                    0,
+                    Box::new(move || {
+                        l.lock().unwrap().push("a");
+                        suspend_current();
+                        l.lock().unwrap().push("b");
+                        suspend_current();
+                        l.lock().unwrap().push("c");
+                    }),
+                )
+            }
+            .unwrap();
+            assert!(!f.resume());
+            log.lock().unwrap().push("between");
+            assert!(!f.resume());
+            assert!(f.resume());
+            assert_eq!(*log.lock().unwrap(), ["a", "between", "b", "c"]);
+        }
     }
 
     #[test]
     fn many_fibers_round_robin() {
-        let counter = Rc::new(Cell::new(0u64));
-        let pool = pool(100);
-        let mut fibers: Vec<Fiber<'_>> = (0..100)
-            .map(|slot| {
-                let c = counter.clone();
-                unsafe {
-                    pool.fiber(
-                        slot,
-                        Box::new(move || {
-                            for _ in 0..10 {
-                                c.set(c.get() + 1);
-                                suspend_current();
-                            }
-                        }),
-                    )
-                }
-            })
-            .collect();
-        let mut live = fibers.len();
-        while live > 0 {
-            live = 0;
-            for f in &mut fibers {
-                if !f.inner.done && !f.resume() {
-                    live += 1;
+        for switch in SWITCHES {
+            let counter = Arc::new(AtomicU64::new(0));
+            let pool = pool(switch, 100);
+            let mut fibers: Vec<Option<Fiber<'_>>> = (0..100)
+                .map(|slot| {
+                    let c = counter.clone();
+                    let body = move || {
+                        for _ in 0..10 {
+                            c.fetch_add(1, SeqCst);
+                            suspend_current();
+                        }
+                    };
+                    Some(unsafe { pool.fiber(slot, Box::new(body)) }.unwrap())
+                })
+                .collect();
+            while fibers.iter().any(Option::is_some) {
+                for slot in &mut fibers {
+                    if slot.as_mut().is_some_and(Fiber::resume) {
+                        *slot = None;
+                    }
                 }
             }
+            assert_eq!(counter.load(SeqCst), 1000);
         }
-        assert_eq!(counter.get(), 1000);
     }
 
     #[test]
     fn borrowed_state_is_visible() {
-        let mut total = 0u64;
-        {
-            let t = &mut total;
-            let pool = pool(1);
-            let mut f = unsafe { pool.fiber(0, Box::new(move || *t = 41 + 1)) };
-            assert!(f.resume());
+        for switch in SWITCHES {
+            let mut total = 0u64;
+            {
+                let t = &mut total;
+                let pool = pool(switch, 1);
+                let mut f = unsafe { pool.fiber(0, Box::new(move || *t = 41 + 1)) }.unwrap();
+                assert!(f.resume());
+            }
+            assert_eq!(total, 42);
         }
-        assert_eq!(total, 42);
     }
 
     #[test]
     fn in_fiber_reflects_context() {
-        assert!(!in_fiber());
-        let seen = Rc::new(Cell::new(false));
-        let s = seen.clone();
-        let pool = pool(1);
-        let mut f = unsafe { pool.fiber(0, Box::new(move || s.set(in_fiber()))) };
-        f.resume();
-        assert!(seen.get());
-        assert!(!in_fiber());
+        for switch in SWITCHES {
+            assert!(!in_fiber());
+            let seen = Arc::new(AtomicBool::new(false));
+            let s = seen.clone();
+            let pool = pool(switch, 1);
+            let mut f =
+                unsafe { pool.fiber(0, Box::new(move || s.store(in_fiber(), SeqCst))) }.unwrap();
+            f.resume();
+            assert!(seen.load(SeqCst));
+            assert!(!in_fiber());
+        }
     }
 
     #[test]
     fn float_state_survives_switches() {
-        // The context switch saves mxcsr/fcw; computed values live in
+        // The assembly switch saves mxcsr/fcw; computed values live in
         // caller-saved xmm registers across the call boundary, but FP
         // results must still be correct after interleaved fibers.
-        let out = Rc::new(Cell::new(0.0f64));
-        let o = out.clone();
-        let pool = pool(1);
-        let mut f = unsafe {
-            pool.fiber(
-                0,
-                Box::new(move || {
-                    let x = 1.5f64;
-                    suspend_current();
-                    o.set(x * 2.0 + 0.25);
-                }),
-            )
+        for switch in SWITCHES {
+            let out = Arc::new(Mutex::new(0.0f64));
+            let o = out.clone();
+            let pool = pool(switch, 1);
+            let mut f = unsafe {
+                pool.fiber(
+                    0,
+                    Box::new(move || {
+                        let x = 1.5f64;
+                        suspend_current();
+                        *o.lock().unwrap() = x * 2.0 + 0.25;
+                    }),
+                )
+            }
+            .unwrap();
+            assert!(!f.resume());
+            let _noise = (0..100).map(|i| (i as f64).sqrt()).sum::<f64>();
+            assert!(f.resume());
+            assert_eq!(*out.lock().unwrap(), 3.25);
+        }
+    }
+
+    /// Sets its flag when dropped: on a fiber's stack, proof that the
+    /// frame was unwound.
+    struct SetOnDrop(Arc<AtomicBool>);
+
+    impl Drop for SetOnDrop {
+        fn drop(&mut self) {
+            self.0.store(true, SeqCst);
+        }
+    }
+
+    /// Dropping a baton fiber that is suspended, or was never resumed,
+    /// unwinds its body and joins its thread: nothing the body owns or
+    /// borrows is still in use afterwards.
+    #[test]
+    fn dropping_an_unfinished_fiber_ends_its_thread() {
+        let pool = pool(Switch::Baton, 2);
+        let unwound = Arc::new(AtomicBool::new(false));
+        let resumed = Arc::new(AtomicBool::new(false));
+        let (u, r) = (unwound.clone(), resumed.clone());
+        let suspended = move || {
+            let _on_stack = SetOnDrop(u);
+            suspend_current();
+            r.store(true, SeqCst);
         };
+        let mut suspended = unsafe { pool.fiber(0, Box::new(suspended)) }.unwrap();
+        let started = Arc::new(AtomicBool::new(false));
+        let s = started.clone();
+        let fresh = unsafe { pool.fiber(1, Box::new(move || s.store(true, SeqCst))) }.unwrap();
+        assert!(!suspended.resume());
+        assert!(!unwound.load(SeqCst));
+        drop(suspended);
+        assert!(unwound.load(SeqCst), "the parked frame was unwound");
+        assert!(!resumed.load(SeqCst), "the body did not run on");
+        assert_eq!(Arc::strong_count(&unwound), 1, "the thread is gone");
+        drop(fresh);
+        assert!(!started.load(SeqCst), "a fiber never resumed never runs");
+        assert_eq!(Arc::strong_count(&started), 1, "the thread is gone");
+    }
+
+    /// The scheduler's rank bodies catch their own panics; one that gets
+    /// past a body's net on the baton surfaces where the fiber was
+    /// resumed, payload intact.
+    #[test]
+    fn a_panic_leaving_the_body_reaches_the_resumer() {
+        let pool = pool(Switch::Baton, 1);
+        let body = || {
+            suspend_current();
+            panic!("no net under this one");
+        };
+        let mut f = unsafe { pool.fiber(0, Box::new(body)) }.unwrap();
         assert!(!f.resume());
-        let _noise = (0..100).map(|i| (i as f64).sqrt()).sum::<f64>();
-        assert!(f.resume());
-        assert_eq!(out.get(), 3.25);
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f.resume()))
+            .expect_err("the panic is re-raised");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"no net under this one")
+        );
+    }
+
+    /// A stack no thread can be given is an error from `fiber`, not a
+    /// panic in `spawn`.
+    #[test]
+    fn a_thread_that_cannot_start_is_an_error() {
+        let pool = StackPool::acquire(Switch::Baton, usize::MAX / 2, 1).expect("nothing mapped");
+        let refused = unsafe { pool.fiber(0, Box::new(|| {})) }
+            .err()
+            .expect("no such stack");
+        assert!(
+            refused.contains("cannot start a thread for fiber 0"),
+            "{refused}"
+        );
     }
 
     /// Where a world's pool lands: the released one when it fits, a fresh
     /// reservation (the old one unmapped first — `map` asserts the thread
     /// holds no other) when the world is larger or the stack size differs.
+    #[cfg(target_arch = "x86_64")]
     #[test]
     fn released_pool_serves_the_next_world_that_fits() {
+        use asm::{StackPool, CACHED, PAGE, RESERVATION};
         let first = StackPool::acquire(64 * 1024, 64).expect("p = 64");
         let (base, capacity) = (first.base, first.capacity);
         assert_eq!(capacity, 64);
@@ -714,23 +597,33 @@ mod tests {
         assert!(CACHED.with(|cached| cached.borrow().is_none()));
     }
 
+    #[cfg(target_arch = "x86_64")]
     #[test]
     fn stack_sizes_are_clamped_or_refused_without_panicking() {
-        let smallest = StackPool::acquire(0, 1).expect("the minimum stack");
+        let Stacks::Reserved(smallest) = pool(Switch::Native, 1).0 else {
+            panic!("x86-64 reserves its stacks");
+        };
+        assert_eq!(smallest.stack_bytes, 32 * 1024);
+        drop(smallest);
+        let Stacks::Reserved(smallest) = StackPool::acquire(Switch::Native, 0, 1).unwrap().0 else {
+            panic!("x86-64 reserves its stacks");
+        };
         assert_eq!(smallest.stack_bytes, MIN_STACK_SIZE);
         drop(smallest);
-        let refused = StackPool::acquire(usize::MAX, 1)
+        let refused = StackPool::acquire(Switch::Native, usize::MAX, 1)
             .err()
             .expect("no such stack");
         assert!(refused.contains("too large"), "{refused}");
-        let refused = StackPool::acquire(usize::MAX / 2, 4)
+        let refused = StackPool::acquire(Switch::Native, usize::MAX / 2, 4)
             .err()
             .expect("no such address space");
         assert!(refused.contains("address space"), "{refused}");
     }
 
+    #[cfg(target_arch = "x86_64")]
     #[test]
     fn capacity_is_a_power_of_two_within_the_mapping_limit() {
+        use asm::{capacity_for, DEFAULT_MAX_MAP_COUNT};
         assert_eq!(capacity_for(1, DEFAULT_MAX_MAP_COUNT), Ok(1));
         assert_eq!(capacity_for(100, DEFAULT_MAX_MAP_COUNT), Ok(128));
         assert_eq!(capacity_for(16_384, DEFAULT_MAX_MAP_COUNT), Ok(16_384));
@@ -752,10 +645,11 @@ mod tests {
     /// filling slot 1 to its lowest byte leaves the frames parked at the
     /// top of slot 0 — the first thing an unguarded overflow would reach —
     /// intact.
+    #[cfg(target_arch = "x86_64")]
     #[test]
     fn a_full_stack_stops_short_of_its_neighbour() {
-        let pool = pool(2);
-        let resumed = Rc::new(Cell::new(false));
+        let pool = asm::StackPool::acquire(32 * 1024, 2).expect("stack pool");
+        let resumed = Arc::new(AtomicBool::new(false));
         let r = resumed.clone();
         let mut below = unsafe {
             pool.fiber(
@@ -763,16 +657,16 @@ mod tests {
                 Box::new(move || {
                     let parked = std::hint::black_box([0xA5u8; 256]);
                     suspend_current();
-                    r.set(parked.iter().all(|&b| b == 0xA5));
+                    r.store(parked.iter().all(|&b| b == 0xA5), SeqCst);
                 }),
             )
         };
         assert!(!below.resume());
         // SAFETY: slot 1's stack, which no fiber uses.
-        let above = unsafe { pool.base.add(pool.stride() + PAGE) };
+        let above = unsafe { pool.base.add(pool.stride() + asm::PAGE) };
         // SAFETY: the same stack, whole.
         unsafe { std::ptr::write_bytes(above, 0x5A, pool.stack_bytes) };
         assert!(below.resume());
-        assert!(resumed.get());
+        assert!(resumed.load(SeqCst));
     }
 }

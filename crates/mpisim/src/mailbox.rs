@@ -1,46 +1,46 @@
-//! Per-rank mailboxes: the matching queues behind point-to-point messaging.
+//! Point-to-point matching: the rule that picks a queued message for a
+//! receive, and the world-wide state around it.
 //!
-//! Each world rank owns one mailbox. Senders deposit [`Envelope`]s; the
-//! receiving rank blocks on its own mailbox until a matching envelope
-//! appears. Matching scans in arrival order, which preserves MPI's
-//! non-overtaking rule for a fixed `(source, communicator)` pair because a
-//! sender deposits its messages in program order.
+//! Each world rank owns one queue of incoming [`Envelope`]s. The queues
+//! live inside the world's scheduler (`crate::des`), which runs one rank
+//! at a time on every engine: a sender deposits into the receiver's queue
+//! and re-queues the receiver; a receive that finds no match suspends its
+//! fiber until a deposit wakes it. Matching scans in arrival order, which
+//! preserves MPI's non-overtaking rule for a fixed `(source, communicator)`
+//! pair because a sender deposits its messages in program order. This
+//! module holds the matching rule itself ([`take_from_queue`], the single
+//! matching site) and what the ranks share beyond the queues
+//! ([`MailboxSet`]).
 //!
-//! How a receiver blocks depends on the execution engine: under the
-//! threads engine it parks its OS thread on the mailbox condvar; under
-//! the DES engine its fiber suspends into the event queue and the
-//! depositing sender re-queues it (`crate::des`). A DES world is
-//! single-threaded by construction, so its message queues live inside
-//! the scheduler (plain `RefCell` storage, no mutex) — the `Mutex` +
-//! `Condvar` pair below is only touched by the threads engine. Both
-//! paths share the same matching semantics and poison protocol.
-//!
-//! Mailboxes participate in world poisoning: when any rank fails, waiters
+//! Matching participates in world poisoning: when any rank fails, waiters
 //! are woken and unwind instead of blocking forever.
 
 use crate::control::{MatchCandidate, MatchController};
 use crate::error::POISONED_MSG;
 use crate::event::CommId;
 use crate::message::{Envelope, Src, TagSel};
-use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Remove one matching message from `queue`, if any, honoring an optional
 /// [`MatchController`] on wildcard receives.
 ///
-/// This is the single matching-site implementation shared by both engines
-/// (the DES scheduler's resident queues and the threads engine's mutexed
-/// mailboxes), so a controller observes identical candidate sets and
-/// decision points regardless of engine. With `observe`, every queued
-/// message matching the selectors is also reported as `(sender world
-/// rank, tag)` — the exact candidate set a race analyzer joins on.
+/// This is the single matching site, so a controller observes the same
+/// candidate sets and decision points on every engine. With `observe`,
+/// every queued message matching the selectors is also reported as
+/// `(sender world rank, tag)` — the exact candidate set a race analyzer
+/// joins on.
 ///
 /// The controller is only consulted for [`Src::Any`] receives (named
 /// sources have no choice to make: non-overtaking pins the match), and it
 /// chooses among the *earliest queued message per distinct sender* — the
 /// set of matchings a standards-compliant MPI could produce. Candidate
 /// index 0 is the default (arrival-order) pick.
+///
+/// Out of line on purpose: inlined into its one caller the scan compiles
+/// to a loop a third slower on a 4096-deep queue (the benchmark's
+/// `mpisim.mailbox.reverse_drain_*`).
+#[inline(never)]
 pub(crate) fn take_from_queue(
     queue: &mut Vec<Envelope>,
     receiver: usize,
@@ -111,191 +111,28 @@ impl Poison {
     }
 }
 
-/// One rank's incoming-message queue.
-pub struct Mailbox {
-    queue: Mutex<Vec<Envelope>>,
-    arrived: Condvar,
-    /// World rank this mailbox belongs to — the rank the DES scheduler
-    /// wakes when a message lands here.
-    owner: usize,
-}
-
-impl Default for Mailbox {
-    fn default() -> Self {
-        Mailbox::for_rank(0)
-    }
-}
-
-impl Mailbox {
-    /// The mailbox of world rank `owner`.
-    pub fn for_rank(owner: usize) -> Self {
-        Mailbox {
-            queue: Mutex::new(Vec::new()),
-            arrived: Condvar::new(),
-            owner,
-        }
-    }
-
-    /// Deposit a message (called from the sending rank).
-    pub fn deposit(&self, envelope: Envelope) {
-        #[cfg(target_arch = "x86_64")]
-        let envelope = {
-            // `with_active` may not run the closure (no scheduler on this
-            // thread), so the envelope is passed through an Option to keep
-            // ownership when the closure never executes.
-            let mut env = Some(envelope);
-            let routed = crate::des::with_active(|s| {
-                s.deposit(self.owner, env.take().expect("deposit closure runs once"));
-                s.wake(self.owner);
-            });
-            if routed.is_some() {
-                return;
-            }
-            env.take()
-                .expect("envelope retained when no scheduler is active")
-        };
-        self.queue.lock().push(envelope);
-        self.arrived.notify_all();
-    }
-
-    /// Block until a message matching `(comm, src, tag)` is present and
-    /// remove it. Unwinds if the world gets poisoned while waiting.
-    pub fn take_matching(&self, comm: CommId, src: Src, tag: TagSel, poison: &Poison) -> Envelope {
-        self.take_matching_observed(comm, src, tag, poison, false).0
-    }
-
-    /// Like [`Mailbox::take_matching`], but when `observe` is set also
-    /// report every queued message that matched the selectors at the
-    /// instant of consumption, as `(sender world rank, tag)` pairs — the
-    /// candidate set a race analyzer needs, computed under the queue lock
-    /// so it is exact.
-    pub fn take_matching_observed(
-        &self,
-        comm: CommId,
-        src: Src,
-        tag: TagSel,
-        poison: &Poison,
-        observe: bool,
-    ) -> (Envelope, Vec<(usize, i32)>) {
-        self.take_matching_controlled(comm, src, tag, poison, observe, None)
-    }
-
-    /// Like [`Mailbox::take_matching_observed`], but wildcard matches are
-    /// resolved through `controller` when one is given (see
-    /// [`crate::control`]). The uncontrolled paths pass `None` and keep
-    /// today's arrival-order pick.
-    pub(crate) fn take_matching_controlled(
-        &self,
-        comm: CommId,
-        src: Src,
-        tag: TagSel,
-        poison: &Poison,
-        observe: bool,
-        controller: Option<&dyn MatchController>,
-    ) -> (Envelope, Vec<(usize, i32)>) {
-        #[cfg(target_arch = "x86_64")]
-        if crate::des::is_active() {
-            // Single scheduler thread: match against the scheduler-resident
-            // queue without any lock. On a miss the fiber suspends into the
-            // event queue; the depositing sender re-queues it. No wakeup can
-            // be lost — nothing else runs between the scan and suspension.
-            loop {
-                poison.check();
-                if let Some(hit) = crate::des::with_active(|s| {
-                    s.try_take(self.owner, comm, src, tag, observe, controller)
-                })
-                .flatten()
-                {
-                    return hit;
-                }
-                crate::des::with_active(|s| s.block_current());
-            }
-        }
-        let mut queue = self.queue.lock();
-        loop {
-            poison.check();
-            if let Some(hit) =
-                take_from_queue(&mut queue, self.owner, comm, src, tag, observe, controller)
-            {
-                return hit;
-            }
-            self.arrived.wait(&mut queue);
-        }
-    }
-
-    /// Non-blocking probe: is a matching message already here?
-    pub fn probe(&self, comm: CommId, src: Src, tag: TagSel) -> bool {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(hit) = crate::des::with_active(|s| s.queue_probe(self.owner, comm, src, tag)) {
-            return hit;
-        }
-        self.queue.lock().iter().any(|e| e.matches(comm, src, tag))
-    }
-
-    /// Number of queued messages (diagnostics).
-    pub fn len(&self) -> usize {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(n) = crate::des::with_active(|s| s.queue_len(self.owner)) {
-            return n;
-        }
-        self.queue.lock().len()
-    }
-
-    /// True when no message is queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Wake all waiters (used when poisoning the world).
-    pub fn wake_all(&self) {
-        #[cfg(target_arch = "x86_64")]
-        if crate::des::with_active(|s| s.wake(self.owner)).is_some() {
-            return;
-        }
-        // Acquire the lock so a waiter between its poison check and its
-        // wait() cannot miss the notification.
-        let _guard = self.queue.lock();
-        self.arrived.notify_all();
-    }
-}
-
-/// The full set of mailboxes of a world.
+/// What the ranks of a world share about point-to-point matching besides
+/// the queues themselves: the poison flag and the wildcard-match policy.
+#[derive(Default)]
 pub struct MailboxSet {
-    boxes: Vec<Mailbox>,
-    pub poison: Arc<Poison>,
+    pub poison: Poison,
     /// Steers wildcard matches when a verifier drives the world; `None`
     /// (the default) keeps arrival-order matching.
     pub(crate) controller: Option<Arc<dyn MatchController>>,
 }
 
 impl MailboxSet {
-    /// Create mailboxes for `nranks` ranks.
-    pub fn new(nranks: usize, poison: Arc<Poison>) -> Self {
-        MailboxSet {
-            boxes: (0..nranks).map(Mailbox::for_rank).collect(),
-            poison,
-            controller: None,
-        }
-    }
-
     /// The attached wildcard-match controller, if any.
     #[inline]
     pub(crate) fn controller(&self) -> Option<&dyn MatchController> {
         self.controller.as_deref()
     }
 
-    /// The mailbox of a world rank.
-    #[inline]
-    pub fn of(&self, world_rank: usize) -> &Mailbox {
-        &self.boxes[world_rank]
-    }
-
-    /// Poison the world and wake every blocked receiver.
+    /// Poison the world and make every suspended rank runnable, so each
+    /// unwinds from its wait when the scheduler gets to it.
     pub fn poison_all(&self) {
         self.poison.set();
-        for b in &self.boxes {
-            b.wake_all();
-        }
+        crate::des::with_active(|s| s.wake_all());
     }
 }
 
@@ -303,9 +140,9 @@ impl MailboxSet {
 mod tests {
     use super::*;
     use crate::message::Payload;
+    use crate::{Engine, RunError, WorldBuilder};
     use machine::VTime;
-    use std::thread;
-    use std::time::Duration;
+    use parking_lot::Mutex;
 
     fn envelope(src: usize, tag: i32, seq: u64) -> Envelope {
         Envelope {
@@ -319,86 +156,107 @@ mod tests {
         }
     }
 
+    /// An uncontrolled, unobserved take by rank 0 on the world communicator.
+    fn take(queue: &mut Vec<Envelope>, src: Src, tag: TagSel) -> Option<Envelope> {
+        take_from_queue(queue, 0, CommId::WORLD, src, tag, false, None).map(|(e, _)| e)
+    }
+
     #[test]
     fn deposit_then_take() {
-        let mb = Mailbox::default();
-        let poison = Poison::default();
-        mb.deposit(envelope(1, 5, 0));
-        assert!(mb.probe(CommId::WORLD, Src::Rank(1), TagSel::Is(5)));
-        let e = mb.take_matching(CommId::WORLD, Src::Rank(1), TagSel::Is(5), &poison);
+        let mut queue = vec![envelope(1, 5, 0)];
+        assert!(take(&mut queue, Src::Rank(2), TagSel::Is(5)).is_none());
+        let e = take(&mut queue, Src::Rank(1), TagSel::Is(5)).expect("queued");
         assert_eq!(e.src_local, 1);
-        assert!(mb.is_empty());
+        assert!(queue.is_empty());
     }
 
     #[test]
     fn non_overtaking_per_source() {
-        let mb = Mailbox::default();
-        let poison = Poison::default();
-        mb.deposit(envelope(1, 5, 0));
-        mb.deposit(envelope(1, 5, 1));
-        let a = mb.take_matching(CommId::WORLD, Src::Rank(1), TagSel::Is(5), &poison);
-        let b = mb.take_matching(CommId::WORLD, Src::Rank(1), TagSel::Is(5), &poison);
+        let mut queue = vec![envelope(1, 5, 0), envelope(1, 5, 1)];
+        let a = take(&mut queue, Src::Rank(1), TagSel::Is(5)).expect("first");
+        let b = take(&mut queue, Src::Rank(1), TagSel::Is(5)).expect("second");
         assert!(a.seq < b.seq);
     }
 
     #[test]
     fn selective_matching_skips_nonmatching() {
-        let mb = Mailbox::default();
-        let poison = Poison::default();
-        mb.deposit(envelope(1, 5, 0));
-        mb.deposit(envelope(2, 7, 1));
-        let e = mb.take_matching(CommId::WORLD, Src::Rank(2), TagSel::Any, &poison);
+        let mut queue = vec![envelope(1, 5, 0), envelope(2, 7, 1)];
+        let e = take(&mut queue, Src::Rank(2), TagSel::Any).expect("queued");
         assert_eq!(e.src_local, 2);
-        assert_eq!(mb.len(), 1);
+        assert_eq!(queue.len(), 1);
     }
 
     #[test]
     fn observed_take_reports_all_candidates() {
-        let mb = Mailbox::default();
-        let poison = Poison::default();
-        mb.deposit(envelope(1, 5, 0));
-        mb.deposit(envelope(2, 5, 1));
-        mb.deposit(envelope(3, 9, 2)); // non-matching tag
-        let (e, candidates) =
-            mb.take_matching_observed(CommId::WORLD, Src::Any, TagSel::Is(5), &poison, true);
+        // The last message's tag does not match.
+        let mut queue = vec![envelope(1, 5, 0), envelope(2, 5, 1), envelope(3, 9, 2)];
+        let (e, candidates) = take_from_queue(
+            &mut queue,
+            0,
+            CommId::WORLD,
+            Src::Any,
+            TagSel::Is(5),
+            true,
+            None,
+        )
+        .expect("two match");
         assert_eq!(e.seq, 0, "arrival order wins");
         assert_eq!(candidates, vec![(1, 5), (2, 5)]);
         // Without observation the candidate list stays empty.
-        let (e, candidates) =
-            mb.take_matching_observed(CommId::WORLD, Src::Any, TagSel::Any, &poison, false);
+        let (e, candidates) = take_from_queue(
+            &mut queue,
+            0,
+            CommId::WORLD,
+            Src::Any,
+            TagSel::Any,
+            false,
+            None,
+        )
+        .expect("two left");
         assert_eq!(e.seq, 1);
         assert!(candidates.is_empty());
     }
 
+    /// Ranks 0 and 2 receive from rank 1, which runs between them on
+    /// either engine: whichever receiver goes first finds nothing, sleeps,
+    /// and is woken by the deposit.
     #[test]
     fn blocking_take_wakes_on_deposit() {
-        let mb = Arc::new(Mailbox::default());
-        let poison = Arc::new(Poison::default());
-        let mb2 = mb.clone();
-        let poison2 = poison.clone();
-        let handle = thread::spawn(move || {
-            mb2.take_matching(CommId::WORLD, Src::Rank(0), TagSel::Is(1), &poison2)
-                .seq
-        });
-        thread::sleep(Duration::from_millis(20));
-        mb.deposit(envelope(0, 1, 42));
-        assert_eq!(handle.join().unwrap(), 42);
+        for engine in [Engine::Des, Engine::Threads] {
+            let order = Mutex::new(Vec::new());
+            let report = WorldBuilder::new(3).engine(engine).run(|p| {
+                let world = p.world();
+                order.lock().push(p.world_rank());
+                if p.world_rank() == 1 {
+                    world.send(p, 0, 1, &[42u64]);
+                    world.send(p, 2, 1, &[42u64]);
+                    return 42;
+                }
+                world.recv::<u64>(p, Src::Rank(1), TagSel::Is(1)).data[0]
+            });
+            assert_eq!(report.expect("no rank hangs").results, [42; 3]);
+            assert_eq!(order.lock()[1], 1, "a receiver ran, and slept, first");
+        }
     }
 
+    /// One receiver is asleep when the world is poisoned, the other comes
+    /// to its receive afterwards: both unwind.
     #[test]
     fn poison_unblocks_waiters() {
-        let poison = Arc::new(Poison::default());
-        let set = Arc::new(MailboxSet::new(2, poison));
-        let set2 = set.clone();
-        let handle = thread::spawn(move || {
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                set2.of(0)
-                    .take_matching(CommId::WORLD, Src::Any, TagSel::Any, &set2.poison);
-            }));
-            result.is_err()
-        });
-        thread::sleep(Duration::from_millis(20));
-        set.poison_all();
-        assert!(handle.join().unwrap(), "waiter should unwind on poison");
+        for engine in [Engine::Des, Engine::Threads] {
+            let failed = WorldBuilder::new(3).engine(engine).run(|p| {
+                if p.world_rank() == 1 {
+                    p.mailboxes.poison_all();
+                    return;
+                }
+                let _ = p.world().recv::<u8>(p, Src::Any, TagSel::Any);
+            });
+            match failed {
+                Err(RunError::RankPanicked { message, .. }) => {
+                    assert!(message.contains("poisoned"), "{message}");
+                }
+                other => panic!("waiters should unwind on poison, got {other:?}"),
+            }
+        }
     }
 }

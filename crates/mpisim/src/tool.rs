@@ -1,13 +1,14 @@
 //! The tool (PMPI interposition) interface.
 //!
 //! A [`Tool`] observes every [`MpiEvent`] raised by every rank. Tools are
-//! registered on the world before launch and shared by every rank — under
-//! the threads engine concurrently across rank threads, under the DES
-//! engine from the one scheduler thread — so implementations must be
-//! `Send + Sync`. The bundled tools keep all mutable state behind one
-//! `Mutex` taken once per event, with per-rank state in a `Vec` indexed
-//! by world rank and sized at `Init { size }`: the default engine is
-//! single-threaded, so one uncontended lock per event is the whole cost.
+//! registered on the world before launch and shared by every rank. A world
+//! runs one rank at a time, so a tool is called from one thread *at a
+//! time* — but not always the same one (the threads engine gives every
+//! rank its own), and one tool may serve several worlds at once: the
+//! `Send + Sync` bound stays. The bundled tools keep all mutable state
+//! behind one `Mutex` taken once per event, with per-rank state in a `Vec`
+//! indexed by world rank and sized at `Init { size }`: within a world the
+//! lock is never contended, so taking it is the whole cost.
 //!
 //! Tools additionally declare an *interest mask* ([`Tool::interests`]):
 //! the runtime unions the masks of all attached tools and skips building

@@ -2,45 +2,61 @@
 //!
 //! [`WorldBuilder`] configures rank count, machine model, seed, tools and
 //! the execution [`Engine`], then [`WorldBuilder::run`] executes the SPMD
-//! closure on every rank and reports per-rank results. Two engines share
-//! the same mailbox/rendezvous substrate:
+//! closure on every rank and reports per-rank results. Every rank is a
+//! cooperative fiber, and one virtual-time scheduler (`crate::des`) runs
+//! them one at a time: a blocking operation suspends its fiber, the peer
+//! that satisfies it re-queues it. The two engines differ only in how a
+//! fiber is switched (`crate::fiber`) and in which of two equal-clock
+//! ranks runs first:
 //!
-//! * [`Engine::Des`] (default on x86-64) — every rank is a cooperative
-//!   fiber driven by a single-threaded virtual-time event queue
-//!   (`crate::des`); blocking operations suspend the fiber instead of an
-//!   OS thread, which is what makes 16k+ rank worlds practical.
-//! * [`Engine::Threads`] — one OS thread per rank, blocking on condvars;
-//!   the portable fallback and the reference for engine-equivalence tests.
+//! * [`Engine::Des`] (the default) — the cheapest switch the target has:
+//!   on x86-64 a hand-written register swap between stacks on the
+//!   scheduler's own thread, which is what makes 16k+ rank worlds
+//!   practical; on any other target the same switch as `Threads`.
+//! * [`Engine::Threads`] — one parked OS thread per rank, handing a baton
+//!   to the scheduler's thread and back: safe code on every target, and
+//!   the reference the default engine is tested against.
 //!
 //! Rank panics poison the world so blocked peers unwind instead of
-//! deadlocking, and the first failure is reported as a [`RunError`]. Under
-//! the DES engine a genuine communication deadlock (every live rank
-//! blocked, nothing in flight) is detected and reported too, instead of
-//! hanging the process.
+//! deadlocking, and the first failure is reported as a [`RunError`]. A
+//! genuine communication deadlock (every live rank blocked, nothing in
+//! flight) is detected and reported too, instead of hanging the process.
 
 use crate::comm::{CommShared, Registry};
 use crate::diag::{self, Diagnostic};
 use crate::error::{RunError, POISONED_MSG};
 use crate::event::MpiEvent;
-use crate::mailbox::{MailboxSet, Poison};
+use crate::fiber::{Fiber, StackPool, Switch};
+use crate::mailbox::MailboxSet;
 use crate::proc::Proc;
 use crate::tool::{Tool, ToolSet};
 use machine::{presets, MachineModel, VTime};
+use parking_lot::Mutex;
+use std::rc::Rc;
 use std::sync::Arc;
 
-/// How the ranks of a world execute.
+/// How the ranks of a world execute. Both values run the same scheduler
+/// and produce the same virtual times; they differ in the cost of a switch
+/// and in host-visible order only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
-    /// One OS thread per rank (portable reference engine).
+    /// The reference engine: every rank is a parked OS thread, switched by
+    /// handing a baton to the scheduler's thread and back — safe code on
+    /// every target. It also runs ranks whose virtual clocks are equal in
+    /// *descending* rank order where `Des` runs them ascending: no result
+    /// may depend on that order, so every test that compares the two
+    /// engines checks the assembly switch against safe code and schedule
+    /// independence at once.
     Threads,
-    /// Single-threaded discrete-event scheduler over cooperative fibers
-    /// (x86-64 only; falls back to `Threads` elsewhere).
+    /// The default: the cheapest switch the target has — stacks switched
+    /// in assembly on the scheduler's own thread on x86-64, the `Threads`
+    /// baton elsewhere.
     Des,
 }
 
 impl Engine {
-    /// The default engine: `des` where supported, honoring the
-    /// `MPISIM_ENGINE` environment variable (`threads` | `des`).
+    /// The default engine: `des`, unless the `MPISIM_ENGINE` environment
+    /// variable says otherwise (`threads` | `des`).
     pub fn default_from_env() -> Engine {
         match std::env::var("MPISIM_ENGINE").as_deref() {
             Ok("threads") => Engine::Threads,
@@ -85,7 +101,7 @@ impl WorldBuilder {
             seed: 0,
             tools: Vec::new(),
             engine: Engine::default_from_env(),
-            stack_size: default_stack_size(),
+            stack_size: crate::fiber::DEFAULT_STACK_SIZE,
             match_controller: None,
         }
     }
@@ -114,12 +130,11 @@ impl WorldBuilder {
         self
     }
 
-    /// Per-rank fiber stack size for the DES engine (ignored by the
-    /// threads engine), rounded up to whole pages and to 16 KiB at least.
-    /// Untouched pages are never committed, so a generous size costs
-    /// address space — the stack plus one guard page per rank — not
-    /// memory. A size the host cannot map fails [`WorldBuilder::run`] with
-    /// [`RunError::StackReservation`].
+    /// Per-rank stack size on either engine, rounded up to whole pages and
+    /// to 16 KiB at least (default: 512 KiB). Untouched pages are never
+    /// committed, so a generous size costs address space — the stack plus
+    /// one guard page per rank — not memory. A size the host cannot map
+    /// fails [`WorldBuilder::run`] with [`RunError::StackReservation`].
     pub fn stack_size(mut self, bytes: usize) -> Self {
         self.stack_size = bytes;
         self
@@ -141,6 +156,7 @@ impl WorldBuilder {
     /// Returns per-rank results and final virtual clocks. The rank function
     /// runs between implicit `Init`/`Finalize` tool events (which is where
     /// the paper's `MPI_MAIN` section opens and closes).
+    #[allow(unsafe_code)] // fiber spawn: lifetime erasure justified below
     pub fn run<R, F>(self, f: F) -> Result<RunReport<R>, RunError>
     where
         R: Send,
@@ -149,34 +165,58 @@ impl WorldBuilder {
         if self.nranks == 0 {
             return Err(RunError::NoRanks);
         }
-        let shared = WorldShared::build(&self);
-        match self.engine {
-            #[cfg(target_arch = "x86_64")]
-            Engine::Des => run_des(&shared, self.nranks, self.seed, self.stack_size, &f),
-            #[cfg(not(target_arch = "x86_64"))]
-            Engine::Des => run_threads(&shared, self.nranks, self.seed, &f),
-            Engine::Threads => run_threads(&shared, self.nranks, self.seed, &f),
-        }
+        let (nranks, seed) = (self.nranks, self.seed);
+        let (switch, reverse_ties) = match self.engine {
+            Engine::Des => (Switch::Native, false),
+            Engine::Threads => (Switch::Baton, true),
+        };
+        let shared = &WorldShared::build(&self);
+        let scheduler = Rc::new(crate::des::Scheduler::new(nranks, reverse_ties));
+        let _active = crate::des::install(scheduler.clone());
+        let stacks = StackPool::acquire(switch, self.stack_size, nranks)
+            .map_err(RunError::StackReservation)?;
+        // One rank's result slot each, filled in when its fiber finishes.
+        let outcomes = &Mutex::new((0..nranks).map(|_| None).collect::<Vec<_>>());
+        let f = &f;
+        let mut fibers = (0..nranks)
+            .map(|rank| {
+                let body = move || {
+                    let proc = Proc::new(
+                        rank,
+                        nranks,
+                        shared.machine.clone(),
+                        shared.tools.clone(),
+                        shared.mailboxes.clone(),
+                        shared.registry.clone(),
+                        seed,
+                        shared.world_comm.clone(),
+                    );
+                    outcomes.lock()[rank] = Some(run_rank(shared, proc, f));
+                };
+                // SAFETY: the fibers borrow `shared`, `outcomes` and `f`,
+                // which outlive them in this function: `drive` runs every
+                // fiber to completion before we return, and a panic unwinds
+                // through the fibers' drop glue before it reaches what they
+                // borrow, the stacks or `_active`. Rank `rank` is the only
+                // fiber on slot `rank`.
+                unsafe { stacks.fiber(rank, Box::new(body)) }
+            })
+            .collect::<Result<Vec<Fiber<'_>>, String>>()
+            .map_err(RunError::StackReservation)?;
+        scheduler.drive(&mut fibers, &|| shared.mailboxes.poison.set());
+        drop(fibers);
+        stacks.release();
+        let outcomes = std::mem::take(&mut *outcomes.lock())
+            .into_iter()
+            .map(|outcome| outcome.expect("every fiber completed"))
+            .collect();
+        finish_run(shared, outcomes, scheduler.deadlocked())
     }
 }
 
-/// The per-engine stack default: half a MiB of (lazily committed) stack
-/// per fiber, overridable with `WorldBuilder::stack_size`.
-fn default_stack_size() -> usize {
-    #[cfg(target_arch = "x86_64")]
-    {
-        crate::fiber::DEFAULT_STACK_SIZE
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        512 * 1024
-    }
-}
-
-/// The engine-independent substrate of one world.
+/// The substrate of one world.
 struct WorldShared {
     machine: Arc<MachineModel>,
-    poison: Arc<Poison>,
     mailboxes: Arc<MailboxSet>,
     registry: Arc<Registry>,
     world_comm: Arc<CommShared>,
@@ -186,16 +226,15 @@ struct WorldShared {
 impl WorldShared {
     fn build(b: &WorldBuilder) -> WorldShared {
         let machine = Arc::new(b.machine.clone());
-        let poison = Arc::new(Poison::default());
-        let mut mailboxes = MailboxSet::new(b.nranks, poison.clone());
-        mailboxes.controller = b.match_controller.clone();
-        let mailboxes = Arc::new(mailboxes);
+        let mailboxes = MailboxSet {
+            controller: b.match_controller.clone(),
+            ..MailboxSet::default()
+        };
         let registry = Arc::new(Registry::new(machine.topology));
         let world_comm = registry.register((0..b.nranks).collect());
         WorldShared {
             machine,
-            poison,
-            mailboxes,
+            mailboxes: Arc::new(mailboxes),
             registry,
             world_comm,
             tools: ToolSet::from_tools(b.tools.clone()),
@@ -203,10 +242,10 @@ impl WorldShared {
     }
 }
 
-/// Execute one rank's body inside the unwind net shared by both engines:
-/// Init/Finalize raises happen inside the net (a tool aborting at either
-/// event must produce a `RunError`, not crash the harness), and a failure
-/// poisons the world before being packaged for the report.
+/// Execute one rank's body inside its unwind net: Init/Finalize raises
+/// happen inside the net (a tool aborting at either event must produce a
+/// `RunError`, not crash the harness), and a failure poisons the world
+/// before being packaged for the report.
 fn run_rank<R, F>(shared: &WorldShared, mut proc: Proc, f: &F) -> Result<(R, VTime), RankFailure>
 where
     F: Fn(&mut Proc) -> R,
@@ -223,13 +262,11 @@ where
         (value, proc.now())
     }));
     result.map_err(|payload| {
-        // Poison before extracting the message so blocked peers wake
-        // promptly (under DES: get re-queued and unwind when resumed).
+        // Poison before extracting the message so blocked peers get
+        // re-queued, and unwind when resumed.
         shared.mailboxes.poison_all();
-        shared.registry.wake_all();
-        // Unwinding stayed on this thread (fibers share the scheduler
-        // thread, but each failing rank drains the channel before any
-        // other rank can deposit), so any diagnostics deposited by
+        // One rank runs at a time and each failing rank drains the channel
+        // before it suspends or ends, so any diagnostics deposited by
         // `diag::abort_with` are ours.
         let diagnostics = diag::take_pending();
         let mut message = panic_message(payload);
@@ -244,109 +281,6 @@ where
             diagnostics,
         }
     })
-}
-
-/// The threads engine: one OS thread per rank, parked on condvars while
-/// blocked. Portable, but thread spawn/park costs cap practical world
-/// sizes around the low thousands.
-fn run_threads<R, F>(
-    shared: &WorldShared,
-    nranks: usize,
-    seed: u64,
-    f: &F,
-) -> Result<RunReport<R>, RunError>
-where
-    R: Send,
-    F: Fn(&mut Proc) -> R + Send + Sync,
-{
-    let outcomes: Vec<Result<(R, VTime), RankFailure>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..nranks)
-            .map(|rank| {
-                scope.spawn(move || {
-                    let proc = Proc::new(
-                        rank,
-                        nranks,
-                        shared.machine.clone(),
-                        shared.tools.clone(),
-                        shared.mailboxes.clone(),
-                        shared.registry.clone(),
-                        seed,
-                        shared.world_comm.clone(),
-                    );
-                    run_rank(shared, proc, f)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("mpisim: rank thread itself crashed"))
-            .collect()
-    });
-    finish_run(shared, outcomes, false)
-}
-
-/// The DES engine: every rank is a fiber, driven to completion by the
-/// virtual-time scheduler on the calling thread.
-#[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)] // fiber spawn: lifetime erasure justified below
-fn run_des<R, F>(
-    shared: &WorldShared,
-    nranks: usize,
-    seed: u64,
-    stack_size: usize,
-    f: &F,
-) -> Result<RunReport<R>, RunError>
-where
-    R: Send,
-    F: Fn(&mut Proc) -> R + Send + Sync,
-{
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    /// One rank's result slot, filled in when its fiber finishes.
-    type Outcome<R> = Option<Result<(R, VTime), RankFailure>>;
-
-    let scheduler = Rc::new(crate::des::Scheduler::new(nranks));
-    let _active = crate::des::install(scheduler.clone());
-    let stacks =
-        crate::fiber::StackPool::acquire(stack_size, nranks).map_err(RunError::StackReservation)?;
-    let outcomes: Rc<RefCell<Vec<Outcome<R>>>> =
-        Rc::new(RefCell::new((0..nranks).map(|_| None).collect()));
-    let mut fibers: Vec<crate::fiber::Fiber<'_>> = (0..nranks)
-        .map(|rank| {
-            let outcomes = outcomes.clone();
-            let body = move || {
-                let proc = Proc::new(
-                    rank,
-                    nranks,
-                    shared.machine.clone(),
-                    shared.tools.clone(),
-                    shared.mailboxes.clone(),
-                    shared.registry.clone(),
-                    seed,
-                    shared.world_comm.clone(),
-                );
-                let outcome = run_rank(shared, proc, f);
-                outcomes.borrow_mut()[rank] = Some(outcome);
-            };
-            // SAFETY: the fibers borrow `shared` and `f`, which outlive
-            // them in this function, and `drive` runs every fiber to
-            // completion before we return (a panic unwinds through the
-            // fibers' drop glue and then unmaps their stacks). Rank `rank`
-            // is the only fiber on slot `rank`.
-            unsafe { stacks.fiber(rank, Box::new(body)) }
-        })
-        .collect();
-    scheduler.drive(&mut fibers, &|| shared.poison.set());
-    drop(fibers);
-    stacks.release();
-    let outcomes: Vec<Result<(R, VTime), RankFailure>> = Rc::into_inner(outcomes)
-        .expect("fibers dropped")
-        .into_inner()
-        .into_iter()
-        .map(|o| o.expect("every fiber completed"))
-        .collect();
-    finish_run(shared, outcomes, scheduler.deadlocked())
 }
 
 /// Shared epilogue: split outcomes into results and failures, rank the

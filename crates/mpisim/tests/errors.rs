@@ -1,7 +1,7 @@
 //! Misuse and failure-path tests: the runtime must fail loudly (like
 //! `MPI_ERRORS_ARE_FATAL`) and never deadlock the world.
 
-use mpisim::{RunError, Src, TagSel, WorldBuilder};
+use mpisim::{Engine, RunError, Src, TagSel, WorldBuilder};
 
 fn expect_panic_containing<F>(nranks: usize, fragment: &str, f: F)
 where
@@ -143,6 +143,53 @@ fn blocked_receiver_unwinds_when_sender_fails() {
         result,
         Err(RunError::RankPanicked { rank: 0, .. })
     ));
+}
+
+/// Every rank waits for a message nobody sends. Both engines run the one
+/// scheduler that sees the ready queue drain with live ranks left, so the
+/// run comes back with a diagnosis instead of hanging.
+#[test]
+fn a_receive_cycle_is_reported_as_a_deadlock_on_both_engines() {
+    for engine in [Engine::Des, Engine::Threads] {
+        let result = WorldBuilder::new(3).engine(engine).run(|p| {
+            let world = p.world();
+            let from = (p.world_rank() + 1) % 3;
+            let got = world.recv::<u8>(p, Src::Rank(from), TagSel::Any);
+            world.send(p, from, 0, &got.data);
+        });
+        match result {
+            Err(RunError::RankPanicked { message, .. }) => assert!(
+                message.starts_with("deadlock: all 3 live ranks blocked"),
+                "{engine:?}: {message}"
+            ),
+            other => panic!("{engine:?}: expected a deadlock report, got {other:?}"),
+        }
+    }
+}
+
+/// A rank that has finished is not live: the two left waiting on each
+/// other are counted, and the first of them named.
+#[test]
+fn a_deadlock_counts_only_the_ranks_still_blocked() {
+    for engine in [Engine::Des, Engine::Threads] {
+        let result = WorldBuilder::new(3).engine(engine).run(|p| {
+            let world = p.world();
+            if p.world_rank() > 0 {
+                let peer = 3 - p.world_rank();
+                let _ = world.recv::<u8>(p, Src::Rank(peer), TagSel::Any);
+            }
+        });
+        assert_eq!(
+            result.unwrap_err(),
+            RunError::RankPanicked {
+                rank: 1,
+                message: "deadlock: all 2 live ranks blocked with nothing in flight \
+                          (first blocked rank: 1)"
+                    .into()
+            },
+            "{engine:?}"
+        );
+    }
 }
 
 #[test]

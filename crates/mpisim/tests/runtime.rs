@@ -839,6 +839,57 @@ fn request_test_completes_only_when_arrived() {
     assert_eq!(report.results[0], 77);
 }
 
+/// Poll loops see what the scheduler shows them, and the scheduler is the
+/// same deterministic one on both engines: the sequence of misses and hits
+/// of a `probe` loop and of a `RecvReq::test` loop repeats run for run.
+/// (Across engines only the outcome agrees — they order equal-clock ranks
+/// differently, so a poller may be asked once more or once less.)
+#[test]
+fn poll_loops_repeat_their_hit_and_miss_sequence_on_both_engines() {
+    for engine in [Engine::Des, Engine::Threads] {
+        let run = || {
+            WorldBuilder::new(3)
+                .engine(engine)
+                .machine(lab_machine())
+                .seed(3)
+                .run(|p| {
+                    let world = p.world();
+                    let mut seen = Vec::new();
+                    if p.world_rank() == 0 {
+                        for (src, tag) in [(1, 4), (2, 5)] {
+                            while !world.probe(p, Src::Rank(src), TagSel::Is(tag)) {
+                                seen.push(false);
+                            }
+                            seen.push(true);
+                            let _ = world.recv::<u16>(p, Src::Rank(src), TagSel::Is(tag));
+                        }
+                        world.send(p, 1, 6, &[0u16]);
+                        return seen;
+                    }
+                    p.compute(Work::flops(1e6 * p.world_rank() as f64));
+                    world.send(p, 0, 3 + p.world_rank() as i32, &[1u16]);
+                    if p.world_rank() == 1 {
+                        let mut req = world.irecv::<u16>(p, Src::Rank(0), TagSel::Is(6));
+                        while let Err(back) = req.test(p) {
+                            seen.push(false);
+                            req = back;
+                        }
+                        seen.push(true);
+                    }
+                    seen
+                })
+                .expect("poll loops end")
+                .results
+        };
+        let first = run();
+        assert_eq!(first, run(), "{engine:?}");
+        assert_eq!(first[0].iter().filter(|&&hit| hit).count(), 2);
+        assert_eq!(first[1].last(), Some(&true));
+        let misses = first.iter().flatten().filter(|&&hit| !hit).count();
+        assert!(misses > 0, "{engine:?}: somebody polled too early");
+    }
+}
+
 #[test]
 fn concurrent_disjoint_splits_are_deterministic() {
     // Two disjoint sub-communicators each split again, concurrently. The

@@ -10,10 +10,11 @@
 //! [`Schedule`], which the explorer mines for un-taken branches.
 //!
 //! Decisions are matched to prefix entries positionally, in global
-//! decision order. That is sound because the DES engine is
-//! single-threaded and deterministic: two runs of the same program that
-//! agree on their first `k` decisions encounter decision `k + 1` at the
-//! same receive site with the same queue contents.
+//! decision order. That is sound because the simulator's scheduler runs
+//! one rank at a time in a deterministic order: two runs of the same
+//! program on the same engine that agree on their first `k` decisions
+//! encounter decision `k + 1` at the same receive site with the same
+//! queue contents.
 
 use mpisim::{MatchCandidate, MatchController};
 use parking_lot::Mutex;

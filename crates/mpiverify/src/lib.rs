@@ -10,7 +10,7 @@
 //!
 //! This crate upgrades each warning to a **verdict** by stateless model
 //! checking in the style of ISP, built on two substrate properties the
-//! DES engine (PR 6) provides: runs are deterministic, and every
+//! simulator's scheduler provides: runs are deterministic, and every
 //! wildcard matching funnels through one hook
 //! ([`WorldBuilder::match_controller`](mpisim::WorldBuilder::match_controller)).
 //!

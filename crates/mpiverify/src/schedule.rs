@@ -1,10 +1,10 @@
 //! Witness schedules: the serializable record of wildcard-match decisions.
 //!
 //! A [`Schedule`] is the complete list of wildcard-receive resolutions a
-//! run made, in the order the (single-threaded, deterministic) DES engine
-//! made them. Because everything else in a run is a pure function of the
-//! program, the seed, and the machine model, a schedule pins the run
-//! exactly: feeding it back through a
+//! run made, in the order the simulator's deterministic scheduler made
+//! them. Because everything else in a run is a pure function of the
+//! program, the seed, the machine model and the engine, a schedule pins
+//! the run exactly: feeding it back through a
 //! [`ScheduleController`](crate::ScheduleController) reproduces the run
 //! bit for bit. That is what makes a confirmed race *actionable* — the
 //! two sides of the divergence are files you can replay, not a one-time

@@ -1,39 +1,24 @@
-//! Offline stand-in for the `parking_lot` crate.
+//! Offline stand-in for the `parking_lot` crate: its `Mutex`, which is all
+//! the workspace uses.
 //!
-//! Wraps `std::sync` primitives behind `parking_lot`'s API shape: `lock()`
-//! returns the guard directly (no `Result`), `Condvar::wait` takes the
-//! guard by `&mut`, and — critically for this workspace — **poisoning is
-//! ignored**: the simulator's world-poisoning protocol deliberately panics
-//! on threads that hold locks (e.g. a receiver unwinding out of
-//! `Mailbox::take_matching`), and surviving threads must still be able to
-//! lock. `parking_lot` has no lock poisoning; this stub matches that by
-//! unwrapping `PoisonError` into the inner guard.
+//! Wraps `std::sync::Mutex` behind `parking_lot`'s API shape: `lock()`
+//! returns the guard directly (no `Result`), and — critically for this
+//! workspace — **poisoning is ignored**: the simulator's world-poisoning
+//! protocol deliberately panics on ranks that hold locks (e.g. a rank
+//! unwinding out of a collective's rendezvous), and the surviving ranks
+//! must still be able to lock. `parking_lot` has no lock poisoning; this
+//! stub matches that by unwrapping `PoisonError` into the inner guard.
 
-use std::fmt;
-use std::ops::{Deref, DerefMut};
-use std::sync::PoisonError;
-use std::time::{Duration, Instant};
+use std::sync::{MutexGuard, PoisonError};
 
 /// A mutual exclusion primitive (poison-free `lock()` API).
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct Mutex<T: ?Sized>(std::sync::Mutex<T>);
-
-/// RAII guard of a [`Mutex`].
-///
-/// Holds an `Option` internally so [`Condvar::wait`] can temporarily move
-/// the underlying std guard out and back without changing the caller's
-/// borrow; it is `Some` at every point user code can observe.
-pub struct MutexGuard<'a, T: ?Sized>(Option<std::sync::MutexGuard<'a, T>>);
 
 impl<T> Mutex<T> {
     /// Create a new mutex.
     pub const fn new(value: T) -> Self {
         Mutex(std::sync::Mutex::new(value))
-    }
-
-    /// Consume the mutex, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -41,177 +26,8 @@ impl<T: ?Sized> Mutex<T> {
     /// Acquire the lock, blocking until available. Never fails: a panic on
     /// another thread while it held the lock does not poison it.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        MutexGuard(Some(self.0.lock().unwrap_or_else(PoisonError::into_inner)))
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
-
-    /// Try to acquire the lock without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.0.try_lock() {
-            Ok(g) => Some(MutexGuard(Some(g))),
-            Err(std::sync::TryLockError::Poisoned(p)) => Some(MutexGuard(Some(p.into_inner()))),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.try_lock() {
-            Some(guard) => f.debug_tuple("Mutex").field(&&*guard).finish(),
-            None => f.write_str("Mutex(<locked>)"),
-        }
-    }
-}
-
-impl<T: ?Sized> Deref for MutexGuard<'_, T> {
-    type Target = T;
-    #[inline]
-    fn deref(&self) -> &T {
-        self.0
-            .as_ref()
-            .expect("guard present outside Condvar::wait")
-    }
-}
-
-impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
-    #[inline]
-    fn deref_mut(&mut self) -> &mut T {
-        self.0
-            .as_mut()
-            .expect("guard present outside Condvar::wait")
-    }
-}
-
-/// Timeout outcome of [`Condvar::wait_for`].
-pub struct WaitTimeoutResult(bool);
-
-impl WaitTimeoutResult {
-    /// Did the wait end because the timeout elapsed?
-    pub fn timed_out(&self) -> bool {
-        self.0
-    }
-}
-
-/// A condition variable paired with [`Mutex`] (guard passed by `&mut`).
-#[derive(Default)]
-pub struct Condvar(std::sync::Condvar);
-
-impl Condvar {
-    /// Create a new condition variable.
-    pub const fn new() -> Self {
-        Condvar(std::sync::Condvar::new())
-    }
-
-    /// Block until notified. Spurious wakeups are possible, as with every
-    /// condition variable; callers loop on their predicate.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let inner = guard.0.take().expect("guard present before wait");
-        let inner = self.0.wait(inner).unwrap_or_else(PoisonError::into_inner);
-        guard.0 = Some(inner);
-    }
-
-    /// Block until notified or `timeout` elapses.
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: Duration,
-    ) -> WaitTimeoutResult {
-        let inner = guard.0.take().expect("guard present before wait");
-        let (inner, result) = match self.0.wait_timeout(inner, timeout) {
-            Ok((g, r)) => (g, r),
-            Err(p) => {
-                let (g, r) = p.into_inner();
-                (g, r)
-            }
-        };
-        guard.0 = Some(inner);
-        WaitTimeoutResult(result.timed_out())
-    }
-
-    /// Wake one waiter.
-    pub fn notify_one(&self) {
-        self.0.notify_one();
-    }
-
-    /// Wake all waiters.
-    pub fn notify_all(&self) {
-        self.0.notify_all();
-    }
-}
-
-impl fmt::Debug for Condvar {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("Condvar")
-    }
-}
-
-/// A reader-writer lock (poison-free API), for completeness of the facade.
-#[derive(Default)]
-pub struct RwLock<T: ?Sized>(std::sync::RwLock<T>);
-
-/// Shared read guard of an [`RwLock`].
-pub struct RwLockReadGuard<'a, T: ?Sized>(std::sync::RwLockReadGuard<'a, T>);
-/// Exclusive write guard of an [`RwLock`].
-pub struct RwLockWriteGuard<'a, T: ?Sized>(std::sync::RwLockWriteGuard<'a, T>);
-
-impl<T> RwLock<T> {
-    /// Create a new reader-writer lock.
-    pub const fn new(value: T) -> Self {
-        RwLock(std::sync::RwLock::new(value))
-    }
-
-    /// Consume the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquire shared read access.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        RwLockReadGuard(self.0.read().unwrap_or_else(PoisonError::into_inner))
-    }
-
-    /// Acquire exclusive write access.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        RwLockWriteGuard(self.0.write().unwrap_or_else(PoisonError::into_inner))
-    }
-}
-
-impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.0
-    }
-}
-
-impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.0
-    }
-}
-
-impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.0
-    }
-}
-
-/// Re-export style parity with `parking_lot::const_mutex`.
-pub const fn const_mutex<T>(value: T) -> Mutex<T> {
-    Mutex::new(value)
-}
-
-// Keep Instant imported for future timed APIs without a warning.
-#[allow(dead_code)]
-fn _instant_is_available() -> Instant {
-    Instant::now()
 }
 
 #[cfg(test)]
@@ -231,33 +47,5 @@ mod tests {
         .join();
         // parking_lot semantics: no poisoning, lock still usable.
         assert_eq!(*m.lock(), 5);
-    }
-
-    #[test]
-    fn condvar_roundtrip() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let pair2 = pair.clone();
-        let h = thread::spawn(move || {
-            let (lock, cvar) = &*pair2;
-            let mut started = lock.lock();
-            while !*started {
-                cvar.wait(&mut started);
-            }
-            true
-        });
-        {
-            let (lock, cvar) = &*pair;
-            *lock.lock() = true;
-            cvar.notify_all();
-        }
-        assert!(h.join().unwrap());
-    }
-
-    #[test]
-    fn rwlock_basics() {
-        let l = RwLock::new(vec![1, 2, 3]);
-        assert_eq!(l.read().len(), 3);
-        l.write().push(4);
-        assert_eq!(l.read().len(), 4);
     }
 }

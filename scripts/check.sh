@@ -14,11 +14,22 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> MPISIM_ENGINE=threads cargo test -q -p mpisim -p mpi-sections -p bench"
+# Thread-backed fibers with reversed clock ties: the code path a
+# non-x86-64 host runs under either engine name, over the whole suite.
+MPISIM_ENGINE=threads cargo test -q -p mpisim -p mpi-sections -p bench
+
+echo "==> only fiber.rs knows the target architecture"
+if grep -rn 'cfg(target_arch' crates/mpisim/src | grep -v '^crates/mpisim/src/fiber.rs:'; then
+    echo "crates/mpisim/src: an engine fork by architecture is back outside fiber.rs"
+    exit 1
+fi
+
 echo "==> fiber stacks come from the pooled reservation only"
 # One allocation path: no heap-allocated stack and no after-the-fact
 # canary may come back beside the guarded `StackPool`.
-if grep -n 'std::alloc\|STACK_CANARY' crates/mpisim/src/fiber.rs; then
-    echo "crates/mpisim/src/fiber.rs: a second stack allocator or a canary is back"
+if grep -rn 'std::alloc\|STACK_CANARY' crates/mpisim/src/fiber.rs crates/mpisim/src/fiber; then
+    echo "crates/mpisim/src/fiber*: a second stack allocator or a canary is back"
     exit 1
 fi
 
