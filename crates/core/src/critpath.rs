@@ -15,9 +15,10 @@
 //! follows dependencies backward:
 //!
 //! * a receive that idled for a late sender hops to the sending rank at
-//!   the send instant (the wait itself is *not* on the path);
+//!   the send instant (the wait itself is *not* on the path) — to the
+//!   `Send` record the message's send-table slot names;
 //! * a collective exit hops to the member that arrived last (waits of the
-//!   early arrivers are skipped);
+//!   early arrivers are skipped), which the round's record names;
 //! * everything else consumes local time, attributed to the enclosing
 //!   section.
 //!
@@ -26,7 +27,8 @@
 
 use crate::waitstate::{CommLog, RecKind};
 use mpisim::diag::json_str;
-use std::collections::{BTreeMap, HashMap};
+use mpisim::message::seq_parts;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// The extracted critical path.
@@ -123,7 +125,8 @@ impl CriticalPath {
 /// critical path.
 pub fn extract(log: &CommLog) -> CriticalPath {
     let nranks = log.ranks.len();
-    let mut per_section: HashMap<u32, u64> = HashMap::new();
+    // Path time by section id; `None` until the path touches the section.
+    let mut per_section: Vec<Option<u64>> = vec![None; log.names.len()];
     let mut per_rank = vec![0u64; nranks];
     let mut steps = 0usize;
 
@@ -136,24 +139,6 @@ pub fn extract(log: &CommLog) -> CriticalPath {
         };
     }
 
-    // Index the jump targets: message seq -> (rank, rec index) of the send,
-    // (comm, round) -> rec index of each member's collective exit.
-    let mut send_at: HashMap<u64, (usize, usize)> = HashMap::new();
-    let mut coll_at: HashMap<(mpisim::CommId, u64), HashMap<usize, usize>> = HashMap::new();
-    for (rank, rr) in log.ranks.iter().enumerate() {
-        for (idx, rec) in rr.recs.iter().enumerate() {
-            match rec.kind {
-                RecKind::Send { seq } => {
-                    send_at.insert(seq, (rank, idx));
-                }
-                RecKind::CollExit { comm, round, .. } => {
-                    coll_at.entry((comm, round)).or_default().insert(rank, idx);
-                }
-                _ => {}
-            }
-        }
-    }
-
     // Start on the rank that finalized last (ties: lowest rank).
     let mut rank = 0usize;
     for (r, rr) in log.ranks.iter().enumerate() {
@@ -162,38 +147,30 @@ pub fn extract(log: &CommLog) -> CriticalPath {
         }
     }
     let mut cursor_ns = log.ranks[rank].fini_ns;
-    let mut idx = log.ranks[rank].recs.len() as isize - 1;
+    let mut idx = log.ranks[rank].len() as isize - 1;
 
     // Every step either decrements an index or jumps to a strictly earlier
     // time on another rank, but cap the walk defensively anyway.
-    let cap = log.ranks.iter().map(|r| r.recs.len()).sum::<usize>() * 2 + 16;
+    let cap = log.events() * 2 + 16;
 
     while idx >= 0 && steps < cap {
         steps += 1;
-        let rec = log.ranks[rank].recs[idx as usize];
+        let rec = log.ranks[rank].get(idx as usize);
+        // `[from_ns, cursor_ns)` is on the path, on this rank, in `rec.sec`.
+        let mut from_ns = rec.t_ns;
+        // The record the walk continues from; the jump targets are the
+        // log's own: a send-table entry knows the sender's `Send` record,
+        // a round knows where its last arrival logged its exit.
+        let mut next = (rank, idx - 1);
         match rec.kind {
             RecKind::RecvMatch { seq, post_ns, .. } => {
-                let send = log.sends.get(&seq).copied();
-                let target = send_at.get(&seq).copied();
-                if let (Some(send), Some((src_rank, src_idx))) = (send, target) {
-                    if send.send_ns > post_ns {
-                        // Late sender: the receiver's segment on the path
-                        // starts when the message left; hop to the sender.
-                        let spent = cursor_ns.saturating_sub(send.send_ns);
-                        *per_section.entry(rec.sec).or_default() += spent;
-                        per_rank[rank] += spent;
-                        rank = src_rank;
-                        idx = src_idx as isize;
-                        cursor_ns = send.send_ns;
-                        continue;
-                    }
+                // Late sender: the receiver's segment on the path starts
+                // when the message left; hop to the sender. A message that
+                // was already waiting is a plain local segment.
+                if let Some(send) = log.sends.get(seq).filter(|s| s.send_ns > post_ns) {
+                    from_ns = send.send_ns;
+                    next = (seq_parts(seq).0, send.rec as isize);
                 }
-                // Message was already waiting: plain local segment.
-                let spent = cursor_ns.saturating_sub(rec.t_ns);
-                *per_section.entry(rec.sec).or_default() += spent;
-                per_rank[rank] += spent;
-                cursor_ns = rec.t_ns;
-                idx -= 1;
             }
             RecKind::CollExit {
                 comm,
@@ -202,47 +179,26 @@ pub fn extract(log: &CommLog) -> CriticalPath {
             } => {
                 // The rendezvous spans from the last arrival to the common
                 // exit; hop to whichever member arrived last.
-                let (crit_rank, max_enter) = log
-                    .colls
-                    .get(&(comm, round))
-                    .map(|cr| {
-                        cr.entries.iter().fold((rank, enter_ns), |best, &(r, t)| {
-                            if t > best.1 || (t == best.1 && r < best.0) {
-                                (r, t)
-                            } else {
-                                best
-                            }
-                        })
-                    })
-                    .unwrap_or((rank, enter_ns));
-                let spent = cursor_ns.saturating_sub(max_enter);
-                *per_section.entry(rec.sec).or_default() += spent;
-                per_rank[rank] += spent;
-                cursor_ns = max_enter;
-                if crit_rank == rank {
-                    idx -= 1;
-                } else if let Some(&ci) =
-                    coll_at.get(&(comm, round)).and_then(|m| m.get(&crit_rank))
-                {
-                    rank = crit_rank;
-                    idx = ci as isize - 1;
-                } else {
-                    idx -= 1;
+                let last = log.colls.get(&(comm, round)).and_then(|c| c.last);
+                from_ns = last.map_or(enter_ns, |(_, max_enter, _)| max_enter);
+                if let Some((crit_rank, _, exit)) = last.filter(|&(r, ..)| r != rank) {
+                    next = (crit_rank, exit as isize - 1);
                 }
             }
-            _ => {
-                let spent = cursor_ns.saturating_sub(rec.t_ns);
-                *per_section.entry(rec.sec).or_default() += spent;
-                per_rank[rank] += spent;
-                cursor_ns = rec.t_ns;
-                idx -= 1;
-            }
+            _ => {}
         }
+        let spent = cursor_ns.saturating_sub(from_ns);
+        *per_section[rec.sec as usize].get_or_insert(0) += spent;
+        per_rank[rank] += spent;
+        cursor_ns = from_ns;
+        (rank, idx) = next;
     }
 
     let mut named: BTreeMap<String, u64> = BTreeMap::new();
-    for (sec, ns) in per_section {
-        *named.entry(log.name(sec).to_string()).or_default() += ns;
+    for (sec, ns) in per_section.into_iter().enumerate() {
+        if let Some(ns) = ns {
+            *named.entry(log.name(sec as u32).to_string()).or_default() += ns;
+        }
     }
     CriticalPath {
         length_ns: named.values().sum(),

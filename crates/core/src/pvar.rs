@@ -26,7 +26,7 @@ use crate::waitstate::RecKind;
 use mpisim::diag::json_str;
 use mpisim::{CommId, EventKind, EventMask, MpiEvent, Tool};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -121,7 +121,7 @@ pub struct MatrixCell {
 struct RankPvars {
     counters: Counters,
     /// Destination world rank -> traffic from this rank.
-    matrix: HashMap<usize, MatrixCell>,
+    matrix: FastMap<usize, MatrixCell>,
     /// The counter snapshot taken when each open section was entered
     /// (attribution baseline), parallel to the tracker's frames.
     baselines: Vec<Counters>,

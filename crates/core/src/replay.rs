@@ -42,12 +42,15 @@
 //! timeline and the trend detector — runs unchanged on the counterfactual
 //! trace.
 
-use crate::waitstate::{CollRound, CollTable, CommLog, RankRecs, Rec, RecKind, SendInfo};
+use crate::fasthash::FastMap;
+use crate::waitstate::{
+    index_u32, CollRound, CollTable, CommLog, RankRecs, Rec, RecKind, SendInfo, SendTable,
+};
 use crate::whatif::{WaitClass, WhatIfSpec};
 use machine::noise::NoiseModel;
 use machine::{CollectiveCost, DetRng, MachineModel, NetworkModel, Topology, VTime};
+use mpisim::message::seq_parts;
 use mpisim::CommId;
-use std::collections::HashMap;
 
 /// mpisim's per-rank network random stream (`proc::streams::NETWORK`).
 const NETWORK_STREAM: u64 = 1;
@@ -66,12 +69,10 @@ pub fn replay(
     spec: &WhatIfSpec,
 ) -> Result<CommLog, String> {
     // Resolve section-scale labels against the recorded label table.
-    let mut scale: HashMap<u32, f64> = HashMap::new();
+    let mut scale: Vec<Option<f64>> = vec![None; log.names.len()];
     for (label, k) in &spec.scale {
         match log.names.iter().position(|n| n == label) {
-            Some(id) => {
-                scale.insert(id as u32, *k);
-            }
+            Some(id) => scale[id] = Some(*k),
             None => {
                 return Err(format!(
                     "what-if scale: section '{label}' not in the recorded run \
@@ -95,8 +96,7 @@ pub fn replay(
             .enumerate()
             .map(|(r, rr)| {
                 let mut rng = DetRng::for_stream(seed, r as u64, NETWORK_STREAM);
-                rr.recs
-                    .iter()
+                rr.iter()
                     .filter(|rec| matches!(rec.kind, RecKind::RecvMatch { .. }))
                     .map(|_| n.noise.latency_jitter(&mut rng))
                     .collect()
@@ -114,19 +114,12 @@ pub fn replay(
             recv_seen: 0,
             now: 0,
             prev_effect: 0,
-            prev_sec: rr.recs.first().map(|r| r.sec).unwrap_or(0),
+            prev_sec: rr.iter().next().map_or(0, |r| r.sec),
             coll_enter: None,
-            recs: Vec::with_capacity(rr.recs.len()),
-            fini_ns: 0,
+            out: RankRecs::default(),
         })
         .collect();
-    let mut sh = Shared {
-        send_end: HashMap::new(),
-        pending: HashMap::new(),
-        exits: HashMap::new(),
-        sends: HashMap::new(),
-        colls: HashMap::new(),
-    };
+    let mut sh = Shared::default();
     let ctx = Ctx {
         log,
         recorded,
@@ -147,14 +140,14 @@ pub fn replay(
         let mut progressed = false;
         let mut all_done = true;
         for (rank, state) in states.iter_mut().enumerate() {
-            while state.idx < log.ranks[rank].recs.len() {
+            while state.idx < log.ranks[rank].len() {
                 if step(rank, state, &mut sh, &ctx) {
                     progressed = true;
                 } else {
                     break;
                 }
             }
-            all_done &= state.idx >= log.ranks[rank].recs.len();
+            all_done &= state.idx >= log.ranks[rank].len();
         }
         if all_done {
             break;
@@ -169,13 +162,7 @@ pub fn replay(
     }
 
     Ok(CommLog {
-        ranks: states
-            .into_iter()
-            .map(|s| RankRecs {
-                recs: s.recs,
-                fini_ns: s.fini_ns,
-            })
-            .collect(),
+        ranks: states.into_iter().map(|s| s.out).collect(),
         names: log.names.clone(),
         sends: sh.sends,
         colls: sh.colls,
@@ -250,19 +237,21 @@ struct RankState {
     /// Re-timed collective entry, registered on first arrival at the
     /// current record (cleared when the round exits).
     coll_enter: Option<u64>,
-    recs: Vec<Rec>,
-    fini_ns: u64,
+    /// The re-timed records.
+    out: RankRecs,
 }
 
 /// Cross-rank replay state.
+#[derive(Default)]
 struct Shared {
-    /// Re-timed send-end per message seq.
-    send_end: HashMap<u64, u64>,
     /// Members arrived so far per pending collective round.
-    pending: HashMap<(CommId, u64), Vec<(usize, u64)>>,
+    pending: CollTable,
     /// Re-timed exit per completed collective round.
-    exits: HashMap<(CommId, u64), u64>,
-    sends: HashMap<u64, SendInfo>,
+    exits: FastMap<(CommId, u64), u64>,
+    /// The re-timed sends. Until its receive replays, an entry's
+    /// `send_ns` is the re-timed send end; the receive then stores what
+    /// the scenario lets the receiver see.
+    sends: SendTable,
     colls: CollTable,
 }
 
@@ -273,7 +262,8 @@ struct Ctx<'a> {
     net: Option<NetPricing>,
     null: Option<WaitClass>,
     zero_jitter: bool,
-    scale: HashMap<u32, f64>,
+    /// Scale factor by section id.
+    scale: Vec<Option<f64>>,
     recv_jitter: Vec<Vec<f64>>,
     nranks: usize,
 }
@@ -281,9 +271,9 @@ struct Ctx<'a> {
 impl Ctx<'_> {
     /// Scale a local gap by the owning section's factor (exact at k = 1).
     fn scaled(&self, gap: u64, sec: u32) -> u64 {
-        match self.scale.get(&sec) {
+        match self.scale[sec as usize] {
             None => gap,
-            Some(&k) => (gap as f64 * k).round() as u64,
+            Some(k) => (gap as f64 * k).round() as u64,
         }
     }
 
@@ -302,17 +292,17 @@ impl Ctx<'_> {
 /// Advance one rank by one record. Returns false when blocked on a
 /// dependency another rank has not yet produced.
 fn step(rank: usize, st: &mut RankState, sh: &mut Shared, ctx: &Ctx<'_>) -> bool {
-    let rec = ctx.log.ranks[rank].recs[st.idx];
+    let rec = ctx.log.ranks[rank].get(st.idx);
     match rec.kind {
         RecKind::Boundary | RecKind::Fini => {
             st.now += ctx.scaled(rec.t_ns.saturating_sub(st.prev_effect), st.prev_sec);
-            st.recs.push(Rec {
+            st.out.push(Rec {
                 t_ns: st.now,
                 sec: rec.sec,
                 kind: rec.kind,
             });
             if matches!(rec.kind, RecKind::Fini) {
-                st.fini_ns = st.now;
+                st.out.fini_ns = st.now;
             }
             st.prev_effect = rec.t_ns;
         }
@@ -323,7 +313,7 @@ fn step(rank: usize, st: &mut RankState, sh: &mut Shared, ctx: &Ctx<'_>) -> bool
             st.now += ctx.scaled(rec.t_ns.saturating_sub(st.prev_effect), st.prev_sec);
             let applied = if ctx.zero_jitter { base_ns } else { elapsed_ns };
             let applied = ctx.scaled(applied, rec.sec);
-            st.recs.push(Rec {
+            st.out.push(Rec {
                 t_ns: st.now,
                 sec: rec.sec,
                 kind: RecKind::Compute {
@@ -335,12 +325,8 @@ fn step(rank: usize, st: &mut RankState, sh: &mut Shared, ctx: &Ctx<'_>) -> bool
             st.prev_effect = rec.t_ns + elapsed_ns;
         }
         RecKind::Send { seq } => {
-            let (bytes, dst) = ctx
-                .log
-                .sends
-                .get(&seq)
-                .map(|s| (s.bytes, s.dst_world))
-                .unwrap_or((0, rank));
+            let recorded = ctx.log.sends.get(seq);
+            let (bytes, dst) = recorded.map_or((0, rank), |s| (s.bytes, s.dst_world as usize));
             // The recorded timestamp is the *enqueue end* — the call time
             // plus the sender-side overhead; split the overhead out so an
             // altered link can re-charge it.
@@ -348,16 +334,16 @@ fn step(rank: usize, st: &mut RankState, sh: &mut Shared, ctx: &Ctx<'_>) -> bool
             let pre_rec = rec.t_ns.saturating_sub(ovh_rec);
             st.now += ctx.scaled(pre_rec.saturating_sub(st.prev_effect), st.prev_sec);
             st.now += ctx.overhead_ns(ctx.net.as_ref(), rank, dst);
-            sh.send_end.insert(seq, st.now);
             sh.sends.insert(
                 seq,
                 SendInfo {
                     send_ns: st.now,
                     bytes,
-                    dst_world: dst,
+                    dst_world: index_u32(dst),
+                    rec: index_u32(st.out.len()),
                 },
             );
-            st.recs.push(Rec {
+            st.out.push(Rec {
                 t_ns: st.now,
                 sec: rec.sec,
                 kind: RecKind::Send { seq },
@@ -369,14 +355,15 @@ fn step(rank: usize, st: &mut RankState, sh: &mut Shared, ctx: &Ctx<'_>) -> bool
             post_ns,
             done_ns,
         } => {
-            let send_new = match sh.send_end.get(&seq).copied() {
-                Some(s) => Some(s),
-                // The matching send has a record in the log but has not
-                // replayed yet: wait for it. A send absent from the log
-                // altogether (never recorded) imposes no dependency.
-                None if ctx.log.sends.contains_key(&seq) => return false,
-                None => None,
-            };
+            let send_rec = ctx.log.sends.get(seq);
+            let replayed = sh.sends.get(seq).copied();
+            // The matching send has a record in the log but has not
+            // replayed yet: wait for it. A send absent from the log
+            // altogether (never recorded) imposes no dependency.
+            if replayed.is_none() && send_rec.is_some() {
+                return false;
+            }
+            let send_new = replayed.map(|s| s.send_ns);
             let post_new = st.now + ctx.scaled(post_ns.saturating_sub(st.prev_effect), st.prev_sec);
             // Null semantics act on the *availability* the receiver sees;
             // the stored send time is clamped the same way so the class
@@ -387,13 +374,14 @@ fn step(rank: usize, st: &mut RankState, sh: &mut Shared, ctx: &Ctx<'_>) -> bool
                 (_, Some(s)) => (s, s),
                 (_, None) => (post_new, post_new),
             };
-            if let Some(info) = sh.sends.get_mut(&seq) {
-                info.send_ns = stored;
+            if let Some(info) = replayed {
+                let send_ns = stored;
+                sh.sends.insert(seq, SendInfo { send_ns, ..info });
             }
             let done_new = match &ctx.net {
                 Some(n) => {
-                    let src = (seq >> 40) as usize;
-                    let bytes = ctx.log.sends.get(&seq).map(|s| s.bytes).unwrap_or(0);
+                    let src = seq_parts(seq).0;
+                    let bytes = send_rec.map_or(0, |s| s.bytes);
                     let link = n
                         .network
                         .link(n.topology.node_of(src), n.topology.node_of(rank));
@@ -403,18 +391,13 @@ fn step(rank: usize, st: &mut RankState, sh: &mut Shared, ctx: &Ctx<'_>) -> bool
                     post_new.max(arrival) + VTime::from_secs_f64(link.overhead).as_nanos()
                 }
                 None => {
-                    let send_rec = ctx
-                        .log
-                        .sends
-                        .get(&seq)
-                        .map(|s| s.send_ns)
-                        .unwrap_or(post_ns);
-                    let residual = done_ns.saturating_sub(post_ns.max(send_rec));
+                    let sent_ns = send_rec.map_or(post_ns, |s| s.send_ns);
+                    let residual = done_ns.saturating_sub(post_ns.max(sent_ns));
                     post_new.max(send_eff) + residual
                 }
             };
             st.recv_seen += 1;
-            st.recs.push(Rec {
+            st.out.push(Rec {
                 t_ns: post_new,
                 sec: rec.sec,
                 kind: RecKind::RecvMatch {
@@ -431,66 +414,47 @@ fn step(rank: usize, st: &mut RankState, sh: &mut Shared, ctx: &Ctx<'_>) -> bool
             round,
             enter_ns,
         } => {
-            let enter_new = match st.coll_enter {
-                Some(e) => e,
-                None => {
-                    let e =
-                        st.now + ctx.scaled(enter_ns.saturating_sub(st.prev_effect), st.prev_sec);
-                    st.coll_enter = Some(e);
-                    e
-                }
-            };
+            // The first visit registers the arrival; a blocked rank comes
+            // back to the same record until the round is complete.
+            let first_visit = st.coll_enter.is_none();
+            let enter_new = *st.coll_enter.get_or_insert_with(|| {
+                st.now + ctx.scaled(enter_ns.saturating_sub(st.prev_effect), st.prev_sec)
+            });
             let cr = ctx.log.colls.get(&(comm, round));
-            let exit_new = if ctx.null == Some(WaitClass::WaitAtCollective) {
+            let retimed = |mut round: CollRound| {
+                (round.op, round.bytes) = cr.map_or(("", 0), |c| (c.op, c.bytes));
+                round
+            };
+            let (round_new, exit_new) = if ctx.null == Some(WaitClass::WaitAtCollective) {
                 // Counterfactual desynchronization: every member pays the
                 // operation cost from its own arrival, nobody waits. Each
                 // exit gets a singleton round so re-classification sees
                 // zero rendezvous wait.
-                enter_new + coll_cost_ns(ctx, comm, round, rec.t_ns)
+                let round_new = round * ctx.nranks as u64 + rank as u64;
+                let mut alone = CollRound::default();
+                alone.enter(rank, enter_new, st.out.len());
+                sh.colls.insert((comm, round_new), retimed(alone));
+                let cost = coll_cost_ns(ctx, comm, round, rec.t_ns);
+                (round_new, enter_new + cost)
+            } else if let Some(&exit) = sh.exits.get(&(comm, round)) {
+                (round, exit)
             } else {
-                match sh.exits.get(&(comm, round)).copied() {
-                    Some(exit) => exit,
-                    None => {
-                        let arrived = sh.pending.entry((comm, round)).or_default();
-                        if !arrived.iter().any(|&(r, _)| r == rank) {
-                            arrived.push((rank, enter_new));
-                        }
-                        let expected = cr.map(|c| c.entries.len()).unwrap_or(1).max(1);
-                        if arrived.len() < expected {
-                            return false;
-                        }
-                        let entries = sh.pending.remove(&(comm, round)).unwrap_or_default();
-                        let max_enter = entries.iter().map(|&(_, t)| t).max().unwrap_or(enter_new);
-                        let exit = max_enter + coll_cost_ns(ctx, comm, round, rec.t_ns);
-                        sh.exits.insert((comm, round), exit);
-                        sh.colls.insert(
-                            (comm, round),
-                            CollRound {
-                                entries,
-                                op: cr.map(|c| c.op).unwrap_or(""),
-                                bytes: cr.map(|c| c.bytes).unwrap_or(0),
-                            },
-                        );
-                        exit
-                    }
+                let arrived = sh.pending.entry((comm, round)).or_default();
+                if first_visit {
+                    arrived.enter(rank, enter_new, st.out.len());
                 }
-            };
-            let round_new = if ctx.null == Some(WaitClass::WaitAtCollective) {
-                let r = round * ctx.nranks as u64 + rank as u64;
-                sh.colls.insert(
-                    (comm, r),
-                    CollRound {
-                        entries: vec![(rank, enter_new)],
-                        op: cr.map(|c| c.op).unwrap_or(""),
-                        bytes: cr.map(|c| c.bytes).unwrap_or(0),
-                    },
-                );
-                r
-            } else {
-                round
+                if arrived.entries.len() < cr.map_or(1, |c| c.entries.len().max(1)) {
+                    return false;
+                }
+                let arrived = sh.pending.remove(&(comm, round)).unwrap_or_default();
+                let max_enter = arrived.last.map_or(enter_new, |(_, t, _)| t);
+                let exit = max_enter + coll_cost_ns(ctx, comm, round, rec.t_ns);
+                sh.exits.insert((comm, round), exit);
+                sh.colls.insert((comm, round), retimed(arrived));
+                (round, exit)
             };
             st.coll_enter = None;
-            st.recs.push(Rec {
+            st.out.push(Rec {
                 t_ns: exit_new,
                 sec: rec.sec,
                 kind: RecKind::CollExit {
@@ -515,10 +479,9 @@ fn coll_cost_ns(ctx: &Ctx<'_>, comm: CommId, round: u64, exit_rec_ns: u64) -> u6
     let cr = ctx.log.colls.get(&(comm, round));
     match &ctx.net {
         Some(n) => {
-            let (op, total, members): (&str, u64, Vec<usize>) = match cr {
-                Some(c) => (c.op, c.bytes, c.entries.iter().map(|&(r, _)| r).collect()),
-                None => ("", 0, Vec::new()),
-            };
+            let members = cr.iter().flat_map(|c| &c.entries);
+            let members: Vec<usize> = members.map(|&(r, _)| r).collect();
+            let (op, total) = cr.map_or(("", 0), |c| (c.op, c.bytes));
             let psize = members.len().max(1);
             let spans = n.topology.spans_nodes(&members);
             let cc = CollectiveCost {
@@ -532,8 +495,8 @@ fn coll_cost_ns(ctx: &Ctx<'_>, comm: CommId, round: u64, exit_rec_ns: u64) -> u6
             VTime::from_secs_f64(base + jitter).as_nanos()
         }
         None => {
-            let max_enter = cr.and_then(CollRound::max_enter_ns).unwrap_or(exit_rec_ns);
-            exit_rec_ns.saturating_sub(max_enter)
+            let last = cr.and_then(|c| c.last);
+            exit_rec_ns.saturating_sub(last.map_or(exit_rec_ns, |(_, t, _)| t))
         }
     }
 }

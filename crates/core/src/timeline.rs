@@ -19,7 +19,8 @@
 //!   [`DurationHistogram`] — one binning scheme for the whole repo).
 //!
 //! The interval arithmetic is the event spine's; this module is its
-//! fixed-edge window sink ([`CommLog::fold`] drives it).
+//! fixed-edge window sink ([`CommLog::fold`] drives it), depositing into
+//! one dense `[window][section][rank]` array of cells.
 //! Everything is extracted from the frozen [`CommLog`] after the run: the
 //! engine adds zero overhead while virtual time advances, and identical
 //! seeds yield byte-identical timelines. The POP-style efficiency
@@ -31,7 +32,7 @@ use crate::spine::{Cell, Count, Sink, Span};
 use crate::waitstate::CommLog;
 use crate::whatif::WaitClass;
 use mpisim::diag::json_str;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// How to cut the run into windows.
@@ -208,7 +209,7 @@ pub fn window_edges(log: &CommLog, windowing: &Windowing) -> Vec<u64> {
                 let id = id as u32;
                 if let Some(rr) = log.ranks.first() {
                     let mut current = u32::MAX;
-                    for rec in &rr.recs {
+                    for rec in rr.iter() {
                         if rec.sec == id && current != id {
                             edges.push(rec.t_ns);
                         }
@@ -257,26 +258,33 @@ fn split_interval(edges: &[u64], a: u64, b: u64, mut f: impl FnMut(usize, u64)) 
 }
 
 /// The fixed-edge window sink of [`CommLog::fold`]: one [`Cell`] per
-/// (window, section, rank), plus the waits that *started* in each window.
+/// (window, section, rank), laid out `[window][section][rank]` so a
+/// deposit is an index, plus the waits that *started* in each window.
 struct Windows<'a> {
     edges: &'a [u64],
-    cells: HashMap<(usize, u32, usize), Cell>,
+    nsec: usize,
+    nranks: usize,
+    cells: Vec<Cell>,
     hists: Vec<DurationHistogram>,
+}
+
+impl Windows<'_> {
+    fn cell(&mut self, w: usize, sec: u32, rank: usize) -> &mut Cell {
+        &mut self.cells[(w * self.nsec + sec as usize) * self.nranks + rank]
+    }
 }
 
 impl Sink for Windows<'_> {
     fn span(&mut self, rank: usize, sec: u32, span: Span, a: u64, b: u64) {
-        split_interval(self.edges, a, b, |w, ns| {
-            self.cells
-                .entry((w, sec, rank))
-                .or_default()
-                .add_span(span, ns);
+        let edges = self.edges;
+        split_interval(edges, a, b, |w, ns| {
+            self.cell(w, sec, rank).add_span(span, ns);
         });
     }
 
     fn point(&mut self, rank: usize, sec: u32, t: u64, count: Count) {
         let w = window_of(self.edges, t);
-        self.cells.entry((w, sec, rank)).or_default().count(count);
+        self.cell(w, sec, rank).count(count);
     }
 
     fn wait(&mut self, _rank: usize, _sec: u32, class: WaitClass, start: u64, ns: u64) {
@@ -291,21 +299,16 @@ impl Sink for Windows<'_> {
 pub fn build(log: &CommLog, windowing: &Windowing) -> Timeline {
     let edges = window_edges(log, windowing);
     let nwin = edges.len() - 1;
+    let (nsec, nranks) = (log.names.len(), log.nranks());
     let mut sink = Windows {
         edges: &edges,
-        cells: HashMap::new(),
+        nsec,
+        nranks,
+        cells: vec![Cell::default(); nwin * nsec * nranks],
         hists: vec![DurationHistogram::default(); nwin],
     };
     log.fold(&mut sink);
     let Windows { cells, hists, .. } = sink;
-
-    // Fold per-rank cells into per-(window, section) stats. BTreeMap keyed
-    // by interned id first, then resolved to names, keeps the fold
-    // deterministic regardless of HashMap iteration order.
-    let mut folded: BTreeMap<(usize, u32), WindowSection> = BTreeMap::new();
-    for (&(w, sec, _rank), cell) in &cells {
-        folded.entry((w, sec)).or_default().absorb(cell);
-    }
 
     let mut windows: Vec<Window> = (0..nwin)
         .map(|w| Window {
@@ -315,10 +318,19 @@ pub fn build(log: &CommLog, windowing: &Windowing) -> Timeline {
             wait_hist: DurationHistogram::default(),
         })
         .collect();
-    let nranks = log.nranks() as u64;
-    for ((w, sec), mut ws) in folded {
-        ws.capacity_ns = (edges[w + 1] - edges[w]) * nranks;
-        windows[w].sections.insert(log.name(sec).to_string(), ws);
+    // Fold each (window, section)'s per-rank cells into its stats. Every
+    // deposit is non-zero and a zero cell absorbs to nothing, so stats
+    // still at their default are a section absent from the window.
+    for (at, ranks) in cells.chunks(nranks.max(1)).enumerate() {
+        let (w, sec) = (at / nsec, at % nsec);
+        let mut ws = WindowSection::default();
+        ranks.iter().for_each(|cell| ws.absorb(cell));
+        if ws != WindowSection::default() {
+            ws.capacity_ns = (edges[w + 1] - edges[w]) * nranks as u64;
+            windows[w]
+                .sections
+                .insert(log.name(sec as u32).to_string(), ws);
+        }
     }
     for (w, hist) in hists.into_iter().enumerate() {
         windows[w].wait_hist = hist;
@@ -326,7 +338,7 @@ pub fn build(log: &CommLog, windowing: &Windowing) -> Timeline {
 
     Timeline {
         edges_ns: edges,
-        nranks: log.nranks(),
+        nranks,
         windows,
     }
 }

@@ -20,32 +20,38 @@
 //! time points at imbalance in its producer, not at its own code.
 //!
 //! The same log feeds [`crate::critpath`], which walks the recorded
-//! dependencies backward to extract the critical path.
+//! dependencies backward to extract the critical path. Nothing in it is
+//! hashed per message: records are packed per rank ([`RankRecs`]), sends
+//! sit in a dense row per sender ([`SendTable`]) and a round knows its
+//! last arrival ([`CollRound`]).
 
+use crate::fasthash::FastMap;
 use crate::spine::{attribute, RankTracker, Sink, Span, Spine, StepKind};
 use crate::whatif::WaitClass;
 use mpisim::diag::json_str;
+use mpisim::message::seq_parts;
 use mpisim::{CommId, EventMask, MpiEvent, Tool};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::mem::size_of;
 use std::sync::Arc;
 
 /// One recorded communication event on one rank. `sec` is the section
 /// active *after* the record takes effect, so the interval from this
 /// record to the next belongs to `sec`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Rec {
     pub(crate) t_ns: u64,
     pub(crate) sec: u32,
     pub(crate) kind: RecKind,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum RecKind {
     /// Section boundary (also used for the implicit frame at Init).
     Boundary,
-    /// An eager send was issued (`seq` keys into [`CommLog::sends`]).
+    /// An eager send was issued (`seq` indexes [`CommLog::sends`]).
     Send { seq: u64 },
     /// A receive matched at the record's `t_ns`; `post_ns` is when the
     /// receive was posted and `done_ns` when the enclosing call returned
@@ -70,29 +76,173 @@ pub(crate) enum RecKind {
     Fini,
 }
 
-/// When (and how large) a message was sent; the sending rank is
-/// recoverable from the sender's own `Send` record, indexed by `seq`.
+/// The fixed part of a stored record: 16 bytes whatever the kind.
+#[derive(Clone, Copy)]
+struct Head {
+    t_ns: u64,
+    /// `sec << TAG_BITS | kind tag`.
+    sec_tag: u32,
+    /// Where the kind's payload starts in [`RankRecs::words`].
+    at: u32,
+}
+
+const TAG_BITS: u32 = 3;
+
+impl RecKind {
+    /// The kind's tag, how many payload words it carries, and the words
+    /// (padded to three).
+    fn pack(self) -> (u32, usize, [u64; 3]) {
+        match self {
+            RecKind::Boundary => (0, 0, [0; 3]),
+            RecKind::Send { seq } => (1, 1, [seq, 0, 0]),
+            RecKind::RecvMatch {
+                seq,
+                post_ns,
+                done_ns,
+            } => (2, 3, [seq, post_ns, done_ns]),
+            RecKind::CollExit {
+                comm,
+                round,
+                enter_ns,
+            } => (3, 3, [comm.0, round, enter_ns]),
+            RecKind::Compute {
+                base_ns,
+                elapsed_ns,
+            } => (4, 2, [base_ns, elapsed_ns, 0]),
+            RecKind::Fini => (5, 0, [0; 3]),
+        }
+    }
+}
+
+/// Per-rank record sequence, packed: a [`Head`] per record and, beside
+/// it, only the words the record's kind carries (none for a boundary or
+/// finalize, 1 for a send, 2 for compute, 3 for a receive or a collective
+/// exit). Readers get the same [`Rec`] values that were pushed.
+#[derive(Clone, Default)]
+pub(crate) struct RankRecs {
+    heads: Vec<Head>,
+    words: Vec<u64>,
+    pub(crate) fini_ns: u64,
+}
+
+impl RankRecs {
+    /// The largest section id a record can carry.
+    pub(crate) const MAX_SEC: u32 = u32::MAX >> TAG_BITS;
+
+    pub(crate) fn push(&mut self, rec: Rec) {
+        assert!(
+            rec.sec <= Self::MAX_SEC,
+            "section {} does not fit a log record",
+            rec.sec
+        );
+        let at = u32::try_from(self.words.len()).expect("a rank's log payload outgrew u32 words");
+        let (tag, carried, payload) = rec.kind.pack();
+        self.words.extend_from_slice(&payload[..carried]);
+        self.heads.push(Head {
+            t_ns: rec.t_ns,
+            sec_tag: rec.sec << TAG_BITS | tag,
+            at,
+        });
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.heads.len()
+    }
+
+    /// When record `i` took effect, if there is one.
+    pub(crate) fn t_ns(&self, i: usize) -> Option<u64> {
+        self.heads.get(i).map(|head| head.t_ns)
+    }
+
+    pub(crate) fn get(&self, i: usize) -> Rec {
+        let head = self.heads[i];
+        let w = &self.words[head.at as usize..];
+        let kind = match head.sec_tag & ((1 << TAG_BITS) - 1) {
+            0 => RecKind::Boundary,
+            1 => RecKind::Send { seq: w[0] },
+            2 => RecKind::RecvMatch {
+                seq: w[0],
+                post_ns: w[1],
+                done_ns: w[2],
+            },
+            3 => RecKind::CollExit {
+                comm: CommId(w[0]),
+                round: w[1],
+                enter_ns: w[2],
+            },
+            4 => RecKind::Compute {
+                base_ns: w[0],
+                elapsed_ns: w[1],
+            },
+            _ => RecKind::Fini,
+        };
+        Rec {
+            t_ns: head.t_ns,
+            sec: head.sec_tag >> TAG_BITS,
+            kind,
+        }
+    }
+
+    pub(crate) fn iter(&self) -> impl Iterator<Item = Rec> + '_ {
+        (0..self.len()).map(|i| self.get(i))
+    }
+}
+
+/// When (and how large) a message was sent, and where the sender logged it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SendInfo {
     pub(crate) send_ns: u64,
     pub(crate) bytes: u64,
     /// Destination world rank (selects the link a replay must re-price).
-    pub(crate) dst_world: usize,
+    pub(crate) dst_world: u32,
+    /// Index of the `Send` record in the sender's [`RankRecs`].
+    pub(crate) rec: u32,
 }
 
-/// Per-rank record sequence.
+/// Every recorded send, one dense row per sender indexed by the send's
+/// number: a message's `seq` is [`mpisim::message::seq_of`] its sender and
+/// `n`, `n` counts that sender's sends from 0, and the engine raises
+/// `SendEnqueued` before the message can match — so a lookup is two
+/// indexings, a row grows by appending, and a `None` (or a short row) is
+/// a send nobody recorded.
 #[derive(Clone, Default)]
-pub(crate) struct RankRecs {
-    pub(crate) recs: Vec<Rec>,
-    pub(crate) fini_ns: u64,
+pub(crate) struct SendTable {
+    by_sender: Vec<Vec<Option<SendInfo>>>,
+}
+
+impl SendTable {
+    pub(crate) fn get(&self, seq: u64) -> Option<&SendInfo> {
+        let (sender, n) = seq_parts(seq);
+        self.by_sender.get(sender)?.get(n as usize)?.as_ref()
+    }
+
+    pub(crate) fn insert(&mut self, seq: u64, info: SendInfo) {
+        let (sender, n) = seq_parts(seq);
+        if self.by_sender.len() <= sender {
+            self.by_sender.resize_with(sender + 1, Vec::new);
+        }
+        let row = &mut self.by_sender[sender];
+        match row.get_mut(n as usize) {
+            Some(slot) => *slot = Some(info),
+            None => {
+                row.resize(n as usize, None);
+                row.push(Some(info));
+            }
+        }
+    }
 }
 
 /// One recorded collective round: who entered when, which operation it
 /// was, and the total bytes the cost model was charged with.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CollRound {
-    /// Every member's `(world rank, entry time ns)`.
+    /// Every member's `(world rank, entry time ns)`, in recording order
+    /// (pushed by [`CollRound::enter`] only).
     pub(crate) entries: Vec<(usize, u64)>,
+    /// The entry that arrived last (ties: lowest rank) and the index of
+    /// that member's `CollExit` record in its rank's log, kept as entries
+    /// are pushed so no reader rescans the round.
+    pub(crate) last: Option<(usize, u64, usize)>,
     /// Rendezvous operation label (`"barrier"`, `"allreduce"`, ...).
     pub(crate) op: &'static str,
     /// Sum of the byte counts declared by all participants.
@@ -100,14 +250,21 @@ pub(crate) struct CollRound {
 }
 
 impl CollRound {
-    /// When the last member arrived (`None` for a round nobody entered).
-    pub(crate) fn max_enter_ns(&self) -> Option<u64> {
-        self.entries.iter().map(|&(_, t)| t).max()
+    /// `rank` reached the rendezvous at `enter_ns` with `logged` records
+    /// in its log: it logs nothing while inside, so its exit will be
+    /// record `logged`.
+    pub(crate) fn enter(&mut self, rank: usize, enter_ns: u64, logged: usize) {
+        self.entries.push((rank, enter_ns));
+        let later = |(r, t, _)| enter_ns > t || (enter_ns == t && rank < r);
+        if self.last.is_none_or(later) {
+            self.last = Some((rank, enter_ns, logged));
+        }
     }
 }
 
-/// `(comm, round)` -> that round's record.
-pub(crate) type CollTable = HashMap<(CommId, u64), CollRound>;
+/// `(comm, round)` -> that round's record. Keyed, not indexed: a replay
+/// that nulls collective waits mints sparse round numbers.
+pub(crate) type CollTable = FastMap<(CommId, u64), CollRound>;
 
 /// The frozen communication log of one run: everything the wait-state
 /// classifier and the critical-path walker need, with no references back
@@ -115,7 +272,7 @@ pub(crate) type CollTable = HashMap<(CommId, u64), CollRound>;
 pub struct CommLog {
     pub(crate) ranks: Vec<RankRecs>,
     pub(crate) names: Vec<String>,
-    pub(crate) sends: HashMap<u64, SendInfo>,
+    pub(crate) sends: SendTable,
     pub(crate) colls: CollTable,
 }
 
@@ -136,7 +293,30 @@ impl CommLog {
 
     /// Total recorded events across all ranks (replay throughput unit).
     pub fn events(&self) -> usize {
-        self.ranks.iter().map(|r| r.recs.len()).sum()
+        self.ranks.iter().map(RankRecs::len).sum()
+    }
+
+    /// Bytes the log holds, counted from its lengths (not its capacities):
+    /// every record's head and payload words, every send-table slot, every
+    /// collective round with its entries, the label table.
+    pub fn state_bytes(&self) -> usize {
+        let recs = self.ranks.iter().map(|r| {
+            size_of::<RankRecs>()
+                + r.heads.len() * size_of::<Head>()
+                + r.words.len() * size_of::<u64>()
+        });
+        let sends = self.sends.by_sender.iter().map(|row| {
+            size_of::<Vec<Option<SendInfo>>>() + row.len() * size_of::<Option<SendInfo>>()
+        });
+        let colls = self.colls.values().map(|c| {
+            size_of::<((CommId, u64), CollRound)>() + c.entries.len() * size_of::<(usize, u64)>()
+        });
+        let names = self.names.iter().map(|n| size_of::<String>() + n.len());
+        size_of::<CommLog>()
+            + recs.sum::<usize>()
+            + sends.sum::<usize>()
+            + colls.sum::<usize>()
+            + names.sum::<usize>()
     }
 
     /// Run the attribution fold over the whole log: every record's
@@ -144,19 +324,19 @@ impl CommLog {
     /// resolved against the send and collective tables.
     pub(crate) fn fold(&self, sink: &mut impl Sink) {
         for (rank, rr) in self.ranks.iter().enumerate() {
-            for (i, rec) in rr.recs.iter().enumerate() {
-                let next_ns = rr.recs.get(i + 1).map_or(rr.fini_ns, |r| r.t_ns);
+            for (i, rec) in rr.iter().enumerate() {
+                let next_ns = rr.t_ns(i + 1).unwrap_or(rr.fini_ns);
                 sink.span(rank, rec.sec, Span::Presence, rec.t_ns, next_ns);
                 // A send nobody recorded counts as issued at the post.
                 let (bytes, peer_ns) = match rec.kind {
-                    RecKind::Send { seq } => (self.sends.get(&seq).map_or(0, |s| s.bytes), 0),
+                    RecKind::Send { seq } => (self.sends.get(seq).map_or(0, |s| s.bytes), 0),
                     RecKind::RecvMatch { seq, post_ns, .. } => {
-                        let send = self.sends.get(&seq);
+                        let send = self.sends.get(seq);
                         send.map_or((0, post_ns), |s| (s.bytes, s.send_ns))
                     }
                     RecKind::CollExit { comm, round, .. } => {
-                        let round = self.colls.get(&(comm, round));
-                        (0, round.and_then(CollRound::max_enter_ns).unwrap_or(0))
+                        let last = self.colls.get(&(comm, round)).and_then(|c| c.last);
+                        (0, last.map_or(0, |(_, t, _)| t))
                     }
                     _ => continue,
                 };
@@ -170,7 +350,7 @@ impl CommLog {
 #[derive(Default)]
 struct Recording {
     spine: Spine<RankRecs>,
-    sends: HashMap<u64, SendInfo>,
+    sends: SendTable,
     colls: CollTable,
 }
 
@@ -218,7 +398,7 @@ impl Tool for CommRecorder {
             } => {
                 let entry = st.colls.entry((comm, round)).or_default();
                 entry.op = op;
-                entry.entries.push((world_rank, step.t_ns));
+                entry.enter(world_rank, step.t_ns, rank.data.len());
                 return;
             }
             StepKind::Rec {
@@ -228,11 +408,12 @@ impl Tool for CommRecorder {
             } => {
                 match kind {
                     RecKind::Send { seq } => {
-                        let send_ns = step.t_ns;
+                        debug_assert_eq!(seq_parts(seq).0, world_rank, "a seq names its sender");
                         let info = SendInfo {
-                            send_ns,
+                            send_ns: step.t_ns,
                             bytes,
-                            dst_world,
+                            dst_world: index_u32(dst_world),
+                            rec: index_u32(rank.data.len()),
                         };
                         st.sends.insert(seq, info);
                     }
@@ -247,12 +428,17 @@ impl Tool for CommRecorder {
                 kind
             }
         };
-        rank.data.recs.push(Rec {
+        rank.data.push(Rec {
             t_ns: step.t_ns,
             sec: step.sec,
             kind,
         });
     }
+}
+
+/// A world rank or a record index as the send table stores it.
+pub(crate) fn index_u32(i: usize) -> u32 {
+    u32::try_from(i).expect("a rank or record index outgrew the send table's u32")
 }
 
 /// Wait time of one class, in virtual nanoseconds.
@@ -418,7 +604,207 @@ pub fn classify(log: &CommLog) -> WaitStateReport {
 mod tests {
     use super::*;
     use crate::{SectionRuntime, VerifyMode};
+    use machine::VTime;
+    use mpisim::message::seq_of;
     use mpisim::{Src, TagSel, WorldBuilder};
+
+    #[test]
+    fn packed_store_returns_what_was_pushed() {
+        let big = CommId(u64::MAX - 1);
+        let kinds = [
+            RecKind::Boundary,
+            RecKind::Send { seq: u64::MAX },
+            RecKind::RecvMatch {
+                seq: u64::MAX,
+                post_ns: u64::MAX - 1,
+                done_ns: u64::MAX - 2,
+            },
+            RecKind::CollExit {
+                comm: CommId((1 << 32) + 5),
+                round: u64::MAX,
+                enter_ns: 0,
+            },
+            RecKind::CollExit {
+                comm: big,
+                round: 0,
+                enter_ns: u64::MAX,
+            },
+            RecKind::Compute {
+                base_ns: u64::MAX,
+                elapsed_ns: 1,
+            },
+            RecKind::Fini,
+        ];
+        let mut recs = RankRecs::default();
+        let mut pushed = Vec::new();
+        for (i, &kind) in kinds.iter().enumerate() {
+            for sec in [0, i as u32, RankRecs::MAX_SEC] {
+                let t_ns = u64::MAX - i as u64;
+                pushed.push(Rec { t_ns, sec, kind });
+                recs.push(Rec { t_ns, sec, kind });
+            }
+        }
+        assert_eq!((recs.len(), recs.t_ns(pushed.len())), (pushed.len(), None));
+        assert_eq!(recs.iter().collect::<Vec<_>>(), pushed);
+        // Random access agrees with iteration, in any order.
+        for i in (0..pushed.len()).rev() {
+            assert_eq!(recs.get(i), pushed[i]);
+            assert_eq!(recs.t_ns(i), Some(pushed[i].t_ns));
+        }
+        // Only the payload a kind carries is stored: 3 records of each
+        // kind, 0 + 1 + 3 + 3 + 3 + 2 + 0 words per round of kinds.
+        assert_eq!(recs.words.len(), 3 * 12);
+        assert_eq!(size_of::<Head>(), 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a log record")]
+    fn section_id_past_the_head_fails_loudly() {
+        RankRecs::default().push(Rec {
+            t_ns: 0,
+            sec: RankRecs::MAX_SEC + 1,
+            kind: RecKind::Boundary,
+        });
+    }
+
+    /// Hand-feeds the recorder: `send`, `recv` (posted, then matched and
+    /// returned) and the two lifecycle events, as the engine raises them.
+    struct Feed(Arc<CommRecorder>);
+
+    impl Feed {
+        fn new(size: usize) -> Feed {
+            let feed = Feed(CommRecorder::new());
+            for rank in 0..size {
+                let time = VTime::ZERO;
+                feed.0.on_event(rank, &MpiEvent::Init { size, time });
+            }
+            feed
+        }
+
+        fn send(&self, rank: usize, n: u64, dst_world: usize, at_ns: u64) -> u64 {
+            let seq = seq_of(rank, n);
+            let event = MpiEvent::SendEnqueued {
+                comm: CommId::WORLD,
+                dst_local: dst_world,
+                dst_world,
+                tag: 0,
+                seq,
+                bytes: 8,
+                time: VTime::from_nanos(at_ns),
+            };
+            self.0.on_event(rank, &event);
+            seq
+        }
+
+        fn recv(&self, rank: usize, seq: u64, post_ns: u64, match_ns: u64) {
+            let (comm, src_world) = (CommId::WORLD, seq_parts(seq).0);
+            let posted = MpiEvent::RecvBlocked {
+                comm,
+                src: mpisim::Src::Any,
+                tag: mpisim::TagSel::Any,
+                members: Arc::new(Vec::new()),
+                time: VTime::from_nanos(post_ns),
+            };
+            let time = VTime::from_nanos(match_ns);
+            let matched = MpiEvent::RecvMatched {
+                comm,
+                src_local: src_world,
+                src_world,
+                tag: 0,
+                seq,
+                bytes: 8,
+                candidates: Vec::new(),
+                time,
+            };
+            let call = mpisim::MpiCall::Recv;
+            let returned = MpiEvent::CallExit {
+                call,
+                comm,
+                time,
+                bytes: 8,
+            };
+            for event in [posted, matched, returned] {
+                self.0.on_event(rank, &event);
+            }
+        }
+
+        fn freeze(&self, fini_ns: u64) -> CommLog {
+            let time = VTime::from_nanos(fini_ns);
+            for rank in 0..self.0.freeze().nranks() {
+                self.0.on_event(rank, &MpiEvent::Finalize { time });
+            }
+            self.0.freeze()
+        }
+    }
+
+    #[test]
+    fn unrecorded_send_counts_as_issued_at_the_post() {
+        let feed = Feed::new(2);
+        // Rank 0 posts at 100 and matches at 400 a message whose
+        // `SendEnqueued` the recorder never saw; then a recorded one.
+        feed.recv(0, seq_of(1, 0), 100, 400);
+        let seen = feed.send(1, 1, 0, 700);
+        feed.recv(0, seen, 500, 900);
+        let log = feed.freeze(1000);
+        assert!(log.sends.get(seq_of(1, 0)).is_none());
+        let waits = classify(&log).per_rank[0];
+        assert_eq!((waits.late_sender_ns, waits.late_receiver_ns), (200, 0));
+        // The walker hops to the recorded late sender at 700 and never
+        // reaches the unrecorded one; the replay waits for neither.
+        let cp = crate::critpath::extract(&log);
+        assert_eq!(cp.per_rank, [300, 700]);
+        let m = machine::presets::ideal();
+        let re = crate::replay(&log, &m, 1, &crate::whatif::WhatIfSpec::identity()).unwrap();
+        assert_eq!(classify(&re).to_json(), classify(&log).to_json());
+    }
+
+    #[test]
+    fn sends_out_of_order_or_beyond_the_world_neither_panic_nor_alias() {
+        let feed = Feed::new(2);
+        // n = 5 before n = 0, and a sender the world never announced.
+        let late = feed.send(1, 5, 0, 50);
+        let first = feed.send(1, 0, 0, 60);
+        let stray = feed.send(7, 2, 0, 70);
+        feed.recv(0, late, 10, 80);
+        feed.recv(0, stray, 90, 95);
+        let log = feed.freeze(100);
+        assert_eq!(log.nranks(), 8);
+        for (seq, send_ns, rec) in [(late, 50, 1), (first, 60, 2), (stray, 70, 0)] {
+            let info = log.sends.get(seq).expect("recorded");
+            assert_eq!((info.send_ns, info.rec), (send_ns, rec), "seq {seq:#x}");
+            let (sender, _) = seq_parts(seq);
+            assert_eq!(
+                log.ranks[sender].get(rec as usize).kind,
+                RecKind::Send { seq }
+            );
+        }
+        // The slots in between, the neighbouring senders and the rows
+        // past the table are all "nobody recorded it".
+        for seq in [
+            seq_of(1, 3),
+            seq_of(1, 6),
+            seq_of(7, 0),
+            seq_of(6, 2),
+            seq_of(8, 0),
+        ] {
+            assert!(log.sends.get(seq).is_none(), "seq {seq:#x}");
+        }
+        let waits = classify(&log).per_rank[0];
+        assert_eq!((waits.late_sender_ns, waits.late_receiver_ns), (40, 20));
+        assert_eq!(crate::critpath::extract(&log).length_ns, 100);
+    }
+
+    #[test]
+    fn round_keeps_its_last_arrival() {
+        let mut round = CollRound::default();
+        assert_eq!(round.last, None);
+        for (rank, t) in [(3, 10), (1, 40), (2, 40), (0, 40), (4, 39)] {
+            round.enter(rank, t, 100 + rank);
+        }
+        // Ties go to the lowest rank, whatever the order of arrival.
+        assert_eq!(round.last, Some((0, 40, 100)));
+        assert_eq!(round.entries.len(), 5);
+    }
 
     #[test]
     fn late_sender_is_classified() {

@@ -1,10 +1,15 @@
 //! Property tests for the section runtime: arbitrary well-nested section
 //! programs are accepted, profiled exactly, and their derived metrics obey
-//! the Fig. 3 identities; malformed programs are rejected.
+//! the Fig. 3 identities; malformed programs are rejected. And for the
+//! communication log: whatever order sends reach the recorder in, and
+//! whichever never do, every receive is classified against its own send.
 
 use machine::VTime;
+use mpi_sections::waitstate::WaitBreakdown;
+use mpi_sections::{classify, CommRecorder};
 use mpi_sections::{InstanceStats, SectionProfiler, SectionRuntime, VerifyMode};
-use mpisim::WorldBuilder;
+use mpisim::message::seq_of;
+use mpisim::{CommId, MpiCall, MpiEvent, Src, TagSel, Tool, WorldBuilder};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -138,6 +143,71 @@ proptest! {
         prop_assert!((inst.imbalance_secs() - (span - mean_section)).abs() < 1e-9);
         prop_assert!(inst.mean_entry_imbalance_secs() >= -1e-9);
         prop_assert!(inst.entry_variance_s2() >= 0.0);
+    }
+
+    #[test]
+    fn every_receive_is_classified_against_its_own_send(
+        nranks in 1usize..5,
+        // (sender, receiver, send ns, post ns, delivery: odd values reach
+        // the recorder, in ascending order)
+        msgs in prop::collection::vec(
+            (0usize..8, 0usize..8, 0u64..1_000, 0u64..1_000, any::<u16>()),
+            0..40,
+        ),
+    ) {
+        let recorder = CommRecorder::new();
+        for rank in 0..nranks {
+            recorder.on_event(rank, &MpiEvent::Init { size: nranks, time: VTime::ZERO });
+        }
+        // Number each sender's messages densely, as the engine does;
+        // senders and receivers may lie beyond the announced world.
+        let mut sent = [0u64; 8];
+        let msgs: Vec<_> = msgs
+            .into_iter()
+            .map(|(src, dst, send_ns, post_ns, delivery)| {
+                sent[src] += 1;
+                let seq = seq_of(src, sent[src] - 1);
+                let order = (delivery % 2 == 1).then_some(delivery);
+                (seq, src, dst, send_ns, post_ns, order)
+            })
+            .collect();
+        // Sends reach the recorder in any order, also within one sender.
+        let mut delivered: Vec<_> = msgs.iter().filter(|m| m.5.is_some()).collect();
+        delivered.sort_by_key(|m| m.5);
+        for &&(seq, src, dst, send_ns, ..) in &delivered {
+            let time = VTime::from_nanos(send_ns);
+            let comm = CommId::WORLD;
+            recorder.on_event(src, &MpiEvent::SendEnqueued {
+                comm, dst_local: dst, dst_world: dst, tag: 0, seq, bytes: 8, time,
+            });
+        }
+        let mut expect = [WaitBreakdown::default(); 8];
+        for &(seq, src, dst, send_ns, post_ns, order) in &msgs {
+            let comm = CommId::WORLD;
+            let time = VTime::from_nanos(post_ns);
+            let members = Arc::new(Vec::new());
+            recorder.on_event(dst, &MpiEvent::RecvBlocked {
+                comm, src: Src::Any, tag: TagSel::Any, members, time,
+            });
+            let time = VTime::from_nanos(post_ns.max(send_ns) + 5);
+            recorder.on_event(dst, &MpiEvent::RecvMatched {
+                comm, src_local: src, src_world: src, tag: 0, seq, bytes: 8,
+                candidates: Vec::new(), time,
+            });
+            recorder.on_event(dst, &MpiEvent::CallExit {
+                call: MpiCall::Recv, comm, time, bytes: 8,
+            });
+            // An unrecorded send counts as issued at the post: no wait.
+            if order.is_some() {
+                expect[dst].late_sender_ns += send_ns.saturating_sub(post_ns);
+                expect[dst].late_receiver_ns += post_ns.saturating_sub(send_ns);
+            }
+        }
+        let log = recorder.freeze();
+        prop_assert_eq!(log.events(), nranks + delivered.len() + msgs.len());
+        let got = classify(&log).per_rank;
+        prop_assert_eq!(&got[..], &expect[..got.len()]);
+        prop_assert!(expect[got.len()..].iter().all(|w| *w == WaitBreakdown::default()));
     }
 
     #[test]

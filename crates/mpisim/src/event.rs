@@ -160,7 +160,11 @@ pub enum MpiEvent {
         dst_world: usize,
         tag: i32,
         /// Global message sequence number; pairs with
-        /// [`MpiEvent::RecvMatched::seq`].
+        /// [`MpiEvent::RecvMatched::seq`]. A tool may rely on two facts
+        /// (the communication recorder's send table does): it is
+        /// [`crate::message::seq_of`] the sender's world rank and `n`,
+        /// `n` dense per sender from 0; and on both engines this event
+        /// precedes the message's visibility, hence its `RecvMatched`.
         seq: u64,
         /// Logical payload size of the message.
         bytes: u64,

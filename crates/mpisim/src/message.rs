@@ -123,6 +123,30 @@ impl std::fmt::Debug for Payload {
     }
 }
 
+/// Bit position of the sender's world rank inside a message `seq`; the
+/// bits below it count that sender's sends.
+const SEQ_RANK_SHIFT: u32 = 40;
+
+/// The `seq` of the `n`-th message (from 0) sent by `sender_world_rank`:
+/// the rank over the per-sender counter, so globally unique and
+/// independent of how ranks interleave. Panics when a part does not fit
+/// its field, where it would alias another sender's messages.
+#[inline]
+pub fn seq_of(sender_world_rank: usize, n: u64) -> u64 {
+    assert!(
+        n >> SEQ_RANK_SHIFT == 0 && (sender_world_rank as u64) >> (64 - SEQ_RANK_SHIFT) == 0,
+        "mpisim: message {n} of rank {sender_world_rank} does not fit the seq layout"
+    );
+    ((sender_world_rank as u64) << SEQ_RANK_SHIFT) | n
+}
+
+/// The inverse of [`seq_of`]: `(sender_world_rank, n)`.
+#[inline]
+pub fn seq_parts(seq: u64) -> (usize, u64) {
+    let n = seq & ((1 << SEQ_RANK_SHIFT) - 1);
+    ((seq >> SEQ_RANK_SHIFT) as usize, n)
+}
+
 /// A message in flight: payload plus matching and timing metadata.
 #[derive(Debug)]
 pub struct Envelope {
@@ -136,7 +160,7 @@ pub struct Envelope {
     pub tag: i32,
     /// Virtual time at which the sender finished injecting the message.
     pub send_end: VTime,
-    /// Monotone per-world sequence number (preserves per-sender ordering).
+    /// [`seq_of`] the sender and its send count: ordered per sender.
     pub seq: u64,
     /// The payload.
     pub payload: Payload,
@@ -209,6 +233,32 @@ mod tests {
     fn type_mismatch_panics() {
         let p = Payload::real(&[1u32]);
         let _ = p.into_vec::<f64>();
+    }
+
+    #[test]
+    fn seq_round_trips_up_to_its_limits() {
+        let (max_rank, max_n) = (
+            (1usize << (64 - SEQ_RANK_SHIFT)) - 1,
+            (1u64 << SEQ_RANK_SHIFT) - 1,
+        );
+        for (rank, n) in [(0, 0), (1, 0), (0, 1), (455, 799), (max_rank, max_n)] {
+            assert_eq!(seq_parts(seq_of(rank, n)), (rank, n));
+        }
+        // Distinct senders never share a seq, even at the counter's end.
+        assert_ne!(seq_of(0, max_n), seq_of(1, 0));
+        assert_eq!(seq_of(1, 0), seq_of(0, max_n) + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit the seq layout")]
+    fn seq_counter_overflow_fails_loudly() {
+        seq_of(3, 1 << SEQ_RANK_SHIFT);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit the seq layout")]
+    fn seq_rank_overflow_fails_loudly() {
+        seq_of(1 << (64 - SEQ_RANK_SHIFT), 0);
     }
 
     #[test]

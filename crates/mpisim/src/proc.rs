@@ -194,16 +194,16 @@ impl Proc {
         self.tools.wants(kind)
     }
 
-    /// Next message sequence number: the sender's world rank in the high
-    /// bits over a per-rank send counter. Globally unique and — unlike a
-    /// shared atomic counter — independent of how ranks interleave, so
-    /// trace flow ids and analyzer join keys are identical across both
-    /// execution engines and across reruns.
+    /// Next message sequence number: [`crate::message::seq_of`] this
+    /// rank and its send count. Globally unique and — unlike a shared
+    /// atomic counter — independent of how ranks interleave, so trace flow
+    /// ids and analyzer join keys are identical across both execution
+    /// engines and across reruns.
     #[inline]
     pub(crate) fn next_seq(&mut self) -> u64 {
         let n = self.sent;
         self.sent += 1;
-        ((self.world_rank as u64) << 40) | n
+        crate::message::seq_of(self.world_rank, n)
     }
 
     /// `MPI_Pcontrol(level)`: a pure tool notification with tool-defined

@@ -115,7 +115,7 @@ mod tests {
                 src_world: s,
                 src_local: s,
                 tag: 7,
-                seq: (s as u64) << 40,
+                seq: mpisim::message::seq_of(s, 0),
             })
             .collect()
     }

@@ -33,6 +33,15 @@ if grep -rn 'std::alloc\|STACK_CANARY' crates/mpisim/src/fiber.rs crates/mpisim/
     exit 1
 fi
 
+echo "==> the communication log is indexed, never hashed"
+# Sends are a dense row per sender, timeline cells a dense array, rounds
+# a `FastMap`: SipHash per record is what `conv456_observed` used to pay.
+if grep -n 'HashMap' crates/core/src/waitstate.rs crates/core/src/critpath.rs \
+    crates/core/src/timeline.rs; then
+    echo "crates/core/src: a hashed lookup is back on the log's hot path"
+    exit 1
+fi
+
 echo "==> benchmark package builds against these crates (the root test never compiles it)"
 (cd benchmark && cargo test --release --quiet)
 cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- suite --smoke > /dev/null
@@ -45,6 +54,14 @@ cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- \
     --workload conv16k_scale --seed 2 --seconds 6 --trace 0 \
     | tail -n 1 | grep -q '"correct": true' \
     || { echo "conv16k_scale: result line does not say \"correct\": true"; exit 1; }
+
+echo "==> benchmark: one full-size conv456_observed run must come back correct"
+# p = 456 with the full observer stack (pvar, recorder, wait states,
+# critical path, timeline, JSON export) is launched nowhere else here.
+cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload conv456_observed --seed 2 --seconds 6 --trace 0 \
+    | tail -n 1 | grep -q '"correct": true' \
+    || { echo "conv456_observed: result line does not say \"correct\": true"; exit 1; }
 
 echo "==> smoke: hostile command lines exit 2, not 101"
 for hostile in \

@@ -8,7 +8,7 @@ use bench::whatif::{analyze, machine_config_json, to_json};
 use mpi_sections::whatif::{parse, WhatIfSpec};
 use mpi_sections::{classify, critpath, replay, CommLog, CommRecorder, SectionRuntime, VerifyMode};
 use mpi_sections::{timeline, Windowing};
-use mpisim::WorldBuilder;
+use mpisim::{waitall, Engine, Src, TagSel, WorldBuilder};
 use speedup::trend::{detect, TrendConfig};
 use std::sync::Arc;
 
@@ -63,6 +63,105 @@ fn identity_replay_is_bitwise_faithful() {
     let tl = timeline::build(&re, &Windowing::Fixed(8));
     let tl0 = timeline::build(&log, &Windowing::Fixed(8));
     assert_eq!(tl.to_json(), tl0.to_json());
+}
+
+/// A p = 8 world that puts a message or a round into the log every way
+/// the API can: `sendrecv`, `isend`/`irecv`/`waitall`, a wildcard receive
+/// (one possible sender, so the match is the schedule's in name only) and
+/// an allreduce on a split communicator.
+fn mixed_log(engine: Engine, machine: machine::MachineModel, seed: u64) -> CommLog {
+    let sections = SectionRuntime::new(VerifyMode::Active);
+    let recorder = CommRecorder::new();
+    let s = sections.clone();
+    WorldBuilder::new(8)
+        .engine(engine)
+        .machine(machine)
+        .seed(seed)
+        .tool(sections.clone())
+        .tool(recorder.clone())
+        .run(move |p| {
+            let world = p.world();
+            let (me, n) = (p.world_rank(), p.world_size());
+            let (left, right) = ((me + n - 1) % n, (me + 1) % n);
+            let half = world.split(p, Some((me % 2) as i32), me as i32);
+            let half = half.expect("every rank has a colour");
+            for step in 0..3 {
+                s.scoped(p, &world, "RING", |p| {
+                    p.advance_secs(1e-4 * ((me + step) % 4 + 1) as f64);
+                    let _ = world.sendrecv(
+                        p,
+                        right,
+                        1,
+                        &[me as u64; 32],
+                        Src::Rank(left),
+                        TagSel::Is(1),
+                    );
+                });
+                s.scoped(p, &world, "HALO", |p| {
+                    let reqs = [left, right]
+                        .map(|from| world.irecv::<u64>(p, Src::Rank(from), TagSel::Is(2)));
+                    for to in [left, right] {
+                        world.isend(p, to, 2, &[step as u64; 64]).wait(p);
+                    }
+                    p.compute(machine::Work::new(1e6 * (me + 1) as f64, 1e5));
+                    let _ = waitall(p, reqs.into());
+                });
+                s.scoped(p, &world, "FUNNEL", |p| {
+                    if me == 0 {
+                        let _ = world.recv::<u8>(p, Src::Any, TagSel::Is(9));
+                    } else if me == 5 {
+                        p.advance_secs(2e-4);
+                        world.send(p, 0, 9, &[step as u8]);
+                    }
+                });
+                s.scoped(p, &world, "HALVES", |p| {
+                    let _ = half.allreduce_sum_f64(p, me as f64);
+                });
+            }
+        })
+        .expect("mixed run failed");
+    recorder.freeze()
+}
+
+/// Every analysis of the mixed world is the same on both engines, and an
+/// identity replay — and a replay of that replay — changes none of them:
+/// what the log's tables resolve (a receive's send, a round's last
+/// arrival, the walker's jump targets) does not depend on the order the
+/// recorder was told in.
+#[test]
+fn mixed_world_agrees_across_engines_and_with_its_own_replay() {
+    let analyses = |log: &CommLog| {
+        [
+            classify(log).to_json(),
+            critpath::extract(log).to_json(),
+            timeline::build(log, &Windowing::Fixed(5)).to_json(),
+            timeline::build(log, &Windowing::Aligned("HALO".into())).to_json(),
+        ]
+    };
+    let m = machine::presets::nehalem_cluster();
+    let per_engine = [Engine::Des, Engine::Threads].map(|engine| {
+        let log = mixed_log(engine, m.clone(), 3);
+        let recorded = analyses(&log);
+        let re = replay(&log, &m, 3, &WhatIfSpec::identity()).expect("identity replay");
+        assert_eq!(
+            analyses(&re),
+            recorded,
+            "{engine:?}: replay moved an analysis"
+        );
+        let again = replay(&re, &m, 3, &WhatIfSpec::identity()).expect("replay of a replay");
+        assert_eq!(analyses(&again), recorded, "{engine:?}: second replay");
+        assert_eq!(re.makespan_ns(), log.makespan_ns());
+        assert_eq!(re.events(), log.events());
+        // Not vacuous: every wait class occurred, on both communicators.
+        let waits = classify(&log).totals();
+        assert!(
+            waits.late_sender_ns > 0 && waits.late_receiver_ns > 0,
+            "{waits:?}"
+        );
+        assert!(classify(&log).per_section["HALVES"].coll_wait_ns > 0);
+        recorded
+    });
+    assert_eq!(per_engine[0], per_engine[1]);
 }
 
 /// Fully idealized replay (free network, zero jitter) converges to the
