@@ -225,7 +225,8 @@ fn config(flags: &Parsed) -> Result<Config, String> {
     let p: usize = flags.num(&P, 8)?;
     let steps: usize = flags.num(&STEPS, 100)?;
     let iters: usize = flags.num(&ITERS, 100)?;
-    let threads: usize = flags.num(&THREADS, 1)?;
+    let threads = lulesh_proxy::threads_in_range(flags.num(&THREADS, 1)?)
+        .map_err(|e| format!("{} {e}", THREADS.name))?;
     // The one place a workload name is interpreted: its program, its
     // sequential equivalent, its default machine and its banner.
     let (program, sequential, default_machine, banner) = match workload {

@@ -115,6 +115,12 @@ fn hostile_command_lines_get_one_error_line_and_the_usage() {
         (PROFILE, "conv --machine marsrover", "dual_broadwell"),
         (PROFILE, "conv --what-if net=marsrover", "future_manycore"),
         (PROFILE, "lulesh --p 5", "perfect cube"),
+        (
+            PROFILE,
+            "lulesh --p 27 --threads 100000000 --iters 2",
+            "--threads expects 1..=4096 threads per rank, got 100000000",
+        ),
+        (PROFILE, "lulesh --threads 0", "--threads expects 1..=4096"),
         (FIGURES, "fig7 --steps", "--steps requires a value"),
         (FIGURES, "fig7 --reps x", "--reps expects a number, got 'x'"),
         (FIGURES, "fig7 --bogus", "unknown argument '--bogus'"),

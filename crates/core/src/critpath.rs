@@ -124,7 +124,7 @@ impl CriticalPath {
 /// Walk the log backward from the last rank to finalize and extract the
 /// critical path.
 pub fn extract(log: &CommLog) -> CriticalPath {
-    let nranks = log.ranks.len();
+    let nranks = log.run.ranks.len();
     // Path time by section id; `None` until the path touches the section.
     let mut per_section: Vec<Option<u64>> = vec![None; log.names.len()];
     let mut per_rank = vec![0u64; nranks];
@@ -141,13 +141,13 @@ pub fn extract(log: &CommLog) -> CriticalPath {
 
     // Start on the rank that finalized last (ties: lowest rank).
     let mut rank = 0usize;
-    for (r, rr) in log.ranks.iter().enumerate() {
-        if rr.fini_ns > log.ranks[rank].fini_ns {
+    for (r, rr) in log.run.ranks.iter().enumerate() {
+        if rr.fini_ns > log.run.ranks[rank].fini_ns {
             rank = r;
         }
     }
-    let mut cursor_ns = log.ranks[rank].fini_ns;
-    let mut idx = log.ranks[rank].len() as isize - 1;
+    let mut cursor_ns = log.run.ranks[rank].fini_ns;
+    let mut idx = log.run.ranks[rank].len() as isize - 1;
 
     // Every step either decrements an index or jumps to a strictly earlier
     // time on another rank, but cap the walk defensively anyway.
@@ -155,7 +155,7 @@ pub fn extract(log: &CommLog) -> CriticalPath {
 
     while idx >= 0 && steps < cap {
         steps += 1;
-        let rec = log.ranks[rank].get(idx as usize);
+        let rec = log.run.ranks[rank].get(idx as usize);
         // `[from_ns, cursor_ns)` is on the path, on this rank, in `rec.sec`.
         let mut from_ns = rec.t_ns;
         // The record the walk continues from; the jump targets are the
@@ -167,7 +167,7 @@ pub fn extract(log: &CommLog) -> CriticalPath {
                 // Late sender: the receiver's segment on the path starts
                 // when the message left; hop to the sender. A message that
                 // was already waiting is a plain local segment.
-                if let Some(send) = log.sends.get(seq).filter(|s| s.send_ns > post_ns) {
+                if let Some(send) = log.run.sends.get(seq).filter(|s| s.send_ns > post_ns) {
                     from_ns = send.send_ns;
                     next = (seq_parts(seq).0, send.rec as isize);
                 }
@@ -179,7 +179,7 @@ pub fn extract(log: &CommLog) -> CriticalPath {
             } => {
                 // The rendezvous spans from the last arrival to the common
                 // exit; hop to whichever member arrived last.
-                let last = log.colls.get(&(comm, round)).and_then(|c| c.last);
+                let last = log.run.colls.get(&(comm, round)).and_then(|c| c.last);
                 from_ns = last.map_or(enter_ns, |(_, max_enter, _)| max_enter);
                 if let Some((crit_rank, _, exit)) = last.filter(|&(r, ..)| r != rank) {
                     next = (crit_rank, exit as isize - 1);

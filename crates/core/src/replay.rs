@@ -44,13 +44,14 @@
 
 use crate::fasthash::FastMap;
 use crate::waitstate::{
-    index_u32, CollRound, CollTable, CommLog, RankRecs, Rec, RecKind, SendInfo, SendTable,
+    index_u32, CollRound, CollTable, CommLog, RankRecs, Rec, RecKind, Recorded, SendInfo, SendTable,
 };
 use crate::whatif::{WaitClass, WhatIfSpec};
 use machine::noise::NoiseModel;
 use machine::{CollectiveCost, DetRng, MachineModel, NetworkModel, Topology, VTime};
 use mpisim::message::seq_parts;
 use mpisim::CommId;
+use std::sync::Arc;
 
 /// mpisim's per-rank network random stream (`proc::streams::NETWORK`).
 const NETWORK_STREAM: u64 = 1;
@@ -91,6 +92,7 @@ pub fn replay(
     // drew exactly one exponential per matched receive, in program order.
     let recv_jitter: Vec<Vec<f64>> = match &net {
         Some(n) => log
+            .run
             .ranks
             .iter()
             .enumerate()
@@ -105,8 +107,9 @@ pub fn replay(
         None => Vec::new(),
     };
 
-    let nranks = log.ranks.len();
+    let nranks = log.run.ranks.len();
     let mut states: Vec<RankState> = log
+        .run
         .ranks
         .iter()
         .map(|rr| RankState {
@@ -140,14 +143,14 @@ pub fn replay(
         let mut progressed = false;
         let mut all_done = true;
         for (rank, state) in states.iter_mut().enumerate() {
-            while state.idx < log.ranks[rank].len() {
+            while state.idx < log.run.ranks[rank].len() {
                 if step(rank, state, &mut sh, &ctx) {
                     progressed = true;
                 } else {
                     break;
                 }
             }
-            all_done &= state.idx >= log.ranks[rank].len();
+            all_done &= state.idx >= log.run.ranks[rank].len();
         }
         if all_done {
             break;
@@ -162,10 +165,12 @@ pub fn replay(
     }
 
     Ok(CommLog {
-        ranks: states.into_iter().map(|s| s.out).collect(),
+        run: Arc::new(Recorded {
+            ranks: states.into_iter().map(|s| s.out).collect(),
+            sends: sh.sends,
+            colls: sh.colls,
+        }),
         names: log.names.clone(),
-        sends: sh.sends,
-        colls: sh.colls,
     })
 }
 
@@ -292,7 +297,7 @@ impl Ctx<'_> {
 /// Advance one rank by one record. Returns false when blocked on a
 /// dependency another rank has not yet produced.
 fn step(rank: usize, st: &mut RankState, sh: &mut Shared, ctx: &Ctx<'_>) -> bool {
-    let rec = ctx.log.ranks[rank].get(st.idx);
+    let rec = ctx.log.run.ranks[rank].get(st.idx);
     match rec.kind {
         RecKind::Boundary | RecKind::Fini => {
             st.now += ctx.scaled(rec.t_ns.saturating_sub(st.prev_effect), st.prev_sec);
@@ -325,7 +330,7 @@ fn step(rank: usize, st: &mut RankState, sh: &mut Shared, ctx: &Ctx<'_>) -> bool
             st.prev_effect = rec.t_ns + elapsed_ns;
         }
         RecKind::Send { seq } => {
-            let recorded = ctx.log.sends.get(seq);
+            let recorded = ctx.log.run.sends.get(seq);
             let (bytes, dst) = recorded.map_or((0, rank), |s| (s.bytes, s.dst_world as usize));
             // The recorded timestamp is the *enqueue end* — the call time
             // plus the sender-side overhead; split the overhead out so an
@@ -355,7 +360,7 @@ fn step(rank: usize, st: &mut RankState, sh: &mut Shared, ctx: &Ctx<'_>) -> bool
             post_ns,
             done_ns,
         } => {
-            let send_rec = ctx.log.sends.get(seq);
+            let send_rec = ctx.log.run.sends.get(seq);
             let replayed = sh.sends.get(seq).copied();
             // The matching send has a record in the log but has not
             // replayed yet: wait for it. A send absent from the log
@@ -420,7 +425,7 @@ fn step(rank: usize, st: &mut RankState, sh: &mut Shared, ctx: &Ctx<'_>) -> bool
             let enter_new = *st.coll_enter.get_or_insert_with(|| {
                 st.now + ctx.scaled(enter_ns.saturating_sub(st.prev_effect), st.prev_sec)
             });
-            let cr = ctx.log.colls.get(&(comm, round));
+            let cr = ctx.log.run.colls.get(&(comm, round));
             let retimed = |mut round: CollRound| {
                 (round.op, round.bytes) = cr.map_or(("", 0), |c| (c.op, c.bytes));
                 round
@@ -476,7 +481,7 @@ fn step(rank: usize, st: &mut RankState, sh: &mut Shared, ctx: &Ctx<'_>) -> bool
 /// post-rendezvous delta under the identity network, or the re-priced
 /// formula cost plus regenerated jitter under an altered one.
 fn coll_cost_ns(ctx: &Ctx<'_>, comm: CommId, round: u64, exit_rec_ns: u64) -> u64 {
-    let cr = ctx.log.colls.get(&(comm, round));
+    let cr = ctx.log.run.colls.get(&(comm, round));
     match &ctx.net {
         Some(n) => {
             let members = cr.iter().flat_map(|c| &c.entries);
@@ -607,7 +612,7 @@ mod tests {
         assert_eq!(classify(&re).totals().late_sender_ns, 0);
         // The receiver no longer idles, so its own timeline collapses; the
         // sender still computes 2 s, which keeps the makespan pinned.
-        assert!(re.ranks[0].fini_ns < log.ranks[0].fini_ns);
+        assert!(re.run.ranks[0].fini_ns < log.run.ranks[0].fini_ns);
         assert!(re.makespan_ns() >= 2_000_000_000);
     }
 

@@ -207,7 +207,7 @@ pub fn window_edges(log: &CommLog, windowing: &Windowing) -> Vec<u64> {
             // an iteration boundary.
             if let Some(id) = log.names.iter().position(|n| n == label) {
                 let id = id as u32;
-                if let Some(rr) = log.ranks.first() {
+                if let Some(rr) = log.run.ranks.first() {
                     let mut current = u32::MAX;
                     for rec in rr.iter() {
                         if rec.sec == id && current != id {
@@ -576,7 +576,7 @@ mod tests {
             .flat_map(|w| w.sections.values())
             .map(|ws| ws.time_ns)
             .sum();
-        let run_total: u64 = log.ranks.iter().map(|r| r.fini_ns).sum();
+        let run_total: u64 = log.run.ranks.iter().map(|r| r.fini_ns).sum();
         assert_eq!(total_presence, run_total);
     }
 

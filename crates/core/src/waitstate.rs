@@ -23,7 +23,10 @@
 //! dependencies backward to extract the critical path. Nothing in it is
 //! hashed per message: records are packed per rank ([`RankRecs`]), sends
 //! sit in a dense row per sender ([`SendTable`]) and a round knows its
-//! last arrival ([`CollRound`]).
+//! last arrival ([`CollRound`]). Nothing in it is copied to be read
+//! either: [`CommRecorder::freeze`] hands the log over behind an `Arc` and
+//! the recorder copies only if an event arrives while a frozen log is
+//! still alive.
 
 use crate::fasthash::FastMap;
 use crate::spine::{attribute, RankTracker, Sink, Span, Spine, StepKind};
@@ -266,14 +269,22 @@ impl CollRound {
 /// that nulls collective waits mints sparse round numbers.
 pub(crate) type CollTable = FastMap<(CommId, u64), CollRound>;
 
-/// The frozen communication log of one run: everything the wait-state
-/// classifier and the critical-path walker need, with no references back
-/// into the live tool.
-pub struct CommLog {
+/// What a run recorded: the part of a log that grows with the run, kept
+/// in one piece so the recorder and the logs it froze can share it.
+#[derive(Clone, Default)]
+pub(crate) struct Recorded {
     pub(crate) ranks: Vec<RankRecs>,
-    pub(crate) names: Vec<String>,
     pub(crate) sends: SendTable,
     pub(crate) colls: CollTable,
+}
+
+/// The frozen communication log of one run: everything the wait-state
+/// classifier and the critical-path walker need. Nothing a reader can
+/// reach changes once the log exists.
+pub struct CommLog {
+    /// What the run recorded, shared with the recorder that froze it.
+    pub(crate) run: Arc<Recorded>,
+    pub(crate) names: Vec<String>,
 }
 
 impl CommLog {
@@ -283,36 +294,37 @@ impl CommLog {
 
     /// World size of the recorded run.
     pub fn nranks(&self) -> usize {
-        self.ranks.len()
+        self.run.ranks.len()
     }
 
     /// Virtual end of the run: the last rank's Finalize, in nanoseconds.
     pub fn makespan_ns(&self) -> u64 {
-        self.ranks.iter().map(|r| r.fini_ns).max().unwrap_or(0)
+        self.run.ranks.iter().map(|r| r.fini_ns).max().unwrap_or(0)
     }
 
     /// Total recorded events across all ranks (replay throughput unit).
     pub fn events(&self) -> usize {
-        self.ranks.iter().map(RankRecs::len).sum()
+        self.run.ranks.iter().map(RankRecs::len).sum()
     }
 
     /// Bytes the log holds, counted from its lengths (not its capacities):
     /// every record's head and payload words, every send-table slot, every
     /// collective round with its entries, the label table.
     pub fn state_bytes(&self) -> usize {
-        let recs = self.ranks.iter().map(|r| {
+        let recs = self.run.ranks.iter().map(|r| {
             size_of::<RankRecs>()
                 + r.heads.len() * size_of::<Head>()
                 + r.words.len() * size_of::<u64>()
         });
-        let sends = self.sends.by_sender.iter().map(|row| {
+        let sends = self.run.sends.by_sender.iter().map(|row| {
             size_of::<Vec<Option<SendInfo>>>() + row.len() * size_of::<Option<SendInfo>>()
         });
-        let colls = self.colls.values().map(|c| {
+        let colls = self.run.colls.values().map(|c| {
             size_of::<((CommId, u64), CollRound)>() + c.entries.len() * size_of::<(usize, u64)>()
         });
         let names = self.names.iter().map(|n| size_of::<String>() + n.len());
         size_of::<CommLog>()
+            + size_of::<Recorded>()
             + recs.sum::<usize>()
             + sends.sum::<usize>()
             + colls.sum::<usize>()
@@ -323,19 +335,19 @@ impl CommLog {
     /// presence up to the next one, and every communication record
     /// resolved against the send and collective tables.
     pub(crate) fn fold(&self, sink: &mut impl Sink) {
-        for (rank, rr) in self.ranks.iter().enumerate() {
+        for (rank, rr) in self.run.ranks.iter().enumerate() {
             for (i, rec) in rr.iter().enumerate() {
                 let next_ns = rr.t_ns(i + 1).unwrap_or(rr.fini_ns);
                 sink.span(rank, rec.sec, Span::Presence, rec.t_ns, next_ns);
                 // A send nobody recorded counts as issued at the post.
                 let (bytes, peer_ns) = match rec.kind {
-                    RecKind::Send { seq } => (self.sends.get(seq).map_or(0, |s| s.bytes), 0),
+                    RecKind::Send { seq } => (self.run.sends.get(seq).map_or(0, |s| s.bytes), 0),
                     RecKind::RecvMatch { seq, post_ns, .. } => {
-                        let send = self.sends.get(seq);
+                        let send = self.run.sends.get(seq);
                         send.map_or((0, post_ns), |s| (s.bytes, s.send_ns))
                     }
                     RecKind::CollExit { comm, round, .. } => {
-                        let last = self.colls.get(&(comm, round)).and_then(|c| c.last);
+                        let last = self.run.colls.get(&(comm, round)).and_then(|c| c.last);
                         (0, last.map_or(0, |(_, t, _)| t))
                     }
                     _ => continue,
@@ -346,12 +358,81 @@ impl CommLog {
     }
 }
 
+/// The tables of a live recording. The per-rank records are not here:
+/// while events arrive each rank's [`RankRecs`] sits in the spine, beside
+/// the tracker the same event has just touched.
+#[derive(Default)]
+struct Tables {
+    sends: SendTable,
+    colls: CollTable,
+}
+
+/// Where the log is: spread over spine and tables while events arrive,
+/// in one shared piece once a [`CommLog`] points to it (the spine's
+/// records are then empty).
+enum Store {
+    Live(Tables),
+    Frozen(Arc<Recorded>),
+}
+
+impl Default for Store {
+    fn default() -> Store {
+        Store::Live(Tables::default())
+    }
+}
+
+impl Store {
+    /// The tables to record into, with every rank's records back in
+    /// `spine`. Only the first event after a freeze finds the store
+    /// frozen: it takes the log back if every `CommLog` made from it is
+    /// gone and copies it otherwise.
+    fn live(&mut self, spine: &mut Spine<RankRecs>) -> &mut Tables {
+        if let Store::Frozen(_) = self {
+            if let Store::Frozen(shared) = std::mem::take(self) {
+                let Recorded {
+                    ranks,
+                    sends,
+                    colls,
+                } = Arc::unwrap_or_clone(shared);
+                for (rank, recs) in ranks.into_iter().enumerate() {
+                    spine.rank_mut(rank).data = recs;
+                }
+                *self = Store::Live(Tables { sends, colls });
+            }
+        }
+        match self {
+            Store::Live(tables) => tables,
+            Store::Frozen(_) => unreachable!("thawed above"),
+        }
+    }
+
+    /// The log in one shared piece, as a `CommLog` holds it: the records
+    /// move out of `spine` (their headers do, no record is copied) and
+    /// from here on the store only points to them.
+    fn share(&mut self, spine: &mut Spine<RankRecs>) -> Arc<Recorded> {
+        if let Store::Live(tables) = self {
+            let Tables { sends, colls } = std::mem::take(tables);
+            let ranks = (0..spine.ranks().len())
+                .map(|rank| std::mem::take(&mut spine.rank_mut(rank).data))
+                .collect();
+            *self = Store::Frozen(Arc::new(Recorded {
+                ranks,
+                sends,
+                colls,
+            }));
+        }
+        match self {
+            Store::Frozen(shared) => shared.clone(),
+            Store::Live(_) => unreachable!("frozen above"),
+        }
+    }
+}
+
 /// Everything the recorder has seen so far.
 #[derive(Default)]
 struct Recording {
     spine: Spine<RankRecs>,
-    sends: SendTable,
-    colls: CollTable,
+    store: Store,
 }
 
 /// The recording tool. Attach alongside the section runtime, run, then
@@ -368,14 +449,22 @@ impl CommRecorder {
         Arc::new(CommRecorder::default())
     }
 
-    /// Freeze the recorded state into an immutable [`CommLog`].
+    /// The state recorded so far as an immutable [`CommLog`].
+    ///
+    /// Heap discipline: the log is handed over, not copied. The records,
+    /// the send table and the rounds move behind an `Arc` the recorder
+    /// keeps pointing to, so a freeze allocates the label table and one
+    /// vector header per rank — nothing that grows with the run — and a
+    /// second freeze of an idle recorder returns the same storage. An
+    /// event that arrives afterwards is still recorded: the recorder takes
+    /// the storage back if no frozen log is left alive and copies it once
+    /// if one is, so a log never changes after it was returned.
     pub fn freeze(&self) -> CommLog {
-        let st = self.state.lock();
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
         CommLog {
-            ranks: st.spine.ranks().iter().map(|r| r.data.clone()).collect(),
+            run: st.store.share(&mut st.spine),
             names: st.spine.interner.names(),
-            sends: st.sends.clone(),
-            colls: st.colls.clone(),
         }
     }
 }
@@ -388,6 +477,7 @@ impl Tool for CommRecorder {
     fn on_event(&self, world_rank: usize, event: &MpiEvent) {
         let mut guard = self.state.lock();
         let st = &mut *guard;
+        let tables = st.store.live(&mut st.spine);
         let Some((step, rank)) = st.spine.step(world_rank, event) else {
             return;
         };
@@ -396,7 +486,7 @@ impl Tool for CommRecorder {
             StepKind::CollEnter {
                 comm, round, op, ..
             } => {
-                let entry = st.colls.entry((comm, round)).or_default();
+                let entry = tables.colls.entry((comm, round)).or_default();
                 entry.op = op;
                 entry.enter(world_rank, step.t_ns, rank.data.len());
                 return;
@@ -415,10 +505,10 @@ impl Tool for CommRecorder {
                             dst_world: index_u32(dst_world),
                             rec: index_u32(rank.data.len()),
                         };
-                        st.sends.insert(seq, info);
+                        tables.sends.insert(seq, info);
                     }
                     RecKind::CollExit { comm, round, .. } => {
-                        if let Some(entry) = st.colls.get_mut(&(comm, round)) {
+                        if let Some(entry) = tables.colls.get_mut(&(comm, round)) {
                             entry.bytes = bytes;
                         }
                     }
@@ -585,7 +675,7 @@ impl Sink for Totals {
 pub fn classify(log: &CommLog) -> WaitStateReport {
     let mut totals = Totals {
         per_section: vec![None; log.names.len()],
-        per_rank: vec![WaitBreakdown::default(); log.ranks.len()],
+        per_rank: vec![WaitBreakdown::default(); log.run.ranks.len()],
     };
     log.fold(&mut totals);
     let per_section = totals
@@ -746,7 +836,7 @@ mod tests {
         let seen = feed.send(1, 1, 0, 700);
         feed.recv(0, seen, 500, 900);
         let log = feed.freeze(1000);
-        assert!(log.sends.get(seq_of(1, 0)).is_none());
+        assert!(log.run.sends.get(seq_of(1, 0)).is_none());
         let waits = classify(&log).per_rank[0];
         assert_eq!((waits.late_sender_ns, waits.late_receiver_ns), (200, 0));
         // The walker hops to the recorded late sender at 700 and never
@@ -770,11 +860,11 @@ mod tests {
         let log = feed.freeze(100);
         assert_eq!(log.nranks(), 8);
         for (seq, send_ns, rec) in [(late, 50, 1), (first, 60, 2), (stray, 70, 0)] {
-            let info = log.sends.get(seq).expect("recorded");
+            let info = log.run.sends.get(seq).expect("recorded");
             assert_eq!((info.send_ns, info.rec), (send_ns, rec), "seq {seq:#x}");
             let (sender, _) = seq_parts(seq);
             assert_eq!(
-                log.ranks[sender].get(rec as usize).kind,
+                log.run.ranks[sender].get(rec as usize).kind,
                 RecKind::Send { seq }
             );
         }
@@ -787,11 +877,57 @@ mod tests {
             seq_of(6, 2),
             seq_of(8, 0),
         ] {
-            assert!(log.sends.get(seq).is_none(), "seq {seq:#x}");
+            assert!(log.run.sends.get(seq).is_none(), "seq {seq:#x}");
         }
         let waits = classify(&log).per_rank[0];
         assert_eq!((waits.late_sender_ns, waits.late_receiver_ns), (40, 20));
         assert_eq!(crate::critpath::extract(&log).length_ns, 100);
+    }
+
+    /// Everything the analyses say about a log.
+    fn analyses(log: &CommLog) -> [String; 2] {
+        [
+            classify(log).to_json(),
+            crate::critpath::extract(log).to_json(),
+        ]
+    }
+
+    #[test]
+    fn freezing_an_idle_recorder_twice_shares_one_log() {
+        let feed = Feed::new(2);
+        let seq = feed.send(1, 0, 0, 700);
+        feed.recv(0, seq, 100, 900);
+        let log = feed.freeze(1000);
+        let again = feed.0.freeze();
+        assert!(Arc::ptr_eq(&log.run, &again.run), "a second copy was made");
+        assert_eq!(analyses(&log), analyses(&again));
+        assert_eq!(classify(&log).per_rank[0].late_sender_ns, 600);
+    }
+
+    #[test]
+    fn a_frozen_log_never_changes_and_recording_goes_on() {
+        // The same stream into two recorders; `cut` is frozen half way.
+        let (cut, straight) = (Feed::new(2), Feed::new(2));
+        for feed in [&cut, &straight] {
+            let seq = feed.send(1, 0, 0, 300);
+            feed.recv(0, seq, 100, 400);
+        }
+        let early = cut.0.freeze();
+        let (before, events) = (analyses(&early), early.events());
+        for feed in [&cut, &straight] {
+            let seq = feed.send(0, 0, 1, 450);
+            feed.recv(1, seq, 500, 600);
+            let seq = feed.send(1, 1, 0, 800);
+            feed.recv(0, seq, 700, 900);
+        }
+        let (late, whole) = (cut.freeze(1000), straight.freeze(1000));
+        assert_eq!((analyses(&early), early.events()), (before, events));
+        assert_eq!(analyses(&late), analyses(&whole));
+        assert_eq!(late.events(), whole.events());
+        assert!(late.events() > events);
+        assert_eq!(classify(&late).per_rank[0].late_sender_ns, 200 + 100);
+        // With the early log still alive the recorder went on in a copy.
+        assert!(!Arc::ptr_eq(&early.run, &late.run));
     }
 
     #[test]

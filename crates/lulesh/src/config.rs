@@ -88,6 +88,24 @@ pub const PAPER_ITERATIONS: usize = 2500;
 /// The total element count all Fig. 7 configurations preserve.
 pub const PAPER_TOTAL_ELEMENTS: usize = 110_592;
 
+/// The most threads per rank a run accepts: 8× the hardware threads of the
+/// largest machine preset (`future_manycore`, 512). A priced region draws
+/// one jitter factor per thread, so the count bounds the run's time.
+pub const MAX_THREADS: usize = 4096;
+
+/// `threads` if a run accepts it (`1..=MAX_THREADS`), else what to tell
+/// whoever asked for it. Command lines and sweep grids check here; the
+/// thread team itself silently runs 0 threads as 1.
+pub fn threads_in_range(threads: usize) -> Result<usize, String> {
+    if (1..=MAX_THREADS).contains(&threads) {
+        Ok(threads)
+    } else {
+        Err(format!(
+            "expects 1..={MAX_THREADS} threads per rank, got {threads}"
+        ))
+    }
+}
+
 /// The per-process size `s` keeping `total` elements over a cubic
 /// decomposition of `p` processes, if it exists: `s = cbrt(total / p)`.
 pub fn size_for(total: usize, p: usize) -> Option<usize> {
@@ -126,6 +144,16 @@ mod tests {
                 (64, 12, 110_592),
             ]
         );
+    }
+
+    #[test]
+    fn thread_counts_outside_the_range_are_refused() {
+        assert_eq!(threads_in_range(1), Ok(1));
+        assert_eq!(threads_in_range(MAX_THREADS), Ok(MAX_THREADS));
+        for threads in [0, MAX_THREADS + 1, usize::MAX] {
+            let refused = threads_in_range(threads).unwrap_err();
+            assert!(refused.contains("1..=4096"), "{refused}");
+        }
     }
 
     #[test]

@@ -22,7 +22,8 @@ pub mod physics;
 pub mod sim;
 
 pub use config::{
-    size_for, table7, CostGradient, Fidelity, LuleshConfig, PAPER_ITERATIONS, PAPER_TOTAL_ELEMENTS,
+    size_for, table7, threads_in_range, CostGradient, Fidelity, LuleshConfig, MAX_THREADS,
+    PAPER_ITERATIONS, PAPER_TOTAL_ELEMENTS,
 };
 pub use mesh::{Decomposition, FaceGhosts, Field3};
 pub use physics::State;

@@ -155,6 +155,9 @@ pub struct Decomposition {
     pub rank: usize,
     /// Grid coordinates, `[cz, cy, cx]` in the grid's row-major order.
     pub coords: Vec<usize>,
+    /// The six face neighbours by [`face_index`], resolved once: every
+    /// exchange of every iteration asks for them.
+    neighbors: [Option<usize>; 6],
     /// Per-process edge length in elements.
     pub s: usize,
 }
@@ -164,10 +167,14 @@ impl Decomposition {
     pub fn new(nranks: usize, rank: usize, s: usize) -> Decomposition {
         let grid = CartGrid::cube(nranks);
         let coords = grid.coords_of(rank);
+        // Mesh axis 0 (x) is grid dim 2; side 0 is one step down.
+        let neighbors =
+            std::array::from_fn(|face| grid.neighbor(rank, 2 - face / 2, [-1, 1][face % 2]));
         Decomposition {
             grid,
             rank,
             coords,
+            neighbors,
             s,
         }
     }
@@ -187,8 +194,7 @@ impl Decomposition {
 
     /// Neighbouring rank one step along `(axis, side)`, if any.
     pub fn neighbor(&self, axis: Axis, side: Side) -> Option<usize> {
-        let disp = if side == 0 { -1 } else { 1 };
-        self.grid.neighbor(self.rank, 2 - axis, disp)
+        self.neighbors[face_index(axis, side)]
     }
 
     /// Global element offset of this block along a mesh axis.
@@ -315,6 +321,24 @@ mod tests {
         assert_eq!(dx.coord(2), 0);
         assert_eq!(dx.offset(0), 4);
         assert_eq!(d0.global_elems(), 8);
+    }
+
+    #[test]
+    fn cached_neighbors_are_the_grid_s() {
+        for p in [1, 8, 27, 64] {
+            for rank in 0..p {
+                let d = Decomposition::new(p, rank, 2);
+                for axis in 0..3 {
+                    for (side, disp) in [(0, -1), (1, 1)] {
+                        assert_eq!(
+                            d.neighbor(axis, side),
+                            d.grid.neighbor(rank, 2 - axis, disp),
+                            "p {p} rank {rank} axis {axis} side {side}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

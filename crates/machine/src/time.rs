@@ -41,11 +41,18 @@ impl VTime {
         VTime(ms * 1_000_000)
     }
 
-    /// Construct from fractional seconds, rounding to the nearest nanosecond.
+    /// Construct from fractional seconds, rounding to the nearest nanosecond
+    /// (halves away from zero).
     ///
     /// Negative or non-finite inputs saturate to zero: every cost fed to the
     /// simulator is a physical duration, so a negative value is always a
     /// modeling bug upstream and clamping keeps clocks monotone.
+    ///
+    /// Every clock advance passes through here, so the rounding is integer
+    /// arithmetic rather than the float library's (a software call on
+    /// baseline x86-64): truncate, then add one if the dropped fraction is
+    /// at least a half. Below 2^53 the fraction is exact; above, a finite
+    /// `f64` is already integral and the fraction is zero.
     #[inline]
     pub fn from_secs_f64(secs: f64) -> Self {
         if secs.is_nan() || secs <= 0.0 {
@@ -58,7 +65,8 @@ impl VTime {
         if ns >= u64::MAX as f64 {
             VTime::MAX
         } else {
-            VTime(ns.round() as u64)
+            let whole = ns as u64;
+            VTime(whole + u64::from(ns - whole as f64 >= 0.5))
         }
     }
 
@@ -239,6 +247,8 @@ mod tests {
     #[test]
     fn overflow_saturates() {
         assert_eq!(VTime::from_secs_f64(f64::INFINITY), VTime::MAX);
+        assert_eq!(VTime::from_secs_f64(u64::MAX as f64 / 1e9), VTime::MAX);
+        assert_eq!(VTime::from_secs_f64(1e300), VTime::MAX);
         assert_eq!(VTime::MAX + VTime::from_nanos(1), VTime::MAX);
         assert_eq!(VTime::MAX * 3, VTime::MAX);
     }

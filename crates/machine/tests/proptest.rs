@@ -140,3 +140,61 @@ proptest! {
         prop_assert_eq!(t.ranks_on_node(scanned.len(), nranks), 0);
     }
 }
+
+/// What `VTime::from_secs_f64` computed before it rounded in integers.
+fn by_float_rounding(secs: f64) -> VTime {
+    if secs.is_nan() || secs <= 0.0 {
+        return VTime::ZERO;
+    }
+    let ns = secs * 1e9;
+    if ns >= u64::MAX as f64 {
+        VTime::MAX
+    } else {
+        VTime(ns.round() as u64)
+    }
+}
+
+#[test]
+fn integer_rounding_is_the_float_library_s() {
+    // Half-way points, powers of two and their neighbours a few ulps
+    // either side, in nanoseconds: where truncate-and-compare could
+    // differ from `round` if it were going to.
+    let mut edges = vec![
+        0.5,
+        1.5,
+        2.5,
+        0.499_999_999_999_999_94,
+        4_503_599_627_370_495.5,
+    ];
+    for k in -40..=64 {
+        let pow = 2f64.powi(k);
+        edges.extend([pow, pow + 0.5, pow - 0.5]);
+    }
+    // The ±2 ulp neighbours of every positive edge (the bit patterns of
+    // positive doubles are ordered like the doubles).
+    for edge in edges.clone() {
+        if edge > 0.0 {
+            let bits = edge.to_bits();
+            edges.extend((bits - 2..=bits + 2).map(f64::from_bits));
+        }
+    }
+    for ns in edges {
+        let secs = ns / 1e9;
+        assert_eq!(
+            VTime::from_secs_f64(secs),
+            by_float_rounding(secs),
+            "{ns} ns"
+        );
+    }
+    // A seeded sweep over every magnitude a clock can hold (and some it
+    // cannot): a random mantissa at each exponent -40..63.
+    let mut rng = DetRng::for_stream(18, 0, 0);
+    for i in 0..200_000 {
+        let secs = (1.0 + rng.uniform()) * 2f64.powi(i % 104 - 40) / 1e9;
+        assert_eq!(
+            VTime::from_secs_f64(secs),
+            by_float_rounding(secs),
+            "{secs} s"
+        );
+    }
+}

@@ -24,7 +24,6 @@ use crate::mailbox::Poison;
 use machine::VTime;
 use parking_lot::Mutex;
 use std::any::Any;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Type-erased data slot deposited by one participant.
@@ -76,8 +75,10 @@ struct RvState {
     total_bytes: u64,
     /// Operation label of the first arriver, for mismatch detection.
     op: Option<&'static str>,
-    /// Completed generations awaiting readers.
-    done: HashMap<u64, Arc<Done>>,
+    /// Completed generations awaiting readers, by generation. The last
+    /// reader of one removes it, so only the handful still being read are
+    /// here: a scan, not a hashed lookup.
+    done: Vec<(u64, Arc<Done>)>,
 }
 
 /// The rendezvous object of one communicator.
@@ -101,7 +102,7 @@ impl Rendezvous {
                 slots: (0..p).map(|_| None).collect(),
                 total_bytes: 0,
                 op: None,
-                done: HashMap::new(),
+                done: Vec::new(),
             }),
             members,
         }
@@ -175,7 +176,7 @@ impl Rendezvous {
                 folded: Mutex::new(None),
                 remaining_readers: Mutex::new(p),
             });
-            st.done.insert(gen, done.clone());
+            st.done.push((gen, done.clone()));
             st.gen += 1;
             st.arrived = 0;
             st.total_bytes = 0;
@@ -186,7 +187,7 @@ impl Rendezvous {
         } else {
             // Wait until this generation completes.
             loop {
-                if let Some(done) = st.done.get(&gen) {
+                if let Some((_, done)) = st.done.iter().find(|(g, _)| *g == gen) {
                     return (gen, done.clone());
                 }
                 poison.check();
@@ -210,7 +211,7 @@ impl Rendezvous {
             *remaining == 0
         };
         if last {
-            self.state.lock().done.remove(&gen);
+            self.state.lock().done.retain(|(g, _)| *g != gen);
         }
     }
 }

@@ -461,7 +461,6 @@ impl Comm {
     where
         F: FnOnce(&machine::CollectiveCost<'_>, u64) -> f64,
     {
-        let machine = p.machine.clone();
         let spans = self.shared.spans_nodes;
         let seed = p.seed;
         let cid = self.shared.id;
@@ -478,6 +477,7 @@ impl Comm {
             });
         }
         crate::des::with_active(|s| s.note_clock(p.world_rank, p.now));
+        let machine = &p.machine;
         let (gen, done) = self.shared.rendezvous.arrive(
             self.local_rank,
             op,
@@ -852,7 +852,7 @@ impl Comm {
             cc.reduce((total as usize) / psize.max(1))
         });
         let out = if self.local_rank == root {
-            Self::fold_slots(&done, psize, &op)
+            Self::fold_slots::<T, Vec<T>, F>(&done, psize, &op)
         } else {
             Vec::new()
         };
@@ -867,53 +867,76 @@ impl Comm {
         T: Clone + Send + 'static,
         F: Fn(&T, &T) -> T,
     {
+        self.allreduce_as(p, data, op, <[T]>::to_vec)
+    }
+
+    /// [`Comm::allreduce`] over any owned slice `C`, with `read` taking
+    /// what the caller wants from the shared fold. The scalar forms
+    /// deposit a `[f64; 1]` and copy one number out: one heap object per
+    /// rank and call (the slot's box) where a `Vec` in and a `Vec` out
+    /// make three. Like `op`, `C` must be the same on every rank of the
+    /// call: the fold reads every slot as the `C` of its first reader.
+    fn allreduce_as<T, C, F, R>(
+        &self,
+        p: &mut Proc,
+        data: C,
+        op: F,
+        read: impl FnOnce(&[T]) -> R,
+    ) -> R
+    where
+        T: Clone + Send + 'static,
+        C: AsRef<[T]> + Send + 'static,
+        F: Fn(&T, &T) -> T,
+    {
         p.tool_call_enter(MpiCall::Allreduce, self.id());
-        let my_bytes = (data.len() * std::mem::size_of::<T>()) as u64;
+        let my_bytes = std::mem::size_of_val(data.as_ref()) as u64;
         let psize = self.size();
         let slot: Slot = Some(Box::new(data));
         let (gen, done) = self.sync(p, "allreduce", None, my_bytes, slot, |cc, total| {
             cc.allreduce((total as usize) / psize.max(1))
         });
-        let out = Self::with_fold(&done, psize, &op, <[T]>::to_vec);
+        let out = Self::with_fold::<T, C, F, R>(&done, psize, &op, read);
         self.finish(gen, &done);
         p.tool_call_exit(MpiCall::Allreduce, self.id(), my_bytes);
         out
     }
 
     /// Read the reduction every rank of the generation shares: the first
-    /// reader folds the slots (in rank order, like [`Comm::reduce`]'s
-    /// root) and leaves the result in the record for the others.
-    fn with_fold<T, F, R>(done: &Done, psize: usize, op: &F, read: impl FnOnce(&[T]) -> R) -> R
+    /// reader folds the slots (each a `C`, in rank order, like
+    /// [`Comm::reduce`]'s root) and leaves the result in the record for
+    /// the others.
+    fn with_fold<T, C, F, R>(done: &Done, psize: usize, op: &F, read: impl FnOnce(&[T]) -> R) -> R
     where
         T: Clone + Send + 'static,
+        C: AsRef<[T]> + 'static,
         F: Fn(&T, &T) -> T,
     {
         let mut folded = done.folded.lock();
-        let all = folded.get_or_insert_with(|| Box::new(Self::fold_slots(done, psize, op)));
+        let all =
+            folded.get_or_insert_with(|| Box::new(Self::fold_slots::<T, C, F>(done, psize, op)));
         read(
             all.downcast_ref::<Vec<T>>()
                 .expect("mpisim: reduce datatype mismatch"),
         )
     }
 
-    fn fold_slots<T, F>(done: &Done, psize: usize, op: &F) -> Vec<T>
+    fn fold_slots<T, C, F>(done: &Done, psize: usize, op: &F) -> Vec<T>
     where
         T: Clone + 'static,
+        C: AsRef<[T]> + 'static,
         F: Fn(&T, &T) -> T,
     {
-        let slots = done.slots.lock();
-        let first = slots[0]
-            .as_ref()
-            .expect("mpisim: reduce slot missing")
-            .downcast_ref::<Vec<T>>()
-            .expect("mpisim: reduce datatype mismatch");
-        let mut acc = first.clone();
-        for slot in slots.iter().take(psize).skip(1) {
-            let v = slot
-                .as_ref()
+        fn contribution<T, C: AsRef<[T]> + 'static>(slot: &Slot) -> &[T] {
+            slot.as_ref()
                 .expect("mpisim: reduce slot missing")
-                .downcast_ref::<Vec<T>>()
-                .expect("mpisim: reduce datatype mismatch");
+                .downcast_ref::<C>()
+                .expect("mpisim: reduce datatype mismatch")
+                .as_ref()
+        }
+        let slots = done.slots.lock();
+        let mut acc = contribution::<T, C>(&slots[0]).to_vec();
+        for slot in slots.iter().take(psize).skip(1) {
+            let v = contribution::<T, C>(slot);
             assert_eq!(
                 v.len(),
                 acc.len(),
@@ -928,17 +951,17 @@ impl Comm {
 
     /// Scalar f64 allreduce with the minimum operator (the LULESH `dtmin`).
     pub fn allreduce_min_f64(&self, p: &mut Proc, x: f64) -> f64 {
-        self.allreduce(p, vec![x], |a, b| a.min(*b))[0]
+        self.allreduce_as(p, [x], |a, b| a.min(*b), |all| all[0])
     }
 
     /// Scalar f64 allreduce with the sum operator.
     pub fn allreduce_sum_f64(&self, p: &mut Proc, x: f64) -> f64 {
-        self.allreduce(p, vec![x], |a, b| a + b)[0]
+        self.allreduce_as(p, [x], |a, b| a + b, |all| all[0])
     }
 
     /// Scalar f64 allreduce with the maximum operator.
     pub fn allreduce_max_f64(&self, p: &mut Proc, x: f64) -> f64 {
-        self.allreduce(p, vec![x], |a, b| a.max(*b))[0]
+        self.allreduce_as(p, [x], |a, b| a.max(*b), |all| all[0])
     }
 
     /// All-to-all: rank `i` sends `chunks[j]` to rank `j`; returns the
@@ -1040,7 +1063,7 @@ impl Comm {
             // Same communication volume class as an allreduce of one block.
             cc.allreduce((total as usize) / (psize * psize).max(1))
         });
-        let out = Self::with_fold(&done, psize, &op, |full: &[T]| {
+        let out = Self::with_fold::<T, Vec<T>, F, _>(&done, psize, &op, |full| {
             full[self.local_rank * block..(self.local_rank + 1) * block].to_vec()
         });
         self.finish(gen, &done);

@@ -133,10 +133,17 @@ impl CartGrid {
     /// Neighbour of `rank` displaced by `disp` along `dim`. Periodic
     /// dimensions wrap; non-periodic ones return `None` at the boundary
     /// (like `MPI_PROC_NULL`).
+    ///
+    /// Halo exchanges ask this per message, so it allocates nothing: in
+    /// row-major order one step along `dim` is the product of the faster
+    /// dimensions, and the coordinate falls out of the rank by that
+    /// stride.
     pub fn neighbor(&self, rank: usize, dim: usize, disp: isize) -> Option<usize> {
-        let mut coords = self.coords_of(rank);
+        assert!(rank < self.size(), "rank {rank} outside grid");
         let d = self.dims[dim] as isize;
-        let c = coords[dim] as isize + disp;
+        let stride: usize = self.dims[dim + 1..].iter().product();
+        let here = rank / stride % self.dims[dim];
+        let c = here as isize + disp;
         let c = if self.periodic[dim] {
             c.rem_euclid(d)
         } else if c < 0 || c >= d {
@@ -144,8 +151,7 @@ impl CartGrid {
         } else {
             c
         };
-        coords[dim] = c as usize;
-        Some(self.rank_of(&coords))
+        Some(rank - here * stride + c as usize * stride)
     }
 
     /// All face neighbours (±1 along each dimension), `MPI_PROC_NULL`
@@ -252,6 +258,43 @@ mod tests {
     #[should_panic(expected = "periodicity arity mismatch")]
     fn periodicity_arity_checked() {
         let _ = CartGrid::new_periodic(vec![2, 2], vec![true]);
+    }
+
+    #[test]
+    fn neighbor_is_the_coordinate_formulation() {
+        // What `neighbor` computed before it went to strides: move one
+        // coordinate, map the coordinates back.
+        fn by_coords(g: &CartGrid, rank: usize, dim: usize, disp: isize) -> Option<usize> {
+            let mut coords = g.coords_of(rank);
+            let d = g.dims()[dim] as isize;
+            let c = coords[dim] as isize + disp;
+            if !g.periodic()[dim] && !(0..d).contains(&c) {
+                return None;
+            }
+            coords[dim] = c.rem_euclid(d) as usize;
+            Some(g.rank_of(&coords))
+        }
+        let dims = vec![3, 4, 5];
+        for periodic in [vec![false; 3], vec![true; 3], vec![true, false, true]] {
+            let g = CartGrid::new_periodic(dims.clone(), periodic);
+            for rank in 0..g.size() {
+                for dim in 0..3 {
+                    for disp in -7..=7 {
+                        assert_eq!(
+                            g.neighbor(rank, dim, disp),
+                            by_coords(&g, rank, dim, disp),
+                            "{g:?} rank {rank} dim {dim} disp {disp}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside grid")]
+    fn neighbor_of_a_rank_outside_the_grid_panics() {
+        let _ = CartGrid::new(vec![3, 4, 5]).neighbor(60, 2, -1);
     }
 
     #[test]

@@ -34,18 +34,21 @@ pub struct SweepStats {
     pub failed: usize,
 }
 
-/// The program a cell's workload runs at scale `p`.
-fn program(workload: &Workload, p: usize) -> Program {
-    match *workload {
+/// The program a cell's workload runs at scale `p`, unless the cell asks
+/// for something no run accepts.
+fn program(workload: &Workload, p: usize) -> Result<Program, String> {
+    Ok(match *workload {
         Workload::Conv { steps } => Program::Conv(convolution::ConvConfig::paper(steps)),
         Workload::ConvWeak {
             rows_per_rank,
             steps,
         } => Program::conv_weak(p, rows_per_rank, steps),
         Workload::Lulesh { s, iters, threads } => {
+            let threads =
+                lulesh_proxy::threads_in_range(threads).map_err(|e| format!("threads= {e}"))?;
             Program::Lulesh(lulesh_proxy::LuleshConfig::timing(s, iters, threads))
         }
-    }
+    })
 }
 
 /// Simulate one cell (no store interaction).
@@ -56,8 +59,9 @@ pub fn execute_cell(cfg: &CellConfig, machine: &machine::MachineModel) -> CellOu
 fn try_execute_cell(
     cfg: &CellConfig,
     machine: &machine::MachineModel,
-) -> Result<CellOutcome, mpisim::RunError> {
-    bench::profiled_cell(program(&cfg.workload, cfg.p), cfg.p, machine, cfg.seed)
+) -> Result<CellOutcome, String> {
+    let program = program(&cfg.workload, cfg.p)?;
+    bench::profiled_cell(program, cfg.p, machine, cfg.seed).map_err(|e| e.to_string())
 }
 
 /// Check the store, else simulate one cell and persist it. `Ok(true)`
@@ -78,7 +82,7 @@ fn sweep_cell(store: &RunStore, cfg: &CellConfig) -> Result<bool, String> {
                 .insert_machine(&fp, &calibration.to_json())
                 .map_err(|e| format!("store machine calibration: {e}"))?;
         }
-        let outcome = try_execute_cell(cfg, &machine).map_err(|e| e.to_string())?;
+        let outcome = try_execute_cell(cfg, &machine)?;
         store
             .insert(&RunDoc::new(cfg, &fp, &outcome))
             .map_err(|e| format!("store run document: {e}"))?;

@@ -101,6 +101,27 @@ fn a_cell_that_cannot_run_is_counted_and_the_rest_still_run() {
     // p = 5 is not a cube, so the LULESH mesh refuses it inside the run;
     // p = 1 and p = 8 are fine and must still be simulated and stored.
     let dir = scratch("bad-cell");
+    // A thread count no run accepts refuses every cell of its grid before
+    // anything is simulated (0 used to run as 1, 10^8 did not come back).
+    for threads in ["0", "100000000"] {
+        let grid =
+            format!("workload=lulesh machine=nehalem p=1,8 s=4 iters=2 threads={threads} seeds=0");
+        let out = run(
+            STUDY,
+            &dir,
+            &["run", "--store", "store-threads", "--grid", &grid],
+        );
+        assert_eq!(out.code, 1, "stderr:\n{}", out.stderr);
+        assert!(
+            out.stdout
+                .starts_with("sweep: 2 cells, 0 executed, 0 cached"),
+            "{}",
+            out.stdout
+        );
+        let refusal = format!("threads= expects 1..=4096 threads per rank, got {threads}");
+        assert_eq!(out.stderr.matches(&refusal).count(), 2, "{}", out.stderr);
+        assert!(out.stderr.contains("sweep: 2 cell(s) failed"));
+    }
     let grid = "workload=lulesh machine=nehalem p=1,5,8 s=4 iters=2 threads=1 seeds=0";
     for jobs in ["1", "2"] {
         let store = format!("store-{jobs}");

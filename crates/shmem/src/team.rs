@@ -66,9 +66,20 @@ impl Team {
         p.price_contended(work, self.active_on_node(p))
     }
 
-    /// Price a region from per-thread loads (seconds each) and advance the
-    /// rank's clock. Returns the region's duration in seconds.
-    fn charge_region(&self, p: &mut Proc, loads: &[f64], n_items: usize) -> f64 {
+    /// Price a region from per-thread loads (seconds each, in thread
+    /// order) and advance the rank's clock. Returns the region's duration
+    /// in seconds.
+    ///
+    /// The loads arrive as an iterator so that a priced loop builds no
+    /// per-thread vector: a hybrid run prices tens of regions per rank and
+    /// iteration. One jitter factor is drawn per load, in the order the
+    /// iterator yields them.
+    fn charge_region(
+        &self,
+        p: &mut Proc,
+        loads: impl IntoIterator<Item = f64>,
+        n_items: usize,
+    ) -> f64 {
         let omp = &p.machine().omp;
         let t = self.threads;
         let fork = omp.fork_secs(t);
@@ -84,7 +95,7 @@ impl Team {
         // load, reported alongside so replay tools can null the noise.
         let mut body = 0.0f64;
         let mut body_base = 0.0f64;
-        for &load in loads {
+        for load in loads {
             let f = p.jitter_factor();
             body = body.max(load * f);
             body_base = body_base.max(load);
@@ -94,54 +105,49 @@ impl Team {
         secs
     }
 
-    /// Per-thread loads for `n` iterations of uniform cost `per_item`.
-    fn uniform_loads(&self, p: &Proc, n: usize, per_item: Work) -> Vec<f64> {
+    /// Per-thread loads, in thread order, for `n` iterations of uniform
+    /// cost `per_item`.
+    fn uniform_loads(&self, p: &Proc, n: usize, per_item: Work) -> impl Iterator<Item = f64> {
         let item = self.item_secs(p, per_item);
-        match self.schedule {
-            Schedule::Static => (0..self.threads)
-                .map(|tid| {
-                    let (s, e) = Schedule::static_range(n, self.threads, tid);
-                    (e - s) as f64 * item
-                })
-                .collect(),
+        let (threads, schedule) = (self.threads, self.schedule);
+        // Dynamic and guided: near-perfect balance plus half a one-chunk
+        // tail on the first thread.
+        let balanced =
+            |tail_items: usize| (n as f64 / threads as f64 * item, tail_items as f64 * item);
+        let (even, tail) = match schedule {
+            Schedule::Dynamic(chunk) => balanced(chunk.max(1).min(n)),
+            Schedule::Guided => balanced(n.div_ceil(4 * threads).max(1).min(n)),
+            Schedule::Static | Schedule::StaticChunk(_) => (0.0, 0.0),
+        };
+        (0..threads).map(move |tid| match schedule {
+            Schedule::Static => {
+                let (s, e) = Schedule::static_range(n, threads, tid);
+                (e - s) as f64 * item
+            }
             Schedule::StaticChunk(c) => {
                 // Round-robin chunk assignment, matching the execution
-                // mapping in `parallel_for_weighted`.
+                // mapping in `parallel_for_weighted`: thread `tid` owns
+                // chunks `tid`, `tid + threads`, ... and adds them up in
+                // that order.
                 let c = c.max(1);
-                let mut loads = vec![0.0f64; self.threads];
-                for (chunk_idx, chunk_start) in (0..n).step_by(c).enumerate() {
-                    let len = c.min(n - chunk_start);
-                    loads[chunk_idx % self.threads] += len as f64 * item;
+                let mut load = 0.0f64;
+                let mut start = tid.saturating_mul(c);
+                while start < n {
+                    load += c.min(n - start) as f64 * item;
+                    start = start.saturating_add(threads.saturating_mul(c));
                 }
-                loads
+                load
             }
-            Schedule::Dynamic(chunk) => {
-                // Near-perfect balance plus a one-chunk tail on one thread.
-                let even = n as f64 / self.threads as f64 * item;
-                let tail = chunk.max(1).min(n) as f64 * item;
-                let mut loads = vec![even; self.threads];
-                if let Some(first) = loads.first_mut() {
-                    *first += tail / 2.0;
-                }
-                loads
-            }
-            Schedule::Guided => {
-                let even = n as f64 / self.threads as f64 * item;
-                let tail = (n.div_ceil(4 * self.threads)).max(1).min(n) as f64 * item;
-                let mut loads = vec![even; self.threads];
-                if let Some(first) = loads.first_mut() {
-                    *first += tail / 2.0;
-                }
-                loads
-            }
-        }
+            Schedule::Dynamic(_) | Schedule::Guided if tid == 0 => even + tail / 2.0,
+            Schedule::Dynamic(_) | Schedule::Guided => even,
+        })
     }
 
     /// Timing-only parallel loop with uniform per-iteration cost (no body
     /// executed). Returns the region's duration in seconds.
     pub fn for_cost_uniform(&self, p: &mut Proc, n: usize, per_item: Work) -> f64 {
         let loads = self.uniform_loads(p, n, per_item);
-        self.charge_region(p, &loads, n)
+        self.charge_region(p, loads, n)
     }
 
     /// Parallel loop with uniform per-iteration cost; the body executes
@@ -203,7 +209,7 @@ impl Team {
                 loads.iter_mut().for_each(|l| *l = even);
             }
         }
-        self.charge_region(p, &loads, n)
+        self.charge_region(p, loads, n)
     }
 
     /// Parallel reduction with uniform per-iteration cost: the fold runs
@@ -225,7 +231,7 @@ impl Team {
             acc = fold(acc, i);
         }
         let loads = self.uniform_loads(p, n, per_item);
-        self.charge_region(p, &loads, n);
+        self.charge_region(p, loads, n);
         // Combine tree: one extra barrier-ish step.
         let extra = p.machine().omp.barrier_secs(self.threads);
         p.advance_secs(extra);
@@ -397,6 +403,66 @@ mod tests {
         });
         assert_eq!(value, 7);
         assert!((now - (2.0 + 1e-3)).abs() < 1e-9, "now={now}");
+    }
+
+    #[test]
+    fn uniform_loads_are_the_vector_formulation() {
+        // The load vectors by hand, for 10 items on 4 threads.
+        let by_hand = |schedule: Schedule, item: f64| -> Vec<f64> {
+            let even = 10.0 / 4.0 * item;
+            match schedule {
+                // The first 10 % 4 threads get one more.
+                Schedule::Static => vec![3.0 * item, 3.0 * item, 2.0 * item, 2.0 * item],
+                // Chunks of 3 dealt round-robin: 0..3, 3..6, 6..9, 9..10.
+                Schedule::StaticChunk(_) => vec![3.0 * item, 3.0 * item, 3.0 * item, item],
+                // Even shares, plus half a chunk of 2 on the first ...
+                Schedule::Dynamic(_) => vec![even + 2.0 * item / 2.0, even, even, even],
+                // ... or half of ceil(10 / 16) = 1.
+                Schedule::Guided => vec![even + item / 2.0, even, even, even],
+            }
+        };
+        let work = Work::new(3e5, 7e4);
+        for schedule in [
+            Schedule::Static,
+            Schedule::StaticChunk(3),
+            Schedule::Dynamic(2),
+            Schedule::Guided,
+        ] {
+            let team = Team::new(4).with_schedule(schedule);
+            // (region seconds, clock, the next jitter factor): equal
+            // factors afterwards mean equally many were drawn.
+            let outcome = |by_vector: bool| {
+                let m = presets::nehalem_cluster();
+                WorldBuilder::new(1).machine(m).seed(9).run(move |p| {
+                    let secs = if by_vector {
+                        let loads = by_hand(schedule, team.item_secs(p, work));
+                        team.charge_region(p, loads, 10)
+                    } else {
+                        team.for_cost_uniform(p, 10, work)
+                    };
+                    (secs.to_bits(), p.now(), p.jitter_factor().to_bits())
+                })
+            };
+            let (vector, iterator) = (outcome(true).unwrap(), outcome(false).unwrap());
+            assert_eq!(vector.results, iterator.results, "{schedule:?}");
+        }
+        // Several chunks per thread add up in the order the vector took
+        // them: 7 chunks of 3 and one of 2 on 3 threads.
+        let team = Team::new(3).with_schedule(Schedule::StaticChunk(3));
+        let report = WorldBuilder::new(1)
+            .machine(presets::nehalem_cluster())
+            .run(move |p| {
+                let item = team.item_secs(p, Work::flops(1e5));
+                let mut by_vector = vec![0.0f64; 3];
+                for (chunk, len) in [3, 3, 3, 3, 3, 3, 3, 2].into_iter().enumerate() {
+                    by_vector[chunk % 3] += len as f64 * item;
+                }
+                let loads: Vec<f64> = team.uniform_loads(p, 23, Work::flops(1e5)).collect();
+                (by_vector, loads)
+            })
+            .unwrap();
+        let (by_vector, loads) = &report.results[0];
+        assert_eq!(by_vector, loads);
     }
 
     #[test]

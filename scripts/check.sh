@@ -42,6 +42,20 @@ if grep -n 'HashMap' crates/core/src/waitstate.rs crates/core/src/critpath.rs \
     exit 1
 fi
 
+echo "==> no per-operation allocation on the steady-state path (counted by tests/alloc_steady_state.rs)"
+# The count is the gate (it ran under `cargo test` above); this names the
+# bodies a `Vec` per call used to sit in, so the reason is on the line
+# that fails.
+steady_body() { sed -n "/fn $2[(<]/,/^    }/p" "$1"; }
+if { steady_body crates/mpisim/src/topo.rs neighbor
+     steady_body crates/shmem/src/team.rs charge_region
+     steady_body crates/shmem/src/team.rs uniform_loads
+     steady_body crates/shmem/src/team.rs for_cost_uniform
+   } | grep -n 'vec!\|Vec::\|\.collect()'; then
+    echo "a per-operation allocation is back on the steady-state path"
+    exit 1
+fi
+
 echo "==> benchmark package builds against these crates (the root test never compiles it)"
 (cd benchmark && cargo test --release --quiet)
 cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- suite --smoke > /dev/null
@@ -62,6 +76,14 @@ cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- \
     --workload conv456_observed --seed 2 --seconds 6 --trace 0 \
     | tail -n 1 | grep -q '"correct": true' \
     || { echo "conv456_observed: result line does not say \"correct\": true"; exit 1; }
+
+echo "==> benchmark: one full-size lulesh64_hybrid run must come back correct"
+# p = 64 x 2000 iterations with a four-thread team per rank (the paper's
+# second evaluation) is launched nowhere else here.
+cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload lulesh64_hybrid --seed 2 --seconds 6 --trace 0 \
+    | tail -n 1 | grep -q '"correct": true' \
+    || { echo "lulesh64_hybrid: result line does not say \"correct\": true"; exit 1; }
 
 echo "==> smoke: hostile command lines exit 2, not 101"
 for hostile in \

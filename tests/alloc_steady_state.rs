@@ -1,0 +1,161 @@
+//! Heap discipline, held by a count: run data is allocated once and never
+//! per operation.
+//!
+//! This binary installs a counting global allocator (the
+//! `benchmark/src/alloc.rs` precedent: everything forwards to `System`
+//! unchanged) that tallies calls and bytes *on the calling thread*. The
+//! assembly engine runs every rank of a world on the thread that launched
+//! it, so a tally taken around `run` is the world's own and the tests of
+//! this binary may run side by side. Steady-state cost is taken by the
+//! two-point method: N and 2N iterations of the same world, difference
+//! divided by p·N, which cancels launch, teardown and the first growth of
+//! every table.
+#![allow(unsafe_code)]
+
+use bench::{profiled, Launch, Program};
+use mpi_sections::{CommRecorder, SectionRuntime, VerifyMode};
+use mpisim::Engine;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct Counting;
+
+thread_local! {
+    // Const-initialised and without destructors: touching them from inside
+    // the allocator allocates nothing and is sound at thread exit.
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count(bytes: usize) {
+    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+    let _ = BYTES.try_with(|b| b.set(b.get() + bytes as u64));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counters never influence the
+// pointers returned.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: the caller's contract is passed through as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: the caller's contract is passed through as is.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller's contract is passed through as is.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        // SAFETY: the caller's contract is passed through as is.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// `(allocator calls, bytes requested)` on this thread while `f` runs.
+fn allocated<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
+    let (calls, bytes) = (CALLS.get(), BYTES.get());
+    let out = f();
+    (out, CALLS.get() - calls, BYTES.get() - bytes)
+}
+
+/// Ranks run on the launching thread only under the assembly switch.
+fn ranks_run_here() -> bool {
+    let here = cfg!(target_arch = "x86_64") && Engine::default_from_env() == Engine::Des;
+    if !here {
+        eprintln!("skipped: ranks run on their own threads here, a per-thread tally misses them");
+    }
+    here
+}
+
+const P: usize = 8;
+
+/// Allocator calls per rank-step of `program(steps)` at p = 8, by the
+/// two-point method.
+fn calls_per_rank_step(steps: usize, program: impl Fn(usize) -> Program) -> f64 {
+    let machine = machine::presets::knl();
+    let calls = |steps| {
+        let (run, calls, _) = allocated(|| profiled(program(steps), P, &machine, 1));
+        run.expect("run failed");
+        calls
+    };
+    let (once, twice) = (calls(steps), calls(2 * steps));
+    (twice as f64 - once as f64) / (P * steps) as f64
+}
+
+#[test]
+fn a_lulesh_iteration_allocates_one_object_per_rank() {
+    if !ranks_run_here() {
+        return;
+    }
+    // 41.5 before neighbours were cached, thread loads iterated and the
+    // scalar allreduce deposited an array. What is left is that deposit
+    // (the slot's box, one per rank) and the generation's shared record
+    // (four objects whatever p is: the record, the next generation's
+    // slots, the fold and its box).
+    let per_step = calls_per_rank_step(200, |iters| {
+        Program::Lulesh(lulesh_proxy::LuleshConfig::timing(6, iters, 4))
+    });
+    let bound = 1.0 + 4.0 / P as f64 + 0.05;
+    assert!(
+        per_step <= bound,
+        "{per_step} allocations per rank-step (bound {bound})"
+    );
+}
+
+#[test]
+fn a_conv_step_allocates_nothing_but_amortised_growth() {
+    if !ranks_run_here() {
+        return;
+    }
+    let per_step = calls_per_rank_step(200, |steps| {
+        Program::Conv(convolution::ConvConfig::paper(steps))
+    });
+    assert!(per_step <= 0.05, "{per_step} allocations per rank-step");
+}
+
+#[test]
+fn freeze_hands_the_log_over() {
+    // The recorder's callbacks may run anywhere; `freeze` runs here.
+    let machine = machine::presets::nehalem_cluster();
+    let sections = SectionRuntime::new(VerifyMode::Off);
+    let recorder = CommRecorder::new();
+    let launch = Launch {
+        program: Program::Conv(convolution::ConvConfig::paper(100)),
+        p: P,
+        machine: &machine,
+        seed: 1,
+        engine: None,
+        controller: None,
+    };
+    launch
+        .run(&sections, vec![recorder.clone()])
+        .expect("run failed");
+    let (log, _, first_bytes) = allocated(|| recorder.freeze());
+    let (again, _, second_bytes) = allocated(|| recorder.freeze());
+    let held = log.state_bytes() as u64;
+    assert!(log.events() > 2000 && held > 60_000, "{held} B");
+    assert_eq!(again.state_bytes(), log.state_bytes());
+    // The label table and one vector header per rank are all a freeze
+    // builds: nothing that grows with the run, the first time or the
+    // second (which finds the log already shared).
+    assert!(
+        first_bytes * 100 <= held,
+        "first freeze allocated {first_bytes} B for a {held} B log"
+    );
+    assert!(
+        second_bytes <= first_bytes,
+        "second freeze allocated {second_bytes} B, the first {first_bytes} B"
+    );
+}
