@@ -150,72 +150,47 @@ fn conv_sweep<'a>(opts: &Options, cache: &'a mut Option<Vec<ConvRun>>) -> &'a [C
     cache.as_ref().unwrap()
 }
 
-fn fig5a(opts: &Options, runs: &[ConvRun]) {
+/// Fig. 5(a)–(c) are one table: a row per scale, a column per section,
+/// `cell(run, section)` in each cell.
+fn per_section_table(
+    opts: &Options,
+    runs: &[ConvRun],
+    name: &str,
+    title: &str,
+    skip_p1: bool,
+    cell: fn(&ConvRun, &str) -> f64,
+) {
     let header: Vec<&str> = std::iter::once("p")
         .chain(convolution::SECTIONS.iter().copied())
         .collect();
     let rows: Vec<Vec<String>> = runs
         .iter()
+        .filter(|r| !(skip_p1 && r.p == 1))
         .map(|r| {
             std::iter::once(r.p.to_string())
-                .chain(convolution::SECTIONS.iter().map(|l| f2(r.percent(l))))
+                .chain(convolution::SECTIONS.iter().map(|l| f2(cell(r, l))))
                 .collect()
         })
         .collect();
-    emit(
-        opts,
-        "fig5a",
-        "Fig. 5(a) — % of execution time per MPI Section",
-        &header,
-        &rows,
-    );
+    emit(opts, name, title, &header, &rows);
+}
+
+fn fig5a(opts: &Options, runs: &[ConvRun]) {
+    let title = "Fig. 5(a) — % of execution time per MPI Section";
+    per_section_table(opts, runs, "fig5a", title, false, ConvRun::percent);
 }
 
 fn fig5b(opts: &Options, runs: &[ConvRun]) {
-    let header: Vec<&str> = std::iter::once("p")
-        .chain(convolution::SECTIONS.iter().copied())
-        .collect();
-    let rows: Vec<Vec<String>> = runs
-        .iter()
-        .map(|r| {
-            std::iter::once(r.p.to_string())
-                .chain(
-                    convolution::SECTIONS
-                        .iter()
-                        .map(|l| f2(r.section_total.get(*l).copied().unwrap_or(0.0))),
-                )
-                .collect()
-        })
-        .collect();
-    emit(
-        opts,
-        "fig5b",
-        "Fig. 5(b) — total time per MPI Section (s, summed over ranks)",
-        &header,
-        &rows,
-    );
+    let title = "Fig. 5(b) — total time per MPI Section (s, summed over ranks)";
+    per_section_table(opts, runs, "fig5b", title, false, |r, l| {
+        r.section_total.get(l).copied().unwrap_or(0.0)
+    });
 }
 
 fn fig5c(opts: &Options, runs: &[ConvRun]) {
-    let header: Vec<&str> = std::iter::once("p")
-        .chain(convolution::SECTIONS.iter().copied())
-        .collect();
-    let rows: Vec<Vec<String>> = runs
-        .iter()
-        .filter(|r| r.p > 1) // the paper omits the sequential case here
-        .map(|r| {
-            std::iter::once(r.p.to_string())
-                .chain(convolution::SECTIONS.iter().map(|l| f2(r.avg_per_rank(l))))
-                .collect()
-        })
-        .collect();
-    emit(
-        opts,
-        "fig5c",
-        "Fig. 5(c) — average time per process per MPI Section (s)",
-        &header,
-        &rows,
-    );
+    // The paper omits the sequential case here.
+    let title = "Fig. 5(c) — average time per process per MPI Section (s)";
+    per_section_table(opts, runs, "fig5c", title, true, ConvRun::avg_per_rank);
 }
 
 fn fig5d(opts: &Options, runs: &[ConvRun]) {

@@ -31,17 +31,9 @@ fn main() -> ExitCode {
         match mpisim::jsoncheck::check_json(&contents) {
             Ok(()) => println!("{path}: ok ({} bytes)", contents.len()),
             Err(pos) => {
-                let mut lo = pos.saturating_sub(40);
-                while !contents.is_char_boundary(lo) {
-                    lo -= 1;
-                }
-                let mut hi = (pos + 40).min(contents.len());
-                while !contents.is_char_boundary(hi) {
-                    hi += 1;
-                }
                 eprintln!(
                     "{path}: invalid JSON at byte {pos}: ...{}...",
-                    &contents[lo..hi]
+                    mpisim::jsoncheck::excerpt(&contents, pos)
                 );
                 failed = true;
             }

@@ -2,8 +2,8 @@
 //! section profiling, result rows for every figure, and CSV/table output.
 //!
 //! The `figures` binary (this crate's `src/bin/figures.rs`) drives these
-//! runners to regenerate every table and figure of the paper; the Criterion
-//! benches reuse them for the microbenchmark ablations.
+//! runners to regenerate every table and figure of the paper. Host time
+//! is measured in one place, the standalone `benchmark/` package.
 //!
 //! Every conv / LULESH / race world the harness simulates — a `profile`
 //! run and its `--compare-seq` baseline, a figure row, an mpistudy grid

@@ -13,6 +13,7 @@ use support::{assert_usage_error, check, files_print, print_of, run, scratch};
 
 const PROFILE: &str = env!("CARGO_BIN_EXE_profile");
 const FIGURES: &str = env!("CARGO_BIN_EXE_figures");
+const JSONCHECK: &str = env!("CARGO_BIN_EXE_jsoncheck");
 
 /// Run `profile` with `args`, expect `code`, and check stdout plus (when
 /// the flag set writes any) the written files against `golden`.
@@ -129,6 +130,21 @@ fn hostile_command_lines_get_one_error_line_and_the_usage() {
         let args: Vec<&str> = args.split_whitespace().collect();
         assert_usage_error(exe, &args, needle);
     }
+}
+
+#[test]
+fn hostile_nesting_gets_an_offset_not_a_stack_overflow() {
+    let dir = scratch("deep-json");
+    for (file, unit) in [("arrays.json", "["), ("objects.json", "{\"a\":")] {
+        std::fs::write(dir.join(file), unit.repeat(200_000)).expect("write document");
+        let out = run(JSONCHECK, &dir, &[file]);
+        assert_eq!(out.code, 1, "{file}: stderr:\n{}", out.stderr);
+        assert_eq!(out.stdout, "");
+        // 128 levels are followed; the bracket opening the next is the fault.
+        let fault = format!("{file}: invalid JSON at byte {}: ...", 128 * unit.len());
+        assert!(out.stderr.starts_with(&fault), "{}", out.stderr);
+    }
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]

@@ -59,7 +59,6 @@ pub mod efficiency;
 pub mod fasthash;
 pub mod histogram;
 pub mod metrics;
-pub mod pcontrol;
 pub mod profiler;
 pub mod pvar;
 pub mod replay;
@@ -81,7 +80,6 @@ pub use critpath::CriticalPath;
 pub use efficiency::Efficiencies;
 pub use histogram::{DurationHistogram, HistogramTool};
 pub use metrics::InstanceStats;
-pub use pcontrol::PcontrolAdapter;
 pub use profiler::{Profile, SectionKey, SectionProfiler, SectionStats};
 pub use pvar::{PvarRegistry, PvarSnapshot};
 pub use replay::replay;

@@ -114,8 +114,8 @@ struct State {
 }
 
 /// The rank's slot in the table. `Init` sizes the table to the world; a
-/// rank that shows up without one (the `PcontrolAdapter` path on a runtime
-/// that is not registered as a tool) grows it.
+/// runtime that was never registered as a tool of its world never saw
+/// `Init`, so its ranks' first `enter` grows it.
 fn rank_sections(ranks: &mut Vec<RankSections>, world_rank: usize) -> &mut RankSections {
     if ranks.len() <= world_rank {
         ranks.resize_with(world_rank + 1, Vec::new);
@@ -225,6 +225,8 @@ impl SectionRuntime {
 
     /// Enter a section on `comm`. Asynchronous collective: no rank blocks,
     /// but all ranks of `comm` must perform the same call.
+    /// The runtime need not be a tool of `p`'s world: one that is not has
+    /// no `MPI_MAIN` and grows its rank table as ranks first enter.
     pub fn enter(&self, p: &mut Proc, comm: &Comm, label: &str) {
         let info = CommInfo {
             id: comm.id(),
@@ -281,50 +283,6 @@ impl SectionRuntime {
         let out = body(p);
         self.exit(p, comm, label);
         out
-    }
-
-    /// Enter a world-communicator section on behalf of a rank from a tool
-    /// context (no `Proc` at hand) — used by adapters such as
-    /// [`crate::pcontrol::PcontrolAdapter`]. PMPI-level section events are
-    /// *not* re-raised (the caller is already below the PMPI layer).
-    pub fn enter_world_section(
-        &self,
-        world_rank: usize,
-        world_size: usize,
-        label: &str,
-        time: VTime,
-    ) {
-        self.enter_at(
-            world_rank,
-            CommInfo {
-                id: CommId::WORLD,
-                size: world_size,
-                rank: world_rank,
-            },
-            label,
-            time,
-            false,
-        );
-    }
-
-    /// Counterpart of [`SectionRuntime::enter_world_section`].
-    pub fn exit_world_section(
-        &self,
-        world_rank: usize,
-        world_size: usize,
-        label: &str,
-        time: VTime,
-    ) {
-        let _ = self.exit_at(
-            world_rank,
-            CommInfo {
-                id: CommId::WORLD,
-                size: world_size,
-                rank: world_rank,
-            },
-            label,
-            time,
-        );
     }
 
     /// Depth of open sections for a rank on a communicator (diagnostics).
@@ -873,17 +831,25 @@ mod tests {
 
     #[test]
     fn a_rank_beyond_the_table_grows_it() {
-        // The `PcontrolAdapter` path on a runtime that is not registered
-        // as a tool: no `Init` has sized the table.
+        // A runtime that was never registered as a tool of the world it is
+        // entered in: no `Init` has sized the table.
         let sections = SectionRuntime::new(VerifyMode::Active);
-        let far = 323;
-        sections.enter_world_section(far, far + 1, "phase", VTime::ZERO);
-        assert_eq!(sections.depth(far, CommId::WORLD), 1);
-        // Lower slots are present now, and empty; higher ones still absent.
-        assert_eq!(sections.depth(3, CommId::WORLD), 0);
-        assert_eq!(sections.depth(far + 64, CommId::WORLD), 0);
-        sections.exit_world_section(far, far + 1, "phase", VTime::from_nanos(5));
-        assert_eq!(sections.depth(far, CommId::WORLD), 0);
+        let far = 7;
+        WorldBuilder::new(far + 1)
+            .run(move |p| {
+                if p.world_rank() != far {
+                    return;
+                }
+                let world = p.world();
+                sections.enter(p, &world, "phase");
+                assert_eq!(sections.depth(far, CommId::WORLD), 1);
+                // Lower slots are present now, and empty; higher ones still absent.
+                assert_eq!(sections.depth(3, CommId::WORLD), 0);
+                assert_eq!(sections.depth(far + 64, CommId::WORLD), 0);
+                sections.exit(p, &world, "phase");
+                assert_eq!(sections.depth(far, CommId::WORLD), 0);
+            })
+            .unwrap();
     }
 
     /// The one `SectionMisuse` finding of a failed two-rank run.

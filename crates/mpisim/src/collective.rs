@@ -8,13 +8,12 @@
 //!    computes the collective's exit time from all entries (typically
 //!    `max(entry) + cost`) and publishes a [`Done`] record.
 //! 2. **Read.** Every participant reads the exit time and whatever data
-//!    slots the operation semantics give it; the last reader reclaims the
-//!    record.
+//!    slots the operation semantics give it from its own `Arc` of the
+//!    record; the record is freed when the last of them is dropped.
 //!
 //! Because collectives on one communicator are totally ordered per rank
 //! (MPI semantics), arrivals always target the current accumulating
-//! generation; earlier generations only linger in `done` until their last
-//! reader leaves. The per-generation records let fast ranks start the next
+//! generation. The per-generation records let fast ranks start the next
 //! collective while slow ranks still read the previous one.
 //!
 //! An early arriver suspends its fiber; the last arriver re-queues every
@@ -51,6 +50,9 @@ impl RvView<'_> {
 
 /// Published result of one completed collective generation.
 pub struct Done {
+    /// Generation number of this collective on its communicator (stable
+    /// across ranks, like [`RvView::gen`]).
+    pub gen: u64,
     /// Common exit time for every participant.
     pub exit: VTime,
     /// Sum of the byte counts declared by all participants — what the
@@ -63,7 +65,6 @@ pub struct Done {
     /// reader that needs it and cloned by the rest (an allreduce folds p
     /// slots once, not once per rank).
     pub(crate) folded: Mutex<Slot>,
-    remaining_readers: Mutex<usize>,
 }
 
 struct RvState {
@@ -75,10 +76,13 @@ struct RvState {
     total_bytes: u64,
     /// Operation label of the first arriver, for mismatch detection.
     op: Option<&'static str>,
-    /// Completed generations awaiting readers, by generation. The last
-    /// reader of one removes it, so only the handful still being read are
-    /// here: a scan, not a hashed lookup.
-    done: Vec<(u64, Arc<Done>)>,
+    /// The completed generation's record, left by its last arriver until
+    /// each of the `takers` members that waited for it has picked up its
+    /// own handle. One place is enough: the next generation cannot
+    /// complete before they all have, each arriving in it only after its
+    /// pick-up.
+    completed: Option<Arc<Done>>,
+    takers: usize,
 }
 
 /// The rendezvous object of one communicator.
@@ -102,7 +106,8 @@ impl Rendezvous {
                 slots: (0..p).map(|_| None).collect(),
                 total_bytes: 0,
                 op: None,
-                done: Vec::new(),
+                completed: None,
+                takers: 0,
             }),
             members,
         }
@@ -120,8 +125,7 @@ impl Rendezvous {
     /// would abort a real MPI program. `compute_exit` runs exactly once per
     /// generation, on the last arriving rank.
     ///
-    /// Returns the generation's [`Done`] record; the caller must finish by
-    /// calling [`Rendezvous::finish_read`] exactly once.
+    /// Returns the caller's own handle on the generation's [`Done`] record.
     #[allow(clippy::too_many_arguments)]
     pub fn arrive<F>(
         &self,
@@ -132,7 +136,7 @@ impl Rendezvous {
         slot: Slot,
         compute_exit: F,
         poison: &Poison,
-    ) -> (u64, Arc<Done>)
+    ) -> Arc<Done>
     where
         F: FnOnce(&RvView<'_>) -> VTime,
     {
@@ -170,48 +174,46 @@ impl Rendezvous {
             };
             let slots = std::mem::replace(&mut st.slots, (0..p).map(|_| None).collect());
             let done = Arc::new(Done {
+                gen,
                 exit,
                 total_bytes: st.total_bytes,
                 slots: Mutex::new(slots),
                 folded: Mutex::new(None),
-                remaining_readers: Mutex::new(p),
             });
-            st.done.push((gen, done.clone()));
+            debug_assert!(st.completed.is_none(), "generation {gen} overtook a waiter");
+            if p > 1 {
+                st.completed = Some(done.clone());
+                st.takers = p - 1;
+            }
             st.gen += 1;
             st.arrived = 0;
             st.total_bytes = 0;
             st.op = None;
             st.entries.iter_mut().for_each(|e| *e = VTime::ZERO);
             crate::des::with_active(|s| self.members.iter().for_each(|&rank| s.wake(rank)));
-            (gen, done)
+            done
         } else {
             // Wait until this generation completes.
             loop {
-                if let Some((_, done)) = st.done.iter().find(|(g, _)| *g == gen) {
-                    return (gen, done.clone());
+                // A fast rank can be here for the next generation while
+                // the previous record is still being picked up.
+                if let Some(done) = st.completed.as_ref().filter(|done| done.gen == gen) {
+                    let done = done.clone();
+                    st.takers -= 1;
+                    if st.takers == 0 {
+                        st.completed = None;
+                    }
+                    return done;
                 }
                 poison.check();
                 // Suspend this fiber; the last arriver (or the poison
-                // path) re-queues it. Release the state lock first — peers
-                // take it while this rank sleeps.
+                // path, or a message landing in this rank's mailbox)
+                // re-queues it. Release the state lock first — peers take
+                // it while this rank sleeps.
                 drop(st);
                 crate::des::with_active(|s| s.block_current());
                 st = self.state.lock();
             }
-        }
-    }
-
-    /// Declare that the caller finished reading generation `gen`'s record.
-    /// The last reader reclaims the record's storage.
-    pub fn finish_read(&self, gen: u64, done: &Arc<Done>) {
-        let last = {
-            let mut remaining = done.remaining_readers.lock();
-            debug_assert!(*remaining > 0, "finish_read called too many times");
-            *remaining -= 1;
-            *remaining == 0
-        };
-        if last {
-            self.state.lock().done.retain(|(g, _)| *g != gen);
         }
     }
 }
@@ -234,7 +236,8 @@ mod tests {
             let report = WorldBuilder::new(p)
                 .engine(engine)
                 .run(|proc| body(&rv, proc.world_rank(), &proc.mailboxes.poison))?;
-            assert!(rv.state.lock().done.is_empty(), "all records reclaimed");
+            let taken = rv.state.lock().completed.is_none();
+            assert!(taken, "every waiter picked up its record");
             Ok(report.results)
         })
     }
@@ -242,7 +245,7 @@ mod tests {
     fn run_barrier(entries: Vec<u64>) -> Vec<VTime> {
         let computed = AtomicUsize::new(0);
         let [des, threads] = on_each_engine(entries.len(), |rv, local, poison| {
-            let (gen, done) = rv.arrive(
+            rv.arrive(
                 local,
                 "barrier",
                 VTime::from_nanos(entries[local]),
@@ -253,10 +256,8 @@ mod tests {
                     view.max_entry() + VTime::from_nanos(10)
                 },
                 poison,
-            );
-            let exit = done.exit;
-            rv.finish_read(gen, &done);
-            exit
+            )
+            .exit
         });
         assert_eq!(
             computed.load(Ordering::SeqCst),
@@ -285,7 +286,7 @@ mod tests {
     fn generations_progress() {
         let worlds = on_each_engine(3, |rv, local, poison| {
             for round in 0..50u64 {
-                let (gen, done) = rv.arrive(
+                let done = rv.arrive(
                     local,
                     "barrier",
                     VTime::from_nanos(round),
@@ -294,19 +295,81 @@ mod tests {
                     |view| view.max_entry() + VTime::from_nanos(1),
                     poison,
                 );
-                assert_eq!(gen, round, "generations advance in lockstep");
+                assert_eq!(done.gen, round, "generations advance in lockstep");
                 assert_eq!(done.exit, VTime::from_nanos(round + 1));
-                rv.finish_read(gen, &done);
             }
         });
         assert_eq!(worlds, [Ok(vec![(); 3]), Ok(vec![(); 3])]);
+    }
+
+    /// The last arriver of a generation does not yield: it is in the next
+    /// one before any waiter has run, so every round but the last hands a
+    /// record to a rank whose peer has already moved on.
+    #[test]
+    fn a_fast_rank_enters_the_next_generation_before_a_slow_one_reads_this_one() {
+        const ROUNDS: usize = 20;
+        let read = [AtomicUsize::new(0), AtomicUsize::new(0)];
+        let ahead = AtomicUsize::new(0);
+        let worlds = on_each_engine(2, |rv, local, poison| {
+            let other = 1 - local;
+            for round in 0..ROUNDS {
+                if round > 0 && read[other].load(Ordering::SeqCst) < round {
+                    ahead.fetch_add(1, Ordering::SeqCst);
+                }
+                let done = rv.arrive(
+                    local,
+                    "exchange",
+                    VTime::from_nanos(round as u64),
+                    0,
+                    Some(Box::new((round, local))),
+                    |view| view.max_entry() + VTime::from_nanos(7),
+                    poison,
+                );
+                assert_eq!(done.gen as usize, round);
+                assert_eq!(done.exit, VTime::from_nanos(round as u64 + 7));
+                let slots = done.slots.lock();
+                let theirs = slots[other].as_ref().unwrap();
+                assert_eq!(theirs.downcast_ref(), Some(&(round, other)));
+                read[local].store(round + 1, Ordering::SeqCst);
+            }
+            read[local].store(0, Ordering::SeqCst);
+        });
+        assert_eq!(worlds, [Ok(vec![(); 2]), Ok(vec![(); 2])]);
+        assert_eq!(
+            ahead.load(Ordering::SeqCst),
+            2 * (ROUNDS - 1),
+            "each engine overlaps every round but its first"
+        );
+    }
+
+    /// Nothing but the readers' own handles keeps a record: once the last
+    /// of them is dropped the record is freed.
+    #[test]
+    fn a_record_is_freed_when_its_last_reader_drops_it() {
+        let worlds = on_each_engine(3, |rv, local, poison| {
+            let done = rv.arrive(
+                local,
+                "barrier",
+                VTime::ZERO,
+                0,
+                None,
+                |v| v.max_entry(),
+                poison,
+            );
+            let weak = Arc::downgrade(&done);
+            assert!(weak.upgrade().is_some());
+            weak
+        });
+        for weak in worlds.into_iter().flat_map(Result::unwrap) {
+            assert!(weak.upgrade().is_none(), "a record outlived its readers");
+        }
     }
 
     #[test]
     fn slots_transport_data() {
         let worlds = on_each_engine(2, |rv, local, poison| {
             let slot: Slot = Some(Box::new(vec![local as i32 * 10]));
-            let (gen, done) = rv.arrive(
+            let done = rv.arrive(
                 local,
                 "gather",
                 VTime::ZERO,
@@ -320,13 +383,9 @@ mod tests {
             );
             // Each rank reads the *other* rank's value.
             let other = 1 - local;
-            let value = {
-                let slots = done.slots.lock();
-                let any = slots[other].as_ref().unwrap();
-                any.downcast_ref::<Vec<i32>>().unwrap()[0]
-            };
-            rv.finish_read(gen, &done);
-            value
+            let slots = done.slots.lock();
+            let any = slots[other].as_ref().unwrap();
+            any.downcast_ref::<Vec<i32>>().unwrap()[0]
         });
         assert_eq!(worlds, [Ok(vec![10, 0]), Ok(vec![10, 0])]);
     }
@@ -338,8 +397,7 @@ mod tests {
         // in the rendezvous, is woken and unwinds too.
         let worlds = on_each_engine(2, |rv, local, poison| {
             let op = ["barrier", "bcast"][local];
-            let (gen, done) = rv.arrive(local, op, VTime::ZERO, 0, None, |v| v.max_entry(), poison);
-            rv.finish_read(gen, &done);
+            rv.arrive(local, op, VTime::ZERO, 0, None, |v| v.max_entry(), poison);
         });
         for failed in worlds {
             match failed {

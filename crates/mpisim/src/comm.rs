@@ -457,7 +457,7 @@ impl Comm {
         my_bytes: u64,
         slot: Slot,
         cost: F,
-    ) -> (u64, Arc<Done>)
+    ) -> Arc<Done>
     where
         F: FnOnce(&machine::CollectiveCost<'_>, u64) -> f64,
     {
@@ -478,7 +478,7 @@ impl Comm {
         }
         crate::des::with_active(|s| s.note_clock(p.world_rank, p.now));
         let machine = &p.machine;
-        let (gen, done) = self.shared.rendezvous.arrive(
+        let done = self.shared.rendezvous.arrive(
             self.local_rank,
             op,
             p.now,
@@ -505,18 +505,13 @@ impl Comm {
                 time: p.now,
             });
         }
-        (gen, done)
-    }
-
-    fn finish(&self, gen: u64, done: &Arc<Done>) {
-        self.shared.rendezvous.finish_read(gen, done);
+        done
     }
 
     /// Barrier over the communicator.
     pub fn barrier(&self, p: &mut Proc) {
         p.tool_call_enter(MpiCall::Barrier, self.id());
-        let (gen, done) = self.sync(p, "barrier", None, 0, None, |cc, _| cc.barrier());
-        self.finish(gen, &done);
+        self.sync(p, "barrier", None, 0, None, |cc, _| cc.barrier());
         p.tool_call_exit(MpiCall::Barrier, self.id(), 0);
     }
 
@@ -543,7 +538,7 @@ impl Comm {
             ),
             None => (0, None),
         };
-        let (gen, done) = self.sync(p, "bcast", Some(root), my_bytes, slot, |cc, total| {
+        let done = self.sync(p, "bcast", Some(root), my_bytes, slot, |cc, total| {
             cc.bcast(total as usize)
         });
         let out = {
@@ -555,7 +550,6 @@ impl Comm {
                 .expect("mpisim: bcast datatype mismatch")
                 .clone()
         };
-        self.finish(gen, &done);
         // Root accounts its send; non-roots their receive (counting both
         // on the root would double the payload in tool statistics).
         let recv_bytes = (out.len() * std::mem::size_of::<T>()) as u64;
@@ -578,7 +572,7 @@ impl Comm {
             ),
             None => (0, None),
         };
-        let (gen, done) = self.sync(p, "bcast", Some(root), my_bytes, slot, |cc, total| {
+        let done = self.sync(p, "bcast", Some(root), my_bytes, slot, |cc, total| {
             cc.bcast(total as usize)
         });
         let n = {
@@ -589,7 +583,6 @@ impl Comm {
                 .downcast_ref::<u64>()
                 .expect("mpisim: bcast count mismatch") as usize
         };
-        self.finish(gen, &done);
         // Same accounting as the full-fidelity variant: the root reports
         // its send, everyone else the logical payload received.
         let bytes = if is_root {
@@ -633,7 +626,7 @@ impl Comm {
             }
             None => (0, None),
         };
-        let (gen, done) = self.sync(p, "scatterv", Some(root), my_bytes, slot, |cc, total| {
+        let done = self.sync(p, "scatterv", Some(root), my_bytes, slot, |cc, total| {
             cc.scatter(total as usize)
         });
         let mine = {
@@ -648,7 +641,6 @@ impl Comm {
                 .take()
                 .expect("mpisim: scatterv chunk already taken")
         };
-        self.finish(gen, &done);
         let recv_bytes = (mine.len() * std::mem::size_of::<T>()) as u64;
         p.tool_call_exit(MpiCall::Scatterv, self.id(), my_bytes + recv_bytes);
         mine
@@ -705,7 +697,7 @@ impl Comm {
             }
             None => (0, None),
         };
-        let (gen, done) = self.sync(p, "scatterv", Some(root), my_bytes, slot, |cc, total| {
+        let done = self.sync(p, "scatterv", Some(root), my_bytes, slot, |cc, total| {
             cc.scatter(total as usize)
         });
         let mine = {
@@ -716,7 +708,6 @@ impl Comm {
                 .downcast_ref::<Vec<usize>>()
                 .expect("mpisim: scatterv counts mismatch")[self.local_rank]
         };
-        self.finish(gen, &done);
         // Match the full-fidelity accounting: contribution plus the
         // logical chunk received.
         let recv_bytes = (mine * std::mem::size_of::<T>()) as u64;
@@ -736,7 +727,7 @@ impl Comm {
         p.tool_call_enter(MpiCall::Gatherv, self.id());
         let my_bytes = (data.len() * std::mem::size_of::<T>()) as u64;
         let slot: Slot = Some(Box::new(data));
-        let (gen, done) = self.sync(p, "gatherv", Some(root), my_bytes, slot, |cc, total| {
+        let done = self.sync(p, "gatherv", Some(root), my_bytes, slot, |cc, total| {
             cc.gather(total as usize)
         });
         let out = if self.local_rank == root {
@@ -754,7 +745,6 @@ impl Comm {
         } else {
             Vec::new()
         };
-        self.finish(gen, &done);
         let recv_bytes: u64 = out
             .iter()
             .map(|v| (v.len() * std::mem::size_of::<T>()) as u64)
@@ -776,7 +766,7 @@ impl Comm {
         p.tool_call_enter(MpiCall::Gatherv, self.id());
         let my_bytes = (elems * std::mem::size_of::<T>()) as u64;
         let slot: Slot = Some(Box::new(elems as u64));
-        let (gen, done) = self.sync(p, "gatherv", Some(root), my_bytes, slot, |cc, total| {
+        let done = self.sync(p, "gatherv", Some(root), my_bytes, slot, |cc, total| {
             cc.gather(total as usize)
         });
         let out: Vec<usize> = if self.local_rank == root {
@@ -793,7 +783,6 @@ impl Comm {
         } else {
             Vec::new()
         };
-        self.finish(gen, &done);
         // Match the full-fidelity accounting: the root also counts the
         // logical bytes it received.
         let recv_bytes: u64 = out
@@ -811,7 +800,7 @@ impl Comm {
         let my_bytes = (data.len() * std::mem::size_of::<T>()) as u64;
         let slot: Slot = Some(Box::new(data));
         let psize = self.size();
-        let (gen, done) = self.sync(p, "allgather", None, my_bytes, slot, |cc, total| {
+        let done = self.sync(p, "allgather", None, my_bytes, slot, |cc, total| {
             cc.allgather((total as usize) / psize.max(1))
         });
         let out: Vec<Vec<T>> = {
@@ -827,7 +816,6 @@ impl Comm {
                 })
                 .collect()
         };
-        self.finish(gen, &done);
         let total_bytes: u64 = out
             .iter()
             .map(|v| (v.len() * std::mem::size_of::<T>()) as u64)
@@ -848,7 +836,7 @@ impl Comm {
         let my_bytes = (data.len() * std::mem::size_of::<T>()) as u64;
         let psize = self.size();
         let slot: Slot = Some(Box::new(data));
-        let (gen, done) = self.sync(p, "reduce", Some(root), my_bytes, slot, |cc, total| {
+        let done = self.sync(p, "reduce", Some(root), my_bytes, slot, |cc, total| {
             cc.reduce((total as usize) / psize.max(1))
         });
         let out = if self.local_rank == root {
@@ -856,7 +844,6 @@ impl Comm {
         } else {
             Vec::new()
         };
-        self.finish(gen, &done);
         p.tool_call_exit(MpiCall::Reduce, self.id(), my_bytes);
         out
     }
@@ -892,11 +879,10 @@ impl Comm {
         let my_bytes = std::mem::size_of_val(data.as_ref()) as u64;
         let psize = self.size();
         let slot: Slot = Some(Box::new(data));
-        let (gen, done) = self.sync(p, "allreduce", None, my_bytes, slot, |cc, total| {
+        let done = self.sync(p, "allreduce", None, my_bytes, slot, |cc, total| {
             cc.allreduce((total as usize) / psize.max(1))
         });
         let out = Self::with_fold::<T, C, F, R>(&done, psize, &op, read);
-        self.finish(gen, &done);
         p.tool_call_exit(MpiCall::Allreduce, self.id(), my_bytes);
         out
     }
@@ -980,7 +966,7 @@ impl Comm {
         let psize = self.size();
         let boxed: Vec<Option<Vec<T>>> = chunks.into_iter().map(Some).collect();
         let slot: Slot = Some(Box::new(boxed));
-        let (gen, done) = self.sync(p, "alltoall", None, my_bytes, slot, |cc, total| {
+        let done = self.sync(p, "alltoall", None, my_bytes, slot, |cc, total| {
             cc.alltoall((total as usize) / (psize * psize).max(1))
         });
         let out: Vec<Vec<T>> = {
@@ -997,7 +983,6 @@ impl Comm {
                 })
                 .collect()
         };
-        self.finish(gen, &done);
         let recv_bytes: u64 = out
             .iter()
             .map(|v| (v.len() * std::mem::size_of::<T>()) as u64)
@@ -1017,7 +1002,7 @@ impl Comm {
         let my_bytes = (data.len() * std::mem::size_of::<T>()) as u64;
         let psize = self.size();
         let slot: Slot = Some(Box::new(data));
-        let (gen, done) = self.sync(p, "exscan", None, my_bytes, slot, |cc, total| {
+        let done = self.sync(p, "exscan", None, my_bytes, slot, |cc, total| {
             cc.scan((total as usize) / psize.max(1))
         });
         let out = {
@@ -1036,7 +1021,6 @@ impl Comm {
             }
             acc
         };
-        self.finish(gen, &done);
         p.tool_call_exit(MpiCall::Scan, self.id(), my_bytes);
         out
     }
@@ -1059,14 +1043,13 @@ impl Comm {
         p.tool_call_enter(MpiCall::Reduce, self.id());
         let my_bytes = (data.len() * std::mem::size_of::<T>()) as u64;
         let slot: Slot = Some(Box::new(data));
-        let (gen, done) = self.sync(p, "reduce_scatter", None, my_bytes, slot, |cc, total| {
+        let done = self.sync(p, "reduce_scatter", None, my_bytes, slot, |cc, total| {
             // Same communication volume class as an allreduce of one block.
             cc.allreduce((total as usize) / (psize * psize).max(1))
         });
         let out = Self::with_fold::<T, Vec<T>, F, _>(&done, psize, &op, |full| {
             full[self.local_rank * block..(self.local_rank + 1) * block].to_vec()
         });
-        self.finish(gen, &done);
         p.tool_call_exit(MpiCall::Reduce, self.id(), my_bytes);
         out
     }
@@ -1082,7 +1065,7 @@ impl Comm {
         let my_bytes = (data.len() * std::mem::size_of::<T>()) as u64;
         let psize = self.size();
         let slot: Slot = Some(Box::new(data));
-        let (gen, done) = self.sync(p, "scan", None, my_bytes, slot, |cc, total| {
+        let done = self.sync(p, "scan", None, my_bytes, slot, |cc, total| {
             cc.scan((total as usize) / psize.max(1))
         });
         let out = {
@@ -1105,7 +1088,6 @@ impl Comm {
             }
             acc
         };
-        self.finish(gen, &done);
         p.tool_call_exit(MpiCall::Scan, self.id(), my_bytes);
         out
     }
@@ -1122,8 +1104,8 @@ impl Comm {
 
         // Phase 1: exchange (color, key) pairs; costed as a barrier.
         let slot: Slot = Some(Box::new((color, key)));
-        let (xgen, done) = self.sync(p, "split.exchange", None, 0, slot, |cc, _| cc.barrier());
-        let gen = xgen;
+        let done = self.sync(p, "split.exchange", None, 0, slot, |cc, _| cc.barrier());
+        let xgen = done.gen;
         let pairs: Vec<(Option<i32>, i32)> = {
             let slots = done.slots.lock();
             slots
@@ -1136,7 +1118,6 @@ impl Comm {
                 })
                 .collect()
         };
-        self.finish(gen, &done);
 
         // Grouping (deterministic on every rank): colors in ascending
         // order; members ordered by (key, old local rank).
@@ -1184,7 +1165,7 @@ impl Comm {
         } else {
             None
         };
-        let (gen, done) = self.sync(p, "split.create", None, 0, slot, |cc, _| cc.barrier());
+        let done = self.sync(p, "split.create", None, 0, slot, |cc, _| cc.barrier());
         let result = color.and_then(|my_color| {
             let slots = done.slots.lock();
             let created = slots[0]
@@ -1196,7 +1177,6 @@ impl Comm {
                 (*c == my_color).then(|| Comm::from_shared(shared.clone(), p.world_rank))
             })
         });
-        self.finish(gen, &done);
         p.tool_call_exit(MpiCall::CommSplit, self.id(), 0);
         result
     }

@@ -7,35 +7,89 @@
 //! classic hand-rolled-JSON failures (trailing commas, unescaped quotes,
 //! unbalanced brackets, bare `NaN`s) without pulling in a parser
 //! dependency. [`check_json`] validates grammar only; [`parse_json`]
-//! builds a [`Json`] DOM on the same grammar and is the workspace's one
-//! JSON parser (run-store documents, witness schedules).
+//! builds a [`Json`] DOM with the same walker and is the workspace's one
+//! JSON parser (run-store documents, witness schedules). Nesting deeper
+//! than 128 levels is rejected like any other fault, by offset.
 
 /// Validate that `input` is exactly one well-formed JSON value (with
 /// optional surrounding whitespace). Returns the byte offset where
 /// parsing failed, or `Ok(())`.
 pub fn check_json(input: &str) -> Result<(), usize> {
-    let bytes = input.as_bytes();
-    let mut pos = 0;
-    skip_ws(bytes, &mut pos);
-    value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos == bytes.len() {
-        Ok(())
-    } else {
-        Err(pos)
-    }
+    document(input)
 }
 
 /// Assert-style wrapper with a readable failure excerpt; panics with the
 /// offending context if `input` is not valid JSON.
 pub fn assert_json(input: &str, what: &str) {
     if let Err(pos) = check_json(input) {
-        let lo = pos.saturating_sub(40);
-        let hi = (pos + 40).min(input.len());
         panic!(
             "{what}: invalid JSON at byte {pos}: ...{}...",
-            &input[lo..hi]
+            excerpt(input, pos)
         );
+    }
+}
+
+/// Up to 40 bytes of `input` either side of byte `pos`, widened to
+/// character boundaries: the context a diagnostic prints.
+pub fn excerpt(input: &str, pos: usize) -> &str {
+    let mut lo = pos.saturating_sub(40);
+    while !input.is_char_boundary(lo) {
+        lo -= 1;
+    }
+    let mut hi = (pos + 40).min(input.len());
+    while !input.is_char_boundary(hi) {
+        hi += 1;
+    }
+    &input[lo..hi]
+}
+
+/// Arrays and objects nest this deep at most. The walker recurses once per
+/// level, so the bound is what turns a hostile `[[[[…` into an error
+/// offset instead of a stack overflow; emitted documents nest below 10.
+const MAX_DEPTH: usize = 128;
+
+/// What the one grammar walker makes of what it recognises: nothing for
+/// [`check_json`] (`()`), the DOM for [`parse_json`] ([`Json`]).
+trait Build: Sized {
+    /// An object member's key.
+    type Key;
+    /// The key whose (validated) string spans `start..end`, quotes included.
+    fn key(bytes: &[u8], start: usize, end: usize) -> Result<Self::Key, usize>;
+    /// The (validated) string, number or literal spanning `start..end`.
+    fn scalar(bytes: &[u8], start: usize, end: usize) -> Result<Self, usize>;
+    /// What an array's items and an object's members collect in. Not a
+    /// `Vec` of `()` for the checker: counting what it drops cost it 10 %.
+    type Seq<T>: Default;
+    fn push<T>(seq: &mut Self::Seq<T>, item: T);
+    fn arr(items: Self::Seq<Self>) -> Self;
+    fn obj(members: Self::Seq<(Self::Key, Self)>) -> Self;
+}
+
+impl Build for () {
+    type Key = ();
+    fn key(_: &[u8], _: usize, _: usize) -> Result<(), usize> {
+        Ok(())
+    }
+    fn scalar(_: &[u8], _: usize, _: usize) -> Result<(), usize> {
+        Ok(())
+    }
+    type Seq<T> = ();
+    fn push<T>(_: &mut (), _: T) {}
+    fn arr(_: ()) {}
+    fn obj(_: ()) {}
+}
+
+/// Exactly one value with optional surrounding whitespace.
+fn document<B: Build>(input: &str) -> Result<B, usize> {
+    let bytes = input.as_bytes();
+    let mut pos = 0;
+    skip_ws(bytes, &mut pos);
+    let v = value(bytes, &mut pos, 0)?;
+    skip_ws(bytes, &mut pos);
+    if pos == bytes.len() {
+        Ok(v)
+    } else {
+        Err(pos)
     }
 }
 
@@ -45,17 +99,20 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn value(bytes: &[u8], pos: &mut usize) -> Result<(), usize> {
+/// One value; `depth` is the number of arrays and objects it sits in.
+fn value<B: Build>(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<B, usize> {
+    let start = *pos;
     match bytes.get(*pos) {
-        Some(b'{') => object(bytes, pos),
-        Some(b'[') => array(bytes, pos),
-        Some(b'"') => string(bytes, pos),
-        Some(b't') => literal(bytes, pos, b"true"),
-        Some(b'f') => literal(bytes, pos, b"false"),
-        Some(b'n') => literal(bytes, pos, b"null"),
-        Some(b'-' | b'0'..=b'9') => number(bytes, pos),
-        _ => Err(*pos),
+        Some(b'{') => return object(bytes, pos, depth),
+        Some(b'[') => return array(bytes, pos, depth),
+        Some(b'"') => string(bytes, pos)?,
+        Some(b't') => literal(bytes, pos, b"true")?,
+        Some(b'f') => literal(bytes, pos, b"false")?,
+        Some(b'n') => literal(bytes, pos, b"null")?,
+        Some(b'-' | b'0'..=b'9') => number(bytes, pos)?,
+        _ => return Err(*pos),
     }
+    B::scalar(bytes, start, *pos)
 }
 
 fn literal(bytes: &[u8], pos: &mut usize, lit: &[u8]) -> Result<(), usize> {
@@ -67,51 +124,61 @@ fn literal(bytes: &[u8], pos: &mut usize, lit: &[u8]) -> Result<(), usize> {
     }
 }
 
-fn object(bytes: &[u8], pos: &mut usize) -> Result<(), usize> {
+fn object<B: Build>(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<B, usize> {
+    if depth == MAX_DEPTH {
+        return Err(*pos);
+    }
     *pos += 1; // consume '{'
     skip_ws(bytes, pos);
+    let mut members = B::Seq::default();
     if bytes.get(*pos) == Some(&b'}') {
         *pos += 1;
-        return Ok(());
+        return Ok(B::obj(members));
     }
     loop {
         skip_ws(bytes, pos);
+        let start = *pos;
         string(bytes, pos)?;
+        let key = B::key(bytes, start, *pos)?;
         skip_ws(bytes, pos);
         if bytes.get(*pos) != Some(&b':') {
             return Err(*pos);
         }
         *pos += 1;
         skip_ws(bytes, pos);
-        value(bytes, pos)?;
+        B::push(&mut members, (key, value(bytes, pos, depth + 1)?));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
             Some(b'}') => {
                 *pos += 1;
-                return Ok(());
+                return Ok(B::obj(members));
             }
             _ => return Err(*pos),
         }
     }
 }
 
-fn array(bytes: &[u8], pos: &mut usize) -> Result<(), usize> {
+fn array<B: Build>(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<B, usize> {
+    if depth == MAX_DEPTH {
+        return Err(*pos);
+    }
     *pos += 1; // consume '['
     skip_ws(bytes, pos);
+    let mut items = B::Seq::default();
     if bytes.get(*pos) == Some(&b']') {
         *pos += 1;
-        return Ok(());
+        return Ok(B::arr(items));
     }
     loop {
         skip_ws(bytes, pos);
-        value(bytes, pos)?;
+        B::push(&mut items, value(bytes, pos, depth + 1)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
             Some(b']') => {
                 *pos += 1;
-                return Ok(());
+                return Ok(B::arr(items));
             }
             _ => return Err(*pos),
         }
@@ -200,7 +267,7 @@ fn number(bytes: &[u8], pos: &mut usize) -> Result<(), usize> {
 // The run-store layer (crates/mpistudy) does not just validate documents,
 // it *ingests* them: a stored metrics document is parsed back into typed
 // rows and re-emitted, and the round trip must be byte-identical. The
-// parser below builds on the same grammar as the checker. Numbers keep
+// parser is the checker's walker with [`Json`] as its builder. Numbers keep
 // their raw text (`Json::Num`) so integers above 2^53 — nanosecond
 // makespans, fingerprints — survive the trip without float rounding;
 // accessors convert on demand.
@@ -281,96 +348,45 @@ impl Json {
 /// into a [`Json`] DOM. Returns the byte offset of the fault on error —
 /// the same contract as [`check_json`].
 pub fn parse_json(input: &str) -> Result<Json, usize> {
-    let bytes = input.as_bytes();
-    let mut pos = 0;
-    skip_ws(bytes, &mut pos);
-    let v = value_dom(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos == bytes.len() {
-        Ok(v)
-    } else {
-        Err(pos)
-    }
+    document(input)
 }
 
-fn value_dom(bytes: &[u8], pos: &mut usize) -> Result<Json, usize> {
-    match bytes.get(*pos) {
-        Some(b'{') => {
-            *pos += 1;
-            skip_ws(bytes, pos);
-            let mut members = Vec::new();
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(members));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = string_dom(bytes, pos)?;
-                skip_ws(bytes, pos);
-                if bytes.get(*pos) != Some(&b':') {
-                    return Err(*pos);
-                }
-                *pos += 1;
-                skip_ws(bytes, pos);
-                members.push((key, value_dom(bytes, pos)?));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(members));
-                    }
-                    _ => return Err(*pos),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            skip_ws(bytes, pos);
-            let mut items = Vec::new();
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                items.push(value_dom(bytes, pos)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(*pos),
-                }
-            }
-        }
-        Some(b'"') => string_dom(bytes, pos).map(Json::Str),
-        Some(b't') => literal(bytes, pos, b"true").map(|()| Json::Bool(true)),
-        Some(b'f') => literal(bytes, pos, b"false").map(|()| Json::Bool(false)),
-        Some(b'n') => literal(bytes, pos, b"null").map(|()| Json::Null),
-        Some(b'-' | b'0'..=b'9') => {
-            let start = *pos;
-            number(bytes, pos)?;
+impl Build for Json {
+    type Key = String;
+    fn key(bytes: &[u8], start: usize, end: usize) -> Result<String, usize> {
+        decode(bytes, start, end)
+    }
+    fn scalar(bytes: &[u8], start: usize, end: usize) -> Result<Json, usize> {
+        Ok(match bytes[start] {
+            b'"' => Json::Str(decode(bytes, start, end)?),
+            b't' => Json::Bool(true),
+            b'f' => Json::Bool(false),
+            b'n' => Json::Null,
             // The grammar guarantees the span is ASCII.
-            Ok(Json::Num(
-                std::str::from_utf8(&bytes[start..*pos])
+            _ => Json::Num(
+                std::str::from_utf8(&bytes[start..end])
                     .expect("ascii number")
                     .to_string(),
-            ))
-        }
-        _ => Err(*pos),
+            ),
+        })
+    }
+    type Seq<T> = Vec<T>;
+    fn push<T>(seq: &mut Vec<T>, item: T) {
+        seq.push(item);
+    }
+    fn arr(items: Vec<Json>) -> Json {
+        Json::Arr(items)
+    }
+    fn obj(members: Vec<(String, Json)>) -> Json {
+        Json::Obj(members)
     }
 }
 
-/// Validate a string with [`string`], then decode its escapes.
-fn string_dom(bytes: &[u8], pos: &mut usize) -> Result<String, usize> {
-    let start = *pos;
-    string(bytes, pos)?;
+/// Decode the escapes of the string [`string`] validated at `start..end`.
+fn decode(bytes: &[u8], start: usize, end: usize) -> Result<String, usize> {
     // Interior span, without the surrounding quotes; validated UTF-8
     // since the input was a &str and the span boundaries are ASCII.
-    let raw = std::str::from_utf8(&bytes[start + 1..*pos - 1]).map_err(|_| start)?;
+    let raw = std::str::from_utf8(&bytes[start + 1..end - 1]).map_err(|_| start)?;
     if !raw.contains('\\') {
         return Ok(raw.to_string());
     }
@@ -407,38 +423,59 @@ fn string_dom(bytes: &[u8], pos: &mut usize) -> Result<String, usize> {
 mod tests {
     use super::*;
 
+    const VALID: [&str; 7] = [
+        "{}",
+        "[]",
+        "null",
+        "-12.5e+3",
+        r#"{"a":[1,2,{"b":"c\n"}],"d":true}"#,
+        "  [1, 2]  ",
+        r#""é""#,
+    ];
+
+    const INVALID: [&str; 11] = [
+        "",
+        "{",
+        "[1,]",
+        "{\"a\":}",
+        "{\"a\" 1}",
+        "[1] trailing",
+        "\"unterminated",
+        "01x",
+        "1.",
+        "{'single':1}",
+        "{\"raw\ncontrol\":1}",
+    ];
+
+    /// Hostile nesting, closed or not: far past what a recursive walker's
+    /// stack holds, and one level past the bound.
+    fn too_deep() -> [String; 3] {
+        [
+            "[".repeat(200_000),
+            "{\"a\":".repeat(200_000),
+            "[".repeat(MAX_DEPTH + 1) + &"]".repeat(MAX_DEPTH + 1),
+        ]
+    }
+
     #[test]
     fn accepts_valid_documents() {
-        for ok in [
-            "{}",
-            "[]",
-            "null",
-            "-12.5e+3",
-            r#"{"a":[1,2,{"b":"c\n"}],"d":true}"#,
-            "  [1, 2]  ",
-            r#""é""#,
-        ] {
+        for ok in VALID {
             assert!(check_json(ok).is_ok(), "{ok}");
         }
+        let deepest = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert_eq!(check_json(&deepest), Ok(()));
     }
 
     #[test]
     fn rejects_invalid_documents() {
-        for bad in [
-            "",
-            "{",
-            "[1,]",
-            "{\"a\":}",
-            "{\"a\" 1}",
-            "[1] trailing",
-            "\"unterminated",
-            "01x",
-            "1.",
-            "{'single':1}",
-            "{\"raw\ncontrol\":1}",
-        ] {
+        for bad in INVALID {
             assert!(check_json(bad).is_err(), "accepted: {bad}");
         }
+        // The offset is the bracket that opens level `MAX_DEPTH + 1`.
+        let [arrays, objects, closed] = too_deep();
+        assert_eq!(check_json(&arrays), Err(MAX_DEPTH));
+        assert_eq!(check_json(&objects), Err(MAX_DEPTH * "{\"a\":".len()));
+        assert_eq!(check_json(&closed), Err(MAX_DEPTH));
     }
 
     #[test]
@@ -474,9 +511,29 @@ mod tests {
 
     #[test]
     fn dom_rejects_what_the_checker_rejects() {
-        for bad in ["", "{", "[1,]", "{\"a\":}", "[1] trailing"] {
-            assert_eq!(parse_json(bad).is_err(), check_json(bad).is_err(), "{bad}");
+        // Offset for offset: both are the one walker.
+        let deep = too_deep();
+        let corpus = VALID.into_iter().chain(INVALID);
+        for doc in corpus.chain(deep.iter().map(String::as_str)) {
+            let shown = excerpt(doc, 0);
+            assert_eq!(parse_json(doc).err(), check_json(doc).err(), "{shown}");
         }
+    }
+
+    #[test]
+    fn excerpt_stops_at_character_boundaries() {
+        // Byte 94 is the `]` after the trailing comma; 40 bytes before it
+        // is the middle of a three-byte character.
+        let doc = format!("[\"{}\",]", "€".repeat(30));
+        assert_eq!(check_json(&doc), Err(94));
+        assert!(!doc.is_char_boundary(94 - 40));
+        assert_eq!(excerpt(&doc, 94), format!("{}\",]", "€".repeat(13)));
+        let panic = std::panic::catch_unwind(|| assert_json(&doc, "doc")).unwrap_err();
+        let message = panic.downcast_ref::<String>().unwrap();
+        assert!(
+            message.starts_with("doc: invalid JSON at byte 94: ...€"),
+            "{message}"
+        );
     }
 
     #[test]

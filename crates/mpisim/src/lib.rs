@@ -45,7 +45,6 @@
 //! assert_eq!(report.results, vec![0, 6]);
 //! ```
 
-pub mod cart;
 pub mod collective;
 pub mod comm;
 pub mod control;
@@ -62,7 +61,6 @@ pub mod tool;
 pub mod topo;
 pub mod world;
 
-pub use cart::CartComm;
 pub use comm::{waitall, Comm, RecvReq, Recvd, SendReq};
 pub use control::{MatchCandidate, MatchController};
 pub use diag::{BlockedSite, Diagnostic, DiagnosticKind, Severity};

@@ -21,7 +21,6 @@ pub mod iso;
 pub mod laws;
 pub mod partial;
 pub mod series;
-pub mod stats;
 pub mod study;
 pub mod trend;
 
@@ -39,7 +38,6 @@ pub use partial::{
     PartialBound,
 };
 pub use series::{crossover, ScalePoint, ScalingSeries};
-pub use stats::RepStats;
 pub use study::{ScalingStudy, SectionStudy, StoredSectionRow};
 pub use trend::{SectionTrend, TrendConfig};
 

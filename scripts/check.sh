@@ -42,6 +42,20 @@ if grep -n 'HashMap' crates/core/src/waitstate.rs crates/core/src/critpath.rs \
     exit 1
 fi
 
+echo "==> one implementation per concept: no deleted duplicate came back"
+if grep -n 'criterion\|\[\[bench\]\]' Cargo.toml crates/*/Cargo.toml benchmark/Cargo.toml; then
+    echo "Cargo.toml: a second measurement harness is back beside benchmark/"
+    exit 1
+fi
+if grep -rn 'finish_read\|remaining_readers' crates/mpisim/src; then
+    echo "crates/mpisim/src: a reader count is back beside the record's Arc"
+    exit 1
+fi
+if grep -n 'fn value_dom' crates/mpisim/src/jsoncheck.rs; then
+    echo "crates/mpisim/src/jsoncheck.rs: a second walker of the JSON grammar is back"
+    exit 1
+fi
+
 echo "==> no per-operation allocation on the steady-state path (counted by tests/alloc_steady_state.rs)"
 # The count is the gate (it ran under `cargo test` above); this names the
 # bodies a `Vec` per call used to sit in, so the reason is on the line
@@ -58,6 +72,8 @@ fi
 
 echo "==> benchmark package builds against these crates (the root test never compiles it)"
 (cd benchmark && cargo test --release --quiet)
+git diff --exit-code -- benchmark/Cargo.lock \
+    || { echo "benchmark/Cargo.lock: a dependency-graph change staled the frozen lock file"; exit 1; }
 cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- suite --smoke > /dev/null
 
 echo "==> benchmark: one full-size conv16k_scale run must come back correct"
