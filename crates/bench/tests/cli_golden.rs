@@ -71,6 +71,28 @@ fn race_verify_is_pinned_and_exits_1() {
     );
 }
 
+/// `--check` at the paper's headline scale: the analyzer watches receives
+/// only (the engine itself diagnoses deadlocks and divergent collectives),
+/// so the flag adds its verdict line and changes nothing else — and a
+/// checker whose cost grew with p would time this test out.
+#[test]
+fn check_at_the_papers_scale_is_clean_and_changes_no_artifact() {
+    let [plain, checked] = ["", " --check"].map(|flag| {
+        let dir = scratch(&format!("conv456-check{}", flag.trim()));
+        let args = format!("conv --p 456 --steps 20 --profile-csv profile.csv{flag}");
+        let args: Vec<&str> = args.split_whitespace().collect();
+        let out = run(PROFILE, &dir, &args);
+        assert_eq!(out.code, 0, "{flag}: stderr:\n{}", out.stderr);
+        let files = files_print(&dir);
+        let _ = std::fs::remove_dir_all(dir);
+        (out.stdout, files)
+    });
+    assert_eq!(plain.1, checked.1, "the profile CSV differs under --check");
+    let verdict = "mpicheck: clean — no diagnostics\n\n";
+    assert!(checked.0.contains(verdict), "{}", checked.0);
+    assert_eq!(checked.0.replacen(verdict, "", 1), plain.0);
+}
+
 /// Exploration steers the same scheduler on either engine. The reference
 /// engine queues the three senders in the opposite order, so the canonical
 /// run and the fingerprints differ — pinned apart — while the exploration

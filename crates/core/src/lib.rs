@@ -53,7 +53,6 @@
 
 pub mod balance;
 pub mod compare;
-pub mod context;
 pub mod critpath;
 pub mod efficiency;
 pub mod fasthash;
@@ -75,7 +74,6 @@ pub mod whatif;
 
 pub use balance::BalanceReport;
 pub use compare::{ProfileComparison, SectionScaling};
-pub use context::ContextTool;
 pub use critpath::CriticalPath;
 pub use efficiency::Efficiencies;
 pub use histogram::{DurationHistogram, HistogramTool};

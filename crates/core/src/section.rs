@@ -939,6 +939,37 @@ mod tests {
         assert!(msg.contains(&expect), "{msg}");
     }
 
+    /// Paper §5.3 on the failure where it matters most: each stuck rank's
+    /// site of a deadlock report says which phase the rank was in.
+    #[test]
+    fn a_deadlock_report_names_each_stuck_ranks_open_sections() {
+        let reports = [mpisim::Engine::Des, mpisim::Engine::Threads].map(|engine| {
+            let sections = SectionRuntime::new(VerifyMode::Active);
+            let s = sections.clone();
+            let err = WorldBuilder::new(2)
+                .engine(engine)
+                .tool(sections)
+                .run(move |p| {
+                    let world = p.world();
+                    s.scoped(p, &world, "HALO", |p| {
+                        let peer = 1 - p.world_rank();
+                        let _ = world.recv::<u8>(p, mpisim::Src::Rank(peer), mpisim::TagSel::Any);
+                    });
+                })
+                .unwrap_err();
+            err.to_string()
+        });
+        assert_eq!(reports[0], reports[1]);
+        for rank in 0..2 {
+            let site = format!(
+                "rank {rank} blocked in MPI_Recv waiting for a message from rank {} on \
+                 communicator 0 [open sections: comm 0: MPI_MAIN > HALO]",
+                1 - rank
+            );
+            assert!(reports[0].contains(&site), "{}", reports[0]);
+        }
+    }
+
     #[test]
     fn occurrences_count_up() {
         struct LastOccurrence(Mutex<u64>);

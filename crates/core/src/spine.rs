@@ -225,19 +225,6 @@ impl<T: Default> Spine<T> {
         &mut self.ranks[rank]
     }
 
-    /// Open `label` on `rank` (the section-callback drivers' entry point;
-    /// event-driven tools go through [`Spine::step`]).
-    pub(crate) fn enter(&mut self, rank: usize, comm: CommId, label: &Arc<str>) {
-        let id = self.interner.intern(label);
-        self.rank_mut(rank).tracker.stack.push((comm, id));
-    }
-
-    /// Close the innermost `label` of `comm` on `rank`.
-    pub(crate) fn leave(&mut self, rank: usize, comm: CommId, label: &Arc<str>) {
-        let id = self.interner.intern(label);
-        self.rank_mut(rank).tracker.leave(comm, id);
-    }
-
     /// Advance `rank` by one event. Events that only arm state (receive
     /// posted, receive matched) and kinds outside
     /// [`RankTracker::INTERESTS`] complete no step.
@@ -679,18 +666,15 @@ mod tests {
 
     #[test]
     fn leave_closes_the_innermost_matching_frame() {
-        let mut spine: Spine<()> = Spine::default();
-        let (a, b) = (Arc::from("a"), Arc::from("b"));
+        let mut tracker = RankTracker::default();
+        let (a, b) = (0, 1);
         let other = CommId(7);
-        spine.enter(0, CommId::WORLD, &a);
-        spine.enter(0, other, &b);
-        spine.enter(0, CommId::WORLD, &a);
-        spine.leave(0, CommId::WORLD, &a);
-        // No Init here: "a" and "b" are the first labels interned.
-        let frames = |spine: &Spine<()>| spine.ranks()[0].tracker.frames().to_vec();
-        assert_eq!(frames(&spine), [(CommId::WORLD, 0), (other, 1)]);
+        tracker.stack = vec![(CommId::WORLD, a), (other, b), (CommId::WORLD, a)];
+        assert_eq!(tracker.leave(CommId::WORLD, a), Some(2));
+        assert_eq!(tracker.frames(), [(CommId::WORLD, a), (other, b)]);
         // Cross-communicator exit order is free.
-        spine.leave(0, CommId::WORLD, &a);
-        assert_eq!(frames(&spine), [(other, 1)]);
+        assert_eq!(tracker.leave(CommId::WORLD, a), Some(0));
+        assert_eq!(tracker.frames(), [(other, b)]);
+        assert_eq!(tracker.leave(CommId::WORLD, a), None);
     }
 }

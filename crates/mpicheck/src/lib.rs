@@ -1,32 +1,31 @@
-//! # mpicheck — correctness analysis for the virtual MPI runtime
+//! # mpicheck — the wildcard-race heuristic for the virtual MPI runtime
 //!
-//! An [`Analyzer`] is an [`mpisim::Tool`]: it consumes the typed
-//! [`MpiEvent`] stream the runtime raises on every rank's thread and turns
-//! the classic MPI correctness hazards into structured
-//! [`mpisim::Diagnostic`]s instead of opaque panics or silent hangs:
+//! Of the classic MPI correctness hazards, the engine diagnoses what it can
+//! *prove*, in every run, with or without this crate:
 //!
-//! * **Deadlock** — a wait-for graph over pending receives and collective
-//!   rendezvous, re-checked incrementally each time a rank is about to
-//!   block. A recv/recv cross-wait, a rank skipping a barrier, or a
-//!   receive from a finalized rank is reported with the full cycle of
-//!   blocked call sites *before* the world hangs.
-//! * **Collective divergence** — per-communicator logs of collective
-//!   operations (kind and root); the first rank to disagree with the
-//!   communicator's agreed sequence aborts with the divergence position,
-//!   the expected operation, and the observed one.
+//! * **Deadlock** — the scheduler sees the ready heap drain with live ranks
+//!   left; every blocked rank then names its own call site. A recv/recv
+//!   cross-wait, a rank skipping a barrier, or a receive from a finalized
+//!   rank comes back as one [`mpisim::DiagnosticKind::Deadlock`].
+//! * **Collective divergence** — a communicator's rendezvous compares each
+//!   arrival's operation and root with the generation's first; the rank
+//!   that disagrees aborts with the position and both operations.
+//! * **Section misuse** — the `mpi-sections` runtime reports imperfect
+//!   nesting and cross-rank order violations.
+//!
+//! What is left for a tool is the one finding that is a *judgement*, not a
+//! proof. The [`Analyzer`] is an [`mpisim::Tool`] that watches receives:
+//!
 //! * **Message race** — a wildcard ([`Src::Any`]) receive that has more
 //!   than one simultaneously matching in-flight sender is nondeterministic
 //!   on a real MPI; the competing `(rank, tag)` pairs are reported as a
 //!   warning (the run still completes).
 //!
-//! The fourth diagnostic class, **section misuse**, is produced by the
-//! `mpi-sections` runtime itself (imperfect nesting, cross-rank order
-//! violations) through the same [`mpisim::diag`] channel; all four surface
-//! as [`mpisim::RunError::Diagnosed`].
-//!
-//! The analyzer only observes: it never advances virtual time, so a clean
-//! program produces bit-identical [`mpisim::RunReport`]s with and without
-//! the tool attached (property-tested in this crate).
+//! All four classes are [`mpisim::Diagnostic`]s; the fatal three surface as
+//! [`mpisim::RunError::Diagnosed`]. The analyzer observes two event kinds
+//! (`RecvBlocked`, `RecvMatched`) and never advances virtual time, so a
+//! clean program produces bit-identical [`mpisim::RunReport`]s with and
+//! without it (property-tested in this crate).
 //!
 //! ## Example
 //!
@@ -48,96 +47,22 @@
 //! assert!(matches!(err, RunError::Diagnosed(_)));
 //! ```
 
-use mpisim::diag::{self, BlockedSite, Diagnostic, DiagnosticKind, Severity};
-use mpisim::{CommId, MpiEvent, Src, TagSel, Tool};
+use mpisim::diag::{Diagnostic, DiagnosticKind, Severity};
+use mpisim::{CommId, EventKind, EventMask, MpiEvent, Src, Tool};
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-
-/// What a rank is currently blocked on (if anything).
-#[derive(Clone)]
-enum Blocked {
-    /// Waiting in a blocking receive.
-    Recv {
-        comm: CommId,
-        src: Src,
-        tag: TagSel,
-        /// Local rank -> world rank for the receive's communicator.
-        members: Arc<Vec<usize>>,
-    },
-    /// Waiting at a collective rendezvous.
-    Collective {
-        op: &'static str,
-        comm: CommId,
-        /// This rank's per-communicator collective round index.
-        round: u64,
-        members: Arc<Vec<usize>>,
-    },
-}
-
-/// Per-rank analysis state.
-#[derive(Clone, Default)]
-struct RankState {
-    blocked: Option<Blocked>,
-    /// Rank has raised `Finalize`: it will never send or synchronize again.
-    finished: bool,
-    /// Collectives entered so far, per communicator.
-    rounds: HashMap<CommId, u64>,
-}
-
-/// A message known to be in flight (sent, not yet consumed).
-struct InFlight {
-    comm: CommId,
-    src_world: usize,
-    dst_world: usize,
-    tag: i32,
-}
-
-/// One collective operation as logged for divergence checking.
-#[derive(Clone, PartialEq, Eq)]
-struct CollOp {
-    op: &'static str,
-    root: Option<usize>,
-}
-
-impl CollOp {
-    fn describe(&self) -> String {
-        match self.root {
-            Some(root) => format!("{}(root={root})", self.op),
-            None => self.op.to_string(),
-        }
-    }
-}
-
-/// Shared verification log of one communicator's collective sequence.
-#[derive(Default)]
-struct CollLog {
-    /// The agreed sequence (grown by the first rank to perform each step).
-    log: Vec<CollOp>,
-    /// How far each world rank has progressed through the log.
-    position: HashMap<usize, usize>,
-}
 
 #[derive(Default)]
 struct CheckState {
-    nranks: usize,
-    ranks: HashMap<usize, RankState>,
-    /// In-flight messages keyed by global sequence number.
-    inflight: HashMap<u64, InFlight>,
-    /// Collective-sequence logs per communicator.
-    coll_logs: HashMap<CommId, CollLog>,
-    /// Per communicator: number of collective rounds some rank has already
-    /// completed (guards against stale "still blocked" states of peers
-    /// that finished the rendezvous but have not yet raised their exit).
-    completed_rounds: HashMap<CommId, u64>,
+    /// Per world rank: is the receive it posted last a wildcard?
+    wildcard_posted: Vec<bool>,
     /// Non-fatal findings (message races), deduplicated.
     warnings: Vec<Diagnostic>,
 }
 
-/// The correctness analyzer. Attach with
-/// [`WorldBuilder::tool`](mpisim::WorldBuilder::tool); fatal findings abort
-/// the run as [`mpisim::RunError::Diagnosed`], warnings are collected and
-/// available from [`Analyzer::diagnostics`] after the run.
+/// The race analyzer. Attach with
+/// [`WorldBuilder::tool`](mpisim::WorldBuilder::tool); its findings are
+/// warnings, available from [`Analyzer::diagnostics`] after the run.
 #[derive(Default)]
 pub struct Analyzer {
     state: Mutex<CheckState>,
@@ -155,458 +80,71 @@ impl Analyzer {
     pub fn diagnostics(&self) -> Vec<Diagnostic> {
         self.state.lock().warnings.clone()
     }
-
-    // ------------------------------------------------------------------
-    // Collective-sequence divergence
-    // ------------------------------------------------------------------
-
-    /// Record `rank`'s next collective on `comm`; on disagreement with the
-    /// communicator's agreed sequence, return the fatal finding.
-    fn check_divergence(
-        st: &mut CheckState,
-        rank: usize,
-        comm: CommId,
-        entry: CollOp,
-    ) -> Option<Diagnostic> {
-        let log = st.coll_logs.entry(comm).or_default();
-        let pos = log.position.entry(rank).or_insert(0);
-        let result = if *pos == log.log.len() {
-            log.log.push(entry);
-            None
-        } else {
-            let expected = log.log[*pos].clone();
-            if expected == entry {
-                None
-            } else {
-                Some(Diagnostic {
-                    message: format!(
-                        "collective divergence on communicator {}: rank {rank} \
-                         performed {} but the communicator's sequence has {} \
-                         at position {pos}",
-                        comm.0,
-                        entry.describe(),
-                        expected.describe()
-                    ),
-                    kind: DiagnosticKind::CollectiveDivergence {
-                        position: *pos,
-                        expected: expected.describe(),
-                        observed: entry.describe(),
-                    },
-                    severity: Severity::Error,
-                    ranks: vec![rank],
-                    comm: Some(comm),
-                })
-            }
-        };
-        *pos += 1;
-        result
-    }
-
-    // ------------------------------------------------------------------
-    // Wait-for-graph deadlock detection
-    // ------------------------------------------------------------------
-
-    /// Greatest-fixpoint release analysis. Start by assuming every blocked
-    /// rank is stuck; release any rank whose wait could still be satisfied:
-    ///
-    /// * a blocked receive is releasable if a matching message is in
-    ///   flight, or any potential sender is released (an unblocked,
-    ///   unfinished rank might still send);
-    /// * a collective is releasable if some rank already completed this
-    ///   round (the rendezvous fired; the "blocked" states are stale), or
-    ///   every member has arrived at the same round or is released.
-    ///
-    /// Whatever remains blocked at the fixpoint can never make progress.
-    fn find_deadlock(st: &CheckState) -> Option<Vec<usize>> {
-        let blocked: HashMap<usize, &Blocked> = st
-            .ranks
-            .iter()
-            .filter_map(|(&r, s)| s.blocked.as_ref().map(|b| (r, b)))
-            .collect();
-        if blocked.is_empty() {
-            return None;
-        }
-        // Released = "may still unblock others". Active (unblocked,
-        // unfinished) ranks qualify; finished ranks do not — they will
-        // never send or enter a collective again.
-        let mut released: HashSet<usize> = (0..st.nranks)
-            .filter(|r| {
-                !blocked.contains_key(r) && !st.ranks.get(r).map(|s| s.finished).unwrap_or(false)
-            })
-            .collect();
-        let arrived_at = |rank: usize, comm: CommId, round: u64| -> bool {
-            matches!(
-                blocked.get(&rank),
-                Some(Blocked::Collective {
-                    comm: c, round: g, ..
-                }) if *c == comm && *g == round
-            )
-        };
-        loop {
-            let mut changed = false;
-            for (&rank, b) in &blocked {
-                if released.contains(&rank) {
-                    continue;
-                }
-                let free = match b {
-                    Blocked::Recv {
-                        comm,
-                        src,
-                        tag,
-                        members,
-                    } => {
-                        let matching_inflight = st.inflight.values().any(|m| {
-                            m.dst_world == rank
-                                && m.comm == *comm
-                                && tag_matches(*tag, m.tag)
-                                && src_matches(*src, members, m.src_world)
-                        });
-                        matching_inflight
-                            || potential_senders(*src, members, rank).any(|s| released.contains(&s))
-                    }
-                    Blocked::Collective {
-                        comm,
-                        round,
-                        members,
-                        ..
-                    } => {
-                        *round < st.completed_rounds.get(comm).copied().unwrap_or(0)
-                            || members.iter().all(|&m| {
-                                m == rank || released.contains(&m) || arrived_at(m, *comm, *round)
-                            })
-                    }
-                };
-                if free {
-                    released.insert(rank);
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        let mut stuck: Vec<usize> = blocked
-            .keys()
-            .copied()
-            .filter(|r| !released.contains(r))
-            .collect();
-        if stuck.is_empty() {
-            return None;
-        }
-        stuck.sort_unstable();
-        Some(stuck)
-    }
-
-    /// Build the deadlock diagnostic: walk the wait edges from the lowest
-    /// stuck rank to present the cycle, then append any stuck ranks the
-    /// walk did not reach.
-    fn deadlock_diagnostic(st: &CheckState, stuck: &[usize]) -> Diagnostic {
-        let stuck_set: HashSet<usize> = stuck.iter().copied().collect();
-        let site_of = |rank: usize| -> BlockedSite {
-            match st.ranks[&rank]
-                .blocked
-                .as_ref()
-                .expect("stuck rank is blocked")
-            {
-                Blocked::Recv {
-                    comm,
-                    src,
-                    tag,
-                    members,
-                } => {
-                    let from = match src {
-                        Src::Rank(r) => {
-                            let world = members[*r];
-                            if st.ranks.get(&world).map(|s| s.finished).unwrap_or(false) {
-                                format!("a message from rank {world} (already finalized)")
-                            } else {
-                                format!("a message from rank {world}")
-                            }
-                        }
-                        Src::Any => "a message from any source".to_string(),
-                    };
-                    let tag = match tag {
-                        TagSel::Is(t) => format!(" with tag {t}"),
-                        TagSel::Any => String::new(),
-                    };
-                    BlockedSite {
-                        rank,
-                        call: "MPI_Recv".to_string(),
-                        waiting_for: format!("{from}{tag} on communicator {}", comm.0),
-                    }
-                }
-                Blocked::Collective {
-                    op, comm, members, ..
-                } => {
-                    let missing: Vec<String> = members
-                        .iter()
-                        .filter(|m| {
-                            !matches!(
-                                st.ranks.get(m).and_then(|s| s.blocked.as_ref()),
-                                Some(Blocked::Collective { comm: c, .. }) if c == comm
-                            )
-                        })
-                        .map(ToString::to_string)
-                        .collect();
-                    BlockedSite {
-                        rank,
-                        call: (*op).to_string(),
-                        waiting_for: format!(
-                            "rank{} {} to enter the collective on communicator {}",
-                            if missing.len() == 1 { "" } else { "s" },
-                            missing.join(", "),
-                            comm.0
-                        ),
-                    }
-                }
-            }
-        };
-        // One wait edge per stuck rank, for the cycle walk.
-        let next_of = |rank: usize| -> Option<usize> {
-            match st.ranks[&rank].blocked.as_ref()? {
-                Blocked::Recv { src, members, .. } => match src {
-                    Src::Rank(r) => Some(members[*r]).filter(|w| stuck_set.contains(w)),
-                    Src::Any => potential_senders(Src::Any, members, rank)
-                        .filter(|s| stuck_set.contains(s))
-                        .min(),
-                },
-                Blocked::Collective {
-                    comm,
-                    round,
-                    members,
-                    ..
-                } => members
-                    .iter()
-                    .copied()
-                    .filter(|&m| {
-                        m != rank
-                            && stuck_set.contains(&m)
-                            && !matches!(
-                                st.ranks.get(&m).and_then(|s| s.blocked.as_ref()),
-                                Some(Blocked::Collective { comm: c, round: g, .. })
-                                    if c == comm && g == round
-                            )
-                    })
-                    .min(),
-            }
-        };
-        let mut cycle = Vec::new();
-        let mut seen = HashSet::new();
-        let mut cursor = stuck[0];
-        while seen.insert(cursor) {
-            cycle.push(site_of(cursor));
-            match next_of(cursor) {
-                Some(next) => cursor = next,
-                None => break,
-            }
-        }
-        for &rank in stuck {
-            if !seen.contains(&rank) {
-                cycle.push(site_of(rank));
-            }
-        }
-        let ranks_list: Vec<String> = stuck.iter().map(ToString::to_string).collect();
-        Diagnostic {
-            message: format!(
-                "deadlock: rank{} {} cannot make progress (wait-for cycle)",
-                if stuck.len() == 1 { "" } else { "s" },
-                ranks_list.join(", ")
-            ),
-            kind: DiagnosticKind::Deadlock { cycle },
-            severity: Severity::Error,
-            ranks: stuck.to_vec(),
-            comm: None,
-        }
-    }
-
-    /// Run the deadlock check; returns the fatal finding if any rank set is
-    /// permanently stuck.
-    fn check_deadlock(st: &CheckState) -> Option<Diagnostic> {
-        Self::find_deadlock(st).map(|stuck| Self::deadlock_diagnostic(st, &stuck))
-    }
 }
 
-fn tag_matches(sel: TagSel, tag: i32) -> bool {
-    match sel {
-        TagSel::Any => true,
-        TagSel::Is(t) => t == tag,
+/// The warning for a wildcard receive of `receiver` that could have matched
+/// any of `candidates`, or `None` where there was no choice to make.
+///
+/// Only distinct senders can race: per-sender order is pinned by the
+/// non-overtaking rule, so several queued messages from one sender are no
+/// choice at all. Keep the earliest message per sender (what the runtime
+/// could actually match) and warn only when two or more senders compete —
+/// a single live candidate is deterministic, the verifier's "trivially
+/// refuted".
+fn race_warning(receiver: usize, comm: CommId, candidates: &[(usize, i32)]) -> Option<Diagnostic> {
+    let mut competing: Vec<(usize, i32)> = Vec::new();
+    for &(sender, tag) in candidates {
+        if !competing.iter().any(|(seen, _)| *seen == sender) {
+            competing.push((sender, tag));
+        }
     }
-}
-
-fn src_matches(sel: Src, members: &[usize], src_world: usize) -> bool {
-    match sel {
-        Src::Any => true,
-        Src::Rank(r) => members.get(r).copied() == Some(src_world),
+    if competing.len() < 2 {
+        return None;
     }
-}
-
-/// World ranks that could still send to a receive blocked with selector
-/// `src` (the receiver itself cannot satisfy its own pending receive).
-fn potential_senders(
-    src: Src,
-    members: &Arc<Vec<usize>>,
-    receiver: usize,
-) -> impl Iterator<Item = usize> + '_ {
-    let specific = match src {
-        Src::Rank(r) => Some(members.get(r).copied().unwrap_or(usize::MAX)),
-        Src::Any => None,
-    };
-    members
-        .iter()
-        .copied()
-        .filter(move |&m| m != receiver && specific.map(|s| s == m).unwrap_or(true))
+    competing.sort_unstable();
+    let mut ranks: Vec<usize> = competing.iter().map(|(sender, _)| *sender).collect();
+    ranks.push(receiver);
+    ranks.sort_unstable();
+    ranks.dedup();
+    Some(Diagnostic {
+        message: format!(
+            "message race: wildcard receive on rank {receiver} had {} simultaneously \
+             matching senders — the match order is nondeterministic on a real MPI",
+            competing.len()
+        ),
+        kind: DiagnosticKind::MessageRace {
+            receiver,
+            candidates: competing,
+        },
+        severity: Severity::Warn,
+        ranks,
+        comm: Some(comm),
+    })
 }
 
 impl Tool for Analyzer {
+    fn interests(&self) -> EventMask {
+        EventMask::of(&[EventKind::RecvBlocked, EventKind::RecvMatched])
+    }
+
     fn on_event(&self, world_rank: usize, event: &MpiEvent) {
-        // Fatal findings are produced under the state lock but aborted
-        // outside it, so peers draining the poison can still inspect state.
-        let fatal: Option<Diagnostic> = {
-            let mut st = self.state.lock();
-            match event {
-                MpiEvent::Init { size, .. } => {
-                    st.nranks = (*size).max(st.nranks);
-                    st.ranks.entry(world_rank).or_default();
-                    None
-                }
-                MpiEvent::Finalize { .. } => {
-                    let rank = st.ranks.entry(world_rank).or_default();
-                    rank.blocked = None;
-                    rank.finished = true;
-                    // A peer stuck receiving from this rank will now never
-                    // be served: re-check so the run aborts instead of
-                    // hanging on the join.
-                    Self::check_deadlock(&st)
-                }
-                MpiEvent::SendEnqueued {
-                    comm,
-                    dst_world,
-                    tag,
-                    seq,
-                    ..
-                } => {
-                    st.inflight.insert(
-                        *seq,
-                        InFlight {
-                            comm: *comm,
-                            src_world: world_rank,
-                            dst_world: *dst_world,
-                            tag: *tag,
-                        },
-                    );
-                    None
-                }
-                MpiEvent::RecvBlocked {
-                    comm,
-                    src,
-                    tag,
-                    members,
-                    ..
-                } => {
-                    st.ranks.entry(world_rank).or_default().blocked = Some(Blocked::Recv {
-                        comm: *comm,
-                        src: *src,
-                        tag: *tag,
-                        members: members.clone(),
-                    });
-                    Self::check_deadlock(&st)
-                }
-                MpiEvent::RecvMatched {
-                    seq, candidates, ..
-                } => {
-                    st.inflight.remove(seq);
-                    let rank = st.ranks.entry(world_rank).or_default();
-                    let was_wildcard =
-                        matches!(rank.blocked, Some(Blocked::Recv { src: Src::Any, .. }));
-                    let comm = match &rank.blocked {
-                        Some(Blocked::Recv { comm, .. }) => Some(*comm),
-                        _ => None,
-                    };
-                    rank.blocked = None;
-                    if was_wildcard {
-                        // Only distinct senders can race: per-sender order is
-                        // pinned by the non-overtaking rule, so several queued
-                        // messages from one sender are no choice at all. Keep
-                        // the earliest message per sender (what the runtime
-                        // could actually match) and warn only when two or more
-                        // senders compete — a single live candidate is
-                        // deterministic, the verifier's "trivially refuted".
-                        let mut competing: Vec<(usize, i32)> = Vec::new();
-                        for &(r, t) in candidates {
-                            if !competing.iter().any(|(cr, _)| *cr == r) {
-                                competing.push((r, t));
-                            }
-                        }
-                        if competing.len() > 1 {
-                            competing.sort_unstable();
-                            let mut ranks: Vec<usize> = competing.iter().map(|(r, _)| *r).collect();
-                            ranks.push(world_rank);
-                            ranks.sort_unstable();
-                            ranks.dedup();
-                            let warn = Diagnostic {
-                                message: format!(
-                                    "message race: wildcard receive on rank {world_rank} \
-                                     had {} simultaneously matching senders — the \
-                                     match order is nondeterministic on a real MPI",
-                                    competing.len()
-                                ),
-                                kind: DiagnosticKind::MessageRace {
-                                    receiver: world_rank,
-                                    candidates: competing,
-                                },
-                                severity: Severity::Warn,
-                                ranks,
-                                comm,
-                            };
-                            if !st.warnings.contains(&warn) {
-                                st.warnings.push(warn);
-                            }
-                        }
-                    }
-                    None
-                }
-                MpiEvent::CollectiveEnter {
-                    op,
-                    comm,
-                    members,
-                    root,
-                    ..
-                } => {
-                    let divergence = Self::check_divergence(
-                        &mut st,
-                        world_rank,
-                        *comm,
-                        CollOp { op, root: *root },
-                    );
-                    if divergence.is_some() {
-                        divergence
-                    } else {
-                        let rank = st.ranks.entry(world_rank).or_default();
-                        let round = rank.rounds.entry(*comm).or_insert(0);
-                        let this_round = *round;
-                        *round += 1;
-                        rank.blocked = Some(Blocked::Collective {
-                            op,
-                            comm: *comm,
-                            round: this_round,
-                            members: members.clone(),
-                        });
-                        Self::check_deadlock(&st)
-                    }
-                }
-                MpiEvent::CollectiveExit { comm, .. } => {
-                    let rank = st.ranks.entry(world_rank).or_default();
-                    rank.blocked = None;
-                    let finished_round = rank.rounds.get(comm).copied().unwrap_or(0);
-                    let completed = st.completed_rounds.entry(*comm).or_insert(0);
-                    *completed = (*completed).max(finished_round);
-                    None
-                }
-                _ => None,
+        let mut st = self.state.lock();
+        if st.wildcard_posted.len() <= world_rank {
+            st.wildcard_posted.resize(world_rank + 1, false);
+        }
+        match event {
+            MpiEvent::RecvBlocked { src, .. } => {
+                st.wildcard_posted[world_rank] = *src == Src::Any;
             }
-        };
-        if let Some(diagnostic) = fatal {
-            diag::abort_with(vec![diagnostic]);
+            MpiEvent::RecvMatched {
+                comm, candidates, ..
+            } if std::mem::take(&mut st.wildcard_posted[world_rank]) => {
+                let warning = race_warning(world_rank, *comm, candidates);
+                if let Some(warning) = warning.filter(|w| !st.warnings.contains(w)) {
+                    st.warnings.push(warning);
+                }
+            }
+            _ => {}
         }
     }
 }
@@ -614,168 +152,7 @@ impl Tool for Analyzer {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn members(n: usize) -> Arc<Vec<usize>> {
-        Arc::new((0..n).collect())
-    }
-
-    fn blocked_recv(comm: CommId, src: Src, n: usize) -> Option<Blocked> {
-        Some(Blocked::Recv {
-            comm,
-            src,
-            tag: TagSel::Any,
-            members: members(n),
-        })
-    }
-
-    fn state_of(n: usize) -> CheckState {
-        let mut st = CheckState {
-            nranks: n,
-            ..CheckState::default()
-        };
-        for r in 0..n {
-            st.ranks.insert(r, RankState::default());
-        }
-        st
-    }
-
-    #[test]
-    fn fixpoint_detects_cross_wait() {
-        let mut st = state_of(2);
-        st.ranks.get_mut(&0).unwrap().blocked = blocked_recv(CommId::WORLD, Src::Rank(1), 2);
-        st.ranks.get_mut(&1).unwrap().blocked = blocked_recv(CommId::WORLD, Src::Rank(0), 2);
-        assert_eq!(Analyzer::find_deadlock(&st), Some(vec![0, 1]));
-    }
-
-    #[test]
-    fn inflight_message_releases_receiver() {
-        let mut st = state_of(2);
-        st.ranks.get_mut(&0).unwrap().blocked = blocked_recv(CommId::WORLD, Src::Rank(1), 2);
-        st.ranks.get_mut(&1).unwrap().blocked = blocked_recv(CommId::WORLD, Src::Rank(0), 2);
-        st.inflight.insert(
-            7,
-            InFlight {
-                comm: CommId::WORLD,
-                src_world: 1,
-                dst_world: 0,
-                tag: 3,
-            },
-        );
-        // Rank 0's receive is satisfiable, which transitively frees rank 1.
-        assert_eq!(Analyzer::find_deadlock(&st), None);
-    }
-
-    #[test]
-    fn active_rank_releases_wildcard_receiver() {
-        let mut st = state_of(3);
-        st.ranks.get_mut(&0).unwrap().blocked = blocked_recv(CommId::WORLD, Src::Any, 3);
-        st.ranks.get_mut(&1).unwrap().blocked = blocked_recv(CommId::WORLD, Src::Rank(0), 3);
-        // Rank 2 is computing: it may still send to rank 0's wildcard.
-        assert_eq!(Analyzer::find_deadlock(&st), None);
-    }
-
-    #[test]
-    fn finished_rank_cannot_release() {
-        let mut st = state_of(2);
-        st.ranks.get_mut(&0).unwrap().blocked = blocked_recv(CommId::WORLD, Src::Rank(1), 2);
-        st.ranks.get_mut(&1).unwrap().finished = true;
-        assert_eq!(Analyzer::find_deadlock(&st), Some(vec![0]));
-        let d = Analyzer::deadlock_diagnostic(&st, &[0]);
-        match &d.kind {
-            DiagnosticKind::Deadlock { cycle } => {
-                assert_eq!(cycle.len(), 1);
-                assert!(cycle[0].waiting_for.contains("already finalized"));
-            }
-            other => panic!("expected deadlock, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn completed_round_releases_stale_collective_state() {
-        let mut st = state_of(2);
-        // Rank 1 looks blocked in round 0, but some rank already finished
-        // that round: the rendezvous fired, the state is just stale.
-        st.ranks.get_mut(&1).unwrap().blocked = Some(Blocked::Collective {
-            op: "barrier",
-            comm: CommId::WORLD,
-            round: 0,
-            members: members(2),
-        });
-        st.ranks.get_mut(&0).unwrap().blocked = blocked_recv(CommId::WORLD, Src::Rank(1), 2);
-        st.completed_rounds.insert(CommId::WORLD, 1);
-        assert_eq!(Analyzer::find_deadlock(&st), None);
-    }
-
-    #[test]
-    fn barrier_skip_is_stuck_even_with_an_active_peer() {
-        // Ranks 0 and 2 wait at a barrier; rank 1 is blocked receiving
-        // from rank 0. Rank 3 being active cannot help: the receive names
-        // rank 0 specifically.
-        let mut st = state_of(4);
-        let coll = |round| {
-            Some(Blocked::Collective {
-                op: "barrier",
-                comm: CommId::WORLD,
-                round,
-                members: members(4),
-            })
-        };
-        st.ranks.get_mut(&0).unwrap().blocked = coll(0);
-        st.ranks.get_mut(&2).unwrap().blocked = coll(0);
-        st.ranks.get_mut(&1).unwrap().blocked = blocked_recv(CommId::WORLD, Src::Rank(0), 4);
-        assert_eq!(Analyzer::find_deadlock(&st), Some(vec![0, 1, 2]));
-    }
-
-    #[test]
-    fn all_arrived_collective_is_not_a_deadlock() {
-        let mut st = state_of(2);
-        for r in 0..2 {
-            st.ranks.get_mut(&r).unwrap().blocked = Some(Blocked::Collective {
-                op: "barrier",
-                comm: CommId::WORLD,
-                round: 0,
-                members: members(2),
-            });
-        }
-        assert_eq!(Analyzer::find_deadlock(&st), None);
-    }
-
-    #[test]
-    fn divergence_records_position_and_ops() {
-        let mut st = state_of(2);
-        assert!(Analyzer::check_divergence(
-            &mut st,
-            0,
-            CommId::WORLD,
-            CollOp {
-                op: "barrier",
-                root: None
-            }
-        )
-        .is_none());
-        let d = Analyzer::check_divergence(
-            &mut st,
-            1,
-            CommId::WORLD,
-            CollOp {
-                op: "bcast",
-                root: Some(0),
-            },
-        )
-        .expect("must diverge");
-        match &d.kind {
-            DiagnosticKind::CollectiveDivergence {
-                position,
-                expected,
-                observed,
-            } => {
-                assert_eq!(*position, 0);
-                assert_eq!(expected, "barrier");
-                assert_eq!(observed, "bcast(root=0)");
-            }
-            other => panic!("expected divergence, got {other:?}"),
-        }
-    }
+    use mpisim::TagSel;
 
     /// Drive one wildcard receive through `on_event` and return the
     /// analyzer's warnings for the given candidate set.
@@ -796,7 +173,7 @@ mod tests {
                 comm: CommId::WORLD,
                 src: Src::Any,
                 tag: TagSel::Is(7),
-                members: members(3),
+                members: Arc::new((0..3).collect()),
                 time: machine::VTime::ZERO,
             },
         );

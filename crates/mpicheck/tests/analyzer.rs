@@ -160,6 +160,27 @@ fn mismatched_roots_are_diagnosed() {
 }
 
 // ----------------------------------------------------------------------
+// The engine's diagnoses, watched
+// ----------------------------------------------------------------------
+
+/// The engine's own misuse programs, each with its expectations spelled
+/// out in `crates/mpisim/tests/errors.rs`.
+#[path = "../../mpisim/tests/misuse/mod.rs"]
+mod misuse;
+
+/// A deadlock or a divergent collective is the engine's finding: attaching
+/// the analyzer neither changes the report nor adds a second one, on either
+/// engine.
+#[test]
+fn the_analyzer_neither_changes_nor_duplicates_the_engines_diagnosis() {
+    for (name, nranks, program) in misuse::ALL {
+        let alone = misuse::diagnose(nranks, program, Vec::new);
+        let watched = misuse::diagnose(nranks, program, || vec![Analyzer::new() as _]);
+        assert_eq!(alone, watched, "{name}");
+    }
+}
+
+// ----------------------------------------------------------------------
 // Wildcard message race
 // ----------------------------------------------------------------------
 

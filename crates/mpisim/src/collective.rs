@@ -18,7 +18,19 @@
 //!
 //! An early arriver suspends its fiber; the last arriver re-queues every
 //! participant with the world's scheduler (`crate::des`).
+//!
+//! The generation is also the communicator's agreed collective sequence:
+//! the first arriver of generation *k* defines operation *k* — label and
+//! root — and a later arriver that enters anything else aborts the world
+//! with a `CollectiveDivergence` diagnostic naming the position and both
+//! operations. The comparison is always on (one tuple compare per
+//! arrival), so ranks disagreeing on a root are caught in every run. A
+//! member that never arrives leaves the others suspended here until the
+//! scheduler proves the deadlock; each of them then reports the operation
+//! and the communicator's members as its wait.
 
+use crate::diag::{self, CollOp, Wait};
+use crate::event::CommId;
 use crate::mailbox::Poison;
 use machine::VTime;
 use parking_lot::Mutex;
@@ -74,8 +86,9 @@ struct RvState {
     entries: Vec<VTime>,
     slots: Vec<Slot>,
     total_bytes: u64,
-    /// Operation label of the first arriver, for mismatch detection.
-    op: Option<&'static str>,
+    /// What the generation's first arriver entered: the operation every
+    /// later arriver must enter too.
+    op: Option<CollOp>,
     /// The completed generation's record, left by its last arriver until
     /// each of the `takers` members that waited for it has picked up its
     /// own handle. One place is enough: the next generation cannot
@@ -88,15 +101,17 @@ struct RvState {
 /// The rendezvous object of one communicator.
 pub struct Rendezvous {
     state: Mutex<RvState>,
+    /// The communicator this rendezvous belongs to (named in diagnostics).
+    comm: CommId,
     /// World ranks of the participants, indexed by local rank — who the
     /// scheduler must wake when the collective completes.
     members: Arc<Vec<usize>>,
 }
 
 impl Rendezvous {
-    /// A rendezvous whose participants are the given world ranks (indexed
-    /// by local rank).
-    pub fn new(members: Arc<Vec<usize>>) -> Self {
+    /// The rendezvous of communicator `comm`, whose participants are the
+    /// given world ranks (indexed by local rank).
+    pub fn new(comm: CommId, members: Arc<Vec<usize>>) -> Self {
         let p = members.len();
         Rendezvous {
             state: Mutex::new(RvState {
@@ -109,6 +124,7 @@ impl Rendezvous {
                 completed: None,
                 takers: 0,
             }),
+            comm,
             members,
         }
     }
@@ -118,12 +134,26 @@ impl Rendezvous {
         self.members.len()
     }
 
+    /// Abort the world: local rank `local` entered `entered` in generation
+    /// `gen`, whose first arriver had entered `agreed`.
+    #[cold]
+    #[inline(never)]
+    fn diverged(&self, local: usize, gen: u64, agreed: CollOp, entered: CollOp) -> ! {
+        let rank = self.members[local];
+        diag::abort_with(vec![diag::collective_divergence(
+            self.comm, rank, gen, agreed, entered,
+        )])
+    }
+
     /// Execute one collective phase for local rank `local`.
     ///
-    /// `op` is a static label used to detect mismatched collectives (one
-    /// rank in a barrier while another is in a bcast), which panics as it
-    /// would abort a real MPI program. `compute_exit` runs exactly once per
-    /// generation, on the last arriving rank.
+    /// `op` and `root` (the root's local rank, for a rooted collective)
+    /// are what the members must agree on: an arriver that differs from
+    /// the generation's first — one rank in a barrier while another is in
+    /// a bcast, two bcasts with different roots — aborts the world with a
+    /// `CollectiveDivergence` diagnostic, as it would abort a real MPI
+    /// program. `compute_exit` runs exactly once per generation, on the
+    /// last arriving rank.
     ///
     /// Returns the caller's own handle on the generation's [`Done`] record.
     #[allow(clippy::too_many_arguments)]
@@ -131,6 +161,7 @@ impl Rendezvous {
         &self,
         local: usize,
         op: &'static str,
+        root: Option<usize>,
         entry: VTime,
         bytes: u64,
         slot: Slot,
@@ -144,14 +175,12 @@ impl Rendezvous {
         assert!(local < p, "mpisim: local rank {local} out of range");
         let mut st = self.state.lock();
         poison.check();
-        match st.op {
-            None => st.op = Some(op),
-            Some(prev) => assert_eq!(
-                prev, op,
-                "mpisim: collective mismatch on communicator (ranks disagree: {prev} vs {op})"
-            ),
-        }
         let gen = st.gen;
+        match st.op {
+            None => st.op = Some((op, root)),
+            Some(agreed) if agreed == (op, root) => {}
+            Some(agreed) => self.diverged(local, gen, agreed, (op, root)),
+        }
         st.entries[local] = entry;
         assert!(
             st.slots[local].is_none() || slot.is_none(),
@@ -211,7 +240,13 @@ impl Rendezvous {
                 // re-queues it. Release the state lock first — peers take
                 // it while this rank sleeps.
                 drop(st);
-                crate::des::with_active(|s| s.block_current());
+                crate::des::with_active(|s| {
+                    s.block_current(|| Wait::Collective {
+                        op,
+                        comm: self.comm,
+                        members: self.members.clone(),
+                    });
+                });
                 st = self.state.lock();
             }
         }
@@ -232,7 +267,7 @@ mod tests {
         body: impl Fn(&Rendezvous, usize, &Poison) -> R + Send + Sync,
     ) -> [Result<Vec<R>, RunError>; 2] {
         [Engine::Des, Engine::Threads].map(|engine| {
-            let rv = Rendezvous::new(Arc::new((0..p).collect()));
+            let rv = Rendezvous::new(CommId::WORLD, Arc::new((0..p).collect()));
             let report = WorldBuilder::new(p)
                 .engine(engine)
                 .run(|proc| body(&rv, proc.world_rank(), &proc.mailboxes.poison))?;
@@ -248,6 +283,7 @@ mod tests {
             rv.arrive(
                 local,
                 "barrier",
+                None,
                 VTime::from_nanos(entries[local]),
                 0,
                 None,
@@ -289,6 +325,7 @@ mod tests {
                 let done = rv.arrive(
                     local,
                     "barrier",
+                    None,
                     VTime::from_nanos(round),
                     0,
                     None,
@@ -319,6 +356,7 @@ mod tests {
                 let done = rv.arrive(
                     local,
                     "exchange",
+                    None,
                     VTime::from_nanos(round as u64),
                     0,
                     Some(Box::new((round, local))),
@@ -350,6 +388,7 @@ mod tests {
             let done = rv.arrive(
                 local,
                 "barrier",
+                None,
                 VTime::ZERO,
                 0,
                 None,
@@ -372,6 +411,7 @@ mod tests {
             let done = rv.arrive(
                 local,
                 "gather",
+                None,
                 VTime::ZERO,
                 4,
                 slot,
@@ -390,22 +430,48 @@ mod tests {
         assert_eq!(worlds, [Ok(vec![10, 0]), Ok(vec![10, 0])]);
     }
 
+    /// Whichever rank arrives second observes the mismatch and aborts with
+    /// the diagnostic; the harness then poisons the world, so the first
+    /// arriver, asleep in the rendezvous, is woken and unwinds too. Which
+    /// of the two defines position 1 is the engine's choice: the last
+    /// arriver of generation 0 runs on into generation 1, and that is
+    /// rank 1 where equal clocks run ascending, rank 0 where descending.
     #[test]
     fn mismatched_ops_panic() {
-        // Whichever rank arrives second observes the mismatch and panics;
-        // the harness then poisons the world, so the first arriver, asleep
-        // in the rendezvous, is woken and unwinds too.
+        const OPS: [CollOp; 2] = [("barrier", None), ("bcast", Some(0))];
         let worlds = on_each_engine(2, |rv, local, poison| {
-            let op = ["barrier", "bcast"][local];
-            rv.arrive(local, op, VTime::ZERO, 0, None, |v| v.max_entry(), poison);
+            let (op, root) = OPS[local];
+            let max = |v: &RvView<'_>| v.max_entry();
+            rv.arrive(local, "barrier", None, VTime::ZERO, 0, None, max, poison);
+            rv.arrive(local, op, root, VTime::ZERO, 0, None, max, poison);
         });
-        for failed in worlds {
-            match failed {
-                Err(RunError::RankPanicked { message, .. }) => {
-                    assert!(message.contains("collective mismatch"), "{message}");
-                }
-                other => panic!("mismatch must be detected, got {other:?}"),
+        for (failed, first) in worlds.into_iter().zip([1, 0]) {
+            let Err(RunError::Diagnosed(diags)) = failed else {
+                panic!("mismatch must be diagnosed, got {failed:?}");
+            };
+            let second = 1 - first;
+            let expect =
+                diag::collective_divergence(CommId::WORLD, second, 1, OPS[first], OPS[second]);
+            assert_eq!(diags, [expect]);
+        }
+    }
+
+    #[test]
+    fn divergence_records_position_and_ops() {
+        let d = diag::collective_divergence(CommId(3), 1, 0, ("barrier", None), ("bcast", Some(0)));
+        assert_eq!((d.ranks.as_slice(), d.comm), (&[1][..], Some(CommId(3))));
+        assert!(d.message.contains("rank 1 performed bcast(root=0)"), "{d}");
+        match &d.kind {
+            diag::DiagnosticKind::CollectiveDivergence {
+                position,
+                expected,
+                observed,
+            } => {
+                assert_eq!(*position, 0);
+                assert_eq!(expected, "barrier");
+                assert_eq!(observed, "bcast(root=0)");
             }
+            other => panic!("expected divergence, got {other:?}"),
         }
     }
 }

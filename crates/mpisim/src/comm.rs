@@ -67,7 +67,7 @@ impl Registry {
         let world_ranks = Arc::new(world_ranks);
         Arc::new(CommShared {
             id,
-            rendezvous: Rendezvous::new(world_ranks.clone()),
+            rendezvous: Rendezvous::new(id, world_ranks.clone()),
             world_ranks,
             spans_nodes,
         })
@@ -240,8 +240,8 @@ impl Comm {
             seq: p.next_seq(),
             payload,
         };
-        // Raised before the deposit becomes visible: an analyzer's
-        // in-flight set then always covers what receivers can match.
+        // Raised before the deposit becomes visible: no tool sees a
+        // message matched before it saw it sent.
         if p.wants(EventKind::SendEnqueued) {
             p.raise(MpiEvent::SendEnqueued {
                 comm: self.id(),
@@ -275,13 +275,14 @@ impl Comm {
             });
         }
         // Candidate observation is only paid for when a tool subscribed
-        // to RecvMatched (it is what a race analyzer joins on).
+        // to RecvMatched, and then only by a wildcard receive (it is what
+        // a race analyzer joins on).
         let observing = p.wants(EventKind::RecvMatched);
         let (envelope, candidates) = crate::des::with_active(|s| {
             s.recv_match(
                 p.world_rank,
                 p.now,
-                self.id(),
+                &self.shared,
                 src,
                 tag,
                 observing,
@@ -447,8 +448,9 @@ impl Comm {
 
     /// Synchronize at the rendezvous; returns the generation record with
     /// the rank's clock already advanced to the common exit time. `root` is
-    /// the root's local rank for rooted collectives (tool-visible only —
-    /// timing does not depend on it).
+    /// the root's local rank for rooted collectives: the members must agree
+    /// on it as on `op` (the rendezvous checks), timing does not depend on
+    /// it.
     fn sync<F>(
         &self,
         p: &mut Proc,
@@ -465,8 +467,8 @@ impl Comm {
         let seed = p.seed;
         let cid = self.shared.id;
         let psize = self.size();
-        // Raised before `arrive`: an analyzer sees the rank as (possibly)
-        // blocked in the collective before the rendezvous can park it.
+        // Raised before `arrive`: a tool sees the rank enter the collective
+        // before the rendezvous can park it.
         if p.wants(EventKind::CollectiveEnter) {
             p.raise(MpiEvent::CollectiveEnter {
                 op,
@@ -481,6 +483,7 @@ impl Comm {
         let done = self.shared.rendezvous.arrive(
             self.local_rank,
             op,
+            root,
             p.now,
             my_bytes,
             slot,

@@ -27,10 +27,21 @@
 //!
 //! When the ready queue is empty, no pollers remain, and live ranks are
 //! still blocked, the world is provably deadlocked (no message can ever
-//! arrive); the scheduler poisons it so every blocked rank unwinds, and
-//! the harness reports the deadlock instead of hanging.
+//! arrive). This is the world's one deadlock detector, and it costs a
+//! running world nothing: no wait is recorded when a rank blocks. Only
+//! once the proof is in hand does the scheduler poison the world and
+//! revive the blocked ranks, and each of them, back in the frame it was
+//! suspended in, says what it was waiting for ([`Wait`]) before it
+//! unwinds; the harness assembles the reports into the deadlock
+//! diagnostic (`crate::diag::deadlock`). What this gives up against
+//! watching every block: a knot among *some* ranks is reported when the
+//! rest of the world has drained, not the instant it closes — virtual-time
+//! programs terminate, so only host time differs — and a world whose only
+//! runnable ranks poll forever is a livelock nobody proves.
 #![allow(unsafe_code)]
 
+use crate::comm::CommShared;
+use crate::diag::Wait;
 use crate::event::CommId;
 use crate::mailbox::{take_from_queue, Poison};
 use crate::message::{Envelope, Src, TagSel};
@@ -76,7 +87,10 @@ pub(crate) struct Scheduler {
     /// Per-rank incoming-message queues: the world's mailboxes.
     queues: RefCell<Vec<Vec<Envelope>>>,
     current: Cell<usize>,
+    /// Set by [`Scheduler::drive`] when it proves the world deadlocked.
     deadlocked: Cell<bool>,
+    /// What each rank revived after that proof was waiting for.
+    stuck: RefCell<Vec<(usize, Wait)>>,
 }
 
 impl Scheduler {
@@ -99,6 +113,7 @@ impl Scheduler {
             queues: RefCell::new((0..nranks).map(|_| Vec::new()).collect()),
             current: Cell::new(usize::MAX),
             deadlocked: Cell::new(false),
+            stuck: RefCell::new(Vec::new()),
         };
         // Parked, then woken: `wake` is the one place that makes a heap key.
         scheduler.wake_all();
@@ -125,7 +140,7 @@ impl Scheduler {
         &self,
         rank: usize,
         now: VTime,
-        comm: CommId,
+        comm: &CommShared,
         src: Src,
         tag: TagSel,
         observe: bool,
@@ -140,7 +155,7 @@ impl Scheduler {
             let hit = take_from_queue(
                 &mut self.queues.borrow_mut()[rank],
                 rank,
-                comm,
+                comm.id,
                 src,
                 tag,
                 observe,
@@ -149,7 +164,14 @@ impl Scheduler {
             if let Some(hit) = hit {
                 return hit;
             }
-            self.block_current();
+            self.block_current(|| Wait::Recv {
+                comm: comm.id,
+                src_world: match src {
+                    Src::Rank(local) => Some(comm.world_ranks[local]),
+                    Src::Any => None,
+                },
+                tag,
+            });
         }
     }
 
@@ -160,10 +182,11 @@ impl Scheduler {
             .any(|e| e.matches(comm, src, tag))
     }
 
-    /// Did the scheduler poison the world because every live rank was
-    /// blocked with no way to make progress?
-    pub(crate) fn deadlocked(&self) -> bool {
-        self.deadlocked.get()
+    /// The ranks that were blocked when the world was proved deadlocked,
+    /// each with the wait it reported (empty: no deadlock), in the order
+    /// the engine revived them.
+    pub(crate) fn take_stuck(&self) -> Vec<(usize, Wait)> {
+        self.stuck.take()
     }
 
     /// Record `rank`'s virtual clock ahead of a potentially blocking
@@ -173,10 +196,25 @@ impl Scheduler {
         self.slots.borrow_mut()[rank].clock = clock;
     }
 
-    /// Suspend the current rank until a peer wakes it.
-    pub(crate) fn block_current(&self) {
+    /// Suspend the current rank until a peer wakes it. Nothing about the
+    /// wait is written down on the way in: `wait` is called only if the
+    /// rank comes back because the world was proved deadlocked, to say from
+    /// the suspended frame what it was waiting for. The caller then finds
+    /// the world poisoned and unwinds.
+    pub(crate) fn block_current(&self, wait: impl FnOnce() -> Wait) {
         self.slots.borrow_mut()[self.current.get()].state = RankState::Blocked;
         crate::fiber::suspend_current();
+        if self.deadlocked.get() {
+            self.report_stuck(wait);
+        }
+    }
+
+    /// Off the blocking path: this runs once per stuck rank of a world
+    /// that is going down.
+    #[cold]
+    #[inline(never)]
+    fn report_stuck(&self, wait: impl FnOnce() -> Wait) {
+        self.stuck.borrow_mut().push((self.current.get(), wait()));
     }
 
     /// Suspend the current rank after a missed probe; it is revived by
@@ -205,7 +243,7 @@ impl Scheduler {
 
     /// Drive every fiber to completion. `poison_world` is invoked once if
     /// a deadlock is detected, before the blocked ranks are revived to
-    /// unwind.
+    /// report their waits and unwind.
     pub(crate) fn drive(&self, fibers: &mut [crate::fiber::Fiber<'_>], poison_world: &dyn Fn()) {
         let nranks = fibers.len();
         let mut ndone = 0usize;
@@ -331,6 +369,15 @@ mod tests {
     use crate::fiber::{Fiber, StackPool, Switch};
     use std::sync::{Arc, Mutex};
 
+    /// The wait a bare scheduler test blocks with.
+    fn any_message() -> Wait {
+        Wait::Recv {
+            comm: CommId::WORLD,
+            src_world: None,
+            tag: TagSel::Any,
+        }
+    }
+
     /// Drive one fiber per `body` on each backing, ties broken both ways,
     /// and hand back each run's scheduler with the order its ranks logged.
     fn drive_each_way<B>(
@@ -361,7 +408,9 @@ mod tests {
                 drop(fibers);
                 drop(guard);
                 let log = std::mem::take(&mut *log.lock().unwrap());
-                assert_eq!(sched.deadlocked(), log.iter().any(|l| l == "poisoned"));
+                // Waits are reported after a proved deadlock and only then.
+                let poisoned = log.iter().any(|l| l == "poisoned");
+                assert_eq!(!sched.take_stuck().is_empty(), poisoned);
                 runs.push((reverse_ties, log));
             }
         }
@@ -428,7 +477,7 @@ mod tests {
                 log0.lock().unwrap().push("r0 blocks".into());
                 with_active(|s| {
                     s.note_clock(0, VTime(10));
-                    s.block_current();
+                    s.block_current(any_message);
                 });
                 log0.lock().unwrap().push("r0 resumed".into());
             };
@@ -463,7 +512,7 @@ mod tests {
                     move || {
                         with_active(|s| {
                             s.note_clock(rank, VTime::ZERO);
-                            s.block_current();
+                            s.block_current(any_message);
                         });
                         // Revived by the deadlock path: the world is poisoned.
                         assert_eq!(log.lock().unwrap()[0], "poisoned", "woken without poison");

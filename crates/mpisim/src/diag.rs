@@ -1,20 +1,33 @@
-//! Structured diagnostics: what correctness tools report instead of panics.
+//! Structured diagnostics: what the engine and its tools report instead
+//! of panics.
 //!
 //! The runtime's historical error handling mirrors `MPI_ERRORS_ARE_FATAL`:
 //! misuse panics a rank and the harness surfaces an opaque
-//! [`RunError::RankPanicked`]. Analysis tools (the `mpicheck` crate, the
-//! section runtime's verifier) want to say *what* went wrong — which ranks,
-//! on which communicator, holding which wait-for cycle — so they build a
-//! [`Diagnostic`] and abort the world through [`abort_with`]. The launch
-//! harness recovers the diagnostics on the unwinding rank's thread and
-//! returns [`RunError::Diagnosed`] instead of a bare panic message.
+//! [`RunError::RankPanicked`]. Whoever can say *what* went wrong — which
+//! ranks, on which communicator, blocked on what — builds a [`Diagnostic`]
+//! instead, and the run comes back as [`RunError::Diagnosed`]. Each hazard
+//! is diagnosed in the one place that can prove it:
+//!
+//! * a **deadlock** by the scheduler (`crate::des`), which sees the ready
+//!   heap drain with live ranks left; every stuck rank then describes its
+//!   own [`Wait`] and the harness assembles them with [`deadlock`];
+//! * a **divergent collective** by the communicator's rendezvous
+//!   (`crate::collective`), whose generation *is* the communicator's agreed
+//!   sequence ([`collective_divergence`]);
+//! * **section misuse** by the section runtime and a **message race**
+//!   (a judgement, not a proof) by the `mpicheck` tool.
+//!
+//! Code running on a rank aborts the world through [`abort_with`]; the
+//! launch harness recovers the diagnostics on the unwinding rank's thread.
 //!
 //! [`RunError::RankPanicked`]: crate::RunError::RankPanicked
 //! [`RunError::Diagnosed`]: crate::RunError::Diagnosed
 
 use crate::event::CommId;
+use crate::message::TagSel;
 use std::cell::RefCell;
 use std::fmt;
+use std::sync::Arc;
 
 /// How serious a diagnostic is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -64,10 +77,9 @@ impl fmt::Display for BlockedSite {
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum DiagnosticKind {
-    /// A wait-for cycle: no rank in `cycle` can make progress.
+    /// A wait-for knot: no rank in `cycle` can make progress.
     Deadlock {
-        /// The blocked call sites, in cycle order: each entry waits on the
-        /// next (the last waits on the first).
+        /// The blocked call site of every stuck rank, in rank order.
         cycle: Vec<BlockedSite>,
     },
     /// Ranks of one communicator disagree on the sequence of collectives.
@@ -280,6 +292,156 @@ pub fn report(diags: &[Diagnostic]) -> String {
 pub fn report_json(diags: &[Diagnostic]) -> String {
     let items: Vec<String> = diags.iter().map(Diagnostic::to_json).collect();
     format!("[{}]", items.join(","))
+}
+
+// ----------------------------------------------------------------------
+// What the engine itself diagnoses
+// ----------------------------------------------------------------------
+
+/// What a suspended rank is waiting for, said by the rank itself from the
+/// frame it was suspended in — and only once the scheduler has proved that
+/// nothing can satisfy it (see `Scheduler::block_current`).
+pub(crate) enum Wait {
+    /// A blocking receive with no matching message queued.
+    Recv {
+        comm: CommId,
+        /// The named source's world rank; `None` for a wildcard receive.
+        src_world: Option<usize>,
+        tag: TagSel,
+    },
+    /// A collective some member has not entered.
+    Collective {
+        op: &'static str,
+        comm: CommId,
+        /// World ranks of the communicator's members.
+        members: Arc<Vec<usize>>,
+    },
+}
+
+/// The deadlock report over the ranks that were still blocked when the
+/// world ran dry, each with its own [`Wait`]. A rank nobody reported for
+/// had finished — the scheduler declares a deadlock only once every live
+/// rank is blocked. `context(rank)` is what the attached tools know about
+/// where the rank was (its open sections); it is appended to the rank's
+/// site. Sites are listed in rank order, whichever order the engine
+/// revived the ranks in.
+pub(crate) fn deadlock(
+    mut stuck: Vec<(usize, Wait)>,
+    context: impl Fn(usize) -> Vec<String>,
+) -> Diagnostic {
+    stuck.sort_unstable_by_key(|(rank, _)| *rank);
+    let ranks: Vec<usize> = stuck.iter().map(|(rank, _)| *rank).collect();
+    let waits_in_collective_on = |rank: usize, on: CommId| {
+        ranks
+            .binary_search(&rank)
+            .is_ok_and(|at| matches!(&stuck[at].1, Wait::Collective { comm, .. } if *comm == on))
+    };
+    // The members a collective is missing, worked out once per communicator.
+    let mut missing_on: Vec<(CommId, String)> = Vec::new();
+    let mut cycle = Vec::with_capacity(stuck.len());
+    for (rank, wait) in &stuck {
+        let (call, mut waiting_for) = match wait {
+            Wait::Recv {
+                comm,
+                src_world,
+                tag,
+            } => {
+                let from = match src_world {
+                    Some(src) if ranks.binary_search(src).is_err() => {
+                        format!("a message from rank {src} (already finalized)")
+                    }
+                    Some(src) => format!("a message from rank {src}"),
+                    None => "a message from any source".to_string(),
+                };
+                let tag = match tag {
+                    TagSel::Is(t) => format!(" with tag {t}"),
+                    TagSel::Any => String::new(),
+                };
+                (
+                    "MPI_Recv",
+                    format!("{from}{tag} on communicator {}", comm.0),
+                )
+            }
+            Wait::Collective { op, comm, members } => {
+                if !missing_on.iter().any(|(c, _)| c == comm) {
+                    let absent = |member: &usize| !waits_in_collective_on(*member, *comm);
+                    let missing: Vec<usize> = members.iter().copied().filter(absent).collect();
+                    missing_on.push((*comm, listed(&missing)));
+                }
+                let missing = &missing_on.iter().find(|(c, _)| c == comm).expect("memo").1;
+                (
+                    *op,
+                    format!(
+                        "{missing} to enter the collective on communicator {}",
+                        comm.0
+                    ),
+                )
+            }
+        };
+        let context = context(*rank);
+        if !context.is_empty() {
+            waiting_for = format!("{waiting_for} [{}]", context.join("; "));
+        }
+        cycle.push(BlockedSite {
+            rank: *rank,
+            call: call.to_string(),
+            waiting_for,
+        });
+    }
+    Diagnostic {
+        message: format!(
+            "deadlock: {} cannot make progress (wait-for cycle)",
+            listed(&ranks)
+        ),
+        kind: DiagnosticKind::Deadlock { cycle },
+        severity: Severity::Error,
+        ranks,
+        comm: None,
+    }
+}
+
+/// `rank 3`, or `ranks 0, 2, 4`.
+fn listed(ranks: &[usize]) -> String {
+    let numbers: Vec<String> = ranks.iter().map(ToString::to_string).collect();
+    let plural = if ranks.len() == 1 { "" } else { "s" };
+    format!("rank{plural} {}", numbers.join(", "))
+}
+
+/// A collective operation as ranks must agree on it: label and root.
+pub(crate) type CollOp = (&'static str, Option<usize>);
+
+fn describe((op, root): CollOp) -> String {
+    match root {
+        Some(root) => format!("{op}(root={root})"),
+        None => op.to_string(),
+    }
+}
+
+/// World rank `rank` entered `observed` as collective number `position` of
+/// `comm`, where the first member to get there had entered `expected`.
+pub(crate) fn collective_divergence(
+    comm: CommId,
+    rank: usize,
+    position: u64,
+    expected: CollOp,
+    observed: CollOp,
+) -> Diagnostic {
+    let (expected, observed) = (describe(expected), describe(observed));
+    Diagnostic {
+        message: format!(
+            "collective divergence on communicator {}: rank {rank} performed {observed} \
+             but the communicator's sequence has {expected} at position {position}",
+            comm.0
+        ),
+        kind: DiagnosticKind::CollectiveDivergence {
+            position: position as usize,
+            expected,
+            observed,
+        },
+        severity: Severity::Error,
+        ranks: vec![rank],
+        comm: Some(comm),
+    }
 }
 
 // ----------------------------------------------------------------------

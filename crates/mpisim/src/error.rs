@@ -6,10 +6,12 @@
 //! poisons the world so blocked peers unwind instead of deadlocking, and
 //! surfaces the first failure as a [`RunError`].
 //!
-//! Correctness tools report through a richer channel: they abort with
-//! structured [`Diagnostic`]s (see [`crate::diag`]) and the harness returns
-//! [`RunError::Diagnosed`] carrying the full findings instead of an opaque
-//! panic string.
+//! What can be said precisely goes through a richer channel (see
+//! [`crate::diag`]): the engine's own findings — a deadlock the scheduler
+//! proved, a collective the members of a communicator disagree on — and
+//! those of correctness tools are structured [`Diagnostic`]s, and the
+//! harness returns [`RunError::Diagnosed`] carrying them instead of an
+//! opaque panic string.
 
 use crate::diag::{self, Diagnostic};
 use std::fmt;
@@ -22,8 +24,9 @@ pub enum RunError {
     RankPanicked { rank: usize, message: String },
     /// The run was configured with zero ranks.
     NoRanks,
-    /// A correctness tool aborted the run with structured findings
-    /// (deduplicated, in report order).
+    /// The engine (deadlock, divergent collective) or a correctness tool
+    /// failed the run with structured findings (deduplicated, in report
+    /// order).
     Diagnosed(Vec<Diagnostic>),
     /// The world's fiber stacks could not be had — more ranks than
     /// `vm.max_map_count` leaves room to guard, a stack size the address

@@ -194,9 +194,11 @@ pub enum MpiEvent {
         seq: u64,
         /// Logical payload size of the consumed message.
         bytes: u64,
-        /// Every in-flight message that matched the receive selectors at
-        /// the instant of consumption, as `(sender world rank, tag)`. More
-        /// than one distinct sender under `Src::Any` is a message race.
+        /// For a wildcard (`Src::Any`) receive, every in-flight message
+        /// that matched the selectors at the instant of consumption, as
+        /// `(sender world rank, tag)`: more than one distinct sender is a
+        /// message race. Empty for a named source, which non-overtaking
+        /// leaves no choice (and which therefore allocates no list).
         candidates: Vec<(usize, i32)>,
         time: VTime,
     },

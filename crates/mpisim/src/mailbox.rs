@@ -26,10 +26,11 @@ use std::sync::Arc;
 /// [`MatchController`] on wildcard receives.
 ///
 /// This is the single matching site, so a controller observes the same
-/// candidate sets and decision points on every engine. With `observe`,
-/// every queued message matching the selectors is also reported as
-/// `(sender world rank, tag)` — the exact candidate set a race analyzer
-/// joins on.
+/// candidate sets and decision points on every engine. With `observe`, a
+/// wildcard receive also reports every queued message matching the
+/// selectors as `(sender world rank, tag)` — the exact candidate set a
+/// race analyzer joins on. A named source reports none: non-overtaking
+/// leaves it no choice to observe, so it allocates no list.
 ///
 /// The controller is only consulted for [`Src::Any`] receives (named
 /// sources have no choice to make: non-overtaking pins the match), and it
@@ -51,7 +52,7 @@ pub(crate) fn take_from_queue(
     controller: Option<&dyn MatchController>,
 ) -> Option<(Envelope, Vec<(usize, i32)>)> {
     let first = queue.iter().position(|e| e.matches(comm, src, tag))?;
-    let candidates = if observe {
+    let candidates = if observe && src == Src::Any {
         queue
             .iter()
             .filter(|e| e.matches(comm, src, tag))
@@ -202,6 +203,20 @@ mod tests {
         .expect("two match");
         assert_eq!(e.seq, 0, "arrival order wins");
         assert_eq!(candidates, vec![(1, 5), (2, 5)]);
+        // A named source has no choice to report, observed or not.
+        queue.insert(0, envelope(2, 5, 3));
+        let (e, candidates) = take_from_queue(
+            &mut queue,
+            0,
+            CommId::WORLD,
+            Src::Rank(2),
+            TagSel::Is(5),
+            true,
+            None,
+        )
+        .expect("two from rank 2");
+        assert_eq!(e.seq, 3);
+        assert!(candidates.is_empty());
         // Without observation the candidate list stays empty.
         let (e, candidates) = take_from_queue(
             &mut queue,

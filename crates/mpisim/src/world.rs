@@ -20,10 +20,13 @@
 //! Rank panics poison the world so blocked peers unwind instead of
 //! deadlocking, and the first failure is reported as a [`RunError`]. A
 //! genuine communication deadlock (every live rank blocked, nothing in
-//! flight) is detected and reported too, instead of hanging the process.
+//! flight) is proved by the scheduler and comes back as
+//! [`RunError::Diagnosed`] with one `Deadlock` diagnostic naming every
+//! blocked call site — and, through the attached tools' `rank_context`,
+//! the sections each stuck rank had open — instead of hanging the process.
 
 use crate::comm::{CommShared, Registry};
-use crate::diag::{self, Diagnostic};
+use crate::diag::{self, Diagnostic, Wait};
 use crate::error::{RunError, POISONED_MSG};
 use crate::event::MpiEvent;
 use crate::fiber::{Fiber, StackPool, Switch};
@@ -210,7 +213,7 @@ impl WorldBuilder {
             .into_iter()
             .map(|outcome| outcome.expect("every fiber completed"))
             .collect();
-        finish_run(shared, outcomes, scheduler.deadlocked())
+        finish_run(shared, outcomes, scheduler.take_stuck())
     }
 }
 
@@ -284,12 +287,13 @@ where
 }
 
 /// Shared epilogue: split outcomes into results and failures, rank the
-/// failures (structured diagnostics > root-cause panic > poison fallout)
-/// and notify tools of completion.
+/// failures (structured diagnostics > root-cause panic > proved deadlock >
+/// poison fallout) and notify tools of completion. `stuck` is what the
+/// scheduler collected from the ranks it revived out of a deadlock.
 fn finish_run<R>(
     shared: &WorldShared,
     outcomes: Vec<Result<(R, VTime), RankFailure>>,
-    deadlocked: bool,
+    stuck: Vec<(usize, Wait)>,
 ) -> Result<RunReport<R>, RunError> {
     let nranks = outcomes.len();
     let mut results = Vec::with_capacity(nranks);
@@ -315,24 +319,23 @@ fn finish_run<R>(
         }
         // Report the root cause, not the poison-induced unwinds of the
         // peers that were blocked when the world went down.
-        let (rank, message) = failures
-            .iter()
-            .find(|(_, f)| f.message != POISONED_MSG)
-            .map(|(rank, f)| (*rank, f.message.clone()))
-            .unwrap_or_else(|| {
-                let rank = failures[0].0;
-                let message = if deadlocked {
-                    format!(
-                        "deadlock: all {} live ranks blocked with nothing in flight \
-                         (first blocked rank: {rank})",
-                        failures.len()
-                    )
-                } else {
-                    "poisoned (root cause lost)".into()
-                };
-                (rank, message)
+        let root_cause = failures.iter().find(|(_, f)| f.message != POISONED_MSG);
+        if let Some((rank, failure)) = root_cause {
+            return Err(RunError::RankPanicked {
+                rank: *rank,
+                message: failure.message.clone(),
             });
-        return Err(RunError::RankPanicked { rank, message });
+        }
+        if !stuck.is_empty() {
+            // `run_rank` leaves a poisoned rank's context out of its
+            // message; a stuck rank's goes on its site of the report.
+            let context = |rank| shared.tools.rank_context(rank);
+            return Err(RunError::Diagnosed(vec![diag::deadlock(stuck, context)]));
+        }
+        return Err(RunError::RankPanicked {
+            rank: failures[0].0,
+            message: "poisoned (root cause lost)".into(),
+        });
     }
     shared.tools.complete(nranks);
     let makespan = final_times.iter().copied().max().unwrap_or(VTime::ZERO);

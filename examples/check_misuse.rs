@@ -1,13 +1,17 @@
-//! mpicheck in action: run three deliberately broken MPI programs and one
-//! racy-but-live one under the correctness analyzer, and print the
-//! structured diagnostics it produces instead of opaque hangs or panics.
+//! Misuse diagnosed: run three deliberately broken MPI programs and one
+//! racy-but-live one, and print the structured diagnostics they produce
+//! instead of opaque hangs or panics. The engine itself proves the deadlock
+//! and the divergent collective — the same report comes back with and
+//! without the mpicheck analyzer attached — the section runtime reports
+//! the misnesting, and the analyzer adds the one heuristic finding, the
+//! wildcard-receive race.
 //!
 //! ```text
 //! cargo run --release --example check_misuse
 //! ```
 
 use mpicheck::Analyzer;
-use mpisim::{diag, RunError, Src, TagSel, WorldBuilder};
+use mpisim::{diag, Proc, RunError, Src, TagSel, WorldBuilder};
 
 fn show(title: &str, err: &RunError) {
     println!("--- {title} ---");
@@ -18,6 +22,19 @@ fn show(title: &str, err: &RunError) {
         }
         other => println!("unexpected failure: {other}\n"),
     }
+}
+
+/// Run a two-rank `program` once as it is and once under the analyzer:
+/// what the engine proves does not depend on who is watching.
+fn show_both_ways(title: &str, program: fn(&mut Proc)) {
+    let alone = WorldBuilder::new(2).run(program).unwrap_err();
+    let watched = WorldBuilder::new(2)
+        .tool(Analyzer::new())
+        .run(program)
+        .unwrap_err();
+    show(&format!("{title} (no tool attached)"), &alone);
+    show(&format!("{title} (mpicheck attached)"), &watched);
+    assert_eq!(alone, watched, "the analyzer changed the engine's report");
 }
 
 /// The broken programs below abort rank threads via mpisim's sentinel
@@ -43,33 +60,28 @@ fn main() {
 
     // 1. A recv/recv cross-wait: both ranks receive before sending. On a
     //    real MPI this hangs until the batch scheduler kills the job;
-    //    here the analyzer names the wait-for cycle.
-    let err = WorldBuilder::new(2)
-        .tool(Analyzer::new())
-        .run(|p| {
-            let world = p.world();
-            let peer = 1 - p.world_rank();
-            let _ = world.recv::<u32>(p, Src::Rank(peer), TagSel::Is(0));
-            world.send(p, peer, 0, &[1u32]);
-        })
-        .unwrap_err();
-    show("deadlock: recv/recv cross-wait", &err);
+    //    here the scheduler sees the world run dry and every blocked rank
+    //    names its own call site.
+    let cross_wait = |p: &mut Proc| {
+        let world = p.world();
+        let peer = 1 - p.world_rank();
+        let _ = world.recv::<u32>(p, Src::Rank(peer), TagSel::Is(0));
+        world.send(p, peer, 0, &[1u32]);
+    };
+    show_both_ways("deadlock: recv/recv cross-wait", cross_wait);
 
     // 2. Collective divergence: rank 0 enters a barrier while rank 1
-    //    enters an allreduce. The analyzer reports the first position at
-    //    which the per-communicator collective sequences disagree.
-    let err = WorldBuilder::new(2)
-        .tool(Analyzer::new())
-        .run(|p| {
-            let world = p.world();
-            if p.world_rank() == 0 {
-                world.barrier(p);
-            } else {
-                let _ = world.allreduce_sum_f64(p, 1.0);
-            }
-        })
-        .unwrap_err();
-    show("collective divergence: barrier vs allreduce", &err);
+    //    enters an allreduce. The communicator's rendezvous reports the
+    //    first position at which its members disagree.
+    let divergence = |p: &mut Proc| {
+        let world = p.world();
+        if p.world_rank() == 0 {
+            world.barrier(p);
+        } else {
+            let _ = world.allreduce_sum_f64(p, 1.0);
+        }
+    };
+    show_both_ways("collective divergence: barrier vs allreduce", divergence);
 
     // 3. Section misuse: exiting sections out of order ("imperfect
     //    nesting" in the paper's terms) is reported with the offending

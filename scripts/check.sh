@@ -14,10 +14,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> MPISIM_ENGINE=threads cargo test -q -p mpisim -p mpi-sections -p bench"
+echo "==> MPISIM_ENGINE=threads cargo test -q -p mpisim -p mpi-sections -p bench -p mpicheck"
 # Thread-backed fibers with reversed clock ties: the code path a
 # non-x86-64 host runs under either engine name, over the whole suite.
-MPISIM_ENGINE=threads cargo test -q -p mpisim -p mpi-sections -p bench
+MPISIM_ENGINE=threads cargo test -q -p mpisim -p mpi-sections -p bench -p mpicheck
 
 echo "==> only fiber.rs knows the target architecture"
 if grep -rn 'cfg(target_arch' crates/mpisim/src | grep -v '^crates/mpisim/src/fiber.rs:'; then
@@ -53,6 +53,18 @@ if grep -rn 'finish_read\|remaining_readers' crates/mpisim/src; then
 fi
 if grep -n 'fn value_dom' crates/mpisim/src/jsoncheck.rs; then
     echo "crates/mpisim/src/jsoncheck.rs: a second walker of the JSON grammar is back"
+    exit 1
+fi
+if grep -rn 'find_deadlock\|completed_rounds\|InFlight' crates/mpicheck/src; then
+    echo "crates/mpicheck/src: a second deadlock detector is back beside the scheduler's proof"
+    exit 1
+fi
+if grep -rn 'collective mismatch' crates/mpisim/src; then
+    echo "crates/mpisim/src: a second collective-order check is back beside the rendezvous diagnostic"
+    exit 1
+fi
+if grep -n 'HashMap' crates/mpicheck/src/lib.rs; then
+    echo "crates/mpicheck/src/lib.rs: hashed per-rank state is back in the race analyzer"
     exit 1
 fi
 
@@ -115,6 +127,14 @@ do
     test "$hostile_status" -eq 2 \
         || { echo "$binary $*: expected exit 2, got $hostile_status"; exit 1; }
 done
+
+echo "==> smoke: --check at the paper's scale, conv --p 456 --steps 100 (time-boxed)"
+# The paper's headline configuration is where verification must stay
+# usable: the flag costs one callback per receive (tens of milliseconds
+# here), and a checker that grows faster than p does not fit the box.
+cargo build -q --release -p bench --bin profile
+timeout 20 ./target/release/profile conv --p 456 --steps 100 --check > /dev/null \
+    || { echo "profile conv --p 456 --steps 100 --check: failed or took more than 20 s"; exit 1; }
 
 echo "==> smoke: examples"
 cargo run -q --release --example quickstart > /dev/null

@@ -17,6 +17,7 @@ use mpi_sections::{CommRecorder, SectionRuntime, VerifyMode};
 use mpisim::Engine;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 struct Counting;
 
@@ -81,17 +82,17 @@ fn ranks_run_here() -> bool {
 
 const P: usize = 8;
 
-/// Allocator calls per rank-step of `program(steps)` at p = 8, by the
+/// Allocator calls per rank-step of `run(steps)` at p = 8, by the
 /// two-point method.
-fn calls_per_rank_step(steps: usize, program: impl Fn(usize) -> Program) -> f64 {
-    let machine = machine::presets::knl();
-    let calls = |steps| {
-        let (run, calls, _) = allocated(|| profiled(program(steps), P, &machine, 1));
-        run.expect("run failed");
-        calls
-    };
+fn calls_per_rank_step(steps: usize, run: impl Fn(usize)) -> f64 {
+    let calls = |steps| allocated(|| run(steps)).1;
     let (once, twice) = (calls(steps), calls(2 * steps));
     (twice as f64 - once as f64) / (P * steps) as f64
+}
+
+/// `program` under the section profiler alone, on the KNL preset.
+fn run_profiled(program: Program) {
+    profiled(program, P, &machine::presets::knl(), 1).expect("run failed");
 }
 
 #[test]
@@ -105,7 +106,9 @@ fn a_lulesh_iteration_allocates_one_object_per_rank() {
     // (four objects whatever p is: the record, the next generation's
     // slots, the fold and its box).
     let per_step = calls_per_rank_step(200, |iters| {
-        Program::Lulesh(lulesh_proxy::LuleshConfig::timing(6, iters, 4))
+        run_profiled(Program::Lulesh(lulesh_proxy::LuleshConfig::timing(
+            6, iters, 4,
+        )));
     });
     let bound = 1.0 + 4.0 / P as f64 + 0.05;
     assert!(
@@ -120,19 +123,30 @@ fn a_conv_step_allocates_nothing_but_amortised_growth() {
         return;
     }
     let per_step = calls_per_rank_step(200, |steps| {
-        Program::Conv(convolution::ConvConfig::paper(steps))
+        run_profiled(Program::Conv(convolution::ConvConfig::paper(steps)));
     });
     assert!(per_step <= 0.05, "{per_step} allocations per rank-step");
 }
 
+/// A conv step under the recorder, which subscribes to `RecvMatched`: 1.76
+/// while every observed receive collected a candidate list (two halo
+/// receives a step, one at either end). A named source has no candidates
+/// to report; what is left is the log's own amortised growth.
 #[test]
-fn freeze_hands_the_log_over() {
-    // The recorder's callbacks may run anywhere; `freeze` runs here.
+fn an_observed_conv_step_allocates_no_candidate_list() {
+    if !ranks_run_here() {
+        return;
+    }
+    let per_step = calls_per_rank_step(200, |steps| drop(record_conv(steps)));
+    assert!(per_step <= 0.05, "{per_step} allocations per rank-step");
+}
+
+/// `steps` of conv on the Nehalem preset under a recorder of its own.
+fn record_conv(steps: usize) -> Arc<CommRecorder> {
     let machine = machine::presets::nehalem_cluster();
-    let sections = SectionRuntime::new(VerifyMode::Off);
     let recorder = CommRecorder::new();
     let launch = Launch {
-        program: Program::Conv(convolution::ConvConfig::paper(100)),
+        program: Program::Conv(convolution::ConvConfig::paper(steps)),
         p: P,
         machine: &machine,
         seed: 1,
@@ -140,8 +154,18 @@ fn freeze_hands_the_log_over() {
         controller: None,
     };
     launch
-        .run(&sections, vec![recorder.clone()])
+        .run(
+            &SectionRuntime::new(VerifyMode::Off),
+            vec![recorder.clone()],
+        )
         .expect("run failed");
+    recorder
+}
+
+#[test]
+fn freeze_hands_the_log_over() {
+    // The recorder's callbacks may run anywhere; `freeze` runs here.
+    let recorder = record_conv(100);
     let (log, _, first_bytes) = allocated(|| recorder.freeze());
     let (again, _, second_bytes) = allocated(|| recorder.freeze());
     let held = log.state_bytes() as u64;
