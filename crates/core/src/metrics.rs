@@ -12,7 +12,9 @@
 //! * section imbalance: `imb = (Tmax - Tmin) - mean(Tsection)`.
 //!
 //! [`InstanceStats`] accumulates these in streaming form (no per-rank
-//! storage), so profiling a 456-rank, 1000-step run stays cheap.
+//! storage), so profiling a 456-rank, 1000-step run stays cheap. A long run
+//! holds one per instance, so it carries only what a report reads: integer
+//! sums and min/max, 128 bytes, folded order-independently.
 
 use machine::VTime;
 
@@ -31,14 +33,10 @@ pub struct InstanceStats {
     pub max_exit: VTime,
     /// Sum of enter timestamps (nanoseconds).
     pub sum_enter_ns: u128,
-    /// Sum of squared enter timestamps (seconds², for entry variance).
-    pub sumsq_enter_s2: f64,
     /// Sum of exit timestamps (nanoseconds).
     pub sum_exit_ns: u128,
     /// Sum of per-rank inclusive durations `Tout - Tin` (nanoseconds).
     pub sum_own_ns: u128,
-    /// Sum of squared inclusive durations (seconds²).
-    pub sumsq_own_s2: f64,
     /// Smallest per-rank inclusive duration.
     pub min_own: VTime,
     /// Largest per-rank inclusive duration.
@@ -56,10 +54,8 @@ impl Default for InstanceStats {
             min_exit: VTime::MAX,
             max_exit: VTime::ZERO,
             sum_enter_ns: 0,
-            sumsq_enter_s2: 0.0,
             sum_exit_ns: 0,
             sum_own_ns: 0,
-            sumsq_own_s2: 0.0,
             min_own: VTime::MAX,
             max_own: VTime::ZERO,
             sum_excl_ns: 0,
@@ -77,12 +73,8 @@ impl InstanceStats {
         self.min_exit = self.min_exit.min(exit);
         self.max_exit = self.max_exit.max(exit);
         self.sum_enter_ns += enter.as_nanos() as u128;
-        let es = enter.as_secs_f64();
-        self.sumsq_enter_s2 += es * es;
         self.sum_exit_ns += exit.as_nanos() as u128;
         self.sum_own_ns += own.as_nanos() as u128;
-        let os = own.as_secs_f64();
-        self.sumsq_own_s2 += os * os;
         self.min_own = self.min_own.min(own);
         self.max_own = self.max_own.max(own);
         self.sum_excl_ns += exclusive.as_nanos() as u128;
@@ -156,26 +148,6 @@ impl InstanceStats {
         let mean_enter = self.sum_enter_ns as f64 / self.count as f64 * 1e-9;
         mean_enter - self.min_enter.as_secs_f64()
     }
-
-    /// Population variance of the entry timestamps, in seconds².
-    pub fn entry_variance_s2(&self) -> f64 {
-        if self.count < 2 {
-            return 0.0;
-        }
-        let n = self.count as f64;
-        let mean = self.sum_enter_ns as f64 / n * 1e-9;
-        (self.sumsq_enter_s2 / n - mean * mean).max(0.0)
-    }
-
-    /// Population variance of per-rank inclusive durations, in seconds².
-    pub fn own_variance_s2(&self) -> f64 {
-        if self.count < 2 {
-            return 0.0;
-        }
-        let n = self.count as f64;
-        let mean = self.sum_own_ns as f64 / n * 1e-9;
-        (self.sumsq_own_s2 / n - mean * mean).max(0.0)
-    }
 }
 
 #[cfg(test)]
@@ -225,8 +197,6 @@ mod tests {
         let inst = fig3_instance();
         // Tin - Tmin: 0, 1, 2 -> mean 1.
         assert!((inst.mean_entry_imbalance_secs() - 1.0).abs() < 1e-9);
-        // Variance of enters {1,2,3}: 2/3.
-        assert!((inst.entry_variance_s2() - 2.0 / 3.0).abs() < 1e-9);
     }
 
     #[test]
@@ -236,7 +206,6 @@ mod tests {
         assert!((inst.total_own_secs() - 9.0).abs() < 1e-9);
         assert_eq!(inst.min_own, t(3.0));
         assert_eq!(inst.max_own, t(3.0));
-        assert!(inst.own_variance_s2() < 1e-12);
     }
 
     #[test]
@@ -256,7 +225,11 @@ mod tests {
         assert_eq!(inst.span(), VTime::ZERO);
         assert_eq!(inst.mean_t_section_secs(), 0.0);
         assert_eq!(inst.imbalance_secs(), 0.0);
-        assert_eq!(inst.entry_variance_s2(), 0.0);
+    }
+
+    #[test]
+    fn one_instance_is_128_bytes() {
+        assert!(size_of::<InstanceStats>() <= 128);
     }
 
     #[test]

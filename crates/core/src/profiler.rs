@@ -6,12 +6,17 @@
 //! statistics. After the run, [`SectionProfiler::snapshot`] yields an
 //! immutable [`Profile`] that the analysis layer (the `speedup` crate) and
 //! the figure harness consume.
+//!
+//! What grows with the run (one [`InstanceStats`] per instance, two
+//! per-rank sums) is held once: `snapshot` shares it with the [`Profile`]
+//! and the next leave takes it back, copying only if the `Profile` lives.
 
 use crate::metrics::InstanceStats;
 use crate::tool::{EnterInfo, LeaveInfo, SectionTool};
 use machine::VTime;
 use mpisim::{CommId, SectionData};
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -24,19 +29,79 @@ pub struct SectionKey {
     pub label: String,
 }
 
+/// What a section accumulates, growing with the run.
+#[derive(Default)]
+struct Series {
+    /// Instances indexed by occurrence.
+    instances: Vec<InstanceStats>,
+    /// Accumulated inclusive and exclusive seconds per communicator rank
+    /// (the §8 load-balance interface needs the per-rank distribution).
+    per_rank_own: Vec<f64>,
+    per_rank_excl: Vec<f64>,
+}
+
+/// Where a section's series is: owned while leaves fold into it, inside
+/// the statistics the last snapshot built from it until the next leave.
+enum Store {
+    Live(Series),
+    Shared(SectionStats),
+}
+
+impl Default for Store {
+    fn default() -> Store {
+        Store::Live(Series::default())
+    }
+}
+
+impl Store {
+    /// The series to fold into. Only the first leave after a snapshot
+    /// finds it shared: it takes the vectors back if every `Profile` made
+    /// from them is gone and copies them otherwise.
+    fn live(&mut self) -> &mut Series {
+        if let Store::Shared(_) = self {
+            if let Store::Shared(stats) = std::mem::take(self) {
+                *self = Store::Live(Series {
+                    instances: Arc::unwrap_or_clone(stats.per_instance),
+                    per_rank_own: Arc::unwrap_or_clone(stats.per_rank_own),
+                    per_rank_excl: Arc::unwrap_or_clone(stats.per_rank_excl),
+                });
+            }
+        }
+        match self {
+            Store::Live(series) => series,
+            Store::Shared(_) => unreachable!("taken back above"),
+        }
+    }
+}
+
 #[derive(Default)]
 struct SectionAgg {
     /// The section's identity — `None` until the first leave lands here.
     meta: Option<(CommId, Arc<str>)>,
-    /// Instances indexed by occurrence.
-    instances: Vec<InstanceStats>,
     /// Largest participant count observed.
     participants: usize,
-    /// Accumulated inclusive seconds per communicator rank (the §8
-    /// load-balance interface needs the per-rank distribution).
-    per_rank_own: Vec<f64>,
-    /// Accumulated exclusive seconds per communicator rank.
-    per_rank_excl: Vec<f64>,
+    store: Store,
+}
+
+impl SectionAgg {
+    /// The section's statistics as a `Profile` holds them: built once per
+    /// idle stretch, the vectors moving behind `Arc`s (no element is
+    /// copied), and from then on the store only points to them.
+    fn stats(&mut self) -> Option<SectionStats> {
+        let (comm, label) = self.meta.as_ref()?;
+        if let Store::Live(series) = &mut self.store {
+            let key = SectionKey {
+                comm: *comm,
+                label: label.to_string(),
+            };
+            let series = std::mem::take(series);
+            self.store = Store::Shared(SectionStats::from_series(key, self.participants, series));
+        }
+        match &self.store {
+            Store::Shared(stats) => Some(stats.clone()),
+            Store::Live(_) => unreachable!("shared above"),
+        }
+    }
 }
 
 /// The profiler tool. Attach to a [`crate::SectionRuntime`], run, then
@@ -67,30 +132,13 @@ impl SectionProfiler {
         self.sections.lock().clear();
     }
 
-    /// Freeze the collected data into an immutable profile.
+    /// Freeze the collected data into an immutable profile, which shares
+    /// the per-instance and per-rank vectors with the profiler (no copy).
     pub fn snapshot(&self) -> Profile {
-        let sections = self.sections.lock();
+        let mut sections = self.sections.lock();
+        let stats = sections.iter_mut().filter_map(SectionAgg::stats);
         Profile {
-            sections: sections
-                .iter()
-                .filter_map(|agg| {
-                    let (comm, label) = agg.meta.as_ref()?;
-                    let key = SectionKey {
-                        comm: *comm,
-                        label: label.to_string(),
-                    };
-                    Some((
-                        key.clone(),
-                        SectionStats::from_instances(
-                            key,
-                            agg.participants,
-                            agg.instances.clone(),
-                            agg.per_rank_own.clone(),
-                            agg.per_rank_excl.clone(),
-                        ),
-                    ))
-                })
-                .collect(),
+            sections: stats.map(|s| (s.key.clone(), s)).collect(),
         }
     }
 }
@@ -115,23 +163,24 @@ impl SectionTool for SectionProfiler {
         if agg.meta.is_none() {
             agg.meta = Some((info.comm, info.label.clone()));
         }
-        let idx = info.occurrence as usize;
-        if agg.instances.len() <= idx {
-            agg.instances.resize_with(idx + 1, InstanceStats::default);
-        }
-        agg.instances[idx].record(info.enter_time, info.time, info.exclusive);
         agg.participants = agg.participants.max(info.comm_size.max(1));
-        if agg.per_rank_own.len() <= info.comm_rank {
-            agg.per_rank_own.resize(info.comm_rank + 1, 0.0);
-            agg.per_rank_excl.resize(info.comm_rank + 1, 0.0);
+        let live = agg.store.live();
+        let idx = info.occurrence as usize;
+        if live.instances.len() <= idx {
+            live.instances.resize_with(idx + 1, InstanceStats::default);
         }
-        agg.per_rank_own[info.comm_rank] += info.duration.as_secs_f64();
-        agg.per_rank_excl[info.comm_rank] += info.exclusive.as_secs_f64();
+        live.instances[idx].record(info.enter_time, info.time, info.exclusive);
+        if live.per_rank_own.len() <= info.comm_rank {
+            live.per_rank_own.resize(info.comm_rank + 1, 0.0);
+            live.per_rank_excl.resize(info.comm_rank + 1, 0.0);
+        }
+        live.per_rank_own[info.comm_rank] += info.duration.as_secs_f64();
+        live.per_rank_excl[info.comm_rank] += info.exclusive.as_secs_f64();
     }
 }
 
 /// Immutable per-run profile: one [`SectionStats`] per (comm, label).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Profile {
     sections: BTreeMap<SectionKey, SectionStats>,
 }
@@ -185,7 +234,7 @@ impl Profile {
             out.push_str(&format!(
                 "{},{},{},{},{:.9},{:.9},{:.9},{:.9},{:.9}\n",
                 s.key.comm.0,
-                s.key.label,
+                csv_field(&s.key.label),
                 s.participants,
                 s.instances,
                 s.total_own_secs,
@@ -199,8 +248,18 @@ impl Profile {
     }
 }
 
+/// A section label as one CSV field (RFC 4180): quoted, with embedded
+/// quotes doubled, only when it holds a comma, a quote or a line break.
+pub(crate) fn csv_field(label: &str) -> Cow<'_, str> {
+    if label.contains([',', '"', '\n', '\r']) {
+        Cow::Owned(format!("\"{}\"", label.replace('"', "\"\"")))
+    } else {
+        Cow::Borrowed(label)
+    }
+}
+
 /// Aggregated statistics of one section across the whole run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SectionStats {
     /// The section's identity.
     pub key: SectionKey,
@@ -222,22 +281,17 @@ pub struct SectionStats {
     /// Mean over instances of the mean entry imbalance, in seconds.
     pub mean_entry_imbalance_secs: f64,
     /// Per-instance statistics, indexed by occurrence.
-    pub per_instance: Vec<InstanceStats>,
+    pub per_instance: Arc<Vec<InstanceStats>>,
     /// Accumulated inclusive seconds per communicator rank (the §8
     /// load-balance distribution).
-    pub per_rank_own: Vec<f64>,
+    pub per_rank_own: Arc<Vec<f64>>,
     /// Accumulated exclusive seconds per communicator rank.
-    pub per_rank_excl: Vec<f64>,
+    pub per_rank_excl: Arc<Vec<f64>>,
 }
 
 impl SectionStats {
-    fn from_instances(
-        key: SectionKey,
-        participants: usize,
-        instances: Vec<InstanceStats>,
-        per_rank_own: Vec<f64>,
-        per_rank_excl: Vec<f64>,
-    ) -> SectionStats {
+    fn from_series(key: SectionKey, participants: usize, series: Series) -> SectionStats {
+        let instances = &series.instances;
         let n = instances.len().max(1) as f64;
         // The declared communicator size can be unavailable on some paths
         // (e.g. the MPI_MAIN exit at Finalize); the number of ranks that
@@ -267,9 +321,9 @@ impl SectionStats {
             total_span_secs,
             mean_imbalance_secs,
             mean_entry_imbalance_secs,
-            per_instance: instances,
-            per_rank_own,
-            per_rank_excl,
+            per_instance: Arc::new(series.instances),
+            per_rank_own: Arc::new(series.per_rank_own),
+            per_rank_excl: Arc::new(series.per_rank_excl),
         }
     }
 
@@ -420,6 +474,45 @@ mod tests {
         assert!(csv.starts_with("comm,label"));
         assert!(csv.contains(",a,2,1,"));
         assert!(csv.contains(",b,2,1,"));
+    }
+
+    /// Split one CSV record into fields (RFC 4180 quoting).
+    fn csv_fields(row: &str) -> Vec<String> {
+        let (mut fields, mut field, mut quoted) = (Vec::new(), String::new(), false);
+        let mut chars = row.chars().peekable();
+        while let Some(c) = chars.next() {
+            match c {
+                '"' if quoted && chars.peek() == Some(&'"') => {
+                    field.push('"');
+                    chars.next();
+                }
+                '"' => quoted = !quoted,
+                ',' if !quoted => fields.push(std::mem::take(&mut field)),
+                c => field.push(c),
+            }
+        }
+        fields.push(field);
+        fields
+    }
+
+    #[test]
+    fn a_label_that_needs_quoting_keeps_the_csv_well_formed() {
+        let hostile = "a,b \"c\"";
+        let profile = profile_of(2, move |p, s| {
+            let world = p.world();
+            s.scoped(p, &world, hostile, |p| p.advance_secs(1.0));
+            s.scoped(p, &world, "plain", |_| {});
+        });
+        let csv = profile.to_csv();
+        let columns = csv_fields(csv.lines().next().unwrap()).len();
+        let rows: Vec<Vec<String>> = csv.lines().skip(1).map(csv_fields).collect();
+        assert!(rows.iter().all(|row| row.len() == columns), "{csv}");
+        let labels: Vec<&str> = rows.iter().map(|row| row[1].as_str()).collect();
+        assert_eq!(labels, [MPI_MAIN, hostile, "plain"]);
+        // Only the label that needs it is quoted.
+        assert!(csv.contains("0,\"a,b \"\"c\"\"\",2,1,"), "{csv}");
+        assert!(csv.contains("0,plain,2,1,"), "{csv}");
+        assert_eq!(csv_field("line\nbreak"), "\"line\nbreak\"");
     }
 
     #[test]

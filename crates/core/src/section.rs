@@ -15,9 +15,11 @@
 //! * **Collective consistency** ([`VerifyMode::Active`], the default):
 //!   every rank of a communicator must traverse the same sequence of
 //!   section enters/exits. The check shares a per-communicator event log
-//!   — no time synchronization is introduced, only detection. This is the
+//!   — no time synchronization is introduced, only detection. The log is
+//!   one `u32` per agreed event (`section id << 1 | is_enter`); labels come
+//!   back from the label table only to word a diagnostic. This is the
 //!   paper's "selectively enabled" switch: pass [`VerifyMode::Off`] for
-//!   production-scale sweeps, where the shared log's growth is measurable.
+//!   production-scale sweeps, where the log's 4 bytes per event matter.
 //!
 //! A world runs one rank at a time, so all of this lives behind one lock
 //! that is never contended within a world: a rank's enter or exit takes it
@@ -43,7 +45,7 @@ pub const MPI_MAIN: &str = "MPI_MAIN";
 pub enum VerifyMode {
     /// No cross-rank checking (production profile, zero shared state).
     /// Use this for large sweeps: verification funnels every enter/exit
-    /// through one shared log.
+    /// through one shared log that grows by 4 bytes per agreed event.
     Off,
     /// Shared-log verification of section order across ranks (default:
     /// misuse should be loud while developing).
@@ -108,9 +110,9 @@ struct State {
     labels: LabelMap,
     /// Section state by world rank.
     ranks: Vec<RankSections>,
-    /// Per communicator, the agreed sequence of section events (grown by
-    /// the first rank to perform each step).
-    verify_log: FastMap<CommId, Vec<VerifyEvent>>,
+    /// Per communicator, the agreed sequence of section events as
+    /// [`verify_word`]s (grown by the first rank to perform each step).
+    verify_log: FastMap<CommId, Vec<u32>>,
 }
 
 /// The rank's slot in the table. `Init` sizes the table to the world; a
@@ -162,10 +164,17 @@ fn open_labels(cs: &CommSections) -> Vec<String> {
 }
 
 /// One record of the shared verification log.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum VerifyEvent {
-    Enter(Arc<str>),
-    Exit(Arc<str>),
+fn verify_word(id: u32, is_enter: bool) -> u32 {
+    id << 1 | is_enter as u32
+}
+
+/// A log word as the order-violation report prints it: `Enter("X")` /
+/// `Exit("X")`, the label looked up by id (cold).
+fn describe_word(labels: &LabelMap, word: u32) -> String {
+    let names_it = |on: &Vec<(CommId, u32)>| on.iter().any(|&(_, id)| id == word >> 1);
+    let label = labels.iter().find(|(_, on)| names_it(on));
+    let direction = if word & 1 == 1 { "Enter" } else { "Exit" };
+    format!("{direction}({:?})", label.map_or("?", |(name, _)| name))
 }
 
 /// Fixed tool-slot capacity (see [`SectionRuntime::attach`]).
@@ -317,8 +326,17 @@ impl SectionRuntime {
             let (label, id) = intern(&mut state.labels, comm.id, label);
             let rank = rank_sections(&mut state.ranks, world_rank);
             let at = comm_index(rank, comm.id);
-            let log = &mut state.verify_log;
-            self.verify_step(log, world_rank, rank, at, true, &label, || label.clone());
+            if self.verify == VerifyMode::Active {
+                let word = verify_word(id, true);
+                verify_step(
+                    &mut state.verify_log,
+                    &state.labels,
+                    world_rank,
+                    rank,
+                    at,
+                    word,
+                );
+            }
             let cs = &mut rank[at];
             cs.events += 1;
             let occurrence = match cs.occurrences.iter_mut().find(|(sec, _)| *sec == id) {
@@ -392,15 +410,24 @@ impl SectionRuntime {
             let state = &mut *self.state.lock();
             let rank = rank_sections(&mut state.ranks, world_rank);
             let at = comm_index(rank, comm.id);
-            // The log shares the frame's label when the exit is the one
-            // perfect nesting allows; a misnested exit allocates its own.
-            let log = &mut state.verify_log;
-            self.verify_step(log, world_rank, rank, at, false, label, || {
-                match rank[at].stack.last() {
-                    Some(frame) if &*frame.label == label => frame.label.clone(),
-                    _ => Arc::from(label),
-                }
-            });
+            if self.verify == VerifyMode::Active {
+                // The frame carries the id when the exit is the one perfect
+                // nesting allows; a misnested exit interns its label (cold:
+                // the rank is about to abort).
+                let id = match rank[at].stack.last() {
+                    Some(frame) if &*frame.label == label => frame.id,
+                    _ => intern(&mut state.labels, comm.id, label).1,
+                };
+                let word = verify_word(id, false);
+                verify_step(
+                    &mut state.verify_log,
+                    &state.labels,
+                    world_rank,
+                    rank,
+                    at,
+                    word,
+                );
+            }
             let cs = &mut rank[at];
             cs.events += 1;
             let Some(frame) = cs.stack.pop() else {
@@ -471,60 +498,44 @@ impl SectionRuntime {
             (frame.data, frame.label)
         }
     }
+}
 
-    /// Check the rank's next section event on communicator `rank[at]`
-    /// against the communicator's log in `logs`, appending it (with the
-    /// label `shared` hands over) when this rank is the first to get there.
-    #[allow(clippy::too_many_arguments)]
-    fn verify_step(
-        &self,
-        logs: &mut FastMap<CommId, Vec<VerifyEvent>>,
-        world_rank: usize,
-        rank: &RankSections,
-        at: usize,
-        is_enter: bool,
-        label: &str,
-        shared: impl FnOnce() -> Arc<str>,
-    ) {
-        if self.verify == VerifyMode::Off {
-            return;
-        }
-        let event = |label| {
-            if is_enter {
-                VerifyEvent::Enter(label)
-            } else {
-                VerifyEvent::Exit(label)
-            }
-        };
-        let cs = &rank[at];
-        let pos = cs.events as usize;
-        let log = logs.entry(cs.comm).or_default();
-        let Some(expected) = log.get(pos) else {
-            assert!(
-                pos == log.len(),
-                "mpi-sections: verification position overran the log"
-            );
-            log.push(event(shared()));
-            return;
-        };
-        let agrees = match expected {
-            VerifyEvent::Enter(l) => is_enter && &**l == label,
-            VerifyEvent::Exit(l) => !is_enter && &**l == label,
-        };
-        if !agrees {
-            let message = format!(
-                "mpi-sections: section order violation on rank {world_rank}: \
-                 expected {expected:?} at step {pos}, got {:?}",
-                event(Arc::from(label))
-            );
-            section_misuse(
-                world_rank,
-                cs.comm,
-                open_labels(cs),
-                rank_events(rank),
-                message,
-            );
-        }
+/// Check the rank's next section event (`word`) on communicator `rank[at]`
+/// against the communicator's log in `logs`, appending it when this rank
+/// is the first to get there.
+fn verify_step(
+    logs: &mut FastMap<CommId, Vec<u32>>,
+    labels: &LabelMap,
+    world_rank: usize,
+    rank: &RankSections,
+    at: usize,
+    word: u32,
+) {
+    let cs = &rank[at];
+    let pos = cs.events as usize;
+    let log = logs.entry(cs.comm).or_default();
+    let Some(&expected) = log.get(pos) else {
+        assert!(
+            pos == log.len(),
+            "mpi-sections: verification position overran the log"
+        );
+        log.push(word);
+        return;
+    };
+    if expected != word {
+        let message = format!(
+            "mpi-sections: section order violation on rank {world_rank}: \
+             expected {} at step {pos}, got {}",
+            describe_word(labels, expected),
+            describe_word(labels, word)
+        );
+        section_misuse(
+            world_rank,
+            cs.comm,
+            open_labels(cs),
+            rank_events(rank),
+            message,
+        );
     }
 }
 
@@ -738,6 +749,57 @@ mod tests {
         });
         let err = result.unwrap_err();
         assert!(err.to_string().contains("section order violation"), "{err}");
+    }
+
+    #[test]
+    fn an_order_violation_names_both_events_by_label() {
+        let sections = SectionRuntime::new(VerifyMode::Active);
+        let s = sections.clone();
+        let err = WorldBuilder::new(2)
+            .engine(mpisim::Engine::Des)
+            .run(move |p| {
+                let world = p.world();
+                s.enter(p, &world, "step");
+                // Rank 0 runs first and logs its exit; rank 1 enters a
+                // label nobody has seen where the log says `Exit("step")`.
+                if p.world_rank() == 0 {
+                    s.exit(p, &world, "step");
+                } else {
+                    s.enter(p, &world, "halo \"north\"");
+                }
+            })
+            .unwrap_err();
+        assert_eq!(
+            err.diagnostics()[0].message,
+            "mpi-sections: section order violation on rank 1: \
+             expected Exit(\"step\") at step 1, got Enter(\"halo \\\"north\\\"\")"
+        );
+    }
+
+    #[test]
+    fn the_agreed_sequence_costs_one_word_per_event() {
+        let events_and_bytes = |steps: usize| {
+            let sections = SectionRuntime::new(VerifyMode::Active);
+            let s = sections.clone();
+            WorldBuilder::new(4)
+                .tool(sections.clone())
+                .run(move |p| {
+                    let world = p.world();
+                    for _ in 0..steps {
+                        s.scoped(p, &world, "outer", |p| {
+                            s.scoped(p, &world, "inner", |_| {});
+                        });
+                    }
+                })
+                .unwrap();
+            let state = sections.state.lock();
+            let log = &state.verify_log[&CommId::WORLD];
+            (log.len(), std::mem::size_of_val(&log[..]))
+        };
+        // MPI_MAIN's pair plus four events a step, whatever the rank count.
+        let (short, long) = (events_and_bytes(10), events_and_bytes(110));
+        assert_eq!((short.0, long.0), (2 + 40, 2 + 440));
+        assert_eq!(long.1 - short.1, 4 * (long.0 - short.0));
     }
 
     #[test]

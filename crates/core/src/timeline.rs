@@ -395,7 +395,7 @@ impl Timeline {
                     i,
                     w.start_ns,
                     w.end_ns,
-                    label,
+                    crate::profiler::csv_field(label),
                     ws.ranks,
                     ws.capacity_ns,
                     ws.time_ns,

@@ -97,10 +97,11 @@ impl TraceTool {
     pub fn to_csv(&self) -> String {
         let mut out = String::from("rank,comm,label,enter_ns,exit_ns,depth,occurrence\n");
         for e in self.spans() {
+            let label = crate::profiler::csv_field(&e.label);
             let _ = writeln!(
                 out,
                 "{},{},{},{},{},{},{}",
-                e.rank, e.comm.0, e.label, e.enter_ns, e.exit_ns, e.depth, e.occurrence
+                e.rank, e.comm.0, label, e.enter_ns, e.exit_ns, e.depth, e.occurrence
             );
         }
         out

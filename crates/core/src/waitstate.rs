@@ -192,31 +192,36 @@ impl RankRecs {
 }
 
 /// When (and how large) a message was sent, and where the sender logged it.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct SendInfo {
     pub(crate) send_ns: u64,
     pub(crate) bytes: u64,
     /// Destination world rank (selects the link a replay must re-price).
     pub(crate) dst_world: u32,
-    /// Index of the `Send` record in the sender's [`RankRecs`].
+    /// Index of the `Send` record in the sender's [`RankRecs`];
+    /// `u32::MAX` marks a slot nobody recorded ([`SendTable`]'s holes).
     pub(crate) rec: u32,
 }
+
+/// `SendInfo::rec` of a slot nobody recorded.
+const NO_SEND: u32 = u32::MAX;
 
 /// Every recorded send, one dense row per sender indexed by the send's
 /// number: a message's `seq` is [`mpisim::message::seq_of`] its sender and
 /// `n`, `n` counts that sender's sends from 0, and the engine raises
 /// `SendEnqueued` before the message can match — so a lookup is two
-/// indexings, a row grows by appending, and a `None` (or a short row) is
-/// a send nobody recorded.
+/// indexings, a row grows by appending, and a [`NO_SEND`] slot (or a
+/// short row) is a send nobody recorded.
 #[derive(Clone, Default)]
 pub(crate) struct SendTable {
-    by_sender: Vec<Vec<Option<SendInfo>>>,
+    by_sender: Vec<Vec<SendInfo>>,
 }
 
 impl SendTable {
     pub(crate) fn get(&self, seq: u64) -> Option<&SendInfo> {
         let (sender, n) = seq_parts(seq);
-        self.by_sender.get(sender)?.get(n as usize)?.as_ref()
+        let slot = self.by_sender.get(sender)?.get(n as usize)?;
+        (slot.rec != NO_SEND).then_some(slot)
     }
 
     pub(crate) fn insert(&mut self, seq: u64, info: SendInfo) {
@@ -226,10 +231,14 @@ impl SendTable {
         }
         let row = &mut self.by_sender[sender];
         match row.get_mut(n as usize) {
-            Some(slot) => *slot = Some(info),
+            Some(slot) => *slot = info,
             None => {
-                row.resize(n as usize, None);
-                row.push(Some(info));
+                let hole = SendInfo {
+                    rec: NO_SEND,
+                    ..SendInfo::default()
+                };
+                row.resize(n as usize, hole);
+                row.push(info);
             }
         }
     }
@@ -316,9 +325,8 @@ impl CommLog {
                 + r.heads.len() * size_of::<Head>()
                 + r.words.len() * size_of::<u64>()
         });
-        let sends = self.run.sends.by_sender.iter().map(|row| {
-            size_of::<Vec<Option<SendInfo>>>() + row.len() * size_of::<Option<SendInfo>>()
-        });
+        let row_bytes = |row: &Vec<SendInfo>| size_of::<Vec<SendInfo>>() + size_of_val(&row[..]);
+        let sends = self.run.sends.by_sender.iter().map(row_bytes);
         let colls = self.run.colls.values().map(|c| {
             size_of::<((CommId, u64), CollRound)>() + c.entries.len() * size_of::<(usize, u64)>()
         });
@@ -528,7 +536,8 @@ impl Tool for CommRecorder {
 
 /// A world rank or a record index as the send table stores it.
 pub(crate) fn index_u32(i: usize) -> u32 {
-    u32::try_from(i).expect("a rank or record index outgrew the send table's u32")
+    let fits = u32::try_from(i).ok().filter(|&i| i != NO_SEND);
+    fits.expect("a rank or record index outgrew the send table's u32")
 }
 
 /// Wait time of one class, in virtual nanoseconds.

@@ -91,7 +91,7 @@ proptest! {
                 continue;
             }
             prop_assert!(st.total_own_secs + 1e-12 >= st.total_excl_secs);
-            for inst in &st.per_instance {
+            for inst in st.per_instance.iter() {
                 prop_assert_eq!(inst.count, 3, "all ranks complete each instance");
                 prop_assert!(inst.t_max() >= inst.t_min());
             }
@@ -142,7 +142,6 @@ proptest! {
         prop_assert!(span + 1e-9 >= mean_section);
         prop_assert!((inst.imbalance_secs() - (span - mean_section)).abs() < 1e-9);
         prop_assert!(inst.mean_entry_imbalance_secs() >= -1e-9);
-        prop_assert!(inst.entry_variance_s2() >= 0.0);
     }
 
     #[test]

@@ -68,6 +68,20 @@ if grep -n 'HashMap' crates/mpicheck/src/lib.rs; then
     exit 1
 fi
 
+echo "==> the section layer holds a long run once, in its smallest exact form"
+if grep -n 'instances\.clone()\|per_rank_own\.clone()' crates/core/src/profiler.rs; then
+    echo "crates/core/src/profiler.rs: snapshot copies what grows with the run instead of sharing it"
+    exit 1
+fi
+if grep -rn 'sumsq_' crates; then
+    echo "crates: a reader-less sum of squares is back in InstanceStats"
+    exit 1
+fi
+if grep -n 'Vec<VerifyEvent>' crates/core/src/section.rs; then
+    echo "crates/core/src/section.rs: the agreed sequence is wider than one word per event again"
+    exit 1
+fi
+
 echo "==> no per-operation allocation on the steady-state path (counted by tests/alloc_steady_state.rs)"
 # The count is the gate (it ran under `cargo test` above); this names the
 # bodies a `Vec` per call used to sit in, so the reason is on the line

@@ -13,8 +13,10 @@
 #![allow(unsafe_code)]
 
 use bench::{profiled, Launch, Program};
-use mpi_sections::{CommRecorder, SectionRuntime, VerifyMode};
-use mpisim::Engine;
+use mpi_sections::{
+    CommRecorder, InstanceStats, Profile, SectionProfiler, SectionRuntime, SectionStats, VerifyMode,
+};
+use mpisim::{Engine, WorldBuilder};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -182,4 +184,106 @@ fn freeze_hands_the_log_over() {
         second_bytes <= first_bytes,
         "second freeze allocated {second_bytes} B, the first {first_bytes} B"
     );
+}
+
+/// Every per-instance and per-rank value a profile points to, copied out.
+fn contents(profile: &Profile) -> Vec<(Vec<InstanceStats>, Vec<f64>, Vec<f64>)> {
+    let copy = |s: &SectionStats| {
+        (
+            s.per_instance.to_vec(),
+            s.per_rank_own.to_vec(),
+            s.per_rank_excl.to_vec(),
+        )
+    };
+    profile.sections().map(copy).collect()
+}
+
+/// Two ranks traverse 20 sections `iters` times under a profiler; with
+/// `interrupt`, rank 0 snapshots half-way and the `Profile` (held through
+/// the rest of the run, or dropped at once) comes back beside the profiler.
+fn profile_twenty_sections(
+    iters: usize,
+    interrupt: Option<bool>,
+) -> (Arc<SectionProfiler>, Option<Profile>) {
+    let sections = SectionRuntime::new(VerifyMode::Active);
+    let profiler = SectionProfiler::new();
+    sections.attach(profiler.clone());
+    let labels: Vec<String> = (0..20).map(|i| format!("section{i:02}")).collect();
+    let midway = Arc::new(std::sync::Mutex::new(None));
+    let (s, tool, taken) = (sections.clone(), profiler.clone(), midway.clone());
+    WorldBuilder::new(2)
+        .tool(sections)
+        .run(move |p| {
+            let world = p.world();
+            for iter in 0..iters {
+                if p.world_rank() == 0 && iter == iters / 2 {
+                    if let Some(hold) = interrupt {
+                        let profile = tool.snapshot();
+                        let seen = contents(&profile);
+                        *taken.lock().unwrap() = Some((seen, hold.then_some(profile)));
+                    }
+                }
+                for (i, label) in labels.iter().enumerate() {
+                    s.scoped(p, &world, label, |p| {
+                        p.advance_secs(1e-3 * (1 + i + p.world_rank()) as f64);
+                    });
+                }
+            }
+        })
+        .expect("run failed");
+    let (seen, held) = midway.lock().unwrap().take().unzip();
+    let held: Option<Profile> = held.flatten();
+    // Later leaves must not have reached what the snapshot returned.
+    assert_eq!(held.as_ref().map(contents), seen.filter(|_| held.is_some()));
+    (profiler, held)
+}
+
+#[test]
+fn snapshot_hands_the_profile_over() {
+    // `snapshot` runs here whatever thread the profiler's callbacks ran on.
+    let snapshot_bytes = |iters| {
+        let (profiler, _) = profile_twenty_sections(iters, None);
+        let (profile, _, bytes) = allocated(|| profiler.snapshot());
+        assert_eq!(
+            profile.get_world("section07").unwrap().instances,
+            iters as u64
+        );
+        (profiler, profile, bytes)
+    };
+    let (_, _, short) = snapshot_bytes(200);
+    let (profiler, profile, long) = snapshot_bytes(2000);
+    // Map nodes, keys and three `Arc` headers per section: nothing that
+    // grows with the instances the profile holds (20 x 2000 x 128 B).
+    assert!(long.abs_diff(short) <= 512, "{short} B vs {long} B");
+    let held: usize = profile
+        .sections()
+        .map(|s| std::mem::size_of_val(&s.per_instance[..]))
+        .sum();
+    assert!(held > 5_000_000 && long * 100 <= held as u64, "{long} B");
+
+    // An idle profiler's next snapshot shares the same storage.
+    let again = profiler.snapshot();
+    for (a, b) in profile.sections().zip(again.sections()) {
+        assert!(Arc::ptr_eq(&a.per_instance, &b.per_instance));
+        assert!(Arc::ptr_eq(&a.per_rank_own, &b.per_rank_own));
+    }
+    assert_eq!(profile, again);
+
+    // `reset` lets go of the storage; the profile it was shared with stays.
+    let before = contents(&profile);
+    profiler.reset();
+    assert_eq!(profiler.snapshot().sections().count(), 0);
+    assert_eq!(contents(&profile), before);
+
+    // A snapshot taken mid-run — held (the next leave copies) or dropped
+    // (the next leave takes the storage back) — changes nothing the run
+    // goes on to record.
+    let uninterrupted = profile_twenty_sections(300, None).0.snapshot();
+    for hold in [true, false] {
+        let (profiler, held) = profile_twenty_sections(300, Some(hold));
+        assert_eq!(held.is_some(), hold);
+        assert_eq!(profiler.snapshot(), uninterrupted);
+        // What was handed out is the earlier state, not a view of the run.
+        assert!(held.is_none_or(|held| held != uninterrupted));
+    }
 }
