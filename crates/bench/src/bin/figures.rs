@@ -12,10 +12,13 @@
 
 use bench::cli::{Cli, Flag, Parsed};
 use bench::{
-    conv_profile, f2, measure_convolution, measure_lulesh, render_table, seq_total, write_csv,
-    ConvRun, CONV_PS,
+    conv_run_from_cells, f2, render_table, seq_total, write_csv, CellOutcome, ConvRun, Program,
+    CONV_PS,
 };
-use lulesh_proxy::PAPER_ITERATIONS;
+use convolution::ConvConfig;
+use lulesh_proxy::{LuleshConfig, PAPER_ITERATIONS};
+use machine::MachineModel;
+use std::cell::OnceCell;
 use std::path::PathBuf;
 
 const STEPS: Flag = Flag::value(
@@ -44,58 +47,61 @@ struct Options {
     reps: usize,
     iters: usize,
     out: PathBuf,
+    /// The §5.1 sweep, simulated by the first target that asks for it
+    /// ([`conv_sweep`]) and shared by the other six.
+    conv: OnceCell<Vec<ConvRun>>,
 }
 
-/// What a target computes from: the shared convolution sweep, or nothing.
-enum Target {
-    Conv(fn(&Options, &[ConvRun])),
-    Plain(fn(&Options)),
-}
+type Target = fn(&Options);
 
 /// Every target, in the order `all` runs them.
 static TARGETS: [(&str, Target); 19] = [
     // convolution benchmark (§5.1)
-    ("fig5a", Target::Conv(fig5a)),
-    ("fig5b", Target::Conv(fig5b)),
-    ("fig5c", Target::Conv(fig5c)),
-    ("fig5d", Target::Conv(fig5d)),
-    ("fig6", Target::Conv(fig6)),
+    ("fig5a", fig5a),
+    ("fig5b", fig5b),
+    ("fig5c", fig5c),
+    ("fig5d", fig5d),
+    ("fig6", fig6),
     // LULESH proxy (§5.2)
-    ("fig7", Target::Plain(fig7)),
-    ("fig8", Target::Plain(fig8)),
-    ("fig9", Target::Plain(fig9)),
-    ("fig10", Target::Plain(fig10)),
+    ("fig7", fig7),
+    ("fig8", fig8),
+    ("fig9", fig9),
+    ("fig10", fig10),
     // DESIGN.md ablations (D2, D1)
-    ("ablation-jitter", Target::Plain(ablation_jitter)),
-    ("ablation-network", Target::Plain(ablation_network)),
+    ("ablation-jitter", ablation_jitter),
+    ("ablation-network", ablation_network),
     // §8 / LULESH-`-b` extensions
-    ("ablation-adaptive", Target::Plain(ablation_adaptive)),
-    ("ablation-balance", Target::Plain(ablation_balance)),
+    ("ablation-adaptive", ablation_adaptive),
+    ("ablation-balance", ablation_balance),
     // §3 / Gustafson-regime extensions
-    ("halo-ratio", Target::Plain(halo_ratio)),
-    ("weak-scaling", Target::Plain(weak_scaling)),
+    ("halo-ratio", halo_ratio),
+    ("weak-scaling", weak_scaling),
     // §2 / Kumar-[1] analyses
-    ("amdahl-vs-partial", Target::Conv(amdahl_vs_partial)),
-    ("isoefficiency", Target::Conv(isoefficiency)),
+    ("amdahl-vs-partial", amdahl_vs_partial),
+    ("isoefficiency", isoefficiency),
     // decomposition & §7 porting studies
-    ("decomp-2d", Target::Plain(decomp_2d)),
-    ("forecast", Target::Plain(forecast)),
+    ("decomp-2d", decomp_2d),
+    ("forecast", forecast),
 ];
 
 /// The targets named on the command line (`all` = every one), checked
 /// against the table before anything runs.
-fn selection(parsed: Parsed) -> Result<(Options, Vec<&'static Target>), String> {
+fn selection(parsed: Parsed) -> Result<(Options, Vec<Target>), String> {
     let opts = Options {
         steps: parsed.num(&STEPS, 1000)?,
         reps: parsed.num(&REPS, 3)?,
         iters: parsed.num(&ITERS, PAPER_ITERATIONS / 5)?,
         out: PathBuf::from(parsed.get(&OUT).unwrap_or("results")),
+        conv: OnceCell::new(),
     };
+    if opts.reps == 0 {
+        return Err(format!("{} expects at least 1", REPS.name));
+    }
     if parsed.positionals.is_empty() {
         return Err("missing <target>".to_string());
     }
     if parsed.positionals.iter().any(|t| t == "all") {
-        return Ok((opts, TARGETS.iter().map(|(_, target)| target).collect()));
+        return Ok((opts, TARGETS.iter().map(|(_, target)| *target).collect()));
     }
     let targets = parsed
         .positionals
@@ -104,7 +110,7 @@ fn selection(parsed: Parsed) -> Result<(Options, Vec<&'static Target>), String> 
             TARGETS
                 .iter()
                 .find(|(known, _)| known == name)
-                .map(|(_, target)| target)
+                .map(|(_, target)| *target)
                 .ok_or_else(|| format!("unknown target '{name}'"))
         })
         .collect::<Result<_, _>>()?;
@@ -120,41 +126,66 @@ fn main() {
         notes: &notes,
     };
     let (opts, targets) = cli.parse_env_or_exit(selection);
-    let mut conv_cache: Option<Vec<ConvRun>> = None;
-    for target in targets {
-        match target {
-            Target::Conv(figure) => figure(&opts, conv_sweep(&opts, &mut conv_cache)),
-            Target::Plain(figure) => figure(&opts),
-        }
+    for figure in targets {
+        figure(&opts);
     }
 }
 
-fn conv_sweep<'a>(opts: &Options, cache: &'a mut Option<Vec<ConvRun>>) -> &'a [ConvRun] {
-    if cache.is_none() {
+/// One simulated cell. The targets launch only configurations the
+/// programs accept, so a refused run is a bug and ends the process with
+/// the engine's diagnostic.
+fn run_cell(program: Program, p: usize, machine: &MachineModel, seed: u64) -> CellOutcome {
+    bench::profiled_cell(program, p, machine, seed).unwrap_or_else(|e| panic!("p={p}: {e}"))
+}
+
+/// The §5.1 convolution on the paper's image.
+fn paper_conv(steps: usize) -> Program {
+    Program::Conv(ConvConfig::paper(steps))
+}
+
+/// The LULESH proxy at timing fidelity, reduced to the three series of
+/// Figs. 8–10 (average seconds per process): `timeloop` (the "Walltime"
+/// curve), `LagrangeNodal` and `LagrangeElements`.
+fn lulesh_series(
+    p: usize,
+    s: usize,
+    iters: usize,
+    threads: usize,
+    machine: &MachineModel,
+) -> [f64; 3] {
+    let program = Program::Lulesh(LuleshConfig::timing(s, iters, threads));
+    let run = run_cell(program, p, machine, 5);
+    ["timeloop", "LagrangeNodal", "LagrangeElements"].map(|l| run.section(l).avg_per_rank_secs)
+}
+
+/// The §5.1 sweep every convolution figure reads: `--reps` seeds per
+/// scale, averaged by the same [`conv_run_from_cells`] that `study
+/// report` applies to stored cells.
+fn conv_sweep(opts: &Options) -> &[ConvRun] {
+    opts.conv.get_or_init(|| {
         let machine = machine::presets::nehalem_cluster();
-        let seeds: Vec<u64> = (0..opts.reps as u64).collect();
         eprintln!(
             "[conv] sweeping p in {CONV_PS:?} ({} steps x {} reps)...",
             opts.steps, opts.reps
         );
-        let runs = CONV_PS
+        CONV_PS
             .iter()
             .map(|&p| {
-                let run = measure_convolution(p, opts.steps, &machine, &seeds);
+                let cells: Vec<CellOutcome> = (0..opts.reps as u64)
+                    .map(|seed| run_cell(paper_conv(opts.steps), p, &machine, seed))
+                    .collect();
+                let run = conv_run_from_cells(p, &cells);
                 eprintln!("[conv] p={p:3} wall={:.2}s", run.wall);
                 run
             })
-            .collect();
-        *cache = Some(runs);
-    }
-    cache.as_ref().unwrap()
+            .collect()
+    })
 }
 
 /// Fig. 5(a)–(c) are one table: a row per scale, a column per section,
 /// `cell(run, section)` in each cell.
 fn per_section_table(
     opts: &Options,
-    runs: &[ConvRun],
     name: &str,
     title: &str,
     skip_p1: bool,
@@ -163,7 +194,7 @@ fn per_section_table(
     let header: Vec<&str> = std::iter::once("p")
         .chain(convolution::SECTIONS.iter().copied())
         .collect();
-    let rows: Vec<Vec<String>> = runs
+    let rows: Vec<Vec<String>> = conv_sweep(opts)
         .iter()
         .filter(|r| !(skip_p1 && r.p == 1))
         .map(|r| {
@@ -175,33 +206,31 @@ fn per_section_table(
     emit(opts, name, title, &header, &rows);
 }
 
-fn fig5a(opts: &Options, runs: &[ConvRun]) {
+fn fig5a(opts: &Options) {
     let title = "Fig. 5(a) — % of execution time per MPI Section";
-    per_section_table(opts, runs, "fig5a", title, false, ConvRun::percent);
+    per_section_table(opts, "fig5a", title, false, ConvRun::percent);
 }
 
-fn fig5b(opts: &Options, runs: &[ConvRun]) {
+fn fig5b(opts: &Options) {
     let title = "Fig. 5(b) — total time per MPI Section (s, summed over ranks)";
-    per_section_table(opts, runs, "fig5b", title, false, |r, l| {
-        r.section_total.get(l).copied().unwrap_or(0.0)
-    });
+    per_section_table(opts, "fig5b", title, false, ConvRun::total);
 }
 
-fn fig5c(opts: &Options, runs: &[ConvRun]) {
+fn fig5c(opts: &Options) {
     // The paper omits the sequential case here.
     let title = "Fig. 5(c) — average time per process per MPI Section (s)";
-    per_section_table(opts, runs, "fig5c", title, true, ConvRun::avg_per_rank);
+    per_section_table(opts, "fig5c", title, true, ConvRun::avg_per_rank);
 }
 
-fn fig5d(opts: &Options, runs: &[ConvRun]) {
+fn fig5d(opts: &Options) {
+    let runs = conv_sweep(opts);
     let seq = seq_total(runs);
     let header = vec!["p", "walltime_s", "speedup", "B_halo"];
     let rows: Vec<Vec<String>> = runs
         .iter()
         .map(|r| {
             let s = runs[0].wall / r.wall;
-            let halo = r.section_total.get("HALO").copied().unwrap_or(0.0);
-            let bound = speedup::partial_bound(seq, halo, r.p);
+            let bound = speedup::partial_bound(seq, r.total("HALO"), r.p);
             vec![r.p.to_string(), f2(r.wall), f2(s), f2(bound)]
         })
         .collect();
@@ -216,8 +245,7 @@ fn fig5d(opts: &Options, runs: &[ConvRun]) {
     // (the section's per-process time is part of the walltime).
     let same_scale_ok = runs.iter().all(|r| {
         let s = runs[0].wall / r.wall;
-        let halo = r.section_total.get("HALO").copied().unwrap_or(0.0);
-        s <= speedup::partial_bound(seq, halo, r.p) + 1e-9
+        s <= speedup::partial_bound(seq, r.total("HALO"), r.p) + 1e-9
     });
     // The Fig. 6 transposition argument: bounds measured at p = 64 remain
     // valid for the speedups observed across the paper's plotted range
@@ -225,7 +253,7 @@ fn fig5d(opts: &Options, runs: &[ConvRun]) {
     let b64 = runs
         .iter()
         .find(|r| r.p == 64)
-        .map(|r| speedup::partial_bound(seq, r.section_total["HALO"], 64));
+        .map(|r| speedup::partial_bound(seq, r.total("HALO"), 64));
     let transposed_ok = match b64 {
         None => true,
         Some(b) => runs
@@ -243,7 +271,8 @@ fn fig5d(opts: &Options, runs: &[ConvRun]) {
     );
 }
 
-fn fig6(opts: &Options, runs: &[ConvRun]) {
+fn fig6(opts: &Options) {
+    let runs = conv_sweep(opts);
     let rows = bench::fig6_rows(runs);
     println!(
         "  (sequential total: measured {:.2} s, paper 5589.84 s)",
@@ -277,10 +306,9 @@ fn lulesh_sweep(
     opts: &Options,
     name: &str,
     title: &str,
-    machine: &machine::MachineModel,
+    machine: &MachineModel,
     ps: &[usize],
     threads: &[usize],
-    iters: usize,
 ) {
     let header = vec![
         "p",
@@ -294,17 +322,16 @@ fn lulesh_sweep(
         let s = lulesh_proxy::size_for(lulesh_proxy::PAPER_TOTAL_ELEMENTS, p)
             .expect("Fig. 7 process counts");
         for &t in threads {
-            let run = measure_lulesh(p, s, iters, t, machine, 5);
+            let [wall, nodal, elems] = lulesh_series(p, s, opts.iters, t, machine);
             eprintln!(
-                "[{name}] p={p:2} t={t:3} wall={:.2}s nodal={:.2}s elems={:.2}s",
-                run.walltime, run.nodal, run.elements
+                "[{name}] p={p:2} t={t:3} wall={wall:.2}s nodal={nodal:.2}s elems={elems:.2}s"
             );
             rows.push(vec![
                 p.to_string(),
                 t.to_string(),
-                f2(run.walltime),
-                f2(run.nodal),
-                f2(run.elements),
+                f2(wall),
+                f2(nodal),
+                f2(elems),
             ]);
         }
     }
@@ -319,7 +346,6 @@ fn fig8(opts: &Options) {
         &machine::presets::dual_broadwell(),
         &[1, 8, 27],
         &[1, 2, 4, 8, 16, 32, 64],
-        opts.iters,
     );
 }
 
@@ -331,7 +357,6 @@ fn fig9(opts: &Options) {
         &machine::presets::knl(),
         &[1, 8, 27, 64],
         &[1, 2, 4, 8, 16, 32, 64, 128, 256],
-        opts.iters,
     );
 }
 
@@ -346,24 +371,21 @@ fn fig10(opts: &Options) {
     let mut at24 = None;
     let mut seq_wall = 0.0;
     for &t in &threads {
-        let run = measure_lulesh(1, 48, PAPER_ITERATIONS, t, &machine, 5);
+        let run @ [walltime, nodal, elements] = lulesh_series(1, 48, PAPER_ITERATIONS, t, &machine);
         if t == 1 {
-            seq_wall = run.walltime;
+            seq_wall = walltime;
         }
         if t == 24 {
-            at24 = Some(run.clone());
+            at24 = Some(run);
         }
-        eprintln!(
-            "[fig10] t={t:3} wall={:.2}s nodal={:.2}s elems={:.2}s",
-            run.walltime, run.nodal, run.elements
-        );
-        series.push((t, run.walltime));
+        eprintln!("[fig10] t={t:3} wall={walltime:.2}s nodal={nodal:.2}s elems={elements:.2}s");
+        series.push((t, walltime));
         rows.push(vec![
             t.to_string(),
-            f2(run.walltime),
-            f2(run.nodal),
-            f2(run.elements),
-            f2(seq_wall / run.walltime),
+            f2(walltime),
+            f2(nodal),
+            f2(elements),
+            f2(seq_wall / walltime),
         ]);
     }
     let header = vec![
@@ -383,10 +405,10 @@ fn fig10(opts: &Options) {
     // The §5.2 analysis: inflexion point and Eq. 6 bounds.
     let scaling = speedup::ScalingSeries::new(series);
     let inflexion = scaling.inflexion(0.02).expect("non-empty series");
-    if let Some(run) = at24 {
-        let combined = speedup::partial_bound_per_process(seq_wall, run.nodal + run.elements);
-        let elements_only = speedup::partial_bound_per_process(seq_wall, run.elements);
-        let actual = seq_wall / run.walltime;
+    if let Some([walltime, nodal, elements]) = at24 {
+        let combined = speedup::partial_bound_per_process(seq_wall, nodal + elements);
+        let elements_only = speedup::partial_bound_per_process(seq_wall, elements);
+        let actual = seq_wall / walltime;
         println!("  sequential walltime:          measured {seq_wall:.2} s   (paper 882.48 s)");
         println!(
             "  inflexion point:              measured t={}      (paper: 24 threads)",
@@ -409,16 +431,10 @@ fn ablation_jitter(opts: &Options) {
     let header = vec!["p", "halo_noisy_s", "halo_noiseless_s", "ratio"];
     let mut rows = Vec::new();
     for p in [8usize, 32, 64, 144] {
-        let (with, _) = conv_profile(p, opts.steps / 4, &noisy, 1);
-        let (without, _) = conv_profile(p, opts.steps / 4, &noiseless, 1);
-        let h_with = with
-            .get_world("HALO")
-            .map(|s| s.total_own_secs)
-            .unwrap_or(0.0);
-        let h_without = without
-            .get_world("HALO")
-            .map(|s| s.total_own_secs)
-            .unwrap_or(0.0);
+        let [h_with, h_without] = [&noisy, &noiseless].map(|machine| {
+            let run = run_cell(paper_conv(opts.steps / 4), p, machine, 1);
+            run.section("HALO").total_own_secs
+        });
         rows.push(vec![
             p.to_string(),
             f2(h_with),
@@ -452,19 +468,14 @@ fn ablation_network(opts: &Options) {
     ];
     let mut rows = Vec::new();
     for p in [8usize, 64, 144] {
-        let (pr, wall_r) = conv_profile(p, opts.steps / 4, &real, 1);
-        let (pf, wall_f) = conv_profile(p, opts.steps / 4, &free, 1);
-        let halo = |prof: &mpi_sections::Profile| {
-            prof.get_world("HALO")
-                .map(|s| s.total_own_secs)
-                .unwrap_or(0.0)
-        };
+        let [r, f] =
+            [&real, &free].map(|machine| run_cell(paper_conv(opts.steps / 4), p, machine, 1));
         rows.push(vec![
             p.to_string(),
-            f2(wall_r),
-            f2(wall_f),
-            f2(halo(&pr)),
-            f2(halo(&pf)),
+            f2(r.wall_secs),
+            f2(f.wall_secs),
+            f2(r.section("HALO").total_own_secs),
+            f2(f.section("HALO").total_own_secs),
         ]);
     }
     emit(
@@ -517,9 +528,10 @@ fn weak_scaling(opts: &Options) {
     let walls: Vec<(usize, f64)> = bench::WEAK_PS
         .iter()
         .map(|&p| {
-            let cell = bench::weak_conv_cell(p, bench::WEAK_ROWS_PER_RANK, steps, &machine, 31);
-            eprintln!("[weak] p={p:3} wall={:.2}s", cell.wall_secs);
-            (p, cell.wall_secs)
+            let program = Program::conv_weak(p, bench::WEAK_ROWS_PER_RANK, steps);
+            let wall = run_cell(program, p, &machine, 31).wall_secs;
+            eprintln!("[weak] p={p:3} wall={wall:.2}s");
+            (p, wall)
         })
         .collect();
     let rows = bench::weak_scaling_rows(bench::WEAK_ROWS_PER_RANK, &walls);
@@ -532,36 +544,36 @@ fn weak_scaling(opts: &Options) {
     );
 }
 
-fn amdahl_vs_partial(opts: &Options, runs: &[ConvRun]) {
+fn amdahl_vs_partial(opts: &Options) {
     // §2's practicality argument: fit Amdahl's serial fraction on the
     // small scales, check its predictions at large scales, and contrast
     // with the section-level bound that directly names the culprit.
+    let runs = conv_sweep(opts);
     let seq = seq_total(runs);
-    let speedups: Vec<(usize, f64)> = runs.iter().map(|r| (r.p, runs[0].wall / r.wall)).collect();
-    let train: Vec<(usize, f64)> = speedups.iter().cloned().filter(|&(p, _)| p <= 64).collect();
+    let speedup_of = |r: &ConvRun| runs[0].wall / r.wall;
+    let train: Vec<(usize, f64)> = runs
+        .iter()
+        .filter(|r| r.p <= 64)
+        .map(|r| (r.p, speedup_of(r)))
+        .collect();
     let fs = speedup::fit_amdahl_serial_fraction(&train).unwrap_or(0.0);
     let header = vec!["p", "measured_S", "amdahl_fit_S", "rel_err_%", "B_halo"];
-    let rows: Vec<Vec<String>> = speedups
+    let rows: Vec<Vec<String>> = runs
         .iter()
-        .map(|&(p, s)| {
-            let predicted = speedup::laws::amdahl::bound(fs, p);
+        .map(|r| {
+            let s = speedup_of(r);
+            let predicted = speedup::laws::amdahl::bound(fs, r.p);
             let err = if s > 0.0 {
                 100.0 * (predicted - s) / s
             } else {
                 0.0
             };
-            let halo = runs
-                .iter()
-                .find(|r| r.p == p)
-                .and_then(|r| r.section_total.get("HALO"))
-                .copied()
-                .unwrap_or(0.0);
             vec![
-                p.to_string(),
+                r.p.to_string(),
                 f2(s),
                 f2(predicted),
                 f2(err),
-                f2(speedup::partial_bound(seq, halo, p)),
+                f2(speedup::partial_bound(seq, r.total("HALO"), r.p)),
             ]
         })
         .collect();
@@ -655,11 +667,11 @@ fn ablation_balance(opts: &Options) {
     let machine = machine::presets::knl();
     let iters = (opts.iters / 5).max(20);
     let run = |gradient: Option<f64>, schedule: shmem::Schedule| {
-        let mut cfg = lulesh_proxy::LuleshConfig::timing(12, iters, 4);
+        let mut cfg = LuleshConfig::timing(12, iters, 4);
         cfg.schedule = schedule;
         cfg.cost_gradient = gradient.map(|m| lulesh_proxy::CostGradient { max_multiplier: m });
         let (profile, _) =
-            bench::profiled(bench::Program::Lulesh(cfg), 64, &machine, 13).expect("balance run");
+            bench::profiled(Program::Lulesh(cfg), 64, &machine, 13).expect("balance run");
         profile
     };
     let header = vec![
@@ -700,10 +712,11 @@ fn ablation_balance(opts: &Options) {
     );
 }
 
-fn isoefficiency(opts: &Options, runs: &[ConvRun]) {
+fn isoefficiency(opts: &Options) {
     // Kumar et al. (the paper's [1]) applied to the measured sweep: fit
     // the total-overhead power law and report the work growth needed to
     // hold 50% and 80% efficiency.
+    let runs = conv_sweep(opts);
     let seq_wall = runs[0].wall;
     let points: Vec<(usize, f64)> = runs
         .iter()
@@ -770,37 +783,21 @@ fn decomp_2d(opts: &Options) {
         }
         for p in [16usize, 64, 144] {
             for mode in ["1D", "2D"] {
-                let sections = mpi_sections::SectionRuntime::new(mpi_sections::VerifyMode::Off);
-                let profiler = mpi_sections::SectionProfiler::new();
-                sections.attach(profiler.clone());
-                let s = sections.clone();
-                let cfg = std::sync::Arc::new(convolution::ConvConfig::paper(steps));
-                let report = mpisim::WorldBuilder::new(p)
-                    .machine(machine.clone())
-                    .seed(23)
-                    .tool(sections.clone())
-                    .run(move |pr| {
-                        if mode == "1D" {
-                            convolution::run_convolution(pr, &s, &cfg);
-                        } else {
-                            convolution::run_convolution_2d(pr, &s, &cfg);
-                        }
-                    })
-                    .expect("decomp run");
-                let profile = profiler.snapshot();
-                let halo = profile
-                    .get_world("HALO")
-                    .map(|st| st.total_own_secs)
-                    .unwrap_or(0.0);
+                let program = match mode {
+                    "1D" => paper_conv(steps),
+                    _ => Program::Conv2d(ConvConfig::paper(steps)),
+                };
+                let run = run_cell(program, p, &machine, 23);
+                let halo = run.section("HALO").total_own_secs;
                 eprintln!(
                     "[decomp2d] p={p:3} {mode} noise={noisy} wall={:.2}s",
-                    report.makespan_secs()
+                    run.wall_secs
                 );
                 rows.push(vec![
                     p.to_string(),
                     mode.to_string(),
                     if noisy { "on" } else { "off" }.to_string(),
-                    f2(report.makespan_secs()),
+                    f2(run.wall_secs),
                     f2(halo),
                     f2(halo / p as f64),
                 ]);
@@ -825,18 +822,26 @@ fn forecast(opts: &Options) {
     println!("  target: {}", machine.describe());
     let iters = (opts.iters / 5).max(50);
     let threads = [1usize, 4, 16, 64, 128, 256, 512];
-    let measurements: Vec<(usize, mpi_sections::Profile)> = threads
+    let rows: Vec<speedup::StoredSectionRow> = threads
         .iter()
-        .map(|&t| {
-            let profile = bench::lulesh_profile(1, 48, iters, t, &machine, 19);
+        .flat_map(|&t| {
+            let program = Program::Lulesh(LuleshConfig::timing(48, iters, t));
+            let run = run_cell(program, 1, &machine, 19);
             eprintln!(
                 "[forecast] t={t:3} timeloop={:.2}s",
-                profile.get_world("timeloop").unwrap().avg_per_rank_secs()
+                run.section("timeloop").avg_per_rank_secs
             );
-            (t, profile)
+            run.sections
+                .into_iter()
+                .map(move |s| speedup::StoredSectionRow {
+                    p: t,
+                    label: s.label,
+                    avg_per_rank_secs: s.avg_per_rank_secs,
+                    total_excl_secs: s.total_excl_secs,
+                })
         })
         .collect();
-    let study = speedup::ScalingStudy::new(&measurements);
+    let study = speedup::ScalingStudy::from_rows(&rows);
     println!("{}", study.render());
 
     let header = vec!["threads", "walltime_s", "speedup"];

@@ -1,20 +1,24 @@
-//! Shared experiment harness: configured runs of the two benchmarks with
-//! section profiling, result rows for every figure, and CSV/table output.
-//!
-//! The `figures` binary (this crate's `src/bin/figures.rs`) drives these
-//! runners to regenerate every table and figure of the paper. Host time
-//! is measured in one place, the standalone `benchmark/` package.
+//! Shared experiment harness: one way to simulate a run, the result rows
+//! of the figures two front ends share, and CSV/table output.
 //!
 //! Every conv / LULESH / race world the harness simulates — a `profile`
 //! run and its `--compare-seq` baseline, a figure row, an mpistudy grid
 //! cell — is built by [`Launch::run`], so equal configurations are the
-//! same program on the same machine by construction. [`cli`] is the
-//! argument layer the three binaries share.
+//! same program on the same machine by construction. A caller that wants
+//! the section profile of such a run has two entry points and no third:
+//! [`profiled`] (the full [`Profile`]) and [`profiled_cell`] (the
+//! [`CellOutcome`] a sweep store persists). The `figures` binary (this
+//! crate's `src/bin/figures.rs`) regenerates every table and figure of
+//! the paper from them; `study report` builds the rows it shares with
+//! `figures` from stored cells through the same [`conv_run_from_cells`]
+//! and row builders. Host time is measured in one place, the standalone
+//! `benchmark/` package. [`cli`] is the argument layer the three
+//! binaries share.
 
 pub mod cli;
 pub mod whatif;
 
-use convolution::{run_convolution, ConvConfig};
+use convolution::{run_convolution, run_convolution_2d, ConvConfig};
 use lulesh_proxy::{run_lulesh, LuleshConfig};
 use machine::MachineModel;
 use mpi_sections::{Profile, SectionProfiler, SectionRuntime, VerifyMode};
@@ -29,6 +33,9 @@ use std::sync::Arc;
 pub enum Program {
     /// The §5.1 convolution benchmark.
     Conv(ConvConfig),
+    /// The same image and stencil on a 2-D process grid (the `decomp-2d`
+    /// study).
+    Conv2d(ConvConfig),
     /// The §5.2 LULESH proxy.
     Lulesh(LuleshConfig),
     /// The deliberately racy demonstration workload: ranks 1..p each send
@@ -101,6 +108,10 @@ impl Launch<'_> {
         match self.program {
             Program::Conv(cfg) => builder.run(|p| {
                 run_convolution(p, sections, &cfg);
+                0
+            }),
+            Program::Conv2d(cfg) => builder.run(|p| {
+                run_convolution_2d(p, sections, &cfg);
                 0
             }),
             Program::Lulesh(cfg) => builder.run(|p| {
@@ -184,9 +195,15 @@ pub struct ConvRun {
 }
 
 impl ConvRun {
+    /// Total time of a section, summed across ranks (Fig. 5b); a section
+    /// the run never entered reads as zero.
+    pub fn total(&self, label: &str) -> f64 {
+        self.section_total.get(label).copied().unwrap_or(0.0)
+    }
+
     /// Average time per process for a section (Fig. 5c).
     pub fn avg_per_rank(&self, label: &str) -> f64 {
-        self.section_total.get(label).copied().unwrap_or(0.0) / self.p as f64
+        self.total(label) / self.p as f64
     }
 
     /// Percentage of execution spent in a section (Fig. 5a): its share of
@@ -196,7 +213,7 @@ impl ConvRun {
         if denom == 0.0 {
             return 0.0;
         }
-        100.0 * self.section_total.get(label).copied().unwrap_or(0.0) / denom
+        100.0 * self.total(label) / denom
     }
 }
 
@@ -248,23 +265,30 @@ impl CellOutcome {
         }
     }
 
-    /// Look up a section by label.
-    pub fn section(&self, label: &str) -> Option<&CellSection> {
-        self.sections.iter().find(|s| s.label == label)
+    /// The section labelled `label`; one the run never entered reads as
+    /// zero ranks and zero seconds.
+    pub fn section(&self, label: &str) -> &CellSection {
+        static ABSENT: CellSection = CellSection {
+            label: String::new(),
+            participants: 0,
+            total_own_secs: 0.0,
+            total_excl_secs: 0.0,
+            avg_per_rank_secs: 0.0,
+        };
+        self.sections
+            .iter()
+            .find(|s| s.label == label)
+            .unwrap_or(&ABSENT)
     }
 }
 
-/// Run one convolution grid cell: scale `p`, one `seed`.
-pub fn conv_cell(p: usize, steps: usize, machine: &MachineModel, seed: u64) -> CellOutcome {
-    profiled_cell(Program::Conv(ConvConfig::paper(steps)), p, machine, seed)
-        .expect("convolution run failed")
-}
-
-/// Average per-seed cell outcomes into the [`ConvRun`] the figures
-/// consume. The accumulation order (seeds outer, [`convolution::SECTIONS`]
-/// inner, divide once at the end) is the contract: it matches
-/// [`measure_convolution`] bit-for-bit, so figures regenerated from a
-/// store of cells are byte-identical to the ad-hoc harness output.
+/// Average per-seed cell outcomes (the paper averages 20 runs) into the
+/// [`ConvRun`] the figures consume. This is the one averaging: `figures`
+/// feeds it the cells it just simulated, `study report` the cells it
+/// read back from the store, so a figure regenerated from stored cells is
+/// byte-identical to the harness's. The accumulation order (cells in the
+/// order given, [`convolution::SECTIONS`] inner, divide once at the end)
+/// is part of that contract.
 pub fn conv_run_from_cells(p: usize, cells: &[CellOutcome]) -> ConvRun {
     assert!(!cells.is_empty());
     let mut acc: BTreeMap<String, f64> = BTreeMap::new();
@@ -272,8 +296,7 @@ pub fn conv_run_from_cells(p: usize, cells: &[CellOutcome]) -> ConvRun {
     for cell in cells {
         wall += cell.wall_secs;
         for label in convolution::SECTIONS {
-            let t = cell.section(label).map(|s| s.total_own_secs).unwrap_or(0.0);
-            *acc.entry(label.to_string()).or_insert(0.0) += t;
+            *acc.entry(label.to_string()).or_insert(0.0) += cell.section(label).total_own_secs;
         }
     }
     let n = cells.len() as f64;
@@ -285,105 +308,11 @@ pub fn conv_run_from_cells(p: usize, cells: &[CellOutcome]) -> ConvRun {
     }
 }
 
-/// Run the convolution benchmark once at scale `p`, returning averaged
-/// section totals over `seeds` repetitions (the paper averages 20 runs).
-pub fn measure_convolution(
-    p: usize,
-    steps: usize,
-    machine: &MachineModel,
-    seeds: &[u64],
-) -> ConvRun {
-    assert!(!seeds.is_empty());
-    let cells: Vec<CellOutcome> = seeds
-        .iter()
-        .map(|&seed| conv_cell(p, steps, machine, seed))
-        .collect();
-    conv_run_from_cells(p, &cells)
-}
-
-/// Run one weak-scaling convolution cell ([`Program::conv_weak`]).
-pub fn weak_conv_cell(
-    p: usize,
-    rows_per_rank: usize,
-    steps: usize,
-    machine: &MachineModel,
-    seed: u64,
-) -> CellOutcome {
-    profiled_cell(
-        Program::conv_weak(p, rows_per_rank, steps),
-        p,
-        machine,
-        seed,
-    )
-    .expect("weak-scaling run failed")
-}
-
-/// One convolution run, returning the full section profile.
-pub fn conv_profile(p: usize, steps: usize, machine: &MachineModel, seed: u64) -> (Profile, f64) {
-    profiled(Program::Conv(ConvConfig::paper(steps)), p, machine, seed)
-        .expect("convolution run failed")
-}
-
-/// One profiled run of the LULESH proxy.
-#[derive(Debug, Clone)]
-pub struct LuleshRun {
-    pub p: usize,
-    pub threads: usize,
-    /// `timeloop` average time per process (the "Walltime" series of
-    /// Figs. 8–10), in seconds.
-    pub walltime: f64,
-    /// `LagrangeNodal` average time per process.
-    pub nodal: f64,
-    /// `LagrangeElements` average time per process.
-    pub elements: f64,
-}
-
-/// Run the LULESH proxy in the given hybrid configuration (timing
-/// fidelity) and extract the Fig. 8–10 series.
-pub fn measure_lulesh(
-    p: usize,
-    s: usize,
-    iterations: usize,
-    threads: usize,
-    machine: &MachineModel,
-    seed: u64,
-) -> LuleshRun {
-    let profile = lulesh_profile(p, s, iterations, threads, machine, seed);
-    let avg = |label: &str| {
-        profile
-            .get_world(label)
-            .map(|st| st.avg_per_rank_secs())
-            .unwrap_or(0.0)
-    };
-    LuleshRun {
-        p,
-        threads,
-        walltime: avg("timeloop"),
-        nodal: avg("LagrangeNodal"),
-        elements: avg("LagrangeElements"),
-    }
-}
-
-/// One LULESH-proxy run, returning the full section profile.
-pub fn lulesh_profile(
-    p: usize,
-    s: usize,
-    iterations: usize,
-    threads: usize,
-    machine: &MachineModel,
-    seed: u64,
-) -> Profile {
-    let program = Program::Lulesh(LuleshConfig::timing(s, iterations, threads));
-    profiled(program, p, machine, seed)
-        .expect("lulesh run failed")
-        .0
-}
-
 // ---------------------------------------------------------------------
 // Shared figure row builders
 //
-// Both the ad-hoc `figures` harness and the mpistudy `report` command
-// build these CSVs; routing both through one function is what makes the
+// Both the `figures` harness and the mpistudy `report` command build
+// these CSVs; routing both through one function is what makes the
 // regenerated files byte-identical (same float summation order, same
 // formatting) — the property the study smoke test pins.
 // ---------------------------------------------------------------------
@@ -421,7 +350,7 @@ pub fn fig6_rows(runs: &[ConvRun]) -> Vec<Vec<String>> {
     runs.iter()
         .filter(|r| paper.contains_key(&r.p))
         .map(|r| {
-            let halo = r.section_total["HALO"];
+            let halo = r.total("HALO");
             let b = speedup::partial_bound(seq, halo, r.p);
             let (ph, pb) = paper[&r.p];
             vec![r.p.to_string(), f2(halo), f2(b), f2(ph), f2(pb)]
@@ -537,10 +466,15 @@ mod tests {
     #[test]
     fn conv_measurement_smoke() {
         let m = machine::presets::nehalem_cluster();
-        let run = measure_convolution(4, 5, &m, &[1, 2]);
+        let cells: Vec<CellOutcome> = [1, 2]
+            .iter()
+            .map(|&seed| profiled_cell(Program::Conv(ConvConfig::paper(5)), 4, &m, seed).unwrap())
+            .collect();
+        let run = conv_run_from_cells(4, &cells);
         assert_eq!(run.p, 4);
         assert!(run.wall > 0.0);
-        assert!(run.section_total["CONVOLVE"] > 0.0);
+        assert!(run.total("CONVOLVE") > 0.0);
+        assert_eq!(run.total("no such section"), 0.0);
         let pct_sum: f64 = convolution::SECTIONS.iter().map(|l| run.percent(l)).sum();
         assert!((pct_sum - 100.0).abs() < 1e-6, "{pct_sum}");
     }
@@ -548,10 +482,18 @@ mod tests {
     #[test]
     fn lulesh_measurement_smoke() {
         let m = machine::presets::knl();
-        let run = measure_lulesh(1, 8, 3, 2, &m, 1);
-        assert!(run.walltime > 0.0);
-        assert!(run.nodal > 0.0 && run.elements > 0.0);
-        assert!(run.nodal + run.elements < run.walltime * 1.01);
+        let program = Program::Lulesh(LuleshConfig::timing(8, 3, 2));
+        let (profile, wall) = profiled(program, 1, &m, 1).unwrap();
+        let cell = CellOutcome::from_profile(&profile, wall);
+        let [walltime, nodal, elements] = ["timeloop", "LagrangeNodal", "LagrangeElements"]
+            .map(|label| cell.section(label).avg_per_rank_secs);
+        assert!(walltime > 0.0);
+        assert!(nodal > 0.0 && elements > 0.0);
+        assert!(nodal + elements < walltime * 1.01);
+        // The cell carries the profile's own number, not a recomputation.
+        let direct = profile.get_world("timeloop").unwrap().avg_per_rank_secs();
+        assert_eq!(walltime.to_bits(), direct.to_bits());
+        assert_eq!(cell.section("no such section").participants, 0);
     }
 
     #[test]

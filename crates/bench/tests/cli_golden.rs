@@ -127,6 +127,33 @@ fn race_verify_on_the_threads_engine_confirms_the_same_sites() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// Every `figures` target but `fig10` (which always runs the paper's full
+/// 2500 iterations) at a scale the test profile finishes in seconds:
+/// stdout and the 18 CSVs. `scripts/check.sh` holds the full-scale output
+/// against `results/`; this holds the code path in tier-1.
+#[test]
+fn figures_at_reduced_scale_are_pinned() {
+    let dir = scratch("figures-reduced");
+    let args = "fig5a fig5b fig5c fig5d fig6 fig7 fig8 fig9 ablation-jitter \
+                ablation-network ablation-adaptive ablation-balance halo-ratio \
+                weak-scaling amdahl-vs-partial isoefficiency decomp-2d forecast \
+                --steps 8 --reps 2 --iters 10 --out out";
+    let args: Vec<&str> = args.split_whitespace().collect();
+    let out = run(FIGURES, &dir, &args);
+    assert_eq!(out.code, 0, "stderr:\n{}", out.stderr);
+    let files = std::fs::read_dir(dir.join("out")).expect("out directory");
+    assert_eq!(files.count(), 18);
+    check(
+        "figures at reduced scale",
+        &[
+            ("stdout", print_of(&out.stdout)),
+            ("files", files_print(&dir)),
+        ],
+        &[0xfa51ed057d848f14, 0xa91758f4ad6800ee],
+    );
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 #[test]
 fn hostile_command_lines_get_one_error_line_and_the_usage() {
     for (exe, args, needle) in [
@@ -146,6 +173,7 @@ fn hostile_command_lines_get_one_error_line_and_the_usage() {
         (PROFILE, "lulesh --threads 0", "--threads expects 1..=4096"),
         (FIGURES, "fig7 --steps", "--steps requires a value"),
         (FIGURES, "fig7 --reps x", "--reps expects a number, got 'x'"),
+        (FIGURES, "fig6 --reps 0", "--reps expects at least 1"),
         (FIGURES, "fig7 --bogus", "unknown argument '--bogus'"),
         (FIGURES, "fig7 fig11", "unknown target 'fig11'"),
     ] {

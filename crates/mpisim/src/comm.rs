@@ -329,13 +329,6 @@ impl Comm {
         p.tool_call_exit(MpiCall::Send, self.id(), bytes);
     }
 
-    /// Blocking send taking ownership of the buffer (no copy).
-    pub fn send_vec<T: Send + 'static>(&self, p: &mut Proc, dest: usize, tag: i32, data: Vec<T>) {
-        p.tool_call_enter(MpiCall::Send, self.id());
-        let bytes = self.send_raw(p, dest, tag, Payload::from_vec(data));
-        p.tool_call_exit(MpiCall::Send, self.id(), bytes);
-    }
-
     /// Timing-mode send: prices `elems` elements of `T` without moving data.
     pub fn send_virtual<T>(&self, p: &mut Proc, dest: usize, tag: i32, elems: usize) {
         p.tool_call_enter(MpiCall::Send, self.id());

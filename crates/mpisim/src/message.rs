@@ -45,11 +45,7 @@ pub struct Payload {
 impl Payload {
     /// A real payload cloned from a slice.
     pub fn real<T: Clone + Send + 'static>(data: &[T]) -> Payload {
-        Payload {
-            elems: data.len(),
-            logical_bytes: std::mem::size_of_val(data) as u64,
-            data: Some(Box::new(data.to_vec())),
-        }
+        Payload::from_vec(data.to_vec())
     }
 
     /// A real payload taking ownership of a vector (no copy).

@@ -137,12 +137,6 @@ impl Proc {
         self.advance_jittered(secs, secs * factor);
     }
 
-    /// Like [`Proc::compute`] but without jitter (calibration paths).
-    pub fn compute_noiseless(&mut self, work: Work) {
-        let secs = self.machine.thread_seconds_for(work, self.ranks_on_my_node);
-        self.now += VTime::from_secs_f64(secs);
-    }
-
     /// Advance the clock by jittered local work, telling tools both the
     /// jitter-free baseline and the actually-charged duration (an
     /// [`MpiEvent::Compute`] event). Every noise-bearing local advance in

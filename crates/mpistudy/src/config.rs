@@ -110,8 +110,9 @@ pub fn resolve_machine(name: &str) -> Result<MachineModel, String> {
 
 /// A parsed `--grid` specification, expandable into cells.
 ///
-/// Syntax: whitespace-separated `key=value` pairs; `p` and `seeds` take
-/// comma-separated lists. Example:
+/// Syntax: whitespace-separated `key=value` pairs, each key at most once;
+/// `p` and `seeds` take comma-separated lists, every other key exactly
+/// one value. Example:
 ///
 /// ```text
 /// workload=conv machine=nehalem_cluster p=1,8,64 steps=250 seeds=0,1,2
@@ -140,14 +141,25 @@ impl GridSpec {
         let mut s = None;
         let mut iters = None;
         let mut threads = None;
+        let mut given: Vec<&str> = Vec::new();
         for pair in spec.split_whitespace() {
             let (key, value) = pair
                 .split_once('=')
                 .ok_or_else(|| format!("grid spec entry '{pair}' is not key=value"))?;
+            if given.contains(&key) {
+                return Err(format!("grid spec: '{key}' given twice"));
+            }
+            given.push(key);
             let list_usize = |v: &str| -> Result<Vec<usize>, String> {
                 v.split(',')
                     .map(|x| x.parse().map_err(|_| format!("bad number '{x}' in {key}")))
                     .collect()
+            };
+            // A key that is not swept takes one value; running the first
+            // of a list would truncate the sweep without saying so.
+            let one = |v: &str| match list_usize(v)?.as_slice() {
+                [n] => Ok(Some(*n)),
+                _ => Err(format!("grid spec: {key}= takes one value, got '{v}'")),
             };
             match key {
                 "workload" => workload = Some(value.to_string()),
@@ -159,11 +171,11 @@ impl GridSpec {
                         .map(|x| x.parse().map_err(|_| format!("bad seed '{x}'")))
                         .collect::<Result<_, String>>()?;
                 }
-                "steps" => steps = Some(list_usize(value)?[0]),
-                "rows_per_rank" => rows_per_rank = Some(list_usize(value)?[0]),
-                "s" => s = Some(list_usize(value)?[0]),
-                "iters" => iters = Some(list_usize(value)?[0]),
-                "threads" => threads = Some(list_usize(value)?[0]),
+                "steps" => steps = one(value)?,
+                "rows_per_rank" => rows_per_rank = one(value)?,
+                "s" => s = one(value)?,
+                "iters" => iters = one(value)?,
+                "threads" => threads = one(value)?,
                 other => return Err(format!("unknown grid key '{other}'")),
             }
         }
@@ -281,6 +293,22 @@ mod tests {
         assert!(GridSpec::parse("workload=quantum machine=knl p=1").is_err());
         assert!(GridSpec::parse("workload=conv machine=knl p=1").is_err()); // no steps
         assert!(GridSpec::parse("workload=lulesh machine=knl p=1 s=8 iters=3").is_err());
+    }
+
+    #[test]
+    fn grid_spec_rejects_what_it_would_silently_truncate() {
+        // Running the first value of a list on a key that is not swept,
+        // or the last of a repeated key, would exit 0 on a sweep nobody
+        // asked for.
+        let err = GridSpec::parse("workload=conv machine=nehalem p=1 steps=3,9").unwrap_err();
+        assert_eq!(err, "grid spec: steps= takes one value, got '3,9'");
+        let err = GridSpec::parse("workload=conv machine=nehalem p=2 p=4 steps=3").unwrap_err();
+        assert_eq!(err, "grid spec: 'p' given twice");
+        let err = GridSpec::parse("workload=conv machine=nehalem p=1 steps=3 steps=3");
+        assert_eq!(err.unwrap_err(), "grid spec: 'steps' given twice");
+        // The swept keys still take lists.
+        let grid = GridSpec::parse("workload=conv machine=nehalem p=2,4 steps=3 seeds=0,1");
+        assert_eq!(grid.unwrap().cells().len(), 4);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! the exact stored floats back into the same row builders the harness
 //! uses.
 
-use crate::config::{CellConfig, Workload};
+use crate::config::CellConfig;
 use bench::{CellOutcome, CellSection};
 use mpisim::diag::json_str;
 use mpisim::jsoncheck::{parse_json, Json};
@@ -159,25 +159,6 @@ impl RunDoc {
     pub fn recomputed_hash(&self) -> String {
         mpi_sections::fasthash::fnv1a_hex(&self.config)
     }
-
-    /// The workload parsed back from the stored name + config fields.
-    pub fn workload_enum(&self) -> Option<Workload> {
-        match self.workload.as_str() {
-            "conv" => Some(Workload::Conv {
-                steps: self.steps()?,
-            }),
-            "conv-weak" => Some(Workload::ConvWeak {
-                rows_per_rank: self.rows_per_rank()?,
-                steps: self.steps()?,
-            }),
-            "lulesh" => Some(Workload::Lulesh {
-                s: config_field(&self.config, "s")?,
-                iters: config_field(&self.config, "iters")?,
-                threads: config_field(&self.config, "threads")?,
-            }),
-            _ => None,
-        }
-    }
 }
 
 /// Pull a `key=value` numeric field out of a canonical config string.
@@ -210,6 +191,7 @@ fn field_f64(dom: &Json, key: &str) -> Result<f64, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Workload;
     use mpisim::jsoncheck::assert_json;
 
     fn sample() -> RunDoc {
@@ -221,8 +203,7 @@ mod tests {
         };
         let machine = machine::presets::nehalem_cluster();
         let fp = crate::config::machine_fingerprint(&machine);
-        let outcome = bench::conv_cell(4, 5, &machine, 1);
-        RunDoc::new(&cfg, &fp, &outcome)
+        RunDoc::new(&cfg, &fp, &crate::pool::execute_cell(&cfg, &machine))
     }
 
     #[test]
@@ -248,7 +229,6 @@ mod tests {
         let doc = sample();
         assert_eq!(doc.steps(), Some(5));
         assert_eq!(doc.rows_per_rank(), None);
-        assert_eq!(doc.workload_enum(), Some(Workload::Conv { steps: 5 }));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use crate::doc::RunDoc;
 use crate::store::RunStore;
-use bench::{conv_run_from_cells, ConvRun};
+use bench::{conv_run_from_cells, CellOutcome, ConvRun};
 use speedup::{ScalingStudy, StoredSectionRow};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -27,7 +27,7 @@ pub struct Report {
     /// seed-averaged per p (ascending).
     pub conv: Option<ConvGroup>,
     /// The weak-scaling group: `(machine, steps, rows_per_rank)` and its
-    /// `(p, wall)` points (ascending p).
+    /// seed-averaged `(p, wall)` points (ascending p).
     pub weak: Option<WeakGroup>,
 }
 
@@ -55,7 +55,8 @@ pub struct WeakGroup {
     pub steps: usize,
     /// Image rows per rank.
     pub rows_per_rank: usize,
-    /// `(p, wall_secs)`, ascending p.
+    /// `(p, wall_secs)`, ascending p; the wall is the mean over the seeds
+    /// the sweep holds at every p.
     pub walls: Vec<(usize, f64)>,
 }
 
@@ -71,25 +72,33 @@ pub fn build(store: &RunStore) -> Report {
     }
 }
 
-fn conv_group(docs: &[RunDoc]) -> Option<ConvGroup> {
-    let mut groups: BTreeMap<(String, usize), Vec<&RunDoc>> = BTreeMap::new();
-    for doc in docs.iter().filter(|d| d.workload == "conv") {
-        if let Some(steps) = doc.steps() {
-            groups
-                .entry((doc.machine.clone(), steps))
-                .or_default()
-                .push(doc);
+/// One sweep found in the store: its group key, the seeds that are
+/// complete at every scale (ascending — the order the harness feeds seeds
+/// in) and, per scale in ascending p, the outcomes of exactly those seeds
+/// in that order.
+type Sweep<K> = (K, Vec<u64>, Vec<(usize, Vec<CellOutcome>)>);
+
+/// The one grouping both reports use. Documents of `workload` are grouped
+/// by `key` (a document without one is skipped); the largest group wins,
+/// ties break on the key. Seeds must be complete across every p for an
+/// average to mean the same thing at every scale, so only those present
+/// everywhere are kept; a group with none is no sweep.
+fn largest_sweep<K: Ord + Clone>(
+    docs: &[RunDoc],
+    workload: &str,
+    key: impl Fn(&RunDoc) -> Option<K>,
+) -> Option<Sweep<K>> {
+    let mut groups: BTreeMap<K, Vec<&RunDoc>> = BTreeMap::new();
+    for doc in docs.iter().filter(|d| d.workload == workload) {
+        if let Some(key) = key(doc) {
+            groups.entry(key).or_default().push(doc);
         }
     }
-    let ((machine, steps), members) = groups
+    let (key, members) = groups
         .into_iter()
-        .max_by_key(|((m, s), v)| (v.len(), std::cmp::Reverse((m.clone(), *s))))?;
-
-    // Seeds must be complete across every p for the average to mean the
-    // same thing at every scale; use the intersection, ascending (the
-    // order the harness feeds seeds in).
+        .max_by_key(|(k, v)| (v.len(), std::cmp::Reverse(k.clone())))?;
     let mut by_p: BTreeMap<usize, BTreeMap<u64, &RunDoc>> = BTreeMap::new();
-    for doc in &members {
+    for doc in members {
         by_p.entry(doc.p).or_default().insert(doc.seed, doc);
     }
     let mut seeds: Vec<u64> = by_p.values().next()?.keys().copied().collect();
@@ -97,33 +106,37 @@ fn conv_group(docs: &[RunDoc]) -> Option<ConvGroup> {
     if seeds.is_empty() {
         return None;
     }
-
-    let runs: Vec<ConvRun> = by_p
+    let cells = by_p
         .iter()
-        .map(|(&p, by_seed)| {
-            let cells: Vec<_> = seeds.iter().map(|s| by_seed[s].outcome()).collect();
-            conv_run_from_cells(p, &cells)
-        })
+        .map(|(&p, by_seed)| (p, seeds.iter().map(|s| by_seed[s].outcome()).collect()))
+        .collect();
+    Some((key, seeds, cells))
+}
+
+fn conv_group(docs: &[RunDoc]) -> Option<ConvGroup> {
+    let ((machine, steps), seeds, cells) = largest_sweep(docs, "conv", |doc| {
+        Some((doc.machine.clone(), doc.steps()?))
+    })?;
+    let runs: Vec<ConvRun> = cells
+        .iter()
+        .map(|(p, cells)| conv_run_from_cells(*p, cells))
         .collect();
 
     // Section study rows: per (p, label), seed-averaged — same seed order
     // as the figures. Labels come from the first seed's document (all
     // seeds of a deterministic workload profile the same sections).
+    let n = seeds.len() as f64;
     let mut rows: Vec<StoredSectionRow> = Vec::new();
-    for (&p, by_seed) in &by_p {
-        let first = by_seed[&seeds[0]];
-        for section in &first.sections {
-            let n = seeds.len() as f64;
-            let mut avg = 0.0;
-            let mut excl = 0.0;
-            for s in &seeds {
-                if let Some(sec) = by_seed[s].outcome().section(&section.label) {
-                    avg += sec.avg_per_rank_secs;
-                    excl += sec.total_excl_secs;
-                }
+    for (p, cells) in &cells {
+        for section in &cells[0].sections {
+            let (mut avg, mut excl) = (0.0, 0.0);
+            for cell in cells {
+                let sec = cell.section(&section.label);
+                avg += sec.avg_per_rank_secs;
+                excl += sec.total_excl_secs;
             }
             rows.push(StoredSectionRow {
-                p,
+                p: *p,
                 label: section.label.clone(),
                 avg_per_rank_secs: avg / n,
                 total_excl_secs: excl / n,
@@ -140,27 +153,21 @@ fn conv_group(docs: &[RunDoc]) -> Option<ConvGroup> {
 }
 
 fn weak_group(docs: &[RunDoc]) -> Option<WeakGroup> {
-    let mut groups: BTreeMap<(String, usize, usize), Vec<&RunDoc>> = BTreeMap::new();
-    for doc in docs.iter().filter(|d| d.workload == "conv-weak") {
-        if let (Some(steps), Some(rpr)) = (doc.steps(), doc.rows_per_rank()) {
-            groups
-                .entry((doc.machine.clone(), steps, rpr))
-                .or_default()
-                .push(doc);
-        }
-    }
-    let ((machine, steps, rows_per_rank), members) = groups
-        .into_iter()
-        .max_by_key(|(k, v)| (v.len(), std::cmp::Reverse(k.clone())))?;
-    let mut walls: BTreeMap<usize, f64> = BTreeMap::new();
-    for doc in members {
-        walls.insert(doc.p, doc.wall_secs);
-    }
+    let ((machine, steps, rows_per_rank), seeds, cells) =
+        largest_sweep(docs, "conv-weak", |doc| {
+            Some((doc.machine.clone(), doc.steps()?, doc.rows_per_rank()?))
+        })?;
+    // The wall is averaged over the seeds as the conv sweep's is.
+    let n = seeds.len() as f64;
+    let walls = cells
+        .iter()
+        .map(|(p, cells)| (*p, cells.iter().map(|c| c.wall_secs).sum::<f64>() / n))
+        .collect();
     Some(WeakGroup {
         machine,
         steps,
         rows_per_rank,
-        walls: walls.into_iter().collect(),
+        walls,
     })
 }
 
@@ -336,34 +343,22 @@ fn section_table(conv: &ConvGroup) -> String {
         let mut eff_row = vec![s.label.clone(), "parallel_eff".into()];
         let mut comp_row = vec![String::new(), "comp_scaling".into()];
         let mut bound_row = vec![String::new(), "eq6_bound".into()];
-        let base_total = conv
-            .runs
-            .first()
-            .and_then(|r| r.section_total.get(&s.label))
-            .copied()
-            .unwrap_or(0.0);
-        for &p in &ps {
+        let base_total = conv.runs.first().map_or(0.0, |r| r.total(&s.label));
+        for run in &conv.runs {
             eff_row.push(
-                effs.get(&p)
+                effs.get(&run.p)
                     .map(|e| format!("{e:.3}"))
                     .unwrap_or_else(|| "-".into()),
             );
-            let total = conv
-                .runs
-                .iter()
-                .find(|r| r.p == p)
-                .and_then(|r| r.section_total.get(&s.label))
-                .copied()
-                .unwrap_or(0.0);
             comp_row.push(if base_total > 0.0 {
-                format!("{:.3}", total / base_total)
+                format!("{:.3}", run.total(&s.label) / base_total)
             } else {
                 "-".into()
             });
             bound_row.push(
                 s.bounds
                     .iter()
-                    .find(|(bp, _)| *bp == p)
+                    .find(|(bp, _)| *bp == run.p)
                     .map(|(_, b)| bench::f2(*b))
                     .unwrap_or_else(|| "-".into()),
             );
@@ -394,14 +389,29 @@ fn section_table(conv: &ConvGroup) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::GridSpec;
-    use crate::pool::run_sweep;
+    use crate::config::{machine_fingerprint, resolve_machine, CellConfig, GridSpec};
+    use crate::pool::{execute_cell, run_sweep};
 
     fn tmp_store(tag: &str) -> RunStore {
         let dir =
             std::env::temp_dir().join(format!("mpistudy-report-test-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         RunStore::open(dir).unwrap()
+    }
+
+    /// The grid's cells simulated in-process and never written down, one
+    /// `Vec` of seed outcomes per p: what the stored documents must give
+    /// back bit-for-bit through the JSON round trip.
+    fn in_process(grid: &GridSpec) -> Vec<(usize, Vec<CellOutcome>)> {
+        let machine = resolve_machine(&grid.machine).unwrap();
+        let cells = grid.cells();
+        cells
+            .chunks(grid.seeds.len())
+            .map(|per_p| {
+                let outcomes = per_p.iter().map(|c| execute_cell(c, &machine)).collect();
+                (per_p[0].p, outcomes)
+            })
+            .collect()
     }
 
     #[test]
@@ -429,16 +439,18 @@ mod tests {
     #[test]
     fn stored_runs_match_the_harness_bitwise() {
         // The acceptance criterion behind figure regeneration: the seed-
-        // averaged runs reconstructed from stored documents must equal
-        // measure_convolution's in-process result bit-for-bit.
+        // averaged runs reconstructed from stored documents must equal the
+        // average of the same cells simulated in-process, bit-for-bit.
         let store = tmp_store("bitwise");
         let grid = GridSpec::parse("workload=conv machine=nehalem_cluster p=1,4 steps=5 seeds=0,1")
             .unwrap();
         run_sweep(&store, &grid.cells(), 2);
         let conv = build(&store).conv.expect("conv group");
-        let machine = machine::presets::nehalem_cluster();
-        for run in &conv.runs {
-            let direct = bench::measure_convolution(run.p, 5, &machine, &[0, 1]);
+        let direct = in_process(&grid);
+        assert_eq!(conv.runs.len(), direct.len());
+        for (run, (p, cells)) in conv.runs.iter().zip(&direct) {
+            let direct = conv_run_from_cells(*p, cells);
+            assert_eq!(run.p, direct.p);
             assert_eq!(run.wall.to_bits(), direct.wall.to_bits(), "p={}", run.p);
             for (label, total) in &run.section_total {
                 assert_eq!(
@@ -465,11 +477,10 @@ mod tests {
         let written = report.write_figures(&out).unwrap();
         assert!(written.iter().any(|p| p.ends_with("fig6.csv")));
 
-        // The ad-hoc harness path on the same cells.
-        let machine = machine::presets::nehalem_cluster();
-        let runs: Vec<ConvRun> = [1usize, 64, 80]
+        // The harness path on the same cells.
+        let runs: Vec<ConvRun> = in_process(&grid)
             .iter()
-            .map(|&p| bench::measure_convolution(p, 5, &machine, &[0, 1]))
+            .map(|(p, cells)| conv_run_from_cells(*p, cells))
             .collect();
         let mut expected = bench::FIG6_HEADER.join(",");
         expected.push('\n');
@@ -498,10 +509,9 @@ mod tests {
         let written = report.write_figures(&out).unwrap();
         assert!(written.iter().any(|p| p.ends_with("weak_scaling.csv")));
         // Byte-identity with the harness path for the same cells.
-        let machine = machine::presets::nehalem_cluster();
-        let walls: Vec<(usize, f64)> = [1usize, 2, 4]
+        let walls: Vec<(usize, f64)> = in_process(&grid)
             .iter()
-            .map(|&p| (p, bench::weak_conv_cell(p, 64, 4, &machine, 31).wall_secs))
+            .map(|(p, cells)| (*p, cells[0].wall_secs))
             .collect();
         let harness_rows = bench::weak_scaling_rows(64, &walls);
         let stored = std::fs::read_to_string(out.join("weak_scaling.csv")).unwrap();
@@ -513,5 +523,58 @@ mod tests {
         }
         assert_eq!(stored, expected);
         let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn weak_walls_are_the_seed_mean_whatever_order_documents_arrive_in() {
+        // Three seeds per p. The store lists documents in file-name (=
+        // hash) order, so a table built from "the last document per p"
+        // would mix seeds: the wall is the per-p mean over the seeds and
+        // does not depend on the order the documents come in.
+        let grid = GridSpec::parse(
+            "workload=conv-weak machine=nehalem_cluster p=1,2,4 rows_per_rank=64 steps=4 \
+             seeds=0,1,2",
+        )
+        .unwrap();
+        let machine = resolve_machine(&grid.machine).unwrap();
+        let fp = machine_fingerprint(&machine);
+        let cells: Vec<CellConfig> = grid.cells();
+        let mut docs: Vec<RunDoc> = cells
+            .iter()
+            .map(|c| RunDoc::new(c, &fp, &execute_cell(c, &machine)))
+            .collect();
+        let mean_of = |p: usize| {
+            let walls = docs.iter().filter(|d| d.p == p).map(|d| d.wall_secs);
+            walls.sum::<f64>() / 3.0
+        };
+        let expected: Vec<(usize, f64)> = [1, 2, 4].map(|p| (p, mean_of(p))).to_vec();
+        // Seeds differ, or the mean would prove nothing.
+        assert_ne!(docs[0].wall_secs.to_bits(), docs[1].wall_secs.to_bits());
+
+        let forward = weak_group(&docs).expect("weak group").walls;
+        docs.reverse();
+        let backward = weak_group(&docs).expect("weak group").walls;
+        docs.rotate_left(4);
+        let rotated = weak_group(&docs).expect("weak group").walls;
+        for walls in [&forward, &backward, &rotated] {
+            assert_eq!(walls.len(), 3);
+            for ((p, wall), (ep, ewall)) in walls.iter().zip(&expected) {
+                assert_eq!(p, ep);
+                assert_eq!(wall.to_bits(), ewall.to_bits(), "p={p}");
+            }
+        }
+
+        // A seed missing at one p is left out everywhere.
+        docs.retain(|d| !(d.p == 2 && d.seed == 1));
+        let partial = weak_group(&docs).expect("weak group").walls;
+        let only = |p: usize, seeds: [u64; 2]| {
+            let walls = seeds.map(|s| {
+                let doc = docs.iter().find(|d| d.p == p && d.seed == s);
+                doc.expect("document").wall_secs
+            });
+            (walls[0] + walls[1]) / 2.0
+        };
+        assert_eq!(partial[0].1.to_bits(), only(1, [0, 2]).to_bits());
+        assert_eq!(partial[1].1.to_bits(), only(2, [0, 2]).to_bits());
     }
 }

@@ -184,8 +184,7 @@ mod tests {
         };
         let m = machine::presets::ideal();
         let fp = machine_fingerprint(&m);
-        let outcome = bench::conv_cell(p, 3, &m, seed);
-        RunDoc::new(&cfg, &fp, &outcome)
+        RunDoc::new(&cfg, &fp, &crate::pool::execute_cell(&cfg, &m))
     }
 
     #[test]

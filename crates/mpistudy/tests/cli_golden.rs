@@ -58,7 +58,7 @@ fn sweep_and_report_are_pinned() {
 
 #[test]
 fn hostile_command_lines_get_one_error_line_and_the_usage() {
-    let cases: [(&[&str], &str); 7] = [
+    let cases: [(&[&str], &str); 9] = [
         (&["run", "--store"], "--store requires a value"),
         (
             &["run", "--store", "D", "--grid", GRID, "--jobs", "x"],
@@ -89,6 +89,27 @@ fn hostile_command_lines_get_one_error_line_and_the_usage() {
                 "workload=conv machine=marsrover p=1 steps=2",
             ],
             "nehalem_cluster",
+        ),
+        // Neither may run a truncated sweep and exit 0.
+        (
+            &[
+                "run",
+                "--store",
+                "D",
+                "--grid",
+                "workload=conv machine=nehalem p=1 steps=3,9",
+            ],
+            "grid spec: steps= takes one value, got '3,9'",
+        ),
+        (
+            &[
+                "run",
+                "--store",
+                "D",
+                "--grid",
+                "workload=conv machine=nehalem p=2 p=4 steps=3",
+            ],
+            "grid spec: 'p' given twice",
         ),
     ];
     for (args, needle) in cases {

@@ -57,27 +57,6 @@ pub fn linear_fit(points: &[(f64, f64)]) -> Option<(f64, f64)> {
     Some((slope, intercept))
 }
 
-/// Root-mean-square relative error of the Amdahl model with serial
-/// fraction `fs` against measured `(p, speedup)` points.
-pub fn amdahl_rms_rel_error(fs: f64, points: &[(usize, f64)]) -> f64 {
-    let mut acc = 0.0;
-    let mut n = 0;
-    for &(p, s) in points {
-        if s <= 0.0 {
-            continue;
-        }
-        let predicted = crate::laws::amdahl::bound(fs, p);
-        let rel = (predicted - s) / s;
-        acc += rel * rel;
-        n += 1;
-    }
-    if n == 0 {
-        0.0
-    } else {
-        (acc / n as f64).sqrt()
-    }
-}
-
 /// Weak-scaling efficiency: `t(1) / t(p)` for a problem grown
 /// proportionally with `p` (ideal = 1).
 pub fn weak_efficiency(t1_secs: f64, tp_secs: f64) -> f64 {
@@ -117,7 +96,6 @@ mod tests {
             .collect();
         let fs = fit_amdahl_serial_fraction(&points).unwrap();
         assert!((fs - fs_true).abs() < 1e-12, "{fs}");
-        assert!(amdahl_rms_rel_error(fs, &points) < 1e-12);
     }
 
     #[test]
@@ -178,22 +156,5 @@ mod tests {
             }
         }
         assert_eq!(gustafson_serial_fraction(5.0, 1), 0.0);
-    }
-
-    #[test]
-    fn rms_error_detects_model_mismatch() {
-        // Data that saturates harder than any Amdahl curve (a hard cap):
-        // the best fit still carries visible error.
-        let points: Vec<(usize, f64)> = vec![
-            (2, 2.0),
-            (4, 4.0),
-            (8, 8.0),
-            (16, 8.0),
-            (64, 8.0),
-            (256, 8.0),
-        ];
-        let fs = fit_amdahl_serial_fraction(&points).unwrap();
-        let err = amdahl_rms_rel_error(fs, &points);
-        assert!(err > 0.05, "err={err}");
     }
 }

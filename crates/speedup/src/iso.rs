@@ -14,15 +14,6 @@ pub fn total_overhead(seq_secs: f64, par_secs: f64, p: usize) -> f64 {
     (p as f64 * par_secs - seq_secs).max(0.0)
 }
 
-/// Parallel efficiency from the same measurements:
-/// `E = t_seq / (p · t_par) = W / (W + T_o)`.
-pub fn efficiency_from_overhead(seq_secs: f64, overhead_secs: f64) -> f64 {
-    if seq_secs <= 0.0 {
-        return 0.0;
-    }
-    seq_secs / (seq_secs + overhead_secs)
-}
-
 /// The isoefficiency relation: the useful work needed to sustain target
 /// efficiency `e` against a total overhead of `overhead_secs`.
 /// Returns infinity when `e >= 1` (perfect efficiency needs zero overhead).
@@ -73,13 +64,6 @@ pub fn fit_overhead_power_law(points: &[(usize, f64)]) -> Option<(f64, f64)> {
     Some((a, b))
 }
 
-/// The isoefficiency *function* implied by a fitted power-law overhead:
-/// `W(p) = E/(1-E) · a · p^b`. A `b > 1` means the problem must grow
-/// super-linearly with p — weak scaling alone cannot hold efficiency.
-pub fn isoefficiency_function(e_target: f64, a: f64, b: f64, p: usize) -> f64 {
-    required_work(e_target, a * (p as f64).powf(b))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,10 +81,9 @@ mod tests {
         // E from overhead equals E from timings.
         let (seq, par, p) = (100.0, 30.0, 4usize);
         let to = total_overhead(seq, par, p);
-        let e1 = efficiency_from_overhead(seq, to);
+        let e1 = seq / (seq + to);
         let e2 = crate::efficiency(seq, par, p);
         assert!((e1 - e2).abs() < 1e-12);
-        assert_eq!(efficiency_from_overhead(0.0, 5.0), 0.0);
     }
 
     #[test]
@@ -109,7 +92,7 @@ mod tests {
         assert!((required_work(0.8, 10.0) - 40.0).abs() < 1e-12);
         // Check the relation closes: E = W/(W+To).
         let w = required_work(0.8, 10.0);
-        assert!((efficiency_from_overhead(w, 10.0) - 0.8).abs() < 1e-12);
+        assert!((w / (w + 10.0) - 0.8).abs() < 1e-12);
         assert!(required_work(1.0, 1.0).is_infinite());
         assert_eq!(required_work(1.0, 0.0), 0.0);
         assert_eq!(required_work(0.0, 10.0), 0.0);
@@ -138,13 +121,12 @@ mod tests {
 
     #[test]
     fn isoefficiency_growth() {
-        // Logarithmic-free linear overhead (b=1): W grows linearly — the
-        // hallmark of a scalable algorithm; b=2 grows quadratically.
-        let w_lin_8 = isoefficiency_function(0.5, 1.0, 1.0, 8);
-        let w_lin_64 = isoefficiency_function(0.5, 1.0, 1.0, 64);
-        assert!((w_lin_64 / w_lin_8 - 8.0).abs() < 1e-9);
-        let w_quad_8 = isoefficiency_function(0.5, 1.0, 2.0, 8);
-        let w_quad_64 = isoefficiency_function(0.5, 1.0, 2.0, 64);
-        assert!((w_quad_64 / w_quad_8 - 64.0).abs() < 1e-9);
+        // W = E/(1-E) · T_o is linear in the overhead, so against a
+        // power-law overhead p^b the work to hold an efficiency grows as
+        // p^b: linearly for b = 1 — the hallmark of a scalable algorithm
+        // — quadratically for b = 2.
+        let work = |b: f64, p: usize| required_work(0.5, (p as f64).powf(b));
+        assert!((work(1.0, 64) / work(1.0, 8) - 8.0).abs() < 1e-9);
+        assert!((work(2.0, 64) / work(2.0, 8) - 64.0).abs() < 1e-9);
     }
 }

@@ -51,25 +51,6 @@ pub mod gustafson {
     }
 }
 
-/// The Karp–Flatt experimentally determined serial fraction:
-/// `e = (1/S - 1/p) / (1 - 1/p)`.
-///
-/// The paper notes that in practice the "sequential fraction" of Amdahl's
-/// law is measured through the speedup limit — this is that measurement.
-///
-/// ```
-/// // A measured 8.08x on 24 units implies ~8.5% serial fraction.
-/// let e = speedup::karp_flatt(8.08, 24);
-/// assert!((e - 0.0856).abs() < 1e-3);
-/// ```
-pub fn karp_flatt(measured_speedup: f64, p: usize) -> f64 {
-    if p <= 1 || measured_speedup <= 0.0 {
-        return 0.0;
-    }
-    let p = p as f64;
-    ((1.0 / measured_speedup) - (1.0 / p)) / (1.0 - 1.0 / p)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,24 +85,5 @@ mod tests {
         assert!((gustafson::scaled_speedup(1.0, 64) - 1.0).abs() < 1e-12);
         // 10% serial, 32 units: 32 - 0.1*31 = 28.9.
         assert!((gustafson::scaled_speedup(0.1, 32) - 28.9).abs() < 1e-12);
-    }
-
-    #[test]
-    fn karp_flatt_recovers_amdahl_fraction() {
-        // If the measured speedup exactly follows Amdahl with fs = 0.07,
-        // Karp-Flatt recovers 0.07.
-        for p in [2usize, 8, 64, 456] {
-            let s = amdahl::bound(0.07, p);
-            let e = karp_flatt(s, p);
-            assert!((e - 0.07).abs() < 1e-9, "p={p} e={e}");
-        }
-        assert_eq!(karp_flatt(10.0, 1), 0.0);
-        assert_eq!(karp_flatt(0.0, 8), 0.0);
-    }
-
-    #[test]
-    fn karp_flatt_detects_superlinear_as_negative() {
-        // Superlinear measurement -> negative serial fraction.
-        assert!(karp_flatt(10.0, 8) < 0.0);
     }
 }

@@ -1,14 +1,14 @@
 //! # speedup — scaling-law analysis for section profiles
 //!
 //! The analysis side of the reproduction: classical scaling laws (the
-//! canonical speedup of Eq. 1, Amdahl, Gustafson–Barsis, Karp–Flatt) and
-//! the paper's contribution, **partial speedup bounding** (Eq. 6): every
+//! canonical speedup of Eq. 1, Amdahl, Gustafson–Barsis) and the paper's
+//! contribution, **partial speedup bounding** (Eq. 6): every
 //! program section individually bounds the strong-scaling speedup by
 //! `Σ_j f_j(n0,1) / f_i(n0,p)`.
 //!
 //! Building blocks:
 //!
-//! * [`laws`] — speedup, efficiency, Amdahl, Gustafson, Karp–Flatt;
+//! * [`laws`] — speedup, efficiency, Amdahl, Gustafson;
 //! * [`partial`] — Eq. 6 in both "total across ranks" (Fig. 6) and
 //!   per-process (§5.2) forms, including direct evaluation on a
 //!   [`mpi_sections::Profile`];
@@ -25,19 +25,16 @@ pub mod study;
 pub mod trend;
 
 pub use fit::{
-    amdahl_rms_rel_error, fit_amdahl_serial_fraction, gustafson_serial_fraction, linear_fit,
-    scaled_speedup_measured, weak_efficiency,
+    fit_amdahl_serial_fraction, gustafson_serial_fraction, linear_fit, scaled_speedup_measured,
+    weak_efficiency,
 };
-pub use iso::{
-    efficiency_from_overhead, fit_overhead_power_law, isoefficiency_function, required_work,
-    total_overhead,
-};
-pub use laws::{efficiency, karp_flatt, speedup};
+pub use iso::{fit_overhead_power_law, required_work, total_overhead};
+pub use laws::{efficiency, speedup};
 pub use partial::{
     binding_bound, bound_row, bounds_from_profile, partial_bound, partial_bound_per_process,
     PartialBound,
 };
-pub use series::{crossover, ScalePoint, ScalingSeries};
+pub use series::{ScalePoint, ScalingSeries};
 pub use study::{ScalingStudy, SectionStudy, StoredSectionRow};
 pub use trend::{SectionTrend, TrendConfig};
 

@@ -117,28 +117,6 @@ impl ScalingSeries {
     }
 }
 
-/// Find the crossover between two time series (e.g. "MPI scaling" vs
-/// "OpenMP scaling" over the same resource counts, the Fig. 8 question):
-/// the smallest shared `p` at which the faster-of-the-two flips relative
-/// to the first shared point. `None` when one series dominates everywhere
-/// or there are fewer than two shared points.
-pub fn crossover(a: &ScalingSeries, b: &ScalingSeries) -> Option<usize> {
-    let shared: Vec<(usize, f64, f64)> = a
-        .points()
-        .iter()
-        .filter_map(|pa| b.at(pa.p).map(|tb| (pa.p, pa.secs, tb)))
-        .collect();
-    if shared.len() < 2 {
-        return None;
-    }
-    let initial_a_faster = shared[0].1 <= shared[0].2;
-    shared
-        .iter()
-        .skip(1)
-        .find(|(_, ta, tb)| (ta <= tb) != initial_a_faster)
-        .map(|&(p, _, _)| p)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,22 +190,6 @@ mod tests {
         // Bound = 882 / 84 = 10.5 per Eq. 6.
         let b = s.bound_at_inflexion(882.0, 0.0).unwrap();
         assert!((b - 10.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn crossover_detection() {
-        // a wins early, b wins late: crossover at 16.
-        let a = ScalingSeries::new(vec![(1, 10.0), (4, 6.0), (16, 5.0), (64, 5.0)]);
-        let b = ScalingSeries::new(vec![(1, 20.0), (4, 8.0), (16, 4.0), (64, 2.0)]);
-        assert_eq!(crossover(&a, &b), Some(16));
-        // One series dominates: no crossover.
-        let c = ScalingSeries::new(vec![(1, 1.0), (4, 1.0), (16, 1.0), (64, 1.0)]);
-        assert_eq!(crossover(&c, &a), None);
-        // Too few shared points.
-        let d = ScalingSeries::new(vec![(3, 1.0)]);
-        assert_eq!(crossover(&a, &d), None);
-        // Symmetric call finds the same point.
-        assert_eq!(crossover(&b, &a), Some(16));
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! The full §2 workflow as one object: feed profiles measured at several
-//! scales, get back every section's scaling series, inflexion point and
-//! Eq. 6 bound trajectory — plus the program-level verdict ("which section
-//! binds, and from which scale on").
+//! The full §2 workflow as one object: feed section rows measured at
+//! several scales, get back every section's scaling series, inflexion
+//! point and Eq. 6 bound trajectory — plus the program-level verdict
+//! ("which section binds, and from which scale on").
 //!
 //! This is the analysis a tool built on `MPI_Section` ships as its main
 //! screen; the `figures` harness and the examples assemble it by hand,
@@ -9,7 +9,7 @@
 
 use crate::partial::partial_bound_per_process;
 use crate::series::ScalingSeries;
-use mpi_sections::{Profile, MPI_MAIN};
+use mpi_sections::MPI_MAIN;
 use std::collections::BTreeMap;
 
 /// One section's view across all measured scales.
@@ -27,8 +27,8 @@ pub struct SectionStudy {
 }
 
 /// One persisted per-(scale, section) measurement, as the mpistudy run
-/// store serves them: no live [`Profile`] object, just the numbers a
-/// stored metrics document carries.
+/// store serves them: no live profile object, just the numbers a stored
+/// metrics document carries.
 #[derive(Debug, Clone)]
 pub struct StoredSectionRow {
     /// Scale (MPI processes, or threads for a thread study).
@@ -53,9 +53,13 @@ pub struct ScalingStudy {
 }
 
 impl ScalingStudy {
-    /// Build from `(p, profile)` measurements. Requires at least one
-    /// measurement; the smallest `p` serves as the baseline. Sections
-    /// missing from some profiles contribute only where present.
+    /// Build from per-(scale, section) rows of world-communicator
+    /// sections (sub-communicator sections can share a label across
+    /// disjoint communicators and cannot be lined up across scales by
+    /// it) — what the `figures` harness has after a run and the mpistudy
+    /// store after reading its documents back. Requires at least one row;
+    /// the smallest `p` serves as the baseline, and sections missing at
+    /// some scales contribute only where present.
     ///
     /// The Eq. 6 numerator is the baseline's total exclusive section time
     /// summed across its ranks. With a sequential baseline (p = 1, the
@@ -63,39 +67,6 @@ impl ScalingStudy {
     /// baseline it is an *estimate* of the sequential total (exact for
     /// work-conserving sections, inflated by whatever overhead the
     /// baseline itself already pays).
-    pub fn new(measurements: &[(usize, Profile)]) -> ScalingStudy {
-        // World-communicator sections only: sub-communicator sections
-        // can share labels across disjoint comms (two "solver" teams),
-        // which cannot be lined up across scales by label.
-        let rows: Vec<StoredSectionRow> = measurements
-            .iter()
-            .flat_map(|(p, profile)| {
-                // MPI_MAIN is not a world label (it is the program frame),
-                // but the store rows must carry it: it is the walltime row.
-                let mut labels = vec![MPI_MAIN];
-                labels.extend(profile.world_labels());
-                labels
-                    .into_iter()
-                    .filter_map(|label| profile.get_world(label))
-                    .map(|stats| StoredSectionRow {
-                        p: *p,
-                        label: stats.key.label.clone(),
-                        avg_per_rank_secs: stats.avg_per_rank_secs(),
-                        total_excl_secs: stats.total_excl_secs,
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        assert!(!measurements.is_empty(), "study needs measurements");
-        ScalingStudy::from_rows(&rows)
-    }
-
-    /// Build from persisted per-(scale, section) rows — the constructor
-    /// the mpistudy run store feeds: it has no [`Profile`] objects, only
-    /// the rows its metrics documents recorded. Requires at least one
-    /// row; the smallest `p` is the baseline, exactly as in
-    /// [`ScalingStudy::new`] (the two constructors agree bit-for-bit on
-    /// equal inputs — pinned by a test below).
     pub fn from_rows(rows: &[StoredSectionRow]) -> ScalingStudy {
         assert!(!rows.is_empty(), "study needs measurements");
         let mut ps: Vec<usize> = rows.iter().map(|r| r.p).collect();
@@ -259,8 +230,28 @@ impl ScalingStudy {
 mod tests {
     use super::*;
     use machine::Work;
-    use mpi_sections::{SectionProfiler, SectionRuntime, VerifyMode};
+    use mpi_sections::{Profile, SectionProfiler, SectionRuntime, VerifyMode};
     use mpisim::WorldBuilder;
+
+    /// The study over `(p, profile)` measurements: every world section
+    /// (the `MPI_MAIN` frame among them) as a row.
+    fn study_of(measurements: &[(usize, Profile)]) -> ScalingStudy {
+        let rows: Vec<StoredSectionRow> = measurements
+            .iter()
+            .flat_map(|(p, profile)| {
+                profile
+                    .sections()
+                    .filter(|s| s.key.comm == mpisim::CommId::WORLD)
+                    .map(|s| StoredSectionRow {
+                        p: *p,
+                        label: s.key.label.clone(),
+                        avg_per_rank_secs: s.avg_per_rank_secs(),
+                        total_excl_secs: s.total_excl_secs,
+                    })
+            })
+            .collect();
+        ScalingStudy::from_rows(&rows)
+    }
 
     /// A program with a perfectly parallel phase and a fixed-cost phase.
     fn profile_at(p: usize) -> Profile {
@@ -288,7 +279,7 @@ mod tests {
             .iter()
             .map(|&p| (p, profile_at(p)))
             .collect();
-        ScalingStudy::new(&ms)
+        study_of(&ms)
     }
 
     #[test]
@@ -341,63 +332,8 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "needs measurements")]
-    fn empty_study_rejected() {
-        let _ = ScalingStudy::new(&[]);
-    }
-
-    #[test]
-    #[should_panic(expected = "needs measurements")]
     fn empty_rows_rejected() {
         let _ = ScalingStudy::from_rows(&[]);
-    }
-
-    #[test]
-    fn from_rows_matches_profile_constructor_bitwise() {
-        // The store-ingestion path must agree with the in-process path
-        // bit-for-bit, or regenerated figures drift from harness output.
-        let ms: Vec<(usize, Profile)> = [1usize, 4, 16]
-            .iter()
-            .map(|&p| (p, profile_at(p)))
-            .collect();
-        let rows: Vec<StoredSectionRow> = ms
-            .iter()
-            .flat_map(|(p, profile)| {
-                let mut labels = vec![mpi_sections::MPI_MAIN];
-                labels.extend(profile.world_labels());
-                labels.into_iter().map(|label| {
-                    let stats = profile.get_world(label).expect("listed label");
-                    StoredSectionRow {
-                        p: *p,
-                        label: stats.key.label.clone(),
-                        avg_per_rank_secs: stats.avg_per_rank_secs(),
-                        total_excl_secs: stats.total_excl_secs,
-                    }
-                })
-            })
-            .collect();
-        let a = ScalingStudy::new(&ms);
-        let b = ScalingStudy::from_rows(&rows);
-        assert_eq!(a.seq_total_secs.to_bits(), b.seq_total_secs.to_bits());
-        for (wa, wb) in a.walltime.points().iter().zip(b.walltime.points()) {
-            assert_eq!(wa.p, wb.p);
-            assert_eq!(wa.secs.to_bits(), wb.secs.to_bits());
-        }
-        assert_eq!(
-            a.sections.keys().collect::<Vec<_>>(),
-            b.sections.keys().collect::<Vec<_>>()
-        );
-        for (label, sa) in &a.sections {
-            let sb = &b.sections[label];
-            assert_eq!(sa.inflexion_p, sb.inflexion_p, "{label}");
-            for (pa, pb) in sa.per_process.points().iter().zip(sb.per_process.points()) {
-                assert_eq!(pa.p, pb.p);
-                assert_eq!(pa.secs.to_bits(), pb.secs.to_bits(), "{label} p={}", pa.p);
-            }
-            for (ba, bb) in sa.bounds.iter().zip(&sb.bounds) {
-                assert_eq!(ba.0, bb.0);
-                assert_eq!(ba.1.to_bits(), bb.1.to_bits(), "{label} bound p={}", ba.0);
-            }
-        }
     }
 
     #[test]
@@ -422,7 +358,7 @@ mod tests {
                 .unwrap();
             profiler.snapshot()
         };
-        let st = ScalingStudy::new(&[(1, nested_profile(1)), (4, nested_profile(4))]);
+        let st = study_of(&[(1, nested_profile(1)), (4, nested_profile(4))]);
         // Program total is 4 s, not 8 (loop's exclusive time is ~0).
         assert!(
             (st.seq_total_secs - 4.0).abs() < 1e-9,
@@ -439,7 +375,7 @@ mod tests {
 
     #[test]
     fn single_measurement_study() {
-        let st = ScalingStudy::new(&[(4, profile_at(4))]);
+        let st = study_of(&[(4, profile_at(4))]);
         assert_eq!(st.walltime.points().len(), 1);
         // One point: no inflexion claims.
         assert!(st.sections["work"].inflexion_p.is_none());

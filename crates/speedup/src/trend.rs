@@ -68,11 +68,6 @@ pub struct SectionTrend {
 }
 
 impl SectionTrend {
-    /// Total efficiency change along the fitted line (negative = loss).
-    pub fn fitted_drop(&self) -> f64 {
-        self.fitted_last - self.fitted_first
-    }
-
     fn to_json(&self) -> String {
         let mut out = format!(
             "{{\"label\":{},\"windows\":{},\"slope\":{:.6},\"fitted_first\":{:.6},\

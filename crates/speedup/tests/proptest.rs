@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use speedup::ScalingSeries;
-use speedup::{efficiency, karp_flatt, laws, partial_bound, partial_bound_per_process, speedup};
+use speedup::{efficiency, laws, partial_bound, partial_bound_per_process, speedup};
 
 proptest! {
     #[test]
@@ -26,12 +26,6 @@ proptest! {
         prop_assert!(gustafson <= p as f64 + 1e-9);
         prop_assert!(gustafson + 1e-9 >= amdahl);
         prop_assert!(amdahl <= laws::amdahl::limit(fs) + 1e-9);
-    }
-
-    #[test]
-    fn karp_flatt_inverts_amdahl(fs in 0.001f64..0.999, p in 2usize..4096) {
-        let s = laws::amdahl::bound(fs, p);
-        prop_assert!((karp_flatt(s, p) - fs).abs() < 1e-6);
     }
 
     #[test]

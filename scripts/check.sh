@@ -82,6 +82,18 @@ if grep -n 'Vec<VerifyEvent>' crates/core/src/section.rs; then
     exit 1
 fi
 
+echo "==> one way from a cell to a paper row: bench::profiled / profiled_cell"
+if grep -rn 'measure_convolution\|measure_lulesh\|lulesh_profile\|conv_profile' crates; then
+    echo "crates: a wrapper around bench::profiled is back beside it"
+    exit 1
+fi
+# `ablation-adaptive` (one rank pricing shmem teams, not a conv / LULESH /
+# race program) is the one world `figures` builds itself.
+if [ "$(grep -c 'WorldBuilder::new' crates/bench/src/bin/figures.rs)" -gt 1 ]; then
+    echo "crates/bench/src/bin/figures.rs: a second hand-built world is back beside bench::Launch"
+    exit 1
+fi
+
 echo "==> no per-operation allocation on the steady-state path (counted by tests/alloc_steady_state.rs)"
 # The count is the gate (it ran under `cargo test` above); this names the
 # bodies a `Vec` per call used to sit in, so the reason is on the line
@@ -95,6 +107,16 @@ if { steady_body crates/mpisim/src/topo.rs neighbor
     echo "a per-operation allocation is back on the steady-state path"
     exit 1
 fi
+
+echo "==> results/ is what \`figures all\` writes (19 CSVs, ~26 s)"
+cargo build -q --release -p bench --bin figures
+figures_out="$(mktemp -d /tmp/check-figures.XXXXXX)"
+./target/release/figures all --out "$figures_out" > /dev/null 2>&1 \
+    || { echo "figures all: failed"; exit 1; }
+drift="$(diff -rq results "$figures_out" | head -n 1)"
+test -z "$drift" \
+    || { echo "results/ drifted from what this tree writes: $drift"; exit 1; }
+rm -rf "$figures_out"
 
 echo "==> benchmark package builds against these crates (the root test never compiles it)"
 (cd benchmark && cargo test --release --quiet)
@@ -131,7 +153,8 @@ echo "==> smoke: hostile command lines exit 2, not 101"
 for hostile in \
     "mpistudy study run --store" \
     "bench figures fig7 --steps" \
-    "bench figures fig7 --reps x"
+    "bench figures fig7 --reps x" \
+    "bench figures fig6 --reps 0"
 do
     set -- $hostile
     package="$1"; binary="$2"; shift 2
