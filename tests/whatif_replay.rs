@@ -29,12 +29,18 @@ fn conv_log(machine: machine::MachineModel, p: usize, steps: usize, seed: u64) -
     recorder.freeze()
 }
 
-fn lulesh_log(machine: machine::MachineModel, p: usize, iters: usize, seed: u64) -> CommLog {
+fn lulesh_log(
+    machine: machine::MachineModel,
+    p: usize,
+    iters: usize,
+    threads: usize,
+    seed: u64,
+) -> CommLog {
     let sections = SectionRuntime::new(VerifyMode::Active);
     let recorder = CommRecorder::new();
     let s = sections.clone();
     let size = lulesh_proxy::size_for(lulesh_proxy::PAPER_TOTAL_ELEMENTS, p).expect("cube p");
-    let cfg = Arc::new(lulesh_proxy::LuleshConfig::timing(size, iters, 1));
+    let cfg = Arc::new(lulesh_proxy::LuleshConfig::timing(size, iters, threads));
     WorldBuilder::new(p)
         .machine(machine)
         .seed(seed)
@@ -183,12 +189,12 @@ fn ideal_replay_converges_to_critical_path() {
         ),
         (
             "lulesh p=8",
-            lulesh_log(machine::presets::knl(), 8, 10, 1),
+            lulesh_log(machine::presets::knl(), 8, 10, 1, 1),
             machine::presets::knl(),
         ),
         (
             "lulesh p=64",
-            lulesh_log(machine::presets::knl(), 64, 10, 1),
+            lulesh_log(machine::presets::knl(), 64, 10, 1, 1),
             machine::presets::knl(),
         ),
     ];
@@ -203,6 +209,124 @@ fn ideal_replay_converges_to_critical_path() {
             cp.length_ns
         );
     }
+}
+
+/// A program of the re-simulation property: conv recorded on the
+/// Nehalem cluster for 40 steps, LULESH on the KNL for 10 iterations.
+#[derive(Debug, Clone, Copy)]
+enum Program {
+    Conv { p: usize },
+    Lulesh { p: usize, threads: usize },
+}
+
+impl Program {
+    fn recorded_on(self) -> machine::MachineModel {
+        match self {
+            Program::Conv { .. } => machine::presets::nehalem_cluster(),
+            Program::Lulesh { .. } => machine::presets::knl(),
+        }
+    }
+
+    fn p(self) -> usize {
+        match self {
+            Program::Conv { p } | Program::Lulesh { p, .. } => p,
+        }
+    }
+
+    fn run_on(self, m: machine::MachineModel) -> CommLog {
+        match self {
+            Program::Conv { p } => conv_log(m, p, 40, 1),
+            Program::Lulesh { p, threads } => lulesh_log(m, p, 10, threads, 1),
+        }
+    }
+}
+
+/// Everything a re-timed log is compared by: makespan and the wait-state,
+/// critical-path and timeline documents.
+fn views(log: &CommLog) -> (u64, [String; 3]) {
+    (
+        log.makespan_ns(),
+        [
+            classify(log).to_json(),
+            critpath::extract(log).to_json(),
+            timeline::build(log, &Windowing::Fixed(8)).to_json(),
+        ],
+    )
+}
+
+/// How many ranks share each rank's node under `topology`.
+fn node_mates(topology: machine::Topology, p: usize) -> Vec<usize> {
+    (0..p)
+        .map(|r| topology.ranks_on_node(topology.node_of(r), p))
+        .collect()
+}
+
+/// Replay under an altered machine M′ is a run on M′: makespan, wait
+/// states, critical path and timeline are bitwise equal, because both
+/// clocks price every message and collective the same way and conv and
+/// LULESH match no wildcard (their matching cannot depend on timing).
+///
+/// `jitter=0` is a run without noise and `net=ideal,jitter=0` one that
+/// also has a free network. `net=X,jitter=0` takes machine X's network
+/// and rank placement; it is compared only where every rank keeps its
+/// node-mate count. Elsewhere the two legitimately differ, by design:
+/// replay keeps the recorded compute, while a run re-prices memory
+/// contention under the new node packing (conv at p = 64 moved from
+/// eight ranks per node onto one node replays at 9.90 s and runs at
+/// 77.42 s under the KNL placement).
+#[test]
+fn replay_under_an_altered_machine_equals_a_run_on_it() {
+    let programs = [
+        Program::Conv { p: 8 },
+        Program::Conv { p: 64 },
+        Program::Lulesh { p: 8, threads: 1 },
+        Program::Lulesh { p: 8, threads: 4 },
+        Program::Lulesh { p: 64, threads: 1 },
+        Program::Lulesh { p: 64, threads: 4 },
+    ];
+    let mut compared = Vec::new();
+    for program in programs {
+        let recorded = program.recorded_on();
+        let log = program.run_on(recorded.clone());
+        let quiet = machine::MachineModel {
+            noise: machine::NoiseModel::NONE,
+            ..recorded.clone()
+        };
+        let mut cases = vec![
+            ("jitter=0".to_string(), quiet.clone()),
+            (
+                "net=ideal,jitter=0".to_string(),
+                machine::MachineModel {
+                    network: machine::NetworkModel::FREE,
+                    ..quiet.clone()
+                },
+            ),
+        ];
+        for name in ["nehalem", "knl", "broadwell", "future"] {
+            let x = machine::presets::by_name(name).expect("preset");
+            let p = program.p();
+            if node_mates(x.topology, p) == node_mates(recorded.topology, p) {
+                let m = machine::MachineModel {
+                    network: x.network,
+                    topology: x.topology,
+                    ..quiet.clone()
+                };
+                cases.push((format!("net={name},jitter=0"), m));
+            }
+        }
+        for (spec, altered) in cases {
+            let re = replay(&log, &recorded, 1, &parse(&spec).expect("spec")).expect("replay");
+            assert!(
+                views(&re) == views(&program.run_on(altered)),
+                "{program:?} {spec}: replay and re-simulation disagree"
+            );
+            compared.push(format!("{program:?} {spec}"));
+        }
+    }
+    // 12 noise-free cases, plus 19 placements that keep the node-mates:
+    // conv p = 8 under all four presets, conv p = 64 only under its own,
+    // LULESH p = 8 under all four and p = 64 under the three one-node ones.
+    assert_eq!(compared.len(), 31, "{compared:#?}");
 }
 
 /// The PR 5 pinned scenario, counterfactually: the noisy p=64 run flags
