@@ -111,7 +111,7 @@ pub fn analyze(
         .section_totals()
         .iter()
         .filter(|(label, ws)| label.as_str() != MPI_MAIN && ws.time_ns > 0)
-        .map(|(_, ws)| seq_total_secs / (ws.time_ns as f64 / 1e9 / p as f64))
+        .map(|(_, ws)| mpi_sections::partial_bound(seq_total_secs, ws.time_ns as f64 / 1e9, p))
         .fold(f64::INFINITY, f64::min);
     Ok(Scenario {
         spec: spec.raw.clone(),

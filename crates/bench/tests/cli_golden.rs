@@ -182,6 +182,25 @@ fn hostile_command_lines_get_one_error_line_and_the_usage() {
     }
 }
 
+/// A `scale:` factor that re-times a clock past 2^64 ns is refused, not
+/// reported as the makespan of a clock that wrapped around.
+#[test]
+fn a_what_if_past_the_clock_range_is_an_error_not_a_makespan() {
+    let dir = scratch("what-if-range");
+    let spec = "scale:CONVOLVE=1e11";
+    let out = run(
+        PROFILE,
+        &dir,
+        &["conv", "--p", "8", "--steps", "5", "--what-if", spec],
+    );
+    assert_eq!(out.code, 1, "stderr:\n{}", out.stderr);
+    let line = format!(
+        "error: --what-if {spec}: the re-timed clock passes 2^64 ns (584 years) under {spec}\n"
+    );
+    assert_eq!(out.stderr, line);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 #[test]
 fn hostile_nesting_gets_an_offset_not_a_stack_overflow() {
     let dir = scratch("deep-json");

@@ -10,6 +10,31 @@
 use crate::profiler::Profile;
 use crate::section::MPI_MAIN;
 
+/// Eq. 6 in "total across ranks" form: `seq_total / (section_total / p)`.
+/// Every Eq. 6 figure the crates print is this function or the next.
+///
+/// Returns infinity for a zero-cost section (it does not bound anything).
+///
+/// ```
+/// // The paper's Fig. 6 headline row: B(64) = 5589.84 / (3025.44/64).
+/// let b = mpi_sections::partial_bound(5589.84, 3025.44, 64);
+/// assert!((b - 118.25).abs() < 0.01);
+/// ```
+pub fn partial_bound(seq_total_secs: f64, section_total_secs: f64, p: usize) -> f64 {
+    if section_total_secs <= 0.0 {
+        return f64::INFINITY;
+    }
+    seq_total_secs / (section_total_secs / p.max(1) as f64)
+}
+
+/// Eq. 6 in per-process form: `seq_total / section_per_process`.
+pub fn partial_bound_per_process(seq_total_secs: f64, section_secs: f64) -> f64 {
+    if section_secs <= 0.0 {
+        return f64::INFINITY;
+    }
+    seq_total_secs / section_secs
+}
+
 /// One section's scaling behaviour between two runs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SectionScaling {
@@ -75,24 +100,13 @@ impl ProfileComparison {
                     .get_world(&label)
                     .map(|s| s.total_own_secs)
                     .unwrap_or(0.0);
-                let per_rank = target_total / target_p.max(1) as f64;
-                let section_speedup = if per_rank > 0.0 {
-                    base_total / per_rank
-                } else {
-                    f64::INFINITY
-                };
-                let program_bound = if per_rank > 0.0 {
-                    base_program_total_secs / per_rank
-                } else {
-                    f64::INFINITY
-                };
                 SectionScaling {
                     label,
                     base_total_secs: base_total,
                     target_total_secs: target_total,
-                    target_per_rank_secs: per_rank,
-                    section_speedup,
-                    program_bound,
+                    target_per_rank_secs: target_total / target_p.max(1) as f64,
+                    section_speedup: partial_bound(base_total, target_total, target_p),
+                    program_bound: partial_bound(base_program_total_secs, target_total, target_p),
                 }
             })
             .collect();

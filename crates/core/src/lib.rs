@@ -73,7 +73,7 @@ pub mod waitstate;
 pub mod whatif;
 
 pub use balance::BalanceReport;
-pub use compare::{ProfileComparison, SectionScaling};
+pub use compare::{partial_bound, partial_bound_per_process, ProfileComparison, SectionScaling};
 pub use critpath::CriticalPath;
 pub use efficiency::Efficiencies;
 pub use histogram::{DurationHistogram, HistogramTool};

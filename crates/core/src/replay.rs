@@ -18,24 +18,24 @@
 //! * **compute intervals** ([`RecKind::Compute`]) separately carry their
 //!   jitter-free base duration, so `jitter=0` replays the work at base
 //!   cost without re-pricing any kernel;
-//! * **sends** re-charge the (possibly altered) per-message CPU overhead;
+//! * **sends** re-charge the per-message CPU overhead of the altered
+//!   machine;
 //! * **receives** complete at `max(post', send') + residual`, where the
 //!   residual is the recorded post-dependency remainder (wire + overhead)
-//!   under the identity network, or a re-priced `transfer + jitter +
-//!   overhead` under an altered one;
+//!   when the network is kept, or the altered machine's
+//!   [`MachineModel::recv_done`] when it is re-priced;
 //! * **collectives** rendezvous exactly as recorded (same member set,
 //!   same rounds) and exit at `max(entries') + cost'`, with the cost
-//!   either the recorded delta or re-priced through the same cost
-//!   formulas the engine used ([`collective_base_secs`]).
+//!   either the recorded delta or the altered machine's
+//!   [`MachineModel::collective_exit`].
 //!
-//! Determinism carries over: network jitter is *regenerated*, not stored
-//! — the engine draws one exponential per matched receive from the
-//! per-rank `(seed, rank, NETWORK)` stream and one per collective round
-//! from the `(seed ^ ns, comm, round)` stream, so the replay re-derives
-//! the exact recorded values (and re-prices them under a different jitter
-//! mean without losing stream alignment). An identity replay is therefore
-//! *bitwise* identical to the recording — the pinned invariant that keeps
-//! every counterfactual trustworthy.
+//! The engine charges every message and collective through those same
+//! `MachineModel` methods and draws network jitter from the same
+//! `machine::noise` streams in the same order; the replay regenerates the
+//! jitter rather than storing it. An identity replay is therefore
+//! *bitwise* identical to the recording, and a replay under an altered
+//! machine to a run on it while every rank keeps its node-mates (replay
+//! keeps the recorded compute; a run re-prices memory contention).
 //!
 //! The result is a fresh [`CommLog`], so every downstream analysis —
 //! wait-state classification, critical-path extraction, the windowed
@@ -47,22 +47,18 @@ use crate::waitstate::{
     index_u32, CollRound, CollTable, CommLog, RankRecs, Rec, RecKind, Recorded, SendInfo, SendTable,
 };
 use crate::whatif::{WaitClass, WhatIfSpec};
-use machine::noise::NoiseModel;
-use machine::{CollectiveCost, DetRng, MachineModel, NetworkModel, Topology, VTime};
+use machine::{DetRng, MachineModel, NoiseModel, RankStream, VTime};
 use mpisim::message::seq_parts;
 use mpisim::CommId;
 use std::sync::Arc;
-
-/// mpisim's per-rank network random stream (`proc::streams::NETWORK`).
-const NETWORK_STREAM: u64 = 1;
-/// mpisim's collective jitter stream namespace (see `Comm::sync`).
-const COLLECTIVE_NAMESPACE: u64 = 0x636f_6c6c_6563_7469;
 
 /// Replay `log` under the scenario described by `spec`.
 ///
 /// `recorded` must be the machine model the log was recorded under and
 /// `seed` the recording seed — both are needed to separate (and, for
 /// altered networks, to regenerate) the priced components of the trace.
+/// A scenario that re-times a clock past `u64` nanoseconds (≈ 584 years)
+/// is an error naming its `scale:` clauses.
 pub fn replay(
     log: &CommLog,
     recorded: &MachineModel,
@@ -84,41 +80,18 @@ pub fn replay(
         }
     }
 
-    // Resolve the network pricing. `None` keeps every recorded network
-    // delta (bitwise identity); `Some` re-prices messages and collectives.
-    let net = resolve_net(recorded, spec)?;
-
-    // Regenerate each rank's receive-jitter stream up front: the engine
-    // drew exactly one exponential per matched receive, in program order.
-    let recv_jitter: Vec<Vec<f64>> = match &net {
-        Some(n) => log
-            .run
-            .ranks
-            .iter()
-            .enumerate()
-            .map(|(r, rr)| {
-                let mut rng = DetRng::for_stream(seed, r as u64, NETWORK_STREAM);
-                rr.iter()
-                    .filter(|rec| matches!(rec.kind, RecKind::RecvMatch { .. }))
-                    .map(|_| n.noise.latency_jitter(&mut rng))
-                    .collect()
-            })
-            .collect(),
-        None => Vec::new(),
-    };
-
-    let nranks = log.run.ranks.len();
     let mut states: Vec<RankState> = log
         .run
         .ranks
         .iter()
-        .map(|rr| RankState {
+        .enumerate()
+        .map(|(rank, rr)| RankState {
             idx: 0,
-            recv_seen: 0,
-            now: 0,
+            now: VTime::ZERO,
             prev_effect: 0,
             prev_sec: rr.iter().next().map_or(0, |r| r.sec),
             coll_enter: None,
+            net_rng: DetRng::for_rank(seed, rank, RankStream::Network),
             out: RankRecs::default(),
         })
         .collect();
@@ -127,12 +100,10 @@ pub fn replay(
         log,
         recorded,
         seed,
-        net,
+        altered: altered(recorded, spec)?,
         null: spec.null,
         zero_jitter: spec.zero_jitter,
         scale,
-        recv_jitter,
-        nranks,
     };
 
     // Deterministic worklist: sweep the ranks in order, each advancing as
@@ -163,6 +134,16 @@ pub fn replay(
             );
         }
     }
+    // Clocks saturate, so a clock that left the range ends at the top;
+    // only scaling local work up can take it there.
+    if states.iter().any(|s| s.now == VTime::MAX) {
+        let clauses = spec.raw.split(',').map(str::trim);
+        let scales: Vec<&str> = clauses.filter(|c| c.starts_with("scale:")).collect();
+        return Err(format!(
+            "the re-timed clock passes 2^64 ns (584 years) under {}",
+            scales.join(",")
+        ));
+    }
 
     Ok(CommLog {
         run: Arc::new(Recorded {
@@ -174,66 +155,30 @@ pub fn replay(
     })
 }
 
-/// The collective base-cost map of the engine (`Comm::sync` call sites),
-/// reproduced so a replay can re-price a recorded round under another
-/// link. `total` is the byte total declared by all participants.
-pub fn collective_base_secs(cc: &CollectiveCost<'_>, op: &str, total: u64, psize: usize) -> f64 {
-    let total = total as usize;
-    match op {
-        "barrier" | "split.exchange" | "split.create" => cc.barrier(),
-        "bcast" => cc.bcast(total),
-        "scatterv" => cc.scatter(total),
-        "gatherv" => cc.gather(total),
-        "allgather" => cc.allgather(total / psize.max(1)),
-        "reduce" => cc.reduce(total / psize.max(1)),
-        "allreduce" => cc.allreduce(total / psize.max(1)),
-        "alltoall" => cc.alltoall(total / (psize * psize).max(1)),
-        "exscan" | "scan" => cc.scan(total / psize.max(1)),
-        "reduce_scatter" => cc.allreduce(total / (psize * psize).max(1)),
-        _ => 0.0,
-    }
-}
-
-/// An altered network pricing: links, rank placement, and the jitter
-/// model to regenerate message/collective noise under.
-struct NetPricing {
-    network: NetworkModel,
-    topology: Topology,
-    noise: NoiseModel,
-}
-
-fn resolve_net(recorded: &MachineModel, spec: &WhatIfSpec) -> Result<Option<NetPricing>, String> {
+/// The machine a scenario re-prices messages and collectives on: the
+/// recorded one with the network, rank placement and noise of the `net=`
+/// machine, and no noise under `jitter=0` (a replay draws latency jitter
+/// only; compute keeps its recorded intervals). `None` keeps every
+/// recorded network delta (bitwise identity).
+fn altered(recorded: &MachineModel, spec: &WhatIfSpec) -> Result<Option<MachineModel>, String> {
     if spec.net.is_none() && !spec.zero_jitter {
         return Ok(None);
     }
-    let (network, topology, mean) = match spec.net.as_deref() {
-        None => (
-            recorded.network,
-            recorded.topology,
-            recorded.noise.net_latency_jitter_mean,
-        ),
-        Some("ideal") => (NetworkModel::FREE, recorded.topology, 0.0),
-        Some(name) => {
-            let m = machine::presets::by_name(name)?;
-            (m.network, m.topology, m.noise.net_latency_jitter_mean)
-        }
-    };
-    let mean = if spec.zero_jitter { 0.0 } else { mean };
-    Ok(Some(NetPricing {
-        network,
-        topology,
-        noise: NoiseModel {
-            compute_sigma: 0.0,
-            net_latency_jitter_mean: mean,
-        },
-    }))
+    let mut m = recorded.clone();
+    if let Some(name) = &spec.net {
+        let net = machine::presets::by_name(name)?;
+        (m.network, m.topology, m.noise) = (net.network, net.topology, net.noise);
+    }
+    if spec.zero_jitter {
+        m.noise = NoiseModel::NONE;
+    }
+    Ok(Some(m))
 }
 
 /// Per-rank replay cursor.
 struct RankState {
     idx: usize,
-    recv_seen: usize,
-    now: u64,
+    now: VTime,
     /// Recorded effect time of the previous record (the point its local
     /// follow-up gap is measured from).
     prev_effect: u64,
@@ -241,9 +186,20 @@ struct RankState {
     prev_sec: u32,
     /// Re-timed collective entry, registered on first arrival at the
     /// current record (cleared when the round exits).
-    coll_enter: Option<u64>,
+    coll_enter: Option<VTime>,
+    /// The rank's network stream: the engine drew one latency jitter
+    /// from it per matched receive, in program order.
+    net_rng: DetRng,
     /// The re-timed records.
     out: RankRecs,
+}
+
+impl RankState {
+    /// The re-timed clock once the local gap up to recorded time `t_ns`
+    /// has passed.
+    fn after_gap(&self, ctx: &Ctx<'_>, t_ns: u64) -> VTime {
+        self.now + ctx.scaled(t_ns.saturating_sub(self.prev_effect), self.prev_sec)
+    }
 }
 
 /// Cross-rank replay state.
@@ -252,7 +208,7 @@ struct Shared {
     /// Members arrived so far per pending collective round.
     pending: CollTable,
     /// Re-timed exit per completed collective round.
-    exits: FastMap<(CommId, u64), u64>,
+    exits: FastMap<(CommId, u64), VTime>,
     /// The re-timed sends. Until its receive replays, an entry's
     /// `send_ns` is the re-timed send end; the receive then stores what
     /// the scenario lets the receiver see.
@@ -264,33 +220,28 @@ struct Ctx<'a> {
     log: &'a CommLog,
     recorded: &'a MachineModel,
     seed: u64,
-    net: Option<NetPricing>,
+    /// The machine messages and collectives are re-priced on; `None`
+    /// keeps the recorded network deltas.
+    altered: Option<MachineModel>,
     null: Option<WaitClass>,
     zero_jitter: bool,
     /// Scale factor by section id.
     scale: Vec<Option<f64>>,
-    recv_jitter: Vec<Vec<f64>>,
-    nranks: usize,
 }
 
 impl Ctx<'_> {
-    /// Scale a local gap by the owning section's factor (exact at k = 1).
-    fn scaled(&self, gap: u64, sec: u32) -> u64 {
+    /// Scale a local gap by the owning section's factor (exact at k = 1;
+    /// saturating past the clock's range).
+    fn scaled(&self, gap: u64, sec: u32) -> VTime {
         match self.scale[sec as usize] {
-            None => gap,
-            Some(k) => (gap as f64 * k).round() as u64,
+            None => VTime(gap),
+            Some(k) => VTime((gap as f64 * k).round() as u64),
         }
     }
 
-    /// Per-message CPU overhead in integer ns under `net` (`None` = the
-    /// recorded machine), for a message between two world ranks.
-    fn overhead_ns(&self, net: Option<&NetPricing>, a: usize, b: usize) -> u64 {
-        let (network, topology) = match net {
-            Some(n) => (&n.network, &n.topology),
-            None => (&self.recorded.network, &self.recorded.topology),
-        };
-        let link = network.link(topology.node_of(a), topology.node_of(b));
-        VTime::from_secs_f64(link.overhead).as_nanos()
+    /// The machine a send's overhead is charged on.
+    fn pricing(&self) -> &MachineModel {
+        self.altered.as_ref().unwrap_or(self.recorded)
     }
 }
 
@@ -300,14 +251,14 @@ fn step(rank: usize, st: &mut RankState, sh: &mut Shared, ctx: &Ctx<'_>) -> bool
     let rec = ctx.log.run.ranks[rank].get(st.idx);
     match rec.kind {
         RecKind::Boundary | RecKind::Fini => {
-            st.now += ctx.scaled(rec.t_ns.saturating_sub(st.prev_effect), st.prev_sec);
+            st.now = st.after_gap(ctx, rec.t_ns);
             st.out.push(Rec {
-                t_ns: st.now,
+                t_ns: st.now.0,
                 sec: rec.sec,
                 kind: rec.kind,
             });
             if matches!(rec.kind, RecKind::Fini) {
-                st.out.fini_ns = st.now;
+                st.out.fini_ns = st.now.0;
             }
             st.prev_effect = rec.t_ns;
         }
@@ -315,15 +266,15 @@ fn step(rank: usize, st: &mut RankState, sh: &mut Shared, ctx: &Ctx<'_>) -> bool
             base_ns,
             elapsed_ns,
         } => {
-            st.now += ctx.scaled(rec.t_ns.saturating_sub(st.prev_effect), st.prev_sec);
+            st.now = st.after_gap(ctx, rec.t_ns);
             let applied = if ctx.zero_jitter { base_ns } else { elapsed_ns };
             let applied = ctx.scaled(applied, rec.sec);
             st.out.push(Rec {
-                t_ns: st.now,
+                t_ns: st.now.0,
                 sec: rec.sec,
                 kind: RecKind::Compute {
                     base_ns,
-                    elapsed_ns: applied,
+                    elapsed_ns: applied.0,
                 },
             });
             st.now += applied;
@@ -335,21 +286,20 @@ fn step(rank: usize, st: &mut RankState, sh: &mut Shared, ctx: &Ctx<'_>) -> bool
             // The recorded timestamp is the *enqueue end* — the call time
             // plus the sender-side overhead; split the overhead out so an
             // altered link can re-charge it.
-            let ovh_rec = ctx.overhead_ns(None, rank, dst);
-            let pre_rec = rec.t_ns.saturating_sub(ovh_rec);
-            st.now += ctx.scaled(pre_rec.saturating_sub(st.prev_effect), st.prev_sec);
-            st.now += ctx.overhead_ns(ctx.net.as_ref(), rank, dst);
+            let ovh_rec = ctx.recorded.send_overhead(rank, dst);
+            let pre_rec = rec.t_ns.saturating_sub(ovh_rec.0);
+            st.now = st.after_gap(ctx, pre_rec) + ctx.pricing().send_overhead(rank, dst);
             sh.sends.insert(
                 seq,
                 SendInfo {
-                    send_ns: st.now,
+                    send_ns: st.now.0,
                     bytes,
                     dst_world: index_u32(dst),
                     rec: index_u32(st.out.len()),
                 },
             );
             st.out.push(Rec {
-                t_ns: st.now,
+                t_ns: st.now.0,
                 sec: rec.sec,
                 kind: RecKind::Send { seq },
             });
@@ -368,8 +318,8 @@ fn step(rank: usize, st: &mut RankState, sh: &mut Shared, ctx: &Ctx<'_>) -> bool
             if replayed.is_none() && send_rec.is_some() {
                 return false;
             }
-            let send_new = replayed.map(|s| s.send_ns);
-            let post_new = st.now + ctx.scaled(post_ns.saturating_sub(st.prev_effect), st.prev_sec);
+            let send_new = replayed.map(|s| VTime(s.send_ns));
+            let post_new = st.after_gap(ctx, post_ns);
             // Null semantics act on the *availability* the receiver sees;
             // the stored send time is clamped the same way so the class
             // reads zero when the re-timed trace is re-classified.
@@ -380,35 +330,26 @@ fn step(rank: usize, st: &mut RankState, sh: &mut Shared, ctx: &Ctx<'_>) -> bool
                 (_, None) => (post_new, post_new),
             };
             if let Some(info) = replayed {
-                let send_ns = stored;
+                let send_ns = stored.0;
                 sh.sends.insert(seq, SendInfo { send_ns, ..info });
             }
-            let done_new = match &ctx.net {
-                Some(n) => {
-                    let src = seq_parts(seq).0;
-                    let bytes = send_rec.map_or(0, |s| s.bytes);
-                    let link = n
-                        .network
-                        .link(n.topology.node_of(src), n.topology.node_of(rank));
-                    let jitter = ctx.recv_jitter[rank][st.recv_seen];
-                    let transfer = link.transfer_secs(bytes as usize) + jitter;
-                    let arrival = send_eff + VTime::from_secs_f64(transfer).as_nanos();
-                    post_new.max(arrival) + VTime::from_secs_f64(link.overhead).as_nanos()
+            let done_new = match &ctx.altered {
+                Some(m) => {
+                    let (src, bytes) = (seq_parts(seq).0, send_rec.map_or(0, |s| s.bytes));
+                    m.recv_done(src, rank, bytes, send_eff, post_new, &mut st.net_rng)
                 }
                 None => {
                     let sent_ns = send_rec.map_or(post_ns, |s| s.send_ns);
-                    let residual = done_ns.saturating_sub(post_ns.max(sent_ns));
-                    post_new.max(send_eff) + residual
+                    post_new.max(send_eff) + VTime(done_ns.saturating_sub(post_ns.max(sent_ns)))
                 }
             };
-            st.recv_seen += 1;
             st.out.push(Rec {
-                t_ns: post_new,
+                t_ns: post_new.0,
                 sec: rec.sec,
                 kind: RecKind::RecvMatch {
                     seq,
-                    post_ns: post_new,
-                    done_ns: done_new,
+                    post_ns: post_new.0,
+                    done_ns: done_new.0,
                 },
             });
             st.now = done_new;
@@ -419,15 +360,18 @@ fn step(rank: usize, st: &mut RankState, sh: &mut Shared, ctx: &Ctx<'_>) -> bool
             round,
             enter_ns,
         } => {
+            // A round absent from the log is an inconsistent recording:
+            // the rank never passes it and the replay reports the stall.
+            let Some(cr) = ctx.log.run.colls.get(&(comm, round)) else {
+                return false;
+            };
             // The first visit registers the arrival; a blocked rank comes
             // back to the same record until the round is complete.
             let first_visit = st.coll_enter.is_none();
-            let enter_new = *st.coll_enter.get_or_insert_with(|| {
-                st.now + ctx.scaled(enter_ns.saturating_sub(st.prev_effect), st.prev_sec)
-            });
-            let cr = ctx.log.run.colls.get(&(comm, round));
+            let enter_new = st.coll_enter.unwrap_or_else(|| st.after_gap(ctx, enter_ns));
+            st.coll_enter = Some(enter_new);
             let retimed = |mut round: CollRound| {
-                (round.op, round.bytes) = cr.map_or(("", 0), |c| (c.op, c.bytes));
+                (round.op, round.bytes) = (cr.op, cr.bytes);
                 round
             };
             let (round_new, exit_new) = if ctx.null == Some(WaitClass::WaitAtCollective) {
@@ -435,37 +379,39 @@ fn step(rank: usize, st: &mut RankState, sh: &mut Shared, ctx: &Ctx<'_>) -> bool
                 // operation cost from its own arrival, nobody waits. Each
                 // exit gets a singleton round so re-classification sees
                 // zero rendezvous wait.
-                let round_new = round * ctx.nranks as u64 + rank as u64;
+                let round_new = round * ctx.log.run.ranks.len() as u64 + rank as u64;
                 let mut alone = CollRound::default();
-                alone.enter(rank, enter_new, st.out.len());
+                alone.enter(rank, enter_new.0, st.out.len());
                 sh.colls.insert((comm, round_new), retimed(alone));
-                let cost = coll_cost_ns(ctx, comm, round, rec.t_ns);
-                (round_new, enter_new + cost)
+                (
+                    round_new,
+                    coll_exit(ctx, cr, (comm, round), enter_new, rec.t_ns),
+                )
             } else if let Some(&exit) = sh.exits.get(&(comm, round)) {
                 (round, exit)
             } else {
                 let arrived = sh.pending.entry((comm, round)).or_default();
                 if first_visit {
-                    arrived.enter(rank, enter_new, st.out.len());
+                    arrived.enter(rank, enter_new.0, st.out.len());
                 }
-                if arrived.entries.len() < cr.map_or(1, |c| c.entries.len().max(1)) {
+                if arrived.entries.len() < cr.entries.len().max(1) {
                     return false;
                 }
                 let arrived = sh.pending.remove(&(comm, round)).unwrap_or_default();
-                let max_enter = arrived.last.map_or(enter_new, |(_, t, _)| t);
-                let exit = max_enter + coll_cost_ns(ctx, comm, round, rec.t_ns);
+                let last_in = arrived.last.map_or(enter_new, |(_, t, _)| VTime(t));
+                let exit = coll_exit(ctx, cr, (comm, round), last_in, rec.t_ns);
                 sh.exits.insert((comm, round), exit);
                 sh.colls.insert((comm, round), retimed(arrived));
                 (round, exit)
             };
             st.coll_enter = None;
             st.out.push(Rec {
-                t_ns: exit_new,
+                t_ns: exit_new.0,
                 sec: rec.sec,
                 kind: RecKind::CollExit {
                     comm,
                     round: round_new,
-                    enter_ns: enter_new,
+                    enter_ns: enter_new.0,
                 },
             });
             st.now = exit_new;
@@ -477,31 +423,27 @@ fn step(rank: usize, st: &mut RankState, sh: &mut Shared, ctx: &Ctx<'_>) -> bool
     true
 }
 
-/// The re-timed cost of one collective round in integer ns: the recorded
-/// post-rendezvous delta under the identity network, or the re-priced
-/// formula cost plus regenerated jitter under an altered one.
-fn coll_cost_ns(ctx: &Ctx<'_>, comm: CommId, round: u64, exit_rec_ns: u64) -> u64 {
-    let cr = ctx.log.run.colls.get(&(comm, round));
-    match &ctx.net {
-        Some(n) => {
-            let members = cr.iter().flat_map(|c| &c.entries);
-            let members: Vec<usize> = members.map(|&(r, _)| r).collect();
-            let (op, total) = cr.map_or(("", 0), |c| (c.op, c.bytes));
-            let psize = members.len().max(1);
-            let spans = n.topology.spans_nodes(&members);
-            let cc = CollectiveCost {
-                link: n.network.span_link(spans),
-                p: psize,
-            };
-            let base = collective_base_secs(&cc, op, total, psize);
-            // Same stream the engine drew the round's jitter from.
-            let mut rng = DetRng::for_stream(ctx.seed ^ COLLECTIVE_NAMESPACE, comm.0, round);
-            let jitter = n.noise.latency_jitter(&mut rng);
-            VTime::from_secs_f64(base + jitter).as_nanos()
+/// The re-timed exit of recorded round `cr` (`key` = comm and round)
+/// whose last member entered at `last_in`: the altered machine's price
+/// on the round's own jitter stream, or the recorded post-rendezvous
+/// delta when the network is kept.
+fn coll_exit(
+    ctx: &Ctx<'_>,
+    cr: &CollRound,
+    (comm, round): (CommId, u64),
+    last_in: VTime,
+    exit_rec_ns: u64,
+) -> VTime {
+    match &ctx.altered {
+        Some(m) => {
+            let members: Vec<usize> = cr.entries.iter().map(|&(r, _)| r).collect();
+            let spans = m.topology.spans_nodes(&members);
+            let mut rng = DetRng::for_collective(ctx.seed, comm.0, round);
+            m.collective_exit(cr.op, members.len(), spans, cr.bytes, last_in, &mut rng)
         }
         None => {
-            let last = cr.and_then(|c| c.last);
-            exit_rec_ns.saturating_sub(last.map_or(exit_rec_ns, |(_, t, _)| t))
+            let last_rec = cr.last.map_or(exit_rec_ns, |(_, t, _)| t);
+            last_in + VTime(exit_rec_ns.saturating_sub(last_rec))
         }
     }
 }

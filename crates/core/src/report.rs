@@ -116,12 +116,7 @@ pub fn render_bounds(profile: &Profile, seq_total_secs: f64, p: usize) -> String
         .sections()
         .filter(|s| s.key.label != MPI_MAIN)
         .map(|s| {
-            let per_process = s.total_own_secs / p.max(1) as f64;
-            let bound = if per_process > 0.0 {
-                seq_total_secs / per_process
-            } else {
-                f64::INFINITY
-            };
+            let bound = crate::partial_bound(seq_total_secs, s.total_own_secs, p);
             (s.key.label.clone(), bound)
         })
         .collect();

@@ -751,8 +751,11 @@ impl RunSummary {
                 .filter(|(l, _)| l.as_str() != crate::section::MPI_MAIN)
                 .filter(|(_, ws)| ws.time_ns as f64 / self.nranks as f64 >= 1.0)
                 .map(|(l, ws)| {
-                    let own = ws.time_ns as f64 / 1e9 / self.nranks as f64;
-                    (l.clone(), seq_total_secs / own)
+                    let presence = ws.time_ns as f64 / 1e9;
+                    (
+                        l.clone(),
+                        crate::partial_bound(seq_total_secs, presence, self.nranks),
+                    )
                 })
                 .collect();
             rows.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));

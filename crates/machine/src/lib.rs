@@ -33,7 +33,7 @@ pub use calibration::Calibration;
 pub use compute::{ComputeModel, CoreModel, MemoryModel};
 pub use config::ConfigError;
 pub use network::{CollectiveCost, LinkModel, NetworkModel};
-pub use noise::{DetRng, NoiseModel};
+pub use noise::{DetRng, NoiseModel, RankStream};
 pub use omp::OmpModel;
 pub use time::VTime;
 pub use topology::Topology;
@@ -107,6 +107,56 @@ impl MachineModel {
             link: self.network.span_link(spans_nodes),
             p,
         }
+    }
+
+    #[inline]
+    fn link_between(&self, a: usize, b: usize) -> &LinkModel {
+        self.network
+            .link(self.topology.node_of(a), self.topology.node_of(b))
+    }
+
+    /// The CPU overhead world rank `src` pays to send to world rank `dst`.
+    /// This and the next two methods price every message and collective,
+    /// for the engine and the what-if replay alike, so the clocks agree.
+    #[inline]
+    pub fn send_overhead(&self, src: usize, dst: usize) -> VTime {
+        VTime::from_secs_f64(self.link_between(src, dst).overhead)
+    }
+
+    /// When a receive posted at `posted` on world rank `dst` completes for
+    /// `bytes` sent from world rank `src` at `sent`: `max(posted, sent +
+    /// transfer + jitter) + overhead`, the jitter drawn from `rng`.
+    #[inline]
+    pub fn recv_done(
+        &self,
+        src: usize,
+        dst: usize,
+        bytes: u64,
+        sent: VTime,
+        posted: VTime,
+        rng: &mut DetRng,
+    ) -> VTime {
+        let link = self.link_between(src, dst);
+        let jitter = self.noise.latency_jitter(rng);
+        let arrival = sent + VTime::from_secs_f64(link.transfer_secs(bytes as usize) + jitter);
+        posted.max(arrival) + VTime::from_secs_f64(link.overhead)
+    }
+
+    /// When the `p` members (on several nodes if `spans_nodes`) leave
+    /// collective `op`: `max_entry + cost(total_bytes) + jitter`, the
+    /// jitter drawn from `rng`.
+    pub fn collective_exit(
+        &self,
+        op: &str,
+        p: usize,
+        spans_nodes: bool,
+        total_bytes: u64,
+        max_entry: VTime,
+        rng: &mut DetRng,
+    ) -> VTime {
+        let base = self.collective(p, spans_nodes).base_secs(op, total_bytes);
+        let jitter = self.noise.latency_jitter(rng);
+        max_entry + VTime::from_secs_f64(base + jitter)
     }
 
     /// A human-readable parameter dump, for experiment provenance (every

@@ -93,6 +93,29 @@ pub struct CollectiveCost<'a> {
 }
 
 impl CollectiveCost<'_> {
+    /// The cost of collective `op`, the runtime's rendezvous label, when
+    /// its members declared `total_bytes` together: the one table from a
+    /// label to its formula. An unknown label panics rather than costing
+    /// nothing.
+    pub fn base_secs(&self, op: &str, total_bytes: u64) -> f64 {
+        let total = total_bytes as usize;
+        let p = self.p.max(1);
+        match op {
+            "barrier" | "split.exchange" | "split.create" => self.barrier(),
+            "bcast" => self.bcast(total),
+            // Reduce and the scans: the broadcast tree, reversed.
+            "reduce" | "exscan" | "scan" => self.bcast(total / p),
+            // Gather: the scatter, reversed.
+            "scatterv" | "gatherv" => self.scatter(total),
+            "allgather" => self.allgather(total / p),
+            "allreduce" => self.allreduce(total / p),
+            "alltoall" => self.alltoall(total / (p * p)),
+            // Same communication volume class as an allreduce of one block.
+            "reduce_scatter" => self.allreduce(total / (p * p)),
+            _ => panic!("machine: no cost formula for collective '{op}'"),
+        }
+    }
+
     fn hop(&self, bytes: usize) -> f64 {
         2.0 * self.link.overhead + self.link.transfer_secs(bytes)
     }
@@ -107,11 +130,6 @@ impl CollectiveCost<'_> {
         tree_rounds(self.p) as f64 * self.hop(bytes)
     }
 
-    /// Reduce: same communication structure as broadcast, reversed.
-    pub fn reduce(&self, bytes: usize) -> f64 {
-        self.bcast(bytes)
-    }
-
     /// Allreduce: reduce + broadcast.
     pub fn allreduce(&self, bytes: usize) -> f64 {
         2.0 * self.bcast(bytes)
@@ -122,11 +140,6 @@ impl CollectiveCost<'_> {
     pub fn scatter(&self, total_bytes: usize) -> f64 {
         tree_rounds(self.p) as f64 * self.hop(0) + self.link.transfer_secs(total_bytes)
             - self.link.latency
-    }
-
-    /// Gather to the root: symmetric to scatter.
-    pub fn gather(&self, total_bytes: usize) -> f64 {
-        self.scatter(total_bytes)
     }
 
     /// Allgather: ring — (p-1) rounds each moving `bytes_per_rank`.
@@ -143,11 +156,6 @@ impl CollectiveCost<'_> {
             return 0.0;
         }
         (self.p - 1) as f64 * self.hop(bytes_per_pair)
-    }
-
-    /// Exclusive/inclusive scan: tree depth rounds, like reduce.
-    pub fn scan(&self, bytes: usize) -> f64 {
-        self.reduce(bytes)
     }
 }
 
@@ -222,6 +230,25 @@ mod tests {
         let c = CollectiveCost { link: &l, p: 64 };
         let t = c.scatter(500_000_000); // 0.5 GB at 1 GB/s -> ~0.5 s
         assert!(t > 0.5 && t < 0.51, "{t}");
+    }
+
+    #[test]
+    fn base_secs_normalises_the_byte_total_per_operation() {
+        let l = link();
+        let c = CollectiveCost { link: &l, p: 4 };
+        assert_eq!(c.base_secs("split.create", 1 << 20), c.barrier());
+        assert_eq!(c.base_secs("gatherv", 4096), c.scatter(4096));
+        assert_eq!(c.base_secs("exscan", 4096), c.bcast(1024));
+        assert_eq!(c.base_secs("allreduce", 4096), c.allreduce(1024));
+        assert_eq!(c.base_secs("alltoall", 4096), c.alltoall(256));
+        assert_eq!(c.base_secs("reduce_scatter", 4096), c.allreduce(256));
+    }
+
+    #[test]
+    #[should_panic(expected = "no cost formula for collective 'alreduce'")]
+    fn a_misspelt_collective_is_not_free() {
+        let l = link();
+        CollectiveCost { link: &l, p: 4 }.base_secs("alreduce", 8);
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //!
 //! Every random stream is derived from `(seed, rank, stream)` with a SplitMix
 //! mix, so a run is reproducible regardless of OS-thread interleaving: each
-//! simulated rank consumes only its own stream in program order.
+//! simulated rank consumes only its own stream in program order. The
+//! engine and the what-if replay open their streams here
+//! ([`RankStream`], [`DetRng::for_collective`]), so a replay re-draws
+//! exactly the engine's values.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -31,6 +34,16 @@ pub fn stream_seed(seed: u64, rank: u64, stream: u64) -> u64 {
     mix64(mix64(seed ^ mix64(rank)) ^ mix64(stream.wrapping_mul(0x0dd5_53cc_a9d5_2d2d)))
 }
 
+/// The purposes a simulated rank draws randomness for, each from its own
+/// stream so the consumption order in one never depends on another.
+#[derive(Debug, Clone, Copy)]
+pub enum RankStream {
+    /// Compute jitter factors.
+    Compute = 0,
+    /// Latency jitter, one draw per matched receive.
+    Network = 1,
+}
+
 /// A deterministic per-rank random stream.
 ///
 /// Thin wrapper over `StdRng` so call sites do not depend on the `rand`
@@ -46,6 +59,19 @@ impl DetRng {
         DetRng {
             inner: StdRng::seed_from_u64(stream_seed(seed, rank, stream)),
         }
+    }
+
+    /// World rank `rank`'s stream for `purpose`.
+    pub fn for_rank(seed: u64, rank: usize, purpose: RankStream) -> Self {
+        Self::for_stream(seed, rank as u64, purpose as u64)
+    }
+
+    /// The latency-jitter stream of round `round` of the collectives on
+    /// communicator `comm`. Namespaced so collective streams never collide
+    /// with the per-rank streams — comm id 0 and world rank 0 would
+    /// otherwise share seeds.
+    pub fn for_collective(seed: u64, comm: u64, round: u64) -> Self {
+        Self::for_stream(seed ^ 0x636f_6c6c_6563_7469, comm, round)
     }
 
     /// Uniform in `[0, 1)`.

@@ -15,14 +15,18 @@
 //! * **Collectives** synchronize: every participant leaves at
 //!   `max(entry times) + model cost (+ jitter)`, computed once per
 //!   operation by the rendezvous machinery.
+//!
+//! Each price is a [`machine::MachineModel`] method (`send_overhead`,
+//! `recv_done`, `collective_exit`), and the jitter streams are
+//! `machine::noise`'s: the what-if replay calls the same methods on the
+//! same streams, so a replay and a run on the altered machine agree.
 
 use crate::collective::{Done, Rendezvous, Slot};
 use crate::event::{CommId, EventKind, MpiCall, MpiEvent};
 use crate::message::{Envelope, Payload, Src, TagSel};
 use crate::proc::Proc;
-use machine::{DetRng, Topology, VTime};
+use machine::{DetRng, Topology};
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Shared (cross-rank) state of one communicator.
@@ -34,36 +38,11 @@ pub struct CommShared {
     pub(crate) spans_nodes: bool,
 }
 
-/// Allocates communicator ids and builds the shared communicator objects.
-pub(crate) struct Registry {
-    next_id: AtomicU64,
-    topology: Topology,
-}
-
-impl Registry {
-    pub(crate) fn new(topology: Topology) -> Self {
-        Registry {
-            next_id: AtomicU64::new(0),
-            topology,
-        }
-    }
-
-    /// Create a communicator over the given world ranks (local rank i maps
-    /// to `world_ranks[i]`). The first registration gets [`CommId::WORLD`].
-    ///
-    /// Only used for the world communicator today; derived communicators
-    /// get deterministic ids through [`Registry::register_with_id`] —
-    /// a global counter would make ids depend on the real-time order in
-    /// which *disjoint* communicators happen to split, breaking
-    /// run-to-run determinism of id-keyed noise streams.
-    pub(crate) fn register(&self, world_ranks: Vec<usize>) -> Arc<CommShared> {
-        let id = CommId(self.next_id.fetch_add(1, Ordering::SeqCst));
-        self.register_with_id(id, world_ranks)
-    }
-
-    /// Create a communicator with a caller-derived (deterministic) id.
-    pub(crate) fn register_with_id(&self, id: CommId, world_ranks: Vec<usize>) -> Arc<CommShared> {
-        let spans_nodes = self.topology.spans_nodes(&world_ranks);
+impl CommShared {
+    /// Communicator `id` over the given world ranks (local rank i maps to
+    /// `world_ranks[i]`), placed onto nodes by `topology`.
+    pub(crate) fn new(id: CommId, world_ranks: Vec<usize>, topology: &Topology) -> Arc<CommShared> {
+        let spans_nodes = topology.spans_nodes(&world_ranks);
         let world_ranks = Arc::new(world_ranks);
         Arc::new(CommShared {
             id,
@@ -207,12 +186,6 @@ impl Comm {
         self.shared.world_ranks[local]
     }
 
-    /// Whether this communicator's ranks span more than one node.
-    #[inline]
-    pub fn spans_nodes(&self) -> bool {
-        self.shared.spans_nodes
-    }
-
     // ------------------------------------------------------------------
     // Point-to-point
     // ------------------------------------------------------------------
@@ -224,12 +197,7 @@ impl Comm {
             self.size()
         );
         let dest_world = self.world_rank_of(dest);
-        let topo = p.machine.topology;
-        let link = *p
-            .machine
-            .network
-            .link(topo.node_of(p.world_rank), topo.node_of(dest_world));
-        p.now += VTime::from_secs_f64(link.overhead);
+        p.now += p.machine.send_overhead(p.world_rank, dest_world);
         let bytes = payload.logical_bytes();
         let envelope = Envelope {
             comm: self.id(),
@@ -302,17 +270,16 @@ impl Comm {
                 time: p.now,
             });
         }
-        let topo = p.machine.topology;
-        let link = p
-            .machine
-            .network
-            .link(topo.node_of(envelope.src_world), topo.node_of(p.world_rank));
-        let jitter = p.machine.noise.latency_jitter(&mut p.net_rng);
-        let transfer = link.transfer_secs(envelope.payload.logical_bytes() as usize) + jitter;
-        let arrival = envelope.send_end + VTime::from_secs_f64(transfer);
-        p.now = p.now.max(arrival) + VTime::from_secs_f64(link.overhead);
-        let elems = envelope.payload.elems();
         let logical_bytes = envelope.payload.logical_bytes();
+        p.now = p.machine.recv_done(
+            envelope.src_world,
+            p.world_rank,
+            logical_bytes,
+            envelope.send_end,
+            p.now,
+            &mut p.net_rng,
+        );
+        let elems = envelope.payload.elems();
         Recvd {
             data: envelope.payload.into_vec::<T>(),
             elems,
@@ -440,26 +407,26 @@ impl Comm {
     // ------------------------------------------------------------------
 
     /// Synchronize at the rendezvous; returns the generation record with
-    /// the rank's clock already advanced to the common exit time. `root` is
+    /// the rank's clock already advanced to the common exit time, which
+    /// `op` prices (`machine::CollectiveCost::base_secs`). `root` is
     /// the root's local rank for rooted collectives: the members must agree
     /// on it as on `op` (the rendezvous checks), timing does not depend on
     /// it.
-    fn sync<F>(
+    // Forced inline: every rank suspends under this frame, and as a frame
+    // of its own it took peak RSS at p = 16384 (conv, 25 steps) from 98.6
+    // to 113.5 MB, fiber stack pages touched deeper.
+    #[inline(always)]
+    fn sync(
         &self,
         p: &mut Proc,
         op: &'static str,
         root: Option<usize>,
         my_bytes: u64,
         slot: Slot,
-        cost: F,
-    ) -> Arc<Done>
-    where
-        F: FnOnce(&machine::CollectiveCost<'_>, u64) -> f64,
-    {
+    ) -> Arc<Done> {
         let spans = self.shared.spans_nodes;
         let seed = p.seed;
         let cid = self.shared.id;
-        let psize = self.size();
         // Raised before `arrive`: a tool sees the rank enter the collective
         // before the rendezvous can park it.
         if p.wants(EventKind::CollectiveEnter) {
@@ -481,14 +448,9 @@ impl Comm {
             my_bytes,
             slot,
             |view| {
-                let cc = machine.collective(psize, spans);
-                let base = cost(&cc, view.total_bytes);
-                // Namespaced so collective streams never collide with the
-                // per-rank (seed, rank, {0,1,2}) streams — comm id 0 and
-                // world rank 0 would otherwise share seeds.
-                let mut rng = DetRng::for_stream(seed ^ 0x636f_6c6c_6563_7469, cid.0, view.gen);
-                let jitter = machine.noise.latency_jitter(&mut rng);
-                view.max_entry() + VTime::from_secs_f64(base + jitter)
+                let mut rng = DetRng::for_collective(seed, cid.0, view.gen);
+                let last_in = view.max_entry();
+                machine.collective_exit(op, view.p, spans, view.total_bytes, last_in, &mut rng)
             },
             &p.mailboxes.poison,
         );
@@ -507,7 +469,7 @@ impl Comm {
     /// Barrier over the communicator.
     pub fn barrier(&self, p: &mut Proc) {
         p.tool_call_enter(MpiCall::Barrier, self.id());
-        self.sync(p, "barrier", None, 0, None, |cc, _| cc.barrier());
+        self.sync(p, "barrier", None, 0, None);
         p.tool_call_exit(MpiCall::Barrier, self.id(), 0);
     }
 
@@ -534,9 +496,7 @@ impl Comm {
             ),
             None => (0, None),
         };
-        let done = self.sync(p, "bcast", Some(root), my_bytes, slot, |cc, total| {
-            cc.bcast(total as usize)
-        });
+        let done = self.sync(p, "bcast", Some(root), my_bytes, slot);
         let out = {
             let slots = done.slots.lock();
             let any = slots[root]
@@ -568,9 +528,7 @@ impl Comm {
             ),
             None => (0, None),
         };
-        let done = self.sync(p, "bcast", Some(root), my_bytes, slot, |cc, total| {
-            cc.bcast(total as usize)
-        });
+        let done = self.sync(p, "bcast", Some(root), my_bytes, slot);
         let n = {
             let slots = done.slots.lock();
             *slots[root]
@@ -622,9 +580,7 @@ impl Comm {
             }
             None => (0, None),
         };
-        let done = self.sync(p, "scatterv", Some(root), my_bytes, slot, |cc, total| {
-            cc.scatter(total as usize)
-        });
+        let done = self.sync(p, "scatterv", Some(root), my_bytes, slot);
         let mine = {
             let mut slots = done.slots.lock();
             let any = slots[root]
@@ -693,9 +649,7 @@ impl Comm {
             }
             None => (0, None),
         };
-        let done = self.sync(p, "scatterv", Some(root), my_bytes, slot, |cc, total| {
-            cc.scatter(total as usize)
-        });
+        let done = self.sync(p, "scatterv", Some(root), my_bytes, slot);
         let mine = {
             let slots = done.slots.lock();
             slots[root]
@@ -723,9 +677,7 @@ impl Comm {
         p.tool_call_enter(MpiCall::Gatherv, self.id());
         let my_bytes = (data.len() * std::mem::size_of::<T>()) as u64;
         let slot: Slot = Some(Box::new(data));
-        let done = self.sync(p, "gatherv", Some(root), my_bytes, slot, |cc, total| {
-            cc.gather(total as usize)
-        });
+        let done = self.sync(p, "gatherv", Some(root), my_bytes, slot);
         let out = if self.local_rank == root {
             let mut slots = done.slots.lock();
             let mut all = Vec::with_capacity(self.size());
@@ -762,9 +714,7 @@ impl Comm {
         p.tool_call_enter(MpiCall::Gatherv, self.id());
         let my_bytes = (elems * std::mem::size_of::<T>()) as u64;
         let slot: Slot = Some(Box::new(elems as u64));
-        let done = self.sync(p, "gatherv", Some(root), my_bytes, slot, |cc, total| {
-            cc.gather(total as usize)
-        });
+        let done = self.sync(p, "gatherv", Some(root), my_bytes, slot);
         let out: Vec<usize> = if self.local_rank == root {
             let slots = done.slots.lock();
             slots
@@ -795,10 +745,7 @@ impl Comm {
         p.tool_call_enter(MpiCall::Allgather, self.id());
         let my_bytes = (data.len() * std::mem::size_of::<T>()) as u64;
         let slot: Slot = Some(Box::new(data));
-        let psize = self.size();
-        let done = self.sync(p, "allgather", None, my_bytes, slot, |cc, total| {
-            cc.allgather((total as usize) / psize.max(1))
-        });
+        let done = self.sync(p, "allgather", None, my_bytes, slot);
         let out: Vec<Vec<T>> = {
             let slots = done.slots.lock();
             slots
@@ -832,9 +779,7 @@ impl Comm {
         let my_bytes = (data.len() * std::mem::size_of::<T>()) as u64;
         let psize = self.size();
         let slot: Slot = Some(Box::new(data));
-        let done = self.sync(p, "reduce", Some(root), my_bytes, slot, |cc, total| {
-            cc.reduce((total as usize) / psize.max(1))
-        });
+        let done = self.sync(p, "reduce", Some(root), my_bytes, slot);
         let out = if self.local_rank == root {
             Self::fold_slots::<T, Vec<T>, F>(&done, psize, &op)
         } else {
@@ -875,9 +820,7 @@ impl Comm {
         let my_bytes = std::mem::size_of_val(data.as_ref()) as u64;
         let psize = self.size();
         let slot: Slot = Some(Box::new(data));
-        let done = self.sync(p, "allreduce", None, my_bytes, slot, |cc, total| {
-            cc.allreduce((total as usize) / psize.max(1))
-        });
+        let done = self.sync(p, "allreduce", None, my_bytes, slot);
         let out = Self::with_fold::<T, C, F, R>(&done, psize, &op, read);
         p.tool_call_exit(MpiCall::Allreduce, self.id(), my_bytes);
         out
@@ -962,9 +905,7 @@ impl Comm {
         let psize = self.size();
         let boxed: Vec<Option<Vec<T>>> = chunks.into_iter().map(Some).collect();
         let slot: Slot = Some(Box::new(boxed));
-        let done = self.sync(p, "alltoall", None, my_bytes, slot, |cc, total| {
-            cc.alltoall((total as usize) / (psize * psize).max(1))
-        });
+        let done = self.sync(p, "alltoall", None, my_bytes, slot);
         let out: Vec<Vec<T>> = {
             let mut slots = done.slots.lock();
             (0..psize)
@@ -996,11 +937,8 @@ impl Comm {
     {
         p.tool_call_enter(MpiCall::Scan, self.id());
         let my_bytes = (data.len() * std::mem::size_of::<T>()) as u64;
-        let psize = self.size();
         let slot: Slot = Some(Box::new(data));
-        let done = self.sync(p, "exscan", None, my_bytes, slot, |cc, total| {
-            cc.scan((total as usize) / psize.max(1))
-        });
+        let done = self.sync(p, "exscan", None, my_bytes, slot);
         let out = {
             let slots = done.slots.lock();
             let mut acc = identity;
@@ -1039,10 +977,7 @@ impl Comm {
         p.tool_call_enter(MpiCall::Reduce, self.id());
         let my_bytes = (data.len() * std::mem::size_of::<T>()) as u64;
         let slot: Slot = Some(Box::new(data));
-        let done = self.sync(p, "reduce_scatter", None, my_bytes, slot, |cc, total| {
-            // Same communication volume class as an allreduce of one block.
-            cc.allreduce((total as usize) / (psize * psize).max(1))
-        });
+        let done = self.sync(p, "reduce_scatter", None, my_bytes, slot);
         let out = Self::with_fold::<T, Vec<T>, F, _>(&done, psize, &op, |full| {
             full[self.local_rank * block..(self.local_rank + 1) * block].to_vec()
         });
@@ -1059,11 +994,8 @@ impl Comm {
     {
         p.tool_call_enter(MpiCall::Scan, self.id());
         let my_bytes = (data.len() * std::mem::size_of::<T>()) as u64;
-        let psize = self.size();
         let slot: Slot = Some(Box::new(data));
-        let done = self.sync(p, "scan", None, my_bytes, slot, |cc, total| {
-            cc.scan((total as usize) / psize.max(1))
-        });
+        let done = self.sync(p, "scan", None, my_bytes, slot);
         let out = {
             let slots = done.slots.lock();
             let mut acc = slots[0]
@@ -1100,7 +1032,7 @@ impl Comm {
 
         // Phase 1: exchange (color, key) pairs; costed as a barrier.
         let slot: Slot = Some(Box::new((color, key)));
-        let done = self.sync(p, "split.exchange", None, 0, slot, |cc, _| cc.barrier());
+        let done = self.sync(p, "split.exchange", None, 0, slot);
         let xgen = done.gen;
         let pairs: Vec<(Option<i32>, i32)> = {
             let slots = done.slots.lock();
@@ -1140,7 +1072,7 @@ impl Comm {
         // may split concurrently, and a counter would hand out ids in
         // real-time order, breaking run-to-run determinism of everything
         // keyed by comm id (collective jitter streams). The top bit marks
-        // derived ids so they never collide with counter-allocated ones.
+        // derived ids so they never collide with the world's.
         let slot: Slot = if self.local_rank == 0 {
             let created: Vec<(i32, Arc<CommShared>)> = groups
                 .iter()
@@ -1151,17 +1083,15 @@ impl Comm {
                         machine::noise::mix64(self.shared.id.0 ^ (xgen << 24))
                             ^ (*c as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
                     ) | (1 << 63);
-                    (
-                        *c,
-                        p.registry.register_with_id(CommId(derived), world_ranks),
-                    )
+                    let topology = &p.machine.topology;
+                    (*c, CommShared::new(CommId(derived), world_ranks, topology))
                 })
                 .collect();
             Some(Box::new(created))
         } else {
             None
         };
-        let done = self.sync(p, "split.create", None, 0, slot, |cc, _| cc.barrier());
+        let done = self.sync(p, "split.create", None, 0, slot);
         let result = color.and_then(|my_color| {
             let slots = done.slots.lock();
             let created = slots[0]

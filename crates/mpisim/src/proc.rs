@@ -2,24 +2,16 @@
 //!
 //! A [`Proc`] is handed to the SPMD function of every rank. It owns the
 //! rank's virtual clock, its deterministic noise streams, and the handles
-//! into the shared world (mailboxes, communicator registry, tools). All
+//! into the shared world (mailboxes, the world communicator, tools). All
 //! simulated cost flows through this type: computation via [`Proc::compute`],
 //! communication via the operations on [`crate::Comm`].
 
-use crate::comm::{Comm, CommShared, Registry};
+use crate::comm::{Comm, CommShared};
 use crate::event::{CommId, EventKind, MpiCall, MpiEvent};
 use crate::mailbox::MailboxSet;
 use crate::tool::ToolSet;
-use machine::{DetRng, MachineModel, VTime, Work};
+use machine::{DetRng, MachineModel, RankStream, VTime, Work};
 use std::sync::Arc;
-
-/// Distinguishes the purpose of each deterministic random stream so the
-/// consumption order in one stream never depends on another.
-pub(crate) mod streams {
-    pub const COMPUTE: u64 = 0;
-    pub const NETWORK: u64 = 1;
-    pub const APP: u64 = 2;
-}
 
 /// Per-rank execution context (the simulated "MPI process").
 pub struct Proc {
@@ -29,10 +21,8 @@ pub struct Proc {
     pub(crate) machine: Arc<MachineModel>,
     pub(crate) compute_rng: DetRng,
     pub(crate) net_rng: DetRng,
-    pub(crate) app_rng: DetRng,
     pub(crate) tools: ToolSet,
     pub(crate) mailboxes: Arc<MailboxSet>,
-    pub(crate) registry: Arc<Registry>,
     /// Count of messages this rank has sent; the low bits of its message
     /// sequence numbers (see [`Proc::next_seq`]).
     pub(crate) sent: u64,
@@ -49,7 +39,6 @@ impl Proc {
         machine: Arc<MachineModel>,
         tools: ToolSet,
         mailboxes: Arc<MailboxSet>,
-        registry: Arc<Registry>,
         seed: u64,
         world_shared: Arc<CommShared>,
     ) -> Self {
@@ -59,13 +48,11 @@ impl Proc {
             world_rank,
             nranks,
             now: VTime::ZERO,
-            compute_rng: DetRng::for_stream(seed, world_rank as u64, streams::COMPUTE),
-            net_rng: DetRng::for_stream(seed, world_rank as u64, streams::NETWORK),
-            app_rng: DetRng::for_stream(seed, world_rank as u64, streams::APP),
+            compute_rng: DetRng::for_rank(seed, world_rank, RankStream::Compute),
+            net_rng: DetRng::for_rank(seed, world_rank, RankStream::Network),
             machine,
             tools,
             mailboxes,
-            registry,
             sent: 0,
             seed,
             ranks_on_my_node,
@@ -100,13 +87,6 @@ impl Proc {
     #[inline]
     pub fn machine(&self) -> &MachineModel {
         &self.machine
-    }
-
-    /// The world's base random seed (tools and apps derive their own
-    /// streams from it).
-    #[inline]
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Number of world ranks placed on this rank's node.
@@ -164,12 +144,6 @@ impl Proc {
     /// Draw one compute-jitter factor (median 1) from this rank's stream.
     pub fn jitter_factor(&mut self) -> f64 {
         self.machine.noise.compute_factor(&mut self.compute_rng)
-    }
-
-    /// Application-level deterministic random stream (never consumed by the
-    /// runtime itself).
-    pub fn rng(&mut self) -> &mut DetRng {
-        &mut self.app_rng
     }
 
     /// Raise a PMPI-level event to all registered tools.

@@ -25,10 +25,10 @@
 //! blocked call site — and, through the attached tools' `rank_context`,
 //! the sections each stuck rank had open — instead of hanging the process.
 
-use crate::comm::{CommShared, Registry};
+use crate::comm::CommShared;
 use crate::diag::{self, Diagnostic, Wait};
 use crate::error::{RunError, POISONED_MSG};
-use crate::event::MpiEvent;
+use crate::event::{CommId, MpiEvent};
 use crate::fiber::{Fiber, StackPool, Switch};
 use crate::mailbox::MailboxSet;
 use crate::proc::Proc;
@@ -190,7 +190,6 @@ impl WorldBuilder {
                         shared.machine.clone(),
                         shared.tools.clone(),
                         shared.mailboxes.clone(),
-                        shared.registry.clone(),
                         seed,
                         shared.world_comm.clone(),
                     );
@@ -221,7 +220,6 @@ impl WorldBuilder {
 struct WorldShared {
     machine: Arc<MachineModel>,
     mailboxes: Arc<MailboxSet>,
-    registry: Arc<Registry>,
     world_comm: Arc<CommShared>,
     tools: ToolSet,
 }
@@ -233,12 +231,10 @@ impl WorldShared {
             controller: b.match_controller.clone(),
             ..MailboxSet::default()
         };
-        let registry = Arc::new(Registry::new(machine.topology));
-        let world_comm = registry.register((0..b.nranks).collect());
+        let world_comm = CommShared::new(CommId::WORLD, (0..b.nranks).collect(), &machine.topology);
         WorldShared {
             machine,
             mailboxes: Arc::new(mailboxes),
-            registry,
             world_comm,
             tools: ToolSet::from_tools(b.tools.clone()),
         }

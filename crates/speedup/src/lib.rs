@@ -30,10 +30,7 @@ pub use fit::{
 };
 pub use iso::{fit_overhead_power_law, required_work, total_overhead};
 pub use laws::{efficiency, speedup};
-pub use partial::{
-    binding_bound, bound_row, bounds_from_profile, partial_bound, partial_bound_per_process,
-    PartialBound,
-};
+pub use partial::{binding_bound, bounds_from_profile, partial_bound, partial_bound_per_process};
 pub use series::{ScalePoint, ScalingSeries};
 pub use study::{ScalingStudy, SectionStudy, StoredSectionRow};
 pub use trend::{SectionTrend, TrendConfig};

@@ -15,53 +15,13 @@
 //! B(p) = T_seq_total / (T_section_total(p) / p)
 //! ```
 //!
-//! e.g. the paper's `B(64) = 5589.84 / (3025.44 / 64) = 118.25`.
+//! e.g. the paper's `B(64) = 5589.84 / (3025.44 / 64) = 118.25`. Both
+//! forms are defined once in `mpi_sections`, whose own reports print
+//! them, and re-exported here.
 
 use mpi_sections::{Profile, SectionStats};
 
-/// A partial speedup bound derived from one section at one scale.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PartialBound {
-    /// Number of processes of the parallel measurement.
-    pub p: usize,
-    /// Total (across ranks) time of the bounding section, in seconds.
-    pub section_total_secs: f64,
-    /// The resulting upper bound on the strong-scaling speedup.
-    pub bound: f64,
-}
-
-/// Eq. 6 in "total across ranks" form: `seq_total / (section_total / p)`.
-///
-/// Returns infinity for a zero-cost section (it does not bound anything).
-///
-/// ```
-/// // The paper's Fig. 6 headline row: B(64) = 5589.84 / (3025.44/64).
-/// let b = speedup::partial_bound(5589.84, 3025.44, 64);
-/// assert!((b - 118.25).abs() < 0.01);
-/// ```
-pub fn partial_bound(seq_total_secs: f64, section_total_secs: f64, p: usize) -> f64 {
-    if section_total_secs <= 0.0 {
-        return f64::INFINITY;
-    }
-    seq_total_secs / (section_total_secs / p.max(1) as f64)
-}
-
-/// Eq. 6 in per-process form: `seq_total / section_per_process`.
-pub fn partial_bound_per_process(seq_total_secs: f64, section_secs: f64) -> f64 {
-    if section_secs <= 0.0 {
-        return f64::INFINITY;
-    }
-    seq_total_secs / section_secs
-}
-
-/// Build the Fig. 6 table row for one section at one scale.
-pub fn bound_row(seq_total_secs: f64, p: usize, section_total_secs: f64) -> PartialBound {
-    PartialBound {
-        p,
-        section_total_secs,
-        bound: partial_bound(seq_total_secs, section_total_secs, p),
-    }
-}
+pub use mpi_sections::{partial_bound, partial_bound_per_process};
 
 /// Compute the per-section bounds for every world section of a parallel
 /// profile, given the sequential run's total time. Returns (label, bound)
@@ -135,13 +95,6 @@ mod tests {
     fn zero_section_never_bounds() {
         assert!(partial_bound(100.0, 0.0, 64).is_infinite());
         assert!(partial_bound_per_process(100.0, 0.0).is_infinite());
-    }
-
-    #[test]
-    fn bound_row_construction() {
-        let row = bound_row(5589.84, 64, 3025.44);
-        assert_eq!(row.p, 64);
-        assert!((row.bound - 118.25).abs() < 0.01);
     }
 
     #[test]

@@ -18,6 +18,8 @@ echo "==> MPISIM_ENGINE=threads cargo test -q -p mpisim -p mpi-sections -p bench
 # Thread-backed fibers with reversed clock ties: the code path a
 # non-x86-64 host runs under either engine name, over the whole suite.
 MPISIM_ENGINE=threads cargo test -q -p mpisim -p mpi-sections -p bench -p mpicheck
+# Replay under an altered machine must equal a run on it on this engine too.
+MPISIM_ENGINE=threads cargo test -q -p speedup-repro --test whatif_replay
 
 echo "==> only fiber.rs knows the target architecture"
 if grep -rn 'cfg(target_arch' crates/mpisim/src | grep -v '^crates/mpisim/src/fiber.rs:'; then
@@ -65,6 +67,23 @@ if grep -rn 'collective mismatch' crates/mpisim/src; then
 fi
 if grep -n 'HashMap' crates/mpicheck/src/lib.rs; then
     echo "crates/mpicheck/src/lib.rs: hashed per-rank state is back in the race analyzer"
+    exit 1
+fi
+
+echo "==> one virtual clock: machine prices every message and collective"
+# The engine and the what-if replay call the same MachineModel methods on
+# the same machine::noise streams; no copy of the cost table, the stream
+# ids or the link arithmetic may come back beside them.
+if grep -rn 'collective_base_secs\|NETWORK_STREAM\|COLLECTIVE_NAMESPACE' crates; then
+    echo "crates: a copy of the collective cost table or a jitter stream id is back"
+    exit 1
+fi
+if [ "$(grep -rn '0x636f_6c6c_6563_7469' crates/*/src | wc -l)" -ne 1 ]; then
+    echo "crates/*/src: the collective stream namespace is spelled other than once"
+    exit 1
+fi
+if grep -n 'transfer_secs\|latency_jitter\|DetRng::for_stream' crates/core/src/replay.rs; then
+    echo "crates/core/src/replay.rs: replay prices a message itself instead of through machine"
     exit 1
 fi
 
