@@ -9,8 +9,7 @@
 
 use crate::sketch::QuantileSketch;
 use crate::tool::{EnterInfo, LeaveInfo, SectionTool};
-use mpisim::SectionData;
-use parking_lot::Mutex;
+use mpisim::{SectionData, WorldCell};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -23,7 +22,7 @@ pub type DurationHistogram = QuantileSketch;
 /// A tool reducing the section event stream into per-label histograms.
 #[derive(Default)]
 pub struct HistogramTool {
-    labels: Mutex<BTreeMap<String, DurationHistogram>>,
+    labels: WorldCell<BTreeMap<String, DurationHistogram>>,
 }
 
 impl HistogramTool {

@@ -14,8 +14,7 @@
 use crate::metrics::InstanceStats;
 use crate::tool::{EnterInfo, LeaveInfo, SectionTool};
 use machine::VTime;
-use mpisim::{CommId, SectionData};
-use parking_lot::Mutex;
+use mpisim::{CommId, SectionData, WorldCell};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -115,7 +114,7 @@ impl SectionAgg {
 /// two `SectionRuntime`s.
 #[derive(Default)]
 pub struct SectionProfiler {
-    sections: Mutex<Vec<SectionAgg>>,
+    sections: WorldCell<Vec<SectionAgg>>,
 }
 
 impl SectionProfiler {

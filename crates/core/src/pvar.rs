@@ -24,8 +24,7 @@ use crate::profiler::SectionKey;
 use crate::spine::{RankTracker, Spine, StepKind};
 use crate::waitstate::RecKind;
 use mpisim::diag::json_str;
-use mpisim::{CommId, EventKind, EventMask, MpiEvent, Tool};
-use parking_lot::Mutex;
+use mpisim::{CommId, EventKind, EventMask, MpiEvent, Tool, WorldCell};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -127,7 +126,7 @@ struct RankPvars {
     baselines: Vec<Counters>,
 }
 
-/// Everything the registry has collected, behind its one lock.
+/// Everything the registry has collected, in its one cell.
 #[derive(Default)]
 struct Registry {
     spine: Spine<RankPvars>,
@@ -142,7 +141,7 @@ struct Registry {
 /// [`PvarRegistry::snapshot`].
 #[derive(Default)]
 pub struct PvarRegistry {
-    state: Mutex<Registry>,
+    state: WorldCell<Registry>,
 }
 
 impl PvarRegistry {
@@ -218,6 +217,7 @@ impl Tool for PvarRegistry {
                 kind,
                 bytes,
                 dst_world,
+                ..
             } => match kind {
                 RecKind::Send { .. } => {
                     rp.counters.sent_msgs += 1;
@@ -516,6 +516,48 @@ mod tests {
         assert_eq!(fresh.totals().sent_msgs, first.totals().sent_msgs);
         assert_eq!(fresh.matrix, first.matrix);
         assert_eq!(fresh.nranks, first.nranks);
+    }
+
+    /// One registry, attached to two worlds that run at once from two
+    /// threads: the second world waits for the first to end, so the
+    /// snapshot is the one two runs in a row leave.
+    #[test]
+    fn a_registry_shared_by_two_live_worlds_counts_like_two_runs_in_a_row() {
+        let run = |pvar: &Arc<PvarRegistry>| {
+            let sections = SectionRuntime::new(VerifyMode::Active);
+            let s = sections.clone();
+            WorldBuilder::new(4)
+                .tool(sections.clone())
+                .tool(pvar.clone())
+                .run(move |p| {
+                    let world = p.world();
+                    s.scoped(p, &world, "EXCHANGE", |p| {
+                        let world = p.world();
+                        let next = (p.world_rank() + 1) % 4;
+                        world.send(p, next, 0, &[p.world_rank() as u64; 4]);
+                        let _ = world.recv::<u64>(p, Src::Any, TagSel::Is(0));
+                    });
+                    s.scoped(p, &world, "SYNC", |p| p.world().barrier(p));
+                })
+                .unwrap();
+        };
+        let in_a_row = PvarRegistry::new();
+        run(&in_a_row);
+        run(&in_a_row);
+        let at_once = PvarRegistry::new();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    start.wait();
+                    run(&at_once);
+                });
+            }
+        });
+        let (expected, got) = (in_a_row.snapshot(), at_once.snapshot());
+        assert_eq!(got.per_section, expected.per_section);
+        assert_eq!(got.to_json(), expected.to_json());
+        assert_eq!(got.totals().sent_msgs, 8);
     }
 
     #[test]

@@ -21,18 +21,18 @@
 //!   paper's "selectively enabled" switch: pass [`VerifyMode::Off`] for
 //!   production-scale sweeps, where the log's 4 bytes per event matter.
 //!
-//! A world runs one rank at a time, so all of this lives behind one lock
-//! that is never contended within a world: a rank's enter or exit takes it
-//! once, and tools are called after it is released.
+//! A world runs one rank at a time, so all of this lives in one
+//! [`WorldCell`] that the running world reads and writes with plain loads
+//! and stores: a rank's enter or exit locks it once, and tools are called
+//! after its guard is dropped.
 
 use crate::fasthash::FastMap;
 use crate::tool::{EnterInfo, LeaveInfo, SectionTool};
 use machine::VTime;
 use mpisim::{
     diag, Comm, CommId, Diagnostic, DiagnosticKind, EventKind, EventMask, MpiEvent, Proc,
-    SectionData, Severity, Tool,
+    SectionData, Severity, Tool, WorldCell,
 };
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -100,7 +100,7 @@ struct CommSections {
 /// opens `MPI_MAIN` there). A rank belongs to a handful.
 type RankSections = Vec<CommSections>;
 
-/// Everything the runtime's one lock guards.
+/// Everything the runtime's one cell holds.
 #[derive(Default)]
 struct State {
     /// The label table: one `Arc<str>` per label and one dense id per
@@ -187,7 +187,7 @@ const MAX_TOOLS: usize = 16;
 ///
 /// [`exit`]: SectionRuntime::exit
 pub struct SectionRuntime {
-    state: Mutex<State>,
+    state: WorldCell<State>,
     verify: VerifyMode,
     /// Attached tools in fixed write-once slots: the dispatch loop reads
     /// them lock-free (`OnceLock::get` is one `Acquire` load), which
@@ -205,7 +205,7 @@ impl SectionRuntime {
     /// A runtime with the given verification mode and no tools.
     pub fn new(verify: VerifyMode) -> Arc<SectionRuntime> {
         Arc::new(SectionRuntime {
-            state: Mutex::default(),
+            state: WorldCell::default(),
             verify,
             tools: std::array::from_fn(|_| OnceLock::new()),
             n_tools: AtomicUsize::new(0),
@@ -643,6 +643,7 @@ impl Tool for SectionRuntime {
 mod tests {
     use super::*;
     use mpisim::WorldBuilder;
+    use parking_lot::Mutex;
 
     #[test]
     fn enter_exit_roundtrip_and_depth() {

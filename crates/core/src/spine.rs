@@ -94,14 +94,30 @@ pub(crate) struct RankTracker {
     stack: Vec<(CommId, u32)>,
     /// Time of the previous step.
     last_ns: u64,
-    recv_posted_ns: Option<u64>,
-    /// `(seq, post_ns, match_ns, bytes)` of a receive that matched but
-    /// whose enclosing call has not returned yet.
-    pending_recv: Option<(u64, u64, u64, u64)>,
+    recv: Recv,
     /// `(enter_ns, round)` of the rendezvous the rank is inside.
     coll_entered: Option<(u64, u64)>,
     /// Next round number per communicator.
     coll_rounds: FastMap<CommId, u64>,
+}
+
+/// A rank's blocking receive, from its post to the return of the call that
+/// made it (Recv, Wait or Sendrecv: one receive per call).
+#[derive(Debug, Default, Clone, Copy)]
+enum Recv {
+    #[default]
+    Idle,
+    Posted {
+        post_ns: u64,
+    },
+    /// Matched at `match_ns` a message that departed at `sent_ns`.
+    Matched {
+        seq: u64,
+        post_ns: u64,
+        match_ns: u64,
+        sent_ns: u64,
+        bytes: u64,
+    },
 }
 
 impl RankTracker {
@@ -168,12 +184,14 @@ pub(crate) enum StepKind {
     /// the exit of its enclosing call (Recv, Wait or Sendrecv) but timed
     /// at the match — no event of the rank lies between the two, so it
     /// still lands in program order. `bytes` is the payload of the
-    /// message or of the whole collective; `dst_world` a send's target.
+    /// message or of the whole collective; `dst_world` a send's target;
+    /// `sent_ns` when the message of a send or a receive departed.
     /// `Fini` leaves the frames open for the driver to close.
     Rec {
         kind: RecKind,
         bytes: u64,
         dst_world: usize,
+        sent_ns: u64,
     },
 }
 
@@ -248,6 +266,7 @@ impl<T: Default> Spine<T> {
             kind,
             bytes: 0,
             dst_world: 0,
+            sent_ns: 0,
         };
         let kind = match event {
             MpiEvent::Init { .. } => {
@@ -277,18 +296,40 @@ impl<T: Default> Spine<T> {
                 kind: RecKind::Send { seq: *seq },
                 bytes: *bytes,
                 dst_world: *dst_world,
+                sent_ns: now_ns,
             },
             MpiEvent::RecvBlocked { .. } => {
-                tr.recv_posted_ns = Some(now_ns);
+                tr.recv = Recv::Posted { post_ns: now_ns };
                 return None;
             }
-            MpiEvent::RecvMatched { seq, bytes, .. } => {
-                let post_ns = tr.recv_posted_ns.take().unwrap_or(now_ns);
-                tr.pending_recv = Some((*seq, post_ns, now_ns, *bytes));
+            MpiEvent::RecvMatched {
+                seq, bytes, sent, ..
+            } => {
+                let post_ns = match tr.recv {
+                    Recv::Posted { post_ns } => post_ns,
+                    _ => now_ns,
+                };
+                tr.recv = Recv::Matched {
+                    seq: *seq,
+                    post_ns,
+                    match_ns: now_ns,
+                    sent_ns: sent.as_nanos(),
+                    bytes: *bytes,
+                };
                 return None;
             }
             MpiEvent::CallExit { .. } => {
-                let (seq, post_ns, match_ns, bytes) = tr.pending_recv.take()?;
+                let Recv::Matched {
+                    seq,
+                    post_ns,
+                    match_ns,
+                    sent_ns,
+                    bytes,
+                } = tr.recv
+                else {
+                    return None;
+                };
+                tr.recv = Recv::Idle;
                 t_ns = match_ns;
                 let done_ns = now_ns;
                 StepKind::Rec {
@@ -299,6 +340,7 @@ impl<T: Default> Spine<T> {
                     },
                     bytes,
                     dst_world: 0,
+                    sent_ns,
                 }
             }
             MpiEvent::CollectiveEnter {
@@ -325,6 +367,7 @@ impl<T: Default> Spine<T> {
                     },
                     bytes: *bytes,
                     dst_world: 0,
+                    sent_ns: 0,
                 }
             }
             MpiEvent::Compute { base, elapsed, .. } => rec(RecKind::Compute {

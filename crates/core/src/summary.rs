@@ -40,8 +40,7 @@ use crate::timeline::{Timeline, Window, WindowSection};
 use crate::waitstate::{RecKind, WaitBreakdown};
 use crate::whatif::WaitClass;
 use mpisim::diag::json_str;
-use mpisim::{CommId, EventMask, MpiEvent, Tool};
-use parking_lot::Mutex;
+use mpisim::{CommId, EventMask, MpiEvent, Tool, WorldCell};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -187,14 +186,13 @@ struct CollAgg {
     exited: usize,
 }
 
-/// All streaming state, behind the tool's one lock.
+/// All streaming state, in the tool's one cell. Nothing is kept per
+/// message: a receive's step carries when its message departed.
 #[derive(Default)]
 struct Summarizer {
     spine: Spine<Residue>,
     /// Per-section aggregates, indexed by interned id.
     sections: Vec<SectionAgg>,
-    /// seq -> send_ns of messages in flight (removed on receive).
-    sends: FastMap<u64, u64>,
     colls: FastMap<(CommId, u64), CollAgg>,
     checkpoints: Checkpoints,
 }
@@ -245,7 +243,7 @@ impl Sink for Summarizer {
 /// [`SummaryTool::freeze`] into a [`RunSummary`].
 #[derive(Default)]
 pub struct SummaryTool {
-    state: Mutex<Summarizer>,
+    state: WorldCell<Summarizer>,
 }
 
 impl SummaryTool {
@@ -462,7 +460,7 @@ impl Tool for SummaryTool {
             step.from_ns,
             t_ns,
         );
-        let (kind, bytes, dst_world) = match step.kind {
+        let (kind, bytes, dst_world, sent_ns) = match step.kind {
             StepKind::CollEnter {
                 comm, round, size, ..
             } => {
@@ -475,22 +473,18 @@ impl Tool for SummaryTool {
                 kind,
                 bytes,
                 dst_world,
-            } => (kind, bytes, dst_world),
+                sent_ns,
+            } => (kind, bytes, dst_world, sent_ns),
             StepKind::Enter | StepKind::Leave { .. } => return,
         };
         let peer_ns = match kind {
-            RecKind::Send { seq } => {
+            RecKind::Send { .. } => {
                 let key = ((world_rank as u64) << 32) | dst_world as u64;
                 let edges = &mut st.spine.rank_mut(world_rank).data.edges;
                 edges.record(key, bytes, 1);
-                st.sends.insert(seq, t_ns);
                 0
             }
-            // The send event is always delivered before the match can be
-            // observed (the deposit only becomes visible after the sender
-            // raised it), so this lookup succeeds; pruning on receive
-            // bounds the map by in-flight messages.
-            RecKind::RecvMatch { seq, post_ns, .. } => st.sends.remove(&seq).unwrap_or(post_ns),
+            RecKind::RecvMatch { .. } => sent_ns,
             RecKind::CollExit { comm, round, .. } => {
                 // Every member raises its enter before it arrives and
                 // nobody leaves before all have arrived, so the round's

@@ -18,8 +18,7 @@
 
 use crate::tool::{EnterInfo, LeaveInfo, SectionTool};
 use mpisim::diag::json_str;
-use mpisim::{CommId, EventKind, EventMask, MpiEvent, SectionData, Tool};
-use parking_lot::Mutex;
+use mpisim::{CommId, EventKind, EventMask, MpiEvent, SectionData, Tool, WorldCell};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -58,8 +57,8 @@ pub const COUNTER_PID: usize = 1_000_000;
 /// endpoints when attached at the PMPI layer too.
 #[derive(Default)]
 pub struct TraceTool {
-    events: Mutex<Vec<SpanEvent>>,
-    flows: Mutex<HashMap<u64, FlowEnds>>,
+    events: WorldCell<Vec<SpanEvent>>,
+    flows: WorldCell<HashMap<u64, FlowEnds>>,
 }
 
 impl TraceTool {

@@ -33,8 +33,7 @@ use crate::spine::{attribute, RankTracker, Sink, Span, Spine, StepKind};
 use crate::whatif::WaitClass;
 use mpisim::diag::json_str;
 use mpisim::message::seq_parts;
-use mpisim::{CommId, EventMask, MpiEvent, Tool};
-use parking_lot::Mutex;
+use mpisim::{CommId, EventMask, MpiEvent, Tool, WorldCell};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::mem::size_of;
@@ -448,7 +447,7 @@ struct Recording {
 /// [`crate::critpath::extract`].
 #[derive(Default)]
 pub struct CommRecorder {
-    state: Mutex<Recording>,
+    state: WorldCell<Recording>,
 }
 
 impl CommRecorder {
@@ -503,6 +502,7 @@ impl Tool for CommRecorder {
                 kind,
                 bytes,
                 dst_world,
+                ..
             } => {
                 match kind {
                     RecKind::Send { seq } => {
@@ -812,6 +812,9 @@ mod tests {
                 tag: 0,
                 seq,
                 bytes: 8,
+                // The recorder times the send from its own table; the post
+                // is what it counts an unrecorded send as.
+                sent: VTime::from_nanos(post_ns),
                 candidates: Vec::new(),
                 time,
             };

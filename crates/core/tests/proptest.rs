@@ -191,7 +191,7 @@ proptest! {
             let time = VTime::from_nanos(post_ns.max(send_ns) + 5);
             recorder.on_event(dst, &MpiEvent::RecvMatched {
                 comm, src_local: src, src_world: src, tag: 0, seq, bytes: 8,
-                candidates: Vec::new(), time,
+                sent: VTime::from_nanos(send_ns), candidates: Vec::new(), time,
             });
             recorder.on_event(dst, &MpiEvent::CallExit {
                 call: MpiCall::Recv, comm, time, bytes: 8,

@@ -187,6 +187,7 @@ mod tests {
                 tag,
                 seq: 1,
                 bytes: 4,
+                sent: machine::VTime::ZERO,
                 candidates,
                 time: machine::VTime::ZERO,
             },

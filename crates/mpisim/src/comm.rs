@@ -266,6 +266,7 @@ impl Comm {
                 tag: envelope.tag,
                 seq: envelope.seq,
                 bytes: envelope.payload.logical_bytes(),
+                sent: envelope.send_end,
                 candidates,
                 time: p.now,
             });

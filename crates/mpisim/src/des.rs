@@ -38,6 +38,10 @@
 //! rest of the world has drained, not the instant it closes — virtual-time
 //! programs terminate, so only host time differs — and a world whose only
 //! runnable ranks poll forever is a livelock nobody proves.
+//!
+//! The same one-rank-at-a-time order is what lets tools keep their
+//! per-event state in a [`WorldCell`]: bound to one running world, it is
+//! read and written with plain loads and stores.
 #![allow(unsafe_code)]
 
 use crate::comm::CommShared;
@@ -46,10 +50,15 @@ use crate::event::CommId;
 use crate::mailbox::{take_from_queue, Poison};
 use crate::message::{Envelope, Src, TagSel};
 use machine::VTime;
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, RefCell, UnsafeCell};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::marker::PhantomData;
+use std::ops::{Deref, DerefMut};
 use std::rc::Rc;
+use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::ThreadId;
 
 /// What a rank's fiber is doing, from the scheduler's point of view.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -295,11 +304,17 @@ thread_local! {
     /// A raw pointer kept alive by the `Rc` inside the driving thread's
     /// [`InstallGuard`], which clears it (also on unwind) when it drops.
     static ACTIVE: Cell<*const Scheduler> = const { Cell::new(std::ptr::null()) };
+
+    /// The id of that world ([`NO_WORLD`] when there is none): what a
+    /// [`WorldCell`] compares its owner with.
+    static WORLD: Cell<u32> = const { Cell::new(NO_WORLD) };
 }
 
-/// RAII installation of a scheduler into this thread's slot.
+/// RAII installation of a scheduler into this thread's slot: the world is
+/// live from here until the guard drops.
 pub(crate) struct InstallGuard {
     _keep_alive: Rc<Scheduler>,
+    world: u32,
 }
 
 pub(crate) fn install(scheduler: Rc<Scheduler>) -> InstallGuard {
@@ -310,19 +325,25 @@ pub(crate) fn install(scheduler: Rc<Scheduler>) -> InstallGuard {
         );
         active.set(Rc::as_ptr(&scheduler));
     });
+    let world = worlds().begin();
+    WORLD.set(world);
     InstallGuard {
         _keep_alive: scheduler,
+        world,
     }
 }
 
 impl Drop for InstallGuard {
     fn drop(&mut self) {
         ACTIVE.with(|active| active.set(std::ptr::null()));
+        WORLD.set(NO_WORLD);
+        worlds().end(self.world);
     }
 }
 
-/// This thread's scheduler, for the thread of one of its fibers to adopt.
-pub(crate) struct Handle(*const Scheduler);
+/// This thread's scheduler and world, for the thread of one of its fibers
+/// to adopt.
+pub(crate) struct Handle(*const Scheduler, u32);
 
 // SAFETY: the pointer is only dereferenced after `adopt`, whose caller
 // answers for the thread it is then used on.
@@ -331,11 +352,12 @@ unsafe impl Send for Handle {}
 /// The scheduler installed on this thread (none is a handle too: adopting
 /// it installs nothing).
 pub(crate) fn handle() -> Handle {
-    Handle(ACTIVE.with(Cell::get))
+    Handle(ACTIVE.with(Cell::get), WORLD.get())
 }
 
 impl Handle {
-    /// Make the calling thread one of the scheduler's own.
+    /// Make the calling thread one of the scheduler's own, running in its
+    /// world.
     ///
     /// # Safety
     ///
@@ -345,6 +367,285 @@ impl Handle {
     /// [`InstallGuard`] drops.
     pub(crate) unsafe fn adopt(self) {
         ACTIVE.with(|active| active.set(self.0));
+        WORLD.set(self.1);
+    }
+}
+
+/// The [`WORLD`] of a thread that runs no world; never a cell's owner.
+const NO_WORLD: u32 = 0;
+/// The owner of a cell bound to no world.
+const UNBOUND: u32 = u32::MAX;
+/// The owner of a cell a thread outside any world holds.
+const TAKEN: u32 = u32::MAX - 1;
+
+/// The process-wide table of live worlds, under whose lock a world begins
+/// and ends and a [`WorldCell`] changes hands.
+struct Worlds {
+    /// The id handed out last.
+    last: u32,
+    /// Each live world's id, with the owner of the cell it waits for.
+    live: Vec<(u32, Option<u32>)>,
+    /// Each cell a thread outside any world holds, by address, with the
+    /// thread.
+    taken: Vec<(usize, ThreadId)>,
+    /// Threads waiting in [`WorldCell::bind`] for [`RELEASED`].
+    sleepers: usize,
+}
+
+static WORLDS: Mutex<Worlds> = Mutex::new(Worlds {
+    last: NO_WORLD,
+    live: Vec::new(),
+    taken: Vec::new(),
+    sleepers: 0,
+});
+
+/// Signalled when a world ends or an outside guard drops, while anyone
+/// waits for a cell.
+static RELEASED: Condvar = Condvar::new();
+
+/// The table. Nothing panics while holding it, and every update leaves it
+/// consistent, so a poisoned lock is still good.
+fn worlds() -> MutexGuard<'static, Worlds> {
+    WORLDS.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl Worlds {
+    fn is_live(&self, world: u32) -> bool {
+        self.live.iter().any(|&(id, _)| id == world)
+    }
+
+    /// A fresh world's id: never [`NO_WORLD`], [`UNBOUND`], [`TAKEN`] or a
+    /// live world's.
+    fn begin(&mut self) -> u32 {
+        let world = loop {
+            self.last = self.last.wrapping_add(1);
+            let id = self.last;
+            if id != NO_WORLD && id < TAKEN && !self.is_live(id) {
+                break id;
+            }
+        };
+        self.live.push((world, None));
+        world
+    }
+
+    /// `world` made its last access: every cell bound to it is free.
+    fn end(&mut self, world: u32) {
+        self.live.retain(|&(id, _)| id != world);
+        for (_, waits_for) in &mut self.live {
+            if *waits_for == Some(world) {
+                *waits_for = None;
+            }
+        }
+        if self.sleepers > 0 {
+            RELEASED.notify_all();
+        }
+    }
+
+    /// Does `world` waiting for a cell of `owner` close a cycle of live
+    /// worlds each waiting for the next?
+    fn closes_a_cycle(&self, world: u32, owner: u32) -> bool {
+        let waits_for = |id| self.live.iter().find(|&&(w, _)| w == id)?.1;
+        let mut at = owner;
+        for _ in 0..self.live.len() {
+            match waits_for(at) {
+                Some(next) if next == world => return true,
+                Some(next) => at = next,
+                None => return false,
+            }
+        }
+        false
+    }
+
+    fn set_waiting(&mut self, world: u32, owner: Option<u32>) {
+        if let Some(entry) = self.live.iter_mut().find(|(id, _)| *id == world) {
+            entry.1 = owner;
+        }
+    }
+}
+
+/// State that the running world mutates with plain loads and stores: a
+/// tool's per-event state, which a world reaches one rank at a time.
+///
+/// The cell is bound to the first world that locks it until that world
+/// ends. While it is, that world's ranks lock it with one thread-local
+/// load, one relaxed load and a compare — no locked instruction — on
+/// whichever thread each rank runs. A second live world that reaches it
+/// waits until the first has ended, then binds it; so does a thread
+/// outside any world (a snapshot after the run), which takes it for the
+/// guard's life. A `lock()` while the cell's guard is live panics instead
+/// of waiting for itself, and so does a wait that would close a cycle of
+/// live worlds. The cell is the size of the `Mutex` it stands in for: a
+/// `u32` owner and a borrow flag beside the value.
+///
+/// Why plain loads and stores are enough:
+///
+/// * A world's ranks run one at a time, handed over on one thread (the
+///   assembly switch) or under the baton's lock (the threads engine), so
+///   every access of a bound world is ordered after the one before it.
+/// * A world's end happens after every access it made — its fiber threads
+///   are joined and its tools notified before its [`InstallGuard`] drops —
+///   and is published through the process-wide table of live worlds. A
+///   cell is rebound, or taken by an outside thread, only under that
+///   table's lock, so the new holder is ordered after everything the old
+///   one did; an outside guard hands the cell back under the same lock.
+/// * A world id is never handed out while a world with that id is live, so
+///   a cell bound to a live world answers to no other. One still bound to
+///   an ended world whose id comes back belongs to the new world, which the
+///   table's lock orders after the old one — and a rebinding that raced the
+///   id's return happened under that lock too, so the new world sees it.
+pub struct WorldCell<T> {
+    /// The bound world's id, [`UNBOUND`] or [`TAKEN`]; stored only under
+    /// the table's lock.
+    owner: AtomicU32,
+    /// A guard is live.
+    held: Cell<bool>,
+    value: UnsafeCell<T>,
+}
+
+// SAFETY: `owner` is atomic. `held` and `value` are touched only by the
+// holder of the cell — its bound world, whose accesses are ordered as the
+// type documents, or the outside thread that took it — so no two threads
+// reach them unordered. `T: Send` because the value is reached from, and
+// may be dropped on, whichever thread holds the cell; no `&T` is shared
+// between threads, so `T: Sync` is not needed.
+unsafe impl<T: Send> Sync for WorldCell<T> {}
+
+impl<T> WorldCell<T> {
+    /// A cell bound to no world yet.
+    pub const fn new(value: T) -> WorldCell<T> {
+        WorldCell {
+            owner: AtomicU32::new(UNBOUND),
+            held: Cell::new(false),
+            value: UnsafeCell::new(value),
+        }
+    }
+
+    /// The value, for the calling world or — outside any world — for this
+    /// thread alone until the guard drops. Waits while another live world
+    /// holds the cell; panics if its guard is live.
+    #[inline]
+    pub fn lock(&self) -> WorldGuard<'_, T> {
+        let world = WORLD.get();
+        if self.owner.load(Relaxed) != world {
+            self.bind(world);
+        }
+        if self.held.replace(true) {
+            locked_twice();
+        }
+        WorldGuard {
+            cell: self,
+            outside: world == NO_WORLD,
+            _on_this_thread: PhantomData,
+        }
+    }
+
+    /// Bind the cell to `world` (take it, for [`NO_WORLD`]), waiting while
+    /// a live world or an outside thread holds it.
+    #[cold]
+    #[inline(never)]
+    fn bind(&self, world: u32) {
+        let cell = self as *const Self as usize;
+        let me = std::thread::current().id();
+        let mut worlds = worlds();
+        loop {
+            let owner = self.owner.load(Relaxed);
+            let busy = match owner {
+                UNBOUND => false,
+                TAKEN => true,
+                id => id != world && worlds.is_live(id),
+            };
+            if !busy {
+                break;
+            }
+            if owner == TAKEN && worlds.taken.contains(&(cell, me)) {
+                drop(worlds);
+                locked_twice();
+            }
+            if world != NO_WORLD && owner != TAKEN {
+                if worlds.closes_a_cycle(world, owner) {
+                    drop(worlds);
+                    panic!(
+                        "mpisim: two live worlds each wait for a WorldCell the other holds \
+                         (worlds that run at once must reach the state they share in one order)"
+                    );
+                }
+                worlds.set_waiting(world, Some(owner));
+            }
+            worlds.sleepers += 1;
+            worlds = RELEASED
+                .wait(worlds)
+                .unwrap_or_else(PoisonError::into_inner);
+            worlds.sleepers -= 1;
+            worlds.set_waiting(world, None);
+        }
+        let owner = if world == NO_WORLD {
+            worlds.taken.push((cell, me));
+            TAKEN
+        } else {
+            world
+        };
+        self.owner.store(owner, Relaxed);
+    }
+
+    /// An outside thread's guard dropped: the cell is bound to no world.
+    #[cold]
+    fn give_back(&self) {
+        let cell = self as *const Self as usize;
+        let mut worlds = worlds();
+        worlds.taken.retain(|&(taken, _)| taken != cell);
+        self.owner.store(UNBOUND, Relaxed);
+        if worlds.sleepers > 0 {
+            RELEASED.notify_all();
+        }
+    }
+}
+
+impl<T: Default> Default for WorldCell<T> {
+    fn default() -> WorldCell<T> {
+        WorldCell::new(T::default())
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn locked_twice() -> ! {
+    panic!("mpisim: a WorldCell was locked while its guard is live (it would wait for itself)");
+}
+
+/// Access to a [`WorldCell`]'s value; the cell is free for its world's
+/// next `lock()` once this drops.
+pub struct WorldGuard<'a, T> {
+    cell: &'a WorldCell<T>,
+    /// Taken by a thread outside any world: handed back on drop.
+    outside: bool,
+    /// The guard stays on the thread that locked.
+    _on_this_thread: PhantomData<*const ()>,
+}
+
+impl<T> Deref for WorldGuard<'_, T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        // SAFETY: the guard is the cell's one live guard (`held`), and its
+        // thread holds the cell (see `WorldCell`).
+        unsafe { &*self.cell.value.get() }
+    }
+}
+
+impl<T> DerefMut for WorldGuard<'_, T> {
+    fn deref_mut(&mut self) -> &mut T {
+        // SAFETY: as in `deref`, and `&mut self` makes this borrow the
+        // guard's only one.
+        unsafe { &mut *self.cell.value.get() }
+    }
+}
+
+impl<T> Drop for WorldGuard<'_, T> {
+    fn drop(&mut self) {
+        self.cell.held.set(false);
+        if self.outside {
+            self.cell.give_back();
+        }
     }
 }
 

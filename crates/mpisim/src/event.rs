@@ -194,6 +194,9 @@ pub enum MpiEvent {
         seq: u64,
         /// Logical payload size of the consumed message.
         bytes: u64,
+        /// When the consumed message departed: the `time` of its
+        /// [`MpiEvent::SendEnqueued`].
+        sent: VTime,
         /// For a wildcard (`Src::Any`) receive, every in-flight message
         /// that matched the selectors at the instant of consumption, as
         /// `(sender world rank, tag)`: more than one distinct sender is a

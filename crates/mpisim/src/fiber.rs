@@ -19,10 +19,10 @@
 //! This file is the only place in the crate that knows the target
 //! architecture.
 //!
-//! Safety containment: this module tree and the scheduler handle in
-//! `des.rs` are the only places in the workspace that need `unsafe`; the
-//! workspace-wide `unsafe_code = "deny"` lint is re-allowed for exactly
-//! these.
+//! Safety containment: this module tree and `des.rs` (the scheduler
+//! handle and `WorldCell`) are the only places in the workspace that need
+//! `unsafe`; the workspace-wide `unsafe_code = "deny"` lint is re-allowed
+//! for exactly these.
 #![allow(unsafe_code)]
 
 #[cfg(target_arch = "x86_64")]

@@ -13,14 +13,16 @@
 //! per slot. The reservation is `MAP_NORESERVE`, so a slot costs address
 //! space until a frame touches it, and because a stack's top is page
 //! aligned a rank that only blocks in a collective lives on one page. Every
-//! guard is `PROT_NONE`: a fiber that outgrows its stack faults *at* the
+//! guard faults on access: a fiber that outgrows its stack faults *at* the
 //! overflow, before it can reach the slot below, and a `SIGSEGV`/`SIGBUS`
-//! handler turns that fault into one line on stderr and an abort. Guards
-//! split the reservation into two kernel mappings per slot, which is what
-//! bounds a world's size (see [`StackPool::acquire`]). A scheduler thread
-//! keeps its pool between worlds and hands it to the next world that fits,
-//! so a sweep of small worlds maps, guards and first-touches its stacks
-//! once.
+//! handler turns that fault into one line on stderr and an abort. Where the
+//! kernel installs guard pages in place (`MADV_GUARD_INSTALL`, Linux 6.13)
+//! the reservation stays one kernel mapping; elsewhere each guard is a
+//! `PROT_NONE` page that splits it into two mappings per slot, which is
+//! what bounds a world's size there (see [`StackPool::acquire`]). A
+//! scheduler thread keeps its pool between worlds and hands it to the next
+//! world that fits, so a sweep of small worlds maps, guards and
+//! first-touches its stacks once.
 //!
 //! There is no cross-thread migration: a fiber resumes on whichever OS
 //! thread calls `resume`, and the simulator drives all fibers of a world
@@ -35,8 +37,8 @@ use std::cell::{Cell, RefCell};
 use std::ffi::{c_int, c_void};
 use std::sync::OnceLock;
 
-/// The x86-64 base page: the granularity of `mprotect`, and so the size of
-/// a guard and the unit stack sizes are rounded up to.
+/// The x86-64 base page: the granularity of page protection, and so the
+/// size of a guard and the unit stack sizes are rounded up to.
 pub(super) const PAGE: usize = 4096;
 
 /// Kernel mappings left to the rest of the process (heap arenas, thread
@@ -72,6 +74,7 @@ mod sys {
         pub const MAP_ANONYMOUS: c_int = 0x20;
         pub const MAP_NORESERVE: c_int = 0x4000;
         pub const MADV_NOHUGEPAGE: c_int = 15;
+        pub const MADV_GUARD_INSTALL: c_int = 102;
         pub const SIGBUS: c_int = 7;
         pub const SA_SIGINFO: c_int = 0x4;
         pub const SA_ONSTACK: c_int = 0x0800_0000;
@@ -256,9 +259,10 @@ impl StackPool {
     ///
     /// A fresh reservation is sized to the next power of two, so worlds of
     /// similar size share it. It fails, with a message fit for one `error:`
-    /// line, when the stack size overflows, when the guards would take more
-    /// kernel mappings than `vm.max_map_count` allows (two per slot, plus
-    /// [`SPARE_MAPPINGS`]), or when the kernel refuses the address space.
+    /// line, when the stack size overflows, when guards that split the
+    /// mapping would take more kernel mappings than `vm.max_map_count`
+    /// allows (two per slot, plus [`SPARE_MAPPINGS`]), or when the kernel
+    /// refuses the address space.
     pub(super) fn acquire(stack_size: usize, count: usize) -> Result<StackPool, String> {
         let stack_bytes = stack_size
             .checked_next_multiple_of(PAGE)
@@ -288,11 +292,11 @@ impl StackPool {
             RESERVATION.get()[1] == 0,
             "mpisim: a thread holds one fiber stack reservation at a time"
         );
-        let max_map_count = std::fs::read_to_string("/proc/sys/vm/max_map_count")
-            .ok()
-            .and_then(|text| text.trim().parse::<usize>().ok())
-            .unwrap_or(DEFAULT_MAX_MAP_COUNT);
-        let capacity = capacity_for(count, max_map_count)?;
+        let guards = Guards::probe();
+        let capacity = match guards {
+            Guards::InPlace => count.checked_next_power_of_two().unwrap_or(count),
+            Guards::Split { max_map_count } => capacity_for(count, max_map_count)?,
+        };
         let extent = stack_bytes
             .checked_add(PAGE)
             .and_then(|stride| Some((stride, stride.checked_mul(capacity)?)));
@@ -332,18 +336,21 @@ impl StackPool {
         for slot in 0..capacity {
             // SAFETY: the guard is the first page of slot `slot`, inside
             // the mapping; nothing has been handed out of it yet.
-            let failed =
-                unsafe { sys::mprotect(base.add(slot * stride).cast(), PAGE, sys::PROT_NONE) != 0 };
-            if failed {
+            if !unsafe { guards.place(base.add(slot * stride)) } {
                 let cause = std::io::Error::last_os_error();
                 // Unmap before building the message: at the mapping limit
                 // the allocator cannot grow either.
                 // SAFETY: the mapping made above, not yet shared.
                 unsafe { sys::munmap(base.cast(), len) };
+                let budget = match guards {
+                    Guards::InPlace => String::new(),
+                    Guards::Split { max_map_count } => format!(
+                        " (vm.max_map_count is {max_map_count}, and worlds on other threads \
+                         count against it too)"
+                    ),
+                };
                 return Err(format!(
-                    "cannot guard {capacity} fiber stacks, mprotect of guard {slot}: {cause} \
-                     (vm.max_map_count is {max_map_count}, and worlds on other threads count \
-                     against it too)"
+                    "cannot guard {capacity} fiber stacks, guard {slot}: {cause}{budget}"
                 ));
             }
         }
@@ -398,10 +405,74 @@ impl Drop for StackPool {
     }
 }
 
-/// Slots to reserve for a world of `count` ranks: the next power of two,
-/// so worlds of similar size share a pool, as far as the kernel's mapping
-/// limit allows — each slot's guard splits the reservation into two
-/// mappings, and [`SPARE_MAPPINGS`] stay with the rest of the process.
+/// How a pool's guard pages are made.
+#[derive(Clone, Copy)]
+enum Guards {
+    /// `madvise(MADV_GUARD_INSTALL)`: the reservation stays one mapping,
+    /// whatever the slot count.
+    #[cfg_attr(not(target_os = "linux"), allow(dead_code))]
+    InPlace,
+    /// A `PROT_NONE` page per slot (kernels before Linux 6.13, macOS): two
+    /// mappings per slot, under `vm.max_map_count`.
+    Split { max_map_count: usize },
+}
+
+impl Guards {
+    /// What this kernel offers, asked of a scratch page once per pool.
+    fn probe() -> Guards {
+        #[cfg(target_os = "linux")]
+        // SAFETY: a fresh anonymous page, advised and unmapped here; nothing
+        // else can reach it. Failures are checked.
+        unsafe {
+            let page = sys::mmap(
+                std::ptr::null_mut(),
+                PAGE,
+                sys::PROT_READ | sys::PROT_WRITE,
+                sys::MAP_PRIVATE | sys::MAP_ANONYMOUS,
+                -1,
+                0,
+            );
+            if page != sys::MAP_FAILED {
+                let in_place = sys::madvise(page, PAGE, sys::MADV_GUARD_INSTALL) == 0;
+                sys::munmap(page, PAGE);
+                if in_place {
+                    return Guards::InPlace;
+                }
+            }
+        }
+        let max_map_count = std::fs::read_to_string("/proc/sys/vm/max_map_count")
+            .ok()
+            .and_then(|text| text.trim().parse::<usize>().ok())
+            .unwrap_or(DEFAULT_MAX_MAP_COUNT);
+        Guards::Split { max_map_count }
+    }
+
+    /// Make the page at `page` a guard; `false` (with `errno` set) if the
+    /// kernel refuses.
+    ///
+    /// # Safety
+    ///
+    /// `page` is a page of a private anonymous mapping that no fiber uses.
+    unsafe fn place(self, page: *mut u8) -> bool {
+        let page = page.cast();
+        let status = match self {
+            // SAFETY: by the function's condition.
+            #[cfg(target_os = "linux")]
+            Guards::InPlace => unsafe { sys::madvise(page, PAGE, sys::MADV_GUARD_INSTALL) },
+            #[cfg(not(target_os = "linux"))]
+            Guards::InPlace => unreachable!("only Linux installs guards in place"),
+            // SAFETY: by the function's condition.
+            Guards::Split { .. } => unsafe { sys::mprotect(page, PAGE, sys::PROT_NONE) },
+        };
+        status == 0
+    }
+}
+
+/// Slots to reserve for a world of `count` ranks when guards split the
+/// reservation: the next power of two, so worlds of similar size share a
+/// pool, as far as the kernel's mapping limit allows — each slot's guard
+/// splits the reservation into two mappings, and [`SPARE_MAPPINGS`] stay
+/// with the rest of the process.
 pub(super) fn capacity_for(count: usize, max_map_count: usize) -> Result<usize, String> {
     let most = max_map_count.saturating_sub(SPARE_MAPPINGS) / 2;
     if count > most {

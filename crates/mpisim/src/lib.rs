@@ -63,6 +63,7 @@ pub mod world;
 
 pub use comm::{waitall, Comm, RecvReq, Recvd, SendReq};
 pub use control::{MatchCandidate, MatchController};
+pub use des::{WorldCell, WorldGuard};
 pub use diag::{BlockedSite, Diagnostic, DiagnosticKind, Severity};
 pub use error::RunError;
 pub use event::{CommId, EventKind, EventMask, MpiCall, MpiEvent, SectionData};

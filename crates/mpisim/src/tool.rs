@@ -4,11 +4,14 @@
 //! registered on the world before launch and shared by every rank. A world
 //! runs one rank at a time, so a tool is called from one thread *at a
 //! time* — but not always the same one (the threads engine gives every
-//! rank its own), and one tool may serve several worlds at once: the
-//! `Send + Sync` bound stays. The bundled tools keep all mutable state
-//! behind one `Mutex` taken once per event, with per-rank state in a `Vec`
-//! indexed by world rank and sized at `Init { size }`: within a world the
-//! lock is never contended, so taking it is the whole cost.
+//! rank its own), and one tool object may be attached to several worlds:
+//! the `Send + Sync` bound stays. The bundled tools keep all mutable state
+//! in one [`WorldCell`](crate::WorldCell) locked once per event, with
+//! per-rank state in a `Vec` indexed by world rank and sized at
+//! `Init { size }`. The cell's rule is one running world at a time: the
+//! world that reaches it first reads and writes it with plain loads and
+//! stores until that world ends, and a second world that reaches the tool
+//! meanwhile waits for it to end.
 //!
 //! Tools additionally declare an *interest mask* ([`Tool::interests`]):
 //! the runtime unions the masks of all attached tools and skips building
@@ -19,6 +22,11 @@ use crate::event::{EventKind, EventMask, MpiEvent};
 use std::sync::Arc;
 
 /// A performance/debugging tool observing runtime events.
+///
+/// Callbacks take `&self`: a tool keeps its mutable state behind interior
+/// mutability. A [`WorldCell`](crate::WorldCell) costs no locked
+/// instruction per event, and serves one running world at a time — a
+/// second world that reaches it waits until the first has ended.
 pub trait Tool: Send + Sync {
     /// Called synchronously on the acting rank for every event whose kind
     /// is in [`Tool::interests`].

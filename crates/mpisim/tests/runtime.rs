@@ -738,6 +738,65 @@ fn event_timestamps_are_monotone_per_rank() {
         .unwrap();
 }
 
+/// A tool that holds a message's departure needs no table of its own:
+/// every `RecvMatched` carries the `time` of its `SendEnqueued`, for named
+/// and wildcard receives, `wait` and `sendrecv`, on both engines.
+#[test]
+fn every_match_carries_the_time_its_message_was_sent() {
+    #[derive(Default)]
+    struct Departures {
+        sent: Mutex<Vec<(u64, VTime)>>,
+        matched: Mutex<Vec<(u64, VTime)>>,
+    }
+    impl Tool for Departures {
+        fn on_event(&self, _rank: usize, event: &MpiEvent) {
+            match event {
+                MpiEvent::SendEnqueued { seq, time, .. } => self.sent.lock().push((*seq, *time)),
+                MpiEvent::RecvMatched { seq, sent, .. } => self.matched.lock().push((*seq, *sent)),
+                _ => {}
+            }
+        }
+    }
+    for engine in [Engine::Des, Engine::Threads] {
+        let tool = Arc::new(Departures::default());
+        WorldBuilder::new(4)
+            .engine(engine)
+            .machine(presets::nehalem_cluster())
+            .seed(3)
+            .tool(tool.clone())
+            .run(|p| {
+                let world = p.world();
+                let (me, n) = (p.world_rank(), p.world_size());
+                for step in 0..3 {
+                    p.compute(Work::flops(1e6 * (me + step + 1) as f64));
+                    let req = world.irecv::<u8>(p, Src::Rank((me + n - 1) % n), TagSel::Is(0));
+                    world.send(p, (me + 1) % n, 0, &[me as u8; 8]);
+                    let _ = req.wait(p);
+                    let _ = world.sendrecv(p, (me + 2) % n, 1, &[0u8; 64], Src::Any, TagSel::Is(1));
+                    if me == 0 {
+                        for _ in 1..n {
+                            let _ = world.recv::<u8>(p, Src::Any, TagSel::Is(2));
+                        }
+                    } else {
+                        world.send(p, 0, 2, &[1u8]);
+                    }
+                }
+            })
+            .expect("run");
+        let sent: std::collections::HashMap<u64, VTime> =
+            tool.sent.lock().iter().copied().collect();
+        let matched = tool.matched.lock();
+        assert_eq!(
+            matched.len(),
+            sent.len(),
+            "{engine:?}: every message matched"
+        );
+        for (seq, departed) in matched.iter() {
+            assert_eq!(Some(departed), sent.get(seq), "{engine:?}: seq {seq:#x}");
+        }
+    }
+}
+
 #[test]
 fn exscan_prefix_excluding_self() {
     let report = WorldBuilder::new(5)

@@ -80,6 +80,24 @@ fn an_unmappable_stack_size_is_a_run_error() {
     assert_eq!(ring_sum(4, 16 * 1024), expected(4));
 }
 
+/// One more stack than guards that split the reservation fit under the
+/// default `vm.max_map_count` (65 530): where the kernel installs guard
+/// pages in place the reservation is one mapping, and the world runs.
+#[test]
+fn a_world_past_the_split_guard_limit_runs_where_guards_install_in_place() {
+    let p = 30_718;
+    let run = WorldBuilder::new(p)
+        .engine(Engine::Des)
+        .stack_size(16 * 1024)
+        .run(|pr| pr.world_rank());
+    match run {
+        Err(RunError::StackReservation(why)) if why.contains("vm.max_map_count") => {
+            eprintln!("skipped: this kernel splits the reservation at each guard ({why})");
+        }
+        run => assert_eq!(run.expect("world runs").results, (0..p).collect::<Vec<_>>()),
+    }
+}
+
 /// Set in the re-executed child of the overflow test.
 const OVERFLOW_CHILD: &str = "MPISIM_TEST_STACK_OVERFLOW_CHILD";
 const OVERFLOW_STACK: usize = 16 * 1024;

@@ -44,6 +44,25 @@ if grep -n 'HashMap' crates/core/src/waitstate.rs crates/core/src/critpath.rs \
     exit 1
 fi
 
+echo "==> tools take no lock per event; stacks are guarded without splitting the mapping"
+# Every state holder in crates/core keeps its state in an
+# `mpisim::WorldCell` (parking_lot stays a dependency for tests only, until
+# ROADMAP 1(b) settles benchmark/Cargo.lock); a receive's step carries its
+# message's departure, so the summarizer keeps nothing per message; and
+# `mprotect` is the guard of the pre-`MADV_GUARD_INSTALL` fallback only.
+if grep -rn '^use parking_lot' crates/core/src; then
+    echo "crates/core/src: a lock is back on a tool's per-event path"
+    exit 1
+fi
+if grep -n 'sends: FastMap' crates/core/src/summary.rs; then
+    echo "crates/core/src/summary.rs: the summarizer keeps a map of messages in flight again"
+    exit 1
+fi
+if grep -rn 'mprotect(' crates/mpisim/src | grep -v 'pub fn mprotect(\|Guards::Split'; then
+    echo "crates/mpisim/src: a guard page is made outside the split-mapping fallback"
+    exit 1
+fi
+
 echo "==> one implementation per concept: no deleted duplicate came back"
 if grep -n 'criterion\|\[\[bench\]\]' Cargo.toml crates/*/Cargo.toml benchmark/Cargo.toml; then
     echo "Cargo.toml: a second measurement harness is back beside benchmark/"
