@@ -12,7 +12,7 @@ use crate::bench::{partition_rows, ConvConfig, ConvOutcome, Fidelity};
 use crate::image::{Image, CHANNELS};
 use crate::stencil::{codec_work, convolve_work};
 use mpi_sections::SectionRuntime;
-use mpisim::{dims_create, CartGrid, Proc, Src, TagSel};
+use mpisim::{dims_create, CartGrid, Payload, Proc, Src, TagSel};
 
 /// The eight halo directions, as (drow, dcol).
 const DIRS: [(isize, isize); 8] = [
@@ -278,27 +278,19 @@ pub fn run_convolution_2d(
     });
 
     // ---- SCATTER ----------------------------------------------------------
-    let mut data: Vec<f64> = Vec::new();
+    // From here on the pixels exist exactly where the image did.
+    let mut data: Option<Vec<f64>> = None;
     sections.scoped(p, &world, crate::bench::SECTION_SCATTER, |p| {
-        match cfg.fidelity {
-            Fidelity::Full => {
-                let chunks = (rank == 0).then(|| {
-                    let img = full_image.as_ref().expect("root loaded");
-                    (0..nranks)
-                        .map(|r| extract_tile(img, &Tile::of(&grid, r, cfg.width, cfg.height)))
-                        .collect::<Vec<_>>()
-                });
-                data = world.scatterv(p, 0, chunks);
-            }
-            Fidelity::Timing => {
-                let counts = (rank == 0).then(|| {
-                    (0..nranks)
-                        .map(|r| Tile::of(&grid, r, cfg.width, cfg.height).samples())
-                        .collect()
-                });
-                let _ = world.scatterv_virtual::<f64>(p, 0, counts);
-            }
-        }
+        let tiles = (rank == 0).then(|| {
+            (0..nranks)
+                .map(|r| {
+                    let t = Tile::of(&grid, r, cfg.width, cfg.height);
+                    let pixels = full_image.as_ref().map(|img| extract_tile(img, &t));
+                    Payload::maybe(pixels, t.samples())
+                })
+                .collect()
+        });
+        data = world.scatterv_payload(p, 0, tiles).into_data();
     });
 
     let (rows, cols) = (tile.rows(), tile.cols());
@@ -308,41 +300,25 @@ pub fn run_convolution_2d(
             #[allow(clippy::needless_range_loop)] // dir indexes DIRS and halos
             for dir in 0..8 {
                 if let Some(nbr) = neighbor(dir) {
-                    let my_tag = TAG_BASE + dir as i32;
-                    let their_tag = TAG_BASE + opposite(dir) as i32;
-                    match cfg.fidelity {
-                        Fidelity::Full => {
-                            let mine = edge_of(&data, rows, cols, dir);
-                            let got = world.sendrecv(
-                                p,
-                                nbr,
-                                my_tag,
-                                &mine,
-                                Src::Rank(nbr),
-                                TagSel::Is(their_tag),
-                            );
-                            halos[dir] = Some(got.data);
-                        }
-                        Fidelity::Timing => {
-                            let _ = world.sendrecv_virtual::<f64>(
-                                p,
-                                nbr,
-                                my_tag,
-                                edge_elems(rows, cols, dir),
-                                Src::Rank(nbr),
-                                TagSel::Is(their_tag),
-                            );
-                        }
-                    }
+                    let mine = data.as_deref().map(|d| edge_of(d, rows, cols, dir));
+                    let got = world.sendrecv_payload(
+                        p,
+                        nbr,
+                        TAG_BASE + dir as i32,
+                        Payload::maybe(mine, edge_elems(rows, cols, dir)),
+                        Src::Rank(nbr),
+                        TagSel::Is(TAG_BASE + opposite(dir) as i32),
+                    );
+                    halos[dir] = Some(got.data);
                 }
             }
         });
         sections.scoped(p, &world, crate::bench::SECTION_CONVOLVE, |p| {
             if tile.pixels() > 0 {
-                if cfg.fidelity == Fidelity::Full {
-                    let expanded = expand_tile(&data, rows, cols, &halos);
-                    data = convolve_expanded(&expanded, rows, cols);
-                }
+                data = data.take().map(|d| {
+                    let expanded = expand_tile(&d, rows, cols, &halos);
+                    convolve_expanded(&expanded, rows, cols)
+                });
                 p.compute(convolve_work(tile.samples()));
             }
         });
@@ -351,27 +327,21 @@ pub fn run_convolution_2d(
     // ---- GATHER -----------------------------------------------------------
     let mut outcome = ConvOutcome::default();
     sections.scoped(p, &world, crate::bench::SECTION_GATHER, |p| {
-        match cfg.fidelity {
-            Fidelity::Full => {
-                let all = world.gatherv(p, 0, std::mem::take(&mut data));
-                if rank == 0 {
-                    let mut img = Image::zeros(cfg.width, cfg.height);
-                    for (r, chunk) in all.into_iter().enumerate() {
-                        let t = Tile::of(&grid, r, cfg.width, cfg.height);
-                        for (i, row) in (t.row_start..t.row_end).enumerate() {
-                            let src =
-                                &chunk[i * t.cols() * CHANNELS..(i + 1) * t.cols() * CHANNELS];
-                            let at = (row * cfg.width + t.col_start) * CHANNELS;
-                            img.data[at..at + src.len()].copy_from_slice(src);
-                        }
-                    }
-                    outcome.checksum = Some(img.checksum());
-                    outcome.image = Some(img);
+        let tiles = world.gatherv_payload(p, 0, Payload::maybe(data.take(), tile.samples()));
+        // Rank 0 reassembles the image where the tiles carry pixels.
+        let pixels: Option<Vec<Vec<f64>>> = tiles.into_iter().map(Payload::into_data).collect();
+        if let (0, Some(tiles)) = (rank, pixels) {
+            let mut img = Image::zeros(cfg.width, cfg.height);
+            for (r, chunk) in tiles.into_iter().enumerate() {
+                let t = Tile::of(&grid, r, cfg.width, cfg.height);
+                for (i, row) in (t.row_start..t.row_end).enumerate() {
+                    let src = &chunk[i * t.cols() * CHANNELS..(i + 1) * t.cols() * CHANNELS];
+                    let at = (row * cfg.width + t.col_start) * CHANNELS;
+                    img.data[at..at + src.len()].copy_from_slice(src);
                 }
             }
-            Fidelity::Timing => {
-                let _ = world.gatherv_virtual::<f64>(p, 0, tile.samples());
-            }
+            outcome.checksum = Some(img.checksum());
+            outcome.image = Some(img);
         }
     });
 

@@ -10,7 +10,10 @@
 //! Two fidelity modes let the same code serve correctness tests (real
 //! pixels, bit-exact against the sequential reference) and the paper-scale
 //! scaling study (virtual payloads, modelled compute); see
-//! [`bench::Fidelity`].
+//! [`bench::Fidelity`]. Fidelity decides only whether rank 0 loads the
+//! image: every scatter, halo and gather then builds one
+//! [`mpisim::Payload`] from whether its pixels exist and makes one call,
+//! so both modes make the same calls and price the same clock.
 
 pub mod bench;
 pub mod decomp2d;

@@ -5,8 +5,8 @@
 //!
 //! [`TraceTool`] records one complete-span event per section traversal per
 //! rank (as a [`SectionTool`]) and, when additionally attached as an
-//! [`mpisim::Tool`], the endpoints of every point-to-point message. The
-//! trace exports as:
+//! [`mpisim::Tool`], both endpoints of every point-to-point message, read
+//! off the receive that matched it. The trace exports as:
 //!
 //! * CSV (`to_csv`),
 //! * Chrome trace-event JSON (`to_chrome_trace`) — `chrome://tracing` /
@@ -19,7 +19,7 @@
 use crate::tool::{EnterInfo, LeaveInfo, SectionTool};
 use mpisim::diag::json_str;
 use mpisim::{CommId, EventKind, EventMask, MpiEvent, SectionData, Tool, WorldCell};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -42,11 +42,14 @@ pub struct SpanEvent {
     pub occurrence: u64,
 }
 
-/// Both endpoints of one message, as `(rank, time ns, comm id)`.
-#[derive(Debug, Clone, Copy, Default)]
-struct FlowEnds {
-    src: Option<(usize, u64, u64)>,
-    dst: Option<(usize, u64, u64)>,
+/// One matched message: its `seq`, its communicator id and both
+/// endpoints as `(world rank, time ns)`.
+#[derive(Debug, Clone, Copy)]
+struct Flow {
+    seq: u64,
+    comm: u64,
+    src: (usize, u64),
+    dst: (usize, u64),
 }
 
 /// Synthetic Chrome-trace pid hosting the efficiency counter lanes —
@@ -58,7 +61,7 @@ pub const COUNTER_PID: usize = 1_000_000;
 #[derive(Default)]
 pub struct TraceTool {
     events: WorldCell<Vec<SpanEvent>>,
-    flows: WorldCell<HashMap<u64, FlowEnds>>,
+    flows: WorldCell<Vec<Flow>>,
 }
 
 impl TraceTool {
@@ -67,9 +70,11 @@ impl TraceTool {
         Arc::new(TraceTool::default())
     }
 
-    /// Discard all recorded spans and flow endpoints. A process that runs
-    /// several worlds against one trace tool (the schedule explorer) must
-    /// reset between runs or later exports replay earlier runs' spans.
+    /// Discard all recorded spans and flows. A process that runs several
+    /// worlds against one trace tool (the schedule explorer) must reset
+    /// between runs, or later exports replay earlier runs' spans and draw
+    /// every run's flow arrows, in `seq` order, an earlier run's first
+    /// where two runs' messages share a `seq`.
     pub fn reset(&self) {
         self.events.lock().clear();
         self.flows.lock().clear();
@@ -150,28 +155,19 @@ impl TraceTool {
                 }
             })
             .collect();
-        let flows = {
-            let flows = self.flows.lock();
-            let mut pairs: Vec<(u64, FlowEnds)> = flows
-                .iter()
-                .filter(|(_, f)| f.src.is_some() && f.dst.is_some())
-                .filter(|(_, f)| {
-                    let ends = [f.src.expect("filtered"), f.dst.expect("filtered")];
-                    let keep = ends.iter().all(|&(rank, _, _)| rank < max_ranks);
-                    if !keep {
-                        for (rank, _, _) in ends {
-                            if rank >= max_ranks {
-                                dropped.insert(rank);
-                            }
-                        }
-                    }
-                    keep
-                })
-                .map(|(&seq, &f)| (seq, f))
-                .collect();
-            pairs.sort_by_key(|&(seq, _)| seq);
-            pairs
-        };
+        let mut flows: Vec<Flow> = self
+            .flows
+            .lock()
+            .iter()
+            .filter(|f| {
+                let ranks = [f.src.0, f.dst.0];
+                dropped.extend(ranks.iter().filter(|&&rank| rank >= max_ranks));
+                ranks.iter().all(|&rank| rank < max_ranks)
+            })
+            .copied()
+            .collect();
+        // Stable: a reused tool's runs keep their order within one `seq`.
+        flows.sort_by_key(|f| f.seq);
 
         // Every (pid) and (pid, tid) that will appear gets a metadata row.
         let mut pids: BTreeSet<usize> = BTreeSet::new();
@@ -180,10 +176,10 @@ impl TraceTool {
             pids.insert(e.rank);
             lanes.insert((e.rank, e.comm.0));
         }
-        for (_, f) in &flows {
-            for end in [f.src, f.dst].into_iter().flatten() {
-                pids.insert(end.0);
-                lanes.insert((end.0, end.2));
+        for f in &flows {
+            for (rank, _) in [f.src, f.dst] {
+                pids.insert(rank);
+                lanes.insert((rank, f.comm));
             }
         }
 
@@ -247,14 +243,18 @@ impl TraceTool {
             );
         }
 
-        for (seq, f) in &flows {
-            let (src_rank, src_ns, src_comm) = f.src.expect("filtered");
-            let (dst_rank, dst_ns, dst_comm) = f.dst.expect("filtered");
+        for &Flow {
+            seq,
+            comm,
+            src: (src_rank, src_ns),
+            dst: (dst_rank, dst_ns),
+        } in &flows
+        {
             emit(
                 &mut out,
                 &mut first,
                 format!(
-                    "{{\"name\":\"msg\",\"cat\":\"msg\",\"ph\":\"s\",\"id\":{seq},\"ts\":{:.3},\"pid\":{src_rank},\"tid\":{src_comm}}}",
+                    "{{\"name\":\"msg\",\"cat\":\"msg\",\"ph\":\"s\",\"id\":{seq},\"ts\":{:.3},\"pid\":{src_rank},\"tid\":{comm}}}",
                     src_ns as f64 / 1e3,
                 ),
             );
@@ -262,7 +262,7 @@ impl TraceTool {
                 &mut out,
                 &mut first,
                 format!(
-                    "{{\"name\":\"msg\",\"cat\":\"msg\",\"ph\":\"f\",\"bp\":\"e\",\"id\":{seq},\"ts\":{:.3},\"pid\":{dst_rank},\"tid\":{dst_comm}}}",
+                    "{{\"name\":\"msg\",\"cat\":\"msg\",\"ph\":\"f\",\"bp\":\"e\",\"id\":{seq},\"ts\":{:.3},\"pid\":{dst_rank},\"tid\":{comm}}}",
                     dst_ns as f64 / 1e3,
                 ),
             );
@@ -387,29 +387,30 @@ impl SectionTool for TraceTool {
     }
 }
 
-/// PMPI attachment: record message endpoints for the flow arrows. Attach
-/// the same `Arc<TraceTool>` with both `sections.attach(..)` (spans) and
-/// `WorldBuilder::tool(..)` (flows).
+/// PMPI attachment: record each message's flow arrow when it is matched.
+/// Attach the same `Arc<TraceTool>` with both `sections.attach(..)` (spans)
+/// and `WorldBuilder::tool(..)` (flows).
 impl Tool for TraceTool {
     fn interests(&self) -> EventMask {
-        EventMask::only(EventKind::SendEnqueued).with(EventKind::RecvMatched)
+        EventMask::only(EventKind::RecvMatched)
     }
 
     fn on_event(&self, world_rank: usize, event: &MpiEvent) {
-        match event {
-            MpiEvent::SendEnqueued {
-                comm, seq, time, ..
-            } => {
-                self.flows.lock().entry(*seq).or_default().src =
-                    Some((world_rank, time.as_nanos(), comm.0));
-            }
-            MpiEvent::RecvMatched {
-                comm, seq, time, ..
-            } => {
-                self.flows.lock().entry(*seq).or_default().dst =
-                    Some((world_rank, time.as_nanos(), comm.0));
-            }
-            _ => {}
+        if let MpiEvent::RecvMatched {
+            comm,
+            src_world,
+            seq,
+            sent,
+            time,
+            ..
+        } = event
+        {
+            self.flows.lock().push(Flow {
+                seq: *seq,
+                comm: comm.0,
+                src: (*src_world, sent.as_nanos()),
+                dst: (world_rank, time.as_nanos()),
+            });
         }
     }
 }

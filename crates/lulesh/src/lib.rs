@@ -13,7 +13,10 @@
 //! documented as a substitution in DESIGN.md. In `Full` fidelity the
 //! evolution is decomposition-independent (bit-exact across p), which the
 //! tests verify; `Timing` fidelity prices the identical call structure for
-//! the large scaling sweeps of Figs. 8–10.
+//! the large scaling sweeps of Figs. 8–10. Fidelity decides whether the
+//! `State` exists; the halo exchanges take the field as an `Option` and
+//! send real or virtual payloads of one logical size, so the two modes
+//! share every communication call.
 
 pub mod comm;
 pub mod config;

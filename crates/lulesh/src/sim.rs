@@ -8,7 +8,7 @@
 
 use crate::comm::{exchange_faces, sync_shared_nodes};
 use crate::config::{Fidelity, LuleshConfig};
-use crate::mesh::{Decomposition, FaceGhosts, Field3};
+use crate::mesh::{Decomposition, Field3};
 use crate::physics::{self, State};
 use mpi_sections::SectionRuntime;
 use mpisim::Proc;
@@ -156,14 +156,8 @@ pub fn run_lulesh(p: &mut Proc, sections: &SectionRuntime, cfg: &LuleshConfig) -
                                 physics::integrate_stress,
                             );
                         });
-                        let p_ghosts = sections.scoped(p, &world, "CommSBN", |p| match &state {
-                            Some(st) => exchange_faces(p, &world, &decomp, &st.p, cfg.fidelity),
-                            None => {
-                                let dummy = Field3::constant(0, 0.0);
-                                let _ =
-                                    exchange_faces(p, &world, &decomp, &dummy, Fidelity::Timing);
-                                FaceGhosts::default()
-                            }
+                        let p_ghosts = sections.scoped(p, &world, "CommSBN", |p| {
+                            exchange_faces(p, &world, &decomp, state.as_ref().map(|st| &st.p))
                         });
                         sections.scoped(p, &world, "CalcHourglassControlForElems", |p| {
                             elem_kernel(
@@ -252,9 +246,9 @@ pub fn run_lulesh(p: &mut Proc, sections: &SectionRuntime, cfg: &LuleshConfig) -
                         }
                     });
 
-                    sections.scoped(p, &world, "CommSyncPosVel", |p| match &state {
-                        Some(st) => sync_shared_nodes(p, &world, &decomp, &st.u, cfg.fidelity),
-                        None => sync_shared_nodes(p, &world, &decomp, &[], Fidelity::Timing),
+                    sections.scoped(p, &world, "CommSyncPosVel", |p| {
+                        let nodal = state.as_ref().map(|st| &st.u[..]);
+                        sync_shared_nodes(p, &world, &decomp, nodal);
                     });
                 });
 
@@ -273,14 +267,8 @@ pub fn run_lulesh(p: &mut Proc, sections: &SectionRuntime, cfg: &LuleshConfig) -
                     });
 
                     sections.scoped(p, &world, "CalcQForElems", |p| {
-                        let e_ghosts = sections.scoped(p, &world, "CommMonoQ", |p| match &state {
-                            Some(st) => exchange_faces(p, &world, &decomp, &st.e, cfg.fidelity),
-                            None => {
-                                let dummy = Field3::constant(0, 0.0);
-                                let _ =
-                                    exchange_faces(p, &world, &decomp, &dummy, Fidelity::Timing);
-                                FaceGhosts::default()
-                            }
+                        let e_ghosts = sections.scoped(p, &world, "CommMonoQ", |p| {
+                            exchange_faces(p, &world, &decomp, state.as_ref().map(|st| &st.e))
                         });
                         let q_per =
                             physics::MONOTONIC_Q_FLOPS / physics::MONOTONIC_Q_REGIONS as f64;

@@ -89,6 +89,27 @@ if grep -n 'HashMap' crates/mpicheck/src/lib.rs; then
     exit 1
 fi
 
+echo "==> fidelity is whether the data exists: one body per operation over Payload"
+# A rendezvous slot is a Payload, real or virtual, so no collective keeps a
+# timing-mode copy, and the workloads build one payload per message instead
+# of forking on fidelity around the call.
+if grep -rn 'fn bcast_virtual\|fn scatterv_virtual\|fn gatherv_virtual' crates/mpisim/src; then
+    echo "crates/mpisim/src: a timing-mode copy of a collective is back beside its payload body"
+    exit 1
+fi
+if grep -rn 'sendrecv_virtual\|scatterv_virtual\|gatherv_virtual' crates/convolution/src crates/lulesh/src; then
+    echo "crates/{convolution,lulesh}/src: a workload forks on fidelity at a communication site again"
+    exit 1
+fi
+if grep -n 'Box<dyn Any + Send>' crates/mpisim/src/collective.rs; then
+    echo "crates/mpisim/src/collective.rs: a rendezvous slot is a box again instead of a Payload"
+    exit 1
+fi
+if grep -n 'HashMap' crates/core/src/trace.rs; then
+    echo "crates/core/src/trace.rs: flows are keyed by seq again instead of read off each match"
+    exit 1
+fi
+
 echo "==> one virtual clock: machine prices every message and collective"
 # The engine and the what-if replay call the same MachineModel methods on
 # the same machine::noise streams; no copy of the cost table, the stream

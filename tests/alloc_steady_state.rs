@@ -16,7 +16,7 @@ use bench::{profiled, Launch, Program};
 use mpi_sections::{
     CommRecorder, InstanceStats, Profile, SectionProfiler, SectionRuntime, SectionStats, VerifyMode,
 };
-use mpisim::{Engine, WorldBuilder};
+use mpisim::{Comm, Engine, Payload, Proc, WorldBuilder};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -141,6 +141,52 @@ fn an_observed_conv_step_allocates_no_candidate_list() {
     }
     let per_step = calls_per_rank_step(200, |steps| drop(record_conv(steps)));
     assert!(per_step <= 0.05, "{per_step} allocations per rank-step");
+}
+
+/// Allocator calls per call of `op` in a `p`-rank world, by the two-point
+/// method: the whole world's count, not one rank's.
+fn calls_per_call(p: usize, op: impl Fn(&mut Proc, &Comm) + Send + Sync) -> f64 {
+    const CALLS: usize = 40;
+    let run = |calls: usize| {
+        let (_, allocations, _) = allocated(|| {
+            WorldBuilder::new(p)
+                .run(|proc| {
+                    let world = proc.world();
+                    (0..calls).for_each(|_| op(proc, &world));
+                })
+                .expect("run failed")
+        });
+        allocations
+    };
+    let (once, twice) = (run(CALLS), run(2 * CALLS));
+    (twice as f64 - once as f64) / CALLS as f64
+}
+
+/// A timing-mode collective allocates per call, never per rank: the
+/// generation's record, the next generation's slots and, for a scatter,
+/// the root's parts in their box. A gather boxed every rank's count while
+/// rendezvous slots were boxes rather than payloads: p + 3 per call,
+/// 1027 at p = 1024.
+#[test]
+fn a_timing_mode_collective_allocates_nothing_per_rank() {
+    if !ranks_run_here() {
+        return;
+    }
+    let virtual_row = || Payload::virtual_elems::<f64>(16_848);
+    for p in [64, 1024] {
+        let gather = calls_per_call(p, |proc, world| {
+            world.gatherv_payload(proc, 0, virtual_row());
+        });
+        let scatter = calls_per_call(p, |proc, world| {
+            let parts =
+                (world.rank() == 0).then(|| (0..world.size()).map(|_| virtual_row()).collect());
+            world.scatterv_payload(proc, 0, parts);
+        });
+        let barrier = calls_per_call(p, |proc, world| world.barrier(proc));
+        assert!(gather <= 3.0, "p = {p}: {gather} allocations per gather");
+        assert!(scatter <= 4.0, "p = {p}: {scatter} allocations per scatter");
+        assert!(barrier <= 2.0, "p = {p}: {barrier} allocations per barrier");
+    }
 }
 
 /// `steps` of conv on the Nehalem preset under a recorder of its own.
