@@ -61,6 +61,19 @@ fn conv_compare_seq_what_if_is_pinned() {
     );
 }
 
+/// The cross-scale table at a scale where labels tie on their bound, pure
+/// overheads sort by bound rather than by label, and a parent section
+/// (`timeloop`) binds.
+#[test]
+fn lulesh_compare_seq_is_pinned() {
+    pinned(
+        "lulesh-compare-seq",
+        "lulesh --p 8 --iters 10 --compare-seq",
+        0,
+        &[0x12504ff45b300084],
+    );
+}
+
 #[test]
 fn race_verify_is_pinned_and_exits_1() {
     pinned(

@@ -1,8 +1,9 @@
 //! Cross-commit pins for what the `study` binary prints and writes: a
 //! cold 6-cell sweep (stdout with the wall-clock seconds masked, every
 //! store document) and the report served from it (JSON on stdout, the
-//! regenerated figure CSVs). Same scheme as `bench`'s `cli_golden.rs`,
-//! whose helpers this file shares.
+//! regenerated figure CSVs, the text form with its per-section table).
+//! Same scheme as `bench`'s `cli_golden.rs`, whose helpers this file
+//! shares.
 
 #[path = "../../bench/tests/support/mod.rs"]
 mod support;
@@ -38,6 +39,8 @@ fn sweep_and_report_are_pinned() {
         &["report", "--store", "store", "--json", "--out", "figures"],
     );
     assert_eq!(report.code, 0, "stderr:\n{}", report.stderr);
+    let text = run(STUDY, &dir, &["report", "--store", "store"]);
+    assert_eq!(text.code, 0, "stderr:\n{}", text.stderr);
     check(
         "study run + report",
         &[
@@ -45,12 +48,14 @@ fn sweep_and_report_are_pinned() {
             ("store documents", store_print),
             ("report stdout", print_of(&report.stdout)),
             ("figure CSVs", files_print(&dir.join("figures"))),
+            ("report text", print_of(&text.stdout)),
         ],
         &[
             0xfbc05086a6037947,
             0x7e4eafc267c52aa5,
             0xbe2c1d2573017acf,
             0x08682879a83a285d,
+            0x87246aad194be1e4,
         ],
     );
     let _ = std::fs::remove_dir_all(dir);
