@@ -831,14 +831,7 @@ fn forecast(opts: &Options) {
                 "[forecast] t={t:3} timeloop={:.2}s",
                 run.section("timeloop").avg_per_rank_secs
             );
-            run.sections
-                .into_iter()
-                .map(move |s| speedup::StoredSectionRow {
-                    p: t,
-                    label: s.label,
-                    avg_per_rank_secs: s.avg_per_rank_secs,
-                    total_excl_secs: s.total_excl_secs,
-                })
+            bench::study_rows(t, &[run])
         })
         .collect();
     let study = speedup::ScalingStudy::from_rows(&rows);

@@ -720,26 +720,16 @@ fn main() {
     }
 
     if flags.has(&COMPARE_SEQ) && cfg.p > 1 {
-        // Re-run the same workload sequentially and line the two profiles
-        // up (the paper's actual workflow: a sequential reference run).
-        let (baseline, _) = bench::profiled(cfg.sequential.clone(), 1, &cfg.machine, cfg.seed)
+        // Re-run the same workload sequentially and read the two runs as a
+        // study at two scales (the paper's actual workflow: a sequential
+        // reference run).
+        let baseline = bench::profiled_cell(cfg.sequential.clone(), 1, &cfg.machine, cfg.seed)
             .expect("baseline run failed");
-        let comparison = mpi_sections::ProfileComparison::between(&baseline, &profile, cfg.p);
-        println!("{}", comparison.render());
-        if let Some(binding) = comparison.binding() {
-            println!(
-                "binding constraint: '{}' caps the program at S <= {:.2}\n",
-                binding.label, binding.program_bound
-            );
-        }
-        let overheads = comparison.pure_overheads();
-        if !overheads.is_empty() {
-            let names: Vec<&str> = overheads.iter().map(|s| s.label.as_str()).collect();
-            println!(
-                "pure overheads (zero sequential cost): {}\n",
-                names.join(", ")
-            );
-        }
+        let target = bench::CellOutcome::from_profile(&profile, report.makespan_secs());
+        let mut rows = bench::study_rows(1, &[baseline]);
+        rows.extend(bench::study_rows(cfg.p, &[target]));
+        let study = speedup::ScalingStudy::from_rows(&rows);
+        print!("{}", study.render_against_baseline(cfg.p));
     }
 
     if let Some(path) = flags.get(&TRACE) {

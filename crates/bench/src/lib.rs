@@ -11,9 +11,9 @@
 //! crate's `src/bin/figures.rs`) regenerates every table and figure of
 //! the paper from them; `study report` builds the rows it shares with
 //! `figures` from stored cells through the same [`conv_run_from_cells`]
-//! and row builders. Host time is measured in one place, the standalone
-//! `benchmark/` package. [`cli`] is the argument layer the three
-//! binaries share.
+//! and row builders, and every section study from [`study_rows`]. Host
+//! time is measured in one place, the standalone `benchmark/` package.
+//! [`cli`] is the argument layer the three binaries share.
 
 pub mod cli;
 pub mod whatif;
@@ -23,6 +23,7 @@ use lulesh_proxy::{run_lulesh, LuleshConfig};
 use machine::MachineModel;
 use mpi_sections::{Profile, SectionProfiler, SectionRuntime, VerifyMode};
 use mpisim::{Engine, MatchController, RunError, RunReport, Src, TagSel, Tool, WorldBuilder};
+use speedup::StoredSectionRow;
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::Path;
@@ -308,6 +309,34 @@ pub fn conv_run_from_cells(p: usize, cells: &[CellOutcome]) -> ConvRun {
     }
 }
 
+/// Average per-seed cell outcomes at scale `p` into the rows a
+/// [`speedup::ScalingStudy`] is built from: one per world section of the
+/// first cell (label order, `MPI_MAIN` included), each the mean over
+/// `cells` in the order given; one cell's rows carry its own numbers.
+/// `study report`, `figures forecast` and `profile --compare-seq` all
+/// build their study from these.
+pub fn study_rows(p: usize, cells: &[CellOutcome]) -> Vec<StoredSectionRow> {
+    let n = cells.len() as f64;
+    cells[0]
+        .sections
+        .iter()
+        .map(|section| {
+            let (mut avg, mut excl) = (0.0, 0.0);
+            for cell in cells {
+                let sec = cell.section(&section.label);
+                avg += sec.avg_per_rank_secs;
+                excl += sec.total_excl_secs;
+            }
+            StoredSectionRow {
+                p,
+                label: section.label.clone(),
+                avg_per_rank_secs: avg / n,
+                total_excl_secs: excl / n,
+            }
+        })
+        .collect()
+}
+
 // ---------------------------------------------------------------------
 // Shared figure row builders
 //
@@ -375,28 +404,30 @@ pub const WEAK_HEADER: [&str; 6] = [
     "gustafson_fs",
 ];
 
-/// Weak-scaling rows from `(p, wall_secs)` points in ascending-`p` order
-/// (the `p = 1` point is the Gustafson baseline).
+/// Weak-scaling rows from `(p, wall_secs)` points in ascending-`p` order.
+/// The smallest `p₀` is the Gustafson baseline and `p / p₀` the factor
+/// problem and machine grew by (p₀ = 1 in the paper's sweep).
 pub fn weak_scaling_rows(rows_per_rank: usize, walls: &[(usize, f64)]) -> Vec<Vec<String>> {
-    let mut rows = Vec::new();
-    let mut t1 = 0.0;
-    for &(p, wall) in walls {
-        if p == 1 {
-            t1 = wall;
-        }
-        let eff = speedup::weak_efficiency(t1, wall);
-        let scaled = speedup::scaled_speedup_measured(t1, wall, p);
-        let fs = speedup::gustafson_serial_fraction(scaled, p);
-        rows.push(vec![
-            p.to_string(),
-            (rows_per_rank * p).to_string(),
-            f2(wall),
-            format!("{eff:.3}"),
-            f2(scaled),
-            format!("{fs:.4}"),
-        ]);
-    }
-    rows
+    let Some(&(p0, t0)) = walls.first() else {
+        return Vec::new();
+    };
+    walls
+        .iter()
+        .map(|&(p, wall)| {
+            let scale = p as f64 / p0 as f64;
+            let eff = speedup::weak_efficiency(t0, wall);
+            let scaled = speedup::scaled_speedup_measured(t0, wall, scale);
+            let fs = speedup::gustafson_serial_fraction(scaled, scale);
+            vec![
+                p.to_string(),
+                (rows_per_rank * p).to_string(),
+                f2(wall),
+                format!("{eff:.3}"),
+                f2(scaled),
+                format!("{fs:.4}"),
+            ]
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -494,6 +525,18 @@ mod tests {
         let direct = profile.get_world("timeloop").unwrap().avg_per_rank_secs();
         assert_eq!(walltime.to_bits(), direct.to_bits());
         assert_eq!(cell.section("no such section").participants, 0);
+    }
+
+    #[test]
+    fn a_weak_sweep_without_p1_is_relative_to_its_smallest_p() {
+        // p = 2 is the baseline: the doubled run is 25 % slower, so it
+        // keeps 80 % efficiency and a scaled speedup of 1.6 on a scale
+        // factor of 2, i.e. a Gustafson serial fraction of 0.4.
+        let rows = weak_scaling_rows(64, &[(2, 1.0), (4, 1.25)]);
+        assert_eq!(rows[0][3..], ["1.000", "1.00", "0.0000"]);
+        assert_eq!(rows[1][3..], ["0.800", "1.60", "0.4000"]);
+        assert_eq!(rows[1][1], "256");
+        assert!(weak_scaling_rows(64, &[]).is_empty());
     }
 
     #[test]

@@ -52,7 +52,6 @@
 //! ```
 
 pub mod balance;
-pub mod compare;
 pub mod critpath;
 pub mod efficiency;
 pub mod fasthash;
@@ -73,7 +72,6 @@ pub mod waitstate;
 pub mod whatif;
 
 pub use balance::BalanceReport;
-pub use compare::{partial_bound, partial_bound_per_process, ProfileComparison, SectionScaling};
 pub use critpath::CriticalPath;
 pub use efficiency::Efficiencies;
 pub use histogram::{DurationHistogram, HistogramTool};
@@ -81,7 +79,9 @@ pub use metrics::InstanceStats;
 pub use profiler::{Profile, SectionKey, SectionProfiler, SectionStats};
 pub use pvar::{PvarRegistry, PvarSnapshot};
 pub use replay::replay;
-pub use report::{render, render_bounds, ReportOptions};
+pub use report::{
+    partial_bound, partial_bound_per_process, rank_bounds, render, render_bounds, ReportOptions,
+};
 pub use section::{SectionRuntime, VerifyMode, MPI_MAIN};
 pub use sketch::{QuantileSketch, SpaceSaving};
 pub use summary::{RunSummary, SummaryTool, SUMMARY_AUTO_RANKS};

@@ -7,6 +7,41 @@ use crate::balance::BalanceReport;
 use crate::profiler::{Profile, SectionStats};
 use crate::section::MPI_MAIN;
 
+/// Eq. 6 in "total across ranks" form: `seq_total / (section_total / p)`.
+/// Every Eq. 6 figure the crates print is this function or the next.
+///
+/// Returns infinity for a zero-cost section (it does not bound anything).
+///
+/// ```
+/// // The paper's Fig. 6 headline row: B(64) = 5589.84 / (3025.44/64).
+/// let b = mpi_sections::partial_bound(5589.84, 3025.44, 64);
+/// assert!((b - 118.25).abs() < 0.01);
+/// ```
+pub fn partial_bound(seq_total_secs: f64, section_total_secs: f64, p: usize) -> f64 {
+    if section_total_secs <= 0.0 {
+        return f64::INFINITY;
+    }
+    seq_total_secs / (section_total_secs / p.max(1) as f64)
+}
+
+/// Eq. 6 in per-process form: `seq_total / section_per_process`.
+pub fn partial_bound_per_process(seq_total_secs: f64, section_secs: f64) -> f64 {
+    if section_secs <= 0.0 {
+        return f64::INFINITY;
+    }
+    seq_total_secs / section_secs
+}
+
+/// The Eq. 6 ranking: `(item, bound)` pairs, tightest bound first. The
+/// sort is stable, so equal bounds keep the order they came in (label
+/// order at every caller), and the binding constraint is the first finite
+/// entry. Every bound ranking the crates print is this function.
+pub fn rank_bounds<T>(bounds: impl IntoIterator<Item = (T, f64)>) -> Vec<(T, f64)> {
+    let mut ranked: Vec<(T, f64)> = bounds.into_iter().collect();
+    ranked.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
+    ranked
+}
+
 /// Options controlling report rendering.
 #[derive(Debug, Clone)]
 pub struct ReportOptions {
@@ -112,15 +147,17 @@ pub fn render_bounds(profile: &Profile, seq_total_secs: f64, p: usize) -> String
     out.push_str(&format!(
         "partial speedup bounds (Eq. 6) vs sequential total {seq_total_secs:.2} s at p = {p}:\n"
     ));
-    let mut bounds: Vec<(String, f64)> = profile
-        .sections()
-        .filter(|s| s.key.label != MPI_MAIN)
-        .map(|s| {
-            let bound = crate::partial_bound(seq_total_secs, s.total_own_secs, p);
-            (s.key.label.clone(), bound)
-        })
-        .collect();
-    bounds.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
+    let bounds = rank_bounds(
+        profile
+            .sections()
+            .filter(|s| s.key.label != MPI_MAIN)
+            .map(|s| {
+                (
+                    &s.key.label,
+                    partial_bound(seq_total_secs, s.total_own_secs, p),
+                )
+            }),
+    );
     for (label, bound) in bounds {
         if bound.is_infinite() {
             out.push_str(&format!("  {label:<32} (no cost: unbounded)\n"));

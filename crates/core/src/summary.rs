@@ -740,19 +740,19 @@ impl RunSummary {
         // exclusive section time), plus the streaming CPL bound.
         if seq_total_secs > 0.0 && self.nranks > 0 {
             let totals = self.timeline.section_totals();
-            let mut rows: Vec<(String, f64)> = totals
-                .iter()
-                .filter(|(l, _)| l.as_str() != crate::section::MPI_MAIN)
-                .filter(|(_, ws)| ws.time_ns as f64 / self.nranks as f64 >= 1.0)
-                .map(|(l, ws)| {
-                    let presence = ws.time_ns as f64 / 1e9;
-                    (
-                        l.clone(),
-                        crate::partial_bound(seq_total_secs, presence, self.nranks),
-                    )
-                })
-                .collect();
-            rows.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
+            let rows = crate::rank_bounds(
+                totals
+                    .iter()
+                    .filter(|(l, _)| l.as_str() != crate::section::MPI_MAIN)
+                    .filter(|(_, ws)| ws.time_ns as f64 / self.nranks as f64 >= 1.0)
+                    .map(|(l, ws)| {
+                        let presence = ws.time_ns as f64 / 1e9;
+                        (
+                            l,
+                            crate::partial_bound(seq_total_secs, presence, self.nranks),
+                        )
+                    }),
+            );
             let _ = writeln!(out, "\nEq. 6 speedup bounds from summarized presence:");
             for (label, bound) in rows.iter().take(6) {
                 let _ = writeln!(

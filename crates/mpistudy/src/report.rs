@@ -122,27 +122,12 @@ fn conv_group(docs: &[RunDoc]) -> Option<ConvGroup> {
         .map(|(p, cells)| conv_run_from_cells(*p, cells))
         .collect();
 
-    // Section study rows: per (p, label), seed-averaged — same seed order
-    // as the figures. Labels come from the first seed's document (all
-    // seeds of a deterministic workload profile the same sections).
-    let n = seeds.len() as f64;
-    let mut rows: Vec<StoredSectionRow> = Vec::new();
-    for (p, cells) in &cells {
-        for section in &cells[0].sections {
-            let (mut avg, mut excl) = (0.0, 0.0);
-            for cell in cells {
-                let sec = cell.section(&section.label);
-                avg += sec.avg_per_rank_secs;
-                excl += sec.total_excl_secs;
-            }
-            rows.push(StoredSectionRow {
-                p: *p,
-                label: section.label.clone(),
-                avg_per_rank_secs: avg / n,
-                total_excl_secs: excl / n,
-            });
-        }
-    }
+    // Section study rows: per (p, label), seed-averaged in the seed order
+    // of the figures.
+    let rows: Vec<StoredSectionRow> = cells
+        .iter()
+        .flat_map(|(p, cells)| bench::study_rows(*p, cells))
+        .collect();
     Some(ConvGroup {
         machine,
         steps,
@@ -242,9 +227,14 @@ impl Report {
                     .sections
                     .values()
                     .map(|s| {
-                        let effs: Vec<String> = efficiency_series(s)
+                        let effs: Vec<String> = s
+                            .per_process
+                            .points()
                             .iter()
-                            .map(|(p, e)| format!("{{\"p\": {p}, \"eff\": {e}}}"))
+                            .filter_map(|pt| {
+                                let e = conv.study.parallel_efficiency(s, pt.p)?;
+                                Some(format!("{{\"p\": {}, \"eff\": {e}}}", pt.p))
+                            })
                             .collect();
                         let bounds: Vec<String> = s
                             .bounds
@@ -307,73 +297,47 @@ impl Report {
     }
 }
 
-/// Parallel efficiency of one section vs scale: `(t_base * p_base) /
-/// (t_p * p)` over its per-process series — 1.0 is perfect scaling.
-fn efficiency_series(s: &speedup::SectionStudy) -> Vec<(usize, f64)> {
-    let pts = s.per_process.points();
-    let Some(base) = pts.first() else {
-        return Vec::new();
-    };
-    let base_area = base.secs * base.p as f64;
-    if base_area <= 0.0 {
-        // The section does not exist at the baseline (HALO with one
-        // rank): efficiency relative to it is undefined, not zero.
-        return Vec::new();
-    }
-    pts.iter()
-        .map(|pt| {
-            let area = pt.secs * pt.p as f64;
-            (pt.p, if area > 0.0 { base_area / area } else { 0.0 })
-        })
-        .collect()
-}
-
-/// The pypop-style table: one block per section, with parallel
-/// efficiency, computation scaling (total exclusive time relative to the
-/// baseline) and the Eq. 6 bound at every stored scale.
+/// The pypop-style table: one block per section, with the study's
+/// parallel efficiency and Eq. 6 bound at every stored scale, and
+/// computation scaling (the section's time summed over ranks relative to
+/// the baseline, from the seed-averaged `ConvRun` totals Fig. 5(b)
+/// prints).
 fn section_table(conv: &ConvGroup) -> String {
     let ps: Vec<usize> = conv.runs.iter().map(|r| r.p).collect();
     let mut header: Vec<String> = vec!["section".into(), "metric".into()];
     header.extend(ps.iter().map(|p| format!("p={p}")));
     let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
-    let base_p = ps.first().copied().unwrap_or(1);
+    let study = &conv.study;
     let mut rows = Vec::new();
-    for s in conv.study.sections.values() {
-        let effs: BTreeMap<usize, f64> = efficiency_series(s).into_iter().collect();
+    for s in study.sections.values() {
         let mut eff_row = vec![s.label.clone(), "parallel_eff".into()];
         let mut comp_row = vec![String::new(), "comp_scaling".into()];
         let mut bound_row = vec![String::new(), "eq6_bound".into()];
         let base_total = conv.runs.first().map_or(0.0, |r| r.total(&s.label));
         for run in &conv.runs {
             eff_row.push(
-                effs.get(&run.p)
-                    .map(|e| format!("{e:.3}"))
-                    .unwrap_or_else(|| "-".into()),
+                study
+                    .parallel_efficiency(s, run.p)
+                    .map_or_else(|| "-".into(), |e| format!("{e:.3}")),
             );
             comp_row.push(if base_total > 0.0 {
                 format!("{:.3}", run.total(&s.label) / base_total)
             } else {
                 "-".into()
             });
-            bound_row.push(
-                s.bounds
-                    .iter()
-                    .find(|(bp, _)| *bp == run.p)
-                    .map(|(_, b)| bench::f2(*b))
-                    .unwrap_or_else(|| "-".into()),
-            );
+            bound_row.push(s.bound_at(run.p).map_or_else(|| "-".into(), bench::f2));
         }
         rows.push(eff_row);
         rows.push(comp_row);
         rows.push(bound_row);
     }
     let mut out = format!(
-        "per-section scaling (baseline p={base_p}; parallel_eff 1.000 = perfect, \
-         comp_scaling 1.000 = work conserved):\n"
+        "per-section scaling (baseline p={}; parallel_eff 1.000 = perfect, \
+         comp_scaling 1.000 = work conserved):\n",
+        study.base_p
     );
     out.push_str(&bench::render_table(&header_refs, &rows));
-    if let Some(inflexion) = conv
-        .study
+    if let Some(inflexion) = study
         .saturated_sections()
         .iter()
         .map(|s| format!("{} (p={})", s.label, s.inflexion_p.unwrap_or(0)))

@@ -57,29 +57,31 @@ pub fn linear_fit(points: &[(f64, f64)]) -> Option<(f64, f64)> {
     Some((slope, intercept))
 }
 
-/// Weak-scaling efficiency: `t(1) / t(p)` for a problem grown
-/// proportionally with `p` (ideal = 1).
-pub fn weak_efficiency(t1_secs: f64, tp_secs: f64) -> f64 {
+/// Weak-scaling efficiency: `t(p₀) / t(p)` for a problem grown
+/// proportionally with `p` from a baseline at `p₀` (ideal = 1).
+pub fn weak_efficiency(t0_secs: f64, tp_secs: f64) -> f64 {
     if tp_secs <= 0.0 {
         0.0
     } else {
-        t1_secs / tp_secs
+        t0_secs / tp_secs
     }
 }
 
 /// Measured scaled (Gustafson-style) speedup for a weak-scaling run:
-/// `p · t(1) / t(p)`.
-pub fn scaled_speedup_measured(t1_secs: f64, tp_secs: f64, p: usize) -> f64 {
-    weak_efficiency(t1_secs, tp_secs) * p as f64
+/// `k · t(p₀) / t(p)`, where `k = p / p₀` is the factor problem and
+/// machine grew by (`k = p` against a sequential baseline).
+pub fn scaled_speedup_measured(t0_secs: f64, tp_secs: f64, scale: f64) -> f64 {
+    weak_efficiency(t0_secs, tp_secs) * scale
 }
 
 /// The serial fraction implied by a measured scaled speedup via
-/// Gustafson–Barsis: `fs = (p - S_scaled) / (p - 1)`.
-pub fn gustafson_serial_fraction(scaled_speedup: f64, p: usize) -> f64 {
-    if p <= 1 {
+/// Gustafson–Barsis: `fs = (k - S_scaled) / (k - 1)` for a scale factor
+/// `k` (`p` against a sequential baseline).
+pub fn gustafson_serial_fraction(scaled_speedup: f64, scale: f64) -> f64 {
+    if scale <= 1.0 {
         return 0.0;
     }
-    ((p as f64 - scaled_speedup) / (p as f64 - 1.0)).clamp(0.0, 1.0)
+    ((scale - scaled_speedup) / (scale - 1.0)).clamp(0.0, 1.0)
 }
 
 #[cfg(test)]
@@ -138,11 +140,11 @@ mod tests {
     fn weak_scaling_measures() {
         // Perfect weak scaling: constant time.
         assert_eq!(weak_efficiency(10.0, 10.0), 1.0);
-        assert_eq!(scaled_speedup_measured(10.0, 10.0, 64), 64.0);
+        assert_eq!(scaled_speedup_measured(10.0, 10.0, 64.0), 64.0);
         // Degrading: 20% slower at scale.
         let eff = weak_efficiency(10.0, 12.5);
         assert!((eff - 0.8).abs() < 1e-12);
-        assert!((scaled_speedup_measured(10.0, 12.5, 64) - 51.2).abs() < 1e-9);
+        assert!((scaled_speedup_measured(10.0, 12.5, 64.0) - 51.2).abs() < 1e-9);
         assert_eq!(weak_efficiency(1.0, 0.0), 0.0);
     }
 
@@ -151,10 +153,10 @@ mod tests {
         for fs in [0.0, 0.1, 0.5, 1.0] {
             for p in [2usize, 16, 456] {
                 let s = crate::laws::gustafson::scaled_speedup(fs, p);
-                let back = gustafson_serial_fraction(s, p);
+                let back = gustafson_serial_fraction(s, p as f64);
                 assert!((back - fs).abs() < 1e-9, "fs={fs} p={p}");
             }
         }
-        assert_eq!(gustafson_serial_fraction(5.0, 1), 0.0);
+        assert_eq!(gustafson_serial_fraction(5.0, 1.0), 0.0);
     }
 }

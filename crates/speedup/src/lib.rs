@@ -10,11 +10,14 @@
 //!
 //! * [`laws`] — speedup, efficiency, Amdahl, Gustafson;
 //! * [`partial`] — Eq. 6 in both "total across ranks" (Fig. 6) and
-//!   per-process (§5.2) forms, including direct evaluation on a
-//!   [`mpi_sections::Profile`];
+//!   per-process (§5.2) forms, and the tightest-first ranking;
 //! * [`series`] — time-vs-parallelism series with inflexion-point
 //!   detection (Fig. 10): the first scale at which a section stops
-//!   accelerating already caps the whole program's speedup.
+//!   accelerating already caps the whole program's speedup;
+//! * [`study`] — the one per-(scale, section) table: section speedup,
+//!   parallel efficiency, Eq. 6 bound and inflexion at every measured
+//!   scale against the smallest one. A comparison of two runs is a study
+//!   at two scales.
 
 pub mod fit;
 pub mod iso;
@@ -30,7 +33,7 @@ pub use fit::{
 };
 pub use iso::{fit_overhead_power_law, required_work, total_overhead};
 pub use laws::{efficiency, speedup};
-pub use partial::{binding_bound, bounds_from_profile, partial_bound, partial_bound_per_process};
+pub use partial::{partial_bound, partial_bound_per_process, rank_bounds};
 pub use series::{ScalePoint, ScalingSeries};
 pub use study::{ScalingStudy, SectionStudy, StoredSectionRow};
 pub use trend::{SectionTrend, TrendConfig};

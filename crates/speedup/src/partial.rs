@@ -16,42 +16,11 @@
 //! ```
 //!
 //! e.g. the paper's `B(64) = 5589.84 / (3025.44 / 64) = 118.25`. Both
-//! forms are defined once in `mpi_sections`, whose own reports print
-//! them, and re-exported here.
+//! forms, and the ranking that sorts sections tightest bound first, are
+//! defined once in `mpi_sections`, whose own reports print them, and
+//! re-exported here.
 
-use mpi_sections::{Profile, SectionStats};
-
-pub use mpi_sections::{partial_bound, partial_bound_per_process};
-
-/// Compute the per-section bounds for every world section of a parallel
-/// profile, given the sequential run's total time. Returns (label, bound)
-/// sorted ascending by bound — the first entry is the binding constraint.
-pub fn bounds_from_profile(
-    seq_total_secs: f64,
-    parallel: &Profile,
-    p: usize,
-) -> Vec<(String, f64)> {
-    let mut out: Vec<(String, f64)> = parallel
-        .world_labels()
-        .iter()
-        .filter_map(|label| parallel.get_world(label))
-        .map(|s: &SectionStats| {
-            (
-                s.key.label.clone(),
-                partial_bound(seq_total_secs, s.total_own_secs, p),
-            )
-        })
-        .collect();
-    out.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-    out
-}
-
-/// The tightest (smallest) of a set of per-section bounds.
-pub fn binding_bound(bounds: &[(String, f64)]) -> Option<&(String, f64)> {
-    bounds
-        .iter()
-        .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-}
+pub use mpi_sections::{partial_bound, partial_bound_per_process, rank_bounds};
 
 #[cfg(test)]
 mod tests {
@@ -99,13 +68,19 @@ mod tests {
 
     #[test]
     fn binding_bound_picks_smallest() {
-        let bounds = vec![
-            ("HALO".to_string(), 118.0),
-            ("GATHER".to_string(), 500.0),
-            ("STORE".to_string(), 87.0),
-        ];
-        assert_eq!(binding_bound(&bounds).unwrap().0, "STORE");
-        assert!(binding_bound(&[]).is_none());
+        let ranked = rank_bounds([
+            ("IDLE", f64::INFINITY),
+            ("HALO", 118.0),
+            ("GATHER", 500.0),
+            ("STORE", 87.0),
+            ("SCATTER", 118.0),
+        ]);
+        let binding = ranked.iter().find(|(_, b)| b.is_finite());
+        assert_eq!(binding.unwrap().0, "STORE");
+        // Ties keep their input order; a section without cost ranks last.
+        let labels: Vec<&str> = ranked.iter().map(|(l, _)| *l).collect();
+        assert_eq!(labels, ["STORE", "HALO", "SCATTER", "GATHER", "IDLE"]);
+        assert!(rank_bounds(Vec::<(&str, f64)>::new()).is_empty());
     }
 
     #[test]

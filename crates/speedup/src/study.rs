@@ -4,10 +4,13 @@
 //! ("which section binds, and from which scale on").
 //!
 //! This is the analysis a tool built on `MPI_Section` ships as its main
-//! screen; the `figures` harness and the examples assemble it by hand,
-//! [`ScalingStudy`] packages it.
+//! screen, and the only per-(scale, section) analysis in the workspace:
+//! `profile --compare-seq` reads a baseline and a parallel run as a study
+//! at two scales, `study report` and `figures forecast` read a sweep. As
+//! in pypop, the table is keyed by scale and the smallest scale is the
+//! reference every relative figure is taken against.
 
-use crate::partial::partial_bound_per_process;
+use crate::partial::{partial_bound_per_process, rank_bounds};
 use crate::series::ScalingSeries;
 use mpi_sections::MPI_MAIN;
 use std::collections::BTreeMap;
@@ -24,6 +27,19 @@ pub struct SectionStudy {
     /// The scale at which the section's per-process time stops improving
     /// (its inflexion point), if the series is long enough to tell.
     pub inflexion_p: Option<usize>,
+}
+
+impl SectionStudy {
+    /// Per-process seconds at scale `p`, if the section was measured there.
+    pub fn secs_at(&self, p: usize) -> Option<f64> {
+        let points = self.per_process.points();
+        points.iter().find(|pt| pt.p == p).map(|pt| pt.secs)
+    }
+
+    /// The Eq. 6 bound the section puts on the program at scale `p`.
+    pub fn bound_at(&self, p: usize) -> Option<f64> {
+        self.bounds.iter().find(|(bp, _)| *bp == p).map(|(_, b)| *b)
+    }
 }
 
 /// One persisted per-(scale, section) measurement, as the mpistudy run
@@ -44,6 +60,8 @@ pub struct StoredSectionRow {
 /// A multi-scale scaling study over section profiles.
 #[derive(Debug, Clone)]
 pub struct ScalingStudy {
+    /// The smallest measured scale: the baseline.
+    pub base_p: usize,
     /// Program walltime (MPI_MAIN per-process) vs scale.
     pub walltime: ScalingSeries,
     /// Sequential program total (sum of leaf sections at the smallest p).
@@ -129,24 +147,67 @@ impl ScalingStudy {
             .collect();
 
         ScalingStudy {
+            base_p,
             walltime: ScalingSeries::new(walltime_points),
             seq_total_secs,
             sections,
         }
     }
 
-    /// The binding section at scale `p`: smallest Eq. 6 bound there.
+    /// A section's baseline time summed over its ranks: per-process seconds
+    /// times the baseline scale (the sequential time itself at p = 1); zero
+    /// for a section the baseline never entered.
+    pub fn base_total_secs(&self, s: &SectionStudy) -> f64 {
+        s.secs_at(self.base_p)
+            .map_or(0.0, |secs| secs * self.base_p as f64)
+    }
+
+    /// The section's own speedup at `p`: its baseline total over its
+    /// per-process time there. Eq. 6 applied to the section alone, so a
+    /// section that costs nothing at `p` is infinitely fast.
+    pub fn section_speedup(&self, s: &SectionStudy, p: usize) -> Option<f64> {
+        Some(partial_bound_per_process(
+            self.base_total_secs(s),
+            s.secs_at(p)?,
+        ))
+    }
+
+    /// Parallel efficiency of the section at `p`, `(t_base · p_base) /
+    /// (t_p · p)`: 1.0 is perfect scaling. Undefined where the baseline
+    /// spends nothing in the section (HALO with one rank), not zero.
+    pub fn parallel_efficiency(&self, s: &SectionStudy, p: usize) -> Option<f64> {
+        let base_area = self.base_total_secs(s);
+        let area = s.secs_at(p)? * p as f64;
+        (base_area > 0.0).then(|| if area > 0.0 { base_area / area } else { 0.0 })
+    }
+
+    /// Every section measured at `p` with its Eq. 6 bound there, tightest
+    /// first; equal bounds keep label order.
+    pub fn bounds_at(&self, p: usize) -> Vec<(&SectionStudy, f64)> {
+        rank_bounds(
+            self.sections
+                .values()
+                .filter_map(|s| Some((s, s.bound_at(p)?))),
+        )
+    }
+
+    /// The binding section at scale `p`: smallest finite Eq. 6 bound there.
     pub fn binding_at(&self, p: usize) -> Option<(&str, f64)> {
-        self.sections
-            .values()
-            .filter_map(|s| {
-                s.bounds
-                    .iter()
-                    .find(|(bp, _)| *bp == p)
-                    .map(|(_, b)| (s.label.as_str(), *b))
-            })
-            .filter(|(_, b)| b.is_finite())
-            .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
+        self.bounds_at(p)
+            .into_iter()
+            .find(|(_, b)| b.is_finite())
+            .map(|(s, b)| (s.label.as_str(), b))
+    }
+
+    /// Sections that are *pure overhead* at `p`: no baseline cost but a
+    /// cost at `p` (e.g. communication — the paper's "their sequential
+    /// time is null, creating a pure overhead"), tightest bound first.
+    pub fn pure_overheads_at(&self, p: usize) -> Vec<&SectionStudy> {
+        self.bounds_at(p)
+            .into_iter()
+            .map(|(s, _)| s)
+            .filter(|s| self.base_total_secs(s) <= 0.0 && s.secs_at(p).is_some_and(|t| t > 0.0))
+            .collect()
     }
 
     /// Sections that have passed their inflexion point before the largest
@@ -188,13 +249,7 @@ impl ScalingStudy {
             let last_bound = s
                 .bounds
                 .last()
-                .map(|(_, b)| {
-                    if b.is_finite() {
-                        format!("{b:.1}")
-                    } else {
-                        "inf".into()
-                    }
-                })
+                .map(|(_, b)| inf_or(*b, 1))
                 .unwrap_or_default();
             let last_t = s
                 .per_process
@@ -223,6 +278,58 @@ impl ScalingStudy {
             }
         }
         out
+    }
+
+    /// The study read at one scale against the baseline: every section
+    /// measured at `p`, tightest Eq. 6 bound first, then the binding
+    /// section and the pure overheads (what `profile --compare-seq`
+    /// prints).
+    pub fn render_against_baseline(&self, p: usize) -> String {
+        let mut out = format!(
+            "section scaling vs baseline (program total {:.2} s) at p = {p}:\n",
+            self.seq_total_secs
+        );
+        out.push_str(&format!(
+            "{:<32} {:>12} {:>12} {:>12} {:>12}\n",
+            "section", "base (s)", "par/rank (s)", "sec speedup", "Eq.6 bound"
+        ));
+        for (s, bound) in self.bounds_at(p) {
+            out.push_str(&format!(
+                "{:<32} {:>12.3} {:>12.4} {:>12} {:>12}\n",
+                s.label,
+                self.base_total_secs(s),
+                s.secs_at(p).unwrap_or(0.0),
+                inf_or(self.section_speedup(s, p).unwrap_or(0.0), 2),
+                inf_or(bound, 2),
+            ));
+        }
+        out.push('\n');
+        if let Some((label, bound)) = self.binding_at(p) {
+            out.push_str(&format!(
+                "binding constraint: '{label}' caps the program at S <= {bound:.2}\n\n"
+            ));
+        }
+        let overheads: Vec<&str> = self
+            .pure_overheads_at(p)
+            .iter()
+            .map(|s| s.label.as_str())
+            .collect();
+        if !overheads.is_empty() {
+            out.push_str(&format!(
+                "pure overheads (zero sequential cost): {}\n\n",
+                overheads.join(", ")
+            ));
+        }
+        out
+    }
+}
+
+/// `x` with `decimals` places, or `inf` for a section that bounds nothing.
+fn inf_or(x: f64, decimals: usize) -> String {
+    if x.is_infinite() {
+        "inf".to_string()
+    } else {
+        format!("{x:.decimals$}")
     }
 }
 
@@ -297,6 +404,92 @@ mod tests {
         // is not *before* max_p, so it is not "saturated".
         assert_eq!(work.inflexion_p, Some(32));
         assert_eq!(st.saturated_sections().len(), 1);
+        // Efficiency against the p = 1 baseline: work conserves its area,
+        // the fixed phase pays its 0.2 s on every rank.
+        assert!((st.parallel_efficiency(work, 32).unwrap() - 1.0).abs() < 1e-9);
+        let fixed = &st.sections["fixed"];
+        assert!((st.parallel_efficiency(fixed, 32).unwrap() - 1.0 / 32.0).abs() < 1e-9);
+        assert_eq!(st.parallel_efficiency(fixed, 3), None);
+    }
+
+    /// Perfectly parallel work plus a fixed per-rank overhead that the
+    /// sequential run does not pay.
+    fn overhead_profile_at(p: usize) -> Profile {
+        let sections = SectionRuntime::new(VerifyMode::Active);
+        let profiler = SectionProfiler::new();
+        sections.attach(profiler.clone());
+        let s = sections.clone();
+        WorldBuilder::new(p)
+            .tool(sections.clone())
+            .run(move |proc| {
+                let world = proc.world();
+                s.scoped(proc, &world, "work", |proc| {
+                    proc.compute(Work::flops(8.0e9 / proc.world_size() as f64));
+                });
+                s.scoped(proc, &world, "comm", |proc| {
+                    if proc.world_size() > 1 {
+                        proc.advance_secs(0.5);
+                    }
+                });
+            })
+            .unwrap();
+        profiler.snapshot()
+    }
+
+    /// A comparison of two runs: the study at p = 1 and `p`.
+    fn two_scales(p: usize) -> ScalingStudy {
+        study_of(&[(1, overhead_profile_at(1)), (p, overhead_profile_at(p))])
+    }
+
+    #[test]
+    fn comparison_derives_bounds_and_binding() {
+        let st = two_scales(8);
+        // Baseline total: 8 s of work (comm free sequentially).
+        assert!((st.seq_total_secs - 8.0).abs() < 1e-9);
+        let work = &st.sections["work"];
+        // Per-rank work at p=8: 1 s -> section speedup 8, bound 8.
+        assert!((work.secs_at(8).unwrap() - 1.0).abs() < 1e-9);
+        assert!((st.section_speedup(work, 8).unwrap() - 8.0).abs() < 1e-9);
+        let comm = &st.sections["comm"];
+        // Pure overhead: 0.5 s/rank -> program bound 16.
+        assert!((comm.bound_at(8).unwrap() - 16.0).abs() < 1e-9);
+        // Zero base over a positive cost.
+        assert_eq!(st.section_speedup(comm, 8), Some(0.0));
+        // Binding: work (bound 8 < 16).
+        assert_eq!(st.binding_at(8).unwrap().0, "work");
+    }
+
+    #[test]
+    fn pure_overheads_identified() {
+        let st = two_scales(4);
+        let overheads = st.pure_overheads_at(4);
+        assert_eq!(overheads.len(), 1);
+        assert_eq!(overheads[0].label, "comm");
+    }
+
+    #[test]
+    fn render_contains_rows() {
+        let text = two_scales(2).render_against_baseline(2);
+        assert!(text.contains("work"));
+        assert!(text.contains("comm"));
+        assert!(text.contains("Eq.6 bound"));
+        assert!(text.contains("pure overheads (zero sequential cost): comm"));
+    }
+
+    #[test]
+    fn empty_profiles() {
+        // Two runs that outline nothing: only the MPI_MAIN frame remains.
+        let unsectioned = |p: usize| {
+            let sections = SectionRuntime::new(VerifyMode::Active);
+            let profiler = SectionProfiler::new();
+            sections.attach(profiler.clone());
+            WorldBuilder::new(p).tool(sections).run(|_| {}).unwrap();
+            profiler.snapshot()
+        };
+        let st = study_of(&[(1, unsectioned(1)), (4, unsectioned(4))]);
+        assert!(st.sections.is_empty());
+        assert!(st.binding_at(4).is_none());
+        assert!(st.pure_overheads_at(4).is_empty());
     }
 
     #[test]

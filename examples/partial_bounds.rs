@@ -11,9 +11,11 @@
 //! cargo run --release --example partial_bounds
 //! ```
 
+use bench::CellOutcome;
 use machine::{presets, NoiseModel, Work};
 use mpisim::WorldBuilder;
 use speedup_repro::sections::{Profile, SectionProfiler, SectionRuntime, VerifyMode};
+use speedup_repro::speedup::ScalingStudy;
 
 const STEPS: usize = 30;
 
@@ -63,19 +65,31 @@ fn main() {
     let seq_total = seq_profile.total_over(&["PARALLEL", "SERIAL", "EXCHANGE"]);
     println!("sequential: wall {seq_wall:.2} s (section total {seq_total:.2} s)\n");
 
-    // Bounds derived at p = 8 (Eq. 6 per section).
+    // Bounds derived at p = 8 (Eq. 6 per section): the sequential run and
+    // the probe read as one study at two scales.
     let probe_p = 8;
-    let (probe, _) = run_at(probe_p);
-    let bounds = speedup::bounds_from_profile(seq_total, &probe, probe_p);
+    let (probe, probe_wall) = run_at(probe_p);
+    let rows_of = |p: usize, profile: &Profile, wall: f64| {
+        bench::study_rows(p, &[CellOutcome::from_profile(profile, wall)])
+    };
+    let rows = [
+        rows_of(1, &seq_profile, seq_wall),
+        rows_of(probe_p, &probe, probe_wall),
+    ]
+    .concat();
+    let study = ScalingStudy::from_rows(&rows);
     println!("per-section bounds derived at p = {probe_p} (tightest first):");
-    for (label, bound) in &bounds {
-        println!("  {label:<10} S <= {bound:>8.2}");
+    for (section, bound) in study.bounds_at(probe_p) {
+        println!("  {:<10} S <= {bound:>8.2}", section.label);
     }
-    let (binding_label, binding) = speedup::binding_bound(&bounds).unwrap().clone();
+    let (binding_label, binding) = study.binding_at(probe_p).expect("a section has cost");
     println!("  -> binding constraint: {binding_label} (S <= {binding:.2})\n");
 
     // Compare against measured speedups at larger scales. SERIAL's
     // per-process time cannot shrink with p, so its bound transposes.
+    let serial_bound = study.sections["SERIAL"]
+        .bound_at(probe_p)
+        .expect("SERIAL measured at the probe scale");
     println!(
         "{:>6} {:>10} {:>10} {:>22}",
         "p", "wall (s)", "speedup", "within SERIAL bound?"
@@ -83,11 +97,6 @@ fn main() {
     for p in [8usize, 16, 32, 64, 128] {
         let (_, wall) = run_at(p);
         let s = seq_wall / wall;
-        let serial_bound = bounds
-            .iter()
-            .find(|(l, _)| l == "SERIAL")
-            .map(|(_, b)| *b)
-            .unwrap();
         println!(
             "{p:>6} {wall:>10.2} {s:>10.2} {:>22}",
             if s <= serial_bound {

@@ -12,7 +12,9 @@
 
 use machine::{presets, Work};
 use mpisim::{Src, TagSel, WorldBuilder};
-use speedup_repro::sections::{SectionProfiler, SectionRuntime, VerifyMode, MPI_MAIN};
+use speedup_repro::sections::{
+    render_bounds, SectionProfiler, SectionRuntime, VerifyMode, MPI_MAIN,
+};
 
 fn main() {
     // 1. Create the section runtime and attach the profiler tool — the
@@ -81,9 +83,5 @@ fn main() {
     // 4. The paper's point: the straggler-limited COMPUTE section bounds
     //    the achievable speedup (Eq. 6) without running at any other scale.
     let seq_estimate: f64 = profile.total_over(&["COMPUTE", "EXCHANGE", "REDUCE"]);
-    let bounds = speedup::bounds_from_profile(seq_estimate, &profile, 8);
-    println!("\npartial speedup bounds (Eq. 6), tightest first:");
-    for (label, bound) in bounds.iter().take(3) {
-        println!("  {label:<10} S <= {bound:.2}");
-    }
+    println!("\n{}", render_bounds(&profile, seq_estimate, 8));
 }

@@ -153,6 +153,22 @@ if [ "$(grep -c 'WorldBuilder::new' crates/bench/src/bin/figures.rs)" -gt 1 ]; t
     exit 1
 fi
 
+echo "==> one cross-scale table: speedup::ScalingStudy, ranked by mpi_sections::rank_bounds"
+# A comparison of two runs is a study at two scales, and the Eq. 6
+# tightest-first sort is spelled once, inside `rank_bounds`.
+for gone in ProfileComparison SectionScaling 'fn bounds_from_profile(' 'fn binding_bound(' \
+    'fn efficiency_series('; do
+    if grep -rn "$gone" crates src examples; then
+        echo "crates, src, examples: '$gone' is back beside speedup::ScalingStudy"
+        exit 1
+    fi
+done
+bound_sorts="$(grep -rn 'partial_cmp(&b.1).unwrap_or(' crates src examples || true)"
+if [ "$bound_sorts" != "$(echo "$bound_sorts" | grep '^crates/core/src/report.rs:' | head -n 1)" ]; then
+    echo "an Eq. 6 bound sort is spelled outside mpi_sections::rank_bounds"
+    exit 1
+fi
+
 echo "==> no per-operation allocation on the steady-state path (counted by tests/alloc_steady_state.rs)"
 # The count is the gate (it ran under `cargo test` above); this names the
 # bodies a `Vec` per call used to sit in, so the reason is on the line

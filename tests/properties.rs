@@ -5,7 +5,10 @@ use machine::{presets, Work};
 use mpisim::{Src, TagSel, WorldBuilder};
 use mpiverify::{explore, RunOutcome, ScheduleController, Verdict};
 use proptest::prelude::*;
-use speedup_repro::sections::{ProfileComparison, SectionProfiler, SectionRuntime, VerifyMode};
+use speedup_repro::sections::{
+    partial_bound_per_process, Profile, SectionProfiler, SectionRuntime, VerifyMode,
+};
+use speedup_repro::speedup::ScalingStudy;
 use std::sync::Arc;
 
 /// A random phase-structured SPMD program: a list of (label, flops-scale,
@@ -63,30 +66,50 @@ fn run_phases(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Eq. 6 structural guarantee: for any random program, at any scale,
-    /// the measured program speedup never exceeds any section's bound.
+    /// Eq. 6 structural guarantee, read off a study over three scales
+    /// (1, n, 2n): for any random program, at every scale, the measured
+    /// program speedup never exceeds any section's bound. A two-scale
+    /// study (a comparison of two runs) gives each section's own speedup
+    /// as baseline total over per-process time, bit for bit.
     #[test]
-    fn eq6_holds_for_random_programs(program in phases(), nranks in 2usize..9) {
+    fn eq6_holds_for_random_programs(program in phases(), n in 2usize..5) {
         let program = Arc::new(program);
-        let base = run_phases(1, 3, &program, 7);
-        let target = run_phases(nranks, 3, &program, 7);
-        let cmp = ProfileComparison::between(&base, &target, nranks);
+        let runs: Vec<(usize, Profile)> = [1, n, 2 * n]
+            .into_iter()
+            .map(|p| (p, run_phases(p, 3, &program, 7)))
+            .collect();
+        let rows_of = |(p, profile): &(usize, Profile)| {
+            bench::study_rows(*p, &[bench::CellOutcome::from_profile(profile, 0.0)])
+        };
+        let study = ScalingStudy::from_rows(&runs.iter().flat_map(rows_of).collect::<Vec<_>>());
 
-        let base_wall = base
-            .get_world(mpi_sections::MPI_MAIN)
-            .unwrap()
-            .avg_per_rank_secs();
-        let target_wall = target
-            .get_world(mpi_sections::MPI_MAIN)
-            .unwrap()
-            .avg_per_rank_secs();
-        let measured = base_wall / target_wall.max(1e-12);
-        for section in &cmp.sections {
-            prop_assert!(
-                measured <= section.program_bound + 1e-6,
-                "S={measured} exceeds {}'s bound {}",
-                section.label,
-                section.program_bound
+        for (p, measured) in study.speedups() {
+            for (section, bound) in study.bounds_at(p) {
+                prop_assert!(
+                    measured <= bound + 1e-6,
+                    "S={measured} exceeds {}'s bound {bound} at p={p}",
+                    section.label
+                );
+            }
+        }
+
+        let (base, target) = (&runs[0], &runs[2]);
+        let pair = ScalingStudy::from_rows(&[rows_of(base), rows_of(target)].concat());
+        for label in target.1.world_labels() {
+            let expected = partial_bound_per_process(
+                base.1.get_world(label).map_or(0.0, |s| s.total_own_secs),
+                target.1.get_world(label).unwrap().avg_per_rank_secs(),
+            );
+            let section = &pair.sections[label];
+            prop_assert_eq!(
+                pair.section_speedup(section, 2 * n).map(f64::to_bits),
+                Some(expected.to_bits()),
+                "{}", label
+            );
+            prop_assert_eq!(
+                study.section_speedup(&study.sections[label], 2 * n).map(f64::to_bits),
+                Some(expected.to_bits()),
+                "{}", label
             );
         }
     }
