@@ -47,7 +47,7 @@ fn lulesh_summary_json_is_pinned() {
         "lulesh-summary",
         "lulesh --p 8 --threads 4 --iters 5 --summary-json summary.json",
         0,
-        &[0x24c9d50c02fcf03b, 0xa8c75acaa792dbdc],
+        &[0xdb5fa1ce5af7ffd0, 0x2cb1a1cc8505874d],
     );
 }
 

@@ -140,7 +140,7 @@ fn convolution_artifacts_are_pinned() {
             0x6d2a9d28ab0947a8, // chrome_trace
             0x4feb4685d25fd508, // folded
         ],
-        state_bytes: 98_608,
+        state_bytes: 97_536,
     };
     let cfg = Arc::new(convolution::ConvConfig::paper(20));
     check("conv p=8 steps=20", &golden, "HALO", move |pr, s| {
@@ -163,7 +163,7 @@ fn lulesh_artifacts_are_pinned() {
             0x3c7658aa4b7a62e2, // chrome_trace
             0x8923015d3e8086aa, // folded
         ],
-        state_bytes: 297_744,
+        state_bytes: 296_672,
     };
     let side = lulesh_proxy::size_for(lulesh_proxy::PAPER_TOTAL_ELEMENTS, 8).expect("8 is a cube");
     let cfg = Arc::new(lulesh_proxy::LuleshConfig::timing(side, 10, 2));

@@ -163,11 +163,11 @@ pub fn extract(log: &CommLog) -> CriticalPath {
         // a round knows where its last arrival logged its exit.
         let mut next = (rank, idx - 1);
         match rec.kind {
-            RecKind::RecvMatch { seq, post_ns, .. } => {
+            RecKind::RecvMatch { seq, .. } => {
                 // Late sender: the receiver's segment on the path starts
                 // when the message left; hop to the sender. A message that
-                // was already waiting is a plain local segment.
-                if let Some(send) = log.run.sends.get(seq).filter(|s| s.send_ns > post_ns) {
+                // was already waiting at the post is a plain local segment.
+                if let Some(send) = log.run.sends.get(seq).filter(|s| s.send_ns > rec.t_ns) {
                     from_ns = send.send_ns;
                     next = (seq_parts(seq).0, send.rec as isize);
                 }

@@ -226,12 +226,10 @@ impl Tool for PvarRegistry {
                     cell.msgs += 1;
                     cell.bytes += bytes;
                 }
-                RecKind::RecvMatch {
-                    post_ns, done_ns, ..
-                } => {
+                RecKind::RecvMatch { done_ns, .. } => {
                     rp.counters.recv_msgs += 1;
                     rp.counters.recv_bytes += bytes;
-                    rp.counters.recv_wait_ns += done_ns.saturating_sub(post_ns);
+                    rp.counters.recv_wait_ns += done_ns.saturating_sub(step.t_ns);
                 }
                 RecKind::CollExit { enter_ns, .. } => {
                     rp.counters.coll_wait_ns += step.t_ns.saturating_sub(enter_ns);

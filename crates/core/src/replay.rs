@@ -305,11 +305,8 @@ fn step(rank: usize, st: &mut RankState, sh: &mut Shared, ctx: &Ctx<'_>) -> bool
             });
             st.prev_effect = rec.t_ns;
         }
-        RecKind::RecvMatch {
-            seq,
-            post_ns,
-            done_ns,
-        } => {
+        RecKind::RecvMatch { seq, done_ns } => {
+            let post_ns = rec.t_ns;
             let send_rec = ctx.log.run.sends.get(seq);
             let replayed = sh.sends.get(seq).copied();
             // The matching send has a record in the log but has not
@@ -348,7 +345,6 @@ fn step(rank: usize, st: &mut RankState, sh: &mut Shared, ctx: &Ctx<'_>) -> bool
                 sec: rec.sec,
                 kind: RecKind::RecvMatch {
                     seq,
-                    post_ns: post_new.0,
                     done_ns: done_new.0,
                 },
             });

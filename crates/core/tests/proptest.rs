@@ -9,7 +9,7 @@ use mpi_sections::waitstate::WaitBreakdown;
 use mpi_sections::{classify, CommRecorder};
 use mpi_sections::{InstanceStats, SectionProfiler, SectionRuntime, VerifyMode};
 use mpisim::message::seq_of;
-use mpisim::{CommId, MpiCall, MpiEvent, Src, TagSel, Tool, WorldBuilder};
+use mpisim::{CommId, MpiEvent, Tool, WorldBuilder};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -184,17 +184,10 @@ proptest! {
         for &(seq, src, dst, send_ns, post_ns, order) in &msgs {
             let comm = CommId::WORLD;
             let time = VTime::from_nanos(post_ns);
-            let members = Arc::new(Vec::new());
-            recorder.on_event(dst, &MpiEvent::RecvBlocked {
-                comm, src: Src::Any, tag: TagSel::Any, members, time,
-            });
-            let time = VTime::from_nanos(post_ns.max(send_ns) + 5);
+            let done = VTime::from_nanos(post_ns.max(send_ns) + 5);
             recorder.on_event(dst, &MpiEvent::RecvMatched {
-                comm, src_local: src, src_world: src, tag: 0, seq, bytes: 8,
-                sent: VTime::from_nanos(send_ns), candidates: Vec::new(), time,
-            });
-            recorder.on_event(dst, &MpiEvent::CallExit {
-                call: MpiCall::Recv, comm, time, bytes: 8,
+                comm, src_world: src, tag: 0, seq, bytes: 8,
+                sent: VTime::from_nanos(send_ns), candidates: Vec::new(), done, time,
             });
             // An unrecorded send counts as issued at the post: no wait.
             if order.is_some() {

@@ -22,10 +22,11 @@
 //!   warning (the run still completes).
 //!
 //! All four classes are [`mpisim::Diagnostic`]s; the fatal three surface as
-//! [`mpisim::RunError::Diagnosed`]. The analyzer observes two event kinds
-//! (`RecvBlocked`, `RecvMatched`) and never advances virtual time, so a
-//! clean program produces bit-identical [`mpisim::RunReport`]s with and
-//! without it (property-tested in this crate).
+//! [`mpisim::RunError::Diagnosed`]. The analyzer observes one event kind,
+//! `RecvMatched`, whose candidate list is non-empty exactly for a wildcard
+//! receive, and never advances virtual time, so a clean program produces
+//! bit-identical [`mpisim::RunReport`]s with and without it
+//! (property-tested in this crate).
 //!
 //! ## Example
 //!
@@ -48,24 +49,17 @@
 //! ```
 
 use mpisim::diag::{Diagnostic, DiagnosticKind, Severity};
-use mpisim::{CommId, EventKind, EventMask, MpiEvent, Src, Tool};
+use mpisim::{CommId, EventKind, EventMask, MpiEvent, Tool};
 use parking_lot::Mutex;
 use std::sync::Arc;
-
-#[derive(Default)]
-struct CheckState {
-    /// Per world rank: is the receive it posted last a wildcard?
-    wildcard_posted: Vec<bool>,
-    /// Non-fatal findings (message races), deduplicated.
-    warnings: Vec<Diagnostic>,
-}
 
 /// The race analyzer. Attach with
 /// [`WorldBuilder::tool`](mpisim::WorldBuilder::tool); its findings are
 /// warnings, available from [`Analyzer::diagnostics`] after the run.
 #[derive(Default)]
 pub struct Analyzer {
-    state: Mutex<CheckState>,
+    /// Non-fatal findings (message races), deduplicated.
+    warnings: Mutex<Vec<Diagnostic>>,
 }
 
 impl Analyzer {
@@ -78,7 +72,7 @@ impl Analyzer {
     /// order). Fatal findings are not listed here — they abort the run and
     /// travel in [`mpisim::RunError::Diagnosed`].
     pub fn diagnostics(&self) -> Vec<Diagnostic> {
-        self.state.lock().warnings.clone()
+        self.warnings.lock().clone()
     }
 }
 
@@ -124,27 +118,21 @@ fn race_warning(receiver: usize, comm: CommId, candidates: &[(usize, i32)]) -> O
 
 impl Tool for Analyzer {
     fn interests(&self) -> EventMask {
-        EventMask::of(&[EventKind::RecvBlocked, EventKind::RecvMatched])
+        EventMask::only(EventKind::RecvMatched)
     }
 
     fn on_event(&self, world_rank: usize, event: &MpiEvent) {
-        let mut st = self.state.lock();
-        if st.wildcard_posted.len() <= world_rank {
-            st.wildcard_posted.resize(world_rank + 1, false);
-        }
-        match event {
-            MpiEvent::RecvBlocked { src, .. } => {
-                st.wildcard_posted[world_rank] = *src == Src::Any;
-            }
-            MpiEvent::RecvMatched {
-                comm, candidates, ..
-            } if std::mem::take(&mut st.wildcard_posted[world_rank]) => {
-                let warning = race_warning(world_rank, *comm, candidates);
-                if let Some(warning) = warning.filter(|w| !st.warnings.contains(w)) {
-                    st.warnings.push(warning);
+        // A named receive observes no candidates: it had no choice.
+        if let MpiEvent::RecvMatched {
+            comm, candidates, ..
+        } = event
+        {
+            if let Some(warning) = race_warning(world_rank, *comm, candidates) {
+                let mut warnings = self.warnings.lock();
+                if !warnings.contains(&warning) {
+                    warnings.push(warning);
                 }
             }
-            _ => {}
         }
     }
 }
@@ -152,7 +140,6 @@ impl Tool for Analyzer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpisim::TagSel;
 
     /// Drive one wildcard receive through `on_event` and return the
     /// analyzer's warnings for the given candidate set.
@@ -167,28 +154,18 @@ mod tests {
                 },
             );
         }
-        analyzer.on_event(
-            0,
-            &MpiEvent::RecvBlocked {
-                comm: CommId::WORLD,
-                src: Src::Any,
-                tag: TagSel::Is(7),
-                members: Arc::new((0..3).collect()),
-                time: machine::VTime::ZERO,
-            },
-        );
         let (src_world, tag) = candidates[0];
         analyzer.on_event(
             0,
             &MpiEvent::RecvMatched {
                 comm: CommId::WORLD,
-                src_local: src_world,
                 src_world,
                 tag,
                 seq: 1,
                 bytes: 4,
                 sent: machine::VTime::ZERO,
                 candidates,
+                done: machine::VTime::ZERO,
                 time: machine::VTime::ZERO,
             },
         );

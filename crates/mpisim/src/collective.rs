@@ -133,6 +133,12 @@ impl Rendezvous {
         self.members.len()
     }
 
+    /// The generation accumulating arrivals: the one a member that has
+    /// left every earlier generation joins next.
+    pub fn generation(&self) -> u64 {
+        self.state.lock().gen
+    }
+
     /// Abort the world: local rank `local` entered `entered` in generation
     /// `gen`, whose first arriver had entered `agreed`.
     #[cold]

@@ -239,15 +239,6 @@ impl Comm {
                 self.size()
             );
         }
-        if p.wants(EventKind::RecvBlocked) {
-            p.raise(MpiEvent::RecvBlocked {
-                comm: self.id(),
-                src,
-                tag,
-                members: self.shared.world_ranks.clone(),
-                time: p.now,
-            });
-        }
         // Candidate observation is only paid for when a tool subscribed
         // to RecvMatched, and then only by a wildcard receive (it is what
         // a race analyzer joins on).
@@ -264,20 +255,8 @@ impl Comm {
                 p.mailboxes.controller(),
             )
         });
-        if observing {
-            p.raise(MpiEvent::RecvMatched {
-                comm: self.id(),
-                src_local: envelope.src_local,
-                src_world: envelope.src_world,
-                tag: envelope.tag,
-                seq: envelope.seq,
-                bytes: envelope.payload.logical_bytes(),
-                sent: envelope.send_end,
-                candidates,
-                time: p.now,
-            });
-        }
         let logical_bytes = envelope.payload.logical_bytes();
+        let posted = p.now;
         p.now = p.machine.recv_done(
             envelope.src_world,
             p.world_rank,
@@ -286,6 +265,22 @@ impl Comm {
             p.now,
             &mut p.net_rng,
         );
+        // Raised once priced: the clock stood still while the rank waited,
+        // so the post is also the match, and nothing advances it again
+        // before the enclosing call's exit.
+        if observing {
+            p.raise(MpiEvent::RecvMatched {
+                comm: self.id(),
+                src_world: envelope.src_world,
+                tag: envelope.tag,
+                seq: envelope.seq,
+                bytes: logical_bytes,
+                sent: envelope.send_end,
+                candidates,
+                done: p.now,
+                time: posted,
+            });
+        }
         let elems = envelope.payload.elems();
         Recvd {
             data: envelope.payload.into_vec::<T>(),
@@ -461,12 +456,15 @@ impl Comm {
         let seed = p.seed;
         let cid = self.shared.id;
         // Raised before `arrive`: a tool sees the rank enter the collective
-        // before the rendezvous can park it.
+        // before the rendezvous can park it. The generation read here is
+        // the one `arrive` joins: the rank's previous one on this
+        // communicator has completed, and it does not yield in between.
         if p.wants(EventKind::CollectiveEnter) {
             p.raise(MpiEvent::CollectiveEnter {
                 op,
                 comm: cid,
-                members: self.shared.world_ranks.clone(),
+                round: self.shared.rendezvous.generation(),
+                size: self.size(),
                 root,
                 time: p.now,
             });
@@ -492,6 +490,7 @@ impl Comm {
             p.raise(MpiEvent::CollectiveExit {
                 op,
                 comm: cid,
+                round: done.gen,
                 bytes: done.total_bytes,
                 time: p.now,
             });

@@ -7,7 +7,6 @@
 //! for the `MPIX_Section_enter/leave` notifications of the paper (Fig. 2),
 //! including their 32-byte tool data blob.
 
-use crate::message::{Src, TagSel};
 use machine::VTime;
 use std::sync::Arc;
 
@@ -170,23 +169,12 @@ pub enum MpiEvent {
         bytes: u64,
         time: VTime,
     },
-    /// A blocking receive is about to wait for a matching message. Raised
-    /// before the rank can block; the matching [`MpiEvent::RecvMatched`]
-    /// follows once a message is consumed.
-    RecvBlocked {
-        comm: CommId,
-        src: Src,
-        tag: TagSel,
-        /// World ranks of `comm`'s members, indexed by local rank (the
-        /// potential senders an analyzer must consider for `Src::Any`).
-        members: Arc<Vec<usize>>,
-        time: VTime,
-    },
-    /// A blocking receive matched and consumed a message.
+    /// A blocking receive matched and consumed a message. Raised once the
+    /// receive is priced, before its call returns; `time` is the instant
+    /// the receive was posted, which is also the instant it matched (the
+    /// rank's clock does not move while it waits).
     RecvMatched {
         comm: CommId,
-        /// Sender rank, local to `comm`.
-        src_local: usize,
         /// Sender world rank.
         src_world: usize,
         tag: i32,
@@ -203,6 +191,9 @@ pub enum MpiEvent {
         /// message race. Empty for a named source, which non-overtaking
         /// leaves no choice (and which therefore allocates no list).
         candidates: Vec<(usize, i32)>,
+        /// When the enclosing call (Recv, Wait or Sendrecv) returns: the
+        /// `time` of its [`MpiEvent::CallExit`].
+        done: VTime,
         time: VTime,
     },
     /// The rank arrived at a collective rendezvous and may block until the
@@ -212,8 +203,11 @@ pub enum MpiEvent {
         /// `"split.exchange"`).
         op: &'static str,
         comm: CommId,
-        /// World ranks of `comm`'s members, indexed by local rank.
-        members: Arc<Vec<usize>>,
+        /// The rendezvous generation the rank joins: its count of earlier
+        /// collectives on `comm`, the same on every member.
+        round: u64,
+        /// Number of `comm`'s members.
+        size: usize,
         /// Root rank (local to `comm`) for rooted collectives.
         root: Option<usize>,
         time: VTime,
@@ -222,6 +216,9 @@ pub enum MpiEvent {
     CollectiveExit {
         op: &'static str,
         comm: CommId,
+        /// The generation the rank leaves; pairs with the `round` of its
+        /// [`MpiEvent::CollectiveEnter`].
+        round: u64,
         /// Total logical payload bytes of the operation, summed over
         /// members (what the cost model was charged with).
         bytes: u64,
@@ -254,19 +251,17 @@ pub enum EventKind {
     SectionLeave = 5,
     Pcontrol = 6,
     SendEnqueued = 7,
-    RecvBlocked = 8,
-    RecvMatched = 9,
-    CollectiveEnter = 10,
-    CollectiveExit = 11,
-    Compute = 12,
+    RecvMatched = 8,
+    CollectiveEnter = 9,
+    CollectiveExit = 10,
+    Compute = 11,
 }
 
 /// A set of [`EventKind`]s a tool wants delivered (see
 /// [`crate::Tool::interests`]). The runtime unions the masks of all
 /// attached tools and skips *constructing* events nobody asked for — the
 /// difference between ~600 ns and ~1.5 µs per rank-step at 16k ranks,
-/// because the analyzer-grade events clone members lists and candidate
-/// vectors.
+/// because the analyzer-grade events collect candidate vectors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EventMask(u32);
 
@@ -328,7 +323,6 @@ impl MpiEvent {
             MpiEvent::SectionLeave { .. } => EventKind::SectionLeave,
             MpiEvent::Pcontrol { .. } => EventKind::Pcontrol,
             MpiEvent::SendEnqueued { .. } => EventKind::SendEnqueued,
-            MpiEvent::RecvBlocked { .. } => EventKind::RecvBlocked,
             MpiEvent::RecvMatched { .. } => EventKind::RecvMatched,
             MpiEvent::CollectiveEnter { .. } => EventKind::CollectiveEnter,
             MpiEvent::CollectiveExit { .. } => EventKind::CollectiveExit,
@@ -347,7 +341,6 @@ impl MpiEvent {
             | MpiEvent::SectionLeave { time, .. }
             | MpiEvent::Pcontrol { time, .. }
             | MpiEvent::SendEnqueued { time, .. }
-            | MpiEvent::RecvBlocked { time, .. }
             | MpiEvent::RecvMatched { time, .. }
             | MpiEvent::CollectiveEnter { time, .. }
             | MpiEvent::CollectiveExit { time, .. }
@@ -412,19 +405,24 @@ mod tests {
 
     #[test]
     fn analyzer_event_times() {
-        let members = Arc::new(vec![0usize, 1]);
-        let e = MpiEvent::RecvBlocked {
+        // A receive's time is its post, not the return of its call.
+        let e = MpiEvent::RecvMatched {
             comm: CommId::WORLD,
-            src: Src::Any,
-            tag: TagSel::Any,
-            members: members.clone(),
+            src_world: 1,
+            tag: 0,
+            seq: 0,
+            bytes: 8,
+            sent: VTime::from_nanos(1),
+            candidates: Vec::new(),
+            done: VTime::from_nanos(4),
             time: VTime::from_nanos(3),
         };
         assert_eq!(e.time(), VTime::from_nanos(3));
         let e = MpiEvent::CollectiveEnter {
             op: "barrier",
             comm: CommId::WORLD,
-            members,
+            round: 0,
+            size: 2,
             root: None,
             time: VTime::from_nanos(5),
         };
