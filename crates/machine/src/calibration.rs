@@ -7,9 +7,11 @@
 //! bandwidth curve, the collective cost trajectory — is a dense probe
 //! over the whole parameter space, and identical for every cell that
 //! names the same machine. [`cached`] computes that probe once per
-//! distinct machine *configuration* (keyed by the full parameter dump,
-//! not the name, so an edited `--machine-file` never reuses a stale
-//! table) and hands every later caller the same `Arc`.
+//! distinct machine *configuration* and hands every later caller the same
+//! `Arc`. The key is [`MachineModel::to_config_str`], which parses back to
+//! an identical model — not the name, and not the rounded
+//! [`MachineModel::describe`], which leaves out `ranks_per_node` — so an
+//! edited `--machine-file` never reuses a stale table.
 //!
 //! The table doubles as provenance: the study store persists each
 //! machine's calibration next to the runs priced under it, so a report
@@ -32,9 +34,11 @@ const P_PROBES: [usize; 8] = [2, 4, 8, 16, 64, 256, 1024, 16384];
 /// A machine's derived cost tables. All values are seconds.
 #[derive(Debug, Clone)]
 pub struct Calibration {
-    /// The machine's name (presentation only — the cache key is the dump).
+    /// The machine's name (presentation only — the cache key is the
+    /// config string).
     pub machine: String,
-    /// The full parameter dump the tables were derived from.
+    /// The machine's [`MachineModel::describe`] line (provenance: it is
+    /// rounded, so it is not the cache key).
     pub describe: String,
     /// `(active_threads, secs)` for one Gflop of pure compute per thread.
     pub gflop_secs: Vec<(usize, f64)>,
@@ -131,7 +135,7 @@ impl Calibration {
     }
 }
 
-/// Process-wide calibration cache keyed by the machine's parameter dump.
+/// Process-wide calibration cache keyed by the machine's config string.
 fn cache() -> &'static Mutex<HashMap<String, Arc<Calibration>>> {
     static CACHE: OnceLock<Mutex<HashMap<String, Arc<Calibration>>>> = OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
@@ -147,7 +151,7 @@ fn counters() -> &'static Mutex<(u64, u64)> {
 /// configuration in this process. Concurrent first callers may race to
 /// derive, but all end up sharing whichever table landed in the cache.
 pub fn cached(m: &MachineModel) -> Arc<Calibration> {
-    let key = m.describe();
+    let key = m.to_config_str();
     if let Some(hit) = cache().lock().expect("calibration cache").get(&key) {
         counters().lock().expect("calibration counters").0 += 1;
         return hit.clone();
@@ -207,6 +211,19 @@ mod tests {
         let a = cached(&base);
         let b = cached(&edited);
         assert!(!Arc::ptr_eq(&a, &b), "edited model must re-calibrate");
+        // Two edits the rounded `describe` line cannot see: a parameter it
+        // leaves out, and one it rounds to two significant digits.
+        let mut fat_nodes = presets::nehalem_cluster();
+        fat_nodes.topology.ranks_per_node = 100_000;
+        let mut slower = presets::nehalem_cluster();
+        slower.network.inter_node.latency *= 1.004;
+        for (what, edited) in [("ranks_per_node", fat_nodes), ("inter latency", slower)] {
+            assert_eq!(edited.describe(), base.describe(), "{what}");
+            let b = cached(&edited);
+            assert!(!Arc::ptr_eq(&a, &b), "{what}: served another table");
+            let derived = Calibration::derive(&edited);
+            assert_eq!(b.allreduce_secs, derived.allreduce_secs, "{what}");
+        }
     }
 
     #[test]
