@@ -663,6 +663,16 @@ mod tests {
             .unwrap();
     }
 
+    /// The tools a profiling run attaches all fold at leave: with them
+    /// alone a section enter builds no `EnterInfo` and walks no chain.
+    #[test]
+    fn leave_side_tools_ask_for_no_enter_callbacks() {
+        let sections = SectionRuntime::new(VerifyMode::Off);
+        sections.attach(crate::SectionProfiler::new());
+        sections.attach(crate::TraceTool::new());
+        assert_eq!(sections.n_enter_tools.load(Ordering::Acquire), 0);
+    }
+
     #[test]
     fn imperfect_nesting_panics() {
         let sections = SectionRuntime::new(VerifyMode::Off);

@@ -374,6 +374,11 @@ impl TraceTool {
 impl SectionTool for TraceTool {
     fn on_enter(&self, _info: &EnterInfo, _data: &mut SectionData) {}
 
+    /// A span is recorded whole at leave, which carries its enter time.
+    fn wants_enter(&self) -> bool {
+        false
+    }
+
     fn on_leave(&self, info: &LeaveInfo, _data: &SectionData) {
         self.events.lock().push(SpanEvent {
             rank: info.world_rank,
