@@ -35,11 +35,6 @@ impl HistogramTool {
     pub fn snapshot(&self) -> BTreeMap<String, DurationHistogram> {
         self.labels.lock().clone()
     }
-
-    /// Number of distinct labels seen (the memory footprint driver).
-    pub fn label_count(&self) -> usize {
-        self.labels.lock().len()
-    }
 }
 
 impl SectionTool for HistogramTool {
@@ -97,8 +92,8 @@ mod tests {
             })
             .unwrap();
         // MPI_MAIN + step + sync.
-        assert_eq!(hist.label_count(), 3);
         let snap = hist.snapshot();
+        assert_eq!(snap.len(), 3);
         assert_eq!(snap["step"].total, 1000);
         assert_eq!(snap["sync"].total, 1000);
         assert_eq!(snap["sync"].min_ns, 50);

@@ -112,14 +112,6 @@ impl InstanceStats {
         mean_exit - self.min_enter.as_secs_f64()
     }
 
-    /// Mean per-rank inclusive duration `Tout - Tin`, in seconds.
-    pub fn mean_own_secs(&self) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        self.sum_own_ns as f64 / self.count as f64 * 1e-9
-    }
-
     /// Sum of per-rank inclusive durations, in seconds.
     pub fn total_own_secs(&self) -> f64 {
         self.sum_own_ns as f64 * 1e-9
@@ -202,7 +194,6 @@ mod tests {
     #[test]
     fn own_durations() {
         let inst = fig3_instance();
-        assert!((inst.mean_own_secs() - 3.0).abs() < 1e-9);
         assert!((inst.total_own_secs() - 9.0).abs() < 1e-9);
         assert_eq!(inst.min_own, t(3.0));
         assert_eq!(inst.max_own, t(3.0));

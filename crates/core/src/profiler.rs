@@ -13,7 +13,6 @@
 
 use crate::metrics::InstanceStats;
 use crate::tool::{EnterInfo, LeaveInfo, SectionTool};
-use machine::VTime;
 use mpisim::{CommId, SectionData, WorldCell};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -330,22 +329,6 @@ impl SectionStats {
     /// Fig. 5(c).
     pub fn avg_per_rank_secs(&self) -> f64 {
         self.total_own_secs / self.participants.max(1) as f64
-    }
-
-    /// First enter of the first instance (section birth).
-    pub fn first_enter(&self) -> VTime {
-        self.per_instance
-            .first()
-            .map(|i| i.t_min())
-            .unwrap_or(VTime::ZERO)
-    }
-
-    /// Last exit of the last instance.
-    pub fn last_exit(&self) -> VTime {
-        self.per_instance
-            .last()
-            .map(|i| i.t_max())
-            .unwrap_or(VTime::ZERO)
     }
 }
 

@@ -247,11 +247,6 @@ impl SpaceSaving {
         items
     }
 
-    /// Bytes budgeted for this sketch (capacity, not occupancy).
-    pub fn budget_bytes(&self) -> usize {
-        std::mem::size_of::<SpaceSaving>() + self.cap * std::mem::size_of::<HeavyHitter>()
-    }
-
     /// Bytes actually held by live entries.
     pub fn state_bytes(&self) -> usize {
         std::mem::size_of::<SpaceSaving>() + self.entries.len() * std::mem::size_of::<HeavyHitter>()

@@ -72,11 +72,6 @@ impl WhatIfSpec {
             scale: Vec::new(),
         }
     }
-
-    /// True when no clause alters anything.
-    pub fn is_identity(&self) -> bool {
-        self.net.is_none() && !self.zero_jitter && self.null.is_none() && self.scale.is_empty()
-    }
 }
 
 /// Parse one `--what-if` spec.
@@ -182,8 +177,6 @@ mod tests {
         assert_eq!(s.net.as_deref(), Some("ideal"));
         assert!(s.zero_jitter);
         assert_eq!(s.scale.len(), 1);
-        assert!(!s.is_identity());
-        assert!(WhatIfSpec::identity().is_identity());
     }
 
     #[test]

@@ -80,12 +80,6 @@ impl DetRng {
         self.inner.gen::<f64>()
     }
 
-    /// Uniform in `[lo, hi)`.
-    #[inline]
-    pub fn uniform_range(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * self.uniform()
-    }
-
     /// Standard normal via Box–Muller (we avoid the `rand_distr` crate).
     #[inline]
     pub fn standard_normal(&mut self) -> f64 {
@@ -235,14 +229,5 @@ mod tests {
         let median = samples[5_000];
         assert!((median - 1.0).abs() < 0.01, "median {median}");
         assert!(samples.iter().all(|&f| f > 0.0));
-    }
-
-    #[test]
-    fn uniform_range_bounds() {
-        let mut rng = DetRng::for_stream(5, 0, 0);
-        for _ in 0..1000 {
-            let x = rng.uniform_range(2.0, 5.0);
-            assert!((2.0..5.0).contains(&x));
-        }
     }
 }

@@ -210,22 +210,6 @@ pub fn mean(times: &[VTime]) -> VTime {
     VTime((total / times.len() as u128) as u64)
 }
 
-/// Population variance of a slice of times, in seconds squared.
-pub fn variance_secs2(times: &[VTime]) -> f64 {
-    if times.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(times).as_secs_f64();
-    times
-        .iter()
-        .map(|t| {
-            let d = t.as_secs_f64() - m;
-            d * d
-        })
-        .sum::<f64>()
-        / times.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,17 +254,14 @@ mod tests {
     }
 
     #[test]
-    fn mean_and_variance() {
+    fn mean_of_times() {
         let ts = [
             VTime::from_secs_f64(1.0),
             VTime::from_secs_f64(2.0),
             VTime::from_secs_f64(3.0),
         ];
         assert_eq!(mean(&ts), VTime::from_secs_f64(2.0));
-        let v = variance_secs2(&ts);
-        assert!((v - 2.0 / 3.0).abs() < 1e-9, "{v}");
         assert_eq!(mean(&[]), VTime::ZERO);
-        assert_eq!(variance_secs2(&[VTime::ZERO]), 0.0);
     }
 
     #[test]
