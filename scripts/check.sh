@@ -89,6 +89,22 @@ if grep -n 'HashMap' crates/mpicheck/src/lib.rs; then
     exit 1
 fi
 
+echo "==> a receive is one event and a collective's round is the engine's number"
+# RecvMatched carries when its call returned and both collective events
+# carry the rendezvous generation: no tool rebuilds either per rank.
+if grep -rn 'RecvBlocked' crates src examples tests; then
+    echo "crates|src|examples|tests: RecvBlocked is back beside the one receive event"
+    exit 1
+fi
+if grep -n 'coll_rounds\|Posted {' crates/core/src/spine.rs; then
+    echo "crates/core/src/spine.rs: the spine rebuilds a receive's post or a collective's round again"
+    exit 1
+fi
+if grep -n 'post_ns: u64' crates/core/src/waitstate.rs; then
+    echo "crates/core/src/waitstate.rs: a receive record stores its post beside its own time again"
+    exit 1
+fi
+
 echo "==> fidelity is whether the data exists: one body per operation over Payload"
 # A rendezvous slot is a Payload, real or virtual, so no collective keeps a
 # timing-mode copy, and the workloads build one payload per message instead
