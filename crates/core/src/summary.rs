@@ -360,8 +360,8 @@ impl SummaryTool {
             + EDGE_BUDGET * std::mem::size_of::<HeavyHitter>()
             + ranks
                 .iter()
-                .map(|Tracked { tracker, data }| {
-                    tracker.state_bytes()
+                .map(|Tracked { data, .. }| {
+                    std::mem::size_of::<RankTracker>()
                         + std::mem::size_of::<Residue>()
                         + data.profile.len() * std::mem::size_of::<(u32, u64)>()
                         + data.edges.state_bytes()
