@@ -15,6 +15,7 @@
 //! and snapshots every counter at section enter/exit (driven by the
 //! PMPI-level `SectionEnter`/`SectionLeave` events the section runtime
 //! raises), so every metric is attributable to the section it occurred in.
+//! It is the one tool with data per open frame, so it lists those frames.
 //!
 //! The registry only observes — it never advances virtual time — so runs
 //! are bit-identical with and without it attached.
@@ -121,9 +122,9 @@ struct RankPvars {
     counters: Counters,
     /// Destination world rank -> traffic from this rank.
     matrix: FastMap<usize, MatrixCell>,
-    /// The counter snapshot taken when each open section was entered
-    /// (attribution baseline), parallel to the tracker's frames.
-    baselines: Vec<Counters>,
+    /// Each open section with the counter snapshot taken at its enter
+    /// (attribution baseline), in enter order across communicators.
+    baselines: Vec<((CommId, u32), Counters)>,
 }
 
 /// Everything the registry has collected, in its one cell.
@@ -204,14 +205,16 @@ impl Tool for PvarRegistry {
         let rp = &mut rank.data;
         match step.kind {
             // `Init` opens the implicit MPI_MAIN frame the same way.
-            StepKind::Enter => rp.baselines.push(rp.counters),
-            StepKind::Leave {
-                comm,
-                label,
-                pos: Some(pos),
-            } => {
-                let delta = rp.counters.since(&rp.baselines.remove(pos));
-                st.sections.entry((comm, label)).or_default().add(&delta);
+            StepKind::Enter { comm } => rp.baselines.push(((comm, step.sec), rp.counters)),
+            // The section's innermost frame, wherever it sits: sections
+            // nest per communicator but may interleave across them.
+            StepKind::Leave { comm, label } => {
+                let open = rp.baselines.iter().rposition(|f| f.0 == (comm, label));
+                if let Some(at) = open {
+                    let (key, base) = rp.baselines.remove(at);
+                    let delta = rp.counters.since(&base);
+                    st.sections.entry(key).or_default().add(&delta);
+                }
             }
             StepKind::Rec {
                 kind,
@@ -236,10 +239,9 @@ impl Tool for PvarRegistry {
                 }
                 RecKind::Fini => {
                     // Close everything still open (normally just MPI_MAIN).
-                    let frames = rank.tracker.frames().iter();
-                    for (&frame, snap) in frames.zip(rp.baselines.drain(..)) {
-                        let delta = rp.counters.since(&snap);
-                        st.sections.entry(frame).or_default().add(&delta);
+                    for (key, base) in rp.baselines.drain(..) {
+                        let delta = rp.counters.since(&base);
+                        st.sections.entry(key).or_default().add(&delta);
                     }
                 }
                 _ => {}

@@ -475,7 +475,7 @@ impl Tool for SummaryTool {
                 dst_world,
                 sent_ns,
             } => (kind, bytes, dst_world, sent_ns),
-            StepKind::Enter | StepKind::Leave { .. } => return,
+            StepKind::Enter { .. } | StepKind::Leave { .. } => return,
         };
         let peer_ns = match kind {
             RecKind::Send { .. } => {

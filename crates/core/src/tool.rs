@@ -30,7 +30,9 @@ pub struct EnterInfo {
     /// The section label.
     pub label: Arc<str>,
     /// Dense id of this (comm, label) section, assigned by the runtime in
-    /// first-seen order and stable within one `SectionRuntime`. Tools can
+    /// first-seen order and stable within one `SectionRuntime`; id 0 is
+    /// always `(world, MPI_MAIN)`, even in a runtime that never opens it.
+    /// The same id names the section on `mpisim`'s section events. Tools can
     /// index flat arrays with it instead of re-hashing `(comm, label)` on
     /// every event.
     pub section: u32,

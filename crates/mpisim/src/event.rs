@@ -5,7 +5,7 @@
 //! observe the call. Our in-process equivalent raises a typed [`MpiEvent`]
 //! at the entry and exit of every communication call, at Init/Finalize, and
 //! for the `MPIX_Section_enter/leave` notifications of the paper (Fig. 2),
-//! including their 32-byte tool data blob.
+//! whose 32-byte tool data blob stays with the section runtime's tools.
 
 use machine::VTime;
 use std::sync::Arc;
@@ -131,7 +131,8 @@ pub enum MpiEvent {
         /// Rank local to that communicator.
         comm_rank: usize,
         label: Arc<str>,
-        data: SectionData,
+        /// The runtime's dense id of `(comm, label)`; 0 is `(world, MPI_MAIN)`.
+        section: u32,
         time: VTime,
     },
     /// `MPIX_Section_leave` notification (the paper's leave callback).
@@ -140,7 +141,11 @@ pub enum MpiEvent {
         comm_size: usize,
         comm_rank: usize,
         label: Arc<str>,
-        data: SectionData,
+        /// The section that closed, as [`MpiEvent::SectionEnter::section`].
+        section: u32,
+        /// The rank's innermost open section after the close, on any
+        /// communicator (0, `MPI_MAIN`, when no frame is open).
+        inner: u32,
         time: VTime,
     },
     /// `MPI_Pcontrol(level)` — the standard's tool-control hook, whose
@@ -379,10 +384,20 @@ mod tests {
             comm_size: 4,
             comm_rank: 0,
             label: Arc::from("HALO"),
-            data: [0; 32],
+            section: 1,
             time: VTime::from_nanos(9),
         };
         assert_eq!(e.time(), VTime::from_nanos(9));
+        let e = MpiEvent::SectionLeave {
+            comm: CommId::WORLD,
+            comm_size: 4,
+            comm_rank: 0,
+            label: Arc::from("HALO"),
+            section: 1,
+            inner: 0,
+            time: VTime::from_nanos(11),
+        };
+        assert_eq!(e.time(), VTime::from_nanos(11));
     }
 
     #[test]
