@@ -272,6 +272,10 @@ fn config(flags: &Parsed) -> Result<Config, String> {
     if verify_budget == 0 {
         return Err(format!("{} expects N >= 1", VERIFY_BUDGET.name));
     }
+    let trace_max_ranks = flags.num(&TRACE_MAX_RANKS, 512)?;
+    if trace_max_ranks == 0 {
+        return Err(format!("{} expects N >= 1", TRACE_MAX_RANKS.name));
+    }
     let what_if = flags
         .all(&WHAT_IF)
         .map(|raw| mpi_sections::whatif::parse(raw).map_err(|e| format!("{}: {e}", WHAT_IF.name)))
@@ -291,7 +295,7 @@ fn config(flags: &Parsed) -> Result<Config, String> {
             None => Windowing::Fixed(windows),
         },
         what_if,
-        trace_max_ranks: flags.num(&TRACE_MAX_RANKS, 512)?,
+        trace_max_ranks,
     })
 }
 
@@ -590,6 +594,18 @@ fn main() {
     // bounds what any p can achieve through the dependency graph.
     let snapshot = stack.pvar.as_ref().map(|pv| pv.snapshot());
     let comm_log = stack.recorder.as_ref().map(|r| r.freeze());
+    // Aligned windows (the windowed report and every what-if analysis)
+    // need the label to have been entered; otherwise they would silently
+    // fall back to one window spanning the run.
+    if let (Some(log), Windowing::Aligned(label)) = (&comm_log, &cfg.windowing) {
+        if !log.has_section(label) {
+            eprintln!(
+                "error: {} {label}: no section of that name was entered",
+                WINDOW_ALIGN.name
+            );
+            std::process::exit(2);
+        }
+    }
     let run_summary = stack.summary.as_ref().map(|s| s.freeze());
     let analysis = comm_log
         .as_ref()
@@ -733,11 +749,11 @@ fn main() {
     }
 
     if let Some(path) = flags.get(&TRACE) {
-        let (json, dropped_ranks) = stack
+        let (json, spans, dropped_ranks) = stack
             .trace
             .to_chrome_trace_capped(cfg.trace_max_ranks, tl.as_ref());
         std::fs::write(path, json).expect("write trace");
-        println!("wrote Chrome trace ({} spans) to {path}", stack.trace.len());
+        println!("wrote Chrome trace ({spans} spans) to {path}");
         if dropped_ranks > 0 {
             println!(
                 "trace capped at {} rank lanes: {} rank(s) dropped (raise with {})",

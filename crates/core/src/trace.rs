@@ -133,15 +133,16 @@ impl TraceTool {
 
     /// Like [`TraceTool::to_chrome_trace_with`], but capped at
     /// `max_ranks` rank lanes: spans and flow arrows touching world rank
-    /// `>= max_ranks` are dropped and the count of distinct dropped ranks
-    /// is returned alongside the JSON, so large-p exports stay bounded
-    /// and the caller can say exactly what was cut instead of silently
-    /// emitting a multi-GB trace.
+    /// `>= max_ranks` are dropped. The JSON comes back with the number of
+    /// spans it holds and the count of distinct dropped ranks, so large-p
+    /// exports stay bounded and the caller can say exactly what was
+    /// written and what was cut instead of silently emitting a multi-GB
+    /// trace.
     pub fn to_chrome_trace_capped(
         &self,
         max_ranks: usize,
         timeline: Option<&crate::Timeline>,
-    ) -> (String, usize) {
+    ) -> (String, usize, usize) {
         let mut dropped: BTreeSet<usize> = BTreeSet::new();
         let spans: Vec<SpanEvent> = self
             .spans()
@@ -291,7 +292,7 @@ impl TraceTool {
         }
 
         out.push(']');
-        (out, dropped.len())
+        (out, spans.len(), dropped.len())
     }
 
     /// Export as folded flamegraph stacks: one line per unique stack,
@@ -602,16 +603,22 @@ mod tests {
     #[test]
     fn rank_cap_drops_lanes_and_counts_them() {
         let trace = traced_ring_run();
-        let (json, dropped) = trace.to_chrome_trace_capped(1, None);
+        let (json, written, dropped) = trace.to_chrome_trace_capped(1, None);
         assert_eq!(dropped, 1);
+        assert_eq!(written, json.matches("\"ph\":\"X\"").count());
+        assert!(
+            written > 0 && written < trace.len(),
+            "{written} of {}",
+            trace.len()
+        );
         assert!(json.contains("\"name\":\"rank 0\""), "{json}");
         assert!(!json.contains("\"name\":\"rank 1\""), "{json}");
         // Both messages touch rank 1, so every flow arrow is dropped too.
         assert!(!json.contains("\"ph\":\"s\""), "{json}");
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         // An unconstrained cap is the identity.
-        let (full, none_dropped) = trace.to_chrome_trace_capped(usize::MAX, None);
-        assert_eq!(none_dropped, 0);
+        let (full, written, none_dropped) = trace.to_chrome_trace_capped(usize::MAX, None);
+        assert_eq!((written, none_dropped), (trace.len(), 0));
         assert_eq!(full, trace.to_chrome_trace());
     }
 
