@@ -105,6 +105,22 @@ if grep -n 'post_ns: u64' crates/core/src/waitstate.rs; then
     exit 1
 fi
 
+echo "==> one open-section list per rank, kept by the section runtime"
+# A section leave says which section the rank is in after it, so no spine
+# tool keeps a stack of open frames, and section events carry no data blob.
+if sed -n '/^pub(crate) struct RankTracker {/,/^}/p' crates/core/src/spine.rs | grep -n 'Vec<'; then
+    echo "crates/core/src/spine.rs: RankTracker keeps a Vec again (the section runtime owns the open frames)"
+    exit 1
+fi
+if grep -n 'fn leave(' crates/core/src/spine.rs; then
+    echo "crates/core/src/spine.rs: the spine closes frames itself again (fn leave)"
+    exit 1
+fi
+if sed -n '/^pub enum MpiEvent {/,/^}/p' crates/mpisim/src/event.rs | grep -n 'data: SectionData'; then
+    echo "crates/mpisim/src/event.rs: a section event carries the tool data blob again"
+    exit 1
+fi
+
 echo "==> fidelity is whether the data exists: one body per operation over Payload"
 # A rendezvous slot is a Payload, real or virtual, so no collective keeps a
 # timing-mode copy, and the workloads build one payload per message instead
