@@ -55,7 +55,6 @@ pub mod balance;
 pub mod critpath;
 pub mod efficiency;
 pub mod fasthash;
-pub mod histogram;
 pub mod metrics;
 pub mod profiler;
 pub mod pvar;
@@ -74,7 +73,6 @@ pub mod whatif;
 pub use balance::BalanceReport;
 pub use critpath::CriticalPath;
 pub use efficiency::Efficiencies;
-pub use histogram::{DurationHistogram, HistogramTool};
 pub use metrics::InstanceStats;
 pub use profiler::{Profile, SectionKey, SectionProfiler, SectionStats};
 pub use pvar::{PvarRegistry, PvarSnapshot};

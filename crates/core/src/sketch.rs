@@ -3,8 +3,8 @@
 //! Two classical data structures back [`crate::summary::SummaryTool`]:
 //!
 //! * [`QuantileSketch`] — a log-bucketed histogram at 16 sub-buckets per
-//!   decade (also [`crate::DurationHistogram`], whose half-decade view is
-//!   [`QuantileSketch::half_decade_counts`]). Reporting the geometric midpoint of the bucket
+//!   decade, the workspace's one log-bucket histogram (its half-decade
+//!   view is [`QuantileSketch::half_decade_counts`]). Reporting the geometric midpoint of the bucket
 //!   containing a quantile bounds the *relative* error by the half-width
 //!   of one bucket: `10^(1/32) - 1 ≈ 7.5%` ([`QUANTILE_REL_ERR`]), the
 //!   same guarantee family as DDSketch. Count, sum, min and max survive
@@ -342,6 +342,18 @@ mod tests {
         assert_eq!(sk.sum_ns, 123_450);
         assert_eq!(sk.min_ns, 12_345);
         assert_eq!(sk.max_ns, 12_345);
+    }
+
+    #[test]
+    fn exact_aggregates_survive_reduction() {
+        let mut h = QuantileSketch::default();
+        for ns in [100u64, 200, 300, 1_000_000] {
+            h.record(ns);
+        }
+        assert_eq!(h.total, 4);
+        assert_eq!(h.min_ns, 100);
+        assert_eq!(h.max_ns, 1_000_000);
+        assert!((h.mean_secs() - 250_150.0 * 1e-9).abs() < 1e-15);
     }
 
     #[test]

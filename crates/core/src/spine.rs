@@ -584,7 +584,6 @@ mod tests {
             .run(move |p| {
                 let world = p.world();
                 let me = p.world_rank();
-                p.pcontrol(1);
                 for step in 0..3 {
                     s.scoped(p, &world, "STEP", |p| {
                         p.advance_secs(0.001 * (me + step + 1) as f64);

@@ -15,8 +15,8 @@
 //! * **useful** time (presence minus waits and transfer),
 //! * message/byte counters (pvar-style deltas: each point event lands in
 //!   exactly one window, so window sums recompose the run totals),
-//! * a log-bucket wait-duration histogram per window (reusing
-//!   [`DurationHistogram`] — one binning scheme for the whole repo).
+//! * a log-bucket wait-duration histogram per window (a
+//!   [`QuantileSketch`] — one binning scheme for the whole repo).
 //!
 //! The interval arithmetic is the event spine's; this module is its
 //! fixed-edge window sink ([`CommLog::fold`] drives it), depositing into
@@ -27,7 +27,7 @@
 //! hierarchy over these numbers lives in [`crate::efficiency`]; trend
 //! detection over the resulting metric series lives in `speedup::trend`.
 
-use crate::histogram::DurationHistogram;
+use crate::sketch::QuantileSketch;
 use crate::spine::{Cell, Count, Sink, Span};
 use crate::waitstate::CommLog;
 use crate::whatif::WaitClass;
@@ -164,9 +164,9 @@ pub struct Window {
     /// Per-section stats, keyed by label.
     pub sections: BTreeMap<String, WindowSection>,
     /// Distribution of the individual wait durations (late-sender and
-    /// collective waits) that *started* in this window — the same
-    /// half-decade log buckets as [`crate::HistogramTool`].
-    pub wait_hist: DurationHistogram,
+    /// collective waits) that *started* in this window, exported as
+    /// [`QuantileSketch::half_decade_counts`].
+    pub wait_hist: QuantileSketch,
 }
 
 impl Window {
@@ -265,7 +265,7 @@ struct Windows<'a> {
     nsec: usize,
     nranks: usize,
     cells: Vec<Cell>,
-    hists: Vec<DurationHistogram>,
+    hists: Vec<QuantileSketch>,
 }
 
 impl Windows<'_> {
@@ -305,7 +305,7 @@ pub fn build(log: &CommLog, windowing: &Windowing) -> Timeline {
         nsec,
         nranks,
         cells: vec![Cell::default(); nwin * nsec * nranks],
-        hists: vec![DurationHistogram::default(); nwin],
+        hists: vec![QuantileSketch::default(); nwin],
     };
     log.fold(&mut sink);
     let Windows { cells, hists, .. } = sink;
@@ -315,7 +315,7 @@ pub fn build(log: &CommLog, windowing: &Windowing) -> Timeline {
             start_ns: edges[w],
             end_ns: edges[w + 1],
             sections: BTreeMap::new(),
-            wait_hist: DurationHistogram::default(),
+            wait_hist: QuantileSketch::default(),
         })
         .collect();
     // Fold each (window, section)'s per-rank cells into its stats. Every
@@ -481,9 +481,9 @@ impl Timeline {
     }
 }
 
-/// JSON form of a [`DurationHistogram`] (empty histograms export
+/// JSON form of a [`QuantileSketch`] (empty histograms export
 /// `min_ns: 0` rather than the `u64::MAX` sentinel).
-fn hist_json(h: &DurationHistogram) -> String {
+fn hist_json(h: &QuantileSketch) -> String {
     let mut out = String::from("{\"counts\":[");
     for (i, c) in h.half_decade_counts().iter().enumerate() {
         if i > 0 {

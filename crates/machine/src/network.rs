@@ -103,15 +103,12 @@ impl CollectiveCost<'_> {
         match op {
             "barrier" | "split.exchange" | "split.create" => self.barrier(),
             "bcast" => self.bcast(total),
-            // Reduce and the scans: the broadcast tree, reversed.
-            "reduce" | "exscan" | "scan" => self.bcast(total / p),
+            // Reduce: the broadcast tree, reversed.
+            "reduce" => self.bcast(total / p),
             // Gather: the scatter, reversed.
             "scatterv" | "gatherv" => self.scatter(total),
             "allgather" => self.allgather(total / p),
             "allreduce" => self.allreduce(total / p),
-            "alltoall" => self.alltoall(total / (p * p)),
-            // Same communication volume class as an allreduce of one block.
-            "reduce_scatter" => self.allreduce(total / (p * p)),
             _ => panic!("machine: no cost formula for collective '{op}'"),
         }
     }
@@ -148,14 +145,6 @@ impl CollectiveCost<'_> {
             return 0.0;
         }
         (self.p - 1) as f64 * self.hop(bytes_per_rank)
-    }
-
-    /// All-to-all: (p-1) pairwise exchanges of `bytes_per_pair`.
-    pub fn alltoall(&self, bytes_per_pair: usize) -> f64 {
-        if self.p <= 1 {
-            return 0.0;
-        }
-        (self.p - 1) as f64 * self.hop(bytes_per_pair)
     }
 }
 
@@ -221,7 +210,6 @@ mod tests {
         assert_eq!(c.barrier(), 0.0);
         assert_eq!(c.bcast(1_000_000), 0.0);
         assert_eq!(c.allgather(100), 0.0);
-        assert_eq!(c.alltoall(100), 0.0);
     }
 
     #[test]
@@ -238,10 +226,8 @@ mod tests {
         let c = CollectiveCost { link: &l, p: 4 };
         assert_eq!(c.base_secs("split.create", 1 << 20), c.barrier());
         assert_eq!(c.base_secs("gatherv", 4096), c.scatter(4096));
-        assert_eq!(c.base_secs("exscan", 4096), c.bcast(1024));
+        assert_eq!(c.base_secs("reduce", 4096), c.bcast(1024));
         assert_eq!(c.base_secs("allreduce", 4096), c.allreduce(1024));
-        assert_eq!(c.base_secs("alltoall", 4096), c.alltoall(256));
-        assert_eq!(c.base_secs("reduce_scatter", 4096), c.allreduce(256));
     }
 
     #[test]

@@ -114,17 +114,6 @@ impl<T: 'static> RecvReq<T> {
         p.tool_call_exit(MpiCall::Wait, self.comm.id(), out.logical_bytes);
         out
     }
-
-    /// `MPI_Test`: complete the receive if the message already arrived,
-    /// else hand the request back untouched. Costs no virtual time when
-    /// nothing matched.
-    pub fn test(self, p: &mut Proc) -> Result<Recvd<T>, RecvReq<T>> {
-        if self.comm.probe(p, self.src, self.tag) {
-            Ok(self.wait(p))
-        } else {
-            Err(self)
-        }
-    }
 }
 
 /// Complete a batch of receive requests (`MPI_Waitall`), returning the
@@ -399,32 +388,6 @@ impl Comm {
         }
     }
 
-    /// Non-blocking probe: is a matching message already queued?
-    ///
-    /// A miss parks the caller as a *poller* (revived by the next deposit
-    /// into its mailbox or when every other rank is blocked or done)
-    /// before reporting `false`, so poll loops make progress, and — the
-    /// scheduler alone deciding who runs next — a program's sequence of
-    /// hits and misses is the same on every run of an engine. It is not
-    /// the same *across* engines, which order equal-clock ranks
-    /// differently: a protocol whose result must not depend on the
-    /// schedule polls in a loop (as `RecvReq::test` users do) or uses
-    /// blocking receives.
-    pub fn probe(&self, p: &Proc, src: Src, tag: TagSel) -> bool {
-        crate::des::with_active(|s| {
-            let hit = s.queue_probe(p.world_rank, self.id(), src, tag);
-            if !hit {
-                // Yield so peers can run; report the miss afterwards (the
-                // caller decides whether to keep polling). The poison
-                // check makes a spin loop unwind with its peers.
-                s.note_clock(p.world_rank, p.now);
-                s.park_poller();
-                p.mailboxes.poison.check();
-            }
-            hit
-        })
-    }
-
     // ------------------------------------------------------------------
     // Collectives
     // ------------------------------------------------------------------
@@ -550,19 +513,6 @@ impl Comm {
         out
     }
 
-    /// Variable scatter: the root passes one chunk per rank; every rank
-    /// receives its chunk (moved, not cloned).
-    #[inline(always)]
-    pub fn scatterv<T: Send + 'static>(
-        &self,
-        p: &mut Proc,
-        root: usize,
-        chunks: Option<Vec<Vec<T>>>,
-    ) -> Vec<T> {
-        let parts = chunks.map(|chunks| chunks.into_iter().map(Payload::from_vec).collect());
-        self.scatterv_payload(p, root, parts).into_vec()
-    }
-
     /// Variable scatter of payloads, real or virtual: the root passes one
     /// per rank; every rank receives its own (moved, not cloned).
     // Forced inline into the caller, like `sync`: a rank suspends under it.
@@ -611,7 +561,7 @@ impl Comm {
         root: usize,
         data: Option<Vec<T>>,
     ) -> Vec<T> {
-        let chunks = data.map(|v| {
+        let parts = data.map(|v| {
             let p_count = self.size();
             assert!(
                 v.len() % p_count == 0,
@@ -623,12 +573,12 @@ impl Comm {
             let mut out = Vec::with_capacity(p_count);
             for _ in 0..p_count {
                 let rest = v.split_off(chunk);
-                out.push(v);
+                out.push(Payload::from_vec(v));
                 v = rest;
             }
             out
         });
-        self.scatterv(p, root, chunks)
+        self.scatterv_payload(p, root, parts).into_vec()
     }
 
     /// Variable gather: every rank contributes a vector; the root receives
@@ -793,115 +743,6 @@ impl Comm {
     /// Scalar f64 allreduce with the sum operator.
     pub fn allreduce_sum_f64(&self, p: &mut Proc, x: f64) -> f64 {
         self.allreduce_as(p, [x], |a, b| a + b, |all| all[0])
-    }
-
-    /// Scalar f64 allreduce with the maximum operator.
-    pub fn allreduce_max_f64(&self, p: &mut Proc, x: f64) -> f64 {
-        self.allreduce_as(p, [x], |a, b| a.max(*b), |all| all[0])
-    }
-
-    /// All-to-all: rank `i` sends `chunks[j]` to rank `j`; returns the
-    /// chunks received, indexed by source rank.
-    pub fn alltoall<T: Send + 'static>(&self, p: &mut Proc, chunks: Vec<Vec<T>>) -> Vec<Vec<T>> {
-        assert_eq!(
-            chunks.len(),
-            self.size(),
-            "mpisim: alltoall needs one chunk per rank"
-        );
-        p.tool_call_enter(MpiCall::Alltoall, self.id());
-        let my_bytes: u64 = chunks
-            .iter()
-            .map(|c| (c.len() * std::mem::size_of::<T>()) as u64)
-            .sum();
-        let done = self.sync(p, "alltoall", None, my_bytes, Payload::from_vec(chunks));
-        let out: Vec<Vec<T>> = {
-            let mut slots = done.slots.lock();
-            slots
-                .iter_mut()
-                .map(|s| std::mem::take(&mut s.get_mut::<Vec<Vec<T>>>()[self.local_rank]))
-                .collect()
-        };
-        let recv_bytes: u64 = out
-            .iter()
-            .map(|v| (v.len() * std::mem::size_of::<T>()) as u64)
-            .sum();
-        p.tool_call_exit(MpiCall::Alltoall, self.id(), my_bytes + recv_bytes);
-        out
-    }
-
-    /// Exclusive element-wise scan: rank `r` receives the reduction of the
-    /// contributions of ranks `0..r`; rank 0 receives `identity`.
-    pub fn exscan<T, F>(&self, p: &mut Proc, data: Vec<T>, identity: Vec<T>, op: F) -> Vec<T>
-    where
-        T: Clone + Send + 'static,
-        F: Fn(&T, &T) -> T,
-    {
-        p.tool_call_enter(MpiCall::Scan, self.id());
-        let my_bytes = (data.len() * std::mem::size_of::<T>()) as u64;
-        let done = self.sync(p, "exscan", None, my_bytes, Payload::from_vec(data));
-        let out = {
-            let slots = done.slots.lock();
-            let mut acc = identity;
-            for slot in slots.iter().take(self.local_rank) {
-                let v = slot.get::<Vec<T>>();
-                assert_eq!(v.len(), acc.len(), "mpisim: exscan length mismatch");
-                for (a, b) in acc.iter_mut().zip(v.iter()) {
-                    *a = op(a, b);
-                }
-            }
-            acc
-        };
-        p.tool_call_exit(MpiCall::Scan, self.id(), my_bytes);
-        out
-    }
-
-    /// Reduce-scatter with equal blocks: element-wise reduction of all
-    /// contributions, then rank `r` receives block `r` of the result.
-    /// Every rank must contribute `size() * block_len` elements.
-    pub fn reduce_scatter_block<T, F>(&self, p: &mut Proc, data: Vec<T>, op: F) -> Vec<T>
-    where
-        T: Clone + Send + 'static,
-        F: Fn(&T, &T) -> T,
-    {
-        let psize = self.size();
-        assert!(
-            data.len().is_multiple_of(psize),
-            "mpisim: reduce_scatter_block length {} not divisible by {psize}",
-            data.len()
-        );
-        let block = data.len() / psize;
-        p.tool_call_enter(MpiCall::Reduce, self.id());
-        let my_bytes = (data.len() * std::mem::size_of::<T>()) as u64;
-        let done = self.sync(p, "reduce_scatter", None, my_bytes, Payload::from_vec(data));
-        let out = Self::with_fold::<T, Vec<T>, F, _>(&done, psize, &op, |full| {
-            full[self.local_rank * block..(self.local_rank + 1) * block].to_vec()
-        });
-        p.tool_call_exit(MpiCall::Reduce, self.id(), my_bytes);
-        out
-    }
-
-    /// Inclusive element-wise scan: rank `r` receives the reduction of the
-    /// contributions of ranks `0..=r`.
-    pub fn scan<T, F>(&self, p: &mut Proc, data: Vec<T>, op: F) -> Vec<T>
-    where
-        T: Clone + Send + 'static,
-        F: Fn(&T, &T) -> T,
-    {
-        p.tool_call_enter(MpiCall::Scan, self.id());
-        let my_bytes = (data.len() * std::mem::size_of::<T>()) as u64;
-        let done = self.sync(p, "scan", None, my_bytes, Payload::from_vec(data));
-        let out = {
-            let slots = done.slots.lock();
-            let mut acc = slots[0].get::<Vec<T>>().clone();
-            for slot in slots.iter().take(self.local_rank + 1).skip(1) {
-                for (a, b) in acc.iter_mut().zip(slot.get::<Vec<T>>()) {
-                    *a = op(a, b);
-                }
-            }
-            acc
-        };
-        p.tool_call_exit(MpiCall::Scan, self.id(), my_bytes);
-        out
     }
 
     // ------------------------------------------------------------------

@@ -19,14 +19,10 @@
 //! reference engine may, and does, break clock ties in the opposite rank
 //! order (see [`Scheduler::new`]).
 //!
-//! Non-blocking probes get a third state: a rank that polls and misses is
-//! parked as a *poller* and revived when a message lands in its mailbox
-//! or when the ready queue drains — so `test`/`probe` spin loops make
-//! progress without busy-looping the scheduler, and a probe
-//! still observes "not here yet" exactly as it can under real MPI.
-//!
-//! When the ready queue is empty, no pollers remain, and live ranks are
-//! still blocked, the world is provably deadlocked (no message can ever
+//! A rank suspends only on a wait it can name: a receive with no matching
+//! message, or a collective whose members have not all arrived. So when
+//! the ready queue is empty and live ranks remain, every one of them is
+//! blocked and the world is provably deadlocked (no message can ever
 //! arrive). This is the world's one deadlock detector, and it costs a
 //! running world nothing: no wait is recorded when a rank blocks. Only
 //! once the proof is in hand does the scheduler poison the world and
@@ -36,8 +32,7 @@
 //! diagnostic (`crate::diag::deadlock`). What this gives up against
 //! watching every block: a knot among *some* ranks is reported when the
 //! rest of the world has drained, not the instant it closes — virtual-time
-//! programs terminate, so only host time differs — and a world whose only
-//! runnable ranks poll forever is a livelock nobody proves.
+//! programs terminate, so only host time differs.
 //!
 //! The same one-rank-at-a-time order is what lets tools keep their
 //! per-event state in a [`WorldCell`]: bound to one running world, it is
@@ -46,7 +41,6 @@
 
 use crate::comm::CommShared;
 use crate::diag::Wait;
-use crate::event::CommId;
 use crate::mailbox::{take_from_queue, Poison};
 use crate::message::{Envelope, Src, TagSel};
 use machine::VTime;
@@ -69,9 +63,6 @@ enum RankState {
     Running,
     /// Suspended until a peer calls [`Scheduler::wake`].
     Blocked,
-    /// Suspended after a missed probe; revived by a deposit or when the
-    /// ready heap drains.
-    Polling,
     /// Entry function returned (or unwound into the rank's catch net).
     Done,
 }
@@ -184,13 +175,6 @@ impl Scheduler {
         }
     }
 
-    /// Is a matching message already queued for `rank`?
-    pub(crate) fn queue_probe(&self, rank: usize, comm: CommId, src: Src, tag: TagSel) -> bool {
-        self.queues.borrow()[rank]
-            .iter()
-            .any(|e| e.matches(comm, src, tag))
-    }
-
     /// The ranks that were blocked when the world was proved deadlocked,
     /// each with the wait it reported (empty: no deadlock), in the order
     /// the engine revived them.
@@ -226,18 +210,11 @@ impl Scheduler {
         self.stuck.borrow_mut().push((self.current.get(), wait()));
     }
 
-    /// Suspend the current rank after a missed probe; it is revived by
-    /// the next deposit into its mailbox or when the ready heap drains.
-    pub(crate) fn park_poller(&self) {
-        self.slots.borrow_mut()[self.current.get()].state = RankState::Polling;
-        crate::fiber::suspend_current();
-    }
-
-    /// Make `rank` runnable again (no-op unless it is blocked/polling).
+    /// Make `rank` runnable again (no-op unless it is blocked).
     pub(crate) fn wake(&self, rank: usize) {
         let mut slots = self.slots.borrow_mut();
         let slot = &mut slots[rank];
-        if matches!(slot.state, RankState::Blocked | RankState::Polling) {
+        if slot.state == RankState::Blocked {
             slot.state = RankState::Ready;
             let key = (slot.clock, rank ^ self.tie_flip);
             self.ready.borrow_mut().push(Reverse(key));
@@ -259,24 +236,12 @@ impl Scheduler {
         while ndone < nranks {
             let next = self.ready.borrow_mut().pop();
             let Some(Reverse((_, key))) = next else {
-                // Ready heap empty. Revive pollers first: a poller's spin
-                // loop owns the decision to keep polling or give up.
-                let pollers: Vec<usize> = {
-                    let slots = self.slots.borrow();
-                    (0..nranks)
-                        .filter(|&r| slots[r].state == RankState::Polling)
-                        .collect()
-                };
-                if pollers.is_empty() {
-                    // No runnable rank, no poller, not everyone done: the
-                    // remaining ranks wait on messages that can never
-                    // arrive.
-                    self.deadlocked.set(true);
-                    poison_world();
-                    self.wake_all();
-                } else {
-                    pollers.into_iter().for_each(|rank| self.wake(rank));
-                }
+                // No runnable rank, not everyone done: the remaining ranks
+                // are blocked on messages or collectives that can never
+                // complete.
+                self.deadlocked.set(true);
+                poison_world();
+                self.wake_all();
                 continue;
             };
             let rank = key ^ self.tie_flip;
@@ -289,8 +254,9 @@ impl Scheduler {
                 slots[rank].state = RankState::Done;
                 ndone += 1;
             } else if slots[rank].state == RankState::Running {
-                // The fiber suspended without declaring why (defensive:
-                // no simulator path does this). Treat it as a plain yield.
+                // The fiber suspended without naming a wait (no simulator
+                // path does this; the tests below yield so). Treat it as a
+                // plain yield.
                 slots[rank].state = RankState::Blocked;
                 drop(slots);
                 self.wake(rank);
@@ -667,6 +633,7 @@ pub(crate) fn with_active<R>(f: impl FnOnce(&Scheduler) -> R) -> R {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::CommId;
     use crate::fiber::{Fiber, StackPool, Switch};
     use std::sync::{Arc, Mutex};
 
@@ -784,11 +751,10 @@ mod tests {
             };
             let body1 = move || {
                 if log1.lock().unwrap().is_empty() {
-                    // Reversed ties ran us first: let rank 0 block.
-                    with_active(|s| {
-                        s.note_clock(1, VTime(5));
-                        s.park_poller();
-                    });
+                    // Reversed ties ran us first: yield, naming no wait, so
+                    // `drive` re-queues us at clock 5 and rank 0 blocks.
+                    with_active(|s| s.note_clock(1, VTime(5)));
+                    crate::fiber::suspend_current();
                 }
                 log1.lock().unwrap().push("r1 wakes r0".into());
                 with_active(|s| s.wake(0));

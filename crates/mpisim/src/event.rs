@@ -39,8 +39,6 @@ pub enum MpiCall {
     Allgather,
     Reduce,
     Allreduce,
-    Alltoall,
-    Scan,
     CommDup,
     CommSplit,
 }
@@ -64,8 +62,6 @@ impl MpiCall {
             MpiCall::Allgather => "MPI_Allgather",
             MpiCall::Reduce => "MPI_Reduce",
             MpiCall::Allreduce => "MPI_Allreduce",
-            MpiCall::Alltoall => "MPI_Alltoall",
-            MpiCall::Scan => "MPI_Scan",
             MpiCall::CommDup => "MPI_Comm_dup",
             MpiCall::CommSplit => "MPI_Comm_split",
         }
@@ -84,8 +80,6 @@ impl MpiCall {
                 | MpiCall::Allgather
                 | MpiCall::Reduce
                 | MpiCall::Allreduce
-                | MpiCall::Alltoall
-                | MpiCall::Scan
                 | MpiCall::CommDup
                 | MpiCall::CommSplit
         )
@@ -148,10 +142,6 @@ pub enum MpiEvent {
         inner: u32,
         time: VTime,
     },
-    /// `MPI_Pcontrol(level)` — the standard's tool-control hook, whose
-    /// semantics are tool-defined (the IPM phase-outlining mechanism the
-    /// paper compares against in §6).
-    Pcontrol { level: i32, time: VTime },
     /// An eager send deposited a message into the destination's mailbox.
     /// Raised on the *sender's* thread, before the deposit becomes visible
     /// to the receiver, so an analyzer's in-flight set is always a superset
@@ -254,12 +244,11 @@ pub enum EventKind {
     CallExit = 3,
     SectionEnter = 4,
     SectionLeave = 5,
-    Pcontrol = 6,
-    SendEnqueued = 7,
-    RecvMatched = 8,
-    CollectiveEnter = 9,
-    CollectiveExit = 10,
-    Compute = 11,
+    SendEnqueued = 6,
+    RecvMatched = 7,
+    CollectiveEnter = 8,
+    CollectiveExit = 9,
+    Compute = 10,
 }
 
 /// A set of [`EventKind`]s a tool wants delivered (see
@@ -326,7 +315,6 @@ impl MpiEvent {
             MpiEvent::CallExit { .. } => EventKind::CallExit,
             MpiEvent::SectionEnter { .. } => EventKind::SectionEnter,
             MpiEvent::SectionLeave { .. } => EventKind::SectionLeave,
-            MpiEvent::Pcontrol { .. } => EventKind::Pcontrol,
             MpiEvent::SendEnqueued { .. } => EventKind::SendEnqueued,
             MpiEvent::RecvMatched { .. } => EventKind::RecvMatched,
             MpiEvent::CollectiveEnter { .. } => EventKind::CollectiveEnter,
@@ -344,7 +332,6 @@ impl MpiEvent {
             | MpiEvent::CallExit { time, .. }
             | MpiEvent::SectionEnter { time, .. }
             | MpiEvent::SectionLeave { time, .. }
-            | MpiEvent::Pcontrol { time, .. }
             | MpiEvent::SendEnqueued { time, .. }
             | MpiEvent::RecvMatched { time, .. }
             | MpiEvent::CollectiveEnter { time, .. }
@@ -406,7 +393,7 @@ mod tests {
         assert!(mask.contains(EventKind::Init));
         assert!(mask.contains(EventKind::RecvMatched));
         assert!(!mask.contains(EventKind::SendEnqueued));
-        assert!(EventMask::ALL.contains(EventKind::Pcontrol));
+        assert!(EventMask::ALL.contains(EventKind::Compute));
         assert!(EventMask::NONE.is_empty());
         assert!(EventMask::LIFECYCLE.contains(EventKind::Finalize));
         assert!(!EventMask::LIFECYCLE.contains(EventKind::CallEnter));

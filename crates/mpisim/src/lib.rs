@@ -13,8 +13,8 @@
 //!   `MPISIM_ENGINE` environment variable);
 //! * communicators ([`Comm`]) with `dup`/`split`, point-to-point messaging
 //!   (blocking, non-blocking, combined sendrecv, virtual/timing-mode
-//!   payloads) and the usual collectives (barrier, bcast, scatter(v),
-//!   gather(v), allgather, reduce, allreduce, alltoall, scan);
+//!   payloads) and the collectives the workloads use (barrier, bcast,
+//!   scatter(v), gather(v), allgather, reduce, allreduce);
 //! * **virtual time**: each rank owns a clock; computation is priced by a
 //!   [`machine::MachineModel`], messages piggyback their departure
 //!   timestamps, and collectives synchronize clocks — so a 456-rank cluster

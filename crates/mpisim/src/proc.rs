@@ -174,16 +174,6 @@ impl Proc {
         crate::message::seq_of(self.world_rank, n)
     }
 
-    /// `MPI_Pcontrol(level)`: a pure tool notification with tool-defined
-    /// semantics (§6 related work: how IPM outlines phases). Costs nothing
-    /// and does nothing unless a tool interprets it.
-    pub fn pcontrol(&self, level: i32) {
-        self.raise(MpiEvent::Pcontrol {
-            level,
-            time: self.now,
-        });
-    }
-
     #[inline]
     pub(crate) fn tool_call_enter(&self, call: MpiCall, comm: CommId) {
         if self.wants(EventKind::CallEnter) {

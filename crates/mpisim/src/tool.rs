@@ -195,7 +195,7 @@ mod tests {
         let wide = Arc::new(Counter(AtomicUsize::new(0)));
         let set = ToolSet::from_tools(vec![narrow.clone(), wide.clone()]);
         assert!(set.wants(EventKind::Init));
-        assert!(set.wants(EventKind::Pcontrol)); // wide tool wants ALL
+        assert!(set.wants(EventKind::Compute)); // wide tool wants ALL
         set.raise(
             0,
             &MpiEvent::Init {
@@ -205,12 +205,13 @@ mod tests {
         );
         set.raise(
             0,
-            &MpiEvent::Pcontrol {
-                level: 1,
+            &MpiEvent::Compute {
+                base: VTime::ZERO,
+                elapsed: VTime::ZERO,
                 time: VTime::ZERO,
             },
         );
-        assert_eq!(narrow.0.load(Ordering::Relaxed), 1, "Pcontrol filtered");
+        assert_eq!(narrow.0.load(Ordering::Relaxed), 1, "Compute filtered");
         assert_eq!(wide.0.load(Ordering::Relaxed), 2);
 
         // A set with only the narrow tool rejects non-lifecycle kinds

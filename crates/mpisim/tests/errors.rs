@@ -6,7 +6,7 @@
 mod misuse;
 
 use mpisim::{
-    BlockedSite, Diagnostic, DiagnosticKind, Engine, RunError, Src, TagSel, WorldBuilder,
+    BlockedSite, Diagnostic, DiagnosticKind, Engine, Payload, RunError, Src, TagSel, WorldBuilder,
 };
 
 /// The engine's own diagnosis of `program`: no tool attached.
@@ -73,8 +73,10 @@ fn scatter_with_indivisible_length() {
 fn scatterv_with_wrong_chunk_count() {
     expect_panic_containing(3, "one chunk per rank", |p| {
         let world = p.world();
-        let chunks = (p.world_rank() == 0).then(|| vec![vec![1u8]; 2]); // 2 != 3
-        let _ = world.scatterv(p, 0, chunks);
+        // 2 != 3
+        let chunks =
+            (p.world_rank() == 0).then(|| (0..2).map(|_| Payload::from_vec(vec![1u8])).collect());
+        let _ = world.scatterv_payload(p, 0, chunks);
     });
 }
 
@@ -163,22 +165,6 @@ fn reduce_length_mismatch() {
         let world = p.world();
         let data = vec![1i64; 1 + p.world_rank()];
         let _ = world.reduce(p, 0, data, |a, b| a + b);
-    });
-}
-
-#[test]
-fn alltoall_wrong_chunk_count() {
-    expect_panic_containing(3, "one chunk per rank", |p| {
-        let world = p.world();
-        let _ = world.alltoall(p, vec![vec![0u8]; 2]);
-    });
-}
-
-#[test]
-fn reduce_scatter_indivisible() {
-    expect_panic_containing(3, "not divisible", |p| {
-        let world = p.world();
-        let _ = world.reduce_scatter_block(p, vec![0i64; 7], |a, b| a + b);
     });
 }
 
@@ -336,33 +322,6 @@ fn a_panic_beside_blocked_ranks_is_still_the_panic() {
             "{engine:?}"
         );
     }
-}
-
-#[test]
-fn probe_does_not_consume() {
-    let report = WorldBuilder::new(2)
-        .run(|p| {
-            let world = p.world();
-            if p.world_rank() == 0 {
-                world.send(p, 1, 9, &[42u8]);
-                0
-            } else {
-                // Spin (bounded) until the probe sees it.
-                let mut probes = 0;
-                while !world.probe(p, Src::Rank(0), TagSel::Is(9)) {
-                    probes += 1;
-                    assert!(probes < 1_000_000, "message never arrived");
-                    std::thread::yield_now();
-                }
-                // Probing twice still true; receiving consumes it.
-                assert!(world.probe(p, Src::Rank(0), TagSel::Is(9)));
-                let msg = world.recv::<u8>(p, Src::Rank(0), TagSel::Is(9));
-                assert!(!world.probe(p, Src::Rank(0), TagSel::Is(9)));
-                msg.data[0] as usize
-            }
-        })
-        .unwrap();
-    assert_eq!(report.results[1], 42);
 }
 
 #[test]

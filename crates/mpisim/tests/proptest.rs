@@ -52,39 +52,6 @@ proptest! {
     }
 
     #[test]
-    fn alltoall_is_a_transpose(nranks in 1usize..7, chunk in 1usize..5) {
-        let report = WorldBuilder::new(nranks)
-            .run(move |p| {
-                let world = p.world();
-                let me = p.world_rank();
-                let chunks: Vec<Vec<usize>> = (0..nranks)
-                    .map(|dest| vec![me * 1000 + dest; chunk])
-                    .collect();
-                world.alltoall(p, chunks)
-            })
-            .unwrap();
-        for (me, rows) in report.results.iter().enumerate() {
-            for (src, data) in rows.iter().enumerate() {
-                prop_assert_eq!(data, &vec![src * 1000 + me; chunk]);
-            }
-        }
-    }
-
-    #[test]
-    fn scan_matches_prefix_sums(nranks in 1usize..9) {
-        let report = WorldBuilder::new(nranks)
-            .run(move |p| {
-                let world = p.world();
-                world.scan(p, vec![p.world_rank() as u64 + 1], |a, b| a + b)[0]
-            })
-            .unwrap();
-        for (r, &got) in report.results.iter().enumerate() {
-            let expect: u64 = (1..=r as u64 + 1).sum();
-            prop_assert_eq!(got, expect);
-        }
-    }
-
-    #[test]
     fn split_partitions_the_world(nranks in 1usize..13, ncolors in 1usize..5) {
         let report = WorldBuilder::new(nranks)
             .run(move |p| {

@@ -281,8 +281,12 @@ fn scatterv_uneven_chunks() {
     let report = WorldBuilder::new(3)
         .run(|p| {
             let world = p.world();
-            let chunks = (p.world_rank() == 1).then(|| vec![vec![1u8], vec![2, 3], vec![4, 5, 6]]);
-            world.scatterv(p, 1, chunks)
+            let chunks = (p.world_rank() == 1).then(|| {
+                [vec![1u8], vec![2, 3], vec![4, 5, 6]]
+                    .map(Payload::from_vec)
+                    .into()
+            });
+            world.scatterv_payload(p, 1, chunks).into_vec::<u8>()
         })
         .unwrap();
     assert_eq!(report.results[0], vec![1]);
@@ -355,16 +359,11 @@ fn scalar_allreduce_helpers() {
         .run(|p| {
             let world = p.world();
             let x = p.world_rank() as f64 + 1.0;
-            (
-                world.allreduce_min_f64(p, x),
-                world.allreduce_max_f64(p, x),
-                world.allreduce_sum_f64(p, x),
-            )
+            (world.allreduce_min_f64(p, x), world.allreduce_sum_f64(p, x))
         })
         .unwrap();
-    for (mn, mx, sum) in report.results {
+    for (mn, sum) in report.results {
         assert_eq!(mn, 1.0);
-        assert_eq!(mx, 4.0);
         assert_eq!(sum, 10.0);
     }
 }
@@ -393,39 +392,6 @@ fn allreduce_folds_in_rank_order_on_both_engines() {
             }
         }
     }
-}
-
-#[test]
-fn alltoall_transpose() {
-    let n = 3;
-    let report = WorldBuilder::new(n)
-        .run(|p| {
-            let world = p.world();
-            let me = p.world_rank();
-            // Chunk for dest j: [me*10 + j].
-            let chunks: Vec<Vec<usize>> = (0..n).map(|j| vec![me * 10 + j]).collect();
-            world.alltoall(p, chunks)
-        })
-        .unwrap();
-    for (me, rows) in report.results.iter().enumerate() {
-        for (src, chunk) in rows.iter().enumerate() {
-            assert_eq!(chunk, &vec![src * 10 + me]);
-        }
-    }
-}
-
-#[test]
-fn inclusive_scan() {
-    let report = WorldBuilder::new(5)
-        .run(|p| {
-            let world = p.world();
-            world.scan(p, vec![p.world_rank() as u64 + 1], |a, b| a + b)
-        })
-        .unwrap();
-    assert_eq!(
-        report.results,
-        vec![vec![1], vec![3], vec![6], vec![10], vec![15]]
-    );
 }
 
 #[test]
@@ -653,7 +619,6 @@ impl Tool for Recorder {
             MpiEvent::CallExit { call, bytes, .. } => format!("exit:{}:{bytes}", call.name()),
             MpiEvent::SectionEnter { label, .. } => format!("sec+:{label}"),
             MpiEvent::SectionLeave { label, .. } => format!("sec-:{label}"),
-            MpiEvent::Pcontrol { .. } => "pcontrol".to_string(),
             // Analyzer-layer events (SendEnqueued, RecvMatched, ...) are
             // exercised by their own tests; keep this trace call-level.
             _ => return,
@@ -843,8 +808,14 @@ fn typed_and_timing_forms_raise_the_same_events() {
                     let got =
                         world.sendrecv(p, right, 0, &[0.5f64; 100], Src::Rank(left), TagSel::Is(0));
                     assert_eq!(got.data.len(), 100);
-                    let chunks = (me == 1).then(|| counts.iter().map(|&c| vec![7u32; c]).collect());
-                    assert_eq!(world.scatterv(p, 1, chunks).len(), counts[me]);
+                    let chunks = (me == 1).then(|| {
+                        counts
+                            .iter()
+                            .map(|&c| Payload::from_vec(vec![7u32; c]))
+                            .collect()
+                    });
+                    let mine = world.scatterv_payload(p, 1, chunks).into_vec::<u32>();
+                    assert_eq!(mine.len(), counts[me]);
                     let _ = world.gatherv(p, 2, vec![0.5f64; 5 * me]);
                 } else {
                     let got = world.sendrecv_virtual::<f64>(
@@ -877,20 +848,16 @@ fn typed_and_timing_forms_raise_the_same_events() {
     assert_eq!(typed, run(false));
 }
 
-/// Every rank's events but `CallEnter` and `Pcontrol` — the kinds a
-/// section-tracking tool subscribes to — from a program that mixes named
-/// and wildcard `recv`, `sendrecv`, `isend`/`irecv` completed by `wait`,
-/// `test` and `waitall`, and collectives on `split` and `dup`
-/// communicators.
+/// Every rank's events but `CallEnter` — the kinds a section-tracking
+/// tool subscribes to — from a program that mixes named and wildcard
+/// `recv`, `sendrecv`, `isend`/`irecv` completed by `wait` and `waitall`,
+/// and collectives on `split` and `dup` communicators.
 fn spine_streams(engine: Engine) -> Vec<Vec<MpiEvent>> {
     #[derive(Default)]
     struct Streams(Mutex<Vec<Vec<MpiEvent>>>);
     impl Tool for Streams {
         fn on_event(&self, rank: usize, event: &MpiEvent) {
-            if matches!(
-                event,
-                MpiEvent::CallEnter { .. } | MpiEvent::Pcontrol { .. }
-            ) {
+            if matches!(event, MpiEvent::CallEnter { .. }) {
                 return;
             }
             let mut streams = self.0.lock();
@@ -927,11 +894,9 @@ fn spine_streams(engine: Engine) -> Vec<Vec<MpiEvent>> {
                 let sends = [right, left].map(|dst| world.isend(p, dst, 3, &[me as u16]));
                 let _ = mpisim::waitall(p, reqs.into());
                 sends.into_iter().for_each(|s| s.wait(p));
-                let mut req = world.irecv::<u8>(p, Src::Rank(right), TagSel::Is(4));
+                let req = world.irecv::<u8>(p, Src::Rank(right), TagSel::Is(4));
                 world.send(p, left, 4, &[0u8]);
-                while let Err(back) = req.test(p) {
-                    req = back;
-                }
+                let _ = req.wait(p);
                 let half = world.split(p, Some((me % 2) as i32), -(me as i32)).unwrap();
                 let _ = half.allreduce_sum_f64(p, me as f64);
                 let dup = half.dup(p);
@@ -995,7 +960,7 @@ fn a_receive_carries_its_return_and_a_round_is_the_same_on_every_member() {
                 }
             }
         }
-        // 3 steps x (named + sendrecv + 2 waitall + test + dup sendrecv)
+        // 3 steps x (named + sendrecv + 2 waitall + wait + dup sendrecv)
         // on every rank, plus rank 0's 5 wildcard receives per step.
         assert_eq!(receives, 3 * (6 * 6 + 5), "{engine:?}");
         // world, two halves (split twice: once per step) and their dups.
@@ -1009,38 +974,6 @@ fn a_receive_carries_its_return_and_a_round_is_the_same_on_every_member() {
                 );
             }
         }
-    }
-}
-
-#[test]
-fn exscan_prefix_excluding_self() {
-    let report = WorldBuilder::new(5)
-        .run(|p| {
-            let world = p.world();
-            world.exscan(p, vec![p.world_rank() as u64 + 1], vec![0u64], |a, b| a + b)
-        })
-        .unwrap();
-    // Rank r gets sum of 1..=r (exclusive of its own r+1).
-    assert_eq!(
-        report.results,
-        vec![vec![0], vec![1], vec![3], vec![6], vec![10]]
-    );
-}
-
-#[test]
-fn reduce_scatter_block_distributes_reduction() {
-    let n = 4;
-    let report = WorldBuilder::new(n)
-        .run(move |p| {
-            let world = p.world();
-            // Each rank contributes [rank, rank, ...] over n blocks of 2.
-            let data = vec![p.world_rank() as i64; n * 2];
-            world.reduce_scatter_block(p, data, |a, b| a + b)
-        })
-        .unwrap();
-    let total: i64 = (0..n as i64).sum();
-    for r in report.results {
-        assert_eq!(r, vec![total, total]);
     }
 }
 
@@ -1062,106 +995,6 @@ fn waitall_collects_in_request_order() {
         })
         .unwrap();
     assert_eq!(report.results[0], vec![20, 10]);
-}
-
-#[test]
-fn pcontrol_reaches_tools() {
-    let recorder = Arc::new(Recorder::default());
-    WorldBuilder::new(1)
-        .tool(recorder.clone())
-        .run(|p| {
-            p.pcontrol(3);
-            p.pcontrol(-3);
-        })
-        .unwrap();
-    let events = recorder.events.lock();
-    // init, 2x Pcontrol, finalize.
-    assert_eq!(events.iter().filter(|(_, n)| n == "pcontrol").count(), 2);
-}
-
-#[test]
-fn request_test_completes_only_when_arrived() {
-    let report = WorldBuilder::new(2)
-        .run(|p| {
-            let world = p.world();
-            if p.world_rank() == 0 {
-                // Nothing sent yet: test must hand the request back.
-                let req = world.irecv::<u8>(p, Src::Rank(1), TagSel::Is(0));
-                let req = match req.test(p) {
-                    Ok(_) => panic!("nothing was sent yet"),
-                    Err(req) => req,
-                };
-                // Tell rank 1 to send, then spin on test until it lands.
-                world.send(p, 1, 9, &[1u8]);
-                let mut req = req;
-                loop {
-                    match req.test(p) {
-                        Ok(msg) => return msg.data[0],
-                        Err(back) => {
-                            req = back;
-                            std::thread::yield_now();
-                        }
-                    }
-                }
-            } else {
-                let _ = world.recv::<u8>(p, Src::Rank(0), TagSel::Is(9));
-                world.send(p, 0, 0, &[77u8]);
-                0
-            }
-        })
-        .unwrap();
-    assert_eq!(report.results[0], 77);
-}
-
-/// Poll loops see what the scheduler shows them, and the scheduler is the
-/// same deterministic one on both engines: the sequence of misses and hits
-/// of a `probe` loop and of a `RecvReq::test` loop repeats run for run.
-/// (Across engines only the outcome agrees — they order equal-clock ranks
-/// differently, so a poller may be asked once more or once less.)
-#[test]
-fn poll_loops_repeat_their_hit_and_miss_sequence_on_both_engines() {
-    for engine in [Engine::Des, Engine::Threads] {
-        let run = || {
-            WorldBuilder::new(3)
-                .engine(engine)
-                .machine(lab_machine())
-                .seed(3)
-                .run(|p| {
-                    let world = p.world();
-                    let mut seen = Vec::new();
-                    if p.world_rank() == 0 {
-                        for (src, tag) in [(1, 4), (2, 5)] {
-                            while !world.probe(p, Src::Rank(src), TagSel::Is(tag)) {
-                                seen.push(false);
-                            }
-                            seen.push(true);
-                            let _ = world.recv::<u16>(p, Src::Rank(src), TagSel::Is(tag));
-                        }
-                        world.send(p, 1, 6, &[0u16]);
-                        return seen;
-                    }
-                    p.compute(Work::flops(1e6 * p.world_rank() as f64));
-                    world.send(p, 0, 3 + p.world_rank() as i32, &[1u16]);
-                    if p.world_rank() == 1 {
-                        let mut req = world.irecv::<u16>(p, Src::Rank(0), TagSel::Is(6));
-                        while let Err(back) = req.test(p) {
-                            seen.push(false);
-                            req = back;
-                        }
-                        seen.push(true);
-                    }
-                    seen
-                })
-                .expect("poll loops end")
-                .results
-        };
-        let first = run();
-        assert_eq!(first, run(), "{engine:?}");
-        assert_eq!(first[0].iter().filter(|&&hit| hit).count(), 2);
-        assert_eq!(first[1].last(), Some(&true));
-        let misses = first.iter().flatten().filter(|&&hit| !hit).count();
-        assert!(misses > 0, "{engine:?}: somebody polled too early");
-    }
 }
 
 #[test]
