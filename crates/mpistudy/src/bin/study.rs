@@ -64,6 +64,20 @@ fn command(parsed: Parsed) -> Result<(Command, PathBuf), String> {
     Ok((command, PathBuf::from(store)))
 }
 
+/// The store's run documents, or exit 2 naming each one that does not
+/// read or parse: a report or listing without it would silently drop its
+/// cell.
+fn readable_docs(store: &RunStore) -> Vec<mpistudy::RunDoc> {
+    let (docs, bad) = store.scan();
+    if bad.is_empty() {
+        return docs;
+    }
+    for (path, reason) in bad {
+        eprintln!("error: {}: {reason}; 'study gc' removes it", path.display());
+    }
+    std::process::exit(2);
+}
+
 fn main() {
     let (command, store_dir) = CLI.parse_env_or_exit(command);
     let store = RunStore::open(store_dir).unwrap_or_else(|e| {
@@ -90,7 +104,7 @@ fn main() {
             }
         }
         Command::Report { out, json } => {
-            let rep = report::build(&store);
+            let rep = report::from_docs(readable_docs(&store));
             if json {
                 print!("{}", rep.to_json());
             } else {
@@ -111,7 +125,7 @@ fn main() {
             }
         }
         Command::Ls => {
-            for doc in store.iter() {
+            for doc in readable_docs(&store) {
                 println!(
                     "{}  {:9} p={:<5} seed={:<3} machine={} wall={:.3}s",
                     doc.hash, doc.workload, doc.p, doc.seed, doc.machine, doc.wall_secs

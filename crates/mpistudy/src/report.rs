@@ -64,7 +64,11 @@ pub struct WeakGroup {
 /// holds several distinct sweeps, the largest group wins (ties break on
 /// the group key, deterministically).
 pub fn build(store: &RunStore) -> Report {
-    let docs = store.iter();
+    from_docs(store.iter())
+}
+
+/// Build the report from `docs`, as [`build`] does from a store's.
+pub fn from_docs(docs: Vec<RunDoc>) -> Report {
     Report {
         total_docs: docs.len(),
         conv: conv_group(&docs),

@@ -87,21 +87,34 @@ impl RunStore {
         write_atomic(&self.machine_path(fp), json.as_bytes())
     }
 
-    /// All stored runs, in filename (= hash) order.
+    /// All stored runs that read and parse, in filename (= hash) order.
+    /// A document that does not is skipped; [`RunStore::scan`] names it.
     pub fn iter(&self) -> Vec<RunDoc> {
+        self.scan().0
+    }
+
+    /// Every stored run, in filename (= hash) order: the documents that
+    /// read and parse, and each one that does not as `(path, reason)`.
+    pub fn scan(&self) -> (Vec<RunDoc>, Vec<(PathBuf, String)>) {
         let mut names: Vec<PathBuf> = match fs::read_dir(self.root.join("runs")) {
             Ok(rd) => rd
                 .filter_map(|e| e.ok().map(|e| e.path()))
                 .filter(|p| p.extension().is_some_and(|e| e == "json"))
                 .collect(),
-            Err(_) => return Vec::new(),
+            Err(_) => return (Vec::new(), Vec::new()),
         };
         names.sort();
-        names
-            .iter()
-            .filter_map(|p| fs::read_to_string(p).ok())
-            .filter_map(|text| RunDoc::from_json(&text).ok())
-            .collect()
+        let (mut docs, mut bad) = (Vec::new(), Vec::new());
+        for path in names {
+            let doc = fs::read_to_string(&path)
+                .map_err(|e| e.to_string())
+                .and_then(|text| RunDoc::from_json(&text));
+            match doc {
+                Ok(doc) => docs.push(doc),
+                Err(reason) => bad.push((path, reason)),
+            }
+        }
+        (docs, bad)
     }
 
     /// Integrity sweep: every run document must parse and its recomputed
