@@ -223,6 +223,9 @@ struct Config {
 fn config(flags: &Parsed) -> Result<Config, String> {
     let workload = flags.only_positional("<workload>")?;
     let p: usize = flags.num(&P, 8)?;
+    if p == 0 {
+        return Err(format!("{} expects N >= 1", P.name));
+    }
     let steps: usize = flags.num(&STEPS, 100)?;
     let iters: usize = flags.num(&ITERS, 100)?;
     let threads = lulesh_proxy::threads_in_range(flags.num(&THREADS, 1)?)

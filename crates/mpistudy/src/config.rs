@@ -164,7 +164,12 @@ impl GridSpec {
             match key {
                 "workload" => workload = Some(value.to_string()),
                 "machine" => machine = Some(value.to_string()),
-                "p" => ps = list_usize(value)?,
+                "p" => {
+                    ps = list_usize(value)?;
+                    if ps.contains(&0) {
+                        return Err(format!("grid spec: p= expects N >= 1, got '{value}'"));
+                    }
+                }
                 "seeds" => {
                     seeds = value
                         .split(',')
