@@ -121,6 +121,34 @@ if sed -n '/^pub enum MpiEvent {/,/^}/p' crates/mpisim/src/event.rs | grep -n 'd
     exit 1
 fi
 
+echo "==> a rank suspends only where MPI blocks"
+# A fiber suspends on a receive or a rendezvous, never to poll, so an empty
+# ready heap with live ranks is the deadlock proof; and the public surface
+# holds what a workload, figures, study, a checked example or the keep-list
+# of DESIGN section 5 reaches. No test pins any of these: a poller state or
+# an uncalled operation that came back would compile and pass, so each is
+# guarded here alone.
+if grep -n 'Polling\|park_poller' crates/mpisim/src/des.rs; then
+    echo "crates/mpisim/src/des.rs: a poller state is back beside Blocked"
+    exit 1
+fi
+if grep -n 'fn probe(\|fn test(' crates/mpisim/src/comm.rs; then
+    echo "crates/mpisim/src/comm.rs: a non-blocking probe or test is back"
+    exit 1
+fi
+if grep -n 'fn alltoall\|fn scan\|fn exscan\|fn reduce_scatter_block' crates/mpisim/src/comm.rs; then
+    echo "crates/mpisim/src/comm.rs: a collective nothing calls is back"
+    exit 1
+fi
+if grep -n 'Pcontrol' crates/mpisim/src/event.rs; then
+    echo "crates/mpisim/src/event.rs: the Pcontrol event is back"
+    exit 1
+fi
+if grep -rn 'HistogramTool' crates; then
+    echo "crates: HistogramTool is back beside QuantileSketch"
+    exit 1
+fi
+
 echo "==> fidelity is whether the data exists: one body per operation over Payload"
 # A rendezvous slot is a Payload, real or virtual, so no collective keeps a
 # timing-mode copy, and the workloads build one payload per message instead
