@@ -231,8 +231,8 @@ fn summary_json_is_deterministic_across_equal_seeds() {
 #[test]
 fn log_bytes_are_a_count_linear_in_the_records() {
     // The full recorder's memory contract, counted from lengths: a record
-    // costs its 16-byte head plus only the words its kind carries (and a
-    // send its 24-byte table slot), and nothing in the log grows other
+    // costs its 8-byte head word plus only the words its kind carries (and
+    // a send its 24-byte table slot), and nothing in the log grows other
     // than per record — every further 50 steps add exactly the same bytes.
     let [b50, b100, b150] = [50, 100, 150].map(|steps| {
         let log = observe_conv(64, steps, machine::presets::ideal(), 1).log;
@@ -240,7 +240,7 @@ fn log_bytes_are_a_count_linear_in_the_records() {
     });
     for (bytes, events) in [b50, b100] {
         let per_record = bytes as f64 / events as f64;
-        assert!(per_record <= 30.5, "{per_record} bytes per record");
+        assert!(per_record <= 21.0, "{per_record} bytes per record");
     }
     assert_eq!(b100.1 - b50.1, b150.1 - b100.1, "records per 50 steps");
     assert_eq!(b100.0 - b50.0, b150.0 - b100.0, "bytes per 50 steps");

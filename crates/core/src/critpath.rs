@@ -20,7 +20,8 @@
 //! * a collective exit hops to the member that arrived last (waits of the
 //!   early arrivers are skipped), which the round's record names;
 //! * everything else consumes local time, attributed to the enclosing
-//!   section.
+//!   section, and the walk steps back to the rank's previous record (its
+//!   head word says how far back that starts).
 //!
 //! Per-section path shares therefore say which sections the wall clock is
 //! actually serialized through — a sharper answer than inclusive time.
@@ -147,21 +148,22 @@ pub fn extract(log: &CommLog) -> CriticalPath {
         }
     }
     let mut cursor_ns = log.run.ranks[rank].fini_ns;
-    let mut idx = log.run.ranks[rank].len() as isize - 1;
+    let mut at = log.run.ranks[rank].last();
 
-    // Every step either decrements an index or jumps to a strictly earlier
-    // time on another rank, but cap the walk defensively anyway.
+    // Every step either steps back one record or jumps to a strictly
+    // earlier time on another rank, but cap the walk defensively anyway.
     let cap = log.events() * 2 + 16;
 
-    while idx >= 0 && steps < cap {
+    while let Some(i) = at.filter(|_| steps < cap) {
         steps += 1;
-        let rec = log.run.ranks[rank].get(idx as usize);
+        let recs = &log.run.ranks[rank];
+        let rec = recs.get(i).0;
         // `[from_ns, cursor_ns)` is on the path, on this rank, in `rec.sec`.
         let mut from_ns = rec.t_ns;
         // The record the walk continues from; the jump targets are the
-        // log's own: a send-table entry knows the sender's `Send` record,
-        // a round knows where its last arrival logged its exit.
-        let mut next = (rank, idx - 1);
+        // log's own offsets: a send-table entry knows the sender's `Send`
+        // record, a round knows where its last arrival logged its exit.
+        let mut next = (rank, recs.before(i));
         match rec.kind {
             RecKind::RecvMatch { seq, .. } => {
                 // Late sender: the receiver's segment on the path starts
@@ -169,7 +171,7 @@ pub fn extract(log: &CommLog) -> CriticalPath {
                 // was already waiting at the post is a plain local segment.
                 if let Some(send) = log.run.sends.get(seq).filter(|s| s.send_ns > rec.t_ns) {
                     from_ns = send.send_ns;
-                    next = (seq_parts(seq).0, send.rec as isize);
+                    next = (seq_parts(seq).0, Some(send.rec as usize));
                 }
             }
             RecKind::CollExit {
@@ -182,7 +184,7 @@ pub fn extract(log: &CommLog) -> CriticalPath {
                 let last = log.run.colls.get(&(comm, round)).and_then(|c| c.last);
                 from_ns = last.map_or(enter_ns, |(_, max_enter, _)| max_enter);
                 if let Some((crit_rank, _, exit)) = last.filter(|&(r, ..)| r != rank) {
-                    next = (crit_rank, exit as isize - 1);
+                    next = (crit_rank, log.run.ranks[crit_rank].before(exit));
                 }
             }
             _ => {}
@@ -191,7 +193,7 @@ pub fn extract(log: &CommLog) -> CriticalPath {
         *per_section[rec.sec as usize].get_or_insert(0) += spent;
         per_rank[rank] += spent;
         cursor_ns = from_ns;
-        (rank, idx) = next;
+        (rank, at) = next;
     }
 
     let mut named: BTreeMap<String, u64> = BTreeMap::new();

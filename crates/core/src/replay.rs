@@ -86,7 +86,7 @@ pub fn replay(
         .iter()
         .enumerate()
         .map(|(rank, rr)| RankState {
-            idx: 0,
+            at: 0,
             now: VTime::ZERO,
             prev_effect: 0,
             prev_sec: rr.iter().next().map_or(0, |r| r.sec),
@@ -114,14 +114,14 @@ pub fn replay(
         let mut progressed = false;
         let mut all_done = true;
         for (rank, state) in states.iter_mut().enumerate() {
-            while state.idx < log.run.ranks[rank].len() {
+            while state.at < log.run.ranks[rank].end() {
                 if step(rank, state, &mut sh, &ctx) {
                     progressed = true;
                 } else {
                     break;
                 }
             }
-            all_done &= state.idx >= log.run.ranks[rank].len();
+            all_done &= state.at >= log.run.ranks[rank].end();
         }
         if all_done {
             break;
@@ -177,7 +177,8 @@ fn altered(recorded: &MachineModel, spec: &WhatIfSpec) -> Result<Option<MachineM
 
 /// Per-rank replay cursor.
 struct RankState {
-    idx: usize,
+    /// Offset of the next record to replay in the rank's recorded log.
+    at: usize,
     now: VTime,
     /// Recorded effect time of the previous record (the point its local
     /// follow-up gap is measured from).
@@ -248,7 +249,7 @@ impl Ctx<'_> {
 /// Advance one rank by one record. Returns false when blocked on a
 /// dependency another rank has not yet produced.
 fn step(rank: usize, st: &mut RankState, sh: &mut Shared, ctx: &Ctx<'_>) -> bool {
-    let rec = ctx.log.run.ranks[rank].get(st.idx);
+    let (rec, next) = ctx.log.run.ranks[rank].get(st.at);
     match rec.kind {
         RecKind::Boundary | RecKind::Fini => {
             st.now = st.after_gap(ctx, rec.t_ns);
@@ -295,7 +296,7 @@ fn step(rank: usize, st: &mut RankState, sh: &mut Shared, ctx: &Ctx<'_>) -> bool
                     send_ns: st.now.0,
                     bytes,
                     dst_world: index_u32(dst),
-                    rec: index_u32(st.out.len()),
+                    rec: index_u32(st.out.end()),
                 },
             );
             st.out.push(Rec {
@@ -377,7 +378,7 @@ fn step(rank: usize, st: &mut RankState, sh: &mut Shared, ctx: &Ctx<'_>) -> bool
                 // zero rendezvous wait.
                 let round_new = round * ctx.log.run.ranks.len() as u64 + rank as u64;
                 let mut alone = CollRound::default();
-                alone.enter(rank, enter_new.0, st.out.len());
+                alone.enter(rank, enter_new.0, st.out.end());
                 sh.colls.insert((comm, round_new), retimed(alone));
                 (
                     round_new,
@@ -388,7 +389,7 @@ fn step(rank: usize, st: &mut RankState, sh: &mut Shared, ctx: &Ctx<'_>) -> bool
             } else {
                 let arrived = sh.pending.entry((comm, round)).or_default();
                 if first_visit {
-                    arrived.enter(rank, enter_new.0, st.out.len());
+                    arrived.enter(rank, enter_new.0, st.out.end());
                 }
                 if arrived.entries.len() < cr.entries.len().max(1) {
                     return false;
@@ -415,7 +416,7 @@ fn step(rank: usize, st: &mut RankState, sh: &mut Shared, ctx: &Ctx<'_>) -> bool
         }
     }
     st.prev_sec = rec.sec;
-    st.idx += 1;
+    st.at = next;
     true
 }
 

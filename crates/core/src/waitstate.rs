@@ -21,12 +21,15 @@
 //!
 //! The same log feeds [`crate::critpath`], which walks the recorded
 //! dependencies backward to extract the critical path. Nothing in it is
-//! hashed per message: records are packed per rank ([`RankRecs`]), sends
-//! sit in a dense row per sender ([`SendTable`]) and a round knows its
-//! last arrival ([`CollRound`]). Nothing in it is copied to be read
-//! either: [`CommRecorder::freeze`] hands the log over behind an `Arc` and
-//! the recorder copies only if an event arrives while a frozen log is
-//! still alive.
+//! hashed per message: a rank's records sit inline in one vector of words
+//! ([`RankRecs`]), each an 8-byte head word — time, section, kind and the
+//! distance back to the previous record — and only the words its kind
+//! carries; sends sit in a dense row per sender ([`SendTable`]) that names
+//! each send's record by its word offset, and a round knows where its last
+//! arrival logged its exit ([`CollRound`]). Nothing in it is copied to be
+//! read either: [`CommRecorder::freeze`] hands the log over behind an
+//! `Arc` and the recorder copies only if an event arrives while a frozen
+//! log is still alive.
 
 use crate::fasthash::FastMap;
 use crate::spine::{attribute, RankTracker, Sink, Span, Spine, StepKind};
@@ -74,48 +77,66 @@ pub(crate) enum RecKind {
     Fini,
 }
 
-/// The fixed part of a stored record: 16 bytes whatever the kind.
-#[derive(Clone, Copy)]
-struct Head {
-    t_ns: u64,
-    /// `sec << TAG_BITS | kind tag`.
-    sec_tag: u32,
-    /// Where the kind's payload starts in [`RankRecs::words`].
-    at: u32,
+// A record's head word, low bits first: the kind tag, how many words back
+// the previous record starts (0: none), the section id and the time. A
+// record whose time or section does not fit is wide: its section field
+// holds `WIDE`, its time field the section, and the time follows in the
+// next word.
+const TAG_BITS: u32 = 3;
+const BACK_BITS: u32 = 3;
+const SEC_BITS: u32 = 14;
+const BACK_SHIFT: u32 = TAG_BITS;
+const SEC_SHIFT: u32 = BACK_SHIFT + BACK_BITS;
+const TIME_SHIFT: u32 = SEC_SHIFT + SEC_BITS;
+/// The section field of a wide head; every smaller id is narrow.
+const WIDE: u64 = (1 << SEC_BITS) - 1;
+/// The first time (ns, ≈ 4.9 h) a narrow head cannot hold.
+const NARROW_NS: u64 = 1 << (u64::BITS - TIME_SHIFT);
+
+fn field(word: u64, shift: u32, bits: u32) -> u64 {
+    word >> shift & ((1 << bits) - 1)
 }
 
-const TAG_BITS: u32 = 3;
+/// How many payload words a record carries, by kind tag.
+const CARRIED: [usize; 1 << TAG_BITS] = [0, 1, 2, 3, 2, 0, 0, 0];
 
 impl RecKind {
-    /// The kind's tag, how many payload words it carries, and the words
-    /// (padded to three).
-    fn pack(self) -> (u32, usize, [u64; 3]) {
+    /// The kind's tag and its payload words, padded to three (a record
+    /// stores the first [`CARRIED`]`[tag]`).
+    fn pack(self) -> (u64, [u64; 3]) {
         match self {
-            RecKind::Boundary => (0, 0, [0; 3]),
-            RecKind::Send { seq } => (1, 1, [seq, 0, 0]),
-            RecKind::RecvMatch { seq, done_ns } => (2, 2, [seq, done_ns, 0]),
+            RecKind::Boundary => (0, [0; 3]),
+            RecKind::Send { seq } => (1, [seq, 0, 0]),
+            RecKind::RecvMatch { seq, done_ns } => (2, [seq, done_ns, 0]),
             RecKind::CollExit {
                 comm,
                 round,
                 enter_ns,
-            } => (3, 3, [comm.0, round, enter_ns]),
+            } => (3, [comm.0, round, enter_ns]),
             RecKind::Compute {
                 base_ns,
                 elapsed_ns,
-            } => (4, 2, [base_ns, elapsed_ns, 0]),
-            RecKind::Fini => (5, 0, [0; 3]),
+            } => (4, [base_ns, elapsed_ns, 0]),
+            RecKind::Fini => (5, [0; 3]),
         }
     }
 }
 
-/// Per-rank record sequence, packed: a [`Head`] per record and, beside
-/// it, only the words the record's kind carries (none for a boundary or
-/// finalize, 1 for a send, 2 for a receive or compute, 3 for a collective
-/// exit). Readers get the same [`Rec`] values that were pushed.
-#[derive(Clone, Default)]
+/// Per-rank record sequence, packed inline in one vector of words: each
+/// record is a head word (time, section, kind tag and the distance back
+/// to the previous record) followed by only the words its kind carries
+/// (none for a boundary or finalize, 1 for a send, 2 for a receive or
+/// compute, 3 for a collective exit). A record past ≈ 4.9 h of virtual
+/// time or past section 16382 takes one more word for its time. A record
+/// is addressed by the offset of its head; readers get the same [`Rec`]
+/// values that were pushed.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct RankRecs {
-    heads: Vec<Head>,
     words: Vec<u64>,
+    /// Records pushed.
+    records: usize,
+    /// Offset of the last record's head.
+    last: usize,
     pub(crate) fini_ns: u64,
 }
 
@@ -129,55 +150,91 @@ impl RankRecs {
             "section {} does not fit a log record",
             rec.sec
         );
-        let at = u32::try_from(self.words.len()).expect("a rank's log payload outgrew u32 words");
-        let (tag, carried, payload) = rec.kind.pack();
-        self.words.extend_from_slice(&payload[..carried]);
-        self.heads.push(Head {
-            t_ns: rec.t_ns,
-            sec_tag: rec.sec << TAG_BITS | tag,
-            at,
-        });
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.heads.len()
-    }
-
-    /// When record `i` took effect, if there is one.
-    pub(crate) fn t_ns(&self, i: usize) -> Option<u64> {
-        self.heads.get(i).map(|head| head.t_ns)
-    }
-
-    pub(crate) fn get(&self, i: usize) -> Rec {
-        let head = self.heads[i];
-        let w = &self.words[head.at as usize..];
-        let kind = match head.sec_tag & ((1 << TAG_BITS) - 1) {
-            0 => RecKind::Boundary,
-            1 => RecKind::Send { seq: w[0] },
-            2 => RecKind::RecvMatch {
-                seq: w[0],
-                done_ns: w[1],
-            },
-            3 => RecKind::CollExit {
-                comm: CommId(w[0]),
-                round: w[1],
-                enter_ns: w[2],
-            },
-            4 => RecKind::Compute {
-                base_ns: w[0],
-                elapsed_ns: w[1],
-            },
-            _ => RecKind::Fini,
+        let at = self.words.len();
+        let back = if self.records == 0 { 0 } else { at - self.last };
+        let (tag, payload) = rec.kind.pack();
+        let carried = CARRIED[tag as usize];
+        let fixed = tag | (back as u64) << BACK_SHIFT;
+        let sec = u64::from(rec.sec);
+        let mut buf = [0; 5];
+        let head = if rec.t_ns < NARROW_NS && sec < WIDE {
+            buf[0] = fixed | sec << SEC_SHIFT | rec.t_ns << TIME_SHIFT;
+            1
+        } else {
+            buf[0] = fixed | WIDE << SEC_SHIFT | sec << TIME_SHIFT;
+            buf[1] = rec.t_ns;
+            2
         };
-        Rec {
-            t_ns: head.t_ns,
-            sec: head.sec_tag >> TAG_BITS,
-            kind,
+        buf[head..head + carried].copy_from_slice(&payload[..carried]);
+        self.words.extend_from_slice(&buf[..head + carried]);
+        (self.records, self.last) = (self.records + 1, at);
+    }
+
+    /// How many records were pushed.
+    pub(crate) fn len(&self) -> usize {
+        self.records
+    }
+
+    /// The offset the next pushed record will start at.
+    pub(crate) fn end(&self) -> usize {
+        self.words.len()
+    }
+
+    /// The offset of the last record, if there is one.
+    pub(crate) fn last(&self) -> Option<usize> {
+        (self.records > 0).then_some(self.last)
+    }
+
+    /// The offset of the record before the one at `at` (at [`Self::end`]:
+    /// the last record), if there is one.
+    pub(crate) fn before(&self, at: usize) -> Option<usize> {
+        match self.words.get(at) {
+            None => self.last(),
+            Some(&head) => match field(head, BACK_SHIFT, BACK_BITS) as usize {
+                0 => None,
+                back => Some(at - back),
+            },
         }
     }
 
+    /// The record at offset `at`, and the offset of the one after it.
+    pub(crate) fn get(&self, at: usize) -> (Rec, usize) {
+        let head = self.words[at];
+        let (t_ns, sec, w) = match field(head, SEC_SHIFT, SEC_BITS) {
+            WIDE => (self.words[at + 1], head >> TIME_SHIFT, at + 2),
+            sec => (head >> TIME_SHIFT, sec, at + 1),
+        };
+        let p = &self.words[w..];
+        let tag = field(head, 0, TAG_BITS) as usize;
+        let kind = match tag {
+            0 => RecKind::Boundary,
+            1 => RecKind::Send { seq: p[0] },
+            2 => RecKind::RecvMatch {
+                seq: p[0],
+                done_ns: p[1],
+            },
+            3 => RecKind::CollExit {
+                comm: CommId(p[0]),
+                round: p[1],
+                enter_ns: p[2],
+            },
+            4 => RecKind::Compute {
+                base_ns: p[0],
+                elapsed_ns: p[1],
+            },
+            _ => RecKind::Fini,
+        };
+        let sec = sec as u32;
+        (Rec { t_ns, sec, kind }, w + CARRIED[tag])
+    }
+
     pub(crate) fn iter(&self) -> impl Iterator<Item = Rec> + '_ {
-        (0..self.len()).map(|i| self.get(i))
+        let mut at = 0;
+        std::iter::from_fn(move || {
+            let (rec, next) = (at < self.end()).then(|| self.get(at))?;
+            at = next;
+            Some(rec)
+        })
     }
 }
 
@@ -188,7 +245,7 @@ pub(crate) struct SendInfo {
     pub(crate) bytes: u64,
     /// Destination world rank (selects the link a replay must re-price).
     pub(crate) dst_world: u32,
-    /// Index of the `Send` record in the sender's [`RankRecs`];
+    /// Offset of the `Send` record in the sender's [`RankRecs`];
     /// `u32::MAX` marks a slot nobody recorded ([`SendTable`]'s holes).
     pub(crate) rec: u32,
 }
@@ -241,7 +298,7 @@ pub(crate) struct CollRound {
     /// Every member's `(world rank, entry time ns)`, in recording order
     /// (pushed by [`CollRound::enter`] only).
     pub(crate) entries: Vec<(usize, u64)>,
-    /// The entry that arrived last (ties: lowest rank) and the index of
+    /// The entry that arrived last (ties: lowest rank) and the offset of
     /// that member's `CollExit` record in its rank's log, kept as entries
     /// are pushed so no reader rescans the round.
     pub(crate) last: Option<(usize, u64, usize)>,
@@ -252,9 +309,9 @@ pub(crate) struct CollRound {
 }
 
 impl CollRound {
-    /// `rank` reached the rendezvous at `enter_ns` with `logged` records
-    /// in its log: it logs nothing while inside, so its exit will be
-    /// record `logged`.
+    /// `rank` reached the rendezvous at `enter_ns` with its log ending at
+    /// offset `logged`: it logs nothing while inside, so its exit will
+    /// start there.
     pub(crate) fn enter(&mut self, rank: usize, enter_ns: u64, logged: usize) {
         self.entries.push((rank, enter_ns));
         let later = |(r, t, _)| enter_ns > t || (enter_ns == t && rank < r);
@@ -313,14 +370,15 @@ impl CommLog {
     }
 
     /// Bytes the log holds, counted from its lengths (not its capacities):
-    /// every record's head and payload words, every send-table slot, every
-    /// collective round with its entries, the label table.
+    /// every record's words (its head word, a wide record's time word and
+    /// the payload), every send-table slot, every collective round with
+    /// its entries, the label table.
     pub fn state_bytes(&self) -> usize {
-        let recs = self.run.ranks.iter().map(|r| {
-            size_of::<RankRecs>()
-                + r.heads.len() * size_of::<Head>()
-                + r.words.len() * size_of::<u64>()
-        });
+        let recs = self
+            .run
+            .ranks
+            .iter()
+            .map(|r| size_of::<RankRecs>() + size_of_val(&r.words[..]));
         let row_bytes = |row: &Vec<SendInfo>| size_of::<Vec<SendInfo>>() + size_of_val(&row[..]);
         let sends = self.run.sends.by_sender.iter().map(row_bytes);
         let colls = self.run.colls.values().map(|c| {
@@ -340,8 +398,9 @@ impl CommLog {
     /// resolved against the send and collective tables.
     pub(crate) fn fold(&self, sink: &mut impl Sink) {
         for (rank, rr) in self.run.ranks.iter().enumerate() {
-            for (i, rec) in rr.iter().enumerate() {
-                let next_ns = rr.t_ns(i + 1).unwrap_or(rr.fini_ns);
+            let mut recs = rr.iter().peekable();
+            while let Some(rec) = recs.next() {
+                let next_ns = recs.peek().map_or(rr.fini_ns, |next| next.t_ns);
                 sink.span(rank, rec.sec, Span::Presence, rec.t_ns, next_ns);
                 // A send nobody recorded counts as issued at the post.
                 let (bytes, peer_ns) = match rec.kind {
@@ -492,7 +551,7 @@ impl Tool for CommRecorder {
             } => {
                 let entry = tables.colls.entry((comm, round)).or_default();
                 entry.op = op;
-                entry.enter(world_rank, step.t_ns, rank.data.len());
+                entry.enter(world_rank, step.t_ns, rank.data.end());
                 return;
             }
             StepKind::Rec {
@@ -508,7 +567,7 @@ impl Tool for CommRecorder {
                             send_ns: step.t_ns,
                             bytes,
                             dst_world: index_u32(dst_world),
-                            rec: index_u32(rank.data.len()),
+                            rec: index_u32(rank.data.end()),
                         };
                         tables.sends.insert(seq, info);
                     }
@@ -531,10 +590,10 @@ impl Tool for CommRecorder {
     }
 }
 
-/// A world rank or a record index as the send table stores it.
+/// A world rank or a record offset as the send table stores it.
 pub(crate) fn index_u32(i: usize) -> u32 {
     let fits = u32::try_from(i).ok().filter(|&i| i != NO_SEND);
-    fits.expect("a rank or record index outgrew the send table's u32")
+    fits.expect("a rank or record offset outgrew the send table's u32")
 }
 
 /// Wait time of one class, in virtual nanoseconds.
@@ -730,27 +789,48 @@ mod tests {
             },
             RecKind::Fini,
         ];
+        // Payload words per kind, in the order above (a receive's post is
+        // its head's time).
+        let carried = [0, 1, 2, 3, 3, 2, 0];
         let mut recs = RankRecs::default();
         let mut pushed = Vec::new();
         for (i, &kind) in kinds.iter().enumerate() {
-            for sec in [0, i as u32, RankRecs::MAX_SEC] {
-                let t_ns = u64::MAX - i as u64;
-                pushed.push(Rec { t_ns, sec, kind });
-                recs.push(Rec { t_ns, sec, kind });
+            let (t, sec) = (i as u64, i as u32);
+            let cases = [
+                // Times near `u64::MAX`, whatever the section: wide.
+                (u64::MAX - t, 0, 2),
+                (u64::MAX - t, sec, 2),
+                (u64::MAX - t, RankRecs::MAX_SEC, 2),
+                // The narrow fields' extremes fit the head word ...
+                (t, 0, 1),
+                (NARROW_NS - 1 - t, WIDE as u32 - 1, 1),
+                // ... and one past either field does not.
+                (NARROW_NS + t, sec, 2),
+                (t, WIDE as u32, 2),
+            ];
+            for (t_ns, sec, head_words) in cases {
+                let rec = Rec { t_ns, sec, kind };
+                let at = recs.end();
+                recs.push(rec);
+                // A record is its head word (and a wide one's time word)
+                // plus only the words its kind carries.
+                assert_eq!(recs.end() - at, head_words + carried[i], "{rec:?}");
+                pushed.push((at, rec));
             }
         }
-        assert_eq!((recs.len(), recs.t_ns(pushed.len())), (pushed.len(), None));
-        assert_eq!(recs.iter().collect::<Vec<_>>(), pushed);
-        // Random access agrees with iteration, in any order.
-        for i in (0..pushed.len()).rev() {
-            assert_eq!(recs.get(i), pushed[i]);
-            assert_eq!(recs.t_ns(i), Some(pushed[i].t_ns));
+        assert_eq!(recs.len(), pushed.len());
+        assert!(recs.iter().eq(pushed.iter().map(|&(_, rec)| rec)));
+        // Stepping back from the last record visits every record, in
+        // reverse, and random access by offset agrees with iteration.
+        assert_eq!(recs.before(recs.end()), recs.last());
+        let mut at = recs.last();
+        let mut next = recs.end();
+        for &(offset, rec) in pushed.iter().rev() {
+            assert_eq!(at, Some(offset));
+            assert_eq!(recs.get(offset), (rec, next));
+            (at, next) = (recs.before(offset), offset);
         }
-        // Only the payload a kind carries is stored: 3 records of each
-        // kind, 0 + 1 + 2 + 3 + 3 + 2 + 0 words per round of kinds (a
-        // receive's post is its head's time).
-        assert_eq!(recs.words.len(), 3 * 11);
-        assert_eq!(size_of::<Head>(), 16);
+        assert_eq!(at, None);
     }
 
     #[test]
@@ -810,6 +890,18 @@ mod tests {
             self.0.on_event(rank, &matched);
         }
 
+        fn enter(&self, rank: usize, label: &str, section: u32, at_ns: u64) {
+            let event = MpiEvent::SectionEnter {
+                comm: CommId::WORLD,
+                comm_size: 1,
+                comm_rank: 0,
+                label: Arc::from(label),
+                section,
+                time: VTime::from_nanos(at_ns),
+            };
+            self.0.on_event(rank, &event);
+        }
+
         fn freeze(&self, fini_ns: u64) -> CommLog {
             let time = VTime::from_nanos(fini_ns);
             for rank in 0..self.0.freeze().nranks() {
@@ -851,12 +943,13 @@ mod tests {
         feed.recv(0, stray, 90, 95);
         let log = feed.freeze(100);
         assert_eq!(log.nranks(), 8);
-        for (seq, send_ns, rec) in [(late, 50, 1), (first, 60, 2), (stray, 70, 0)] {
+        // Offsets: rank 1's Init boundary is one word, a send two.
+        for (seq, send_ns, rec) in [(late, 50, 1), (first, 60, 3), (stray, 70, 0)] {
             let info = log.run.sends.get(seq).expect("recorded");
             assert_eq!((info.send_ns, info.rec), (send_ns, rec), "seq {seq:#x}");
             let (sender, _) = seq_parts(seq);
             assert_eq!(
-                log.run.ranks[sender].get(rec as usize).kind,
+                log.run.ranks[sender].get(rec as usize).0.kind,
                 RecKind::Send { seq }
             );
         }
@@ -874,6 +967,51 @@ mod tests {
         let waits = classify(&log).per_rank[0];
         assert_eq!((waits.late_sender_ns, waits.late_receiver_ns), (40, 20));
         assert_eq!(crate::critpath::extract(&log).length_ns, 100);
+    }
+
+    /// A two-rank late sender `shift` ns into the run: rank 0 posts at
+    /// `shift + 100` in `MPI_MAIN`, rank 1 sends at `shift + 700` from the
+    /// section with the first id a narrow head cannot hold.
+    fn late_sender_after(shift: u64) -> (CommLog, usize) {
+        let feed = Feed::new(2);
+        for id in 1..=WIDE as u32 {
+            feed.enter(1, &format!("S{id}"), id, 10);
+        }
+        let seq = feed.send(1, 0, 0, shift + 700);
+        feed.recv(0, seq, shift + 100, shift + 900);
+        let log = feed.freeze(shift + 1000);
+        // Two Inits, the entries, the send, the receive, two Finalizes.
+        (log, 2 + WIDE as usize + 1 + 1 + 2)
+    }
+
+    #[test]
+    fn wide_records_analyse_like_narrow_ones() {
+        let (narrow, pushed) = late_sender_after(0);
+        let (wide, _) = late_sender_after(NARROW_NS);
+        // Past the narrow time range rank 0's receive and Finalize each
+        // take a time word; rank 1's records in S16383 are wide in both.
+        assert_eq!(wide.state_bytes(), narrow.state_bytes() + 2 * 8);
+        assert_eq!(classify(&wide).to_json(), classify(&narrow).to_json());
+        assert_eq!(classify(&wide).per_rank[0].late_sender_ns, 600);
+        let sec = format!("S{WIDE}");
+        for (log, shift) in [(&narrow, 0), (&wide, NARROW_NS)] {
+            assert_eq!(log.events(), pushed);
+            // The walk hops from the receive to the sender and spends the
+            // gap there, in the wide section.
+            let cp = crate::critpath::extract(log);
+            assert_eq!(cp.length_ns, log.makespan_ns());
+            assert_eq!(cp.per_rank, [300, shift + 700]);
+            assert_eq!(cp.per_section[&sec], shift + 690);
+            let m = machine::presets::ideal();
+            let re = crate::replay(log, &m, 1, &crate::whatif::WhatIfSpec::identity()).unwrap();
+            assert_eq!(re.run.ranks, log.run.ranks);
+            let seq = seq_of(1, 0);
+            let (a, b) = (
+                re.run.sends.get(seq).unwrap(),
+                log.run.sends.get(seq).unwrap(),
+            );
+            assert_eq!((a.send_ns, a.rec), (b.send_ns, b.rec));
+        }
     }
 
     /// Everything the analyses say about a log.

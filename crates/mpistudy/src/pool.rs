@@ -7,11 +7,12 @@
 //! seconds-long; queue contention is noise).
 //!
 //! Before simulating, a worker checks the store: a cell whose config hash
-//! is already present is **skipped without touching any simulation code**
-//! — the warm-sweep property the tests pin (`executed == 0`). Machine
-//! calibration is likewise derived once per distinct machine model
-//! (process-wide, `machine::calibration::cached`) and persisted once per
-//! fingerprint.
+//! is already present, in a document that parses, is **skipped without
+//! touching any simulation code** — the warm-sweep property the tests pin
+//! (`executed == 0`). A document that no longer parses is simulated again
+//! and replaced. Machine calibration is likewise derived once per distinct
+//! machine model (process-wide, `machine::calibration::cached`) and
+//! persisted once per fingerprint.
 
 use crate::config::{machine_fingerprint, resolve_machine, CellConfig, Workload};
 use crate::doc::RunDoc;
@@ -25,9 +26,11 @@ use std::sync::Mutex;
 /// or could not run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepStats {
-    /// Cells actually simulated (and inserted).
+    /// Cells actually simulated (and inserted), a stored document that did
+    /// not parse replaced among them.
     pub executed: usize,
-    /// Cells already present — skipped without running any simulation.
+    /// Cells already present in a document that parses — skipped without
+    /// running any simulation.
     pub cached: usize,
     /// Cells whose simulation or store write failed; each is reported on
     /// stderr and leaves no document behind.
@@ -66,15 +69,20 @@ fn try_execute_cell(
 
 /// Check the store, else simulate one cell and persist it. `Ok(true)`
 /// when the cell was simulated, `Ok(false)` when it was already stored;
-/// an error names the cell by its canonical configuration.
+/// an error names the cell by its canonical configuration. A stored
+/// document that does not parse is named on stderr and replaced.
 fn sweep_cell(store: &RunStore, cfg: &CellConfig) -> Result<bool, String> {
     // Resolving the preset is cheap; the calibration behind it is
     // cached process-wide by the machine crate.
     let machine = resolve_machine(&cfg.machine)?;
     let fp = machine_fingerprint(&machine);
     let run = || -> Result<bool, String> {
-        if store.contains(&cfg.hash(&fp)) {
-            return Ok(false);
+        match store.get(&cfg.hash(&fp)) {
+            Some(Ok(_)) => return Ok(false),
+            Some(Err((path, reason))) => {
+                eprintln!("{}: {reason}; simulating the cell again", path.display());
+            }
+            None => {}
         }
         if !store.contains_machine(&fp) {
             let calibration = machine::calibration::cached(&machine);

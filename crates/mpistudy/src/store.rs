@@ -61,15 +61,18 @@ impl RunStore {
         self.root.join("machines").join(format!("{fp}.json"))
     }
 
-    /// Is a run with this config hash already stored?
-    pub fn contains(&self, hash: &str) -> bool {
-        self.run_path(hash).is_file()
+    /// The stored run with this config hash: `None` when there is none (a
+    /// single `stat`), else the document or `(path, why it does not read
+    /// or parse)`.
+    pub fn get(&self, hash: &str) -> Option<Result<RunDoc, (PathBuf, String)>> {
+        let path = self.run_path(hash);
+        path.is_file()
+            .then(|| read_doc(&path).map_err(|reason| (path, reason)))
     }
 
     /// Load a stored run by hash.
     pub fn load(&self, hash: &str) -> Option<RunDoc> {
-        let text = fs::read_to_string(self.run_path(hash)).ok()?;
-        RunDoc::from_json(&text).ok()
+        read_doc(&self.run_path(hash)).ok()
     }
 
     /// Persist a run document under its own hash (atomic; idempotent).
@@ -106,10 +109,7 @@ impl RunStore {
         names.sort();
         let (mut docs, mut bad) = (Vec::new(), Vec::new());
         for path in names {
-            let doc = fs::read_to_string(&path)
-                .map_err(|e| e.to_string())
-                .and_then(|text| RunDoc::from_json(&text));
-            match doc {
+            match read_doc(&path) {
                 Ok(doc) => docs.push(doc),
                 Err(reason) => bad.push((path, reason)),
             }
@@ -157,9 +157,15 @@ impl RunStore {
     }
 }
 
+/// The run document at `path`, or why it does not read or parse.
+fn read_doc(path: &Path) -> Result<RunDoc, String> {
+    let text = fs::read_to_string(path).map_err(|e| e.to_string())?;
+    RunDoc::from_json(&text)
+}
+
 /// Write `bytes` to `path` via a temp file + rename in the same
 /// directory. The temp name carries a process-unique counter: two workers
-/// racing to store the same key (both missed the `contains` check) must
+/// racing to store the same key (both missed the `get` check) must
 /// not share a temp file, or the loser's rename fails after the winner's
 /// rename consumed it. Both renames landing is fine — same key, same
 /// content.
@@ -204,9 +210,9 @@ mod tests {
     fn insert_load_roundtrip_and_idempotence() {
         let store = tmp_store("roundtrip");
         let doc = sample_doc(2, 0);
-        assert!(!store.contains(&doc.hash));
+        assert_eq!(store.get(&doc.hash), None);
         store.insert(&doc).unwrap();
-        assert!(store.contains(&doc.hash));
+        assert_eq!(store.get(&doc.hash), Some(Ok(doc.clone())));
         assert_eq!(store.load(&doc.hash).unwrap(), doc);
         store.insert(&doc).unwrap(); // same key, same content: fine
         assert_eq!(store.iter().len(), 1);
@@ -235,7 +241,7 @@ mod tests {
         assert_eq!(report.intact, 1);
         assert_eq!(report.removed.len(), 2);
         assert_eq!(report.stale_tmp, 1);
-        assert!(store.contains(&doc.hash));
+        assert_eq!(store.get(&doc.hash), Some(Ok(doc)));
         // A second sweep finds nothing left to clean.
         assert_eq!(
             store.gc().unwrap(),

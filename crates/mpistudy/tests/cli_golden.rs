@@ -233,3 +233,50 @@ fn a_corrupt_run_document_stops_report_and_ls_naming_it() {
     assert_eq!(report.code, 0, "stderr:\n{}", report.stderr);
     let _ = std::fs::remove_dir_all(dir);
 }
+
+#[test]
+fn a_warm_run_simulates_a_corrupt_run_document_again() {
+    let dir = scratch("corrupt-rerun");
+    let args = [
+        "run",
+        "--store",
+        "st",
+        "--grid",
+        "workload=conv machine=ideal p=1,2 steps=3 seeds=1",
+    ];
+    let sweep = run(STUDY, &dir, &args);
+    assert_eq!(sweep.code, 0, "stderr:\n{}", sweep.stderr);
+    let mut docs: Vec<_> = std::fs::read_dir(dir.join("st/runs"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    docs.sort();
+    let intact = std::fs::read(&docs[1]).unwrap();
+    let bad = std::fs::File::options().write(true).open(&docs[1]).unwrap();
+    bad.set_len(100).unwrap();
+    let name = format!("st/runs/{}", docs[1].file_name().unwrap().to_str().unwrap());
+    // The cell is served by a simulation, not by the document, which is
+    // replaced; the intact one is still a hit.
+    let again = run(STUDY, &dir, &args);
+    assert_eq!(again.code, 0, "stderr:\n{}", again.stderr);
+    assert!(
+        again
+            .stdout
+            .starts_with("sweep: 2 cells, 1 executed, 1 cached (50% hit)"),
+        "{}",
+        again.stdout
+    );
+    let lines: Vec<&str> = again.stderr.lines().collect();
+    assert_eq!(lines.len(), 1, "{lines:?}");
+    assert!(
+        lines[0].starts_with(&format!("{name}: invalid JSON at byte "))
+            && lines[0].ends_with("; simulating the cell again"),
+        "{}",
+        lines[0]
+    );
+    assert_eq!(std::fs::read(&docs[1]).unwrap(), intact);
+    let report = run(STUDY, &dir, &["report", "--store", "st"]);
+    assert_eq!(report.code, 0, "stderr:\n{}", report.stderr);
+    assert!(report.stdout.contains("scales [1, 2]"), "{}", report.stdout);
+    let _ = std::fs::remove_dir_all(dir);
+}

@@ -105,6 +105,17 @@ if grep -n 'post_ns: u64' crates/core/src/waitstate.rs; then
     exit 1
 fi
 
+echo "==> a log record's head is one word"
+# A rank's records sit inline in one vector of words: a head word, then
+# the kind's payload. Also pinned in tier-1: the words-per-kind assertion of
+# `waitstate.rs`' `packed_store_returns_what_was_pushed` and the 21-byte
+# bound of `crates/bench/tests/summary.rs`'
+# `log_bytes_are_a_count_linear_in_the_records`.
+if grep -n 'struct Head\|heads:' crates/core/src/waitstate.rs; then
+    echo "crates/core/src/waitstate.rs: a separate record head is back beside the log's words"
+    exit 1
+fi
+
 echo "==> one open-section list per rank, kept by the section runtime"
 # A section leave says which section the rank is in after it, so no spine
 # tool keeps a stack of open frames, and section events carry no data blob.
