@@ -984,6 +984,172 @@ mod tests {
         assert_eq!(*seen.depths.lock(), [2, 1, 0]);
     }
 
+    /// Sections on `split` halves whose communicator ranks run against the
+    /// world ranks (world 0..4 → half ranks 1, 0, 1, 0), one world frame
+    /// closed while a half frame entered after it stays open: the
+    /// occurrence and depth tools see, the misuse report's event index and
+    /// label stack, and the open-section context of a failed rank, on both
+    /// engines and under verification.
+    #[test]
+    fn split_halves_count_by_communicator_rank() {
+        type Seen = Vec<(usize, &'static str, usize, u64, usize)>;
+        #[derive(Default)]
+        struct Calls {
+            enters: Mutex<Seen>,
+            leaves: Mutex<Seen>,
+        }
+        fn named(label: &str) -> &'static str {
+            ["a", "b", MPI_MAIN]
+                .into_iter()
+                .find(|l| *l == label)
+                .unwrap()
+        }
+        impl SectionTool for Calls {
+            fn on_enter(&self, i: &EnterInfo, _data: &mut SectionData) {
+                let seen = (
+                    i.world_rank,
+                    named(&i.label),
+                    i.comm_rank,
+                    i.occurrence,
+                    i.depth,
+                );
+                self.enters.lock().push(seen);
+            }
+            fn on_leave(&self, i: &LeaveInfo, _data: &SectionData) {
+                let seen = (
+                    i.world_rank,
+                    named(&i.label),
+                    i.comm_rank,
+                    i.occurrence,
+                    i.depth,
+                );
+                self.leaves.lock().push(seen);
+            }
+        }
+        /// Two rounds of: enter a (world), b (half), a (world); leave both
+        /// a's, the outer one with b still open; b again inside b.
+        fn rounds(s: &SectionRuntime, p: &mut Proc, world: &Comm, half: &Comm, n: usize) {
+            for _ in 0..n {
+                s.enter(p, world, "a");
+                s.enter(p, half, "b");
+                s.enter(p, world, "a");
+                s.exit(p, world, "a");
+                s.exit(p, world, "a");
+                s.enter(p, half, "b");
+                s.exit(p, half, "b");
+                s.exit(p, half, "b");
+            }
+        }
+        let half_of = |p: &mut Proc, world: &Comm| {
+            let me = p.world_rank();
+            let half = world
+                .split(p, Some((me / 2) as i32), 3 - me as i32)
+                .unwrap();
+            assert_eq!(half.rank(), 1 - me % 2);
+            half
+        };
+        for engine in [mpisim::Engine::Des, mpisim::Engine::Threads] {
+            // A clean run: every count is the rank's own, on each communicator.
+            let calls = Arc::new(Calls::default());
+            let sections = SectionRuntime::new(VerifyMode::Active);
+            sections.attach(calls.clone());
+            let s = sections.clone();
+            WorldBuilder::new(4)
+                .engine(engine)
+                .tool(sections.clone())
+                .run(move |p| {
+                    let world = p.world();
+                    let half = half_of(p, &world);
+                    rounds(&s, p, &world, &half, 2);
+                })
+                .unwrap();
+            for rank in 0..4 {
+                let of = |seen: &Seen| -> Seen {
+                    let mine = seen.iter().filter(|c| c.0 == rank && c.1 != MPI_MAIN);
+                    mine.copied().collect()
+                };
+                let h = 1 - rank % 2;
+                let mut enters = Vec::new();
+                let mut leaves = Vec::new();
+                for round in 0..2 {
+                    let (first, second) = (2 * round, 2 * round + 1);
+                    enters.extend([
+                        (rank, "a", rank, first, 1),
+                        (rank, "b", h, first, 0),
+                        (rank, "a", rank, second, 2),
+                        (rank, "b", h, second, 1),
+                    ]);
+                    leaves.extend([
+                        (rank, "a", rank, second, 2),
+                        (rank, "a", rank, first, 1),
+                        (rank, "b", h, second, 1),
+                        (rank, "b", h, first, 0),
+                    ]);
+                }
+                assert_eq!(of(&calls.enters.lock()), enters, "{engine:?}");
+                assert_eq!(of(&calls.leaves.lock()), leaves, "{engine:?}");
+            }
+
+            // Imperfect nesting on world rank 2, half rank 1: MPI_MAIN's
+            // enter, one round (8 events) and the enter of b precede the
+            // failing exit.
+            let sections = SectionRuntime::new(VerifyMode::Active);
+            let (s, half_id) = (sections.clone(), Arc::new(Mutex::new(CommId::WORLD)));
+            let seen = half_id.clone();
+            let err = WorldBuilder::new(4)
+                .engine(engine)
+                .tool(sections.clone())
+                .run(move |p| {
+                    let world = p.world();
+                    let half = half_of(p, &world);
+                    rounds(&s, p, &world, &half, 1);
+                    if p.world_rank() == 2 {
+                        *seen.lock() = half.id();
+                        s.enter(p, &half, "b");
+                        s.exit(p, &half, "a");
+                    }
+                })
+                .unwrap_err();
+            let (ranks, comm, stack, index) = misuse_of(err);
+            assert_eq!(
+                (ranks, comm),
+                (vec![2], Some(*half_id.lock())),
+                "{engine:?}"
+            );
+            assert_eq!((stack, index), (vec!["b".to_string()], 10), "{engine:?}");
+
+            // A panic on world rank 3, half rank 0, with a frame open on
+            // each communicator; the other ranks close theirs out of order.
+            let sections = SectionRuntime::new(VerifyMode::Active);
+            let s = sections.clone();
+            let err = WorldBuilder::new(4)
+                .engine(engine)
+                .tool(sections.clone())
+                .run(move |p| {
+                    let world = p.world();
+                    let half = half_of(p, &world);
+                    rounds(&s, p, &world, &half, 1);
+                    s.enter(p, &half, "b");
+                    s.enter(p, &world, "a");
+                    s.scoped(p, &half, "b", |_| {});
+                    if p.world_rank() == 3 {
+                        panic!("boom on comm {}", half.id().0);
+                    }
+                    s.exit(p, &world, "a");
+                    s.exit(p, &half, "b");
+                })
+                .unwrap_err();
+            let msg = err.to_string();
+            let half = msg
+                .split("boom on comm ")
+                .nth(1)
+                .and_then(|rest| rest.split(' ').next())
+                .expect("panic message names the half");
+            let expect = format!("open sections: comm 0: MPI_MAIN > a; comm {half}: b");
+            assert!(msg.contains(&expect), "{engine:?}: {msg}");
+        }
+    }
+
     /// The one `SectionMisuse` finding of a failed two-rank run.
     fn misuse_of(err: mpisim::RunError) -> (Vec<usize>, Option<CommId>, Vec<String>, u64) {
         let diags = err.diagnostics();
