@@ -28,6 +28,13 @@
 //! [`WorldCell`] that the running world reads and writes with plain loads
 //! and stores: a rank's enter or exit locks it once, and tools are called
 //! after its guard is dropped.
+//!
+//! Nothing in it is a heap block per rank. A rank's slot is two words (its
+//! innermost frame and its event count); its open frames live in one arena
+//! for the world, linked from the innermost down; counters sit in tables
+//! of the section or communicator they count, indexed by communicator
+//! rank. So the state grows with the frames actually open and with
+//! communicator memberships, not with p × communicators.
 
 use crate::fasthash::FastMap;
 use crate::tool::{EnterInfo, LeaveInfo, SectionTool};
@@ -36,6 +43,7 @@ use mpisim::{
     diag, Comm, CommId, Diagnostic, DiagnosticKind, EventKind, EventMask, MpiEvent, Proc,
     SectionData, Severity, Tool, WorldCell,
 };
+use std::mem::size_of;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -56,14 +64,18 @@ pub enum VerifyMode {
     Active,
 }
 
-/// One open section on one rank.
+/// The end of a rank's frame list, and of the arena's free list.
+const NONE: u32 = u32::MAX;
+
+/// One open section on one rank: a slot of the world's frame arena.
+#[derive(Clone, Copy)]
 struct Frame {
-    label: Arc<str>,
-    /// The communicator the section is collective over.
-    comm: CommId,
-    /// Dense runtime-wide id of the (comm, label) section.
+    /// Dense runtime-wide id of the (comm, label) section; its label and
+    /// communicator are the label table's.
     id: u32,
-    data: SectionData,
+    /// The rank's frame entered before this one, on any communicator
+    /// ([`NONE`] at the bottom). A free slot links the next free one.
+    below: u32,
     enter: VTime,
     /// Virtual time spent in already-closed child sections (for exclusive
     /// time computation).
@@ -72,120 +84,176 @@ struct Frame {
     occurrence: u64,
 }
 
+/// One (comm, label) section of the label table.
+struct Section {
+    label: Arc<str>,
+    comm: CommId,
+    /// The communicator's entry in [`State::comms`].
+    at: usize,
+    /// Enters so far, by communicator rank.
+    occurrences: Vec<u64>,
+}
+
+/// One communicator's shared section state.
+struct CommSections {
+    /// Section events (enters + exits) so far by communicator rank: how
+    /// far each member has come through `log` (kept under
+    /// [`VerifyMode::Active`] only).
+    events: Vec<u64>,
+    /// The agreed sequence of section events as [`verify_word`]s (grown by
+    /// the first rank to perform each step).
+    log: Vec<u32>,
+}
+
+/// One rank's slot in the rank table.
+#[derive(Clone, Copy)]
+struct RankSlot {
+    /// The rank's innermost open frame, on any communicator.
+    top: u32,
+    /// Section events so far, on all communicators: the misuse reports
+    /// give the failing event's index in it.
+    events: u64,
+}
+
+const NO_FRAMES: RankSlot = RankSlot {
+    top: NONE,
+    events: 0,
+};
+
 /// Labels by name: the communicators each was entered on, with the dense
 /// section id it has there (a label lives on one or two communicators: a
 /// scan, not a map).
 type LabelMap = FastMap<Arc<str>, Vec<(CommId, u32)>>;
 
-/// The label's one allocation and the id of (comm, label), if known.
-fn section_of(labels: &LabelMap, comm: CommId, label: &str) -> Option<(Arc<str>, u32)> {
-    let (name, on) = labels.get_key_value(label)?;
-    let &(_, id) = on.iter().find(|(c, _)| *c == comm)?;
-    Some((name.clone(), id))
-}
-
-/// One rank's section counts on one communicator.
-struct CommSections {
-    comm: CommId,
-    /// Enters so far per section id. A rank enters a handful of distinct
-    /// labels, so a scan over pairs beats a hash probe — and unlike a table
-    /// indexed by the runtime-wide id it stays small when thousands of
-    /// sub-communicators each bring their own sections.
-    occurrences: Vec<(u32, u64)>,
-    /// Count of section events (enters + exits) on this (rank, comm) —
-    /// which is also how far the rank has come through the communicator's
-    /// verification log. Misuse diagnostics carry the rank-wide index:
-    /// the sum over the rank's communicators (cold path only).
-    events: u64,
-}
-
-/// One rank's section state.
-#[derive(Default)]
-struct RankSections {
-    /// Open frames in enter order. A communicator's innermost frame is its
-    /// last one here; frames on different communicators may close out of
-    /// enter order.
-    frames: Vec<Frame>,
-    /// The rank's communicators in first-use order (the world first:
-    /// `Init` opens `MPI_MAIN` there). A rank belongs to a handful.
-    comms: Vec<CommSections>,
-}
-
-impl RankSections {
-    /// Index of `comm` among the rank's communicators, added on first use.
-    fn comm_index(&mut self, comm: CommId) -> usize {
-        if let Some(at) = self.comms.iter().position(|c| c.comm == comm) {
-            return at;
-        }
-        let (occurrences, events) = (Vec::new(), 0);
-        self.comms.push(CommSections {
-            comm,
-            occurrences,
-            events,
-        });
-        self.comms.len() - 1
-    }
-
-    /// Rank-wide section-event count (sum over the rank's communicators);
-    /// the misuse reports give the failing event's index in it.
-    fn events(&self) -> u64 {
-        self.comms.iter().map(|cs| cs.events).sum()
-    }
-
-    /// The frames open on `comm`, outermost first.
-    fn open_on(&self, comm: CommId) -> impl Iterator<Item = &Frame> {
-        self.frames.iter().filter(move |f| f.comm == comm)
-    }
-
-    /// The labels open on `comm` (cold: misuse reports only).
-    fn open_labels(&self, comm: CommId) -> Vec<String> {
-        self.open_on(comm).map(|f| f.label.to_string()).collect()
-    }
-}
-
 /// Everything the runtime's one cell holds.
 #[derive(Default)]
 struct State {
     /// The label table: one `Arc<str>` per label and one dense id per
-    /// (comm, label), assigned in first-seen order. Every rank's frames,
-    /// `EnterInfo`/`LeaveInfo` and section events share the label's one
-    /// allocation, so downstream interners can recognise it by address.
+    /// (comm, label), assigned in first-seen order. `EnterInfo`/`LeaveInfo`
+    /// and section events share the label's one allocation, so downstream
+    /// interners can recognise it by address.
     labels: LabelMap,
-    /// Section state by world rank.
-    ranks: Vec<RankSections>,
-    /// Per communicator, the agreed sequence of section events as
-    /// [`verify_word`]s (grown by the first rank to perform each step).
-    verify_log: FastMap<CommId, Vec<u32>>,
+    /// The sections by id.
+    sections: Vec<Section>,
+    /// The communicators sections were entered on, in first-use order, and
+    /// where each is among them (looked up when a section is new).
+    comms: Vec<CommSections>,
+    comm_at: FastMap<CommId, usize>,
+    /// Slots by world rank.
+    ranks: Vec<RankSlot>,
+    /// The frame arena: every rank's open frames, and the free slots of
+    /// closed ones, linked from `free`.
+    frames: Vec<Frame>,
+    free: u32,
+    /// Each frame slot's data blob, kept only while an enter-side tool is
+    /// attached (nothing else can write one).
+    blobs: Vec<SectionData>,
 }
 
-/// The rank's slot in the table. `Init` sizes the table to the world; a
-/// runtime that was never registered as a tool of its world never saw
-/// `Init`, so its ranks' first `enter` grows it.
-fn rank_sections(ranks: &mut Vec<RankSections>, world_rank: usize) -> &mut RankSections {
-    if ranks.len() <= world_rank {
-        ranks.resize_with(world_rank + 1, RankSections::default);
+/// `table[rank]`, the table grown to the communicator's `size` (or past
+/// `rank`) first if it is short.
+fn counter(table: &mut Vec<u64>, rank: usize, size: usize) -> &mut u64 {
+    if table.len() <= rank {
+        table.resize(size.max(rank + 1), 0);
     }
-    &mut ranks[world_rank]
+    &mut table[rank]
 }
 
-/// The one allocation and the id of (comm, label), assigned here if this
-/// is its first enter anywhere in the runtime. Id 0 is `(world, MPI_MAIN)`
-/// in every runtime, even one never registered to open it: a leave's
-/// `inner` of 0 means no frame is open.
-fn intern(labels: &mut LabelMap, comm: CommId, label: &str) -> (Arc<str>, u32) {
-    if let Some(known) = section_of(labels, comm, label) {
-        return known;
+impl State {
+    /// The rank's slot. `Init` sizes the table to the world; a runtime
+    /// that was never registered as a tool of its world never saw `Init`,
+    /// so its ranks' first `enter` grows it.
+    fn rank(&mut self, world_rank: usize) -> &mut RankSlot {
+        if self.ranks.len() <= world_rank {
+            self.ranks.resize(world_rank + 1, NO_FRAMES);
+        }
+        &mut self.ranks[world_rank]
     }
-    if labels.is_empty() && (comm, label) != (CommId::WORLD, MPI_MAIN) {
-        intern(labels, CommId::WORLD, MPI_MAIN);
+
+    /// The id of (comm, label): one hash of the label.
+    fn intern(&mut self, comm: CommId, label: &str) -> u32 {
+        let known = self.labels.get(label).and_then(|on| {
+            let (_, id) = on.iter().find(|(c, _)| *c == comm)?;
+            Some(*id)
+        });
+        known.unwrap_or_else(|| self.add_section(comm, label))
     }
-    let id = labels.values().map(Vec::len).sum::<usize>() as u32;
-    let name = match labels.get_key_value(label) {
-        Some((name, _)) => name.clone(),
-        None => Arc::from(label),
-    };
-    labels.entry(name.clone()).or_default().push((comm, id));
-    (name, id)
+
+    /// Assign (comm, label) the next id. Id 0 is `(world, MPI_MAIN)` in
+    /// every runtime, even one never registered to open it: a leave's
+    /// `inner` of 0 means no frame is open.
+    #[cold]
+    fn add_section(&mut self, comm: CommId, label: &str) -> u32 {
+        if self.sections.is_empty() && (comm, label) != (CommId::WORLD, MPI_MAIN) {
+            self.add_section(CommId::WORLD, MPI_MAIN);
+        }
+        let id = self.sections.len() as u32;
+        let name = match self.labels.get_key_value(label) {
+            Some((name, _)) => name.clone(),
+            None => Arc::from(label),
+        };
+        let comms = &mut self.comms;
+        let at = *self.comm_at.entry(comm).or_insert_with(|| {
+            comms.push(CommSections {
+                events: Vec::new(),
+                log: Vec::new(),
+            });
+            comms.len() - 1
+        });
+        self.labels
+            .entry(name.clone())
+            .or_default()
+            .push((comm, id));
+        self.sections.push(Section {
+            label: name,
+            comm,
+            at,
+            occurrences: Vec::new(),
+        });
+        id
+    }
+
+    /// The communicator of the frame in arena slot `at`.
+    fn comm_of(&self, at: u32) -> CommId {
+        self.sections[self.frames[at as usize].id as usize].comm
+    }
+
+    /// A rank's open frames as arena slots, innermost first.
+    fn frames_of(&self, world_rank: usize) -> impl Iterator<Item = u32> + '_ {
+        let top = self.ranks.get(world_rank).map_or(NONE, |rank| rank.top);
+        std::iter::successors((top != NONE).then_some(top), |&at| {
+            let below = self.frames[at as usize].below;
+            (below != NONE).then_some(below)
+        })
+    }
+
+    /// The labels open on `comm` for a rank, outermost first (cold: misuse
+    /// reports only).
+    fn open_labels(&self, world_rank: usize, comm: CommId) -> Vec<String> {
+        let mut labels: Vec<String> = self
+            .frames_of(world_rank)
+            .filter(|&at| self.comm_of(at) == comm)
+            .map(|at| self.label_of(at).to_string())
+            .collect();
+        labels.reverse();
+        labels
+    }
+
+    fn label_of(&self, at: u32) -> &Arc<str> {
+        &self.sections[self.frames[at as usize].id as usize].label
+    }
+
+    /// A new frame in the arena: a free slot if there is one.
+    fn push_frame(&mut self, frame: Frame) -> u32 {
+        if self.free == NONE {
+            self.frames.push(frame);
+            return self.frames.len() as u32 - 1;
+        }
+        let at = self.free;
+        self.free = self.frames[at as usize].below;
+        self.frames[at as usize] = frame;
+        at
+    }
 }
 
 /// One record of the shared verification log.
@@ -195,11 +263,10 @@ fn verify_word(id: u32, is_enter: bool) -> u32 {
 
 /// A log word as the order-violation report prints it: `Enter("X")` /
 /// `Exit("X")`, the label looked up by id (cold).
-fn describe_word(labels: &LabelMap, word: u32) -> String {
-    let names_it = |on: &Vec<(CommId, u32)>| on.iter().any(|&(_, id)| id == word >> 1);
-    let label = labels.iter().find(|(_, on)| names_it(on));
+fn describe_word(state: &State, word: u32) -> String {
+    let label = state.sections.get((word >> 1) as usize);
     let direction = if word & 1 == 1 { "Enter" } else { "Exit" };
-    format!("{direction}({:?})", label.map_or("?", |(name, _)| name))
+    format!("{direction}({:?})", label.map_or("?", |s| &*s.label))
 }
 
 /// Fixed tool-slot capacity (see [`SectionRuntime::attach`]).
@@ -222,7 +289,8 @@ pub struct SectionRuntime {
     /// `LeaveInfo` build entirely when no tool is attached.
     n_tools: AtomicUsize,
     /// Cached count of tools whose [`SectionTool::wants_enter`] is true;
-    /// when zero, enters skip `EnterInfo` and the dispatch chain.
+    /// when zero, enters skip `EnterInfo` and the dispatch chain, and no
+    /// frame keeps a data blob.
     n_enter_tools: AtomicUsize,
 }
 
@@ -230,7 +298,10 @@ impl SectionRuntime {
     /// A runtime with the given verification mode and no tools.
     pub fn new(verify: VerifyMode) -> Arc<SectionRuntime> {
         Arc::new(SectionRuntime {
-            state: WorldCell::default(),
+            state: WorldCell::new(State {
+                free: NONE,
+                ..State::default()
+            }),
             verify,
             tools: std::array::from_fn(|_| OnceLock::new()),
             n_tools: AtomicUsize::new(0),
@@ -284,8 +355,9 @@ impl SectionRuntime {
     /// section (perfect nesting, paper §4).
     pub fn exit(&self, p: &mut Proc, comm: &Comm, label: &str) {
         let info = CommInfo::of(comm);
-        let (label, section, inner) = self.exit_at(p.world_rank(), info, label, p.now());
-        if p.wants(EventKind::SectionLeave) {
+        let want = p.wants(EventKind::SectionLeave);
+        let left = self.exit_at(p.world_rank(), info, label, p.now(), want);
+        if let Some((label, section, inner)) = left {
             p.raise(MpiEvent::SectionLeave {
                 comm: comm.id(),
                 comm_size: comm.size(),
@@ -315,8 +387,36 @@ impl SectionRuntime {
     /// Depth of open sections for a rank on a communicator (diagnostics).
     pub fn depth(&self, world_rank: usize, comm: CommId) -> usize {
         let state = self.state.lock();
-        let rank = state.ranks.get(world_rank);
-        rank.map_or(0, |rank| rank.open_on(comm).count())
+        let open = state.frames_of(world_rank);
+        open.filter(|&at| state.comm_of(at) == comm).count()
+    }
+
+    /// Bytes the runtime's tables hold, counted from their lengths (not
+    /// their capacities): the rank slots, the frame arena and its blobs,
+    /// every section with its occurrence counts and label, every
+    /// communicator with its event counts and verification log.
+    pub fn state_bytes(&self) -> usize {
+        let state = self.state.lock();
+        let sections = state
+            .sections
+            .iter()
+            .map(|s| size_of::<Section>() + s.occurrences.len() * size_of::<u64>() + s.label.len());
+        let comms = state.comms.iter().map(|c| {
+            size_of::<CommSections>()
+                + c.events.len() * size_of::<u64>()
+                + c.log.len() * size_of::<u32>()
+        });
+        let labels = state.labels.values().map(|on| {
+            size_of::<(Arc<str>, Vec<(CommId, u32)>)>() + on.len() * size_of::<(CommId, u32)>()
+        });
+        size_of::<SectionRuntime>()
+            + state.ranks.len() * size_of::<RankSlot>()
+            + state.frames.len() * size_of::<Frame>()
+            + state.blobs.len() * size_of::<SectionData>()
+            + state.comm_at.len() * size_of::<(CommId, usize)>()
+            + sections.sum::<usize>()
+            + comms.sum::<usize>()
+            + labels.sum::<usize>()
     }
 
     // ------------------------------------------------------------------
@@ -334,42 +434,42 @@ impl SectionRuntime {
         want_label: bool,
     ) -> Option<(Arc<str>, u32)> {
         let enter_tools = self.n_enter_tools.load(Ordering::Acquire) > 0;
-        // Keep a second handle on the label only when someone will look at
-        // it (event raise or an enter-side tool); the first moves into the
-        // frame.
-        let need_label = want_label || enter_tools;
-        let (label, id, occurrence, depth) = {
+        let (label, id, occurrence, depth, at) = {
             let state = &mut *self.state.lock();
-            let (label, id) = intern(&mut state.labels, comm.id, label);
-            let at = rank_sections(&mut state.ranks, world_rank).comm_index(comm.id);
+            let id = state.intern(comm.id, label);
+            let top = state.rank(world_rank).top;
             if self.verify == VerifyMode::Active {
-                verify_step(state, world_rank, at, verify_word(id, true));
+                verify_step(state, world_rank, comm, id, verify_word(id, true));
             }
-            let rank = &mut state.ranks[world_rank];
-            let cs = &mut rank.comms[at];
-            cs.events += 1;
-            let occurrence = match cs.occurrences.iter_mut().find(|(sec, _)| *sec == id) {
-                Some((_, count)) => {
-                    *count += 1;
-                    *count - 1
-                }
-                None => {
-                    cs.occurrences.push((id, 1));
-                    0
-                }
-            };
-            let depth = rank.open_on(comm.id).count();
-            let kept = need_label.then(|| label.clone());
-            rank.frames.push(Frame {
-                label,
-                comm: comm.id,
+            let section = &mut state.sections[id as usize];
+            let count = counter(&mut section.occurrences, comm.rank, comm.size);
+            let occurrence = *count;
+            *count += 1;
+            // Keep a handle on the label only when someone will look at it
+            // (event raise or an enter-side tool).
+            let label = (want_label || enter_tools).then(|| section.label.clone());
+            let depth = state
+                .frames_of(world_rank)
+                .filter(|&at| state.comm_of(at) == comm.id)
+                .count();
+            let at = state.push_frame(Frame {
                 id,
-                data: [0; 32],
+                below: top,
                 enter: now,
                 child_time: VTime::ZERO,
                 occurrence,
             });
-            (kept, id, occurrence, depth)
+            if enter_tools {
+                let blobs = &mut state.blobs;
+                if blobs.len() <= at as usize {
+                    blobs.resize(at as usize + 1, [0; 32]);
+                }
+                blobs[at as usize] = [0; 32];
+            }
+            let rank = &mut state.ranks[world_rank];
+            rank.top = at;
+            rank.events += 1;
+            (label, id, occurrence, depth, at)
         };
         // Leave-side tools (the profiler) fold everything at exit; when no
         // attached tool acts on enters, skip the info build and dispatch.
@@ -394,11 +494,7 @@ impl SectionRuntime {
                 }
             }
             if data != [0u8; 32] {
-                let mut state = self.state.lock();
-                let rank = rank_sections(&mut state.ranks, world_rank);
-                if let Some(frame) = rank.frames.last_mut() {
-                    frame.data = data;
-                }
+                self.state.lock().blobs[at as usize] = data;
             }
         }
         if want_label {
@@ -408,85 +504,111 @@ impl SectionRuntime {
         }
     }
 
-    /// Close `comm`'s innermost frame, which must be `label`'s. Returns
-    /// the label, its section id and the rank's innermost section after.
+    /// Close `comm`'s innermost frame, which must be `label`'s. The label,
+    /// its section id and the rank's innermost section after come back
+    /// when `want_label` asks for them (to raise the section event).
     fn exit_at(
         &self,
         world_rank: usize,
         comm: CommInfo,
         label: &str,
         now: VTime,
-    ) -> (Arc<str>, u32, u32) {
-        let (frame, depth, inner) = {
+        want_label: bool,
+    ) -> Option<(Arc<str>, u32, u32)> {
+        let n_tools = self.n_tools.load(Ordering::Acquire);
+        let enter_tools = self.n_enter_tools.load(Ordering::Acquire) > 0;
+        let (frame, label, data, depth, inner) = {
             let state = &mut *self.state.lock();
-            let rank = rank_sections(&mut state.ranks, world_rank);
-            let at = rank.comm_index(comm.id);
-            let open = rank.frames.iter().rposition(|f| f.comm == comm.id);
+            // The communicator's innermost frame, and the rank's frame
+            // entered right after it (its link down is what changes).
+            let (mut above, mut at) = (NONE, state.rank(world_rank).top);
+            while at != NONE && state.comm_of(at) != comm.id {
+                (above, at) = (at, state.frames[at as usize].below);
+            }
+            let matches = at != NONE && &**state.label_of(at) == label;
             if self.verify == VerifyMode::Active {
                 // The frame carries the id when the exit is the one perfect
                 // nesting allows; a misnested exit interns its label (cold:
                 // the rank is about to abort).
-                let id = match open.map(|pos| &rank.frames[pos]) {
-                    Some(frame) if &*frame.label == label => frame.id,
-                    _ => intern(&mut state.labels, comm.id, label).1,
+                let id = if matches {
+                    state.frames[at as usize].id
+                } else {
+                    state.intern(comm.id, label)
                 };
-                verify_step(state, world_rank, at, verify_word(id, false));
+                verify_step(state, world_rank, comm, id, verify_word(id, false));
             }
-            let rank = &mut state.ranks[world_rank];
-            rank.comms[at].events += 1;
-            let Some(pos) = open else {
+            let event_index = state.ranks[world_rank].events;
+            state.ranks[world_rank].events += 1;
+            if at == NONE {
                 section_misuse(
                     world_rank,
                     comm.id,
                     Vec::new(),
-                    rank.events() - 1,
+                    event_index,
                     format!(
                         "mpi-sections: exit of '{label}' on rank {world_rank} \
                          with no open section"
                     ),
                 )
-            };
-            if &*rank.frames[pos].label != label {
+            }
+            if !matches {
                 // The misuse-context stack (cold path only: snapshotting
                 // every open label on every exit is what the hot path pays
                 // for otherwise).
                 section_misuse(
                     world_rank,
                     comm.id,
-                    rank.open_labels(comm.id),
-                    rank.events() - 1,
+                    state.open_labels(world_rank, comm.id),
+                    event_index,
                     format!(
                         "mpi-sections: imperfect nesting on rank {world_rank}: \
                          exiting '{label}' but innermost open section is '{}'",
-                        rank.frames[pos].label
+                        state.label_of(at)
                     ),
                 );
             }
-            // Usually the rank's last frame: a pop.
-            let frame = rank.frames.remove(pos);
+            // Usually the rank's innermost frame: a pop. Its slot goes to
+            // the free list.
+            let frame = state.frames[at as usize];
+            match above {
+                NONE => state.ranks[world_rank].top = frame.below,
+                above => state.frames[above as usize].below = frame.below,
+            }
+            state.frames[at as usize].below = state.free;
+            state.free = at;
+            let label = (n_tools > 0 || want_label).then(|| state.label_of(at).clone());
+            let data = match state.blobs.get(at as usize) {
+                Some(blob) if enter_tools && n_tools > 0 => *blob,
+                _ => [0; 32],
+            };
             // Credit our inclusive duration to the parent's child time: the
             // frame below on the same communicator.
-            let below = &mut rank.frames[..pos];
-            if let Some(parent) = below.iter_mut().rfind(|f| f.comm == comm.id) {
-                parent.child_time += now - frame.enter;
+            let (mut parent, mut depth, mut below) = (NONE, 0, frame.below);
+            while below != NONE {
+                if state.comm_of(below) == comm.id {
+                    parent = if depth == 0 { below } else { parent };
+                    depth += 1;
+                }
+                below = state.frames[below as usize].below;
             }
-            let depth = below.iter().filter(|f| f.comm == comm.id).count();
-            let inner = rank.frames.last().map_or(0, |f| f.id);
-            (frame, depth, inner)
+            if parent != NONE {
+                state.frames[parent as usize].child_time += now - frame.enter;
+            }
+            let inner = match state.ranks[world_rank].top {
+                NONE => 0,
+                top => state.frames[top as usize].id,
+            };
+            (frame, label, data, depth, inner)
         };
-        let n_tools = self.n_tools.load(Ordering::Acquire);
         if n_tools > 0 {
             let duration = now - frame.enter;
             let exclusive = duration - frame.child_time;
-            // The frame is consumed here, so its label moves into the
-            // info (and back out for the return) without touching the
-            // Arc's refcount.
             let info = LeaveInfo {
                 world_rank,
                 comm: comm.id,
                 comm_size: comm.size,
                 comm_rank: comm.rank,
-                label: frame.label,
+                label: label.expect("label retained for tools"),
                 section: frame.id,
                 enter_time: frame.enter,
                 time: now,
@@ -497,44 +619,44 @@ impl SectionRuntime {
             };
             for slot in &self.tools[..n_tools] {
                 if let Some(tool) = slot.get() {
-                    tool.on_leave(&info, &frame.data);
+                    tool.on_leave(&info, &data);
                 }
             }
-            (info.label, frame.id, inner)
+            want_label.then_some((info.label, frame.id, inner))
         } else {
-            (frame.label, frame.id, inner)
+            label.map(|label| (label, frame.id, inner))
         }
     }
 }
 
-/// Check the rank's next section event (`word`) on its communicator number
-/// `at` against that communicator's log, appending it when this rank is
-/// the first to get there.
-fn verify_step(state: &mut State, world_rank: usize, at: usize, word: u32) {
-    let rank = &state.ranks[world_rank];
-    let cs = &rank.comms[at];
-    let pos = cs.events as usize;
-    let log = state.verify_log.entry(cs.comm).or_default();
-    let Some(&expected) = log.get(pos) else {
+/// Check the rank's next section event (`word`) on its communicator
+/// against that communicator's log, appending it when this rank is the
+/// first to get there.
+fn verify_step(state: &mut State, world_rank: usize, comm: CommInfo, id: u32, word: u32) {
+    let cs = &mut state.comms[state.sections[id as usize].at];
+    let events = counter(&mut cs.events, comm.rank, comm.size);
+    let pos = *events as usize;
+    *events += 1;
+    let Some(&expected) = cs.log.get(pos) else {
         assert!(
-            pos == log.len(),
+            pos == cs.log.len(),
             "mpi-sections: verification position overran the log"
         );
-        log.push(word);
+        cs.log.push(word);
         return;
     };
     if expected != word {
         let message = format!(
             "mpi-sections: section order violation on rank {world_rank}: \
              expected {} at step {pos}, got {}",
-            describe_word(&state.labels, expected),
-            describe_word(&state.labels, word)
+            describe_word(state, expected),
+            describe_word(state, word)
         );
         section_misuse(
             world_rank,
-            cs.comm,
-            rank.open_labels(cs.comm),
-            rank.events(),
+            comm.id,
+            state.open_labels(world_rank, comm.id),
+            state.ranks[world_rank].events,
             message,
         );
     }
@@ -588,18 +710,18 @@ impl Tool for SectionRuntime {
         match event {
             MpiEvent::Init { size, time } => {
                 // Size the table to the world at once: reach its last rank.
-                rank_sections(&mut self.state.lock().ranks, size - 1);
+                self.state.lock().rank(size - 1);
                 let (id, size, rank) = (CommId::WORLD, *size, world_rank);
                 let world = CommInfo { id, size, rank };
                 self.enter_at(world_rank, world, MPI_MAIN, *time, false);
             }
             MpiEvent::Finalize { time } => {
                 // Comm size is not carried by Finalize; MPI_MAIN lives on
-                // the world communicator whose size tools already saw at
-                // Init, so 0 participants here is treated as "unchanged".
+                // the world communicator whose tables were sized at Init,
+                // so 0 participants here is treated as "unchanged".
                 let (id, size, rank) = (CommId::WORLD, 0, world_rank);
                 let world = CommInfo { id, size, rank };
-                let _ = self.exit_at(world_rank, world, MPI_MAIN, *time);
+                self.exit_at(world_rank, world, MPI_MAIN, *time, false);
             }
             _ => {}
         }
@@ -609,18 +731,24 @@ impl Tool for SectionRuntime {
     /// failure message carries the phase the rank died in.
     fn rank_context(&self, world_rank: usize) -> Option<String> {
         let state = self.state.lock();
-        let rank = state.ranks.get(world_rank)?;
-        let mut parts: Vec<String> = rank
-            .comms
-            .iter()
-            .filter_map(|cs| {
-                let labels: Vec<&str> = rank.open_on(cs.comm).map(|f| &*f.label).collect();
-                (!labels.is_empty()).then(|| format!("comm {}: {}", cs.comm.0, labels.join(" > ")))
-            })
-            .collect();
-        if parts.is_empty() {
+        // (communicator, its labels outermost first), in first-open order.
+        let mut open: Vec<(CommId, Vec<&str>)> = Vec::new();
+        let mut frames: Vec<u32> = state.frames_of(world_rank).collect();
+        frames.reverse();
+        for at in frames {
+            let (comm, label) = (state.comm_of(at), &**state.label_of(at));
+            match open.iter_mut().find(|(c, _)| *c == comm) {
+                Some((_, labels)) => labels.push(label),
+                None => open.push((comm, vec![label])),
+            }
+        }
+        if open.is_empty() {
             return None;
         }
+        let mut parts: Vec<String> = open
+            .iter()
+            .map(|(comm, labels)| format!("comm {}: {}", comm.0, labels.join(" > ")))
+            .collect();
         parts.sort();
         Some(format!("open sections: {}", parts.join("; ")))
     }
@@ -790,9 +918,11 @@ mod tests {
                     }
                 })
                 .unwrap();
-            let state = sections.state.lock();
-            let log = &state.verify_log[&CommId::WORLD];
-            (log.len(), std::mem::size_of_val(&log[..]))
+            let events = {
+                let state = sections.state.lock();
+                state.comms[state.comm_at[&CommId::WORLD]].log.len()
+            };
+            (events, sections.state_bytes())
         };
         // MPI_MAIN's pair plus four events a step, whatever the rank count.
         let (short, long) = (events_and_bytes(10), events_and_bytes(110));
