@@ -88,11 +88,12 @@ struct RvState {
     /// What the generation's first arriver entered: the operation every
     /// later arriver must enter too.
     op: Option<CollOp>,
-    /// The completed generation's record, left by its last arriver until
-    /// each of the `takers` members that waited for it has picked up its
-    /// own handle. One place is enough: the next generation cannot
+    /// The last completed generation's record, left by its last arriver
+    /// until each of the `takers` members that waited for it has picked up
+    /// its own handle. One place is enough: the next generation cannot
     /// complete before they all have, each arriving in it only after its
-    /// pick-up.
+    /// pick-up. That completion takes the record's slot vector back for
+    /// its own successor when no reader holds the record any more.
     completed: Option<Arc<Done>>,
     takers: usize,
 }
@@ -206,7 +207,9 @@ impl Rendezvous {
                 };
                 compute_exit(&view)
             };
-            let slots = std::mem::replace(&mut st.slots, empty_slots(p));
+            debug_assert!(st.takers == 0, "generation {gen} overtook a waiter");
+            let next = recycled_slots(st.completed.take(), p);
+            let slots = std::mem::replace(&mut st.slots, next);
             let done = Arc::new(Done {
                 gen,
                 exit,
@@ -214,11 +217,8 @@ impl Rendezvous {
                 slots: Mutex::new(slots),
                 folded: Mutex::new(None),
             });
-            debug_assert!(st.completed.is_none(), "generation {gen} overtook a waiter");
-            if p > 1 {
-                st.completed = Some(done.clone());
-                st.takers = p - 1;
-            }
+            st.completed = Some(done.clone());
+            st.takers = p - 1;
             st.gen += 1;
             st.arrived = 0;
             st.total_bytes = 0;
@@ -234,9 +234,6 @@ impl Rendezvous {
                 if let Some(done) = st.completed.as_ref().filter(|done| done.gen == gen) {
                     let done = done.clone();
                     st.takers -= 1;
-                    if st.takers == 0 {
-                        st.completed = None;
-                    }
                     return done;
                 }
                 poison.check();
@@ -263,6 +260,22 @@ fn empty_slots(p: usize) -> Vec<Payload> {
     std::iter::repeat_with(Payload::default).take(p).collect()
 }
 
+/// [`empty_slots`] for the generation after the one that just completed:
+/// the `previous` record's vector, emptied, when nothing else holds that
+/// record; a new vector otherwise, or when a gather's root took the
+/// vector as its result.
+fn recycled_slots(previous: Option<Arc<Done>>, p: usize) -> Vec<Payload> {
+    match previous.map(Arc::try_unwrap) {
+        Some(Ok(done)) => {
+            let mut slots = std::mem::take(&mut *done.slots.lock());
+            slots.clear();
+            slots.resize_with(p, Payload::default);
+            slots
+        }
+        _ => empty_slots(p),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,7 +294,7 @@ mod tests {
             let report = WorldBuilder::new(p)
                 .engine(engine)
                 .run(|proc| body(&rv, proc.world_rank(), &proc.mailboxes.poison))?;
-            let taken = rv.state.lock().completed.is_none();
+            let taken = rv.state.lock().takers == 0;
             assert!(taken, "every waiter picked up its record");
             Ok(report.results)
         })
@@ -389,23 +402,33 @@ mod tests {
         );
     }
 
-    /// Nothing but the readers' own handles keeps a record: once the last
-    /// of them is dropped the record is freed.
+    /// Nothing but the readers' own handles and the rendezvous's one place
+    /// keeps a record: once its readers have dropped it, the next
+    /// generation's completion frees it, and its slot vector collects the
+    /// generation after that.
     #[test]
-    fn a_record_is_freed_when_its_last_reader_drops_it() {
+    fn a_record_is_freed_when_its_readers_dropped_it_and_the_next_completes() {
         let worlds = on_each_engine(3, |rv, local, poison| {
-            let done = rv.arrive(
-                local,
-                "barrier",
-                None,
-                VTime::ZERO,
-                0,
-                Payload::default(),
-                |v| v.max_entry(),
-                poison,
-            );
-            let weak = Arc::downgrade(&done);
-            assert!(weak.upgrade().is_some());
+            let barrier = || {
+                let (entry, slot) = (VTime::ZERO, Payload::default());
+                rv.arrive(
+                    local,
+                    "barrier",
+                    None,
+                    entry,
+                    0,
+                    slot,
+                    |v| v.max_entry(),
+                    poison,
+                )
+            };
+            let first = barrier();
+            let weak = Arc::downgrade(&first);
+            let vector = first.slots.lock().as_ptr() as usize;
+            drop(first);
+            drop(barrier());
+            assert!(weak.upgrade().is_none(), "a record outlived its readers");
+            assert_eq!(barrier().slots.lock().as_ptr() as usize, vector);
             weak
         });
         for weak in worlds.into_iter().flat_map(Result::unwrap) {
