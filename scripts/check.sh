@@ -132,6 +132,20 @@ if sed -n '/^pub enum MpiEvent {/,/^}/p' crates/mpisim/src/event.rs | grep -n 'd
     exit 1
 fi
 
+echo "==> no heap block per rank in the section runtime"
+# A frame carries its section id, not its label, and its data blob lives out
+# of line; a rank's slot is two words. Also pinned in tier-1 by the per-rank
+# budget of `crates/bench/tests/section_state.rs`'
+# `conv_holds_a_few_words_per_rank_in_the_section_runtime`.
+if sed -n '/^struct Frame {/,/^}/p' crates/core/src/section.rs | grep -n 'Arc<str>\|SectionData'; then
+    echo "crates/core/src/section.rs: a frame carries its label or its data blob again"
+    exit 1
+fi
+if sed -n '/^struct RankSlot {/,/^}/p' crates/core/src/section.rs | grep -n 'Vec<'; then
+    echo "crates/core/src/section.rs: a rank's slot holds a Vec again (a heap block per rank)"
+    exit 1
+fi
+
 echo "==> a rank suspends only where MPI blocks"
 # A fiber suspends on a receive or a rendezvous, never to poll, so an empty
 # ready heap with live ranks is the deadlock proof; and the public surface
