@@ -261,19 +261,19 @@ fn empty_slots(p: usize) -> Vec<Payload> {
 }
 
 /// [`empty_slots`] for the generation after the one that just completed:
-/// the `previous` record's vector, emptied, when nothing else holds that
-/// record; a new vector otherwise, or when a gather's root took the
-/// vector as its result.
+/// the `previous` record's vector, emptied in place, when nothing else
+/// holds that record; a new vector otherwise, or when a gather's root
+/// took the vector as its result.
 fn recycled_slots(previous: Option<Arc<Done>>, p: usize) -> Vec<Payload> {
-    match previous.map(Arc::try_unwrap) {
-        Some(Ok(done)) => {
-            let mut slots = std::mem::take(&mut *done.slots.lock());
-            slots.clear();
-            slots.resize_with(p, Payload::default);
-            slots
-        }
-        _ => empty_slots(p),
+    let Some(Ok(done)) = previous.map(Arc::try_unwrap) else {
+        return empty_slots(p);
+    };
+    let mut slots = std::mem::take(&mut *done.slots.lock());
+    if slots.len() != p {
+        return empty_slots(p);
     }
+    slots.iter_mut().for_each(|slot| *slot = Payload::default());
+    slots
 }
 
 #[cfg(test)]

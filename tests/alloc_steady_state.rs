@@ -105,14 +105,15 @@ fn a_lulesh_iteration_allocates_one_object_per_rank() {
     // 41.5 before neighbours were cached, thread loads iterated and the
     // scalar allreduce deposited an array. What is left is that deposit
     // (the slot's box, one per rank) and the generation's shared record
-    // (four objects whatever p is: the record, the next generation's
-    // slots, the fold and its box).
+    // (three objects whatever p is: the record, the fold and its box; a
+    // fourth, the next generation's slots, went when an earlier record's
+    // were reused: 1.51 → 1.39 at p = 8).
     let per_step = calls_per_rank_step(200, |iters| {
         run_profiled(Program::Lulesh(lulesh_proxy::LuleshConfig::timing(
             6, iters, 4,
         )));
     });
-    let bound = 1.0 + 4.0 / P as f64 + 0.05;
+    let bound = 1.0 + 3.0 / P as f64 + 0.05;
     assert!(
         per_step <= bound,
         "{per_step} allocations per rank-step (bound {bound})"
