@@ -142,7 +142,8 @@ struct State {
     /// Slots by world rank.
     ranks: Vec<RankSlot>,
     /// The frame arena: every rank's open frames, and the free slots of
-    /// closed ones, linked from `free`.
+    /// closed ones, linked from `free` ([`NONE`] when there is none, as
+    /// [`SectionRuntime::new`] sets it; not the derived 0).
     frames: Vec<Frame>,
     free: u32,
     /// Each frame slot's data blob, kept only while an enter-side tool is

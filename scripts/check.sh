@@ -137,6 +137,12 @@ echo "==> no heap block per rank in the section runtime"
 # of line; a rank's slot is two words. Also pinned in tier-1 by the per-rank
 # budget of `crates/bench/tests/section_state.rs`'
 # `conv_holds_a_few_words_per_rank_in_the_section_runtime`.
+for target in 'struct Frame {' 'struct RankSlot {'; do
+    if ! grep -q "^$target" crates/core/src/section.rs; then
+        echo "crates/core/src/section.rs: '$target' is gone; aim the guard below at its successor"
+        exit 1
+    fi
+done
 if sed -n '/^struct Frame {/,/^}/p' crates/core/src/section.rs | grep -n 'Arc<str>\|SectionData'; then
     echo "crates/core/src/section.rs: a frame carries its label or its data blob again"
     exit 1
