@@ -219,23 +219,30 @@ impl State {
         self.sections[self.frames[at as usize].id as usize].comm
     }
 
-    /// A rank's open frames as arena slots, innermost first.
-    fn frames_of(&self, world_rank: usize) -> impl Iterator<Item = u32> + '_ {
-        let top = self.ranks.get(world_rank).map_or(NONE, |rank| rank.top);
-        std::iter::successors((top != NONE).then_some(top), |&at| {
+    /// The arena slots from `at` down its rank's list, innermost first.
+    fn frames_from(&self, at: u32) -> impl Iterator<Item = u32> + '_ {
+        std::iter::successors((at != NONE).then_some(at), |&at| {
             let below = self.frames[at as usize].below;
             (below != NONE).then_some(below)
         })
     }
 
+    /// A rank's open frames as arena slots, innermost first.
+    fn frames_of(&self, world_rank: usize) -> impl Iterator<Item = u32> + '_ {
+        self.frames_from(self.ranks.get(world_rank).map_or(NONE, |rank| rank.top))
+    }
+
+    /// A rank's open frames on `comm`, innermost first.
+    fn open_on(&self, world_rank: usize, comm: CommId) -> impl Iterator<Item = u32> + '_ {
+        self.frames_of(world_rank)
+            .filter(move |&at| self.comm_of(at) == comm)
+    }
+
     /// The labels open on `comm` for a rank, outermost first (cold: misuse
-    /// reports only).
+    /// reports and failure context only).
     fn open_labels(&self, world_rank: usize, comm: CommId) -> Vec<String> {
-        let mut labels: Vec<String> = self
-            .frames_of(world_rank)
-            .filter(|&at| self.comm_of(at) == comm)
-            .map(|at| self.label_of(at).to_string())
-            .collect();
+        let open = self.open_on(world_rank, comm);
+        let mut labels: Vec<String> = open.map(|at| self.label_of(at).to_string()).collect();
         labels.reverse();
         labels
     }
@@ -387,9 +394,7 @@ impl SectionRuntime {
 
     /// Depth of open sections for a rank on a communicator (diagnostics).
     pub fn depth(&self, world_rank: usize, comm: CommId) -> usize {
-        let state = self.state.lock();
-        let open = state.frames_of(world_rank);
-        open.filter(|&at| state.comm_of(at) == comm).count()
+        self.state.lock().open_on(world_rank, comm).count()
     }
 
     /// Bytes the runtime's tables hold, counted from their lengths (not
@@ -440,7 +445,7 @@ impl SectionRuntime {
             let id = state.intern(comm.id, label);
             let top = state.rank(world_rank).top;
             if self.verify == VerifyMode::Active {
-                verify_step(state, world_rank, comm, id, verify_word(id, true));
+                verify_step(state, world_rank, comm, id, true);
             }
             let section = &mut state.sections[id as usize];
             let count = counter(&mut section.occurrences, comm.rank, comm.size);
@@ -449,10 +454,7 @@ impl SectionRuntime {
             // Keep a handle on the label only when someone will look at it
             // (event raise or an enter-side tool).
             let label = (want_label || enter_tools).then(|| section.label.clone());
-            let depth = state
-                .frames_of(world_rank)
-                .filter(|&at| state.comm_of(at) == comm.id)
-                .count();
+            let depth = state.open_on(world_rank, comm.id).count();
             let at = state.push_frame(Frame {
                 id,
                 below: top,
@@ -536,7 +538,7 @@ impl SectionRuntime {
                 } else {
                     state.intern(comm.id, label)
                 };
-                verify_step(state, world_rank, comm, id, verify_word(id, false));
+                verify_step(state, world_rank, comm, id, false);
             }
             let event_index = state.ranks[world_rank].events;
             state.ranks[world_rank].events += 1;
@@ -584,15 +586,11 @@ impl SectionRuntime {
             };
             // Credit our inclusive duration to the parent's child time: the
             // frame below on the same communicator.
-            let (mut parent, mut depth, mut below) = (NONE, 0, frame.below);
-            while below != NONE {
-                if state.comm_of(below) == comm.id {
-                    parent = if depth == 0 { below } else { parent };
-                    depth += 1;
-                }
-                below = state.frames[below as usize].below;
-            }
-            if parent != NONE {
+            let below = state.frames_from(frame.below);
+            let mut below = below.filter(|&at| state.comm_of(at) == comm.id);
+            let parent = below.next();
+            let depth = parent.map_or(0, |_| 1 + below.count());
+            if let Some(parent) = parent {
                 state.frames[parent as usize].child_time += now - frame.enter;
             }
             let inner = match state.ranks[world_rank].top {
@@ -630,10 +628,11 @@ impl SectionRuntime {
     }
 }
 
-/// Check the rank's next section event (`word`) on its communicator
-/// against that communicator's log, appending it when this rank is the
-/// first to get there.
-fn verify_step(state: &mut State, world_rank: usize, comm: CommInfo, id: u32, word: u32) {
+/// Check the rank's next section event (an enter or exit of section `id`)
+/// on its communicator against that communicator's log, appending it when
+/// this rank is the first to get there.
+fn verify_step(state: &mut State, world_rank: usize, comm: CommInfo, id: u32, is_enter: bool) {
+    let word = verify_word(id, is_enter);
     let cs = &mut state.comms[state.sections[id as usize].at];
     let events = counter(&mut cs.events, comm.rank, comm.size);
     let pos = *events as usize;
@@ -732,23 +731,19 @@ impl Tool for SectionRuntime {
     /// failure message carries the phase the rank died in.
     fn rank_context(&self, world_rank: usize) -> Option<String> {
         let state = self.state.lock();
-        // (communicator, its labels outermost first), in first-open order.
-        let mut open: Vec<(CommId, Vec<&str>)> = Vec::new();
-        let mut frames: Vec<u32> = state.frames_of(world_rank).collect();
-        frames.reverse();
-        for at in frames {
-            let (comm, label) = (state.comm_of(at), &**state.label_of(at));
-            match open.iter_mut().find(|(c, _)| *c == comm) {
-                Some((_, labels)) => labels.push(label),
-                None => open.push((comm, vec![label])),
-            }
-        }
-        if open.is_empty() {
+        let mut comms: Vec<CommId> = state
+            .frames_of(world_rank)
+            .map(|at| state.comm_of(at))
+            .collect();
+        if comms.is_empty() {
             return None;
         }
-        let mut parts: Vec<String> = open
-            .iter()
-            .map(|(comm, labels)| format!("comm {}: {}", comm.0, labels.join(" > ")))
+        comms.sort_by_key(|comm| comm.0);
+        comms.dedup();
+        let labels = |comm| state.open_labels(world_rank, comm).join(" > ");
+        let mut parts: Vec<String> = comms
+            .into_iter()
+            .map(|comm| format!("comm {}: {}", comm.0, labels(comm)))
             .collect();
         parts.sort();
         Some(format!("open sections: {}", parts.join("; ")))
