@@ -47,7 +47,7 @@ fn lulesh_summary_json_is_pinned() {
         "lulesh-summary",
         "lulesh --p 8 --threads 4 --iters 5 --summary-json summary.json",
         0,
-        &[0xf094783053fe9293, 0xf0a91ed248140f50],
+        &[0xcd8bcbe4f93d6772, 0x4dfe17bf26a86687],
     );
 }
 

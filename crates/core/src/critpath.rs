@@ -127,7 +127,7 @@ impl CriticalPath {
 pub fn extract(log: &CommLog) -> CriticalPath {
     let nranks = log.run.ranks.len();
     // Path time by section id; `None` until the path touches the section.
-    let mut per_section: Vec<Option<u64>> = vec![None; log.names.len()];
+    let mut per_section: Vec<Option<u64>> = vec![None; log.labels.len()];
     let mut per_rank = vec![0u64; nranks];
     let mut steps = 0usize;
 

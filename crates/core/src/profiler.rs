@@ -13,7 +13,7 @@
 
 use crate::metrics::InstanceStats;
 use crate::tool::{EnterInfo, LeaveInfo, SectionTool};
-use mpisim::{CommId, SectionData, WorldCell};
+use mpisim::{CommId, Label, SectionData, WorldCell};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -74,8 +74,9 @@ impl Store {
 
 #[derive(Default)]
 struct SectionAgg {
-    /// The section's identity — `None` until the first leave lands here.
-    meta: Option<(CommId, Arc<str>)>,
+    /// The section's identity — `None` until the first leave lands here;
+    /// the label is named when a snapshot builds the key.
+    meta: Option<(CommId, Label)>,
     /// Largest participant count observed.
     participants: usize,
     store: Store,
@@ -86,11 +87,11 @@ impl SectionAgg {
     /// idle stretch, the vectors moving behind `Arc`s (no element is
     /// copied), and from then on the store only points to them.
     fn stats(&mut self) -> Option<SectionStats> {
-        let (comm, label) = self.meta.as_ref()?;
+        let (comm, label) = self.meta?;
         if let Store::Live(series) = &mut self.store {
             let key = SectionKey {
-                comm: *comm,
-                label: label.to_string(),
+                comm,
+                label: label.name().to_string(),
             };
             let series = std::mem::take(series);
             self.store = Store::Shared(SectionStats::from_series(key, self.participants, series));
@@ -159,7 +160,7 @@ impl SectionTool for SectionProfiler {
         }
         let agg = &mut sections[slot];
         if agg.meta.is_none() {
-            agg.meta = Some((info.comm, info.label.clone()));
+            agg.meta = Some((info.comm, info.label));
         }
         agg.participants = agg.participants.max(info.comm_size.max(1));
         let live = agg.store.live();

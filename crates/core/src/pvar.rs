@@ -131,8 +131,8 @@ struct RankPvars {
 #[derive(Default)]
 struct Registry {
     spine: Spine<RankPvars>,
-    /// Per-(comm, label id) communication totals, folded in when a
-    /// section closes.
+    /// Per-(comm, label) communication totals, the label as its spine run
+    /// index, folded in when a section closes.
     sections: FastMap<(CommId, u32), Counters>,
 }
 
@@ -171,9 +171,8 @@ impl PvarRegistry {
             }
         }
         let mut per_section: BTreeMap<SectionKey, Counters> = BTreeMap::new();
-        let names = st.spine.interner.names();
-        for (&(comm, label), c) in &st.sections {
-            let label = names[label as usize].clone();
+        for (&(comm, sec), c) in &st.sections {
+            let label = st.spine.labels[sec as usize].to_string();
             per_section.insert(SectionKey { comm, label }, *c);
         }
         PvarSnapshot {

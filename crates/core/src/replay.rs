@@ -66,16 +66,17 @@ pub fn replay(
     spec: &WhatIfSpec,
 ) -> Result<CommLog, String> {
     // Resolve section-scale labels against the recorded label table.
-    let mut scale: Vec<Option<f64>> = vec![None; log.names.len()];
+    let mut scale: Vec<Option<f64>> = vec![None; log.labels.len()];
     for (label, k) in &spec.scale {
-        match log.names.iter().position(|n| n == label) {
-            Some(id) => scale[id] = Some(*k),
+        match log.section(label) {
+            Some(id) => scale[id as usize] = Some(*k),
             None => {
+                let names: Vec<&str> = log.labels.iter().map(|l| l.name()).collect();
                 return Err(format!(
                     "what-if scale: section '{label}' not in the recorded run \
                      (sections: {})",
-                    log.names.join(", ")
-                ))
+                    names.join(", ")
+                ));
             }
         }
     }
@@ -151,7 +152,7 @@ pub fn replay(
             sends: sh.sends,
             colls: sh.colls,
         }),
-        names: log.names.clone(),
+        labels: log.labels.clone(),
     })
 }
 

@@ -8,7 +8,9 @@
 //! communicators; a leave's event says which section the rank is in after
 //! it, so no tool keeps a stack of its own. The 32-byte `data` blob of the
 //! callback interface (Fig. 2) is owned by the runtime and preserved
-//! between the enter and the matching leave.
+//! between the enter and the matching leave. Events and tool infos name a
+//! section by its [`Label`], an id into the process-wide label table that
+//! the runtime consults only when it meets a label for the first time.
 //!
 //! Invariants enforced (the paper's "non-intrusive synchronization
 //! primitives which could be selectively enabled"):
@@ -20,7 +22,7 @@
 //!   section enters/exits. The check shares a per-communicator event log
 //!   — no time synchronization is introduced, only detection. The log is
 //!   one `u32` per agreed event (`section id << 1 | is_enter`); labels come
-//!   back from the label table only to word a diagnostic. This is the
+//!   back from the section table only to word a diagnostic. This is the
 //!   paper's "selectively enabled" switch: pass [`VerifyMode::Off`] for
 //!   production-scale sweeps, where the log's 4 bytes per event matter.
 //!
@@ -40,16 +42,14 @@ use crate::fasthash::FastMap;
 use crate::tool::{EnterInfo, LeaveInfo, SectionTool};
 use machine::VTime;
 use mpisim::{
-    diag, Comm, CommId, Diagnostic, DiagnosticKind, EventKind, EventMask, MpiEvent, Proc,
+    diag, Comm, CommId, Diagnostic, DiagnosticKind, EventKind, EventMask, Label, MpiEvent, Proc,
     SectionData, Severity, Tool, WorldCell,
 };
 use std::mem::size_of;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// The label of the implicit outermost section, entered at `MPI_Init` and
-/// left at `MPI_Finalize` (paper §4).
-pub const MPI_MAIN: &str = "MPI_MAIN";
+pub use mpisim::MPI_MAIN;
 
 /// Whether cross-rank section-ordering verification is active.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -71,7 +71,7 @@ const NONE: u32 = u32::MAX;
 #[derive(Clone, Copy)]
 struct Frame {
     /// Dense runtime-wide id of the (comm, label) section; its label and
-    /// communicator are the label table's.
+    /// communicator are the section table's.
     id: u32,
     /// The rank's frame entered before this one, on any communicator
     /// ([`NONE`] at the bottom). A free slot links the next free one.
@@ -84,9 +84,9 @@ struct Frame {
     occurrence: u64,
 }
 
-/// One (comm, label) section of the label table.
+/// One (comm, label) section of the section table.
 struct Section {
-    label: Arc<str>,
+    label: Label,
     comm: CommId,
     /// The communicator's entry in [`State::comms`].
     at: usize,
@@ -120,18 +120,16 @@ const NO_FRAMES: RankSlot = RankSlot {
     events: 0,
 };
 
-/// Labels by name: the communicators each was entered on, with the dense
-/// section id it has there (a label lives on one or two communicators: a
-/// scan, not a map).
-type LabelMap = FastMap<Arc<str>, Vec<(CommId, u32)>>;
+/// Labels by their interned text: the communicators each was entered on,
+/// with the dense section id it has there (a label lives on one or two
+/// communicators: a scan, not a map).
+type LabelMap = FastMap<&'static str, Vec<(CommId, u32)>>;
 
 /// Everything the runtime's one cell holds.
 #[derive(Default)]
 struct State {
-    /// The label table: one `Arc<str>` per label and one dense id per
-    /// (comm, label), assigned in first-seen order. `EnterInfo`/`LeaveInfo`
-    /// and section events share the label's one allocation, so downstream
-    /// interners can recognise it by address.
+    /// The section table: one dense id per (comm, label), assigned in
+    /// first-seen order, found by the label's text.
     labels: LabelMap,
     /// The sections by id.
     sections: Vec<Section>,
@@ -180,19 +178,12 @@ impl State {
         known.unwrap_or_else(|| self.add_section(comm, label))
     }
 
-    /// Assign (comm, label) the next id. Id 0 is `(world, MPI_MAIN)` in
-    /// every runtime, even one never registered to open it: a leave's
-    /// `inner` of 0 means no frame is open.
+    /// Assign (comm, label) the next id, and find its [`Label`] in the
+    /// process's table (the table's one lock, taken here only).
     #[cold]
     fn add_section(&mut self, comm: CommId, label: &str) -> u32 {
-        if self.sections.is_empty() && (comm, label) != (CommId::WORLD, MPI_MAIN) {
-            self.add_section(CommId::WORLD, MPI_MAIN);
-        }
         let id = self.sections.len() as u32;
-        let name = match self.labels.get_key_value(label) {
-            Some((name, _)) => name.clone(),
-            None => Arc::from(label),
-        };
+        let label = Label::intern(label);
         let comms = &mut self.comms;
         let at = *self.comm_at.entry(comm).or_insert_with(|| {
             comms.push(CommSections {
@@ -202,11 +193,11 @@ impl State {
             comms.len() - 1
         });
         self.labels
-            .entry(name.clone())
+            .entry(label.name())
             .or_default()
             .push((comm, id));
         self.sections.push(Section {
-            label: name,
+            label,
             comm,
             at,
             occurrences: Vec::new(),
@@ -247,8 +238,8 @@ impl State {
         labels
     }
 
-    fn label_of(&self, at: u32) -> &Arc<str> {
-        &self.sections[self.frames[at as usize].id as usize].label
+    fn label_of(&self, at: u32) -> Label {
+        self.sections[self.frames[at as usize].id as usize].label
     }
 
     /// A new frame in the arena: a free slot if there is one.
@@ -274,7 +265,7 @@ fn verify_word(id: u32, is_enter: bool) -> u32 {
 fn describe_word(state: &State, word: u32) -> String {
     let label = state.sections.get((word >> 1) as usize);
     let direction = if word & 1 == 1 { "Enter" } else { "Exit" };
-    format!("{direction}({:?})", label.map_or("?", |s| &*s.label))
+    format!("{direction}({:?})", label.map_or("?", |s| s.label.name()))
 }
 
 /// Fixed tool-slot capacity (see [`SectionRuntime::attach`]).
@@ -342,18 +333,16 @@ impl SectionRuntime {
     /// no `MPI_MAIN` and grows its rank table as ranks first enter.
     pub fn enter(&self, p: &mut Proc, comm: &Comm, label: &str) {
         let info = CommInfo::of(comm);
+        let label = self.enter_at(p.world_rank(), info, label, p.now());
         // Raise the PMPI-level event so generic mpisim tools also see it —
-        // but only when one subscribed: building it clones the label and
-        // fans out through the tool chain, which dwarfs the bookkeeping.
-        let want = p.wants(EventKind::SectionEnter);
-        let entered = self.enter_at(p.world_rank(), info, label, p.now(), want);
-        if let Some((label, section)) = entered {
+        // but only when one subscribed: it fans out through the tool chain,
+        // which dwarfs the bookkeeping.
+        if p.wants(EventKind::SectionEnter) {
             p.raise(MpiEvent::SectionEnter {
                 comm: comm.id(),
                 comm_size: comm.size(),
                 comm_rank: comm.rank(),
                 label,
-                section,
                 time: p.now(),
             });
         }
@@ -363,15 +352,13 @@ impl SectionRuntime {
     /// section (perfect nesting, paper §4).
     pub fn exit(&self, p: &mut Proc, comm: &Comm, label: &str) {
         let info = CommInfo::of(comm);
-        let want = p.wants(EventKind::SectionLeave);
-        let left = self.exit_at(p.world_rank(), info, label, p.now(), want);
-        if let Some((label, section, inner)) = left {
+        let (label, inner) = self.exit_at(p.world_rank(), info, label, p.now());
+        if p.wants(EventKind::SectionLeave) {
             p.raise(MpiEvent::SectionLeave {
                 comm: comm.id(),
                 comm_size: comm.size(),
                 comm_rank: comm.rank(),
                 label,
-                section,
                 inner,
                 time: p.now(),
             });
@@ -399,21 +386,22 @@ impl SectionRuntime {
 
     /// Bytes the runtime's tables hold, counted from their lengths (not
     /// their capacities): the rank slots, the frame arena and its blobs,
-    /// every section with its occurrence counts and label, every
-    /// communicator with its event counts and verification log.
+    /// every section with its occurrence counts, every communicator with
+    /// its event counts and verification log. Label texts live in the
+    /// process-wide table and are not counted.
     pub fn state_bytes(&self) -> usize {
         let state = self.state.lock();
         let sections = state
             .sections
             .iter()
-            .map(|s| size_of::<Section>() + s.occurrences.len() * size_of::<u64>() + s.label.len());
+            .map(|s| size_of::<Section>() + s.occurrences.len() * size_of::<u64>());
         let comms = state.comms.iter().map(|c| {
             size_of::<CommSections>()
                 + c.events.len() * size_of::<u64>()
                 + c.log.len() * size_of::<u32>()
         });
         let labels = state.labels.values().map(|on| {
-            size_of::<(Arc<str>, Vec<(CommId, u32)>)>() + on.len() * size_of::<(CommId, u32)>()
+            size_of::<(&str, Vec<(CommId, u32)>)>() + on.len() * size_of::<(CommId, u32)>()
         });
         size_of::<SectionRuntime>()
             + state.ranks.len() * size_of::<RankSlot>()
@@ -429,16 +417,8 @@ impl SectionRuntime {
     // Internals
     // ------------------------------------------------------------------
 
-    /// Open a frame; the label and the section id come back when
-    /// `want_label` asks for them (to raise the section event).
-    fn enter_at(
-        &self,
-        world_rank: usize,
-        comm: CommInfo,
-        label: &str,
-        now: VTime,
-        want_label: bool,
-    ) -> Option<(Arc<str>, u32)> {
+    /// Open a frame; its label comes back.
+    fn enter_at(&self, world_rank: usize, comm: CommInfo, label: &str, now: VTime) -> Label {
         let enter_tools = self.n_enter_tools.load(Ordering::Acquire) > 0;
         let (label, id, occurrence, depth, at) = {
             let state = &mut *self.state.lock();
@@ -451,9 +431,7 @@ impl SectionRuntime {
             let count = counter(&mut section.occurrences, comm.rank, comm.size);
             let occurrence = *count;
             *count += 1;
-            // Keep a handle on the label only when someone will look at it
-            // (event raise or an enter-side tool).
-            let label = (want_label || enter_tools).then(|| section.label.clone());
+            let label = section.label;
             let depth = state.open_on(world_rank, comm.id).count();
             let at = state.push_frame(Frame {
                 id,
@@ -482,7 +460,7 @@ impl SectionRuntime {
                 comm: comm.id,
                 comm_size: comm.size,
                 comm_rank: comm.rank,
-                label: label.clone().expect("label retained for enter tools"),
+                label,
                 section: id,
                 time: now,
                 occurrence,
@@ -500,24 +478,18 @@ impl SectionRuntime {
                 self.state.lock().blobs[at as usize] = data;
             }
         }
-        if want_label {
-            label.map(|label| (label, id))
-        } else {
-            None
-        }
+        label
     }
 
-    /// Close `comm`'s innermost frame, which must be `label`'s. The label,
-    /// its section id and the rank's innermost section after come back
-    /// when `want_label` asks for them (to raise the section event).
+    /// Close `comm`'s innermost frame, which must be `label`'s. Its label
+    /// and the label of the rank's innermost section after come back.
     fn exit_at(
         &self,
         world_rank: usize,
         comm: CommInfo,
         label: &str,
         now: VTime,
-        want_label: bool,
-    ) -> Option<(Arc<str>, u32, u32)> {
+    ) -> (Label, Label) {
         let n_tools = self.n_tools.load(Ordering::Acquire);
         let enter_tools = self.n_enter_tools.load(Ordering::Acquire) > 0;
         let (frame, label, data, depth, inner) = {
@@ -528,7 +500,7 @@ impl SectionRuntime {
             while at != NONE && state.comm_of(at) != comm.id {
                 (above, at) = (at, state.frames[at as usize].below);
             }
-            let matches = at != NONE && &**state.label_of(at) == label;
+            let matches = at != NONE && state.label_of(at).name() == label;
             if self.verify == VerifyMode::Active {
                 // The frame carries the id when the exit is the one perfect
                 // nesting allows; a misnested exit interns its label (cold:
@@ -579,7 +551,7 @@ impl SectionRuntime {
             }
             state.frames[at as usize].below = state.free;
             state.free = at;
-            let label = (n_tools > 0 || want_label).then(|| state.label_of(at).clone());
+            let label = state.label_of(at);
             let data = match state.blobs.get(at as usize) {
                 Some(blob) if enter_tools && n_tools > 0 => *blob,
                 _ => [0; 32],
@@ -594,8 +566,8 @@ impl SectionRuntime {
                 state.frames[parent as usize].child_time += now - frame.enter;
             }
             let inner = match state.ranks[world_rank].top {
-                NONE => 0,
-                top => state.frames[top as usize].id,
+                NONE => Label::MAIN,
+                top => state.label_of(top),
             };
             (frame, label, data, depth, inner)
         };
@@ -607,7 +579,7 @@ impl SectionRuntime {
                 comm: comm.id,
                 comm_size: comm.size,
                 comm_rank: comm.rank,
-                label: label.expect("label retained for tools"),
+                label,
                 section: frame.id,
                 enter_time: frame.enter,
                 time: now,
@@ -621,10 +593,8 @@ impl SectionRuntime {
                     tool.on_leave(&info, &data);
                 }
             }
-            want_label.then_some((info.label, frame.id, inner))
-        } else {
-            label.map(|label| (label, frame.id, inner))
         }
+        (label, inner)
     }
 }
 
@@ -713,7 +683,7 @@ impl Tool for SectionRuntime {
                 self.state.lock().rank(size - 1);
                 let (id, size, rank) = (CommId::WORLD, *size, world_rank);
                 let world = CommInfo { id, size, rank };
-                self.enter_at(world_rank, world, MPI_MAIN, *time, false);
+                self.enter_at(world_rank, world, MPI_MAIN, *time);
             }
             MpiEvent::Finalize { time } => {
                 // Comm size is not carried by Finalize; MPI_MAIN lives on
@@ -721,7 +691,7 @@ impl Tool for SectionRuntime {
                 // so 0 participants here is treated as "unchanged".
                 let (id, size, rank) = (CommId::WORLD, 0, world_rank);
                 let world = CommInfo { id, size, rank };
-                self.exit_at(world_rank, world, MPI_MAIN, *time, false);
+                self.exit_at(world_rank, world, MPI_MAIN, *time);
             }
             _ => {}
         }
@@ -1045,39 +1015,26 @@ mod tests {
     fn leave_closes_the_innermost_matching_frame() {
         #[derive(Default)]
         struct Seen {
-            names: Mutex<FastMap<u32, String>>,
             leaves: Mutex<Vec<(String, String)>>,
             depths: Mutex<Vec<usize>>,
         }
         impl Tool for Seen {
             fn interests(&self) -> EventMask {
-                EventMask::of(&[EventKind::SectionEnter, EventKind::SectionLeave])
+                EventMask::only(EventKind::SectionLeave)
             }
             fn on_event(&self, world_rank: usize, event: &MpiEvent) {
-                let mut names = self.names.lock();
-                names.entry(0).or_insert_with(|| MPI_MAIN.to_string());
-                match event {
-                    MpiEvent::SectionEnter { label, section, .. } => {
-                        names.insert(*section, label.to_string());
-                    }
-                    MpiEvent::SectionLeave {
-                        label,
-                        section,
-                        inner,
-                        ..
-                    } if world_rank == 0 => {
-                        assert_eq!(names[section], **label);
-                        let leave = (label.to_string(), names[inner].clone());
+                if let MpiEvent::SectionLeave { label, inner, .. } = event {
+                    if world_rank == 0 {
+                        let leave = (label.to_string(), inner.to_string());
                         self.leaves.lock().push(leave);
                     }
-                    _ => {}
                 }
             }
         }
         impl SectionTool for Seen {
             fn on_enter(&self, _info: &EnterInfo, _data: &mut SectionData) {}
             fn on_leave(&self, info: &LeaveInfo, _data: &SectionData) {
-                if info.world_rank == 0 && &*info.label != MPI_MAIN {
+                if info.world_rank == 0 && info.label != Label::MAIN {
                     self.depths.lock().push(info.depth);
                 }
             }
@@ -1134,7 +1091,7 @@ mod tests {
             fn on_enter(&self, i: &EnterInfo, _data: &mut SectionData) {
                 let seen = (
                     i.world_rank,
-                    named(&i.label),
+                    named(i.label.name()),
                     i.comm_rank,
                     i.occurrence,
                     i.depth,
@@ -1144,7 +1101,7 @@ mod tests {
             fn on_leave(&self, i: &LeaveInfo, _data: &SectionData) {
                 let seen = (
                     i.world_rank,
-                    named(&i.label),
+                    named(i.label.name()),
                     i.comm_rank,
                     i.occurrence,
                     i.depth,
@@ -1399,7 +1356,7 @@ mod tests {
         struct LastOccurrence(Mutex<u64>);
         impl SectionTool for LastOccurrence {
             fn on_enter(&self, info: &EnterInfo, _data: &mut SectionData) {
-                if &*info.label == "step" {
+                if info.label.name() == "step" {
                     *self.0.lock() = info.occurrence;
                 }
             }

@@ -6,7 +6,9 @@
 //! decision exists once. Two halves:
 //!
 //! * [`Spine`] turns the [`MpiEvent`] stream into completed [`Step`]s. It
-//!   owns the label [`Interner`] and one [`RankTracker`] per world rank
+//!   numbers the run's section labels densely in first-seen order (a
+//!   [`Label`] is an id into the process-wide table, so that is one plain
+//!   vector indexed by it) and owns one [`RankTracker`] per world rank
 //!   (the section the rank is in, entry time of the collective it is in),
 //!   each next to the per-rank state `T` of the tool that drives it. What
 //!   the layers below decided it does not rebuild: a receive is one event,
@@ -31,61 +33,9 @@
 //! The recorder appends steps to its log; the summarizer, the offline
 //! classifier and the timeline are three sinks of the same fold.
 
-use crate::fasthash::FastMap;
-use crate::section::MPI_MAIN;
 use crate::waitstate::RecKind;
 use crate::whatif::WaitClass;
-use mpisim::{CommId, EventKind, EventMask, MpiEvent};
-use std::sync::Arc;
-
-/// Section-label interner: the hot path stores compact ids; analysis
-/// resolves them back to names (and sorts by name, since id allocation
-/// order is scheduling-dependent). `Init` interns [`MPI_MAIN`] before any
-/// other label, so it is id 0 — the section a rank is in when no frame is
-/// open. Labels are keyed by text, not by the runtime's `(comm, label)`
-/// section ids: every consumer reports a label once over its
-/// communicators.
-#[derive(Default)]
-pub(crate) struct Interner {
-    ids: FastMap<Arc<str>, u32>,
-    /// The label each id was first interned from, by id.
-    labels: Vec<Arc<str>>,
-}
-
-/// How many of the earliest labels [`Interner::intern`] compares by
-/// address before it hashes: programs enter a handful of labels, and the
-/// bound keeps one with thousands from paying for the shortcut.
-const ADDRESS_PROBE: usize = 32;
-
-impl Interner {
-    /// The id of `label`. The section runtime hands every rank the same
-    /// allocation per label, so its address usually settles it without
-    /// hashing the bytes.
-    pub(crate) fn intern(&mut self, label: &Arc<str>) -> u32 {
-        let mut known = self.labels.iter().take(ADDRESS_PROBE);
-        if let Some(id) = known.position(|n| Arc::ptr_eq(n, label)) {
-            return id as u32;
-        }
-        self.intern_str(label, || label.clone())
-    }
-
-    /// The id of `label`, allocated by `shared` if it is new.
-    fn intern_str(&mut self, label: &str, shared: impl FnOnce() -> Arc<str>) -> u32 {
-        if let Some(&id) = self.ids.get(label) {
-            return id;
-        }
-        let label = shared();
-        let id = self.labels.len() as u32;
-        self.ids.insert(label.clone(), id);
-        self.labels.push(label);
-        id
-    }
-
-    /// Every label, by id.
-    pub(crate) fn names(&self) -> Vec<String> {
-        self.labels.iter().map(|l| l.to_string()).collect()
-    }
-}
+use mpisim::{CommId, EventKind, EventMask, Label, MpiEvent};
 
 /// One rank's position in the event stream.
 #[derive(Debug, Default)]
@@ -94,7 +44,7 @@ pub(crate) struct RankTracker {
     last_ns: u64,
     /// When the rank entered the rendezvous it is inside.
     coll_entered: Option<u64>,
-    /// Label id of the section the rank is in.
+    /// Run index of the label of the section the rank is in.
     sec: u32,
 }
 
@@ -116,8 +66,8 @@ impl RankTracker {
 pub(crate) enum StepKind {
     /// The step's section opened on `comm` (`Init` opens `MPI_MAIN`).
     Enter { comm: CommId },
-    /// Section `label` on `comm` closed: the innermost frame of that
-    /// section, which need not be the rank's innermost frame.
+    /// Section `label` (a run index) on `comm` closed: the innermost
+    /// frame of that section, which need not be the rank's innermost frame.
     Leave { comm: CommId, label: u32 },
     /// The rank reached a rendezvous of `size` members: round `round`
     /// of `comm`, the rendezvous generation.
@@ -143,7 +93,8 @@ pub(crate) enum StepKind {
 }
 
 /// One completed step of one rank. `[from_ns, t_ns)` — the time since the
-/// rank's previous step — was spent in `prev_sec`.
+/// rank's previous step — was spent in `prev_sec`. Sections are run
+/// indices ([`Spine::labels`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Step {
     pub(crate) t_ns: u64,
@@ -161,24 +112,35 @@ pub(crate) struct Tracked<T> {
     pub(crate) data: T,
 }
 
-/// The interner and every rank's tracker, indexed by world rank.
+/// The run's labels and every rank's tracker, indexed by world rank.
+#[derive(Default)]
 pub(crate) struct Spine<T> {
-    pub(crate) interner: Interner,
-    /// Label id by the section runtime's section id; 0 (`MPI_MAIN`) where
-    /// unknown. Written at every enter, not only the first: a tool can
-    /// outlive the runtime whose ids it saw.
-    labels: Vec<u32>,
+    /// The labels the run entered, by run index: first-seen order, so
+    /// `Init` makes [`Label::MAIN`] index 0 — the section a rank is in
+    /// when no frame is open. Every record, row and table of a tool keys
+    /// its sections by this index, and names them at snapshot (sorting by
+    /// name, since first-seen order depends on scheduling).
+    pub(crate) labels: Vec<Label>,
+    /// Run index by label id; [`UNSEEN`] for a label the run never
+    /// entered.
+    index: Vec<u32>,
     ranks: Vec<Tracked<T>>,
 }
 
-impl<T> Default for Spine<T> {
-    fn default() -> Self {
-        Spine {
-            interner: Interner::default(),
-            labels: Vec::new(),
-            ranks: Vec::new(),
-        }
+/// A label the run has not entered.
+const UNSEEN: u32 = u32::MAX;
+
+/// The run index of `label`, the next one if the run is new to it.
+fn run_index(labels: &mut Vec<Label>, index: &mut Vec<u32>, label: Label) -> u32 {
+    let id = label.id() as usize;
+    if index.len() <= id {
+        index.resize(id + 1, UNSEEN);
     }
+    if index[id] == UNSEEN {
+        index[id] = labels.len() as u32;
+        labels.push(label);
+    }
+    index[id]
 }
 
 impl<T: Default> Spine<T> {
@@ -209,7 +171,8 @@ impl<T: Default> Spine<T> {
         }
         let now_ns = event.time().as_nanos();
         self.rank_mut(rank);
-        let (interner, labels) = (&mut self.interner, &mut self.labels);
+        let (labels, index) = (&mut self.labels, &mut self.index);
+        let mut sec = |label| run_index(labels, index, label);
         let tracked = &mut self.ranks[rank];
         let tr = &mut tracked.tracker;
         let prev_sec = tr.sec;
@@ -221,38 +184,24 @@ impl<T: Default> Spine<T> {
         };
         let kind = match event {
             MpiEvent::Init { .. } => {
-                tr.sec = interner.intern_str(MPI_MAIN, || Arc::from(MPI_MAIN));
+                tr.sec = sec(Label::MAIN);
                 tr.last_ns = now_ns;
                 StepKind::Enter {
                     comm: CommId::WORLD,
                 }
             }
             MpiEvent::Finalize { .. } => rec(RecKind::Fini),
-            MpiEvent::SectionEnter {
-                comm,
-                label,
-                section,
-                ..
-            } => {
-                let slot = *section as usize;
-                if labels.len() <= slot {
-                    labels.resize(slot + 1, 0);
-                }
-                tr.sec = interner.intern(label);
-                labels[slot] = tr.sec;
+            MpiEvent::SectionEnter { comm, label, .. } => {
+                tr.sec = sec(*label);
                 StepKind::Enter { comm: *comm }
             }
             MpiEvent::SectionLeave {
-                comm,
-                section,
-                inner,
-                ..
+                comm, label, inner, ..
             } => {
-                let label_of = |section: &u32| labels.get(*section as usize).copied().unwrap_or(0);
-                tr.sec = label_of(inner);
+                tr.sec = sec(*inner);
                 StepKind::Leave {
                     comm: *comm,
-                    label: label_of(section),
+                    label: sec(*label),
                 }
             }
             MpiEvent::SendEnqueued {
@@ -470,9 +419,10 @@ mod tests {
     use super::*;
     use crate::{
         classify, critpath, timeline, CommRecorder, PvarRegistry, SectionRuntime, SummaryTool,
-        TraceTool, VerifyMode, Windowing,
+        TraceTool, VerifyMode, Windowing, MPI_MAIN,
     };
     use mpisim::{Src, TagSel, Tool, WorldBuilder};
+    use std::sync::Arc;
 
     /// Everything `attribute` deposits, in call order.
     #[derive(Default)]
@@ -709,7 +659,7 @@ mod tests {
 
     /// The engine's events carry a receive's post and a collective's
     /// round, and the section runtime's say which section a rank is in, so
-    /// a rank costs a clock, one entry time and a label id: no heap block.
+    /// a rank costs a clock, one entry time and a run index: no heap block.
     #[test]
     fn a_rank_tracker_keeps_no_receive_state_and_no_round_map() {
         use std::mem::size_of;
@@ -719,27 +669,7 @@ mod tests {
         assert_eq!(tracker, fields.next_multiple_of(8));
         assert!(tracker <= 32, "size_of::<RankTracker>() = {tracker} B");
         let event = size_of::<MpiEvent>();
+        println!("size_of::<MpiEvent>() = {event} B");
         assert!(event <= 88, "size_of::<MpiEvent>() = {event} B");
-    }
-
-    #[test]
-    fn interner_knows_a_label_by_address_and_by_text() {
-        let mut interner = Interner::default();
-        let a: Arc<str> = Arc::from("a");
-        let id = interner.intern(&a);
-        assert_eq!(interner.intern(&a), id);
-        // Another allocation of the same text, and the text itself.
-        assert_eq!(interner.intern(&Arc::from("a")), id);
-        assert_eq!(interner.intern_str("a", || unreachable!("known")), id);
-        assert_ne!(interner.intern(&Arc::from("b")), id);
-        // Labels past the address probe are found by their text.
-        let many: Vec<Arc<str>> = (0..2 * ADDRESS_PROBE)
-            .map(|k| Arc::from(format!("l{k}")))
-            .collect();
-        let ids: Vec<u32> = many.iter().map(|l| interner.intern(l)).collect();
-        let again: Vec<u32> = many.iter().map(|l| interner.intern(l)).collect();
-        assert_eq!(ids, again);
-        assert_eq!(interner.names().len(), 2 + 2 * ADDRESS_PROBE);
-        assert_eq!(interner.names()[ids[5] as usize], "l5");
     }
 }

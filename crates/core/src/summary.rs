@@ -40,7 +40,7 @@ use crate::timeline::{Timeline, Window, WindowSection};
 use crate::waitstate::{RecKind, WaitBreakdown};
 use crate::whatif::WaitClass;
 use mpisim::diag::json_str;
-use mpisim::{CommId, EventMask, MpiEvent, Tool, WorldCell};
+use mpisim::{CommId, EventMask, Label, MpiEvent, Tool, WorldCell};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -69,7 +69,7 @@ const CHECKPOINT_BASE_CADENCE_NS: u64 = 1_000_000;
 /// order the cluster fingerprint hashes).
 const CLASS_NAMES: [&str; 3] = ["late-sender", "late-receiver", "coll-wait"];
 
-/// Fixed-budget virtual-time rows, each indexed by interned section id; a
+/// Fixed-budget virtual-time rows, each indexed by section run index; a
 /// section was present in a row iff its cell is non-zero. The cadence
 /// starts at 1 ms and doubles (merging adjacent row pairs) whenever an
 /// event lands beyond row `2 × CHECKPOINT_ROW_BUDGET`; since every cell
@@ -91,7 +91,7 @@ impl Default for Checkpoints {
     }
 }
 
-/// Entry `id` of a table indexed by interned section id, which grows to
+/// Entry `id` of a table indexed by section run index, which grows to
 /// hold it.
 fn slot<T: Default>(table: &mut Vec<T>, id: u32) -> &mut T {
     let i = id as usize;
@@ -191,7 +191,7 @@ struct CollAgg {
 #[derive(Default)]
 struct Summarizer {
     spine: Spine<Residue>,
-    /// Per-section aggregates, indexed by interned id.
+    /// Per-section aggregates, indexed by the spine's run index.
     sections: Vec<SectionAgg>,
     colls: FastMap<(CommId, u64), CollAgg>,
     checkpoints: Checkpoints,
@@ -256,7 +256,7 @@ impl SummaryTool {
     pub fn freeze(&self) -> RunSummary {
         let st = self.state.lock();
         let nranks = st.spine.ranks().len();
-        let names = &st.spine.interner.names();
+        let labels = &st.spine.labels;
         let checkpoints = &st.checkpoints;
 
         let ranks = st.spine.ranks();
@@ -267,16 +267,16 @@ impl SummaryTool {
             .max()
             .unwrap_or(0);
 
-        // Sections, sorted by label (interner ids are scheduling-order
+        // Sections, sorted by label (run indices are scheduling-order
         // dependent; names are not).
-        let mut order: Vec<usize> = (0..names.len()).collect();
-        order.sort_by(|&a, &b| names[a].cmp(&names[b]));
+        let mut order: Vec<usize> = (0..labels.len()).collect();
+        order.sort_by_key(|&i| labels[i].name());
         let sections: Vec<SectionSummary> = order
             .iter()
             .map(|&i| {
                 let agg = st.sections.get(i).cloned().unwrap_or_default();
                 SectionSummary {
-                    label: names[i].clone(),
+                    label: labels[i].to_string(),
                     waits: agg.waits,
                     wait_sketch: agg.wait_sketch,
                     compute_sketch: agg.compute_sketch,
@@ -293,10 +293,7 @@ impl SummaryTool {
                 .profile
                 .iter()
                 .map(|&(key, ns)| ProfileCell {
-                    label: names
-                        .get((key / 4) as usize)
-                        .cloned()
-                        .unwrap_or_else(|| format!("#{}", key / 4)),
+                    label: labels[(key / 4) as usize].to_string(),
                     class: CLASS_NAMES[(key % 4) as usize],
                     bucket: quantize_ns(ns),
                     exemplar_ns: ns,
@@ -347,7 +344,7 @@ impl SummaryTool {
         // Budget-based state accounting: constant in the step count by
         // construction, and dominated by fixed sketch/checkpoint budgets
         // rather than p (the per-rank residue is tens of bytes).
-        let nsec = names.len().max(1);
+        let nsec = labels.len().max(1);
         let state_bytes = std::mem::size_of::<SummaryTool>()
             + nsec * std::mem::size_of::<SectionAgg>()
             + 2 * CHECKPOINT_ROW_BUDGET
@@ -369,7 +366,7 @@ impl SummaryTool {
                 .sum::<usize>();
 
         let checkpoint_cadence_ns = checkpoints.cadence_ns;
-        let timeline = build_timeline(checkpoints, names, nranks, makespan_ns);
+        let timeline = build_timeline(checkpoints, labels, nranks, makespan_ns);
 
         RunSummary {
             nranks,
@@ -404,7 +401,7 @@ fn quantize_ns(ns: u64) -> u32 {
 /// `max_time_ns`/`max_useful_ns` are 0 and the load-balance factor reads
 /// neutral — the comm/serialization/transfer efficiencies the trend
 /// detector consumes are all present.
-fn build_timeline(ck: &Checkpoints, names: &[String], nranks: usize, makespan_ns: u64) -> Timeline {
+fn build_timeline(ck: &Checkpoints, labels: &[Label], nranks: usize, makespan_ns: u64) -> Timeline {
     let c = ck.cadence_ns;
     let nwin = ck.rows.len().max(1);
     let mut edges_ns: Vec<u64> = (0..nwin as u64).map(|i| i * c).collect();
@@ -416,7 +413,7 @@ fn build_timeline(ck: &Checkpoints, names: &[String], nranks: usize, makespan_ns
         let mut sections: BTreeMap<String, WindowSection> = BTreeMap::new();
         let row = ck.rows.get(w).into_iter().flatten().enumerate();
         for (sec, cell) in row.filter(|(_, cell)| !cell.is_zero()) {
-            let label = names.get(sec).cloned().unwrap_or_else(|| format!("#{sec}"));
+            let label = labels[sec].to_string();
             // Per-rank maxima are not tracked: the cell is already the
             // sum over ranks.
             let mut ws = WindowSection::default();

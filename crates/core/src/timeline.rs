@@ -205,8 +205,7 @@ pub fn window_edges(log: &CommLog, windowing: &Windowing) -> Vec<u64> {
             // Entries of `label` on rank 0: the active section is the
             // previous record's `sec`, so a transition *into* the label is
             // an iteration boundary.
-            if let Some(id) = log.names.iter().position(|n| n == label) {
-                let id = id as u32;
+            if let Some(id) = log.section(label) {
                 if let Some(rr) = log.run.ranks.first() {
                     let mut current = u32::MAX;
                     for rec in rr.iter() {
@@ -299,7 +298,7 @@ impl Sink for Windows<'_> {
 pub fn build(log: &CommLog, windowing: &Windowing) -> Timeline {
     let edges = window_edges(log, windowing);
     let nwin = edges.len() - 1;
-    let (nsec, nranks) = (log.names.len(), log.nranks());
+    let (nsec, nranks) = (log.labels.len(), log.nranks());
     let mut sink = Windows {
         edges: &edges,
         nsec,

@@ -10,14 +10,15 @@
 //! [`SectionTool`] is the idiomatic equivalent: the same two entry points,
 //! the same runtime-preserved 32-byte `data` blob, plus the structured
 //! context a Rust tool would otherwise have to reconstruct (timestamps,
-//! occurrence index, nesting depth, inclusive/exclusive durations).
+//! occurrence index, nesting depth, inclusive/exclusive durations). The C
+//! `label` string becomes a [`Label`]: a `Copy` id into the process-wide
+//! label table, whose text [`Label::name`] returns.
 
 use machine::VTime;
-use mpisim::{CommId, SectionData};
-use std::sync::Arc;
+use mpisim::{CommId, Label, SectionData};
 
 /// Context delivered with a section-enter notification.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct EnterInfo {
     /// World rank of the entering process.
     pub world_rank: usize,
@@ -28,13 +29,11 @@ pub struct EnterInfo {
     /// Rank local to that communicator.
     pub comm_rank: usize,
     /// The section label.
-    pub label: Arc<str>,
+    pub label: Label,
     /// Dense id of this (comm, label) section, assigned by the runtime in
-    /// first-seen order and stable within one `SectionRuntime`; id 0 is
-    /// always `(world, MPI_MAIN)`, even in a runtime that never opens it.
-    /// The same id names the section on `mpisim`'s section events. Tools can
+    /// first-seen order and stable within one `SectionRuntime`. Tools can
     /// index flat arrays with it instead of re-hashing `(comm, label)` on
-    /// every event.
+    /// every event; unlike the label it means nothing to another runtime.
     pub section: u32,
     /// Virtual entry time on this rank (`Tin` in the paper's Fig. 3).
     pub time: VTime,
@@ -45,13 +44,13 @@ pub struct EnterInfo {
 }
 
 /// Context delivered with a section-leave notification.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct LeaveInfo {
     pub world_rank: usize,
     pub comm: CommId,
     pub comm_size: usize,
     pub comm_rank: usize,
-    pub label: Arc<str>,
+    pub label: Label,
     /// Dense runtime-assigned section id (see [`EnterInfo::section`]).
     pub section: u32,
     /// Entry time of the matching enter (`Tin`).

@@ -18,7 +18,7 @@
 
 use crate::tool::{EnterInfo, LeaveInfo, SectionTool};
 use mpisim::diag::json_str;
-use mpisim::{CommId, EventKind, EventMask, MpiEvent, SectionData, Tool, WorldCell};
+use mpisim::{CommId, EventKind, EventMask, Label, MpiEvent, SectionData, Tool, WorldCell};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -30,8 +30,8 @@ pub struct SpanEvent {
     pub rank: usize,
     /// Communicator of the section.
     pub comm: CommId,
-    /// Section label.
-    pub label: String,
+    /// Section label, named at export.
+    pub label: Label,
     /// Virtual entry time, nanoseconds.
     pub enter_ns: u64,
     /// Virtual exit time, nanoseconds.
@@ -101,7 +101,7 @@ impl TraceTool {
     pub fn to_csv(&self) -> String {
         let mut out = String::from("rank,comm,label,enter_ns,exit_ns,depth,occurrence\n");
         for e in self.spans() {
-            let label = crate::profiler::csv_field(&e.label);
+            let label = crate::profiler::csv_field(e.label.name());
             let _ = writeln!(
                 out,
                 "{},{},{},{},{},{},{}",
@@ -137,25 +137,16 @@ impl TraceTool {
     /// spans it holds and the count of distinct dropped ranks, so large-p
     /// exports stay bounded and the caller can say exactly what was
     /// written and what was cut instead of silently emitting a multi-GB
-    /// trace.
+    /// trace. A trace that dropped ranks says so itself: its first row is
+    /// a `trace_cap` metadata event with `max_ranks` and `dropped_ranks`.
     pub fn to_chrome_trace_capped(
         &self,
         max_ranks: usize,
         timeline: Option<&crate::Timeline>,
     ) -> (String, usize, usize) {
-        let mut dropped: BTreeSet<usize> = BTreeSet::new();
-        let spans: Vec<SpanEvent> = self
-            .spans()
-            .into_iter()
-            .filter(|e| {
-                if e.rank < max_ranks {
-                    true
-                } else {
-                    dropped.insert(e.rank);
-                    false
-                }
-            })
-            .collect();
+        let (spans, cut): (Vec<SpanEvent>, Vec<SpanEvent>) =
+            self.spans().into_iter().partition(|e| e.rank < max_ranks);
+        let mut dropped: BTreeSet<usize> = cut.iter().map(|e| e.rank).collect();
         let mut flows: Vec<Flow> = self
             .flows
             .lock()
@@ -184,31 +175,25 @@ impl TraceTool {
             }
         }
 
-        let mut out = String::from("[");
-        let mut first = true;
-        let emit = |out: &mut String, first: &mut bool, ev: String| {
-            if !*first {
-                out.push(',');
-            }
-            *first = false;
-            out.push_str(&ev);
-        };
-
-        for &pid in &pids {
-            emit(
-                &mut out,
-                &mut first,
-                format!(
-                    "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"args\":{{\"name\":{}}}}}",
-                    json_str(&format!("rank {pid}"))
-                ),
+        // Every row is written after a comma; the first comma becomes the
+        // array's opening bracket.
+        let mut out = String::new();
+        if !dropped.is_empty() {
+            let _ = write!(
+                out,
+                ",{{\"name\":\"trace_cap\",\"ph\":\"M\",\"pid\":0,\"args\":{{\"max_ranks\":{max_ranks},\"dropped_ranks\":{}}}}}",
+                dropped.len()
             );
-            emit(
-                &mut out,
-                &mut first,
-                format!(
-                    "{{\"name\":\"process_sort_index\",\"ph\":\"M\",\"pid\":{pid},\"args\":{{\"sort_index\":{pid}}}}}"
-                ),
+        }
+        for &pid in &pids {
+            let _ = write!(
+                out,
+                ",{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"args\":{{\"name\":{}}}}}",
+                json_str(&format!("rank {pid}"))
+            );
+            let _ = write!(
+                out,
+                ",{{\"name\":\"process_sort_index\",\"ph\":\"M\",\"pid\":{pid},\"args\":{{\"sort_index\":{pid}}}}}"
             );
         }
         for &(pid, tid) in &lanes {
@@ -217,30 +202,24 @@ impl TraceTool {
             } else {
                 format!("comm {tid}")
             };
-            emit(
-                &mut out,
-                &mut first,
-                format!(
-                    "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"args\":{{\"name\":{}}}}}",
-                    json_str(&lane)
-                ),
+            let _ = write!(
+                out,
+                ",{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"args\":{{\"name\":{}}}}}",
+                json_str(&lane)
             );
         }
 
         for e in &spans {
-            emit(
-                &mut out,
-                &mut first,
-                format!(
-                    "{{\"name\":{},\"cat\":\"section\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\"pid\":{},\"tid\":{},\"args\":{{\"depth\":{},\"occurrence\":{}}}}}",
-                    json_str(&e.label),
-                    e.enter_ns as f64 / 1e3,
-                    (e.exit_ns - e.enter_ns) as f64 / 1e3,
-                    e.rank,
-                    e.comm.0,
-                    e.depth,
-                    e.occurrence,
-                ),
+            let _ = write!(
+                out,
+                ",{{\"name\":{},\"cat\":\"section\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\"pid\":{},\"tid\":{},\"args\":{{\"depth\":{},\"occurrence\":{}}}}}",
+                json_str(e.label.name()),
+                e.enter_ns as f64 / 1e3,
+                (e.exit_ns - e.enter_ns) as f64 / 1e3,
+                e.rank,
+                e.comm.0,
+                e.depth,
+                e.occurrence,
             );
         }
 
@@ -251,46 +230,39 @@ impl TraceTool {
             dst: (dst_rank, dst_ns),
         } in &flows
         {
-            emit(
-                &mut out,
-                &mut first,
-                format!(
-                    "{{\"name\":\"msg\",\"cat\":\"msg\",\"ph\":\"s\",\"id\":{seq},\"ts\":{:.3},\"pid\":{src_rank},\"tid\":{comm}}}",
-                    src_ns as f64 / 1e3,
-                ),
+            let _ = write!(
+                out,
+                ",{{\"name\":\"msg\",\"cat\":\"msg\",\"ph\":\"s\",\"id\":{seq},\"ts\":{:.3},\"pid\":{src_rank},\"tid\":{comm}}}",
+                src_ns as f64 / 1e3,
             );
-            emit(
-                &mut out,
-                &mut first,
-                format!(
-                    "{{\"name\":\"msg\",\"cat\":\"msg\",\"ph\":\"f\",\"bp\":\"e\",\"id\":{seq},\"ts\":{:.3},\"pid\":{dst_rank},\"tid\":{comm}}}",
-                    dst_ns as f64 / 1e3,
-                ),
+            let _ = write!(
+                out,
+                ",{{\"name\":\"msg\",\"cat\":\"msg\",\"ph\":\"f\",\"bp\":\"e\",\"id\":{seq},\"ts\":{:.3},\"pid\":{dst_rank},\"tid\":{comm}}}",
+                dst_ns as f64 / 1e3,
             );
         }
 
         if let Some(tl) = timeline {
             // Synthetic pid far above any real rank; sorted after them.
             let pid = COUNTER_PID;
-            emit(
-                &mut out,
-                &mut first,
-                format!(
-                    "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"args\":{{\"name\":\"windowed efficiency\"}}}}"
-                ),
+            let _ = write!(
+                out,
+                ",{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"args\":{{\"name\":\"windowed efficiency\"}}}}"
             );
-            emit(
-                &mut out,
-                &mut first,
-                format!(
-                    "{{\"name\":\"process_sort_index\",\"ph\":\"M\",\"pid\":{pid},\"args\":{{\"sort_index\":{pid}}}}}"
-                ),
+            let _ = write!(
+                out,
+                ",{{\"name\":\"process_sort_index\",\"ph\":\"M\",\"pid\":{pid},\"args\":{{\"sort_index\":{pid}}}}}"
             );
             for ev in tl.counter_events(pid) {
-                emit(&mut out, &mut first, ev);
+                out.push(',');
+                out.push_str(&ev);
             }
         }
 
+        if out.is_empty() {
+            out.push(',');
+        }
+        out.replace_range(..1, "[");
         out.push(']');
         (out, spans.len(), dropped.len())
     }
@@ -337,10 +309,10 @@ impl TraceTool {
                 let mut path = prefix.clone();
                 for (ancestor, _) in stack.iter() {
                     path.push(';');
-                    path.push_str(&ancestor.label.replace(';', ","));
+                    path.push_str(&ancestor.label.name().replace(';', ","));
                 }
                 path.push(';');
-                path.push_str(&span.label.replace(';', ","));
+                path.push_str(&span.label.name().replace(';', ","));
                 if exclusive > 0 {
                     *folded.entry(path).or_default() += exclusive;
                 }
@@ -384,7 +356,7 @@ impl SectionTool for TraceTool {
         self.events.lock().push(SpanEvent {
             rank: info.world_rank,
             comm: info.comm,
-            label: info.label.to_string(),
+            label: info.label,
             enter_ns: info.enter_time.as_nanos(),
             exit_ns: info.time.as_nanos(),
             depth: info.depth,
@@ -474,11 +446,11 @@ mod tests {
         let spans = trace.spans();
         let outer = spans
             .iter()
-            .find(|e| e.rank == 0 && e.label == "outer")
+            .find(|e| e.rank == 0 && e.label.name() == "outer")
             .unwrap();
         let inner = spans
             .iter()
-            .find(|e| e.rank == 0 && e.label == "inner")
+            .find(|e| e.rank == 0 && e.label.name() == "inner")
             .unwrap();
         assert!(outer.enter_ns <= inner.enter_ns);
         assert!(outer.exit_ns >= inner.exit_ns);
@@ -605,6 +577,11 @@ mod tests {
         let trace = traced_ring_run();
         let (json, written, dropped) = trace.to_chrome_trace_capped(1, None);
         assert_eq!(dropped, 1);
+        // The document carries the cap, once, and still parses.
+        let cap = "{\"name\":\"trace_cap\",\"ph\":\"M\",\"pid\":0,\"args\":{\"max_ranks\":1,\"dropped_ranks\":1}}";
+        assert!(json.starts_with(&format!("[{cap},")), "{json}");
+        assert_eq!(json.matches("trace_cap").count(), 1);
+        mpisim::jsoncheck::assert_json(&json, "capped trace");
         assert_eq!(written, json.matches("\"ph\":\"X\"").count());
         assert!(
             written > 0 && written < trace.len(),
@@ -620,6 +597,9 @@ mod tests {
         let (full, written, none_dropped) = trace.to_chrome_trace_capped(usize::MAX, None);
         assert_eq!((written, none_dropped), (trace.len(), 0));
         assert_eq!(full, trace.to_chrome_trace());
+        // A cap the run stays under writes no cap row.
+        assert_eq!(trace.to_chrome_trace_capped(2, None).0, full);
+        assert!(!full.contains("trace_cap"), "{full}");
     }
 
     #[test]

@@ -36,7 +36,7 @@ use crate::spine::{attribute, RankTracker, Sink, Span, Spine, StepKind};
 use crate::whatif::WaitClass;
 use mpisim::diag::json_str;
 use mpisim::message::seq_parts;
-use mpisim::{CommId, EventMask, MpiEvent, Tool, WorldCell};
+use mpisim::{CommId, EventMask, Label, MpiEvent, Tool, WorldCell};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::mem::size_of;
@@ -340,12 +340,19 @@ pub(crate) struct Recorded {
 pub struct CommLog {
     /// What the run recorded, shared with the recorder that froze it.
     pub(crate) run: Arc<Recorded>,
-    pub(crate) names: Vec<String>,
+    /// The run's labels: a record's section indexes this.
+    pub(crate) labels: Vec<Label>,
 }
 
 impl CommLog {
-    pub(crate) fn name(&self, id: u32) -> &str {
-        &self.names[id as usize]
+    pub(crate) fn name(&self, sec: u32) -> &'static str {
+        self.labels[sec as usize].name()
+    }
+
+    /// The section index of the label named `label`, if the run entered it.
+    pub(crate) fn section(&self, label: &str) -> Option<u32> {
+        let at = self.labels.iter().position(|l| l.name() == label)?;
+        Some(at as u32)
     }
 
     /// World size of the recorded run.
@@ -356,7 +363,7 @@ impl CommLog {
     /// Whether some rank entered a section labelled `label` (`MPI_MAIN`
     /// counts: every rank enters it at `Init`).
     pub fn has_section(&self, label: &str) -> bool {
-        self.names.iter().any(|name| name == label)
+        self.section(label).is_some()
     }
 
     /// Virtual end of the run: the last rank's Finalize, in nanoseconds.
@@ -384,13 +391,12 @@ impl CommLog {
         let colls = self.run.colls.values().map(|c| {
             size_of::<((CommId, u64), CollRound)>() + c.entries.len() * size_of::<(usize, u64)>()
         });
-        let names = self.names.iter().map(|n| size_of::<String>() + n.len());
         size_of::<CommLog>()
             + size_of::<Recorded>()
             + recs.sum::<usize>()
             + sends.sum::<usize>()
             + colls.sum::<usize>()
-            + names.sum::<usize>()
+            + size_of_val(&self.labels[..])
     }
 
     /// Run the attribution fold over the whole log: every record's
@@ -527,7 +533,7 @@ impl CommRecorder {
         let st = &mut *guard;
         CommLog {
             run: st.store.share(&mut st.spine),
-            names: st.spine.interner.names(),
+            labels: st.spine.labels.clone(),
         }
     }
 }
@@ -739,7 +745,7 @@ impl Sink for Totals {
 /// Classify every wait in the log.
 pub fn classify(log: &CommLog) -> WaitStateReport {
     let mut totals = Totals {
-        per_section: vec![None; log.names.len()],
+        per_section: vec![None; log.labels.len()],
         per_rank: vec![WaitBreakdown::default(); log.run.ranks.len()],
     };
     log.fold(&mut totals);
@@ -890,13 +896,12 @@ mod tests {
             self.0.on_event(rank, &matched);
         }
 
-        fn enter(&self, rank: usize, label: &str, section: u32, at_ns: u64) {
+        fn enter(&self, rank: usize, label: &str, at_ns: u64) {
             let event = MpiEvent::SectionEnter {
                 comm: CommId::WORLD,
                 comm_size: 1,
                 comm_rank: 0,
-                label: Arc::from(label),
-                section,
+                label: Label::intern(label),
                 time: VTime::from_nanos(at_ns),
             };
             self.0.on_event(rank, &event);
@@ -975,7 +980,7 @@ mod tests {
     fn late_sender_after(shift: u64) -> (CommLog, usize) {
         let feed = Feed::new(2);
         for id in 1..=WIDE as u32 {
-            feed.enter(1, &format!("S{id}"), id, 10);
+            feed.enter(1, &format!("S{id}"), 10);
         }
         let seq = feed.send(1, 0, 0, shift + 700);
         feed.recv(0, seq, shift + 100, shift + 900);

@@ -6,9 +6,11 @@
 //! at the entry and exit of every communication call, at Init/Finalize, and
 //! for the `MPIX_Section_enter/leave` notifications of the paper (Fig. 2),
 //! whose 32-byte tool data blob stays with the section runtime's tools.
+//! A section event names its section by [`Label`], an id into the
+//! process-wide label table.
 
+use crate::label::Label;
 use machine::VTime;
-use std::sync::Arc;
 
 /// Identifies a communicator within one world. The world communicator is
 /// always id 0.
@@ -124,9 +126,7 @@ pub enum MpiEvent {
         comm_size: usize,
         /// Rank local to that communicator.
         comm_rank: usize,
-        label: Arc<str>,
-        /// The runtime's dense id of `(comm, label)`; 0 is `(world, MPI_MAIN)`.
-        section: u32,
+        label: Label,
         time: VTime,
     },
     /// `MPIX_Section_leave` notification (the paper's leave callback).
@@ -134,12 +134,11 @@ pub enum MpiEvent {
         comm: CommId,
         comm_size: usize,
         comm_rank: usize,
-        label: Arc<str>,
-        /// The section that closed, as [`MpiEvent::SectionEnter::section`].
-        section: u32,
+        /// The section that closed.
+        label: Label,
         /// The rank's innermost open section after the close, on any
-        /// communicator (0, `MPI_MAIN`, when no frame is open).
-        inner: u32,
+        /// communicator ([`Label::MAIN`] when no frame is open).
+        inner: Label,
         time: VTime,
     },
     /// An eager send deposited a message into the destination's mailbox.
@@ -370,8 +369,7 @@ mod tests {
             comm: CommId::WORLD,
             comm_size: 4,
             comm_rank: 0,
-            label: Arc::from("HALO"),
-            section: 1,
+            label: Label::intern("HALO"),
             time: VTime::from_nanos(9),
         };
         assert_eq!(e.time(), VTime::from_nanos(9));
@@ -379,9 +377,8 @@ mod tests {
             comm: CommId::WORLD,
             comm_size: 4,
             comm_rank: 0,
-            label: Arc::from("HALO"),
-            section: 1,
-            inner: 0,
+            label: Label::intern("HALO"),
+            inner: Label::MAIN,
             time: VTime::from_nanos(11),
         };
         assert_eq!(e.time(), VTime::from_nanos(11));

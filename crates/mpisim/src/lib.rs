@@ -54,6 +54,7 @@ pub mod error;
 pub mod event;
 pub(crate) mod fiber;
 pub mod jsoncheck;
+pub mod label;
 pub mod mailbox;
 pub mod message;
 pub mod proc;
@@ -67,6 +68,7 @@ pub use des::{WorldCell, WorldGuard};
 pub use diag::{BlockedSite, Diagnostic, DiagnosticKind, Severity};
 pub use error::RunError;
 pub use event::{CommId, EventKind, EventMask, MpiCall, MpiEvent, SectionData};
+pub use label::{Label, MPI_MAIN};
 pub use message::{Payload, Src, TagSel};
 pub use proc::Proc;
 pub use tool::{Tool, ToolSet};

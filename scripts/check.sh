@@ -132,6 +132,28 @@ if sed -n '/^pub enum MpiEvent {/,/^}/p' crates/mpisim/src/event.rs | grep -n 'd
     exit 1
 fi
 
+echo "==> one label table per process: events carry a Label, no spine interns text"
+# A section event and a tool info name their section by `mpisim::Label`, an
+# id into the process-wide table, so no spine keeps an interner and nothing
+# clones an `Arc<str>` per event. Also pinned in tier-1:
+# `crates/core/tests/two_worlds.rs`' `two_worlds_at_once_name_only_their_own_labels`
+# (a spine's run index, not a text table) and `label.rs`'
+# `two_threads_get_one_id_per_text`; `event.rs`' `event_time_accessor` builds
+# both section events from `Label`s, and `EnterInfo`/`LeaveInfo` derive `Copy`,
+# which an `Arc<str>` field would not compile under.
+if grep -n 'Interner\|ADDRESS_PROBE\|Arc<str>' crates/core/src/spine.rs; then
+    echo "crates/core/src/spine.rs: a label interner or an Arc<str> label is back in the spine"
+    exit 1
+fi
+if sed -n '/^pub enum MpiEvent {/,/^}/p' crates/mpisim/src/event.rs | grep -n 'Arc<str>'; then
+    echo "crates/mpisim/src/event.rs: a section event carries an Arc<str> label again"
+    exit 1
+fi
+if grep -n 'Arc<str>' crates/core/src/tool.rs; then
+    echo "crates/core/src/tool.rs: a tool info carries an Arc<str> label again"
+    exit 1
+fi
+
 echo "==> no heap block per rank in the section runtime"
 # A frame carries its section id, not its label, and its data blob lives out
 # of line; a rank's slot is two words. Also pinned in tier-1 by the per-rank
@@ -342,6 +364,12 @@ timeout 20 ./target/release/profile conv --p 456 --steps 100 --check > /dev/null
 echo "==> smoke: examples"
 cargo run -q --release --example quickstart > /dev/null
 cargo run -q --release --example check_misuse > /dev/null
+# Sections on split sub-communicators, and the public SectionTool API
+# reading EnterInfo/LeaveInfo labels.
+cargo run -q --release --example coupled_codes | grep -q 'coupling-boundary balance: COUPLING' \
+    || { echo "coupled_codes: no COUPLING balance line"; exit 1; }
+cargo run -q --release --example tool_interposition | grep -q "rank 0: 'MPI_MAIN' took" \
+    || { echo "tool_interposition: no MPI_MAIN leave read through LeaveInfo"; exit 1; }
 
 echo "==> smoke: profile conv --metrics --trace"
 smoke_trace="$(mktemp /tmp/check-trace.XXXXXX.json)"
@@ -349,6 +377,12 @@ cargo run -q --release -p bench --bin profile -- \
     conv --p 4 --steps 5 --metrics --trace "$smoke_trace" > /dev/null
 test -s "$smoke_trace" || { echo "empty trace output: $smoke_trace"; exit 1; }
 cargo run -q --release -p bench --bin jsoncheck -- "$smoke_trace"
+# A trace capped below the world size says so in the document itself.
+cargo run -q --release -p bench --bin profile -- \
+    conv --p 4 --steps 2 --trace-max-ranks 2 --trace "$smoke_trace" > /dev/null
+cargo run -q --release -p bench --bin jsoncheck -- "$smoke_trace"
+grep -q '"name":"trace_cap","ph":"M","pid":0,"args":{"max_ranks":2,"dropped_ranks":2}' "$smoke_trace" \
+    || { echo "capped trace: missing its trace_cap row"; exit 1; }
 rm -f "$smoke_trace"
 
 echo "==> smoke: profile conv --efficiency --timeline --windows 8"

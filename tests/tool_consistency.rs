@@ -41,7 +41,7 @@ fn all_tools_agree_on_a_lulesh_run() {
         let expected = stats.instances * nranks as u64;
         let durations: Vec<u64> = spans
             .iter()
-            .filter(|e| e.label == *label)
+            .filter(|e| e.label.name() == *label)
             .map(|e| e.exit_ns - e.enter_ns)
             .collect();
         assert_eq!(durations.len() as u64, expected, "span count for {label}");
@@ -77,7 +77,7 @@ fn all_tools_agree_on_a_lulesh_run() {
     for rank in 0..nranks {
         let main = spans
             .iter()
-            .find(|e| e.rank == rank && e.label == MPI_MAIN)
+            .find(|e| e.rank == rank && e.label.name() == MPI_MAIN)
             .expect("MPI_MAIN span");
         for e in spans.iter().filter(|e| e.rank == rank) {
             assert!(e.enter_ns >= main.enter_ns && e.exit_ns <= main.exit_ns);
