@@ -123,14 +123,6 @@ impl SectionProfiler {
         Arc::new(SectionProfiler::default())
     }
 
-    /// Discard every aggregate collected so far. Section ids are
-    /// per-runtime, so a profiler reused across worlds (the schedule
-    /// explorer's repeated runs) must be reset together with its runtime —
-    /// stale aggregates would otherwise be folded into later snapshots.
-    pub fn reset(&self) {
-        self.sections.lock().clear();
-    }
-
     /// Freeze the collected data into an immutable profile, which shares
     /// the per-instance and per-rank vectors with the profiler (no copy).
     pub fn snapshot(&self) -> Profile {

@@ -151,15 +151,6 @@ impl PvarRegistry {
         Arc::new(PvarRegistry::default())
     }
 
-    /// Discard everything collected so far, returning the registry to its
-    /// freshly-built state. A process that runs several worlds against one
-    /// registry (the schedule explorer re-executing a program) must reset
-    /// between runs, or each snapshot folds in every earlier run's
-    /// counters.
-    pub fn reset(&self) {
-        *self.state.lock() = Registry::default();
-    }
-
     /// Freeze the collected counters into an immutable snapshot.
     pub fn snapshot(&self) -> PvarSnapshot {
         let st = self.state.lock();
@@ -484,10 +475,10 @@ mod tests {
     }
 
     #[test]
-    fn reset_isolates_reruns() {
-        // One registry, two runs — the explorer's usage pattern. Without a
-        // reset the second snapshot folds in the first run's counters;
-        // with one it matches a single run exactly.
+    fn two_runs_on_one_registry_accumulate() {
+        // One registry, two runs: the second snapshot folds in the first
+        // run's counters. A caller that wants one run's numbers attaches a
+        // fresh registry per run.
         let pvar = PvarRegistry::new();
         let run = |pvar: &std::sync::Arc<PvarRegistry>| {
             let sections = SectionRuntime::new(VerifyMode::Active);
@@ -509,12 +500,6 @@ mod tests {
         run(&pvar);
         let polluted = pvar.snapshot();
         assert_eq!(polluted.totals().sent_msgs, 2 * first.totals().sent_msgs);
-        pvar.reset();
-        run(&pvar);
-        let fresh = pvar.snapshot();
-        assert_eq!(fresh.totals().sent_msgs, first.totals().sent_msgs);
-        assert_eq!(fresh.matrix, first.matrix);
-        assert_eq!(fresh.nranks, first.nranks);
     }
 
     /// One registry, attached to two worlds that run at once from two

@@ -70,16 +70,6 @@ impl TraceTool {
         Arc::new(TraceTool::default())
     }
 
-    /// Discard all recorded spans and flows. A process that runs several
-    /// worlds against one trace tool (the schedule explorer) must reset
-    /// between runs, or later exports replay earlier runs' spans and draw
-    /// every run's flow arrows, in `seq` order, an earlier run's first
-    /// where two runs' messages share a `seq`.
-    pub fn reset(&self) {
-        self.events.lock().clear();
-        self.flows.lock().clear();
-    }
-
     /// Number of recorded spans.
     pub fn len(&self) -> usize {
         self.events.lock().len()

@@ -4,17 +4,20 @@
 
 use machine::{presets, VTime, Work};
 use mpisim::{dims_create, CartGrid, Src, TagSel, WorldBuilder};
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+/// One generator per case, seeded by the case number.
+fn cases(n: u64) -> impl Iterator<Item = StdRng> {
+    (0..n).map(StdRng::seed_from_u64)
+}
 
-    #[test]
-    fn allreduce_sums_arbitrary_vectors(
-        nranks in 1usize..9,
-        len in 1usize..32,
-        base in -1000i64..1000,
-    ) {
+#[test]
+fn allreduce_sums_arbitrary_vectors() {
+    for mut rng in cases(24) {
+        let nranks = rng.gen_range(1..9);
+        let len = rng.gen_range(1..32);
+        let base = rng.gen_range(-1000i64..1000);
         let report = WorldBuilder::new(nranks)
             .run(move |p| {
                 let world = p.world();
@@ -25,19 +28,18 @@ proptest! {
             })
             .unwrap();
         let expect: Vec<i64> = (0..len)
-            .map(|i| {
-                (0..nranks)
-                    .map(|r| base + (r * 31 + i) as i64)
-                    .sum::<i64>()
-            })
+            .map(|i| (0..nranks).map(|r| base + (r * 31 + i) as i64).sum::<i64>())
             .collect();
         for result in report.results {
-            prop_assert_eq!(&result, &expect);
+            assert_eq!(&result, &expect);
         }
     }
+}
 
-    #[test]
-    fn scatter_gather_identity(nranks in 1usize..9, chunk in 1usize..16) {
+#[test]
+fn scatter_gather_identity() {
+    for mut rng in cases(24) {
+        let (nranks, chunk) = (rng.gen_range(1..9), rng.gen_range(1..16));
         let report = WorldBuilder::new(nranks)
             .run(move |p| {
                 let world = p.world();
@@ -48,11 +50,14 @@ proptest! {
             })
             .unwrap();
         let expect: Vec<u32> = (0..nranks * chunk).map(|x| x as u32).collect();
-        prop_assert_eq!(&report.results[0], &expect);
+        assert_eq!(&report.results[0], &expect);
     }
+}
 
-    #[test]
-    fn split_partitions_the_world(nranks in 1usize..13, ncolors in 1usize..5) {
+#[test]
+fn split_partitions_the_world() {
+    for mut rng in cases(24) {
+        let (nranks, ncolors) = (rng.gen_range(1..13), rng.gen_range(1..5));
         let report = WorldBuilder::new(nranks)
             .run(move |p| {
                 let world = p.world();
@@ -75,18 +80,21 @@ proptest! {
                 continue;
             }
             let size = members[0].1 .1;
-            prop_assert_eq!(size, members.len());
+            assert_eq!(size, members.len());
             total += size;
             for (world_rank, (_, _, local, self_world)) in members {
-                prop_assert_eq!(*self_world, world_rank);
-                prop_assert!(*local < size);
+                assert_eq!(*self_world, world_rank);
+                assert!(*local < size);
             }
         }
-        prop_assert_eq!(total, nranks);
+        assert_eq!(total, nranks);
     }
+}
 
-    #[test]
-    fn message_payloads_arrive_intact(len in 0usize..512, tag in 0i32..100) {
+#[test]
+fn message_payloads_arrive_intact() {
+    for mut rng in cases(24) {
+        let (len, tag) = (rng.gen_range(0..512), rng.gen_range(0..100));
         let report = WorldBuilder::new(2)
             .run(move |p| {
                 let world = p.world();
@@ -100,14 +108,15 @@ proptest! {
             })
             .unwrap();
         let expect: Vec<u16> = (0..len).map(|x| (x * 7) as u16).collect();
-        prop_assert_eq!(&report.results[1], &expect);
+        assert_eq!(&report.results[1], &expect);
     }
+}
 
-    #[test]
-    fn clocks_are_causal_under_random_work(
-        seed in any::<u64>(),
-        costs in prop::collection::vec(0u64..1_000_000, 4),
-    ) {
+#[test]
+fn clocks_are_causal_under_random_work() {
+    for mut rng in cases(24) {
+        let seed = rng.gen();
+        let costs: Vec<u64> = (0..4).map(|_| rng.gen_range(0..1_000_000)).collect();
         // Receiver's final time must be at least the sender's send time:
         // information cannot arrive before it was produced.
         let costs2 = costs.clone();
@@ -127,8 +136,8 @@ proptest! {
                     for _ in 0..costs2.len() {
                         let msg = world.recv::<u64>(p, Src::Rank(0), TagSel::Is(0));
                         let sent = VTime::from_nanos(msg.data[0]);
-                        // Plain asserts: a rank panic surfaces as RunError
-                        // and fails the proptest via unwrap below.
+                        // A rank panic surfaces as RunError and fails the
+                        // test via unwrap below.
                         assert!(p.now() >= sent, "arrival before departure");
                         assert!(sent >= last_send, "FIFO per sender");
                         last_send = sent;
@@ -137,12 +146,15 @@ proptest! {
                 }
             })
             .unwrap();
-        prop_assert!(report.makespan >= report.results[0].min(report.results[1]));
+        assert!(report.makespan >= report.results[0].min(report.results[1]));
     }
+}
 
-    #[test]
-    fn barrier_equalizes_arbitrary_skews(skews in prop::collection::vec(0u64..1 << 32, 1..9)) {
-        let n = skews.len();
+#[test]
+fn barrier_equalizes_arbitrary_skews() {
+    for mut rng in cases(24) {
+        let n = rng.gen_range(1..9);
+        let skews: Vec<u64> = (0..n).map(|_| rng.gen_range(0..1 << 32)).collect();
         let skews2 = skews.clone();
         let report = WorldBuilder::new(n)
             .run(move |p| {
@@ -154,53 +166,56 @@ proptest! {
             .unwrap();
         let max_skew = VTime::from_nanos(*skews.iter().max().unwrap());
         for t in &report.final_times {
-            prop_assert_eq!(*t, max_skew);
+            assert_eq!(*t, max_skew);
         }
     }
 }
 
-proptest! {
-    #[test]
-    fn dims_create_product_and_balance(n in 1usize..10_000, ndims in 1usize..5) {
+#[test]
+fn dims_create_product_and_balance() {
+    for mut rng in cases(32) {
+        let (n, ndims) = (rng.gen_range(1..10_000), rng.gen_range(1..5));
         let dims = dims_create(n, ndims);
-        prop_assert_eq!(dims.len(), ndims);
-        prop_assert_eq!(dims.iter().product::<usize>(), n);
+        assert_eq!(dims.len(), ndims);
+        assert_eq!(dims.iter().product::<usize>(), n);
         // Sorted decreasing.
         for w in dims.windows(2) {
-            prop_assert!(w[0] >= w[1]);
+            assert!(w[0] >= w[1]);
         }
     }
+}
 
-    #[test]
-    fn cart_grid_roundtrip(d0 in 1usize..8, d1 in 1usize..8, d2 in 1usize..8) {
-        let g = CartGrid::new(vec![d0, d1, d2]);
+#[test]
+fn cart_grid_roundtrip() {
+    for mut rng in cases(32) {
+        let dims = vec![
+            rng.gen_range(1..8),
+            rng.gen_range(1..8),
+            rng.gen_range(1..8),
+        ];
+        let g = CartGrid::new(dims);
         for rank in 0..g.size() {
-            prop_assert_eq!(g.rank_of(&g.coords_of(rank)), rank);
+            assert_eq!(g.rank_of(&g.coords_of(rank)), rank);
             // Face neighbours are mutual.
             for n in g.face_neighbors(rank) {
-                prop_assert!(g.face_neighbors(n).contains(&rank));
+                assert!(g.face_neighbors(n).contains(&rank));
             }
         }
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Failure injection: whatever rank dies at whatever point of a
-    /// communication-heavy program, the world terminates with an error
-    /// attributing the right rank — it never deadlocks (the test would
-    /// time out) and never reports success.
-    #[test]
-    fn injected_failures_always_terminate_with_the_right_culprit(
-        nranks in 2usize..8,
-        steps in 1usize..6,
-        fail_rank_seed in any::<u64>(),
-        fail_step_seed in any::<u64>(),
-        fail_in_collective in any::<bool>(),
-    ) {
-        let fail_rank = (fail_rank_seed % nranks as u64) as usize;
-        let fail_step = (fail_step_seed % steps as u64) as usize;
+/// Failure injection: whatever rank dies at whatever point of a
+/// communication-heavy program, the world terminates with an error
+/// attributing the right rank — it never deadlocks (the test would
+/// time out) and never reports success.
+#[test]
+fn injected_failures_always_terminate_with_the_right_culprit() {
+    for mut rng in cases(16) {
+        let nranks = rng.gen_range(2..8);
+        let steps = rng.gen_range(1..6);
+        let fail_rank = (rng.gen::<u64>() % nranks as u64) as usize;
+        let fail_step = (rng.gen::<u64>() % steps as u64) as usize;
+        let fail_in_collective: bool = rng.gen();
         let result = WorldBuilder::new(nranks).run(move |p| {
             let world = p.world();
             for step in 0..steps {
@@ -229,10 +244,10 @@ proptest! {
         });
         match result {
             Err(mpisim::RunError::RankPanicked { rank, message }) => {
-                prop_assert_eq!(rank, fail_rank);
-                prop_assert!(message.contains("injected failure"), "{}", message);
+                assert_eq!(rank, fail_rank);
+                assert!(message.contains("injected failure"), "{}", message);
             }
-            other => prop_assert!(false, "expected failure report, got {:?}", other.is_ok()),
+            other => panic!("expected failure report, got {:?}", other.is_ok()),
         }
     }
 }

@@ -4,28 +4,40 @@
 
 use machine::{presets, OmpModel, Work};
 use mpisim::WorldBuilder;
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use shmem::{Schedule, Team};
 
-proptest! {
-    #[test]
-    fn static_ranges_partition(n in 0usize..10_000, threads in 1usize..128) {
+/// One generator per case, seeded by the case number.
+fn cases(n: u64) -> impl Iterator<Item = StdRng> {
+    (0..n).map(StdRng::seed_from_u64)
+}
+
+#[test]
+fn static_ranges_partition() {
+    for mut rng in cases(32) {
+        let (n, threads) = (rng.gen_range(0..10_000), rng.gen_range(1..128));
         let mut covered = 0;
         let mut prev_end = 0;
         for tid in 0..threads {
             let (s, e) = Schedule::static_range(n, threads, tid);
-            prop_assert_eq!(s, prev_end);
-            prop_assert!(e >= s);
+            assert_eq!(s, prev_end);
+            assert!(e >= s);
             // Balanced to within one iteration.
-            prop_assert!(e - s <= n / threads + 1);
+            assert!(e - s <= n / threads + 1);
             covered += e - s;
             prev_end = e;
         }
-        prop_assert_eq!(covered, n);
+        assert_eq!(covered, n);
     }
+}
 
-    #[test]
-    fn chunk_counts_bounded(n in 1usize..100_000, threads in 1usize..256, chunk in 1usize..512) {
+#[test]
+fn chunk_counts_bounded() {
+    for mut rng in cases(32) {
+        let n = rng.gen_range(1..100_000);
+        let threads = rng.gen_range(1..256);
+        let chunk = rng.gen_range(1..512);
         for sched in [
             Schedule::Static,
             Schedule::StaticChunk(chunk),
@@ -33,26 +45,22 @@ proptest! {
             Schedule::Guided,
         ] {
             let c = sched.chunk_count(n, threads);
-            prop_assert!(c >= 1);
-            prop_assert!(c <= n, "never more chunks than iterations ({sched:?})");
+            assert!(c >= 1);
+            assert!(c <= n, "never more chunks than iterations ({sched:?})");
         }
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    #[test]
-    fn every_index_visited_once(
-        n in 0usize..2_000,
-        threads in 1usize..64,
-        schedule in prop_oneof![
-            Just(Schedule::Static),
-            (1usize..64).prop_map(Schedule::StaticChunk),
-            (1usize..64).prop_map(Schedule::Dynamic),
-            Just(Schedule::Guided),
-        ],
-    ) {
+#[test]
+fn every_index_visited_once() {
+    for mut rng in cases(16) {
+        let (n, threads) = (rng.gen_range(0..2_000), rng.gen_range(1..64));
+        let schedule = match rng.gen_range(0..4) {
+            0 => Schedule::Static,
+            1 => Schedule::StaticChunk(rng.gen_range(1..64)),
+            2 => Schedule::Dynamic(rng.gen_range(1..64)),
+            _ => Schedule::Guided,
+        };
         let report = WorldBuilder::new(1)
             .run(move |p| {
                 let mut seen = vec![0u8; n];
@@ -62,15 +70,15 @@ proptest! {
                 seen
             })
             .unwrap();
-        prop_assert!(report.results[0].iter().all(|&c| c == 1));
+        assert!(report.results[0].iter().all(|&c| c == 1));
     }
+}
 
-    #[test]
-    fn pricing_monotone_in_work(
-        n in 1usize..10_000,
-        threads in 1usize..64,
-        flops in 1.0f64..1e9,
-    ) {
+#[test]
+fn pricing_monotone_in_work() {
+    for mut rng in cases(16) {
+        let (n, threads) = (rng.gen_range(1..10_000), rng.gen_range(1..64));
+        let flops = rng.gen_range(1.0..1e9);
         let report = WorldBuilder::new(1)
             .run(move |p| {
                 let team = Team::new(threads);
@@ -80,29 +88,30 @@ proptest! {
             })
             .unwrap();
         let (small, large) = report.results[0];
-        prop_assert!(large >= small);
-        prop_assert!(small >= 0.0);
+        assert!(large >= small);
+        assert!(small >= 0.0);
     }
+}
 
-    #[test]
-    fn ideal_machine_region_cost_is_exact(
-        n in 1usize..10_000,
-        threads in 1usize..64,
-    ) {
+#[test]
+fn ideal_machine_region_cost_is_exact() {
+    for mut rng in cases(16) {
+        let (n, threads) = (rng.gen_range(1..10_000), rng.gen_range(1..64));
         // On the ideal machine (1 Gflop/s, free runtime) a uniform loop of
         // k flops per item costs exactly max_chunk * k / 1e9 seconds.
         let report = WorldBuilder::new(1)
-            .run(move |p| {
-                Team::new(threads).for_cost_uniform(p, n, Work::flops(1000.0))
-            })
+            .run(move |p| Team::new(threads).for_cost_uniform(p, n, Work::flops(1000.0)))
             .unwrap();
         let max_chunk = n.div_ceil(threads);
         let expect = max_chunk as f64 * 1000.0 / 1e9;
-        prop_assert!((report.results[0] - expect).abs() < 1e-12);
+        assert!((report.results[0] - expect).abs() < 1e-12);
     }
+}
 
-    #[test]
-    fn overheads_grow_with_threads(t_small in 1usize..32, extra in 1usize..32) {
+#[test]
+fn overheads_grow_with_threads() {
+    for mut rng in cases(16) {
+        let (t_small, extra) = (rng.gen_range(1..32), rng.gen_range(1..32));
         let mut m = presets::ideal();
         m.omp = OmpModel {
             fork_base: 1e-6,
@@ -121,11 +130,14 @@ proptest! {
             })
             .unwrap();
         let (a, b) = report.results[0];
-        prop_assert!(b >= a);
+        assert!(b >= a);
     }
+}
 
-    #[test]
-    fn reduction_matches_sequential_fold(n in 0usize..5_000, threads in 1usize..64) {
+#[test]
+fn reduction_matches_sequential_fold() {
+    for mut rng in cases(16) {
+        let (n, threads) = (rng.gen_range(0..5_000), rng.gen_range(1..64));
         let report = WorldBuilder::new(1)
             .run(move |p| {
                 Team::new(threads).parallel_reduce_uniform(
@@ -138,6 +150,6 @@ proptest! {
             })
             .unwrap();
         let expect: u64 = (0..n as u64).map(|i| i * i).sum();
-        prop_assert_eq!(report.results[0], expect);
+        assert_eq!(report.results[0], expect);
     }
 }

@@ -88,6 +88,18 @@ if grep -n 'HashMap' crates/mpicheck/src/lib.rs; then
     echo "crates/mpicheck/src/lib.rs: hashed per-rank state is back in the race analyzer"
     exit 1
 fi
+# Property tests are plain seeded loops over `rand`'s `StdRng`: no second
+# test harness and no second generator. No test pins either guard: a
+# returning stand-in or a copied xoshiro256++ would compile and pass.
+if [ -e crates/proptest-stub ] || grep -n 'proptest' Cargo.toml crates/*/Cargo.toml; then
+    echo "Cargo.toml: the proptest stand-in is back beside plain seeded property loops"
+    exit 1
+fi
+if grep -rn --include='*.rs' 'rotate_left(23)' crates src tests examples benchmark \
+    | grep -v '^crates/rand-stub/'; then
+    echo "a second xoshiro256++ is back outside crates/rand-stub"
+    exit 1
+fi
 
 echo "==> a receive is one event and a collective's round is the engine's number"
 # RecvMatched carries when its call returned and both collective events

@@ -319,12 +319,6 @@ fn snapshot_hands_the_profile_over() {
     }
     assert_eq!(profile, again);
 
-    // `reset` lets go of the storage; the profile it was shared with stays.
-    let before = contents(&profile);
-    profiler.reset();
-    assert_eq!(profiler.snapshot().sections().count(), 0);
-    assert_eq!(contents(&profile), before);
-
     // A snapshot taken mid-run — held (the next leave copies) or dropped
     // (the next leave takes the storage back) — changes nothing the run
     // goes on to record.

@@ -4,7 +4,8 @@
 use machine::{presets, Work};
 use mpisim::{Src, TagSel, WorldBuilder};
 use mpiverify::{explore, RunOutcome, ScheduleController, Verdict};
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use speedup_repro::sections::{
     partial_bound_per_process, Profile, SectionProfiler, SectionRuntime, VerifyMode,
 };
@@ -20,15 +21,21 @@ struct Phase {
     collective: bool,
 }
 
-fn phases() -> impl Strategy<Value = Vec<Phase>> {
-    prop::collection::vec(
-        (0u8..5, 1.0f64..100.0, any::<bool>()).prop_map(|(label, flops, collective)| Phase {
-            label,
-            flops: flops * 1e6,
-            collective,
-        }),
-        1..5,
-    )
+/// One to four phases, each labelled 0..5 with 1e6 to 1e8 flops.
+fn phases(rng: &mut StdRng) -> Vec<Phase> {
+    let len = rng.gen_range(1..5);
+    (0..len)
+        .map(|_| Phase {
+            label: rng.gen_range(0..5),
+            flops: rng.gen_range(1.0..100.0) * 1e6,
+            collective: rng.gen(),
+        })
+        .collect()
+}
+
+/// One generator per case, seeded by the case number.
+fn cases(n: u64) -> impl Iterator<Item = StdRng> {
+    (0..n).map(StdRng::seed_from_u64)
 }
 
 fn run_phases(
@@ -63,17 +70,16 @@ fn run_phases(
     profiler.snapshot()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// Eq. 6 structural guarantee, read off a study over three scales
-    /// (1, n, 2n): for any random program, at every scale, the measured
-    /// program speedup never exceeds any section's bound. A two-scale
-    /// study (a comparison of two runs) gives each section's own speedup
-    /// as baseline total over per-process time, bit for bit.
-    #[test]
-    fn eq6_holds_for_random_programs(program in phases(), n in 2usize..5) {
-        let program = Arc::new(program);
+/// Eq. 6 structural guarantee, read off a study over three scales
+/// (1, n, 2n): for any random program, at every scale, the measured
+/// program speedup never exceeds any section's bound. A two-scale
+/// study (a comparison of two runs) gives each section's own speedup
+/// as baseline total over per-process time, bit for bit.
+#[test]
+fn eq6_holds_for_random_programs() {
+    for mut rng in cases(10) {
+        let program = Arc::new(phases(&mut rng));
+        let n = rng.gen_range(2..5);
         let runs: Vec<(usize, Profile)> = [1, n, 2 * n]
             .into_iter()
             .map(|p| (p, run_phases(p, 3, &program, 7)))
@@ -85,7 +91,7 @@ proptest! {
 
         for (p, measured) in study.speedups() {
             for (section, bound) in study.bounds_at(p) {
-                prop_assert!(
+                assert!(
                     measured <= bound + 1e-6,
                     "S={measured} exceeds {}'s bound {bound} at p={p}",
                     section.label
@@ -101,42 +107,50 @@ proptest! {
                 target.1.get_world(label).unwrap().avg_per_rank_secs(),
             );
             let section = &pair.sections[label];
-            prop_assert_eq!(
+            assert_eq!(
                 pair.section_speedup(section, 2 * n).map(f64::to_bits),
                 Some(expected.to_bits()),
-                "{}", label
+                "{label}"
             );
-            prop_assert_eq!(
-                study.section_speedup(&study.sections[label], 2 * n).map(f64::to_bits),
+            assert_eq!(
+                study
+                    .section_speedup(&study.sections[label], 2 * n)
+                    .map(f64::to_bits),
                 Some(expected.to_bits()),
-                "{}", label
+                "{label}"
             );
         }
     }
+}
 
-    /// Exclusive-time partition: over any random program, the sum of
-    /// exclusive section times equals the summed per-rank elapsed time.
-    #[test]
-    fn exclusive_times_partition_elapsed(program in phases(), nranks in 1usize..6) {
-        let program = Arc::new(program);
+/// Exclusive-time partition: over any random program, the sum of
+/// exclusive section times equals the summed per-rank elapsed time.
+#[test]
+fn exclusive_times_partition_elapsed() {
+    for mut rng in cases(10) {
+        let program = Arc::new(phases(&mut rng));
+        let nranks = rng.gen_range(1..6);
         let profile = run_phases(nranks, 2, &program, 3);
         let excl: f64 = profile.sections().map(|s| s.total_excl_secs).sum();
         let main = profile.get_world(mpi_sections::MPI_MAIN).unwrap();
-        prop_assert!(
+        assert!(
             (excl - main.total_own_secs).abs() < 1e-6,
             "{excl} vs {}",
             main.total_own_secs
         );
     }
+}
 
-    /// Verifier soundness on race-free programs: a random phase program
-    /// (deterministic collectives, no competing wildcard senders) extended
-    /// with a single-sender wildcard receive must come out of schedule
-    /// exploration fully refuted — zero divergent fingerprints, every
-    /// wildcard site trivially refuted or exhaustively byte-identical.
-    #[test]
-    fn race_free_programs_are_refuted(program in phases(), nranks in 2usize..5) {
-        let program = Arc::new(program);
+/// Verifier soundness on race-free programs: a random phase program
+/// (deterministic collectives, no competing wildcard senders) extended
+/// with a single-sender wildcard receive must come out of schedule
+/// exploration fully refuted — zero divergent fingerprints, every
+/// wildcard site trivially refuted or exhaustively byte-identical.
+#[test]
+fn race_free_programs_are_refuted() {
+    for mut rng in cases(10) {
+        let program = Arc::new(phases(&mut rng));
+        let nranks = rng.gen_range(2..5);
         let report = explore(32, |ctl: &Arc<ScheduleController>| {
             let sections = SectionRuntime::new(VerifyMode::Active);
             let profiler = SectionProfiler::new();
@@ -181,32 +195,52 @@ proptest! {
                             (sec.total_own_secs * 1e9).round() as u64
                         ));
                     }
-                    RunOutcome { artifact, failure: None }
+                    RunOutcome {
+                        artifact,
+                        failure: None,
+                    }
                 }
-                Err(e) => RunOutcome { artifact: String::new(), failure: Some(e.to_string()) },
+                Err(e) => RunOutcome {
+                    artifact: String::new(),
+                    failure: Some(e.to_string()),
+                },
             }
         });
-        prop_assert_eq!(report.divergent, 0, "race-free program produced divergent fingerprints");
-        prop_assert!(!report.any_confirmed());
-        prop_assert!(report.exhausted_space, "exploration should exhaust a race-free space");
-        prop_assert!(!report.verdicts.is_empty(), "the wildcard site must be judged");
+        assert_eq!(
+            report.divergent, 0,
+            "race-free program produced divergent fingerprints"
+        );
+        assert!(!report.any_confirmed());
+        assert!(
+            report.exhausted_space,
+            "exploration should exhaust a race-free space"
+        );
+        assert!(
+            !report.verdicts.is_empty(),
+            "the wildcard site must be judged"
+        );
         for v in &report.verdicts {
-            prop_assert!(
+            assert!(
                 matches!(
                     v,
                     Verdict::TriviallyRefuted { .. }
-                        | Verdict::Refuted { exhaustive: true, .. }
+                        | Verdict::Refuted {
+                            exhaustive: true,
+                            ..
+                        }
                 ),
                 "unexpected verdict: {v:?}"
             );
         }
     }
+}
 
-    /// Determinism through the whole stack: identical seeds, identical
-    /// profiles, for any random program.
-    #[test]
-    fn full_stack_determinism(program in phases()) {
-        let program = Arc::new(program);
+/// Determinism through the whole stack: identical seeds, identical
+/// profiles, for any random program.
+#[test]
+fn full_stack_determinism() {
+    for mut rng in cases(10) {
+        let program = Arc::new(phases(&mut rng));
         let a = run_phases(4, 2, &program, 11);
         let b = run_phases(4, 2, &program, 11);
         let sig = |p: &mpi_sections::Profile| -> Vec<(String, u64)> {
@@ -214,6 +248,6 @@ proptest! {
                 .map(|s| (s.key.label.clone(), (s.total_own_secs * 1e9).round() as u64))
                 .collect()
         };
-        prop_assert_eq!(sig(&a), sig(&b));
+        assert_eq!(sig(&a), sig(&b));
     }
 }
