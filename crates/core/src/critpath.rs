@@ -28,7 +28,6 @@
 
 use crate::waitstate::{CommLog, RecKind};
 use mpisim::diag::json_str;
-use mpisim::message::seq_parts;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -169,9 +168,13 @@ pub fn extract(log: &CommLog) -> CriticalPath {
                 // Late sender: the receiver's segment on the path starts
                 // when the message left; hop to the sender. A message that
                 // was already waiting at the post is a plain local segment.
-                if let Some(send) = log.run.sends.get(seq).filter(|s| s.send_ns > rec.t_ns) {
-                    from_ns = send.send_ns;
-                    next = (seq_parts(seq).0, Some(send.rec as usize));
+                if let Some(sent) = log
+                    .run
+                    .sent(seq, rec.t_ns)
+                    .filter(|s| s.issued_ns > rec.t_ns)
+                {
+                    from_ns = sent.issued_ns;
+                    next = (sent.rank, Some(sent.rec));
                 }
             }
             RecKind::CollExit {

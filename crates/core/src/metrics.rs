@@ -14,7 +14,7 @@
 //! [`InstanceStats`] accumulates these in streaming form (no per-rank
 //! storage), so profiling a 456-rank, 1000-step run stays cheap. A long run
 //! holds one per instance, so it carries only what a report reads: integer
-//! sums and min/max, 128 bytes, folded order-independently.
+//! sums and min/max, 96 bytes, folded order-independently.
 
 use machine::VTime;
 
@@ -25,18 +25,12 @@ pub struct InstanceStats {
     pub count: u64,
     /// Earliest enter (`Tmin`).
     pub min_enter: VTime,
-    /// Latest enter.
-    pub max_enter: VTime,
-    /// Earliest exit.
-    pub min_exit: VTime,
     /// Latest exit (`Tmax`).
     pub max_exit: VTime,
     /// Sum of enter timestamps (nanoseconds).
     pub sum_enter_ns: u128,
     /// Sum of exit timestamps (nanoseconds).
     pub sum_exit_ns: u128,
-    /// Sum of per-rank inclusive durations `Tout - Tin` (nanoseconds).
-    pub sum_own_ns: u128,
     /// Smallest per-rank inclusive duration.
     pub min_own: VTime,
     /// Largest per-rank inclusive duration.
@@ -50,12 +44,9 @@ impl Default for InstanceStats {
         InstanceStats {
             count: 0,
             min_enter: VTime::MAX,
-            max_enter: VTime::ZERO,
-            min_exit: VTime::MAX,
             max_exit: VTime::ZERO,
             sum_enter_ns: 0,
             sum_exit_ns: 0,
-            sum_own_ns: 0,
             min_own: VTime::MAX,
             max_own: VTime::ZERO,
             sum_excl_ns: 0,
@@ -64,17 +55,16 @@ impl Default for InstanceStats {
 }
 
 impl InstanceStats {
-    /// Fold in one rank's completed traversal.
+    /// Fold in one rank's completed traversal (`exit` is not before
+    /// `enter`: a rank's clock only moves forward).
     pub fn record(&mut self, enter: VTime, exit: VTime, exclusive: VTime) {
+        debug_assert!(exit >= enter, "exit {exit:?} before enter {enter:?}");
         let own = exit - enter;
         self.count += 1;
         self.min_enter = self.min_enter.min(enter);
-        self.max_enter = self.max_enter.max(enter);
-        self.min_exit = self.min_exit.min(exit);
         self.max_exit = self.max_exit.max(exit);
         self.sum_enter_ns += enter.as_nanos() as u128;
         self.sum_exit_ns += exit.as_nanos() as u128;
-        self.sum_own_ns += own.as_nanos() as u128;
         self.min_own = self.min_own.min(own);
         self.max_own = self.max_own.max(own);
         self.sum_excl_ns += exclusive.as_nanos() as u128;
@@ -112,9 +102,11 @@ impl InstanceStats {
         mean_exit - self.min_enter.as_secs_f64()
     }
 
-    /// Sum of per-rank inclusive durations, in seconds.
+    /// Sum of per-rank inclusive durations `Tout - Tin`, in seconds:
+    /// the exits' sum less the enters', exact since no exit precedes its
+    /// enter.
     pub fn total_own_secs(&self) -> f64 {
-        self.sum_own_ns as f64 * 1e-9
+        (self.sum_exit_ns - self.sum_enter_ns) as f64 * 1e-9
     }
 
     /// Sum of per-rank exclusive durations, in seconds.
@@ -219,8 +211,8 @@ mod tests {
     }
 
     #[test]
-    fn one_instance_is_128_bytes() {
-        assert!(size_of::<InstanceStats>() <= 128);
+    fn one_instance_is_96_bytes() {
+        assert_eq!(size_of::<InstanceStats>(), 96);
     }
 
     #[test]

@@ -206,16 +206,11 @@ impl Tool for PvarRegistry {
                     st.sections.entry(key).or_default().add(&delta);
                 }
             }
-            StepKind::Rec {
-                kind,
-                bytes,
-                dst_world,
-                ..
-            } => match kind {
-                RecKind::Send { .. } => {
+            StepKind::Rec { kind, bytes, .. } => match kind {
+                RecKind::Send { dst_world, .. } => {
                     rp.counters.sent_msgs += 1;
                     rp.counters.sent_bytes += bytes;
-                    let cell = rp.matrix.entry(dst_world).or_default();
+                    let cell = rp.matrix.entry(dst_world as usize).or_default();
                     cell.msgs += 1;
                     cell.bytes += bytes;
                 }

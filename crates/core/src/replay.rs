@@ -44,11 +44,11 @@
 
 use crate::fasthash::FastMap;
 use crate::waitstate::{
-    index_u32, CollRound, CollTable, CommLog, RankRecs, Rec, RecKind, Recorded, SendInfo, SendTable,
+    CollRound, CollTable, CommLog, RankRecs, Rec, RecKind, Recorded, SendSlot, SendTable,
 };
 use crate::whatif::{WaitClass, WhatIfSpec};
 use machine::{DetRng, MachineModel, NoiseModel, RankStream, VTime};
-use mpisim::message::seq_parts;
+use mpisim::message::{seq_of, seq_parts};
 use mpisim::CommId;
 use std::sync::Arc;
 
@@ -93,10 +93,13 @@ pub fn replay(
             prev_sec: rr.iter().next().map_or(0, |r| r.sec),
             coll_enter: None,
             net_rng: DetRng::for_rank(seed, rank, RankStream::Network),
-            out: RankRecs::default(),
+            sent: 0,
         })
         .collect();
-    let mut sh = Shared::default();
+    let mut sh = Shared {
+        ranks: vec![RankRecs::default(); states.len()],
+        ..Shared::default()
+    };
     let ctx = Ctx {
         log,
         recorded,
@@ -148,7 +151,7 @@ pub fn replay(
 
     Ok(CommLog {
         run: Arc::new(Recorded {
-            ranks: states.into_iter().map(|s| s.out).collect(),
+            ranks: sh.ranks,
             sends: sh.sends,
             colls: sh.colls,
         }),
@@ -192,8 +195,9 @@ struct RankState {
     /// The rank's network stream: the engine drew one latency jitter
     /// from it per matched receive, in program order.
     net_rng: DetRng,
-    /// The re-timed records.
-    out: RankRecs,
+    /// The number of the rank's next send: one past its last replayed
+    /// send's (a `Send` record does not store its message's number).
+    sent: u64,
 }
 
 impl RankState {
@@ -211,9 +215,11 @@ struct Shared {
     pending: CollTable,
     /// Re-timed exit per completed collective round.
     exits: FastMap<(CommId, u64), VTime>,
-    /// The re-timed sends. Until its receive replays, an entry's
-    /// `send_ns` is the re-timed send end; the receive then stores what
-    /// the scenario lets the receiver see.
+    /// The re-timed records, by rank.
+    ranks: Vec<RankRecs>,
+    /// The re-timed sends: a slot names its `Send` record in
+    /// [`Shared::ranks`], whose time is the re-timed send end; the receive
+    /// marks the slot if the scenario lets it see the message at its post.
     sends: SendTable,
     colls: CollTable,
 }
@@ -254,13 +260,14 @@ fn step(rank: usize, st: &mut RankState, sh: &mut Shared, ctx: &Ctx<'_>) -> bool
     match rec.kind {
         RecKind::Boundary | RecKind::Fini => {
             st.now = st.after_gap(ctx, rec.t_ns);
-            st.out.push(Rec {
+            let out = &mut sh.ranks[rank];
+            out.push(Rec {
                 t_ns: st.now.0,
                 sec: rec.sec,
                 kind: rec.kind,
             });
             if matches!(rec.kind, RecKind::Fini) {
-                st.out.fini_ns = st.now.0;
+                out.fini_ns = st.now.0;
             }
             st.prev_effect = rec.t_ns;
         }
@@ -271,7 +278,7 @@ fn step(rank: usize, st: &mut RankState, sh: &mut Shared, ctx: &Ctx<'_>) -> bool
             st.now = st.after_gap(ctx, rec.t_ns);
             let applied = if ctx.zero_jitter { base_ns } else { elapsed_ns };
             let applied = ctx.scaled(applied, rec.sec);
-            st.out.push(Rec {
+            sh.ranks[rank].push(Rec {
                 t_ns: st.now.0,
                 sec: rec.sec,
                 kind: RecKind::Compute {
@@ -282,67 +289,64 @@ fn step(rank: usize, st: &mut RankState, sh: &mut Shared, ctx: &Ctx<'_>) -> bool
             st.now += applied;
             st.prev_effect = rec.t_ns + elapsed_ns;
         }
-        RecKind::Send { seq } => {
-            let recorded = ctx.log.run.sends.get(seq);
-            let (bytes, dst) = recorded.map_or((0, rank), |s| (s.bytes, s.dst_world as usize));
+        RecKind::Send { dst_world, .. } => {
+            let dst = dst_world as usize;
             // The recorded timestamp is the *enqueue end* — the call time
             // plus the sender-side overhead; split the overhead out so an
             // altered link can re-charge it.
             let ovh_rec = ctx.recorded.send_overhead(rank, dst);
             let pre_rec = rec.t_ns.saturating_sub(ovh_rec.0);
             st.now = st.after_gap(ctx, pre_rec) + ctx.pricing().send_overhead(rank, dst);
-            sh.sends.insert(
-                seq,
-                SendInfo {
-                    send_ns: st.now.0,
-                    bytes,
-                    dst_world: index_u32(dst),
-                    rec: index_u32(st.out.end()),
-                },
-            );
-            st.out.push(Rec {
+            let out = &mut sh.ranks[rank];
+            // The message's number is its slot's in the recorded table.
+            if let Some(n) = ctx.log.run.sends.number(rank, st.at, st.sent) {
+                sh.sends.insert(seq_of(rank, n), SendSlot::new(out.end()));
+                st.sent = n + 1;
+            }
+            out.push(Rec {
                 t_ns: st.now.0,
                 sec: rec.sec,
-                kind: RecKind::Send { seq },
+                kind: rec.kind,
             });
             st.prev_effect = rec.t_ns;
         }
         RecKind::RecvMatch { seq, done_ns } => {
             let post_ns = rec.t_ns;
-            let send_rec = ctx.log.run.sends.get(seq);
-            let replayed = sh.sends.get(seq).copied();
+            let recorded = ctx.log.run.sent(seq, post_ns);
+            let replayed = sh.sends.get(seq);
             // The matching send has a record in the log but has not
             // replayed yet: wait for it. A send absent from the log
             // altogether (never recorded) imposes no dependency.
-            if replayed.is_none() && send_rec.is_some() {
+            if replayed.is_none() && recorded.is_some() {
                 return false;
             }
-            let send_new = replayed.map(|s| VTime(s.send_ns));
+            let sender = seq_parts(seq).0;
+            let send_new = replayed.map(|slot| VTime(sh.ranks[sender].get(slot.rec()).0.t_ns));
             let post_new = st.after_gap(ctx, post_ns);
             // Null semantics act on the *availability* the receiver sees;
-            // the stored send time is clamped the same way so the class
-            // reads zero when the re-timed trace is re-classified.
-            let (send_eff, stored) = match (ctx.null, send_new) {
-                (Some(WaitClass::LateSender), Some(s)) => (s.min(post_new), s.min(post_new)),
-                (Some(WaitClass::LateReceiver), Some(s)) => (s, s.max(post_new)),
-                (_, Some(s)) => (s, s),
-                (_, None) => (post_new, post_new),
+            // the receive then sees the message issued at its post, which
+            // its slot records, so the class reads zero when the re-timed
+            // trace is re-classified.
+            let (send_eff, at_post) = match (ctx.null, send_new) {
+                (Some(WaitClass::LateSender), Some(s)) if s > post_new => (post_new, true),
+                (Some(WaitClass::LateReceiver), Some(s)) if s < post_new => (s, true),
+                (_, Some(s)) => (s, false),
+                (_, None) => (post_new, false),
             };
-            if let Some(info) = replayed {
-                let send_ns = stored.0;
-                sh.sends.insert(seq, SendInfo { send_ns, ..info });
+            if let Some(slot) = replayed.filter(|_| at_post) {
+                sh.sends.insert(seq, slot.seen_at_post());
             }
             let done_new = match &ctx.altered {
                 Some(m) => {
-                    let (src, bytes) = (seq_parts(seq).0, send_rec.map_or(0, |s| s.bytes));
-                    m.recv_done(src, rank, bytes, send_eff, post_new, &mut st.net_rng)
+                    let bytes = recorded.map_or(0, |s| s.bytes);
+                    m.recv_done(sender, rank, bytes, send_eff, post_new, &mut st.net_rng)
                 }
                 None => {
-                    let sent_ns = send_rec.map_or(post_ns, |s| s.send_ns);
+                    let sent_ns = recorded.map_or(post_ns, |s| s.issued_ns);
                     post_new.max(send_eff) + VTime(done_ns.saturating_sub(post_ns.max(sent_ns)))
                 }
             };
-            st.out.push(Rec {
+            sh.ranks[rank].push(Rec {
                 t_ns: post_new.0,
                 sec: rec.sec,
                 kind: RecKind::RecvMatch {
@@ -379,7 +383,7 @@ fn step(rank: usize, st: &mut RankState, sh: &mut Shared, ctx: &Ctx<'_>) -> bool
                 // zero rendezvous wait.
                 let round_new = round * ctx.log.run.ranks.len() as u64 + rank as u64;
                 let mut alone = CollRound::default();
-                alone.enter(rank, enter_new.0, st.out.end());
+                alone.enter(rank, enter_new.0, sh.ranks[rank].end());
                 sh.colls.insert((comm, round_new), retimed(alone));
                 (
                     round_new,
@@ -390,7 +394,7 @@ fn step(rank: usize, st: &mut RankState, sh: &mut Shared, ctx: &Ctx<'_>) -> bool
             } else {
                 let arrived = sh.pending.entry((comm, round)).or_default();
                 if first_visit {
-                    arrived.enter(rank, enter_new.0, st.out.end());
+                    arrived.enter(rank, enter_new.0, sh.ranks[rank].end());
                 }
                 if arrived.entries.len() < cr.entries.len().max(1) {
                     return false;
@@ -403,7 +407,7 @@ fn step(rank: usize, st: &mut RankState, sh: &mut Shared, ctx: &Ctx<'_>) -> bool
                 (round, exit)
             };
             st.coll_enter = None;
-            st.out.push(Rec {
+            sh.ranks[rank].push(Rec {
                 t_ns: exit_new.0,
                 sec: rec.sec,
                 kind: RecKind::CollExit {

@@ -81,13 +81,14 @@ pub(crate) enum StepKind {
     /// collective exit, compute, finalize. A receive's step is taken and
     /// timed at its match, which is its post; its kind carries when the
     /// enclosing call (Recv, Wait or Sendrecv) returned. `bytes` is the
-    /// payload of the message or of the whole collective; `dst_world` a
-    /// send's target; `sent_ns` when the message of a send or a receive
-    /// departed. `Fini` leaves the frames open for the driver to close.
+    /// payload of the message or of the whole collective; `seq` the
+    /// number of a send's message (a receive's kind carries its own);
+    /// `sent_ns` when the message of a receive departed. `Fini` leaves the
+    /// frames open for the driver to close.
     Rec {
         kind: RecKind,
         bytes: u64,
-        dst_world: usize,
+        seq: u64,
         sent_ns: u64,
     },
 }
@@ -179,7 +180,7 @@ impl<T: Default> Spine<T> {
         let rec = |kind| StepKind::Rec {
             kind,
             bytes: 0,
-            dst_world: 0,
+            seq: 0,
             sent_ns: 0,
         };
         let kind = match event {
@@ -210,10 +211,13 @@ impl<T: Default> Spine<T> {
                 dst_world,
                 ..
             } => StepKind::Rec {
-                kind: RecKind::Send { seq: *seq },
+                kind: RecKind::Send {
+                    dst_world: u32::try_from(*dst_world).expect("a world rank fits 32 bits"),
+                    bytes: *bytes,
+                },
                 bytes: *bytes,
-                dst_world: *dst_world,
-                sent_ns: now_ns,
+                seq: *seq,
+                sent_ns: 0,
             },
             MpiEvent::RecvMatched {
                 seq,
@@ -227,7 +231,7 @@ impl<T: Default> Spine<T> {
                     done_ns: done.as_nanos(),
                 },
                 bytes: *bytes,
-                dst_world: 0,
+                seq: 0,
                 sent_ns: sent.as_nanos(),
             },
             MpiEvent::CollectiveEnter {
@@ -254,7 +258,7 @@ impl<T: Default> Spine<T> {
                     enter_ns: tr.coll_entered.take()?,
                 },
                 bytes: *bytes,
-                dst_world: 0,
+                seq: 0,
                 sent_ns: 0,
             },
             MpiEvent::Compute { base, elapsed, .. } => rec(RecKind::Compute {

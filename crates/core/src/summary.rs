@@ -457,7 +457,7 @@ impl Tool for SummaryTool {
             step.from_ns,
             t_ns,
         );
-        let (kind, bytes, dst_world, sent_ns) = match step.kind {
+        let (kind, bytes, sent_ns) = match step.kind {
             StepKind::CollEnter {
                 comm, round, size, ..
             } => {
@@ -469,14 +469,14 @@ impl Tool for SummaryTool {
             StepKind::Rec {
                 kind,
                 bytes,
-                dst_world,
                 sent_ns,
-            } => (kind, bytes, dst_world, sent_ns),
+                ..
+            } => (kind, bytes, sent_ns),
             StepKind::Enter { .. } | StepKind::Leave { .. } => return,
         };
         let peer_ns = match kind {
-            RecKind::Send { .. } => {
-                let key = ((world_rank as u64) << 32) | dst_world as u64;
+            RecKind::Send { dst_world, .. } => {
+                let key = ((world_rank as u64) << 32) | u64::from(dst_world);
                 let edges = &mut st.spine.rank_mut(world_rank).data.edges;
                 edges.record(key, bytes, 1);
                 0
