@@ -19,8 +19,8 @@
 //!   [`QuantileSketch`] — one binning scheme for the whole repo).
 //!
 //! The interval arithmetic is the event spine's; this module is its
-//! fixed-edge window sink ([`CommLog::fold`] drives it), depositing into
-//! one dense `[window][section][rank]` array of cells.
+//! fixed-edge window sink ([`CommLog::fold`] drives it), depositing one
+//! rank at a time into a dense `[window][section]` array of cells.
 //! Everything is extracted from the frozen [`CommLog`] after the run: the
 //! engine adds zero overhead while virtual time advances, and identical
 //! seeds yield byte-identical timelines. The POP-style efficiency
@@ -256,40 +256,118 @@ fn split_interval(edges: &[u64], a: u64, b: u64, mut f: impl FnMut(usize, u64)) 
     }
 }
 
-/// The fixed-edge window sink of [`CommLog::fold`]: one [`Cell`] per
-/// (window, section, rank), laid out `[window][section][rank]` so a
-/// deposit is an index, plus the waits that *started* in each window.
+/// The fixed-edge window sink of [`CommLog::fold`]. The fold hands it one
+/// rank's records after another, so it keeps one [`Cell`] per (window,
+/// section) for the rank at hand, laid out `[window][section]` so a
+/// deposit is an index, and folds them into the window's stats when the
+/// next rank starts; plus the waits that *started* in each window. A
+/// rank's records arrive in time order, so most spans and points fall in
+/// the window the last span ended in: a cursor keeps that window and only
+/// what lies outside it is searched for.
 struct Windows<'a> {
     edges: &'a [u64],
     nsec: usize,
-    nranks: usize,
+    /// The rank whose deposits `cells` holds.
+    rank: usize,
     cells: Vec<Cell>,
+    /// Every earlier rank's cells, absorbed, `[window][section]`.
+    stats: Vec<WindowSection>,
     hists: Vec<QuantileSketch>,
+    /// The window the last span ended in, and the times it holds,
+    /// `[lo, hi)` (the last window's `hi` is `u64::MAX`).
+    cursor: (usize, u64, u64),
 }
 
-impl Windows<'_> {
+impl<'a> Windows<'a> {
+    fn new(edges: &'a [u64], nsec: usize) -> Windows<'a> {
+        let nwin = edges.len() - 1;
+        let mut sink = Windows {
+            edges,
+            nsec,
+            rank: 0,
+            cells: vec![Cell::default(); nwin * nsec],
+            stats: vec![WindowSection::default(); nwin * nsec],
+            hists: vec![QuantileSketch::default(); nwin],
+            cursor: (0, 0, 0),
+        };
+        sink.aim(0);
+        sink
+    }
+
     fn cell(&mut self, w: usize, sec: u32, rank: usize) -> &mut Cell {
-        &mut self.cells[(w * self.nsec + sec as usize) * self.nranks + rank]
+        if rank != self.rank {
+            assert!(
+                rank > self.rank,
+                "rank {rank} deposits after rank {}",
+                self.rank
+            );
+            self.absorb();
+            self.rank = rank;
+        }
+        &mut self.cells[w * self.nsec + sec as usize]
+    }
+
+    /// Fold the current rank's cells into the stats, and clear them.
+    fn absorb(&mut self) {
+        for (ws, cell) in self.stats.iter_mut().zip(&mut self.cells) {
+            ws.absorb(cell);
+            *cell = Cell::default();
+        }
+    }
+
+    /// Point the cursor at window `w`.
+    fn aim(&mut self, w: usize) {
+        let last = w + 2 == self.edges.len();
+        let hi = if last { u64::MAX } else { self.edges[w + 1] };
+        self.cursor = (w, self.edges[w], hi);
+    }
+
+    /// The window containing time `t`: [`window_of`], searched only when
+    /// `t` lies outside the cursor's window.
+    fn window(&self, t: u64) -> usize {
+        let (w, lo, hi) = self.cursor;
+        if lo <= t && t < hi {
+            w
+        } else {
+            window_of(self.edges, t)
+        }
+    }
+
+    /// Every rank's stats per `[window][section]`, and the windows' wait
+    /// histograms.
+    fn finish(mut self) -> (Vec<WindowSection>, Vec<QuantileSketch>) {
+        self.absorb();
+        (self.stats, self.hists)
     }
 }
 
 impl Sink for Windows<'_> {
     fn span(&mut self, rank: usize, sec: u32, span: Span, a: u64, b: u64) {
-        let edges = self.edges;
+        let (w, lo, hi) = self.cursor;
+        if lo <= a && a < b && b <= hi {
+            self.cell(w, sec, rank).add_span(span, b - a);
+            return;
+        }
+        let (edges, mut ended) = (self.edges, None);
         split_interval(edges, a, b, |w, ns| {
             self.cell(w, sec, rank).add_span(span, ns);
+            ended = Some(w);
         });
+        if let Some(w) = ended {
+            self.aim(w);
+        }
     }
 
     fn point(&mut self, rank: usize, sec: u32, t: u64, count: Count) {
-        let w = window_of(self.edges, t);
+        let w = self.window(t);
         self.cell(w, sec, rank).count(count);
     }
 
     fn wait(&mut self, _rank: usize, _sec: u32, class: WaitClass, start: u64, ns: u64) {
         // Idle waits only: a late receiver is buffer occupancy.
         if ns > 0 && class != WaitClass::LateReceiver {
-            self.hists[window_of(self.edges, start)].record(ns);
+            let w = self.window(start);
+            self.hists[w].record(ns);
         }
     }
 }
@@ -299,15 +377,9 @@ pub fn build(log: &CommLog, windowing: &Windowing) -> Timeline {
     let edges = window_edges(log, windowing);
     let nwin = edges.len() - 1;
     let (nsec, nranks) = (log.labels.len(), log.nranks());
-    let mut sink = Windows {
-        edges: &edges,
-        nsec,
-        nranks,
-        cells: vec![Cell::default(); nwin * nsec * nranks],
-        hists: vec![QuantileSketch::default(); nwin],
-    };
+    let mut sink = Windows::new(&edges, nsec);
     log.fold(&mut sink);
-    let Windows { cells, hists, .. } = sink;
+    let (stats, hists) = sink.finish();
 
     let mut windows: Vec<Window> = (0..nwin)
         .map(|w| Window {
@@ -317,13 +389,10 @@ pub fn build(log: &CommLog, windowing: &Windowing) -> Timeline {
             wait_hist: QuantileSketch::default(),
         })
         .collect();
-    // Fold each (window, section)'s per-rank cells into its stats. Every
-    // deposit is non-zero and a zero cell absorbs to nothing, so stats
-    // still at their default are a section absent from the window.
-    for (at, ranks) in cells.chunks(nranks.max(1)).enumerate() {
+    // Every deposit is non-zero and a zero cell absorbs to nothing, so
+    // stats still at their default are a section absent from the window.
+    for (at, mut ws) in stats.into_iter().enumerate() {
         let (w, sec) = (at / nsec, at % nsec);
-        let mut ws = WindowSection::default();
-        ranks.iter().for_each(|cell| ws.absorb(cell));
         if ws != WindowSection::default() {
             ws.capacity_ns = (edges[w + 1] - edges[w]) * nranks as u64;
             windows[w]
@@ -659,6 +728,146 @@ mod tests {
             assert!(ev.contains("\"ph\":\"C\""), "{ev}");
             assert!(ev.contains("\"pid\":999"), "{ev}");
         }
+    }
+
+    /// The window sink as it was before its cursor: one cell per
+    /// (window, section, rank), every span split by a search from its
+    /// start, every point and wait searched for.
+    struct Searched<'a> {
+        edges: &'a [u64],
+        nsec: usize,
+        nranks: usize,
+        cells: Vec<Cell>,
+        hists: Vec<QuantileSketch>,
+    }
+
+    impl Searched<'_> {
+        fn cell(&mut self, w: usize, sec: u32, rank: usize) -> &mut Cell {
+            &mut self.cells[(w * self.nsec + sec as usize) * self.nranks + rank]
+        }
+
+        fn finish(self) -> (Vec<WindowSection>, Vec<QuantileSketch>) {
+            let stats = self.cells.chunks(self.nranks).map(|ranks| {
+                let mut ws = WindowSection::default();
+                ranks.iter().for_each(|cell| ws.absorb(cell));
+                ws
+            });
+            (stats.collect(), self.hists)
+        }
+    }
+
+    impl Sink for Searched<'_> {
+        fn span(&mut self, rank: usize, sec: u32, span: Span, a: u64, b: u64) {
+            let edges = self.edges;
+            split_interval(edges, a, b, |w, ns| {
+                self.cell(w, sec, rank).add_span(span, ns);
+            });
+        }
+
+        fn point(&mut self, rank: usize, sec: u32, t: u64, count: Count) {
+            let w = window_of(self.edges, t);
+            self.cell(w, sec, rank).count(count);
+        }
+
+        fn wait(&mut self, _rank: usize, _sec: u32, class: WaitClass, start: u64, ns: u64) {
+            if ns > 0 && class != WaitClass::LateReceiver {
+                self.hists[window_of(self.edges, start)].record(ns);
+            }
+        }
+    }
+
+    #[test]
+    fn the_window_sink_folds_what_the_search_did() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let spans = [
+            Span::Presence,
+            Span::LateSender,
+            Span::CollWait,
+            Span::Transfer,
+        ];
+        let classes = [
+            WaitClass::LateSender,
+            WaitClass::LateReceiver,
+            WaitClass::WaitAtCollective,
+        ];
+        for case in 0..256 {
+            let mut rng = StdRng::seed_from_u64(case);
+            // Edges as `window_edges` makes them: 0, the makespan, and
+            // distinct times in between (none at all for an empty run).
+            let makespan = if case % 16 == 0 {
+                0
+            } else {
+                rng.gen_range(1..5_000)
+            };
+            let mut edges = vec![0, makespan];
+            for _ in 0..rng.gen_range(0..8) {
+                edges.push(rng.gen_range(0..makespan + 1));
+            }
+            edges.sort_unstable();
+            edges.dedup();
+            if edges.len() < 2 {
+                edges = vec![0, makespan];
+            }
+            let (nsec, nranks) = (rng.gen_range(1..4), rng.gen_range(1..5));
+            let mut cursor = Windows::new(&edges, nsec);
+            let mut searched = Searched {
+                edges: &edges,
+                nsec,
+                nranks,
+                cells: vec![Cell::default(); (edges.len() - 1) * nsec * nranks],
+                hists: vec![QuantileSketch::default(); edges.len() - 1],
+            };
+            // One rank after another, as the fold deposits them; a rank
+            // may deposit nothing.
+            let (mut rank, mut now) = (0, 0u64);
+            for _ in 0..300 {
+                if rng.gen_range(0..40) == 0 && rank + 1 < nranks {
+                    (rank, now) = (rank + 1 + rng.gen_range(0..nranks - rank - 1), 0);
+                }
+                let sec = rng.gen_range(0..nsec) as u32;
+                let step = rng.gen_range(0..makespan / 4 + 2);
+                // An edge, or one ns either side of it: where the cursor's
+                // bounds matter.
+                let at_edge = edges[rng.gen_range(0..edges.len())] + rng.gen_range(0..3);
+                // Mostly onwards from the rank's last end; sometimes back in
+                // time, empty, reversed, to an edge, up to the makespan or
+                // past it.
+                let (a, b) = match rng.gen_range(0..10) {
+                    0 => (now.saturating_sub(step), now),
+                    1 => (now, now),
+                    2 => (now + step, now),
+                    3 => (now, makespan.max(now)),
+                    4 => (makespan, makespan + step),
+                    5 | 6 => (now, now.max(at_edge.saturating_sub(1))),
+                    _ => (now, now + step),
+                };
+                now = b.min(makespan);
+                let span = spans[rng.gen_range(0..spans.len())];
+                let (class, ns) = (classes[rng.gen_range(0..3)], rng.gen_range(0..100));
+                let count = match rng.gen_range(0..3) {
+                    0 => Count::Sent(step),
+                    1 => Count::Recv(step),
+                    _ => Count::CollExit,
+                };
+                cursor.span(rank, sec, span, a, b);
+                searched.span(rank, sec, span, a, b);
+                cursor.point(rank, sec, b, count);
+                searched.point(rank, sec, b, count);
+                cursor.wait(rank, sec, class, a, ns);
+                searched.wait(rank, sec, class, a, ns);
+            }
+            assert_eq!(cursor.finish(), searched.finish(), "case {case}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 0 deposits after rank 1")]
+    fn a_rank_deposits_once() {
+        let edges = [0, 10];
+        let mut sink = Windows::new(&edges, 1);
+        sink.point(1, 0, 5, Count::CollExit);
+        sink.point(0, 0, 5, Count::CollExit);
     }
 
     #[test]

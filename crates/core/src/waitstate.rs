@@ -30,16 +30,25 @@
 //! message fact is stored once: a send's time is its record's head, its
 //! destination and bytes the record's payload, so a reader that resolves
 //! a receive hops from the slot to the sender's record
-//! ([`Recorded::sent`]). Nothing in the log is copied to be read either:
-//! [`CommRecorder::freeze`] hands it over behind an `Arc` and the
-//! recorder copies only if an event arrives while a frozen log is still
-//! alive.
+//! ([`Recorded::sent`]); a receive's one payload word holds its message's
+//! `seq` and its call's duration, 32 bits each. Nothing in the log is
+//! copied to be read either: [`CommRecorder::freeze`] hands it over behind
+//! an `Arc` and the recorder copies only if an event arrives while a
+//! frozen log is still alive.
+//!
+//! A head word, low bits first: a 4-bit kind tag, 3 bits for the distance
+//! back to the previous record, a 13-bit section and a 44-bit time (ns,
+//! ≈ 4.9 h). The tag took its fourth bit from the section field, so a
+//! narrow head's section stops at 8190 (16382 with a 3-bit tag). Tags 0–8
+//! are taken — boundary, send, receive, collective exit, compute,
+//! finalize, and the wide forms of send, compute and receive — and tags
+//! 9–15 are spare.
 
 use crate::fasthash::FastMap;
 use crate::spine::{attribute, RankTracker, Sink, Span, Spine, StepKind};
 use crate::whatif::WaitClass;
 use mpisim::diag::json_str;
-use mpisim::message::seq_parts;
+use mpisim::message::{seq_of, seq_parts};
 use mpisim::{CommId, EventMask, Label, MpiEvent, Tool, WorldCell};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -87,12 +96,12 @@ pub(crate) enum RecKind {
 // the previous record starts (0: none), the section id and the time. A
 // record whose time or section does not fit is wide: its section field
 // holds `WIDE`, its time field the section, and the time follows in the
-// next word. A send or compute record packs its two payload fields into
-// one word, low half first, when both fit 32 bits; its wide tag (6 or 7)
-// gives each field a word of its own.
-const TAG_BITS: u32 = 3;
+// next word. A send, compute or receive record packs its two payload
+// fields into one word, low half first, when both fit 32 bits; its wide
+// tag (6, 7 or 8) gives each field a word of its own.
+const TAG_BITS: u32 = 4;
 const BACK_BITS: u32 = 3;
-const SEC_BITS: u32 = 14;
+const SEC_BITS: u32 = 13;
 const BACK_SHIFT: u32 = TAG_BITS;
 const SEC_SHIFT: u32 = BACK_SHIFT + BACK_BITS;
 const TIME_SHIFT: u32 = SEC_SHIFT + SEC_BITS;
@@ -107,25 +116,54 @@ fn field(word: u64, shift: u32, bits: u32) -> u64 {
 
 /// How many payload words a record carries, by kind tag: boundary,
 /// send, receive, collective exit, compute, finalize, wide send, wide
-/// compute.
-const CARRIED: [usize; 1 << TAG_BITS] = [0, 1, 2, 3, 1, 0, 2, 2];
+/// compute, wide receive; the spare tags none.
+const CARRIED: [usize; 1 << TAG_BITS] = [0, 1, 1, 3, 1, 0, 2, 2, 2, 0, 0, 0, 0, 0, 0, 0];
 
 /// `lo` and `hi` in one word, `lo` in the low half, if both fit 32 bits.
 fn halves(lo: u64, hi: u64) -> Option<u64> {
     (lo >> 32 == 0 && hi >> 32 == 0).then_some(lo | hi << 32)
 }
 
+/// Bits of a narrow receive's `seq` half that hold the sender's send
+/// number; the sender's world rank takes the other 16.
+const SEQ_N_BITS: u32 = 16;
+
+/// Message `seq` in 32 bits, if its sender's world rank and send number
+/// each fit 16.
+fn narrow_seq(seq: u64) -> Option<u64> {
+    let (sender, n) = seq_parts(seq);
+    let sender = sender as u64;
+    (sender >> (32 - SEQ_N_BITS) == 0 && n >> SEQ_N_BITS == 0).then_some(sender << SEQ_N_BITS | n)
+}
+
+/// The `seq` that [`narrow_seq`] gave `half`.
+fn wide_seq(half: u64) -> u64 {
+    seq_of(
+        (half >> SEQ_N_BITS) as usize,
+        half & ((1 << SEQ_N_BITS) - 1),
+    )
+}
+
 impl RecKind {
     /// The kind's tag and its payload words, padded to three (a record
-    /// stores the first [`CARRIED`]`[tag]`).
-    fn pack(self) -> (u64, [u64; 3]) {
+    /// stores the first [`CARRIED`]`[tag]`), for a record at `t_ns`.
+    fn pack(self, t_ns: u64) -> (u64, [u64; 3]) {
         match self {
             RecKind::Boundary => (0, [0; 3]),
             RecKind::Send { dst_world, bytes } => match halves(dst_world.into(), bytes) {
                 Some(word) => (1, [word, 0, 0]),
                 None => (6, [dst_world.into(), bytes, 0]),
             },
-            RecKind::RecvMatch { seq, done_ns } => (2, [seq, done_ns, 0]),
+            RecKind::RecvMatch { seq, done_ns } => {
+                let took = done_ns.checked_sub(t_ns);
+                match narrow_seq(seq)
+                    .zip(took)
+                    .and_then(|(seq, took)| halves(seq, took))
+                {
+                    Some(word) => (2, [word, 0, 0]),
+                    None => (8, [seq, done_ns, 0]),
+                }
+            }
             RecKind::CollExit {
                 comm,
                 round,
@@ -146,13 +184,14 @@ impl RecKind {
 /// Per-rank record sequence, packed inline in one vector of words: each
 /// record is a head word (time, section, kind tag and the distance back
 /// to the previous record) followed by only the words its kind carries
-/// (none for a boundary or finalize, 1 for a send or compute, 2 for a
-/// receive, 3 for a collective exit). A send of 4 GiB or more, or a
-/// compute whose base or elapsed time reaches 2^32 ns (≈ 4.3 s), takes
-/// one more payload word; a record past ≈ 4.9 h of virtual time or past
-/// section 16382 one more word for its time. A record is addressed by the
-/// offset of its head; readers get the same [`Rec`] values that were
-/// pushed.
+/// (none for a boundary or finalize, 1 for a send, compute or receive, 3
+/// for a collective exit). A send of 4 GiB or more, a compute whose base
+/// or elapsed time reaches 2^32 ns (≈ 4.3 s), or a receive whose call
+/// took that long or whose sender's world rank or send number reaches
+/// 2^16, takes one more payload word; a record past ≈ 4.9 h of virtual
+/// time or past section 8190 one more word for its time. A record is
+/// addressed by the offset of its head; readers get the same [`Rec`]
+/// values that were pushed.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct RankRecs {
     words: Vec<u64>,
@@ -175,7 +214,7 @@ impl RankRecs {
         );
         let at = self.words.len();
         let back = if self.records == 0 { 0 } else { at - self.last };
-        let (tag, payload) = rec.kind.pack();
+        let (tag, payload) = rec.kind.pack(rec.t_ns);
         let carried = CARRIED[tag as usize];
         let fixed = tag | (back as u64) << BACK_SHIFT;
         let sec = u64::from(rec.sec);
@@ -236,8 +275,8 @@ impl RankRecs {
                 bytes: p[0] >> 32,
             },
             2 => RecKind::RecvMatch {
-                seq: p[0],
-                done_ns: p[1],
+                seq: wide_seq(p[0] & u64::from(u32::MAX)),
+                done_ns: t_ns + (p[0] >> 32),
             },
             3 => RecKind::CollExit {
                 comm: CommId(p[0]),
@@ -253,29 +292,43 @@ impl RankRecs {
                 dst_world: p[0] as u32,
                 bytes: p[1],
             },
-            _ => RecKind::Compute {
+            7 => RecKind::Compute {
                 base_ns: p[0],
                 elapsed_ns: p[1],
             },
+            8 => RecKind::RecvMatch {
+                seq: p[0],
+                done_ns: p[1],
+            },
+            tag => panic!("offset {at} holds a record of spare tag {tag}"),
         };
         let sec = sec as u32;
         (Rec { t_ns, sec, kind }, w + CARRIED[tag])
+    }
+
+    /// The time of the record at offset `at`, read from its head alone.
+    pub(crate) fn time_at(&self, at: usize) -> u64 {
+        let head = self.words[at];
+        match field(head, SEC_SHIFT, SEC_BITS) {
+            WIDE => self.words[at + 1],
+            _ => head >> TIME_SHIFT,
+        }
     }
 
     /// The time and bytes of the `Send` record at offset `at`: the two
     /// facts a receive reads from its sender's log.
     fn send_at(&self, at: usize) -> (u64, u64) {
         let head = self.words[at];
-        let (t_ns, w) = match field(head, SEC_SHIFT, SEC_BITS) {
-            WIDE => (self.words[at + 1], at + 2),
-            _ => (head >> TIME_SHIFT, at + 1),
+        let w = match field(head, SEC_SHIFT, SEC_BITS) {
+            WIDE => at + 2,
+            _ => at + 1,
         };
         let bytes = match field(head, 0, TAG_BITS) {
             1 => self.words[w] >> 32,
             6 => self.words[w + 1],
             tag => panic!("offset {at} holds a record of tag {tag}, not a send"),
         };
-        (t_ns, bytes)
+        (self.time_at(at), bytes)
     }
 
     pub(crate) fn iter(&self) -> impl Iterator<Item = Rec> + '_ {
@@ -517,9 +570,17 @@ impl CommLog {
     /// resolved against the send and collective tables.
     pub(crate) fn fold(&self, sink: &mut impl Sink) {
         for (rank, rr) in self.run.ranks.iter().enumerate() {
-            let mut recs = rr.iter().peekable();
-            while let Some(rec) = recs.next() {
-                let next_ns = recs.peek().map_or(rr.fini_ns, |next| next.t_ns);
+            // Each record is decoded once; the next one's time is read
+            // from its head.
+            let mut at = 0;
+            while at < rr.end() {
+                let (rec, next) = rr.get(at);
+                at = next;
+                let next_ns = if next < rr.end() {
+                    rr.time_at(next)
+                } else {
+                    rr.fini_ns
+                };
                 sink.span(rank, rec.sec, Span::Presence, rec.t_ns, next_ns);
                 // A send nobody recorded counts as issued at the post.
                 let (bytes, peer_ns) = match rec.kind {
@@ -864,16 +925,15 @@ mod tests {
     use super::*;
     use crate::{SectionRuntime, VerifyMode};
     use machine::VTime;
-    use mpisim::message::seq_of;
     use mpisim::{Src, TagSel, WorldBuilder};
 
     #[test]
     fn packed_store_returns_what_was_pushed() {
         let big = CommId(u64::MAX - 1);
         let narrow = u64::from(u32::MAX);
-        // Every kind, and a send and a compute each side of the 32-bit
-        // halves, with the payload words each carries (a receive's post
-        // is its head's time).
+        // Every kind but the receive (below), and a send and a compute
+        // each side of the 32-bit halves, with the payload words each
+        // carries.
         let kinds = [
             (RecKind::Boundary, 0),
             (
@@ -894,13 +954,6 @@ mod tests {
                 RecKind::Send {
                     dst_world: u32::MAX,
                     bytes: u64::MAX,
-                },
-                2,
-            ),
-            (
-                RecKind::RecvMatch {
-                    seq: u64::MAX,
-                    done_ns: u64::MAX - 2,
                 },
                 2,
             ),
@@ -968,6 +1021,48 @@ mod tests {
                 assert_eq!(recs.end() - at, head_words + carried, "{rec:?}");
                 pushed.push((at, rec));
             }
+        }
+        // A receive is narrow (one payload word) while its sender's world
+        // rank and send number each fit 16 bits and its call took less
+        // than 2^32 ns; its post is its head's time.
+        let max16: u64 = (1 << 16) - 1;
+        let receives = [
+            (seq_of(max16 as usize, max16), narrow, 1),
+            (seq_of(0, 0), 0, 1),
+            (seq_of(1 << 16, 0), 0, 2),
+            (seq_of(0, 1 << 16), 0, 2),
+            (seq_of(3, 4), 1 << 32, 2),
+            (u64::MAX, 1, 2),
+        ];
+        for (i, &(seq, took, carried)) in receives.iter().enumerate() {
+            let (t, sec) = (i as u64, i as u32);
+            for (t_ns, sec, head_words) in
+                [(t, sec, 1), (NARROW_NS + t, sec, 2), (t, WIDE as u32, 2)]
+            {
+                let done_ns = t_ns + took;
+                let kind = RecKind::RecvMatch { seq, done_ns };
+                let rec = Rec { t_ns, sec, kind };
+                let at = recs.end();
+                recs.push(rec);
+                assert_eq!(recs.end() - at, head_words + carried, "{rec:?}");
+                pushed.push((at, rec));
+            }
+        }
+        // A call that returns before its post (or past `u64::MAX`) is wide.
+        for (t_ns, done_ns, words) in [
+            (10, 9, 3),
+            (u64::MAX, u64::MAX - 2, 4),
+            (u64::MAX - 1, u64::MAX, 3),
+        ] {
+            let kind = RecKind::RecvMatch {
+                seq: seq_of(1, 1),
+                done_ns,
+            };
+            let rec = Rec { t_ns, sec: 0, kind };
+            let at = recs.end();
+            recs.push(rec);
+            assert_eq!(recs.end() - at, words, "{rec:?}");
+            pushed.push((at, rec));
         }
         assert_eq!(recs.len(), pushed.len());
         assert!(recs.iter().eq(pushed.iter().map(|&(_, rec)| rec)));
@@ -1238,6 +1333,23 @@ mod tests {
         let wide_compute = |k: &RecKind| matches!(k, RecKind::Compute { base_ns, elapsed_ns } if *base_ns >> 32 > 0 && *elapsed_ns >> 32 > 0);
         assert_eq!(kinds.iter().filter(|k| wide_send(k)).count(), 2);
         assert_eq!(kinds.iter().filter(|k| wide_compute(k)).count(), 2);
+        // Rank 1 waits ≈ 10 s for each 5 GiB message: those two receives
+        // take the wide form (a head and two payload words), the others
+        // the narrow one.
+        let rr = &log.run.ranks[1];
+        let mut receives = Vec::new();
+        let mut at = 0;
+        while at < rr.end() {
+            let (rec, next) = rr.get(at);
+            if let RecKind::RecvMatch { done_ns, .. } = rec.kind {
+                receives.push((done_ns - rec.t_ns >= 1 << 32, next - at));
+            }
+            at = next;
+        }
+        assert_eq!(receives.iter().filter(|&&(long, _)| long).count(), 2);
+        for (long, words) in receives {
+            assert_eq!(words, if long { 3 } else { 2 });
+        }
         // The offline classifier agrees with the summarizer's online fold.
         let waits = classify(&log);
         for sec in &summary.sections {

@@ -120,7 +120,7 @@ fi
 echo "==> a log record's head is one word"
 # A rank's records sit inline in one vector of words: a head word, then
 # the kind's payload. Also pinned in tier-1: the words-per-kind assertion of
-# `waitstate.rs`' `packed_store_returns_what_was_pushed` and the 15.7-byte
+# `waitstate.rs`' `packed_store_returns_what_was_pushed` and the 14.0-byte
 # per-record bound of `crates/bench/tests/summary.rs`'
 # `log_bytes_are_a_count_linear_in_the_records`.
 if grep -n 'struct Head\|heads:' crates/core/src/waitstate.rs; then
@@ -131,7 +131,7 @@ fi
 echo "==> a send slot names its record and repeats none of its facts"
 # A send's time is its record's head, its destination and bytes the
 # record's payload; the send table's slot is only the record's offset.
-# Also pinned in tier-1: the exact 430 800 bytes per 50 steps at p = 64 of
+# Also pinned in tier-1: the exact 380 400 bytes per 50 steps at p = 64 of
 # `crates/bench/tests/summary.rs`' `log_bytes_are_a_count_linear_in_the_records`.
 if grep -n 'send_ns\|struct SendInfo' crates/core/src/waitstate.rs; then
     echo "crates/core/src/waitstate.rs: a send slot stores the send's time (or a SendInfo) again"
@@ -384,13 +384,15 @@ timeout 20 ./target/release/profile conv --p 456 --steps 100 --check > /dev/null
     || { echo "profile conv --p 456 --steps 100 --check: failed or took more than 20 s"; exit 1; }
 
 echo "==> smoke: the observed paper run stays under its memory ceiling"
-# Full recording at p = 456 x 400 steps: the comm log (24.9 MB, 136 B per
-# rank-step) dominates; the run peaks at about 36.4 MB (46.2 MB while a send
-# slot repeated its record's facts). 40 MB leaves about 10 % for the host.
+# Full recording at p = 456 x 400 steps: the comm log (22.0 MB, 120 B per
+# rank-step) dominates; the run peaks at about 33.8 MB (36.4 MB while a
+# receive took two payload words and the timeline kept a cell per rank,
+# 46.2 MB while a send slot repeated its record's facts). 37 MB leaves
+# about 10 % for the host.
 smoke_observed="$(mktemp /tmp/check-observed.XXXXXX.json)"
 python3 - "$smoke_observed" <<'PY' || exit 1
 import os, subprocess, sys
-ceiling_mb = 40.0
+ceiling_mb = 37.0
 cmd = ["./target/release/profile", "conv", "--p", "456", "--steps", "400",
        "--machine", "nehalem", "--metrics", "--efficiency", "--metrics-json", sys.argv[1]]
 child = subprocess.Popen(cmd, stdout=subprocess.DEVNULL)
