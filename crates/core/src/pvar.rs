@@ -8,7 +8,7 @@
 //! maintains, per rank,
 //!
 //! * point-to-point message and byte counters (send and receive side),
-//! * collective call counters and time spent inside collective rendezvous,
+//! * collective rendezvous completed and the time spent inside them,
 //! * time spent blocked in receives,
 //! * a per-(source, destination) world-rank **communication matrix**,
 //!
@@ -16,6 +16,8 @@
 //! PMPI-level `SectionEnter`/`SectionLeave` events the section runtime
 //! raises), so every metric is attributable to the section it occurred in.
 //! It is the one tool with data per open frame, so it lists those frames.
+//! Every counter is read off the spine's steps: the registry subscribes to
+//! [`RankTracker::INTERESTS`] and nothing else.
 //!
 //! The registry only observes — it never advances virtual time — so runs
 //! are bit-identical with and without it attached.
@@ -25,7 +27,7 @@ use crate::profiler::SectionKey;
 use crate::spine::{RankTracker, Spine, StepKind};
 use crate::waitstate::RecKind;
 use mpisim::diag::json_str;
-use mpisim::{CommId, EventKind, EventMask, MpiEvent, Tool, WorldCell};
+use mpisim::{CommId, EventMask, MpiEvent, Tool, WorldCell};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -42,7 +44,9 @@ pub struct Counters {
     pub recv_msgs: u64,
     /// Logical payload bytes received point-to-point.
     pub recv_bytes: u64,
-    /// MPI-level collective calls entered (barrier, bcast, reduce, ...).
+    /// Collective rendezvous completed: one per barrier, bcast, reduce,
+    /// ..., two per `split` (its exchange and its create) and so two per
+    /// `dup`. The timeline's `coll_exits` counts the same steps.
     pub coll_calls: u64,
     /// Virtual time spent in blocking receives (post to completion).
     pub recv_wait_ns: u64,
@@ -177,18 +181,12 @@ impl PvarRegistry {
 
 impl Tool for PvarRegistry {
     fn interests(&self) -> EventMask {
-        RankTracker::INTERESTS.with(EventKind::CallEnter)
+        RankTracker::INTERESTS
     }
 
     fn on_event(&self, world_rank: usize, event: &MpiEvent) {
         let mut guard = self.state.lock();
         let st = &mut *guard;
-        if let MpiEvent::CallEnter { call, .. } = event {
-            if call.is_collective() {
-                st.spine.rank_mut(world_rank).data.counters.coll_calls += 1;
-            }
-            return;
-        }
         let Some((step, rank)) = st.spine.step(world_rank, event) else {
             return;
         };
@@ -220,6 +218,7 @@ impl Tool for PvarRegistry {
                     rp.counters.recv_wait_ns += done_ns.saturating_sub(step.t_ns);
                 }
                 RecKind::CollExit { enter_ns, .. } => {
+                    rp.counters.coll_calls += 1;
                     rp.counters.coll_wait_ns += step.t_ns.saturating_sub(enter_ns);
                 }
                 RecKind::Fini => {
@@ -467,6 +466,41 @@ mod tests {
             snap.matrix.get(&(3, 0)),
             Some(&MatrixCell { msgs: 1, bytes: 24 })
         );
+    }
+
+    /// `coll_calls` counts rendezvous completed: a `split` takes two (its
+    /// exchange and its create), a `dup` is a split, a barrier takes one.
+    /// The timeline counts the same steps as `coll_exits`.
+    #[test]
+    fn coll_calls_counts_each_rendezvous_of_split_and_dup() {
+        use crate::timeline::{build, Windowing};
+        use crate::CommRecorder;
+        let sections = SectionRuntime::new(VerifyMode::Active);
+        let (pvar, recorder) = (PvarRegistry::new(), CommRecorder::new());
+        let s = sections.clone();
+        WorldBuilder::new(4)
+            .tool(sections)
+            .tool(pvar.clone())
+            .tool(recorder.clone())
+            .run(move |p| {
+                let world = p.world();
+                let color = Some((p.world_rank() % 2) as i32);
+                let half = s.scoped(p, &world, "SPLIT", |p| world.split(p, color, 0));
+                let dup = s.scoped(p, &world, "DUP", |p| half.unwrap().dup(p));
+                s.scoped(p, &world, "BARRIER", |p| dup.barrier(p));
+            })
+            .unwrap();
+        let snap = pvar.snapshot();
+        let exits = build(&recorder.freeze(), &Windowing::Fixed(4)).section_totals();
+        for (label, per_rank) in [("SPLIT", 2), ("DUP", 2), ("BARRIER", 1)] {
+            let key = SectionKey {
+                comm: CommId::WORLD,
+                label: label.to_string(),
+            };
+            let calls = snap.per_section[&key].coll_calls;
+            assert_eq!(calls, 4 * per_rank, "{label}");
+            assert_eq!(exits[label].coll_exits, calls, "{label}");
+        }
     }
 
     #[test]

@@ -340,8 +340,6 @@ impl SectionRuntime {
         if p.wants(EventKind::SectionEnter) {
             p.raise(MpiEvent::SectionEnter {
                 comm: comm.id(),
-                comm_size: comm.size(),
-                comm_rank: comm.rank(),
                 label,
                 time: p.now(),
             });
@@ -356,8 +354,6 @@ impl SectionRuntime {
         if p.wants(EventKind::SectionLeave) {
             p.raise(MpiEvent::SectionLeave {
                 comm: comm.id(),
-                comm_size: comm.size(),
-                comm_rank: comm.rank(),
                 label,
                 inner,
                 time: p.now(),

@@ -1108,7 +1108,6 @@ mod tests {
             let seq = seq_of(rank, n);
             let event = MpiEvent::SendEnqueued {
                 comm: CommId::WORLD,
-                dst_local: dst_world,
                 dst_world,
                 tag: 0,
                 seq,
@@ -1139,8 +1138,6 @@ mod tests {
         fn enter(&self, rank: usize, label: &str, at_ns: u64) {
             let event = MpiEvent::SectionEnter {
                 comm: CommId::WORLD,
-                comm_size: 1,
-                comm_rank: 0,
                 label: Label::intern(label),
                 time: VTime::from_nanos(at_ns),
             };

@@ -185,7 +185,6 @@ fn every_receive_is_classified_against_its_own_send() {
                 src,
                 &MpiEvent::SendEnqueued {
                     comm,
-                    dst_local: dst,
                     dst_world: dst,
                     tag: 0,
                     seq,

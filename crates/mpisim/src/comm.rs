@@ -28,7 +28,7 @@
 //! so both fidelities share every event, byte count and price.
 
 use crate::collective::{Done, Rendezvous};
-use crate::event::{CommId, EventKind, MpiCall, MpiEvent};
+use crate::event::{CommId, EventKind, MpiEvent};
 use crate::message::{Envelope, Payload, Src, TagSel};
 use crate::proc::Proc;
 use machine::{DetRng, Topology};
@@ -77,18 +77,12 @@ pub struct Recvd<T> {
 /// Handle for a posted non-blocking send.
 #[derive(Debug)]
 #[must_use = "a request must be waited on"]
-pub struct SendReq {
-    bytes: u64,
-    comm: CommId,
-}
+pub struct SendReq;
 
 impl SendReq {
-    /// Complete the send. Buffered sends complete immediately; this only
-    /// raises the `MPI_Wait` tool events.
-    pub fn wait(self, p: &mut Proc) {
-        p.tool_call_enter(MpiCall::Wait, self.comm);
-        p.tool_call_exit(MpiCall::Wait, self.comm, self.bytes);
-    }
+    /// Complete the send. A buffered send completed when it was posted, so
+    /// this costs nothing and raises no event.
+    pub fn wait(self, _p: &mut Proc) {}
 }
 
 /// Handle for a posted non-blocking receive.
@@ -109,10 +103,7 @@ pub struct RecvReq<T> {
 impl<T: 'static> RecvReq<T> {
     /// Block until the matching message is consumed; returns it.
     pub fn wait(self, p: &mut Proc) -> Recvd<T> {
-        p.tool_call_enter(MpiCall::Wait, self.comm.id());
-        let out = self.comm.recv_raw::<T>(p, self.src, self.tag);
-        p.tool_call_exit(MpiCall::Wait, self.comm.id(), out.logical_bytes);
-        out
+        self.comm.recv(p, self.src, self.tag)
     }
 }
 
@@ -185,7 +176,8 @@ impl Comm {
     // Point-to-point
     // ------------------------------------------------------------------
 
-    fn send_raw(&self, p: &mut Proc, dest: usize, tag: i32, payload: Payload) -> u64 {
+    /// Blocking send of a payload, real or virtual.
+    pub fn send_payload(&self, p: &mut Proc, dest: usize, tag: i32, payload: Payload) {
         assert!(
             dest < self.size(),
             "mpisim: send to invalid rank {dest} (comm size {})",
@@ -208,7 +200,6 @@ impl Comm {
         if p.wants(EventKind::SendEnqueued) {
             p.raise(MpiEvent::SendEnqueued {
                 comm: self.id(),
-                dst_local: dest,
                 dst_world: dest_world,
                 tag,
                 seq: envelope.seq,
@@ -217,10 +208,10 @@ impl Comm {
             });
         }
         crate::des::with_active(|s| s.deposit(dest_world, envelope));
-        bytes
     }
 
-    fn recv_raw<T: 'static>(&self, p: &mut Proc, src: Src, tag: TagSel) -> Recvd<T> {
+    /// Blocking receive.
+    pub fn recv<T: 'static>(&self, p: &mut Proc, src: Src, tag: TagSel) -> Recvd<T> {
         if let Src::Rank(r) = src {
             assert!(
                 r < self.size(),
@@ -256,7 +247,7 @@ impl Comm {
         );
         // Raised once priced: the clock stood still while the rank waited,
         // so the post is also the match, and nothing advances it again
-        // before the enclosing call's exit.
+        // before the enclosing call returns.
         if observing {
             p.raise(MpiEvent::RecvMatched {
                 comm: self.id(),
@@ -290,21 +281,6 @@ impl Comm {
     #[inline(always)]
     pub fn send_virtual<T>(&self, p: &mut Proc, dest: usize, tag: i32, elems: usize) {
         self.send_payload(p, dest, tag, Payload::virtual_elems::<T>(elems));
-    }
-
-    /// Blocking send of a payload, real or virtual.
-    pub fn send_payload(&self, p: &mut Proc, dest: usize, tag: i32, payload: Payload) {
-        p.tool_call_enter(MpiCall::Send, self.id());
-        let bytes = self.send_raw(p, dest, tag, payload);
-        p.tool_call_exit(MpiCall::Send, self.id(), bytes);
-    }
-
-    /// Blocking receive.
-    pub fn recv<T: 'static>(&self, p: &mut Proc, src: Src, tag: TagSel) -> Recvd<T> {
-        p.tool_call_enter(MpiCall::Recv, self.id());
-        let out = self.recv_raw::<T>(p, src, tag);
-        p.tool_call_exit(MpiCall::Recv, self.id(), out.logical_bytes);
-        out
     }
 
     /// Combined send+receive (deadlock-free under the eager model).
@@ -352,14 +328,11 @@ impl Comm {
         src: Src,
         recv_tag: TagSel,
     ) -> Recvd<T> {
-        p.tool_call_enter(MpiCall::Sendrecv, self.id());
-        let sent = self.send_raw(p, dest, send_tag, payload);
-        let out = self.recv_raw::<T>(p, src, recv_tag);
-        p.tool_call_exit(MpiCall::Sendrecv, self.id(), sent + out.logical_bytes);
-        out
+        self.send_payload(p, dest, send_tag, payload);
+        self.recv(p, src, recv_tag)
     }
 
-    /// Non-blocking (buffered) send.
+    /// Non-blocking (buffered) send: the send, and a handle to complete.
     pub fn isend<T: Clone + Send + 'static>(
         &self,
         p: &mut Proc,
@@ -367,19 +340,12 @@ impl Comm {
         tag: i32,
         data: &[T],
     ) -> SendReq {
-        p.tool_call_enter(MpiCall::Isend, self.id());
-        let bytes = self.send_raw(p, dest, tag, Payload::real(data));
-        p.tool_call_exit(MpiCall::Isend, self.id(), bytes);
-        SendReq {
-            bytes,
-            comm: self.id(),
-        }
+        self.send(p, dest, tag, data);
+        SendReq
     }
 
     /// Non-blocking receive; matching happens at [`RecvReq::wait`].
-    pub fn irecv<T: 'static>(&self, p: &mut Proc, src: Src, tag: TagSel) -> RecvReq<T> {
-        p.tool_call_enter(MpiCall::Irecv, self.id());
-        p.tool_call_exit(MpiCall::Irecv, self.id(), 0);
+    pub fn irecv<T: 'static>(&self, _p: &mut Proc, src: Src, tag: TagSel) -> RecvReq<T> {
         RecvReq {
             comm: self.clone(),
             src,
@@ -428,7 +394,6 @@ impl Comm {
                 comm: cid,
                 round: self.shared.rendezvous.generation(),
                 size: self.size(),
-                root,
                 time: p.now,
             });
         }
@@ -463,9 +428,7 @@ impl Comm {
 
     /// Barrier over the communicator.
     pub fn barrier(&self, p: &mut Proc) {
-        p.tool_call_enter(MpiCall::Barrier, self.id());
         self.sync(p, "barrier", None, 0, Payload::default());
-        p.tool_call_exit(MpiCall::Barrier, self.id(), 0);
     }
 
     /// Broadcast from `root`. The root passes `Some(data)`, everyone else
@@ -491,25 +454,16 @@ impl Comm {
         payload: Option<Payload>,
     ) -> Payload {
         assert!(root < self.size(), "mpisim: bcast root out of range");
-        let is_root = self.local_rank == root;
         assert_eq!(
-            is_root,
+            self.local_rank == root,
             payload.is_some(),
             "mpisim: bcast data must be Some exactly on the root"
         );
-        p.tool_call_enter(MpiCall::Bcast, self.id());
         let slot = payload.unwrap_or_default();
         let my_bytes = slot.logical_bytes();
         let done = self.sync(p, "bcast", Some(root), my_bytes, slot);
+        // Bound, not returned: the lock guard must drop before `done`.
         let out = done.slots.lock()[root].cloned::<T>();
-        // Root accounts its send; non-roots their receive (counting both
-        // on the root would double the payload in tool statistics).
-        let bytes = if is_root {
-            my_bytes
-        } else {
-            out.logical_bytes()
-        };
-        p.tool_call_exit(MpiCall::Bcast, self.id(), bytes);
         out
     }
 
@@ -529,7 +483,6 @@ impl Comm {
             parts.is_some(),
             "mpisim: scatterv chunks must be Some exactly on the root"
         );
-        p.tool_call_enter(MpiCall::Scatterv, self.id());
         let (my_bytes, slot) = match parts {
             Some(parts) => {
                 assert_eq!(
@@ -543,13 +496,9 @@ impl Comm {
             None => (0, Payload::default()),
         };
         let done = self.sync(p, "scatterv", Some(root), my_bytes, slot);
+        // Bound, not returned: the lock guard must drop before `done`.
         let mine =
             std::mem::take(&mut done.slots.lock()[root].get_mut::<Vec<Payload>>()[self.local_rank]);
-        p.tool_call_exit(
-            MpiCall::Scatterv,
-            self.id(),
-            my_bytes + mine.logical_bytes(),
-        );
         mine
     }
 
@@ -601,18 +550,14 @@ impl Comm {
     #[inline(always)]
     pub fn gatherv_payload(&self, p: &mut Proc, root: usize, payload: Payload) -> Vec<Payload> {
         assert!(root < self.size(), "mpisim: gatherv root out of range");
-        p.tool_call_enter(MpiCall::Gatherv, self.id());
         let my_bytes = payload.logical_bytes();
         let done = self.sync(p, "gatherv", Some(root), my_bytes, payload);
         // The root alone reads the slots: it takes them whole.
-        let all = if self.local_rank == root {
+        if self.local_rank == root {
             std::mem::take(&mut *done.slots.lock())
         } else {
             Vec::new()
-        };
-        let recv_bytes: u64 = all.iter().map(Payload::logical_bytes).sum();
-        p.tool_call_exit(MpiCall::Gatherv, self.id(), my_bytes + recv_bytes);
-        all
+        }
     }
 
     /// Gather with flattening: the root receives all contributions
@@ -624,19 +569,10 @@ impl Comm {
     /// Allgather: every rank receives every rank's contribution, indexed by
     /// local rank.
     pub fn allgather<T: Clone + Send + 'static>(&self, p: &mut Proc, data: Vec<T>) -> Vec<Vec<T>> {
-        p.tool_call_enter(MpiCall::Allgather, self.id());
         let my_bytes = (data.len() * std::mem::size_of::<T>()) as u64;
         let done = self.sync(p, "allgather", None, my_bytes, Payload::from_vec(data));
-        let out: Vec<Vec<T>> = {
-            let slots = done.slots.lock();
-            slots.iter().map(|s| s.get::<Vec<T>>().clone()).collect()
-        };
-        let total_bytes: u64 = out
-            .iter()
-            .map(|v| (v.len() * std::mem::size_of::<T>()) as u64)
-            .sum();
-        p.tool_call_exit(MpiCall::Allgather, self.id(), total_bytes);
-        out
+        let slots = done.slots.lock();
+        slots.iter().map(|s| s.get::<Vec<T>>().clone()).collect()
     }
 
     /// Element-wise reduction to the root. All ranks must contribute
@@ -647,17 +583,14 @@ impl Comm {
         F: Fn(&T, &T) -> T,
     {
         assert!(root < self.size(), "mpisim: reduce root out of range");
-        p.tool_call_enter(MpiCall::Reduce, self.id());
         let my_bytes = (data.len() * std::mem::size_of::<T>()) as u64;
         let psize = self.size();
         let done = self.sync(p, "reduce", Some(root), my_bytes, Payload::from_vec(data));
-        let out = if self.local_rank == root {
+        if self.local_rank == root {
             Self::fold_slots::<T, Vec<T>, F>(&done, psize, &op)
         } else {
             Vec::new()
-        };
-        p.tool_call_exit(MpiCall::Reduce, self.id(), my_bytes);
-        out
+        }
     }
 
     /// Element-wise all-reduce: all ranks receive the reduction.
@@ -687,14 +620,11 @@ impl Comm {
         C: AsRef<[T]> + Send + 'static,
         F: Fn(&T, &T) -> T,
     {
-        p.tool_call_enter(MpiCall::Allreduce, self.id());
         let slot = Payload::owning(data);
         let my_bytes = slot.logical_bytes();
         let psize = self.size();
         let done = self.sync(p, "allreduce", None, my_bytes, slot);
-        let out = Self::with_fold::<T, C, F, R>(&done, psize, &op, read);
-        p.tool_call_exit(MpiCall::Allreduce, self.id(), my_bytes);
-        out
+        Self::with_fold::<T, C, F, R>(&done, psize, &op, read)
     }
 
     /// Read the reduction every rank of the generation shares: the first
@@ -753,8 +683,6 @@ impl Comm {
     /// new communicator (MPI_UNDEFINED). Within one color, new ranks are
     /// ordered by `(key, old rank)`.
     pub fn split(&self, p: &mut Proc, color: Option<i32>, key: i32) -> Option<Comm> {
-        p.tool_call_enter(MpiCall::CommSplit, self.id());
-
         // Phase 1: exchange (color, key) pairs; costed as a barrier.
         let done = self.sync(
             p,
@@ -817,24 +745,18 @@ impl Comm {
             Payload::default()
         };
         let done = self.sync(p, "split.create", None, 0, slot);
-        let result = color.and_then(|my_color| {
+        color.and_then(|my_color| {
             let slots = done.slots.lock();
             let created = slots[0].get::<Vec<(i32, Arc<CommShared>)>>();
             created.iter().find_map(|(c, shared)| {
                 (*c == my_color).then(|| Comm::from_shared(shared.clone(), p.world_rank))
             })
-        });
-        p.tool_call_exit(MpiCall::CommSplit, self.id(), 0);
-        result
+        })
     }
 
     /// Duplicate the communicator (same group, fresh id).
     pub fn dup(&self, p: &mut Proc) -> Comm {
-        p.tool_call_enter(MpiCall::CommDup, self.id());
-        let dup = self
-            .split(p, Some(0), self.local_rank as i32)
-            .expect("mpisim: dup split cannot fail");
-        p.tool_call_exit(MpiCall::CommDup, self.id(), 0);
-        dup
+        self.split(p, Some(0), self.local_rank as i32)
+            .expect("mpisim: dup split cannot fail")
     }
 }

@@ -3,10 +3,12 @@
 //! Real MPI tools interpose on the profiling interface (PMPI): every MPI
 //! function has a `PMPI_` twin and a tool redefines the public symbol to
 //! observe the call. Our in-process equivalent raises a typed [`MpiEvent`]
-//! at the entry and exit of every communication call, at Init/Finalize, and
-//! for the `MPIX_Section_enter/leave` notifications of the paper (Fig. 2),
-//! whose 32-byte tool data blob stays with the section runtime's tools.
-//! A section event names its section by [`Label`], an id into the
+//! for what a tool reads of a call, not for the call itself: each message
+//! sent and matched, each collective rendezvous entered and left, each
+//! modeled compute advance, Init/Finalize, and the
+//! `MPIX_Section_enter/leave` notifications of the paper (Fig. 2), whose
+//! 32-byte tool data blob stays with the section runtime's tools. A
+//! section event names its section by [`Label`], an id into the
 //! process-wide label table.
 
 use crate::label::Label;
@@ -20,72 +22,6 @@ pub struct CommId(pub u64);
 impl CommId {
     /// The world communicator.
     pub const WORLD: CommId = CommId(0);
-}
-
-/// Which MPI-level operation an event refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[non_exhaustive]
-pub enum MpiCall {
-    Send,
-    Recv,
-    Sendrecv,
-    Isend,
-    Irecv,
-    Wait,
-    Barrier,
-    Bcast,
-    Scatter,
-    Scatterv,
-    Gather,
-    Gatherv,
-    Allgather,
-    Reduce,
-    Allreduce,
-    CommDup,
-    CommSplit,
-}
-
-impl MpiCall {
-    /// Human-readable MPI-style name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            MpiCall::Send => "MPI_Send",
-            MpiCall::Recv => "MPI_Recv",
-            MpiCall::Sendrecv => "MPI_Sendrecv",
-            MpiCall::Isend => "MPI_Isend",
-            MpiCall::Irecv => "MPI_Irecv",
-            MpiCall::Wait => "MPI_Wait",
-            MpiCall::Barrier => "MPI_Barrier",
-            MpiCall::Bcast => "MPI_Bcast",
-            MpiCall::Scatter => "MPI_Scatter",
-            MpiCall::Scatterv => "MPI_Scatterv",
-            MpiCall::Gather => "MPI_Gather",
-            MpiCall::Gatherv => "MPI_Gatherv",
-            MpiCall::Allgather => "MPI_Allgather",
-            MpiCall::Reduce => "MPI_Reduce",
-            MpiCall::Allreduce => "MPI_Allreduce",
-            MpiCall::CommDup => "MPI_Comm_dup",
-            MpiCall::CommSplit => "MPI_Comm_split",
-        }
-    }
-
-    /// True for operations that involve every rank of the communicator.
-    pub fn is_collective(&self) -> bool {
-        matches!(
-            self,
-            MpiCall::Barrier
-                | MpiCall::Bcast
-                | MpiCall::Scatter
-                | MpiCall::Scatterv
-                | MpiCall::Gather
-                | MpiCall::Gatherv
-                | MpiCall::Allgather
-                | MpiCall::Reduce
-                | MpiCall::Allreduce
-                | MpiCall::CommDup
-                | MpiCall::CommSplit
-        )
-    }
 }
 
 /// The 32-byte opaque tool-data argument of the section callback interface
@@ -105,35 +41,15 @@ pub enum MpiEvent {
     },
     /// The rank is about to leave the runtime.
     Finalize { time: VTime },
-    /// An MPI call is starting on this rank.
-    CallEnter {
-        call: MpiCall,
-        comm: CommId,
-        time: VTime,
-    },
-    /// An MPI call finished on this rank.
-    CallExit {
-        call: MpiCall,
-        comm: CommId,
-        time: VTime,
-        /// Logical payload bytes this rank sent plus received in the call.
-        bytes: u64,
-    },
     /// `MPIX_Section_enter` notification (the paper's enter callback).
     SectionEnter {
         comm: CommId,
-        /// Size of the communicator the section is collective over.
-        comm_size: usize,
-        /// Rank local to that communicator.
-        comm_rank: usize,
         label: Label,
         time: VTime,
     },
     /// `MPIX_Section_leave` notification (the paper's leave callback).
     SectionLeave {
         comm: CommId,
-        comm_size: usize,
-        comm_rank: usize,
         /// The section that closed.
         label: Label,
         /// The rank's innermost open section after the close, on any
@@ -147,8 +63,6 @@ pub enum MpiEvent {
     /// of the mailboxes' actual content.
     SendEnqueued {
         comm: CommId,
-        /// Destination rank, local to `comm`.
-        dst_local: usize,
         /// Destination world rank.
         dst_world: usize,
         tag: i32,
@@ -164,9 +78,9 @@ pub enum MpiEvent {
         time: VTime,
     },
     /// A blocking receive matched and consumed a message. Raised once the
-    /// receive is priced, before its call returns; `time` is the instant
-    /// the receive was posted, which is also the instant it matched (the
-    /// rank's clock does not move while it waits).
+    /// receive is priced, as its call (Recv, Wait or Sendrecv) returns;
+    /// `time` is the instant the receive was posted, which is also the
+    /// instant it matched (the rank's clock does not move while it waits).
     RecvMatched {
         comm: CommId,
         /// Sender world rank.
@@ -185,8 +99,9 @@ pub enum MpiEvent {
         /// message race. Empty for a named source, which non-overtaking
         /// leaves no choice (and which therefore allocates no list).
         candidates: Vec<(usize, i32)>,
-        /// When the enclosing call (Recv, Wait or Sendrecv) returns: the
-        /// `time` of its [`MpiEvent::CallExit`].
+        /// When the enclosing call returned: the rank's clock once the
+        /// receive is priced, which nothing advances before the call
+        /// returns, so no later event of the rank is earlier.
         done: VTime,
         time: VTime,
     },
@@ -202,8 +117,6 @@ pub enum MpiEvent {
         round: u64,
         /// Number of `comm`'s members.
         size: usize,
-        /// Root rank (local to `comm`) for rooted collectives.
-        root: Option<usize>,
         time: VTime,
     },
     /// The rank left the collective rendezvous (all members arrived).
@@ -232,29 +145,29 @@ pub enum MpiEvent {
     },
 }
 
-/// Discriminant of an [`MpiEvent`], used for interest masks.
+/// Discriminant of an [`MpiEvent`], used for interest masks: one bit of
+/// an [`EventMask`] per kind, numbered densely.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 #[repr(u32)]
 pub enum EventKind {
     Init = 0,
     Finalize = 1,
-    CallEnter = 2,
-    CallExit = 3,
-    SectionEnter = 4,
-    SectionLeave = 5,
-    SendEnqueued = 6,
-    RecvMatched = 7,
-    CollectiveEnter = 8,
-    CollectiveExit = 9,
-    Compute = 10,
+    SectionEnter = 2,
+    SectionLeave = 3,
+    SendEnqueued = 4,
+    RecvMatched = 5,
+    CollectiveEnter = 6,
+    CollectiveExit = 7,
+    Compute = 8,
 }
 
 /// A set of [`EventKind`]s a tool wants delivered (see
 /// [`crate::Tool::interests`]). The runtime unions the masks of all
-/// attached tools and skips *constructing* events nobody asked for — the
-/// difference between ~600 ns and ~1.5 µs per rank-step at 16k ranks,
-/// because the analyzer-grade events collect candidate vectors.
+/// attached tools and skips *constructing* events nobody asked for: a
+/// world whose tools read only sections builds no message, collective or
+/// compute event, and a wildcard receive collects its candidate list only
+/// when some tool asked for [`EventKind::RecvMatched`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EventMask(u32);
 
@@ -310,8 +223,6 @@ impl MpiEvent {
         match self {
             MpiEvent::Init { .. } => EventKind::Init,
             MpiEvent::Finalize { .. } => EventKind::Finalize,
-            MpiEvent::CallEnter { .. } => EventKind::CallEnter,
-            MpiEvent::CallExit { .. } => EventKind::CallExit,
             MpiEvent::SectionEnter { .. } => EventKind::SectionEnter,
             MpiEvent::SectionLeave { .. } => EventKind::SectionLeave,
             MpiEvent::SendEnqueued { .. } => EventKind::SendEnqueued,
@@ -327,8 +238,6 @@ impl MpiEvent {
         match self {
             MpiEvent::Init { time, .. }
             | MpiEvent::Finalize { time }
-            | MpiEvent::CallEnter { time, .. }
-            | MpiEvent::CallExit { time, .. }
             | MpiEvent::SectionEnter { time, .. }
             | MpiEvent::SectionLeave { time, .. }
             | MpiEvent::SendEnqueued { time, .. }
@@ -345,20 +254,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn call_names() {
-        assert_eq!(MpiCall::Send.name(), "MPI_Send");
-        assert_eq!(MpiCall::Allreduce.name(), "MPI_Allreduce");
-    }
-
-    #[test]
-    fn collective_classification() {
-        assert!(MpiCall::Barrier.is_collective());
-        assert!(MpiCall::CommSplit.is_collective());
-        assert!(!MpiCall::Send.is_collective());
-        assert!(!MpiCall::Irecv.is_collective());
-    }
-
-    #[test]
     fn event_time_accessor() {
         let e = MpiEvent::Init {
             size: 4,
@@ -367,16 +262,12 @@ mod tests {
         assert_eq!(e.time(), VTime::from_nanos(7));
         let e = MpiEvent::SectionEnter {
             comm: CommId::WORLD,
-            comm_size: 4,
-            comm_rank: 0,
             label: Label::intern("HALO"),
             time: VTime::from_nanos(9),
         };
         assert_eq!(e.time(), VTime::from_nanos(9));
         let e = MpiEvent::SectionLeave {
             comm: CommId::WORLD,
-            comm_size: 4,
-            comm_rank: 0,
             label: Label::intern("HALO"),
             inner: Label::MAIN,
             time: VTime::from_nanos(11),
@@ -393,7 +284,7 @@ mod tests {
         assert!(EventMask::ALL.contains(EventKind::Compute));
         assert!(EventMask::NONE.is_empty());
         assert!(EventMask::LIFECYCLE.contains(EventKind::Finalize));
-        assert!(!EventMask::LIFECYCLE.contains(EventKind::CallEnter));
+        assert!(!EventMask::LIFECYCLE.contains(EventKind::SectionEnter));
         let grown = EventMask::only(EventKind::Init).with(EventKind::Finalize);
         assert_eq!(grown, EventMask::LIFECYCLE);
         let e = MpiEvent::Finalize {
@@ -422,7 +313,6 @@ mod tests {
             comm: CommId::WORLD,
             round: 0,
             size: 2,
-            root: None,
             time: VTime::from_nanos(5),
         };
         assert_eq!(e.time(), VTime::from_nanos(5));

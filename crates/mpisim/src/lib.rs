@@ -20,8 +20,10 @@
 //!   timestamps, and collectives synchronize clocks — so a 456-rank cluster
 //!   job "runs" on a laptop with reproducible, causally propagated waiting
 //!   time;
-//! * a **PMPI-style tool layer** ([`Tool`]): every call raises typed enter
-//!   and exit events, which is the interposition point the paper's
+//! * a **PMPI-style tool layer** ([`Tool`]): typed events for what a tool
+//!   reads of the calls — each message sent and matched, each collective
+//!   rendezvous entered and left, modeled compute — and the section
+//!   enter/leave notifications, the interposition point the paper's
 //!   `MPI_Section` reference implementation hooks into (the `mpi-sections`
 //!   crate builds on it).
 //!
@@ -67,7 +69,7 @@ pub use control::{MatchCandidate, MatchController};
 pub use des::{WorldCell, WorldGuard};
 pub use diag::{BlockedSite, Diagnostic, DiagnosticKind, Severity};
 pub use error::RunError;
-pub use event::{CommId, EventKind, EventMask, MpiCall, MpiEvent, SectionData};
+pub use event::{CommId, EventKind, EventMask, MpiEvent, SectionData};
 pub use label::{Label, MPI_MAIN};
 pub use message::{Payload, Src, TagSel};
 pub use proc::Proc;

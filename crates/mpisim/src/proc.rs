@@ -7,7 +7,7 @@
 //! communication via the operations on [`crate::Comm`].
 
 use crate::comm::{Comm, CommShared};
-use crate::event::{CommId, EventKind, MpiCall, MpiEvent};
+use crate::event::{EventKind, MpiEvent};
 use crate::mailbox::MailboxSet;
 use crate::tool::ToolSet;
 use machine::{DetRng, MachineModel, RankStream, VTime, Work};
@@ -172,35 +172,6 @@ impl Proc {
         let n = self.sent;
         self.sent += 1;
         crate::message::seq_of(self.world_rank, n)
-    }
-
-    #[inline]
-    pub(crate) fn tool_call_enter(&self, call: MpiCall, comm: CommId) {
-        if self.wants(EventKind::CallEnter) {
-            self.tools.raise(
-                self.world_rank,
-                &MpiEvent::CallEnter {
-                    call,
-                    comm,
-                    time: self.now,
-                },
-            );
-        }
-    }
-
-    #[inline]
-    pub(crate) fn tool_call_exit(&self, call: MpiCall, comm: CommId, bytes: u64) {
-        if self.wants(EventKind::CallExit) {
-            self.tools.raise(
-                self.world_rank,
-                &MpiEvent::CallExit {
-                    call,
-                    comm,
-                    time: self.now,
-                    bytes,
-                },
-            );
-        }
     }
 }
 

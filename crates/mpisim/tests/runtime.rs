@@ -615,31 +615,48 @@ impl Tool for Recorder {
         let name = match event {
             MpiEvent::Init { .. } => "init".to_string(),
             MpiEvent::Finalize { .. } => "finalize".to_string(),
-            MpiEvent::CallEnter { call, .. } => format!("enter:{}", call.name()),
-            MpiEvent::CallExit { call, bytes, .. } => format!("exit:{}:{bytes}", call.name()),
             MpiEvent::SectionEnter { label, .. } => format!("sec+:{label}"),
             MpiEvent::SectionLeave { label, .. } => format!("sec-:{label}"),
-            // Analyzer-layer events (SendEnqueued, RecvMatched, ...) are
-            // exercised by their own tests; keep this trace call-level.
+            MpiEvent::SendEnqueued { bytes, .. } => format!("sent:{bytes}"),
+            MpiEvent::RecvMatched { bytes, .. } => format!("matched:{bytes}"),
+            MpiEvent::CollectiveEnter { op, .. } => format!("coll+:{op}"),
+            MpiEvent::CollectiveExit { op, bytes, .. } => format!("coll-:{op}:{bytes}"),
+            // Compute is exercised by its own tests.
             _ => return,
         };
         self.events.lock().push((rank, name));
     }
 }
 
+/// A tool sees each rank's run lifecycle, a layered runtime's section
+/// notifications, and of every call what it moved: a message sent or
+/// matched, a rendezvous entered and left.
 #[test]
 fn tools_observe_call_events() {
     let recorder = Arc::new(Recorder::default());
+    let step = mpisim::Label::intern("STEP");
     WorldBuilder::new(2)
         .tool(recorder.clone())
-        .run(|p| {
+        .run(move |p| {
             let world = p.world();
+            let comm = world.id();
+            p.raise(MpiEvent::SectionEnter {
+                comm,
+                label: step,
+                time: p.now(),
+            });
             if p.world_rank() == 0 {
                 world.send(p, 1, 0, &[1u8, 2, 3]);
             } else {
                 let _ = world.recv::<u8>(p, Src::Rank(0), TagSel::Is(0));
             }
             world.barrier(p);
+            p.raise(MpiEvent::SectionLeave {
+                comm,
+                label: step,
+                inner: mpisim::Label::MAIN,
+                time: p.now(),
+            });
         })
         .unwrap();
     let events = recorder.events.lock();
@@ -654,10 +671,11 @@ fn tools_observe_call_events() {
         of_rank(0),
         vec![
             "init",
-            "enter:MPI_Send",
-            "exit:MPI_Send:3",
-            "enter:MPI_Barrier",
-            "exit:MPI_Barrier:0",
+            "sec+:STEP",
+            "sent:3",
+            "coll+:barrier",
+            "coll-:barrier:0",
+            "sec-:STEP",
             "finalize"
         ]
     );
@@ -665,10 +683,11 @@ fn tools_observe_call_events() {
         of_rank(1),
         vec![
             "init",
-            "enter:MPI_Recv",
-            "exit:MPI_Recv:3",
-            "enter:MPI_Barrier",
-            "exit:MPI_Barrier:0",
+            "sec+:STEP",
+            "matched:3",
+            "coll+:barrier",
+            "coll-:barrier:0",
+            "sec-:STEP",
             "finalize"
         ]
     );
@@ -776,15 +795,21 @@ fn typed_and_timing_forms_raise_the_same_events() {
     impl Tool for Priced {
         fn on_event(&self, rank: usize, event: &MpiEvent) {
             let line = match event {
-                MpiEvent::CallExit {
-                    call, bytes, time, ..
-                } => format!("{} {bytes} {}", call.name(), time.as_nanos()),
                 MpiEvent::SendEnqueued { bytes, time, .. } => {
                     format!("sent {bytes} {}", time.as_nanos())
                 }
                 MpiEvent::RecvMatched {
-                    bytes, sent, time, ..
-                } => format!("matched {bytes} {} {}", sent.as_nanos(), time.as_nanos()),
+                    bytes,
+                    sent,
+                    done,
+                    time,
+                    ..
+                } => format!(
+                    "matched {bytes} {} {} {}",
+                    sent.as_nanos(),
+                    time.as_nanos(),
+                    done.as_nanos()
+                ),
                 MpiEvent::CollectiveExit {
                     op, bytes, time, ..
                 } => format!("{op} {bytes} {}", time.as_nanos()),
@@ -844,22 +869,25 @@ fn typed_and_timing_forms_raise_the_same_events() {
         events
     };
     let typed = run(true);
-    assert_eq!(typed.len(), 4 * 7, "{typed:?}");
+    // Per rank: the sendrecv's send and match, the scatterv's and the
+    // gatherv's rendezvous exit.
+    assert_eq!(typed.len(), 4 * 4, "{typed:?}");
     assert_eq!(typed, run(false));
 }
 
-/// Every rank's events but `CallEnter` — the kinds a section-tracking
-/// tool subscribes to — from a program that mixes named and wildcard
-/// `recv`, `sendrecv`, `isend`/`irecv` completed by `wait` and `waitall`,
-/// and collectives on `split` and `dup` communicators.
-fn spine_streams(engine: Engine) -> Vec<Vec<MpiEvent>> {
+/// What a rank's body saw as each call that completes receives returned:
+/// how many receives the call completed, and the rank's clock after it.
+type Returns = Vec<(usize, VTime)>;
+
+/// Every rank's events, and the [`Returns`] of its body, from a program
+/// that mixes named and wildcard `recv`, `sendrecv`, `isend`/`irecv`
+/// completed by `wait` and `waitall`, and collectives on `split` and `dup`
+/// communicators.
+fn spine_streams(engine: Engine) -> (Vec<Vec<MpiEvent>>, Vec<Returns>) {
     #[derive(Default)]
     struct Streams(Mutex<Vec<Vec<MpiEvent>>>);
     impl Tool for Streams {
         fn on_event(&self, rank: usize, event: &MpiEvent) {
-            if matches!(event, MpiEvent::CallEnter { .. }) {
-                return;
-            }
             let mut streams = self.0.lock();
             if streams.len() <= rank {
                 streams.resize_with(rank + 1, Vec::new);
@@ -868,7 +896,7 @@ fn spine_streams(engine: Engine) -> Vec<Vec<MpiEvent>> {
         }
     }
     let tool = Arc::new(Streams::default());
-    WorldBuilder::new(6)
+    let report = WorldBuilder::new(6)
         .engine(engine)
         .machine(presets::nehalem_cluster())
         .seed(11)
@@ -877,66 +905,78 @@ fn spine_streams(engine: Engine) -> Vec<Vec<MpiEvent>> {
             let world = p.world();
             let (me, n) = (p.world_rank(), p.world_size());
             let (right, left) = ((me + 1) % n, (me + n - 1) % n);
+            let mut returns = Returns::new();
             for step in 0..3 {
                 p.compute(Work::flops(1e6 * ((3 * me + step) % 5 + 1) as f64));
                 world.send(p, right, 0, &[me as u32; 4]);
                 let _ = world.recv::<u32>(p, Src::Rank(left), TagSel::Is(0));
+                returns.push((1, p.now()));
                 if me == 0 {
                     for _ in 1..n {
                         let _ = world.recv::<u8>(p, Src::Any, TagSel::Is(1));
+                        returns.push((1, p.now()));
                     }
                 } else {
                     world.send(p, 0, 1, &[me as u8]);
                 }
                 let _ = world.sendrecv(p, left, 2, &[0.5f64; 8], Src::Any, TagSel::Is(2));
+                returns.push((1, p.now()));
                 let reqs =
                     [left, right].map(|src| world.irecv::<u16>(p, Src::Rank(src), TagSel::Is(3)));
                 let sends = [right, left].map(|dst| world.isend(p, dst, 3, &[me as u16]));
                 let _ = mpisim::waitall(p, reqs.into());
+                returns.push((2, p.now()));
                 sends.into_iter().for_each(|s| s.wait(p));
                 let req = world.irecv::<u8>(p, Src::Rank(right), TagSel::Is(4));
                 world.send(p, left, 4, &[0u8]);
                 let _ = req.wait(p);
+                returns.push((1, p.now()));
                 let half = world.split(p, Some((me % 2) as i32), -(me as i32)).unwrap();
                 let _ = half.allreduce_sum_f64(p, me as f64);
                 let dup = half.dup(p);
                 let (hr, hn) = (dup.rank(), dup.size());
                 let _ = dup.sendrecv(p, (hr + 1) % hn, 5, &[hr as u8], Src::Any, TagSel::Any);
+                returns.push((1, p.now()));
                 dup.barrier(p);
                 let _ = world.allgather(p, vec![me]);
             }
+            returns
         })
         .expect("run");
     let streams = std::mem::take(&mut *tool.0.lock());
     assert_eq!(streams.len(), 6);
-    streams
+    (streams, report.results)
 }
 
 /// What a section-tracking tool needs of a receive and a collective, the
 /// engine's events carry, on both engines: a receive is one event whose
-/// `done` is the time of its call's exit, the rank's next event; the k-th
-/// collective a rank enters on a communicator is the k-th it leaves, both
-/// events carry `round` k, and every member leaves round k at one instant.
+/// `done` is the clock its body reads as the call returns, and no later
+/// than the rank's next event; the k-th collective a rank enters on a
+/// communicator is the k-th it leaves, both events carry `round` k, and
+/// every member leaves round k at one instant.
 #[test]
 fn a_receive_carries_its_return_and_a_round_is_the_same_on_every_member() {
     use std::collections::BTreeMap;
     for engine in [Engine::Des, Engine::Threads] {
-        let streams = spine_streams(engine);
+        let (streams, returns) = spine_streams(engine);
         // Per communicator, each member's collective exit times in order.
         let mut exits: BTreeMap<u64, BTreeMap<usize, Vec<VTime>>> = BTreeMap::new();
         let mut receives = 0;
         for (rank, events) in streams.iter().enumerate() {
             let at = |i: usize| events.get(i);
+            let mut dones = Vec::new();
             for (i, event) in events.iter().enumerate() {
                 match event {
                     MpiEvent::RecvMatched { time, done, .. } => {
                         receives += 1;
+                        dones.push(*done);
                         assert!(time <= done, "{engine:?} rank {rank}: {event:?}");
                         match at(i + 1) {
-                            Some(MpiEvent::CallExit { time, .. }) => {
-                                assert_eq!(time, done, "{engine:?} rank {rank}: {event:?}");
-                            }
-                            other => panic!("{engine:?} rank {rank}: a receive went on: {other:?}"),
+                            Some(next) => assert!(
+                                *done <= next.time(),
+                                "{engine:?} rank {rank}: {event:?} then {next:?}"
+                            ),
+                            None => panic!("{engine:?} rank {rank}: no event after {event:?}"),
                         }
                     }
                     MpiEvent::CollectiveEnter {
@@ -959,6 +999,13 @@ fn a_receive_carries_its_return_and_a_round_is_the_same_on_every_member() {
                     _ => {}
                 }
             }
+            // A call's last receive is done when the call returns.
+            let mut dones = dones.into_iter();
+            for &(count, returned) in &returns[rank] {
+                let done = dones.by_ref().take(count).last();
+                assert_eq!(done, Some(returned), "{engine:?} rank {rank}");
+            }
+            assert_eq!(dones.next(), None, "{engine:?} rank {rank}");
         }
         // 3 steps x (named + sendrecv + 2 waitall + wait + dup sendrecv)
         // on every rank, plus rank 0's 5 wildcard receives per step.

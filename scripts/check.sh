@@ -103,7 +103,11 @@ fi
 
 echo "==> a receive is one event and a collective's round is the engine's number"
 # RecvMatched carries when its call returned and both collective events
-# carry the rendezvous generation: no tool rebuilds either per rank.
+# carry the rendezvous generation: no tool rebuilds either per rank. Also
+# pinned in tier-1, for a round map kept in the tracker: `spine.rs`'
+# `a_rank_tracker_keeps_no_receive_state_and_no_round_map` holds
+# `size_of::<RankTracker>()` to its three scalar fields. No test pins
+# `RecvBlocked`, `Posted {` or a receive record's `post_ns`.
 if grep -rn 'RecvBlocked' crates src examples tests; then
     echo "crates|src|examples|tests: RecvBlocked is back beside the one receive event"
     exit 1
@@ -141,6 +145,10 @@ fi
 echo "==> one open-section list per rank, kept by the section runtime"
 # A section leave says which section the rank is in after it, so no spine
 # tool keeps a stack of open frames, and section events carry no data blob.
+# Also pinned in tier-1, for the tracker's `Vec`: `spine.rs`'
+# `a_rank_tracker_keeps_no_receive_state_and_no_round_map` holds
+# `size_of::<RankTracker>()` to its three scalar fields. No test pins
+# `fn leave(` or the blob (`size_of::<MpiEvent>()` would still fit it).
 if sed -n '/^pub(crate) struct RankTracker {/,/^}/p' crates/core/src/spine.rs | grep -n 'Vec<'; then
     echo "crates/core/src/spine.rs: RankTracker keeps a Vec again (the section runtime owns the open frames)"
     exit 1
@@ -224,6 +232,17 @@ if grep -rn 'HistogramTool' crates; then
     exit 1
 fi
 
+echo "==> the event vocabulary holds what a tool reads: no call-bracket events"
+# No tool read `CallExit`, and `CallEnter` fed only pvar's collective count,
+# which the spine's collective-exit step carries. Also pinned by the
+# compiler: `MpiEvent::{CallEnter, CallExit}`, `MpiCall` and
+# `Proc::tool_call_{enter,exit}` are gone, so code that names them no longer
+# compiles; this guard catches their definitions coming back.
+if grep -rn 'CallEnter\|CallExit\|MpiCall\|tool_call_' crates src examples tests; then
+    echo "crates|src|examples|tests: a call-bracket event (CallEnter, CallExit, MpiCall, tool_call_) is back"
+    exit 1
+fi
+
 echo "==> fidelity is whether the data exists: one body per operation over Payload"
 # A rendezvous slot is a Payload, real or virtual, so no collective keeps a
 # timing-mode copy, and the workloads build one payload per message instead
@@ -263,6 +282,9 @@ if grep -n 'transfer_secs\|latency_jitter\|DetRng::for_stream' crates/core/src/r
 fi
 
 echo "==> the section layer holds a long run once, in its smallest exact form"
+# Also pinned in tier-1, for `instances.clone()`: `tests/alloc_steady_state.rs`'
+# `snapshot_hands_the_profile_over` holds a snapshot's bytes equal, within
+# 512 B, at 200 and 2000 iterations. No test pins the other three targets.
 if grep -n 'instances\.clone()\|per_rank_own\.clone()' crates/core/src/profiler.rs; then
     echo "crates/core/src/profiler.rs: snapshot copies what grows with the run instead of sharing it"
     exit 1
