@@ -35,7 +35,7 @@ use bench::{Launch, Program};
 use machine::MachineModel;
 use mpi_sections::whatif::WhatIfSpec;
 use mpi_sections::{
-    classify, critpath, render, render_bounds, CommRecorder, PvarRegistry, ReportOptions,
+    classify, critpath, render, render_bounds, CommRecorder, PvarSnapshot, ReportOptions,
     SectionProfiler, SectionRuntime, SummaryTool, TraceTool, VerifyMode, Windowing,
     SUMMARY_AUTO_RANKS,
 };
@@ -327,13 +327,15 @@ fn unwrap_run<R>(result: Result<RunReport<R>, RunError>) -> RunReport<R> {
 /// One run's worth of observer tools. Exploration re-executes the world
 /// many times in this process, and every tool here accumulates across
 /// runs, so each run gets a **fresh** stack — that is what keeps forced
-/// runs silent and keeps pvar/trace snapshots per-run.
+/// runs silent and keeps the trace and the recorder's log per-run. The
+/// recorder is the one online observer of communication: the pvar
+/// counters, wait states, critical path and timeline are folds of its
+/// frozen log.
 struct Stack {
     checker: Option<Arc<mpicheck::Analyzer>>,
     sections: Arc<SectionRuntime>,
     profiler: Arc<SectionProfiler>,
     trace: Arc<TraceTool>,
-    pvar: Option<Arc<PvarRegistry>>,
     recorder: Option<Arc<CommRecorder>>,
     summary: Option<Arc<SummaryTool>>,
     /// Attach the trace tool at the PMPI layer too (message-flow arrows).
@@ -360,7 +362,6 @@ impl Stack {
             sections,
             profiler,
             trace,
-            pvar: observing.then(PvarRegistry::new),
             recorder: observing.then(CommRecorder::new),
             summary: summarizing.then(SummaryTool::new),
             trace_pmpi,
@@ -373,9 +374,6 @@ impl Stack {
         let mut tools: Vec<Arc<dyn mpisim::Tool>> = Vec::new();
         if let Some(checker) = &self.checker {
             tools.push(checker.clone());
-        }
-        if let Some(pvar) = &self.pvar {
-            tools.push(pvar.clone());
         }
         if let Some(recorder) = &self.recorder {
             tools.push(recorder.clone());
@@ -431,11 +429,9 @@ fn artifact_of(stack: &Stack, report: &RunReport<u64>) -> String {
         report.results, report.makespan.0
     );
     a.push_str(&stack.profiler.snapshot().to_csv());
-    if let Some(pvar) = &stack.pvar {
-        a.push_str(&pvar.snapshot().to_json());
-    }
     if let Some(recorder) = &stack.recorder {
         let log = recorder.freeze();
+        a.push_str(&PvarSnapshot::from_log(&log).to_json());
         a.push_str(&classify(&log).to_json());
         a.push_str(&critpath::extract(&log).to_json());
     }
@@ -595,8 +591,8 @@ fn main() {
     // classification and the critical-path bound complement the Eq. 6
     // ranking — the former say *why* a section caps speedup, the latter
     // bounds what any p can achieve through the dependency graph.
-    let snapshot = stack.pvar.as_ref().map(|pv| pv.snapshot());
     let comm_log = stack.recorder.as_ref().map(|r| r.freeze());
+    let snapshot = comm_log.as_ref().map(PvarSnapshot::from_log);
     // Aligned windows (the windowed report and every what-if analysis)
     // need the label to have been entered; otherwise they would silently
     // fall back to one window spanning the run.

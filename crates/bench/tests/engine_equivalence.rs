@@ -1,7 +1,7 @@
 //! Engine equivalence: the discrete-event scheduler must be *observably*
 //! identical to the thread-per-rank engine. Both engines run the same
 //! workload with the full observability stack attached (section profiler,
-//! Chrome trace, pvar registry, wait-state recorder, mpicheck analyzer)
+//! Chrome trace, communication recorder, summarizer, mpicheck analyzer)
 //! and every rendered artifact — profile CSV, trace JSON, metrics JSON,
 //! diagnostics report — is compared byte for byte.
 //!
@@ -11,7 +11,7 @@
 //! a single byte of output.
 
 use mpi_sections::{
-    classify, critpath, timeline, CommRecorder, PvarRegistry, SectionProfiler, SectionRuntime,
+    classify, critpath, timeline, CommRecorder, PvarSnapshot, SectionProfiler, SectionRuntime,
     SummaryTool, TraceTool, VerifyMode, Windowing,
 };
 use mpisim::{Engine, Src, TagSel, WorldBuilder};
@@ -54,7 +54,6 @@ fn observe_controlled(
     let sections = SectionRuntime::new(VerifyMode::Active);
     let profiler = SectionProfiler::new();
     let trace = TraceTool::new();
-    let pvar = PvarRegistry::new();
     let recorder = CommRecorder::new();
     let summary = SummaryTool::new();
     let checker = mpicheck::Analyzer::new();
@@ -67,7 +66,6 @@ fn observe_controlled(
         .seed(seed)
         .tool(sections.clone())
         .tool(trace.clone())
-        .tool(pvar.clone())
         .tool(recorder.clone())
         .tool(summary.clone())
         .tool(checker.clone());
@@ -85,7 +83,7 @@ fn observe_controlled(
         trace_json: trace.to_chrome_trace_with(Some(&tl)),
         metrics_json: format!(
             "{}\n{}\n{}\n{}",
-            pvar.snapshot().to_json(),
+            PvarSnapshot::from_log(&log).to_json(),
             waits.to_json(),
             cp.to_json(),
             tl.to_json()

@@ -11,7 +11,7 @@
 
 use mpi_sections::fasthash::fnv1a;
 use mpi_sections::{
-    classify, critpath, timeline, CommRecorder, PvarRegistry, SectionRuntime, SummaryTool,
+    classify, critpath, timeline, CommRecorder, PvarSnapshot, SectionRuntime, SummaryTool,
     TraceTool, VerifyMode, Windowing,
 };
 use mpisim::{Engine, WorldBuilder};
@@ -46,7 +46,6 @@ fn observe(
 ) -> Pinned {
     let sections = SectionRuntime::new(VerifyMode::Active);
     let trace = TraceTool::new();
-    let pvar = PvarRegistry::new();
     let recorder = CommRecorder::new();
     let summary = SummaryTool::new();
     sections.attach(trace.clone());
@@ -57,7 +56,6 @@ fn observe(
         .seed(1)
         .tool(sections.clone())
         .tool(trace.clone())
-        .tool(pvar.clone())
         .tool(recorder.clone())
         .tool(summary.clone())
         .run(move |pr| body(pr, &s))
@@ -77,7 +75,7 @@ fn observe(
     );
     assert!(summary_json.contains("\"state_bytes\":_"));
     let texts = [
-        pvar.snapshot().to_json(),
+        PvarSnapshot::from_log(&log).to_json(),
         classify(&log).to_json(),
         critpath::extract(&log).to_json(),
         fixed.to_json(),

@@ -7,14 +7,14 @@
 //! the step count and sublinear in p.
 
 use mpi_sections::sketch::QUANTILE_REL_ERR;
-use mpi_sections::{classify, critpath, timeline, CommRecorder, PvarRegistry, RunSummary};
+use mpi_sections::{classify, critpath, timeline, CommRecorder, PvarSnapshot, RunSummary};
 use mpi_sections::{SectionRuntime, SummaryTool, VerifyMode, Windowing};
 use mpisim::{Engine, WorldBuilder};
 use std::sync::Arc;
 
 /// One instrumented convolution run: the summarizer next to the full
-/// recorder + pvar registry, so every summarized number has an exact
-/// counterpart from the same events.
+/// recorder, whose log gives every summarized number an exact
+/// counterpart from the same events (the pvar counters among them).
 struct Observed {
     summary: RunSummary,
     log: mpi_sections::CommLog,
@@ -25,7 +25,6 @@ fn observe_conv(p: usize, steps: usize, machine: machine::MachineModel, seed: u6
     let sections = SectionRuntime::new(VerifyMode::Active);
     let summary = SummaryTool::new();
     let recorder = CommRecorder::new();
-    let pvar = PvarRegistry::new();
     let s = sections.clone();
     let cfg = Arc::new(convolution::ConvConfig::paper(steps));
     WorldBuilder::new(p)
@@ -35,15 +34,15 @@ fn observe_conv(p: usize, steps: usize, machine: machine::MachineModel, seed: u6
         .tool(sections.clone())
         .tool(summary.clone())
         .tool(recorder.clone())
-        .tool(pvar.clone())
         .run(move |pr| {
             convolution::run_convolution(pr, &s, &cfg);
         })
         .expect("conv run failed");
+    let log = recorder.freeze();
     Observed {
         summary: summary.freeze(),
-        log: recorder.freeze(),
-        pvar: pvar.snapshot(),
+        pvar: PvarSnapshot::from_log(&log),
+        log,
     }
 }
 

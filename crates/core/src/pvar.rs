@@ -1,36 +1,28 @@
-//! An MPI_T-style performance-variable (pvar) registry.
+//! MPI_T-style performance variables (pvars), read off the communication
+//! log.
 //!
 //! Real MPI tools read runtime-internal counters through the MPI_T pvar
 //! interface (`MPI_T_pvar_get_num`, `..._read`); the paper's whole argument
 //! (§2, Eq. 6) is that per-section wall time alone cannot say *why* a
 //! section caps speedup — communication volume and waiting time can.
-//! [`PvarRegistry`] is the in-process equivalent: an [`mpisim::Tool`] that
-//! maintains, per rank,
-//!
-//! * point-to-point message and byte counters (send and receive side),
-//! * collective rendezvous completed and the time spent inside them,
-//! * time spent blocked in receives,
-//! * a per-(source, destination) world-rank **communication matrix**,
-//!
-//! and snapshots every counter at section enter/exit (driven by the
-//! PMPI-level `SectionEnter`/`SectionLeave` events the section runtime
-//! raises), so every metric is attributable to the section it occurred in.
-//! It is the one tool with data per open frame, so it lists those frames.
-//! Every counter is read off the spine's steps: the registry subscribes to
-//! [`RankTracker::INTERESTS`] and nothing else.
-//!
-//! The registry only observes — it never advances virtual time — so runs
-//! are bit-identical with and without it attached.
+//! [`PvarSnapshot::from_log`] derives, per rank, point-to-point message and
+//! byte counters (send and receive side), collective rendezvous completed
+//! and the time spent inside them, time spent blocked in receives and a
+//! per-(source, destination) world-rank **communication matrix**, plus each
+//! counter's delta between every section's enter and leave. As Haldar
+//! (arXiv:2512.01764) derives the standard metrics from a trace, each is a
+//! function of records the [`CommRecorder`] keeps, so the counters are one
+//! more sink of [`CommLog::fold`]: fed one rank at a time, they keep one
+//! rank's open frames. Nothing here observes the run.
 
 use crate::fasthash::FastMap;
 use crate::profiler::SectionKey;
-use crate::spine::{RankTracker, Spine, StepKind};
-use crate::waitstate::RecKind;
+use crate::spine::Sink;
+use crate::waitstate::{CommLog, CommRecorder, Rec, RecKind};
 use mpisim::diag::json_str;
-use mpisim::{CommId, EventMask, MpiEvent, Tool, WorldCell};
+use mpisim::CommId;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 /// The raw per-rank counters (a pvar "session" in MPI_T terms). All time
 /// values are virtual nanoseconds.
@@ -120,118 +112,79 @@ pub struct MatrixCell {
     pub bytes: u64,
 }
 
-/// Per-rank live state.
+/// The [`CommLog::fold`] sink behind [`PvarSnapshot::from_log`].
 #[derive(Default)]
-struct RankPvars {
-    counters: Counters,
-    /// Destination world rank -> traffic from this rank.
-    matrix: FastMap<usize, MatrixCell>,
-    /// Each open section with the counter snapshot taken at its enter
-    /// (attribution baseline), in enter order across communicators.
-    baselines: Vec<((CommId, u32), Counters)>,
-}
-
-/// Everything the registry has collected, in its one cell.
-#[derive(Default)]
-struct Registry {
-    spine: Spine<RankPvars>,
-    /// Per-(comm, label) communication totals, the label as its spine run
-    /// index, folded in when a section closes.
+struct Pvars {
+    per_rank: Vec<Counters>,
+    /// `(src, dst)` world ranks -> traffic.
+    matrix: FastMap<(usize, usize), MatrixCell>,
+    /// The rank the fold is at.
+    rank: usize,
+    /// That rank's open sections, each with its counters at enter (the
+    /// attribution baseline), in enter order across communicators.
+    frames: Vec<((CommId, u32), Counters)>,
+    /// Per-(comm, label) totals, the label as its run index, folded in
+    /// when a section closes.
     sections: FastMap<(CommId, u32), Counters>,
 }
 
-/// The pvar registry tool. Attach with
-/// [`WorldBuilder::tool`](mpisim::WorldBuilder::tool) (alongside the
-/// section runtime, so section enter/leave events reach it), run, then
-/// [`PvarRegistry::snapshot`].
-#[derive(Default)]
-pub struct PvarRegistry {
-    state: WorldCell<Registry>,
-}
-
-impl PvarRegistry {
-    /// A fresh registry behind an `Arc`, ready to attach.
-    pub fn new() -> Arc<PvarRegistry> {
-        Arc::new(PvarRegistry::default())
-    }
-
-    /// Freeze the collected counters into an immutable snapshot.
-    pub fn snapshot(&self) -> PvarSnapshot {
-        let st = self.state.lock();
-        let ranks = st.spine.ranks();
-        let mut matrix: BTreeMap<(usize, usize), MatrixCell> = BTreeMap::new();
-        for (rank, rp) in ranks.iter().enumerate() {
-            for (&dst, &cell) in &rp.data.matrix {
-                matrix.insert((rank, dst), cell);
-            }
+impl Sink for Pvars {
+    fn record(&mut self, rank: usize, rec: &Rec, bytes: u64) {
+        if rank != self.rank {
+            // A log frozen mid-run leaves frames open: no delta was taken.
+            self.rank = rank;
+            self.frames.clear();
         }
-        let mut per_section: BTreeMap<SectionKey, Counters> = BTreeMap::new();
-        for (&(comm, sec), c) in &st.sections {
-            let label = st.spine.labels[sec as usize].to_string();
-            per_section.insert(SectionKey { comm, label }, *c);
-        }
-        PvarSnapshot {
-            nranks: ranks.len(),
-            per_rank: ranks.iter().map(|rp| rp.data.counters).collect(),
-            matrix,
-            per_section,
-        }
-    }
-}
-
-impl Tool for PvarRegistry {
-    fn interests(&self) -> EventMask {
-        RankTracker::INTERESTS
-    }
-
-    fn on_event(&self, world_rank: usize, event: &MpiEvent) {
-        let mut guard = self.state.lock();
-        let st = &mut *guard;
-        let Some((step, rank)) = st.spine.step(world_rank, event) else {
-            return;
-        };
-        let rp = &mut rank.data;
-        match step.kind {
+        let c = &mut self.per_rank[rank];
+        match rec.kind {
             // `Init` opens the implicit MPI_MAIN frame the same way.
-            StepKind::Enter { comm } => rp.baselines.push(((comm, step.sec), rp.counters)),
+            RecKind::Enter { comm } => self.frames.push(((comm, rec.sec), *c)),
             // The section's innermost frame, wherever it sits: sections
             // nest per communicator but may interleave across them.
-            StepKind::Leave { comm, label } => {
-                let open = rp.baselines.iter().rposition(|f| f.0 == (comm, label));
+            RecKind::Leave { comm, label } => {
+                let open = self.frames.iter().rposition(|f| f.0 == (comm, label));
                 if let Some(at) = open {
-                    let (key, base) = rp.baselines.remove(at);
-                    let delta = rp.counters.since(&base);
-                    st.sections.entry(key).or_default().add(&delta);
+                    let (key, base) = self.frames.remove(at);
+                    self.sections.entry(key).or_default().add(&c.since(&base));
                 }
             }
-            StepKind::Rec { kind, bytes, .. } => match kind {
-                RecKind::Send { dst_world, .. } => {
-                    rp.counters.sent_msgs += 1;
-                    rp.counters.sent_bytes += bytes;
-                    let cell = rp.matrix.entry(dst_world as usize).or_default();
-                    cell.msgs += 1;
-                    cell.bytes += bytes;
+            RecKind::Send { dst_world, .. } => {
+                c.sent_msgs += 1;
+                c.sent_bytes += bytes;
+                let cell = self.matrix.entry((rank, dst_world as usize)).or_default();
+                cell.msgs += 1;
+                cell.bytes += bytes;
+            }
+            RecKind::RecvMatch { done_ns, .. } => {
+                c.recv_msgs += 1;
+                c.recv_bytes += bytes;
+                c.recv_wait_ns += done_ns.saturating_sub(rec.t_ns);
+            }
+            RecKind::CollExit { enter_ns, .. } => {
+                c.coll_calls += 1;
+                c.coll_wait_ns += rec.t_ns.saturating_sub(enter_ns);
+            }
+            RecKind::Fini => {
+                // Close everything still open (normally just MPI_MAIN).
+                for (key, base) in self.frames.drain(..) {
+                    self.sections.entry(key).or_default().add(&c.since(&base));
                 }
-                RecKind::RecvMatch { done_ns, .. } => {
-                    rp.counters.recv_msgs += 1;
-                    rp.counters.recv_bytes += bytes;
-                    rp.counters.recv_wait_ns += done_ns.saturating_sub(step.t_ns);
-                }
-                RecKind::CollExit { enter_ns, .. } => {
-                    rp.counters.coll_calls += 1;
-                    rp.counters.coll_wait_ns += step.t_ns.saturating_sub(enter_ns);
-                }
-                RecKind::Fini => {
-                    // Close everything still open (normally just MPI_MAIN).
-                    for (key, base) in rp.baselines.drain(..) {
-                        let delta = rp.counters.since(&base);
-                        st.sections.entry(key).or_default().add(&delta);
-                    }
-                }
-                _ => {}
-            },
-            _ => {}
+            }
+            RecKind::Compute { .. } => {}
         }
+    }
+}
+
+/// The name the benchmark package attaches as a tool, until it builds its
+/// probe tools from exported constructors: a [`CommRecorder`], so it holds
+/// one run (a second run takes over the first one's send slots).
+pub type PvarRegistry = CommRecorder;
+
+impl CommRecorder {
+    /// [`PvarSnapshot::from_log`] of what was recorded so far: the
+    /// [`PvarRegistry`] name's `snapshot`.
+    pub fn snapshot(&self) -> PvarSnapshot {
+        PvarSnapshot::from_log(&self.freeze())
     }
 }
 
@@ -250,6 +203,26 @@ pub struct PvarSnapshot {
 }
 
 impl PvarSnapshot {
+    /// Every pvar of the run `log` recorded: one fold of the log.
+    pub fn from_log(log: &CommLog) -> PvarSnapshot {
+        let nranks = log.nranks();
+        let mut sink = Pvars {
+            per_rank: vec![Counters::default(); nranks],
+            ..Pvars::default()
+        };
+        log.fold(&mut sink);
+        let per_section = sink.sections.into_iter().map(|((comm, sec), c)| {
+            let label = log.name(sec).to_string();
+            (SectionKey { comm, label }, c)
+        });
+        PvarSnapshot {
+            nranks,
+            per_rank: sink.per_rank,
+            matrix: sink.matrix.into_iter().collect(),
+            per_section: per_section.collect(),
+        }
+    }
+
     /// Counter totals over all ranks.
     pub fn totals(&self) -> Counters {
         let mut total = Counters::default();
@@ -420,14 +393,15 @@ mod tests {
     use super::*;
     use crate::{SectionRuntime, VerifyMode};
     use mpisim::{Src, TagSel, WorldBuilder};
+    use std::sync::Arc;
 
     fn ring_run(nranks: usize) -> PvarSnapshot {
         let sections = SectionRuntime::new(VerifyMode::Active);
-        let pvar = PvarRegistry::new();
+        let recorder = CommRecorder::new();
         let s = sections.clone();
         WorldBuilder::new(nranks)
             .tool(sections.clone())
-            .tool(pvar.clone())
+            .tool(recorder.clone())
             .run(move |p| {
                 let world = p.world();
                 s.scoped(p, &world, "EXCHANGE", |p| {
@@ -443,7 +417,7 @@ mod tests {
                 });
             })
             .unwrap();
-        pvar.snapshot()
+        PvarSnapshot::from_log(&recorder.freeze())
     }
 
     #[test]
@@ -474,13 +448,11 @@ mod tests {
     #[test]
     fn coll_calls_counts_each_rendezvous_of_split_and_dup() {
         use crate::timeline::{build, Windowing};
-        use crate::CommRecorder;
         let sections = SectionRuntime::new(VerifyMode::Active);
-        let (pvar, recorder) = (PvarRegistry::new(), CommRecorder::new());
+        let recorder = CommRecorder::new();
         let s = sections.clone();
         WorldBuilder::new(4)
             .tool(sections)
-            .tool(pvar.clone())
             .tool(recorder.clone())
             .run(move |p| {
                 let world = p.world();
@@ -490,8 +462,9 @@ mod tests {
                 s.scoped(p, &world, "BARRIER", |p| dup.barrier(p));
             })
             .unwrap();
-        let snap = pvar.snapshot();
-        let exits = build(&recorder.freeze(), &Windowing::Fixed(4)).section_totals();
+        let log = recorder.freeze();
+        let snap = PvarSnapshot::from_log(&log);
+        let exits = build(&log, &Windowing::Fixed(4)).section_totals();
         for (label, per_rank) in [("SPLIT", 2), ("DUP", 2), ("BARRIER", 1)] {
             let key = SectionKey {
                 comm: CommId::WORLD,
@@ -608,9 +581,9 @@ mod tests {
 
     #[test]
     fn recv_wait_measures_late_sender() {
-        let pvar = PvarRegistry::new();
+        let recorder = CommRecorder::new();
         WorldBuilder::new(2)
-            .tool(pvar.clone())
+            .tool(recorder.clone())
             .run(|p| {
                 let world = p.world();
                 if p.world_rank() == 0 {
@@ -622,7 +595,7 @@ mod tests {
                 }
             })
             .unwrap();
-        let snap = pvar.snapshot();
+        let snap = PvarSnapshot::from_log(&recorder.freeze());
         // Rank 0 waited at least the 2 s skew.
         assert!(snap.per_rank[0].recv_wait_secs() >= 2.0);
         assert_eq!(snap.per_rank[1].recv_wait_ns, 0);
@@ -630,9 +603,9 @@ mod tests {
 
     #[test]
     fn collective_wait_measures_straggler() {
-        let pvar = PvarRegistry::new();
+        let recorder = CommRecorder::new();
         WorldBuilder::new(2)
-            .tool(pvar.clone())
+            .tool(recorder.clone())
             .run(|p| {
                 let world = p.world();
                 if p.world_rank() == 1 {
@@ -641,7 +614,7 @@ mod tests {
                 world.barrier(p);
             })
             .unwrap();
-        let snap = pvar.snapshot();
+        let snap = PvarSnapshot::from_log(&recorder.freeze());
         // Rank 0 arrived first and waited ~1 s for rank 1.
         assert!(snap.per_rank[0].coll_wait_secs() >= 1.0);
         assert!(snap.per_rank[1].coll_wait_secs() < 0.5);

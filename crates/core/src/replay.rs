@@ -258,7 +258,7 @@ impl Ctx<'_> {
 fn step(rank: usize, st: &mut RankState, sh: &mut Shared, ctx: &Ctx<'_>) -> bool {
     let (rec, next) = ctx.log.run.ranks[rank].get(st.at);
     match rec.kind {
-        RecKind::Boundary | RecKind::Fini => {
+        RecKind::Enter { .. } | RecKind::Leave { .. } | RecKind::Fini => {
             st.now = st.after_gap(ctx, rec.t_ns);
             let out = &mut sh.ranks[rank];
             out.push(Rec {

@@ -31,9 +31,10 @@
 //!   received with its bytes, collective completed).
 //!
 //! The recorder appends steps to its log; the summarizer, the offline
-//! classifier and the timeline are three sinks of the same fold.
+//! classifier, the timeline and the pvar counters are sinks of the same
+//! fold (the pvar counters read each record as logged).
 
-use crate::waitstate::RecKind;
+use crate::waitstate::{Rec, RecKind};
 use crate::whatif::WaitClass;
 use mpisim::{CommId, EventKind, EventMask, Label, MpiEvent};
 
@@ -64,11 +65,6 @@ impl RankTracker {
 /// What happened at a [`Step`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum StepKind {
-    /// The step's section opened on `comm` (`Init` opens `MPI_MAIN`).
-    Enter { comm: CommId },
-    /// Section `label` (a run index) on `comm` closed: the innermost
-    /// frame of that section, which need not be the rank's innermost frame.
-    Leave { comm: CommId, label: u32 },
     /// The rank reached a rendezvous of `size` members: round `round`
     /// of `comm`, the rendezvous generation.
     CollEnter {
@@ -77,8 +73,9 @@ pub(crate) enum StepKind {
         op: &'static str,
         size: usize,
     },
-    /// Anything the log keeps a record of: a send, a completed receive, a
-    /// collective exit, compute, finalize. A receive's step is taken and
+    /// Anything the log keeps a record of: a section enter or leave, a
+    /// send, a completed receive, a collective exit, compute, finalize
+    /// (`Init` enters `MPI_MAIN`). A receive's step is taken and
     /// timed at its match, which is its post; its kind carries when the
     /// enclosing call (Recv, Wait or Sendrecv) returned. `bytes` is the
     /// payload of the message or of the whole collective; `seq` the
@@ -187,23 +184,23 @@ impl<T: Default> Spine<T> {
             MpiEvent::Init { .. } => {
                 tr.sec = sec(Label::MAIN);
                 tr.last_ns = now_ns;
-                StepKind::Enter {
+                rec(RecKind::Enter {
                     comm: CommId::WORLD,
-                }
+                })
             }
             MpiEvent::Finalize { .. } => rec(RecKind::Fini),
             MpiEvent::SectionEnter { comm, label, .. } => {
                 tr.sec = sec(*label);
-                StepKind::Enter { comm: *comm }
+                rec(RecKind::Enter { comm: *comm })
             }
             MpiEvent::SectionLeave {
                 comm, label, inner, ..
             } => {
                 tr.sec = sec(*inner);
-                StepKind::Leave {
+                rec(RecKind::Leave {
                     comm: *comm,
                     label: sec(*label),
-                }
+                })
             }
             MpiEvent::SendEnqueued {
                 seq,
@@ -363,6 +360,10 @@ impl Cell {
 /// Where [`attribute`] deposits. Every method defaults to a no-op, so a
 /// sink names only what it reduces.
 pub(crate) trait Sink {
+    /// A record of `rank` as the log holds it, before [`attribute`]
+    /// deposits it; `bytes` is a message's payload (a receive's read from
+    /// its send, 0 if nobody recorded it). Only the log's fold calls it.
+    fn record(&mut self, _rank: usize, _rec: &Rec, _bytes: u64) {}
     /// `[a, b)` on `rank`, inside section `sec`, was `span` time.
     fn span(&mut self, _rank: usize, _sec: u32, _span: Span, _a: u64, _b: u64) {}
     /// A point event of `rank` at `t` inside `sec`.
@@ -416,7 +417,8 @@ pub(crate) fn attribute(
             sink.span(rank, sec, Span::Transfer, max_enter_ns, t_ns);
             sink.point(rank, sec, t_ns, Count::CollExit);
         }
-        RecKind::Boundary | RecKind::Compute { .. } | RecKind::Fini => {}
+        RecKind::Enter { .. } | RecKind::Leave { .. } | RecKind::Compute { .. } | RecKind::Fini => {
+        }
     }
 }
 
@@ -424,7 +426,7 @@ pub(crate) fn attribute(
 mod tests {
     use super::*;
     use crate::{
-        classify, critpath, timeline, CommRecorder, PvarRegistry, SectionRuntime, SummaryTool,
+        classify, critpath, timeline, CommRecorder, PvarSnapshot, SectionRuntime, SummaryTool,
         TraceTool, VerifyMode, Windowing, MPI_MAIN,
     };
     use mpisim::{Src, TagSel, Tool, WorldBuilder};
@@ -514,7 +516,7 @@ mod tests {
     }
 
     /// Every artifact of one run of a program that raises every event
-    /// kind, with the four tools attached bare (`wide = false`: each gets
+    /// kind, with the three tools attached bare (`wide = false`: each gets
     /// exactly its declared interests) or behind [`Wide`].
     fn artifacts(wide: bool) -> Vec<String> {
         fn attach<T: Tool + 'static>(wide: bool, tool: &Arc<T>) -> Arc<dyn Tool> {
@@ -525,8 +527,8 @@ mod tests {
             }
         }
         let sections = SectionRuntime::new(VerifyMode::Active);
-        let (recorder, summary) = (CommRecorder::new(), SummaryTool::new());
-        let (pvar, trace) = (PvarRegistry::new(), TraceTool::new());
+        let (recorder, summary, trace) =
+            (CommRecorder::new(), SummaryTool::new(), TraceTool::new());
         sections.attach(trace.clone());
         let s = sections.clone();
         WorldBuilder::new(4)
@@ -535,7 +537,6 @@ mod tests {
             .tool(sections.clone())
             .tool(attach(wide, &recorder))
             .tool(attach(wide, &summary))
-            .tool(attach(wide, &pvar))
             .tool(attach(wide, &trace))
             .run(move |p| {
                 let world = p.world();
@@ -562,7 +563,7 @@ mod tests {
             critpath::extract(&log).to_json(),
             tl.to_json(),
             summary.freeze().to_json(),
-            pvar.snapshot().to_json(),
+            PvarSnapshot::from_log(&log).to_json(),
             trace.to_chrome_trace(),
         ]
     }
@@ -579,20 +580,20 @@ mod tests {
 
     /// Sections on two communicators, one of them closed before a section
     /// entered after it: after every enter or leave each tool sees the rank
-    /// in its innermost open section across communicators, and pvar closes
-    /// the frame of the section that left.
+    /// in its innermost open section across communicators, the log says
+    /// which frame each boundary opened or closed, and pvar, read from the
+    /// log, closes the frame of the section that left.
     #[test]
     fn tools_follow_sections_closed_out_of_enter_order() {
         for engine in [mpisim::Engine::Des, mpisim::Engine::Threads] {
             let sections = SectionRuntime::new(VerifyMode::Active);
-            let (recorder, pvar) = (CommRecorder::new(), PvarRegistry::new());
+            let recorder = CommRecorder::new();
             let halves = Arc::new(parking_lot::Mutex::new([CommId::WORLD; 4]));
             let (s, seen) = (sections.clone(), halves.clone());
             WorldBuilder::new(4)
                 .engine(engine)
                 .tool(sections.clone())
                 .tool(recorder.clone())
-                .tool(pvar.clone())
                 .run(move |p| {
                     let world = p.world();
                     let me = p.world_rank();
@@ -617,36 +618,48 @@ mod tests {
                 })
                 .expect("run failed");
             let log = recorder.freeze();
+            let halves = *halves.lock();
+            assert_ne!(halves[0], halves[2]);
             for (rank, recs) in log.run.ranks.iter().enumerate() {
-                let kinds: Vec<(&str, &str)> = recs
+                let kinds: Vec<(String, &str)> = recs
                     .iter()
                     .map(|rec| {
                         let kind = match rec.kind {
-                            RecKind::Boundary => "enter/leave",
-                            RecKind::Send { .. } => "send",
-                            RecKind::RecvMatch { .. } => "recv",
-                            RecKind::CollExit { .. } => "coll",
-                            RecKind::Compute { .. } => "compute",
-                            RecKind::Fini => "fini",
+                            RecKind::Enter { comm } => format!("enter on {}", comm.0),
+                            RecKind::Leave { comm, label } => {
+                                format!("leave {} on {}", log.name(label), comm.0)
+                            }
+                            RecKind::Send { .. } => "send".into(),
+                            RecKind::RecvMatch { .. } => "recv".into(),
+                            RecKind::CollExit { .. } => "coll".into(),
+                            RecKind::Compute { .. } => "compute".into(),
+                            RecKind::Fini => "fini".into(),
                         };
                         (kind, log.name(rec.sec))
                     })
                     .collect();
-                let mut expected = vec![("enter/leave", MPI_MAIN)];
+                let mut expected = vec![("enter on 0".to_string(), MPI_MAIN)];
                 // The split: its exchange and the id agreement.
                 while expected.len() < kinds.len() && kinds[expected.len()].0 == "coll" {
-                    expected.push(("coll", MPI_MAIN));
+                    expected.push(("coll".into(), MPI_MAIN));
                 }
                 assert!(expected.len() > 1, "rank {rank}: {kinds:?}");
-                for sec in ["OUTER", "SUB", "INNER", "SUB", "SUB", MPI_MAIN] {
-                    expected.extend([("enter/leave", sec), ("send", sec), ("recv", sec)]);
+                let half = halves[rank].0;
+                for (boundary, sec) in [
+                    ("enter on 0".to_string(), "OUTER"),
+                    (format!("enter on {half}"), "SUB"),
+                    ("enter on 0".into(), "INNER"),
+                    ("leave INNER on 0".into(), "SUB"),
+                    ("leave OUTER on 0".into(), "SUB"),
+                    (format!("leave SUB on {half}"), MPI_MAIN),
+                ] {
+                    expected.push((boundary, sec));
+                    expected.extend([("send".into(), sec), ("recv".into(), sec)]);
                 }
-                expected.push(("fini", MPI_MAIN));
+                expected.push(("fini".into(), MPI_MAIN));
                 assert_eq!(kinds, expected, "{engine:?}, rank {rank}");
             }
-            let halves = *halves.lock();
-            assert_ne!(halves[0], halves[2]);
-            let sent = pvar.snapshot().per_section;
+            let sent = PvarSnapshot::from_log(&log).per_section;
             let sent: Vec<(u64, &str, u64)> = sent
                 .iter()
                 .map(|(key, c)| (key.comm.0, &key.label[..], c.sent_msgs))

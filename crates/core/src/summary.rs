@@ -198,6 +198,10 @@ struct Summarizer {
 }
 
 impl Summarizer {
+    // Out of line: growing the table builds a 1.7 KB `SectionAgg` on the
+    // stack, and the event path runs on every rank's fiber stack, each
+    // page it reaches resident once per rank (+64 MB at p = 16384).
+    #[inline(never)]
     fn section(&mut self, sec: u32) -> &mut SectionAgg {
         slot(&mut self.sections, sec)
     }
@@ -472,7 +476,6 @@ impl Tool for SummaryTool {
                 sent_ns,
                 ..
             } => (kind, bytes, sent_ns),
-            StepKind::Enter { .. } | StepKind::Leave { .. } => return,
         };
         let peer_ns = match kind {
             RecKind::Send { dst_world, .. } => {
@@ -506,7 +509,7 @@ impl Tool for SummaryTool {
                 st.spine.rank_mut(world_rank).data.fini_ns = t_ns;
                 return;
             }
-            RecKind::Boundary => return,
+            RecKind::Enter { .. } | RecKind::Leave { .. } => return,
         };
         attribute(world_rank, sec, t_ns, &kind, bytes, peer_ns, st);
     }

@@ -1,6 +1,6 @@
 //! Time-resolved windowing of a recorded run.
 //!
-//! Whole-run aggregates (the pvar registry, the wait-state report) cannot
+//! Whole-run aggregates (the pvar counters, the wait-state report) cannot
 //! show the paper's central finding — Fig. 5b's HALO time grows with p
 //! because jitter *accumulates* over the time-step loop. Following
 //! trace-based time-resolved analysis (Haldar, arXiv:2512.01764) and the

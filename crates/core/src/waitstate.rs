@@ -1,6 +1,6 @@
 //! Wait-state classification over the message-dependency event stream.
 //!
-//! Knowing *that* a rank waited (the pvar registry's job) is weaker than
+//! Knowing *that* a rank waited (the pvar counters' job) is weaker than
 //! knowing *why*. Following Scalasca's taxonomy, this module records a
 //! compact per-rank communication log during the run and classifies every
 //! wait after the fact:
@@ -39,10 +39,8 @@
 //! A head word, low bits first: a 4-bit kind tag, 3 bits for the distance
 //! back to the previous record, a 13-bit section and a 44-bit time (ns,
 //! ≈ 4.9 h). The tag took its fourth bit from the section field, so a
-//! narrow head's section stops at 8190 (16382 with a 3-bit tag). Tags 0–8
-//! are taken — boundary, send, receive, collective exit, compute,
-//! finalize, and the wide forms of send, compute and receive — and tags
-//! 9–15 are spare.
+//! narrow head's section stops at 8190 (16382 with a 3-bit tag). Tags 0–11
+//! are taken ([`RecKind::pack`] lists them) and tags 12–15 are spare.
 
 use crate::fasthash::FastMap;
 use crate::spine::{attribute, RankTracker, Sink, Span, Spine, StepKind};
@@ -67,15 +65,17 @@ pub(crate) struct Rec {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum RecKind {
-    /// Section boundary (also used for the implicit frame at Init).
-    Boundary,
+    /// The record's section opened on `comm` (`Init` opens `MPI_MAIN`).
+    Enter { comm: CommId },
+    /// Section `label` (a run index) closed on `comm`: the innermost frame
+    /// of that section, which need not be the rank's innermost frame.
+    Leave { comm: CommId, label: u32 },
     /// An eager send of `bytes` to world rank `dst_world` was issued at
     /// the record's `t_ns`. The message's `seq` is not stored: its slot in
     /// the send table names this record instead.
     Send { dst_world: u32, bytes: u64 },
     /// A receive posted, and matched, at the record's `t_ns`; `done_ns` is
-    /// when the enclosing call returned (the same completion edge the pvar
-    /// registry uses).
+    /// when the enclosing call returned (pvar's `recv_wait_ns` ends there).
     RecvMatch { seq: u64, done_ns: u64 },
     /// A collective rendezvous completed; `enter_ns` is this rank's
     /// arrival, `(comm, round)` keys into [`CommLog::colls`].
@@ -98,7 +98,10 @@ pub(crate) enum RecKind {
 // holds `WIDE`, its time field the section, and the time follows in the
 // next word. A send, compute or receive record packs its two payload
 // fields into one word, low half first, when both fit 32 bits; its wide
-// tag (6, 7 or 8) gives each field a word of its own.
+// tag (6, 7 or 8) gives each field a word of its own. A boundary on
+// `WORLD` carries nothing (tag 0 an enter, 9 a leave of the section the
+// previous record is in, which `back` reaches); any other enter (10)
+// carries its communicator, any other leave (11) communicator and label.
 const TAG_BITS: u32 = 4;
 const BACK_BITS: u32 = 3;
 const SEC_BITS: u32 = 13;
@@ -114,10 +117,9 @@ fn field(word: u64, shift: u32, bits: u32) -> u64 {
     word >> shift & ((1 << bits) - 1)
 }
 
-/// How many payload words a record carries, by kind tag: boundary,
-/// send, receive, collective exit, compute, finalize, wide send, wide
-/// compute, wide receive; the spare tags none.
-const CARRIED: [usize; 1 << TAG_BITS] = [0, 1, 1, 3, 1, 0, 2, 2, 2, 0, 0, 0, 0, 0, 0, 0];
+/// How many payload words a record carries, by kind tag ([`RecKind::pack`]
+/// gives each tag its kind); the spare tags none.
+const CARRIED: [usize; 1 << TAG_BITS] = [0, 1, 1, 3, 1, 0, 2, 2, 2, 0, 1, 2, 0, 0, 0, 0];
 
 /// `lo` and `hi` in one word, `lo` in the low half, if both fit 32 bits.
 fn halves(lo: u64, hi: u64) -> Option<u64> {
@@ -146,10 +148,15 @@ fn wide_seq(half: u64) -> u64 {
 
 impl RecKind {
     /// The kind's tag and its payload words, padded to three (a record
-    /// stores the first [`CARRIED`]`[tag]`), for a record at `t_ns`.
-    fn pack(self, t_ns: u64) -> (u64, [u64; 3]) {
+    /// stores the first [`CARRIED`]`[tag]`), for a record at `t_ns`;
+    /// `prev` reads the previous record's section, which only a leave asks.
+    fn pack(self, t_ns: u64, prev: impl Fn() -> Option<u32>) -> (u64, [u64; 3]) {
+        let world = CommId::WORLD;
         match self {
-            RecKind::Boundary => (0, [0; 3]),
+            RecKind::Enter { comm } if comm == world => (0, [0; 3]),
+            RecKind::Enter { comm } => (10, [comm.0, 0, 0]),
+            RecKind::Leave { comm, label } if comm == world && prev() == Some(label) => (9, [0; 3]),
+            RecKind::Leave { comm, label } => (11, [comm.0, label.into(), 0]),
             RecKind::Send { dst_world, bytes } => match halves(dst_world.into(), bytes) {
                 Some(word) => (1, [word, 0, 0]),
                 None => (6, [dst_world.into(), bytes, 0]),
@@ -184,14 +191,14 @@ impl RecKind {
 /// Per-rank record sequence, packed inline in one vector of words: each
 /// record is a head word (time, section, kind tag and the distance back
 /// to the previous record) followed by only the words its kind carries
-/// (none for a boundary or finalize, 1 for a send, compute or receive, 3
-/// for a collective exit). A send of 4 GiB or more, a compute whose base
-/// or elapsed time reaches 2^32 ns (≈ 4.3 s), or a receive whose call
-/// took that long or whose sender's world rank or send number reaches
-/// 2^16, takes one more payload word; a record past ≈ 4.9 h of virtual
-/// time or past section 8190 one more word for its time. A record is
-/// addressed by the offset of its head; readers get the same [`Rec`]
-/// values that were pushed.
+/// ([`CARRIED`]: a world-nested boundary or finalize none, a send, compute
+/// or receive one, a collective exit three). A send of 4 GiB or more, a
+/// compute whose base or elapsed time reaches 2^32 ns (≈ 4.3 s), or a
+/// receive whose call took that long or whose sender's world rank or send
+/// number reaches 2^16, takes one more payload word; a record past ≈ 4.9 h
+/// of virtual time or past section 8190 one more word for its time. A
+/// record is addressed by the offset of its head; readers get the same
+/// [`Rec`] values that were pushed.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct RankRecs {
     words: Vec<u64>,
@@ -214,7 +221,8 @@ impl RankRecs {
         );
         let at = self.words.len();
         let back = if self.records == 0 { 0 } else { at - self.last };
-        let (tag, payload) = rec.kind.pack(rec.t_ns);
+        let prev_sec = || self.last().map(|last| self.head_at(last).1);
+        let (tag, payload) = rec.kind.pack(rec.t_ns, prev_sec);
         let carried = CARRIED[tag as usize];
         let fixed = tag | (back as u64) << BACK_SHIFT;
         let sec = u64::from(rec.sec);
@@ -259,17 +267,25 @@ impl RankRecs {
         }
     }
 
+    /// The time, section and kind tag of the record at offset `at`, read
+    /// from its head, and the offset of its first payload word.
+    fn head_at(&self, at: usize) -> (u64, u32, usize, usize) {
+        let head = self.words[at];
+        let tag = field(head, 0, TAG_BITS) as usize;
+        match field(head, SEC_SHIFT, SEC_BITS) {
+            WIDE => (self.words[at + 1], (head >> TIME_SHIFT) as u32, tag, at + 2),
+            sec => (head >> TIME_SHIFT, sec as u32, tag, at + 1),
+        }
+    }
+
     /// The record at offset `at`, and the offset of the one after it.
     pub(crate) fn get(&self, at: usize) -> (Rec, usize) {
-        let head = self.words[at];
-        let (t_ns, sec, w) = match field(head, SEC_SHIFT, SEC_BITS) {
-            WIDE => (self.words[at + 1], head >> TIME_SHIFT, at + 2),
-            sec => (head >> TIME_SHIFT, sec, at + 1),
-        };
+        let (t_ns, sec, tag, w) = self.head_at(at);
         let p = &self.words[w..];
-        let tag = field(head, 0, TAG_BITS) as usize;
         let kind = match tag {
-            0 => RecKind::Boundary,
+            0 => RecKind::Enter {
+                comm: CommId::WORLD,
+            },
             1 => RecKind::Send {
                 dst_world: p[0] as u32,
                 bytes: p[0] >> 32,
@@ -300,35 +316,37 @@ impl RankRecs {
                 seq: p[0],
                 done_ns: p[1],
             },
+            9 => RecKind::Leave {
+                comm: CommId::WORLD,
+                label: self
+                    .head_at(self.before(at).expect("a leave follows its enter"))
+                    .1,
+            },
+            10 => RecKind::Enter { comm: CommId(p[0]) },
+            11 => RecKind::Leave {
+                comm: CommId(p[0]),
+                label: p[1] as u32,
+            },
             tag => panic!("offset {at} holds a record of spare tag {tag}"),
         };
-        let sec = sec as u32;
         (Rec { t_ns, sec, kind }, w + CARRIED[tag])
     }
 
     /// The time of the record at offset `at`, read from its head alone.
     pub(crate) fn time_at(&self, at: usize) -> u64 {
-        let head = self.words[at];
-        match field(head, SEC_SHIFT, SEC_BITS) {
-            WIDE => self.words[at + 1],
-            _ => head >> TIME_SHIFT,
-        }
+        self.head_at(at).0
     }
 
     /// The time and bytes of the `Send` record at offset `at`: the two
     /// facts a receive reads from its sender's log.
     fn send_at(&self, at: usize) -> (u64, u64) {
-        let head = self.words[at];
-        let w = match field(head, SEC_SHIFT, SEC_BITS) {
-            WIDE => at + 2,
-            _ => at + 1,
-        };
-        let bytes = match field(head, 0, TAG_BITS) {
+        let (t_ns, _, tag, w) = self.head_at(at);
+        let bytes = match tag {
             1 => self.words[w] >> 32,
             6 => self.words[w + 1],
             tag => panic!("offset {at} holds a record of tag {tag}, not a send"),
         };
-        (self.time_at(at), bytes)
+        (t_ns, bytes)
     }
 
     pub(crate) fn iter(&self) -> impl Iterator<Item = Rec> + '_ {
@@ -565,8 +583,8 @@ impl CommLog {
             + size_of_val(&self.labels[..])
     }
 
-    /// Run the attribution fold over the whole log: every record's
-    /// presence up to the next one, and every communication record
+    /// Run the attribution fold over the whole log, one rank at a time:
+    /// every record as logged with its presence up to the next one, and
     /// resolved against the send and collective tables.
     pub(crate) fn fold(&self, sink: &mut impl Sink) {
         for (rank, rr) in self.run.ranks.iter().enumerate() {
@@ -593,8 +611,9 @@ impl CommLog {
                         let last = self.run.colls.get(&(comm, round)).and_then(|c| c.last);
                         (0, last.map_or(0, |(_, t, _)| t))
                     }
-                    _ => continue,
+                    _ => (0, 0),
                 };
+                sink.record(rank, &rec, bytes);
                 attribute(rank, rec.sec, rec.t_ns, &rec.kind, bytes, peer_ns, sink);
             }
         }
@@ -679,8 +698,13 @@ struct Recording {
 }
 
 /// The recording tool. Attach alongside the section runtime, run, then
-/// [`CommRecorder::freeze`] and feed the log to [`classify`] and/or
-/// [`crate::critpath::extract`].
+/// [`CommRecorder::freeze`] and feed the log to [`classify`],
+/// [`crate::critpath::extract`], [`crate::PvarSnapshot::from_log`] or
+/// [`crate::timeline::build`].
+///
+/// A recorder holds one run: message numbers restart with a second run,
+/// whose sends then take over the first run's send slots, so a receive of
+/// the first run resolves to the second run's send (its time and bytes).
 #[derive(Default)]
 pub struct CommRecorder {
     state: WorldCell<Recording>,
@@ -724,8 +748,7 @@ impl Tool for CommRecorder {
         let Some((step, rank)) = st.spine.step(world_rank, event) else {
             return;
         };
-        let kind = match step.kind {
-            StepKind::Enter { .. } | StepKind::Leave { .. } => RecKind::Boundary,
+        let (kind, bytes, seq) = match step.kind {
             StepKind::CollEnter {
                 comm, round, op, ..
             } => {
@@ -736,23 +759,21 @@ impl Tool for CommRecorder {
             }
             StepKind::Rec {
                 kind, bytes, seq, ..
-            } => {
-                match kind {
-                    RecKind::Send { .. } => {
-                        debug_assert_eq!(seq_parts(seq).0, world_rank, "a seq names its sender");
-                        tables.sends.insert(seq, SendSlot::new(rank.data.end()));
-                    }
-                    RecKind::CollExit { comm, round, .. } => {
-                        if let Some(entry) = tables.colls.get_mut(&(comm, round)) {
-                            entry.bytes = bytes;
-                        }
-                    }
-                    RecKind::Fini => rank.data.fini_ns = step.t_ns,
-                    _ => {}
-                }
-                kind
-            }
+            } => (kind, bytes, seq),
         };
+        match kind {
+            RecKind::Send { .. } => {
+                debug_assert_eq!(seq_parts(seq).0, world_rank, "a seq names its sender");
+                tables.sends.insert(seq, SendSlot::new(rank.data.end()));
+            }
+            RecKind::CollExit { comm, round, .. } => {
+                if let Some(entry) = tables.colls.get_mut(&(comm, round)) {
+                    entry.bytes = bytes;
+                }
+            }
+            RecKind::Fini => rank.data.fini_ns = step.t_ns,
+            _ => {}
+        }
         rank.data.push(Rec {
             t_ns: step.t_ns,
             sec: step.sec,
@@ -931,11 +952,34 @@ mod tests {
     fn packed_store_returns_what_was_pushed() {
         let big = CommId(u64::MAX - 1);
         let narrow = u64::from(u32::MAX);
-        // Every kind but the receive (below), and a send and a compute
-        // each side of the 32-bit halves, with the payload words each
-        // carries.
+        // Every kind but the receive and the leave of the previous
+        // record's section (below), a send and a compute each side of the
+        // 32-bit halves, an enter on `WORLD` and on a sub-communicator, and
+        // a leave that closes a frame below the innermost one (no record
+        // here is in a section of that label) or on a sub-communicator,
+        // with the payload words each carries.
         let kinds = [
-            (RecKind::Boundary, 0),
+            (
+                RecKind::Enter {
+                    comm: CommId::WORLD,
+                },
+                0,
+            ),
+            (RecKind::Enter { comm: big }, 1),
+            (
+                RecKind::Leave {
+                    comm: CommId::WORLD,
+                    label: RankRecs::MAX_SEC - 1,
+                },
+                2,
+            ),
+            (
+                RecKind::Leave {
+                    comm: CommId(7),
+                    label: RankRecs::MAX_SEC - 1,
+                },
+                2,
+            ),
             (
                 RecKind::Send {
                     dst_world: u32::MAX,
@@ -1048,6 +1092,39 @@ mod tests {
                 pushed.push((at, rec));
             }
         }
+        // A leave on `WORLD` of the section the previous record is in is
+        // its head alone, whichever of the two heads is wide: `back` reaches
+        // the record that names the label. Below the innermost frame, or on
+        // a sub-communicator, it carries its communicator and label.
+        for (inner, t_ns, sec, head_words) in [
+            (5, 6, 0, 1),
+            (WIDE as u32, 6, 0, 1),
+            (RankRecs::MAX_SEC, NARROW_NS, 0, 2),
+            (5, 6, WIDE as u32, 2),
+        ] {
+            for (comm, label, carried) in [
+                (CommId::WORLD, inner, 0),
+                (CommId::WORLD, inner - 1, 2),
+                (big, inner, 2),
+            ] {
+                let kind = RecKind::Enter {
+                    comm: CommId::WORLD,
+                };
+                let enter = Rec {
+                    t_ns: 1,
+                    sec: inner,
+                    kind,
+                };
+                pushed.push((recs.end(), enter));
+                recs.push(enter);
+                let kind = RecKind::Leave { comm, label };
+                let rec = Rec { t_ns, sec, kind };
+                let at = recs.end();
+                recs.push(rec);
+                assert_eq!(recs.end() - at, head_words + carried, "{rec:?}");
+                pushed.push((at, rec));
+            }
+        }
         // A call that returns before its post (or past `u64::MAX`) is wide.
         for (t_ns, done_ns, words) in [
             (10, 9, 3),
@@ -1085,7 +1162,7 @@ mod tests {
         RankRecs::default().push(Rec {
             t_ns: 0,
             sec: RankRecs::MAX_SEC + 1,
-            kind: RecKind::Boundary,
+            kind: RecKind::Fini,
         });
     }
 

@@ -9,7 +9,7 @@
 //! below in the order the two worlds force, before any lone run.
 
 use mpi_sections::{
-    critpath, replay, whatif, CommRecorder, PvarRegistry, SectionRuntime, SummaryTool, TraceTool,
+    critpath, replay, whatif, CommRecorder, PvarSnapshot, SectionRuntime, SummaryTool, TraceTool,
     VerifyMode,
 };
 use mpisim::{Label, Proc, Src, TagSel, WorldBuilder};
@@ -48,8 +48,7 @@ fn phase(s: &SectionRuntime, p: &mut Proc, label: &str) {
 /// `SHARED`, world B enters `SHARED` then `B_ONLY`.
 fn world(a: bool, gates: Gates) -> Vec<String> {
     let sections = SectionRuntime::new(VerifyMode::Active);
-    let (recorder, summary) = (CommRecorder::new(), SummaryTool::new());
-    let (pvar, trace) = (PvarRegistry::new(), TraceTool::new());
+    let (recorder, summary, trace) = (CommRecorder::new(), SummaryTool::new(), TraceTool::new());
     sections.attach(trace.clone());
     let s = sections.clone();
     let machine = machine::presets::nehalem_cluster();
@@ -59,7 +58,6 @@ fn world(a: bool, gates: Gates) -> Vec<String> {
         .tool(sections.clone())
         .tool(recorder.clone())
         .tool(summary.clone())
-        .tool(pvar.clone())
         .tool(trace.clone())
         .run(move |p| {
             let world = p.world();
@@ -86,7 +84,7 @@ fn world(a: bool, gates: Gates) -> Vec<String> {
     };
     vec![
         summary.freeze().to_json(),
-        pvar.snapshot().to_json(),
+        PvarSnapshot::from_log(&log).to_json(),
         format!("{entered:?}"),
         format!("{:?}", critpath::extract(&log).per_section),
         unknown,

@@ -22,6 +22,8 @@ MPISIM_ENGINE=threads cargo test -q -p mpisim -p mpi-sections -p bench -p mpiche
 MPISIM_ENGINE=threads cargo test -q -p speedup-repro --test whatif_replay
 
 echo "==> only fiber.rs knows the target architecture"
+# No test pins it: an engine fork by architecture outside fiber.rs would
+# compile and pass on this host, which runs one side of it only.
 if grep -rn 'cfg(target_arch' crates/mpisim/src | grep -v '^crates/mpisim/src/fiber.rs:'; then
     echo "crates/mpisim/src: an engine fork by architecture is back outside fiber.rs"
     exit 1
@@ -29,7 +31,11 @@ fi
 
 echo "==> fiber stacks come from the pooled reservation only"
 # One allocation path: no heap-allocated stack and no after-the-fact
-# canary may come back beside the guarded `StackPool`.
+# canary may come back beside the guarded `StackPool`. Also pinned in
+# tier-1, for the guard: `crates/mpisim/tests/stacks.rs`'
+# `overflow_faults_at_the_guard_with_a_message` dies at the pool's guard
+# page with its message. No test pins a second allocator used beside the
+# pool, or a canary checked as well.
 if grep -rn 'std::alloc\|STACK_CANARY' crates/mpisim/src/fiber.rs crates/mpisim/src/fiber; then
     echo "crates/mpisim/src/fiber*: a second stack allocator or a canary is back"
     exit 1
@@ -38,6 +44,7 @@ fi
 echo "==> the communication log is indexed, never hashed"
 # Sends are a dense row per sender, timeline cells a dense array, rounds
 # a `FastMap`: SipHash per record is what `conv456_observed` used to pay.
+# No test pins it: a hashed table gives the same numbers, only slower.
 if grep -n 'HashMap' crates/core/src/waitstate.rs crates/core/src/critpath.rs \
     crates/core/src/timeline.rs; then
     echo "crates/core/src: a hashed lookup is back on the log's hot path"
@@ -50,6 +57,11 @@ echo "==> tools take no lock per event; stacks are guarded without splitting the
 # ROADMAP 1(b) settles benchmark/Cargo.lock); a receive's step carries its
 # message's departure, so the summarizer keeps nothing per message; and
 # `mprotect` is the guard of the pre-`MADV_GUARD_INSTALL` fallback only.
+# Also pinned in tier-1, for `mprotect(`: `crates/mpisim/tests/stacks.rs`'
+# `a_world_past_the_split_guard_limit_runs_where_guards_install_in_place`
+# runs past the split-mapping limit (where the kernel installs guards in
+# place). No test pins the lock or the summarizer's map of messages:
+# either would compile and pass.
 if grep -rn '^use parking_lot' crates/core/src; then
     echo "crates/core/src: a lock is back on a tool's per-event path"
     exit 1
@@ -243,10 +255,27 @@ if grep -rn 'CallEnter\|CallExit\|MpiCall\|tool_call_' crates src examples tests
     exit 1
 fi
 
+echo "==> pvar is a fold of the comm log: one online observer of communication"
+# Every pvar counter is a function of records the recorder keeps, so
+# `PvarSnapshot::from_log` folds the frozen log and no second tool drives a
+# spine over the same steps. Also pinned by the compiler, for the old tool:
+# `PvarRegistry` is an alias of `CommRecorder`, so a second
+# `impl Tool for PvarRegistry` conflicts with the recorder's (E0119); and in
+# tier-1, for the output: `crates/core/src/spine.rs`'
+# `tools_follow_sections_closed_out_of_enter_order` reads pvar's five rows
+# from a log no pvar tool watched. No test pins a new online pvar type
+# coming back beside the fold: this guard does.
+if grep -n 'Spine<\|impl Tool for' crates/core/src/pvar.rs; then
+    echo "crates/core/src/pvar.rs: pvar drives its own spine or observes the run again"
+    exit 1
+fi
+
 echo "==> fidelity is whether the data exists: one body per operation over Payload"
 # A rendezvous slot is a Payload, real or virtual, so no collective keeps a
 # timing-mode copy, and the workloads build one payload per message instead
-# of forking on fidelity around the call.
+# of forking on fidelity around the call. Tier-1 pins the behaviour, not
+# the absence of a copy: `tests/fidelity.rs` holds both fidelities' timing
+# artifacts byte-equal, which a copy that priced alike would pass too.
 if grep -rn 'fn bcast_virtual\|fn scatterv_virtual\|fn gatherv_virtual' crates/mpisim/src; then
     echo "crates/mpisim/src: a timing-mode copy of a collective is back beside its payload body"
     exit 1
@@ -267,7 +296,10 @@ fi
 echo "==> one virtual clock: machine prices every message and collective"
 # The engine and the what-if replay call the same MachineModel methods on
 # the same machine::noise streams; no copy of the cost table, the stream
-# ids or the link arithmetic may come back beside them.
+# ids or the link arithmetic may come back beside them. Tier-1 pins the
+# agreement, not the absence of a copy: `tests/whatif_replay.rs` holds a
+# replay under an altered machine equal to a run on it, which a copy that
+# priced alike would pass too.
 if grep -rn 'collective_base_secs\|NETWORK_STREAM\|COLLECTIVE_NAMESPACE' crates; then
     echo "crates: a copy of the collective cost table or a jitter stream id is back"
     exit 1
@@ -299,6 +331,8 @@ if grep -n 'Vec<VerifyEvent>' crates/core/src/section.rs; then
 fi
 
 echo "==> one way from a cell to a paper row: bench::profiled / profiled_cell"
+# No test pins it: a wrapper around bench::profiled, or a second hand-built
+# world, would compile and print the same figures.
 if grep -rn 'measure_convolution\|measure_lulesh\|lulesh_profile\|conv_profile' crates; then
     echo "crates: a wrapper around bench::profiled is back beside it"
     exit 1
@@ -312,7 +346,8 @@ fi
 
 echo "==> one cross-scale table: speedup::ScalingStudy, ranked by mpi_sections::rank_bounds"
 # A comparison of two runs is a study at two scales, and the Eq. 6
-# tightest-first sort is spelled once, inside `rank_bounds`.
+# tightest-first sort is spelled once, inside `rank_bounds`. No test pins
+# it: a second cross-scale table or sort would compile and pass.
 for gone in ProfileComparison SectionScaling 'fn bounds_from_profile(' 'fn binding_bound(' \
     'fn efficiency_series('; do
     if grep -rn "$gone" crates src examples; then
@@ -366,8 +401,9 @@ cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- \
     || { echo "conv16k_scale: result line does not say \"correct\": true"; exit 1; }
 
 echo "==> benchmark: one full-size conv456_observed run must come back correct"
-# p = 456 with the full observer stack (pvar, recorder, wait states,
-# critical path, timeline, JSON export) is launched nowhere else here.
+# p = 456 with the full observer stack (the recorder and its folds: pvar,
+# wait states, critical path, timeline; JSON export) is launched nowhere
+# else here.
 cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- \
     --workload conv456_observed --seed 2 --seconds 6 --trace 0 \
     | tail -n 1 | grep -q '"correct": true' \
@@ -406,11 +442,14 @@ timeout 20 ./target/release/profile conv --p 456 --steps 100 --check > /dev/null
     || { echo "profile conv --p 456 --steps 100 --check: failed or took more than 20 s"; exit 1; }
 
 echo "==> smoke: the observed paper run stays under its memory ceiling"
-# Full recording at p = 456 x 400 steps: the comm log (22.0 MB, 120 B per
-# rank-step) dominates; the run peaks at about 33.8 MB (36.4 MB while a
-# receive took two payload words and the timeline kept a cell per rank,
-# 46.2 MB while a send slot repeated its record's facts). 37 MB leaves
-# about 10 % for the host.
+# Full recording at p = 456 x 400 steps: the recorder is the one online
+# observer of communication, and pvar, the wait states, the critical path
+# and the timeline are folds of its log (22.0 MB, 120 B per rank-step),
+# which dominates; the run peaks at about 33.3 MB (33.8 MB while a pvar
+# tool watched the run beside the recorder, 36.4 MB while a receive took
+# two payload words and the timeline kept a cell per rank, 46.2 MB while a
+# send slot repeated its record's facts). 37 MB leaves about 10 % for the
+# host.
 smoke_observed="$(mktemp /tmp/check-observed.XXXXXX.json)"
 python3 - "$smoke_observed" <<'PY' || exit 1
 import os, subprocess, sys
@@ -595,14 +634,31 @@ grep -q '"schema":"mpisim-summary-v1"' "$smoke_summary" \
     || { echo "summary JSON missing schema marker"; exit 1; }
 rm -f "$smoke_summary"
 
-echo "==> smoke: one reservation for 16384 stacks, conv --p 16384 --steps 1 (time-boxed)"
+echo "==> smoke: one reservation for 16384 stacks, conv --p 16384 --steps 1 (time-boxed, memory ceiling)"
 # The benchmark's scale through the CLI: the mapping-budget check, 16384
 # guard pages, one step, and teardown of the whole reservation at exit.
-stacks_start="$(date +%s)"
-cargo run -q --release -p bench --bin profile -- \
-    conv --p 16384 --steps 1 --machine ideal > /dev/null
-stacks_secs="$(( $(date +%s) - stacks_start ))"
-test "$stacks_secs" -le 60 \
-    || { echo "p=16384 one-step smoke took ${stacks_secs}s (> 60s box)"; exit 1; }
+# The summarizer's event path runs on every rank's fiber stack, so one
+# more page of stack depth there is 64 MB at this p: the run peaks at about
+# 83.5 MB (149–259 MB while a section's 1.7 KB default was built inline on
+# that path). 92 MB leaves about 10 % for the host.
+smoke_stacks="$(mktemp /tmp/check-stacks.XXXXXX.json)"
+python3 - "$smoke_stacks" <<'PY' || exit 1
+import os, subprocess, sys, time
+ceiling_mb, box_s = 92.0, 60
+cmd = ["./target/release/profile", "conv", "--p", "16384", "--steps", "1",
+       "--machine", "ideal", "--summary-json", sys.argv[1]]
+start = time.monotonic()
+child = subprocess.Popen(cmd, stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+secs, peak_mb = time.monotonic() - start, usage.ru_maxrss / 1024
+if os.waitstatus_to_exitcode(status) != 0:
+    sys.exit(f"{' '.join(cmd)}: exit status {status}")
+if secs > box_s:
+    sys.exit(f"p=16384 one-step smoke took {secs:.0f}s (> {box_s}s box)")
+if peak_mb > ceiling_mb:
+    sys.exit(f"{' '.join(cmd)}: peak RSS {peak_mb:.1f} MB > {ceiling_mb} MB ceiling")
+print(f"peak RSS {peak_mb:.1f} MB (ceiling {ceiling_mb} MB)")
+PY
+rm -f "$smoke_stacks"
 
 echo "==> all checks passed"

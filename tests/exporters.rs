@@ -9,15 +9,16 @@ mod common;
 use common::assert_json;
 use mpi_sections::timeline::{build, Windowing};
 use mpi_sections::{
-    classify, critpath, CommRecorder, PvarRegistry, SectionRuntime, TraceTool, VerifyMode,
+    classify, critpath, CommRecorder, PvarSnapshot, SectionRuntime, SummaryTool, TraceTool,
+    VerifyMode,
 };
 use mpisim::{Src, TagSel, WorldBuilder};
 use std::sync::Arc;
 
 struct Observed {
     trace: Arc<TraceTool>,
-    pvar: Arc<PvarRegistry>,
     recorder: Arc<CommRecorder>,
+    summary: Arc<SummaryTool>,
     makespan_secs: f64,
 }
 
@@ -27,8 +28,8 @@ struct Observed {
 fn observed_run(seed: u64) -> Observed {
     let sections = SectionRuntime::new(VerifyMode::Active);
     let trace = TraceTool::new();
-    let pvar = PvarRegistry::new();
     let recorder = CommRecorder::new();
+    let summary = SummaryTool::new();
     sections.attach(trace.clone());
     let s = sections.clone();
     let report = WorldBuilder::new(4)
@@ -36,8 +37,8 @@ fn observed_run(seed: u64) -> Observed {
         .seed(seed)
         .tool(sections.clone())
         .tool(trace.clone())
-        .tool(pvar.clone())
         .tool(recorder.clone())
+        .tool(summary.clone())
         .run(move |p| {
             let world = p.world();
             s.scoped(p, &world, "COMPUTE", |p| {
@@ -58,8 +59,8 @@ fn observed_run(seed: u64) -> Observed {
         .expect("observed run failed");
     Observed {
         trace,
-        pvar,
         recorder,
+        summary,
         makespan_secs: report.makespan_secs(),
     }
 }
@@ -81,8 +82,8 @@ fn chrome_trace_is_valid_json_with_metadata_and_flows() {
 #[test]
 fn metrics_documents_are_valid_json() {
     let o = observed_run(1);
-    assert_json(&o.pvar.snapshot().to_json(), "pvar snapshot");
     let log = o.recorder.freeze();
+    assert_json(&PvarSnapshot::from_log(&log).to_json(), "pvar snapshot");
     assert_json(&classify(&log).to_json(), "wait-state report");
     assert_json(&critpath::extract(&log).to_json(), "critical path");
 }
@@ -124,7 +125,7 @@ fn metrics_json_is_byte_identical_across_identical_seeds() {
         let log = o.recorder.freeze();
         format!(
             "{}\n{}\n{}",
-            o.pvar.snapshot().to_json(),
+            PvarSnapshot::from_log(&log).to_json(),
             classify(&log).to_json(),
             critpath::extract(&log).to_json()
         )
@@ -158,29 +159,36 @@ fn timeline_window_sums_recompose_pvar_section_totals() {
     // window, so per-window counters summed over all windows must equal
     // the whole-run per-section pvar deltas. (Pvar attribution is
     // *inclusive* — nested activity also counts into enclosing sections —
-    // while the timeline attributes to the innermost section only, so the
+    // while the windows attribute to the innermost section only, so the
     // comparison holds for leaf sections; the fixture's sections are all
-    // flat under MPI_MAIN.)
+    // flat under MPI_MAIN.) The timeline and pvar are two sinks of one
+    // fold of the log; the summarizer's checkpoint rows are counted online
+    // from the live steps, so that side checks the log against the run.
     let o = observed_run(5);
-    let tl = build(&o.recorder.freeze(), &Windowing::Fixed(9));
-    let totals = tl.section_totals();
-    let snap = o.pvar.snapshot();
+    let log = o.recorder.freeze();
+    let offline = build(&log, &Windowing::Fixed(9)).section_totals();
+    let summary = o.summary.freeze();
+    let online = summary.to_timeline().section_totals();
+    let snap = PvarSnapshot::from_log(&log);
     let mut compared = 0;
     for (key, c) in &snap.per_section {
         if key.label == mpi_sections::MPI_MAIN {
             continue;
         }
-        let ws = totals
-            .get(&key.label)
-            .unwrap_or_else(|| panic!("timeline missing section {}", key.label));
-        assert_eq!(ws.sent_msgs, c.sent_msgs, "{}", key.label);
-        assert_eq!(ws.sent_bytes, c.sent_bytes, "{}", key.label);
-        assert_eq!(ws.recv_msgs, c.recv_msgs, "{}", key.label);
-        assert_eq!(ws.recv_bytes, c.recv_bytes, "{}", key.label);
-        assert_eq!(ws.coll_exits, c.coll_calls, "{}", key.label);
+        for (side, totals) in [("timeline", &offline), ("summary", &online)] {
+            let ws = totals
+                .get(&key.label)
+                .unwrap_or_else(|| panic!("{side} missing section {}", key.label));
+            assert_eq!(ws.sent_msgs, c.sent_msgs, "{side} {}", key.label);
+            assert_eq!(ws.sent_bytes, c.sent_bytes, "{side} {}", key.label);
+            assert_eq!(ws.recv_msgs, c.recv_msgs, "{side} {}", key.label);
+            assert_eq!(ws.recv_bytes, c.recv_bytes, "{side} {}", key.label);
+            assert_eq!(ws.coll_exits, c.coll_calls, "{side} {}", key.label);
+        }
         compared += 1;
     }
     assert!(compared >= 3, "expected COMPUTE/RING/SYNC, saw {compared}");
+    let totals = offline;
     // The ring moved real traffic, so the invariant is not vacuous.
     assert_eq!(totals["RING"].sent_msgs, 4);
     assert_eq!(totals["RING"].sent_bytes, 4 * 128);

@@ -9,7 +9,7 @@
 use convolution::{run_convolution, run_convolution_2d, ConvConfig, Fidelity};
 use lulesh_proxy::{run_lulesh, LuleshConfig};
 use mpi_sections::{
-    classify, CommRecorder, PvarRegistry, SectionProfiler, SectionRuntime, VerifyMode, MPI_MAIN,
+    classify, CommRecorder, PvarSnapshot, SectionProfiler, SectionRuntime, VerifyMode, MPI_MAIN,
 };
 use mpisim::{Proc, WorldBuilder};
 use std::sync::Arc;
@@ -30,7 +30,6 @@ fn priced<R: Send>(
 ) -> Priced {
     let sections = SectionRuntime::new(VerifyMode::Active);
     let profiler = SectionProfiler::new();
-    let pvar = PvarRegistry::new();
     let recorder = CommRecorder::new();
     sections.attach(profiler.clone());
     let s = sections.clone();
@@ -38,15 +37,15 @@ fn priced<R: Send>(
         .machine(machine)
         .seed(3)
         .tool(sections)
-        .tool(pvar.clone())
         .tool(recorder.clone())
         .run(move |p| body(p, &s))
         .expect("run failed");
+    let log = recorder.freeze();
     Priced {
         makespan_ns: report.makespan.as_nanos(),
         profile_csv: profiler.snapshot().to_csv(),
-        pvar_json: pvar.snapshot().to_json(),
-        wait_states_json: classify(&recorder.freeze()).to_json(),
+        pvar_json: PvarSnapshot::from_log(&log).to_json(),
+        wait_states_json: classify(&log).to_json(),
     }
 }
 
